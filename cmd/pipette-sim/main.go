@@ -443,7 +443,7 @@ func runOpenLoop(w io.Writer, wl string, gen workload.Generator, requests int, p
 	fmt.Fprintf(w, "workload %s over %.1f MiB, %d requests, open loop (%s arrivals, %.0f ops/s offered, qd %d, fine cache: %v)\n\n",
 		gen.Name(), float64(gen.FileSize())/(1<<20), requests, arr.Name(), ol.rate, ol.depth, fine)
 
-	res, err := bench.RunOpenLoop(e, gen, requests, bench.OpenLoopOpts{
+	res, err := bench.Run(e, gen, requests, bench.RunOpts{
 		Arrivals: arr, Depth: ol.depth, Offered: ol.rate,
 		// Match the closed-loop path: under an armed fault profile,
 		// uncorrectable media errors are expected outcomes, not failures.

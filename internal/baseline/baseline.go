@@ -31,6 +31,9 @@ type Engine interface {
 	// completion time.
 	ReadAt(now sim.Time, buf []byte, off int64) (sim.Time, error)
 	WriteAt(now sim.Time, data []byte, off int64) (sim.Time, error)
+	// Sync flushes the file's dirty pages to the device (fsync) and
+	// returns the virtual completion time.
+	Sync(now sim.Time) (sim.Time, error)
 	// Snapshot reports traffic and cache statistics accumulated so far
 	// (ops/latency/elapsed are filled by the runner).
 	Snapshot() metrics.Snapshot
@@ -333,7 +336,7 @@ func (e *BlockIO) Stages() *telemetry.StageAccount { return e.s.sa }
 // Resources implements Engine.
 func (e *BlockIO) Resources() *resource.Tracker { return e.s.res }
 
-// Sync exposes fsync for harness phases.
+// Sync implements Engine.
 func (e *BlockIO) Sync(now sim.Time) (sim.Time, error) { return e.s.file.Sync(now) }
 
 // snapshotOf merges VFS and (optionally) Pipette statistics.

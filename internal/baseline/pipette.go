@@ -98,7 +98,7 @@ func (e *PipetteEngine) Stages() *telemetry.StageAccount { return e.s.sa }
 // Resources implements Engine.
 func (e *PipetteEngine) Resources() *resource.Tracker { return e.s.res }
 
-// Sync exposes fsync for harness phases.
+// Sync implements Engine.
 func (e *PipetteEngine) Sync(now sim.Time) (sim.Time, error) { return e.s.file.Sync(now) }
 
 // Core exposes the framework (ablation benches tune and inspect it).

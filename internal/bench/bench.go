@@ -263,10 +263,14 @@ func engineSet(cfg baseline.StackConfig) ([]baseline.Engine, error) {
 	return engines, nil
 }
 
-// RunOpts tunes one replay.
+// RunOpts tunes one replay. The arrival process is the only scheduling
+// setting: nil Arrivals is a closed loop with one client, where each request
+// arrives the moment the previous one completes.
 type RunOpts struct {
-	Warmup      int // requests replayed before measurement starts
-	VerifyEvery int // verify read contents every N reads (0 = off)
+	// Warmup requests are replayed before measurement starts. Closed loop
+	// only: an open-loop warm-up is a separate call.
+	Warmup      int
+	VerifyEvery int // verify read contents every N measured requests (0 = off)
 	// Sampler, when set, is ticked with the virtual completion time after
 	// every measured request, producing the time-series CSV.
 	Sampler *telemetry.Sampler
@@ -274,6 +278,17 @@ type RunOpts struct {
 	// requests and keeps replaying instead of failing the run — the right
 	// semantics when a fault profile is armed. Off, any error is fatal.
 	TolerateMediaErrors bool
+
+	// Arrivals, when set, makes the replay open loop: requests arrive on
+	// its schedule regardless of completions.
+	Arrivals workload.Arrivals
+	// Depth bounds in-flight open-loop requests: arrivals past the bound
+	// wait in an admission FIFO, and that wait is attributed to the queue
+	// stage. Values < 1 clamp to 1; a closed loop always has one in flight.
+	Depth int
+	// Offered is the nominal open-loop arrival rate in ops/s, recorded on
+	// the result for reporting (the achieved rate comes from the snapshot).
+	Offered float64
 }
 
 // Result is one engine × workload measurement.
@@ -300,9 +315,9 @@ type Result struct {
 	// under TolerateMediaErrors; the snapshot's Ops is goodput (requests
 	// minus Lost), and lost requests do not enter the latency histogram.
 	Lost uint64
-	// Rejected counts open-loop arrivals bounced off a full admission FIFO
-	// (OpenLoopOpts.MaxQueue). Rejected requests never dispatch: they are
-	// excluded from goodput and from the latency histogram.
+	// Rejected counts arrivals bounced off a full admission FIFO (the
+	// cluster tier's per-shard bound). Rejected requests never dispatch:
+	// they are excluded from goodput and from the latency histogram.
 	Rejected uint64
 
 	// Tail is the cell's slow-request capture (top-K exemplars plus the
@@ -327,105 +342,236 @@ func tailKeep(requests int) int {
 
 // Run replays requests from gen against e and measures the paper's
 // metrics. Write requests carry a deterministic payload.
+//
+// Both schedules run on one sim.Engine event loop: arrivals enter an
+// admission FIFO and dispatch while fewer than Depth requests are in
+// flight. The engine's stack executes each dispatched request synchronously
+// in virtual time, so overlap between in-flight open-loop requests emerges
+// from the contended device resources (NAND dies and channel buses, the
+// PCIe link and NVMe fetch arbiter when enabled) that persist across calls.
+// Host-side software state (caches, the fine-read ring) mutates at
+// dispatch, a modeling simplification documented in DESIGN.md §8.
+// Latency is measured arrival to completion, so open-loop queueing delay
+// is part of the distribution and of the stage account's queue stage.
 func Run(e baseline.Engine, gen workload.Generator, requests int, opts RunOpts) (*Result, error) {
-	var now sim.Time
-	buf := make([]byte, 4096)
-	want := make([]byte, 4096) // oracle scratch, grown with buf
-	payload := make([]byte, 4096)
-	for i := range payload {
-		payload[i] = byte(i*7 + 13)
+	if opts.Warmup > 0 && opts.Arrivals != nil {
+		return nil, errors.New("bench: an open-loop replay takes no warmup; replay the warm-up as its own call")
 	}
-	grow := func(n int) {
-		for n > len(buf) {
-			buf = make([]byte, 2*len(buf))
-			want = make([]byte, len(buf))
-		}
-		for n > len(payload) {
-			old := payload
-			payload = make([]byte, 2*len(payload))
-			copy(payload, old)
-			copy(payload[len(old):], old)
-		}
+	r := &replay{e: e, gen: gen, opts: opts, total: opts.Warmup + requests, depth: 1,
+		eng: sim.NewEngine(), res: &Result{}}
+	if opts.Arrivals != nil {
+		r.depth = max(opts.Depth, 1)
+		r.res.Offered, r.res.Depth, r.res.Arrivals = opts.Offered, r.depth, opts.Arrivals.Name()
 	}
-
-	// Warmup phase: replay without measuring.
-	for i := 0; i < opts.Warmup; i++ {
-		req := gen.Next()
-		grow(req.Size)
-		var err error
-		if req.Write {
-			now, err = e.WriteAt(now, payload[:req.Size], req.Off)
-		} else {
-			now, err = e.ReadAt(now, buf[:req.Size], req.Off)
-		}
-		if err != nil {
-			if opts.TolerateMediaErrors && errors.Is(err, nvme.ErrUncorrectable) {
-				continue
-			}
-			return nil, fmt.Errorf("bench: warmup request %d: %w", i, err)
-		}
+	r.buf = make([]byte, 4096)
+	r.want = make([]byte, 4096)
+	r.payload = make([]byte, 4096)
+	for i := range r.payload {
+		r.payload[i] = byte(i*7 + 13)
 	}
-	base := e.Snapshot()
-	start := now
-
-	// Tail capture and the latency heatmap attach after warmup so both
-	// cover exactly the measured phase; the stage account itself keeps
-	// spanning the whole replay (that is what conservation covers).
-	tail := telemetry.NewTailRecorder(tailTopK, tailKeep(requests))
-	e.Stages().SetTail(tail)
+	// The callbacks are bound once, so the loop allocates nothing per request.
+	r.arriveFn, r.completeFn = r.arrive, r.complete
+	r.tail = telemetry.NewTailRecorder(tailTopK, tailKeep(requests))
 	defer e.Stages().SetTail(nil)
-	grid := telemetry.NewLatencyGrid(now)
 
-	res := &Result{}
-	for i := 0; i < requests; i++ {
-		req := gen.Next()
-		grow(req.Size)
-		before := now
-		var err error
-		if req.Write {
-			now, err = e.WriteAt(now, payload[:req.Size], req.Off)
-		} else {
-			now, err = e.ReadAt(now, buf[:req.Size], req.Off)
-			if err == nil && opts.VerifyEvery > 0 && i%opts.VerifyEvery == 0 {
-				want := want[:req.Size]
-				if oerr := e.Oracle(want, req.Off); oerr != nil {
-					return nil, oerr
-				}
-				if !bytes.Equal(buf[:req.Size], want) {
-					return nil, fmt.Errorf("bench: %s returned wrong bytes at %d (+%d)",
-						e.Name(), req.Off, req.Size)
-				}
-			}
+	if opts.Warmup == 0 {
+		r.begin(0)
+	}
+	if r.total > 0 {
+		var first sim.Time
+		if opts.Arrivals != nil {
+			first = opts.Arrivals.Next()
 		}
-		if err != nil {
-			if opts.TolerateMediaErrors && errors.Is(err, nvme.ErrUncorrectable) {
-				res.Lost++ // the failed request still consumed virtual time
-				continue
-			}
-			return nil, fmt.Errorf("bench: request %d (%+v): %w", i, req, err)
-		}
-		res.Hist.Observe(now - before)
-		grid.Observe(now, now-before)
-		if opts.Sampler != nil {
-			opts.Sampler.Tick(now)
-		}
+		r.eng.At(first, r.arriveFn)
+	}
+	r.eng.Run()
+	if r.err != nil {
+		return nil, r.err
 	}
 
-	res.Tail = tail.Snapshot()
-	res.Heat = grid.Snapshot()
+	res := r.res
+	res.Tail = r.tail.Snapshot()
+	res.Heat = r.grid.Snapshot()
 	res.Stages = e.Stages().Snapshot()
-	res.Resources = e.Resources().Snapshot(now)
-	snap := e.Snapshot()
-	subIO(&snap.IO, base.IO)
-	subCache(&snap.PageCache, base.PageCache)
-	subCache(&snap.FineCache, base.FineCache)
-	snap.Ops = uint64(requests) - res.Lost
-	snap.Elapsed = now - start
-	snap.MeanLat = res.Hist.Mean()
-	snap.P99Lat = res.Hist.Quantile(0.99)
-	snap.MaxLat = res.Hist.Max()
-	res.Snapshot = snap
+	res.Resources = e.Resources().Snapshot(r.lastDone)
+	res.Snapshot = measured(e.Snapshot(), r.base, &res.Hist, r.lastDone-r.start)
 	return res, nil
+}
+
+// replay is the state of one Run: the admission FIFO, the in-flight count,
+// and the measurement that starts once the warmup has completed.
+type replay struct {
+	e     baseline.Engine
+	gen   workload.Generator
+	opts  RunOpts
+	total int // warmup plus measured requests
+	depth int
+
+	eng        *sim.Engine
+	queue      []pending
+	head       int
+	inFlight   int
+	arrived    int
+	dispatched int
+	completed  int
+	lastDone   sim.Time
+	err        error
+
+	buf, want, payload   []byte
+	arriveFn, completeFn func(sim.Time)
+
+	res   *Result
+	base  metrics.Snapshot
+	start sim.Time
+	tail  *telemetry.TailRecorder
+	grid  *telemetry.LatencyGrid
+}
+
+// pending is one arrived request waiting for admission.
+type pending struct {
+	arrival sim.Time
+	req     workload.Request
+}
+
+// begin starts the measured phase at now. The tail capture and the latency
+// heatmap attach here so both cover exactly that phase; the stage account
+// itself keeps spanning the whole replay (that is what conservation covers).
+func (r *replay) begin(now sim.Time) {
+	r.base = r.e.Snapshot()
+	r.start = now
+	r.e.Stages().SetTail(r.tail)
+	r.grid = telemetry.NewLatencyGrid(now)
+}
+
+func (r *replay) arrive(now sim.Time) {
+	if r.err != nil {
+		return
+	}
+	req := r.gen.Next()
+	r.arrived++
+	if r.opts.Arrivals != nil && r.arrived < r.total {
+		r.eng.At(now+r.opts.Arrivals.Next(), r.arriveFn)
+	}
+	r.queue = append(r.queue, pending{arrival: now, req: req})
+	r.admit(now)
+}
+
+func (r *replay) complete(now sim.Time) {
+	r.inFlight--
+	r.completed++
+	if r.completed == r.opts.Warmup {
+		r.begin(now)
+	}
+	if r.opts.Arrivals == nil && r.arrived < r.total {
+		r.arrive(now) // closed loop: the next request arrives as this one completes
+		return
+	}
+	r.admit(now)
+}
+
+// admit dispatches queued requests while the depth bound allows.
+func (r *replay) admit(now sim.Time) {
+	for r.err == nil && r.inFlight < r.depth && r.head < len(r.queue) {
+		p := r.queue[r.head]
+		r.head++
+		done := r.dispatch(now, p)
+		if done > r.lastDone {
+			r.lastDone = done
+		}
+		r.inFlight++
+		r.eng.At(done, r.completeFn)
+	}
+	// Reclaim the drained backlog so a long overloaded run does not hold
+	// every request in memory.
+	if r.head == len(r.queue) {
+		r.queue = r.queue[:0]
+		r.head = 0
+	}
+}
+
+// dispatch executes one request at time now and observes it: the
+// only place the harness calls the engine's ReadAt and WriteAt. It returns
+// the completion time; a failed request still occupies the system until
+// then. A fatal error is left on r.err.
+func (r *replay) dispatch(now sim.Time, p pending) sim.Time {
+	req := p.req
+	seq := r.dispatched
+	k := seq - r.opts.Warmup // measured index; negative during warmup
+	r.dispatched++
+	r.grow(req.Size)
+	// A request that waited for admission arms the stage account with its
+	// arrival time: the span [arrival, now) becomes its queue stage and its
+	// latency is measured from arrival.
+	if p.arrival < now {
+		r.e.Stages().PreQueue(p.arrival)
+	}
+	var done sim.Time
+	var err error
+	if req.Write {
+		done, err = r.e.WriteAt(now, r.payload[:req.Size], req.Off)
+	} else {
+		done, err = r.e.ReadAt(now, r.buf[:req.Size], req.Off)
+		if err == nil && k >= 0 && r.opts.VerifyEvery > 0 && k%r.opts.VerifyEvery == 0 {
+			r.err = r.verify(req)
+		}
+	}
+	switch {
+	case err != nil && r.opts.TolerateMediaErrors && errors.Is(err, nvme.ErrUncorrectable):
+		if k >= 0 {
+			r.res.Lost++
+		}
+	case err != nil:
+		r.err = fmt.Errorf("bench: request %d (%+v): %w", seq, req, err)
+	case k >= 0 && r.err == nil:
+		r.res.Hist.Observe(done - p.arrival)
+		r.grid.Observe(done, done-p.arrival)
+		if r.opts.Sampler != nil {
+			r.opts.Sampler.Tick(done)
+		}
+	}
+	return done
+}
+
+// verify checks the bytes a read returned against the engine's oracle.
+func (r *replay) verify(req workload.Request) error {
+	want := r.want[:req.Size]
+	if err := r.e.Oracle(want, req.Off); err != nil {
+		return err
+	}
+	if !bytes.Equal(r.buf[:req.Size], want) {
+		return fmt.Errorf("bench: %s returned wrong bytes at %d (+%d)", r.e.Name(), req.Off, req.Size)
+	}
+	return nil
+}
+
+// grow sizes the read, oracle and payload buffers for an n-byte request.
+// The payload doubles by repeating itself, so its bytes stay deterministic.
+func (r *replay) grow(n int) {
+	for n > len(r.buf) {
+		r.buf = make([]byte, 2*len(r.buf))
+		r.want = make([]byte, len(r.buf))
+	}
+	for n > len(r.payload) {
+		old := r.payload
+		r.payload = make([]byte, 2*len(r.payload))
+		copy(r.payload, old)
+		copy(r.payload[len(old):], old)
+	}
+}
+
+// measured is the epilogue every replay shares: cur's traffic and cache
+// counters minus those of base, the snapshot taken when measurement began,
+// with the operation count and latency figures taken from h.
+func measured(cur, base metrics.Snapshot, h *metrics.Histogram, elapsed sim.Time) metrics.Snapshot {
+	subIO(&cur.IO, base.IO)
+	subCache(&cur.PageCache, base.PageCache)
+	subCache(&cur.FineCache, base.FineCache)
+	cur.Ops = h.Count()
+	cur.Elapsed = elapsed
+	cur.MeanLat = h.Mean()
+	cur.P99Lat = h.Quantile(0.99)
+	cur.MaxLat = h.Max()
+	return cur
 }
 
 // ExportRun converts one cell measurement into a report-bundle run record,
@@ -456,13 +602,17 @@ func ExportRun(name, wl string, r *Result) report.Run {
 	}
 }
 
-func addIO(a *metrics.IO, b metrics.IO) {
-	a.BytesRequested += b.BytesRequested
-	a.BytesTransferred += b.BytesTransferred
-	a.BytesWritten += b.BytesWritten
-	a.BlockReads += b.BlockReads
-	a.FineReads += b.FineReads
-	a.Writes += b.Writes
+// addCounters adds b's traffic and cache counters into a; the cluster cell
+// sums its shards with it.
+func addCounters(a *metrics.Snapshot, b metrics.Snapshot) {
+	a.IO.BytesRequested += b.IO.BytesRequested
+	a.IO.BytesTransferred += b.IO.BytesTransferred
+	a.IO.BytesWritten += b.IO.BytesWritten
+	a.IO.BlockReads += b.IO.BlockReads
+	a.IO.FineReads += b.IO.FineReads
+	a.IO.Writes += b.IO.Writes
+	addCache(&a.PageCache, b.PageCache)
+	addCache(&a.FineCache, b.FineCache)
 }
 
 func addCache(a *metrics.Cache, b metrics.Cache) {

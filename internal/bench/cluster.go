@@ -166,11 +166,11 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 
 	// Baselines taken after preload: the replay's traffic and busy-time
 	// deltas exclude the load phase.
-	base := make([]metrics.Snapshot, cfg.Shards)
+	var base metrics.Snapshot
 	busy := make([][]sim.Time, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		sh := c.Shard(i)
-		base[i] = sh.Snapshot()
+		addCounters(&base, sh.Snapshot())
 		busy[i] = make([]sim.Time, sh.Res.Len())
 		for j := range busy[i] {
 			busy[i][j] = sh.Res.At(j).Busy()
@@ -224,17 +224,11 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 		Tail:     tail.Snapshot(),
 		Heat:     grid.Snapshot(),
 	}
-	snap := metrics.Snapshot{Name: "cluster"}
+	cur := metrics.Snapshot{Name: "cluster"}
 	slot.shards = make([]report.ShardSummary, cfg.Shards)
 	for i, ss := range cres.Shards {
 		sh := c.Shard(i)
-		shSnap := sh.Snapshot()
-		subIO(&shSnap.IO, base[i].IO)
-		subCache(&shSnap.PageCache, base[i].PageCache)
-		subCache(&shSnap.FineCache, base[i].FineCache)
-		addIO(&snap.IO, shSnap.IO)
-		addCache(&snap.PageCache, shSnap.PageCache)
-		addCache(&snap.FineCache, shSnap.FineCache)
+		addCounters(&cur, sh.Snapshot())
 		sa := sh.SA.Snapshot()
 		res.Stages.Merge(&sa)
 		var util float64
@@ -260,12 +254,7 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 			Utilization:   util,
 		}
 	}
-	snap.Ops = cres.Hist.Count()
-	snap.Elapsed = cres.Elapsed
-	snap.MeanLat = cres.Hist.Mean()
-	snap.P99Lat = cres.Hist.Quantile(0.99)
-	snap.MaxLat = cres.Hist.Max()
-	res.Snapshot = snap
+	res.Snapshot = measured(cur, base, &cres.Hist, cres.Elapsed)
 	slot.res = res
 	return slot, nil
 }

@@ -30,7 +30,7 @@ func TestFaultsDeterminism(t *testing.T) {
 // TestFaultsRecoveryCounters pins the sweep's semantics at tiny scale: the
 // control level injects nothing, and under injection every fault channel
 // the sweep exercises shows recovery activity while every surviving read
-// verified against the oracle inside runFaulted.
+// verified against the oracle inside the replay.
 func TestFaultsRecoveryCounters(t *testing.T) {
 	s := TinyScale()
 	res, err := RunFaults(s, nil)
@@ -39,9 +39,9 @@ func TestFaultsRecoveryCounters(t *testing.T) {
 	}
 	for _, mix := range []string{"C", "E"} {
 		for name, fr := range res[mix]["none"] {
-			if fr.Failed != 0 || fr.Report.Injected != 0 {
+			if fr.Lost != 0 || fr.Report.Injected != 0 {
 				t.Errorf("mix %s %s: control level injected %d, failed %d",
-					mix, name, fr.Report.Injected, fr.Failed)
+					mix, name, fr.Report.Injected, fr.Lost)
 			}
 		}
 		blk := res[mix]["high"]["Block I/O"]

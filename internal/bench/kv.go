@@ -325,15 +325,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 		}
 	}
 
-	snap := st.snapshot("")
-	subIO(&snap.IO, base.IO)
-	subCache(&snap.PageCache, base.PageCache)
-	subCache(&snap.FineCache, base.FineCache)
-	snap.Ops = uint64(ops)
-	snap.Elapsed = now - start
-	snap.MeanLat = res.hist.Mean()
-	snap.P99Lat = res.hist.Quantile(0.99)
-	res.snap = snap
+	res.snap = measured(st.snapshot(""), base, &res.hist, now-start)
 	res.stages = st.sa.Snapshot()
 	res.resources = st.res.Snapshot(now)
 	res.store = store.Stats()

@@ -7,183 +7,23 @@ import (
 
 	"pipette/internal/baseline"
 	"pipette/internal/buildinfo"
-	"pipette/internal/nvme"
 	"pipette/internal/report"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
 	"pipette/internal/workload"
 )
 
-// OpenLoopOpts configures one open-loop replay.
-type OpenLoopOpts struct {
-	// Arrivals is the arrival process (required): requests arrive on its
-	// schedule regardless of completions.
-	Arrivals workload.Arrivals
-	// Depth bounds in-flight requests: arrivals past the bound wait in an
-	// admission FIFO, and that wait is attributed to the queue stage.
-	// Values < 1 clamp to 1.
-	Depth int
-	// MaxQueue bounds the admission FIFO itself: an arrival that would
-	// have to wait behind MaxQueue queued requests is rejected with
-	// backpressure and counted on Result.Rejected. 0 = unbounded.
-	MaxQueue int
-	// Offered is the nominal arrival rate in ops/s, recorded on the
-	// result for reporting (the achieved rate comes from the snapshot).
-	Offered float64
-	// TolerateMediaErrors counts uncorrectable media errors as lost
-	// requests instead of failing the replay — see RunOpts.
-	TolerateMediaErrors bool
-}
+// OpenLoopOpts is RunOpts under the name the benchmark module's open-loop
+// workload uses.
+type OpenLoopOpts = RunOpts
 
-// RunOpenLoop replays an open-loop request stream against e: requests
-// arrive per opts.Arrivals, wait in an admission queue while Depth
-// requests are in flight, and dispatch as completions free slots. The
-// engine's stack executes each dispatched request synchronously in
-// virtual time, so overlap between in-flight requests emerges from the
-// contended device resources (NAND dies and channel buses, the PCIe link
-// and NVMe fetch arbiter when enabled) that persist across calls — the
-// discrete-event engine sequences arrivals, dispatches, and completions
-// deterministically by (time, seq).
-//
-// Host-side software state (caches, the fine-read ring) mutates at
-// dispatch, a modeling simplification documented in DESIGN.md §8.
-// Per-request latency is measured arrival to completion, so queueing
-// delay is part of the distribution — the open-system behavior a
-// closed-loop replay cannot show.
+// RunOpenLoop is Run for a replay that must be open loop: it fails when
+// opts names no arrival process instead of falling back to a closed loop.
 func RunOpenLoop(e baseline.Engine, gen workload.Generator, requests int, opts OpenLoopOpts) (*Result, error) {
 	if opts.Arrivals == nil {
 		return nil, errors.New("bench: open-loop replay needs an arrival process")
 	}
-	if requests <= 0 {
-		return nil, errors.New("bench: open-loop replay needs requests > 0")
-	}
-	depth := opts.Depth
-	if depth < 1 {
-		depth = 1
-	}
-
-	eng := sim.NewEngine()
-	buf := make([]byte, 4096)
-	payload := make([]byte, 4096)
-	for i := range payload {
-		payload[i] = byte(i*7 + 13)
-	}
-	grow := func(n int) {
-		for n > len(buf) {
-			buf = make([]byte, 2*len(buf))
-		}
-		for n > len(payload) {
-			old := payload
-			payload = make([]byte, 2*len(payload))
-			copy(payload, old)
-			copy(payload[len(old):], old)
-		}
-	}
-
-	base := e.Snapshot()
-	res := &Result{Offered: opts.Offered, Depth: depth, Arrivals: opts.Arrivals.Name()}
-
-	// Open-loop replays have no warmup, so the tail capture and the
-	// heatmap span the whole run, time axis anchored at virtual zero.
-	tail := telemetry.NewTailRecorder(tailTopK, tailKeep(requests))
-	e.Stages().SetTail(tail)
-	defer e.Stages().SetTail(nil)
-	grid := telemetry.NewLatencyGrid(0)
-
-	type pending struct {
-		arrival sim.Time
-		req     workload.Request
-	}
-	var (
-		queue    []pending
-		head     int
-		inFlight int
-		arrived  int
-		lastDone sim.Time
-		runErr   error
-	)
-
-	var admit func(now sim.Time)
-	complete := func(now sim.Time) {
-		inFlight--
-		admit(now)
-	}
-	admit = func(now sim.Time) {
-		for runErr == nil && inFlight < depth && head < len(queue) {
-			p := queue[head]
-			head++
-			grow(p.req.Size)
-			// Arm the stage account with the true arrival time: the span
-			// [arrival, now) becomes the request's queue stage and its
-			// latency is measured from arrival.
-			e.Stages().PreQueue(p.arrival)
-			var done sim.Time
-			var err error
-			if p.req.Write {
-				done, err = e.WriteAt(now, payload[:p.req.Size], p.req.Off)
-			} else {
-				done, err = e.ReadAt(now, buf[:p.req.Size], p.req.Off)
-			}
-			if err != nil {
-				if !opts.TolerateMediaErrors || !errors.Is(err, nvme.ErrUncorrectable) {
-					runErr = fmt.Errorf("bench: open-loop request %d (%+v): %w", head-1, p.req, err)
-					return
-				}
-				// The failed request still occupied the system until done;
-				// it frees its slot then but never enters the histogram.
-				res.Lost++
-			} else {
-				res.Hist.Observe(done - p.arrival)
-				grid.Observe(done, done-p.arrival)
-			}
-			if done > lastDone {
-				lastDone = done
-			}
-			inFlight++
-			eng.At(done, complete)
-		}
-		// Reclaim the drained backlog so a long overloaded run does not
-		// hold every request in memory.
-		if head == len(queue) {
-			queue = queue[:0]
-			head = 0
-		}
-	}
-	var arrive func(now sim.Time)
-	arrive = func(now sim.Time) {
-		req := gen.Next()
-		arrived++
-		if arrived < requests {
-			eng.At(now+opts.Arrivals.Next(), arrive)
-		}
-		if opts.MaxQueue > 0 && inFlight >= depth && len(queue)-head >= opts.MaxQueue {
-			res.Rejected++ // backpressure: the FIFO is full, drop at arrival
-			return
-		}
-		queue = append(queue, pending{arrival: now, req: req})
-		admit(now)
-	}
-	eng.At(opts.Arrivals.Next(), arrive)
-	eng.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	res.Tail = tail.Snapshot()
-	res.Heat = grid.Snapshot()
-	res.Stages = e.Stages().Snapshot()
-	res.Resources = e.Resources().Snapshot(lastDone)
-	snap := e.Snapshot()
-	subIO(&snap.IO, base.IO)
-	subCache(&snap.PageCache, base.PageCache)
-	subCache(&snap.FineCache, base.FineCache)
-	snap.Ops = uint64(requests) - res.Lost - res.Rejected
-	snap.Elapsed = lastDone
-	snap.MeanLat = res.Hist.Mean()
-	snap.P99Lat = res.Hist.Quantile(0.99)
-	snap.MaxLat = res.Hist.Max()
-	res.Snapshot = snap
-	return res, nil
+	return Run(e, gen, requests, opts)
 }
 
 // qdepthEngineIdxs are the engines the saturation sweep compares: the
@@ -315,24 +155,20 @@ func WriteQDepth(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) 
 				if err != nil {
 					return nil, err
 				}
-				var res *Result
-				if pt.rate == 0 {
-					res, err = Run(e, gen, s.QDepthRequests, RunOpts{TolerateMediaErrors: true})
-				} else {
-					var arr workload.Arrivals
-					if pt.burst {
-						arr, err = workload.NewBursty(pt.rate, qdepthBurstLen, qdepthBurstPeak, 0xa221)
-					} else {
-						arr, err = workload.NewPoisson(pt.rate, 0xa221)
-					}
-					if err != nil {
-						return nil, err
-					}
-					res, err = RunOpenLoop(e, gen, s.QDepthRequests, OpenLoopOpts{
-						Arrivals: arr, Depth: pt.depth, Offered: pt.rate,
-						TolerateMediaErrors: true,
-					})
+				var arr workload.Arrivals // nil for the closed-loop reference
+				switch {
+				case pt.burst:
+					arr, err = workload.NewBursty(pt.rate, qdepthBurstLen, qdepthBurstPeak, 0xa221)
+				case pt.rate > 0:
+					arr, err = workload.NewPoisson(pt.rate, 0xa221)
 				}
+				if err != nil {
+					return nil, err
+				}
+				res, err := Run(e, gen, s.QDepthRequests, RunOpts{
+					Arrivals: arr, Depth: pt.depth, Offered: pt.rate,
+					TolerateMediaErrors: true,
+				})
 				if err != nil {
 					return nil, fmt.Errorf("bench: %s: %w", pt.label(), err)
 				}

@@ -9,6 +9,7 @@ import (
 
 	"pipette/internal/fault"
 	"pipette/internal/report"
+	"pipette/internal/sim"
 	"pipette/internal/telemetry"
 	"pipette/internal/workload"
 )
@@ -50,6 +51,73 @@ func TestOpenLoopConservationAndQueueStage(t *testing.T) {
 	}
 	if res.Arrivals != "poisson" || res.Depth != 4 || res.Offered != 2_000_000 {
 		t.Fatalf("open-loop metadata wrong: %+v", res)
+	}
+}
+
+// zeroGap is an arrival process that delivers every request at time zero.
+type zeroGap struct{}
+
+func (zeroGap) Name() string   { return "zero-gap" }
+func (zeroGap) Next() sim.Time { return 0 }
+
+// TestClosedAndOpenLoopDoSameDeviceWork replays one mix-E stream twice on
+// fresh Pipette engines: closed loop, and open loop at depth 1 with every
+// request arriving at time zero. Depth 1 dispatches each request the moment
+// its predecessor completes, exactly as the closed loop does, so the two
+// schedules must do the same device work in the same virtual time. Only the
+// queue stage differs: the open run waits from time zero to dispatch, so its
+// queue total is the gap between the two runs' summed latencies.
+func TestClosedAndOpenLoopDoSameDeviceWork(t *testing.T) {
+	s := TinyScale()
+	mixE := workload.Mixes(s.FileSize(), 4096, workload.Uniform, 0xbead)[4]
+	const requests = 600
+	replay := func(opts RunOpts) *Result {
+		t.Helper()
+		e, err := newEngine(4, qdepthConfig(s)) // Pipette
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := workload.NewSynthetic(mixE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(e, gen, requests, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	closed := replay(RunOpts{})
+	open := replay(RunOpts{Arrivals: zeroGap{}, Depth: 1})
+
+	if closed.Snapshot.Elapsed != open.Snapshot.Elapsed {
+		t.Errorf("elapsed: closed %d ns, open %d ns", closed.Snapshot.Elapsed, open.Snapshot.Elapsed)
+	}
+	if closed.Snapshot.IO != open.Snapshot.IO {
+		t.Errorf("device traffic: closed %+v, open %+v", closed.Snapshot.IO, open.Snapshot.IO)
+	}
+	for st := telemetry.Stage(0); st < telemetry.NumStages; st++ {
+		if st != telemetry.StageQueue && closed.Stages.Totals[st] != open.Stages.Totals[st] {
+			t.Errorf("stage %v: closed %v, open %v", st, closed.Stages.Totals[st], open.Stages.Totals[st])
+		}
+	}
+	if closed.Stages.Totals[telemetry.StageQueue] != 0 {
+		t.Errorf("closed loop queued for %v", closed.Stages.Totals[telemetry.StageQueue])
+	}
+	if q, gap := open.Stages.Totals[telemetry.StageQueue], open.Hist.Sum()-closed.Hist.Sum(); q != gap || q == 0 {
+		t.Errorf("open queue stage %v, want the summed-latency gap %v (> 0)", q, gap)
+	}
+
+	e, err := newEngine(4, qdepthConfig(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewSynthetic(mixE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(e, gen, requests, RunOpts{Warmup: 10, Arrivals: zeroGap{}}); err == nil {
+		t.Error("Run accepted a warmup on an open-loop replay")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"pipette/internal/baseline"
 	"pipette/internal/metrics"
 	"pipette/internal/workload"
 )
@@ -194,5 +193,3 @@ func writeLatencySweep(w io.Writer, s Scale, p *Pool) error {
 	fmt.Fprintln(w)
 	return nil
 }
-
-var _ = baseline.Engine(nil)
