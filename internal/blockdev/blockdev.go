@@ -126,6 +126,16 @@ func (l *Layer) coalesce(lbas []uint64) []run {
 // the last command and the host bytes moved. All merged commands issue at
 // now and race on the device.
 func (l *Layer) ReadPagesEach(now sim.Time, lbas []uint64, deliver func(lba uint64, data []byte)) (sim.Time, uint64, error) {
+	return l.ReadPagesKeep(now, lbas, lbas, deliver)
+}
+
+// ReadPagesKeep is ReadPagesEach for a caller that looks at the bytes of
+// only some pages, those whose LBA is in keep: a command of at most
+// nvme.DiscardPages pages delivers every other page with nil data (a
+// longer one delivers them all). The device still reads
+// and transfers every page (see nvme.Command.Discard), so the completion
+// time, the bytes moved and every counter are those of ReadPagesEach.
+func (l *Layer) ReadPagesKeep(now sim.Time, lbas, keep []uint64, deliver func(lba uint64, data []byte)) (sim.Time, uint64, error) {
 	if len(lbas) == 0 {
 		return now, 0, nil
 	}
@@ -138,10 +148,19 @@ func (l *Layer) ReadPagesEach(now sim.Time, lbas []uint64, deliver func(lba uint
 			l.readBuf = make([]byte, need)
 		}
 		buf := l.readBuf[:need]
+		var discard uint64
+		if r.count <= nvme.DiscardPages {
+			discard = ^uint64(0) >> (64 - r.count)
+			for _, k := range keep {
+				if k-r.start < uint64(r.count) {
+					discard &^= 1 << (k - r.start)
+				}
+			}
+		}
 		issueAt := now + l.cfg.PerRequestOverhead
 		l.sa.Mark(telemetry.StageQueue, issueAt)
 		comp, err := l.drv.Submit(issueAt, nvme.Command{
-			Op: nvme.OpRead, LBA: r.start, Pages: r.count, Data: buf,
+			Op: nvme.OpRead, LBA: r.start, Pages: r.count, Data: buf, Discard: discard,
 		})
 		if err != nil {
 			return now, moved, fmt.Errorf("blockdev: read submit: %w", err)
@@ -150,7 +169,11 @@ func (l *Layer) ReadPagesEach(now sim.Time, lbas []uint64, deliver func(lba uint
 			return comp.Done, moved, fmt.Errorf("blockdev: read [%d,+%d): %w", r.start, r.count, comp.Status.Err())
 		}
 		for i := 0; i < r.count; i++ {
-			deliver(r.start+uint64(i), buf[i*l.pageSize:(i+1)*l.pageSize])
+			var data []byte
+			if discard&(1<<uint(i)) == 0 {
+				data = buf[i*l.pageSize : (i+1)*l.pageSize]
+			}
+			deliver(r.start+uint64(i), data)
 		}
 		if l.tr.Enabled() {
 			l.tr.Span(telemetry.TrackBlock, "read", now, comp.Done)

@@ -6,6 +6,7 @@ import (
 
 	"pipette/internal/ftl"
 	"pipette/internal/nvme"
+	"pipette/internal/sim"
 	"pipette/internal/ssd"
 )
 
@@ -106,6 +107,55 @@ func TestReadPagesMergedCommand(t *testing.T) {
 	comp := ctrl.Execute(0, &nvme.Command{Op: nvme.OpRead, LBA: 3, Pages: 1, Data: buf})
 	if !comp.Ok() || !bytes.Equal(pages[3], buf) {
 		t.Fatal("merged read content mismatch")
+	}
+}
+
+func TestReadPagesKeepDeliversOnlyKept(t *testing.T) {
+	// Twin stacks read the same runs; the one keeping a single page gets
+	// nil data for the others, and nothing else may differ.
+	lbas := []uint64{2, 3, 4, 5, 9}
+	read := func(keep []uint64) (map[uint64][]byte, sim.Time, uint64, Stats, *ssd.Controller) {
+		ctrl, l := testStack(t)
+		for i := 0; i < 12; i++ {
+			if err := ctrl.FTL().Preload(ftl.LBA(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := make(map[uint64][]byte)
+		deliver := func(lba uint64, data []byte) { got[lba] = append([]byte(nil), data...) }
+		var done sim.Time
+		var moved uint64
+		var err error
+		if keep == nil {
+			done, moved, err = l.ReadPagesEach(0, lbas, deliver)
+		} else {
+			done, moved, err = l.ReadPagesKeep(0, lbas, keep, deliver)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, done, moved, l.Stats(), ctrl
+	}
+	all, allDone, allMoved, allStats, ctrl := read(nil)
+	one, oneDone, oneMoved, oneStats, _ := read([]uint64{4})
+	if oneDone != allDone || oneMoved != allMoved || oneStats != allStats {
+		t.Fatalf("keep one: done %v moved %d %+v; keep all: done %v moved %d %+v",
+			oneDone, oneMoved, oneStats, allDone, allMoved, allStats)
+	}
+	for _, lba := range lbas {
+		want := make([]byte, ctrl.PageSize())
+		if err := ctrl.PeekLBA(lba, 0, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(all[lba], want) {
+			t.Fatalf("ReadPagesEach: lba %d content mismatch", lba)
+		}
+		switch {
+		case lba == 4 && !bytes.Equal(one[lba], want):
+			t.Fatalf("kept lba %d content mismatch", lba)
+		case lba != 4 && one[lba] != nil:
+			t.Fatalf("discarded lba %d delivered %d bytes", lba, len(one[lba]))
+		}
 	}
 }
 

@@ -229,13 +229,24 @@ func (f *FTL) Read(now sim.Time, lba LBA) ([]byte, sim.Time, error) {
 }
 
 // ReadInto reads the page backing lba into a caller-owned page-sized buffer,
-// avoiding the per-read allocation of Read.
+// avoiding the per-read allocation of Read: ReadRangeInto over the whole
+// page.
 func (f *FTL) ReadInto(now sim.Time, lba LBA, buf []byte) (sim.Time, error) {
+	if len(buf) != f.geo.PageSize {
+		return now, fmt.Errorf("%w: %d != %d", ErrBadLength, len(buf), f.geo.PageSize)
+	}
+	return f.ReadRangeInto(now, lba, 0, buf)
+}
+
+// ReadRangeInto reads the page backing lba with whole-page timing and
+// traffic, writing only the page bytes [off, off+len(dst)) into dst; an
+// empty dst reads for timing alone (see nand.Array.ReadPageRange).
+func (f *FTL) ReadRangeInto(now sim.Time, lba LBA, off int, dst []byte) (sim.Time, error) {
 	ppa, err := f.Translate(lba)
 	if err != nil {
 		return now, err
 	}
-	done, err := f.arr.ReadPageInto(now, ppa, buf)
+	done, err := f.arr.ReadPageRange(now, ppa, off, dst)
 	if err == nil {
 		f.sa.MarkRes(telemetry.StageNAND, done, f.dieLabels[f.geo.DieOf(ppa)])
 	}

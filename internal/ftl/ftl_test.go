@@ -188,7 +188,7 @@ func TestPreloadContent(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([]byte, f.PageSize())
-		nand.ExpectedContent(arr.Config().ContentSeed, f.PageSize(), ppa, 0, want)
+		nand.ExpectedContent(arr.Config().ContentSeed, ppa, 0, want)
 		got, _, err := f.Read(0, i)
 		if err != nil {
 			t.Fatal(err)

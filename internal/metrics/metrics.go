@@ -170,7 +170,8 @@ func (h *Histogram) ForEachBucket(fn func(lo, hi sim.Time, count uint64) bool) {
 }
 
 // Quantile estimates the q'th quantile (q in [0,1]) from the buckets.
-// The estimate is the geometric midpoint of the containing bucket, clamped
+// The estimate is the arithmetic midpoint lo + lo/2 of the containing
+// bucket [lo, 2lo), clamped
 // to the observed min/max; q <= 0 and q >= 1 report the exact observed
 // extremes (so single-sample histograms are exact at every q).
 func (h *Histogram) Quantile(q float64) sim.Time {

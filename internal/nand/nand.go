@@ -281,7 +281,7 @@ func New(cfg Config) (*Array, error) {
 		blocks:  make([]blockState, cfg.TotalBlocks()),
 		rng:     sim.NewRNG(cfg.ContentSeed ^ 0xfeed_beef),
 		timing:  timings[cfg.Cell],
-		pattern: patternSource{seed: cfg.ContentSeed, pageSize: cfg.PageSize},
+		pattern: patternSource{seed: cfg.ContentSeed},
 		tr:      telemetry.Nop(),
 	}
 	return a, nil
@@ -384,14 +384,26 @@ func (a *Array) ReadPage(now sim.Time, p PPA) ([]byte, sim.Time, error) {
 	return buf, done, nil
 }
 
-// ReadPageInto is ReadPage writing into a caller-owned page-sized buffer,
-// the allocation-free form every hot read path uses.
+// ReadPageInto is ReadPage writing into a caller-owned page-sized buffer:
+// ReadPageRange over the whole page.
 func (a *Array) ReadPageInto(now sim.Time, p PPA, buf []byte) (sim.Time, error) {
+	if len(buf) != a.cfg.PageSize {
+		return now, fmt.Errorf("%w: got %d, want %d", ErrBadLength, len(buf), a.cfg.PageSize)
+	}
+	return a.ReadPageRange(now, p, 0, buf)
+}
+
+// ReadPageRange senses page p and transfers it to the controller, writing
+// only the page bytes [off, off+len(dst)) into dst. Timing and counters are
+// those of a whole-page read whatever the range: the die senses the full
+// page and the bus moves all of it. An empty dst does the timing alone, so
+// the simulator builds flash content only where a consumer reads it.
+func (a *Array) ReadPageRange(now sim.Time, p PPA, off int, dst []byte) (sim.Time, error) {
 	if err := a.checkPPA(p); err != nil {
 		return now, err
 	}
-	if len(buf) != a.cfg.PageSize {
-		return now, fmt.Errorf("%w: got %d, want %d", ErrBadLength, len(buf), a.cfg.PageSize)
+	if off < 0 || off+len(dst) > a.cfg.PageSize {
+		return now, fmt.Errorf("%w: bytes [%d,%d) of a %d-byte page", ErrOutOfRange, off, off+len(dst), a.cfg.PageSize)
 	}
 	b := a.cfg.BlockOf(p)
 	if a.blocks[b].bad {
@@ -423,10 +435,13 @@ func (a *Array) ReadPageInto(now sim.Time, p PPA, buf []byte) (sim.Time, error) 
 
 	a.stats.Reads++
 	a.stats.BytesOut += uint64(a.cfg.PageSize)
+	if len(dst) == 0 {
+		return done, nil
+	}
 	if d, ok := a.data[p]; ok {
-		copy(buf, d)
+		copy(dst, d[off:])
 	} else {
-		a.pattern.fill(p, 0, buf)
+		a.pattern.fill(p, off, dst)
 	}
 	return done, nil
 }
@@ -556,46 +571,57 @@ func (a *Array) ProgrammedPages() int { return len(a.data) + a.loaded.Count() }
 
 // patternSource generates deterministic page content from (seed, ppa).
 type patternSource struct {
-	seed     uint64
-	pageSize int
+	seed uint64
 }
 
+// key is the per-page part of the pattern hash: word w of page p is
+// Mix64(key(p) ^ w).
+func (ps patternSource) key(p PPA) uint64 {
+	return ps.seed ^ uint64(p)<<20 ^ 0xc0ffee
+}
+
+// word is pattern word wordIdx of page p: page byte a is byte a&7 of the
+// little-endian word(p, a>>3). fill is the fast form of this rule.
 func (ps patternSource) word(p PPA, wordIdx int) uint64 {
-	return sim.Mix64(ps.seed ^ uint64(p)<<20 ^ uint64(wordIdx) ^ 0xc0ffee)
+	return sim.Mix64(ps.key(p) ^ uint64(wordIdx))
 }
 
-func (ps patternSource) page(p PPA) []byte {
-	out := make([]byte, ps.pageSize)
-	ps.fill(p, 0, out)
-	return out
-}
-
-// fill writes the pattern bytes of page p starting at byte offset off. The
-// pattern is little-endian words of ps.word, so aligned spans are written
-// eight bytes at a time; byte-at-a-time only at ragged edges.
+// fill writes the pattern bytes of page p starting at byte offset off.
+// Ragged edges go byte by byte. The aligned body builds four independent
+// words per step, so the multiply chains of neighbouring words overlap.
 func (ps patternSource) fill(p PPA, off int, buf []byte) {
+	key := ps.key(p)
+	w := uint64(off >> 3)
 	i := 0
 	if r := off & 7; r != 0 {
-		w := ps.word(p, off>>3)
+		v := sim.Mix64(key ^ w)
 		for b := r; b < 8 && i < len(buf); b++ {
-			buf[i] = byte(w >> (8 * uint(b)))
+			buf[i] = byte(v >> (8 * uint(b)))
 			i++
 		}
+		w++
 	}
-	for ; i+8 <= len(buf); i += 8 {
-		binary.LittleEndian.PutUint64(buf[i:], ps.word(p, (off+i)>>3))
+	for ; len(buf)-i >= 32; i, w = i+32, w+4 {
+		q := buf[i : i+32 : i+32]
+		binary.LittleEndian.PutUint64(q[0:], sim.Mix64(key^w))
+		binary.LittleEndian.PutUint64(q[8:], sim.Mix64(key^(w+1)))
+		binary.LittleEndian.PutUint64(q[16:], sim.Mix64(key^(w+2)))
+		binary.LittleEndian.PutUint64(q[24:], sim.Mix64(key^(w+3)))
+	}
+	for ; len(buf)-i >= 8; i, w = i+8, w+1 {
+		binary.LittleEndian.PutUint64(buf[i:], sim.Mix64(key^w))
 	}
 	if i < len(buf) {
-		w := ps.word(p, (off+i)>>3)
+		v := sim.Mix64(key ^ w)
 		for b := 0; i < len(buf); b++ {
-			buf[i] = byte(w >> (8 * uint(b)))
+			buf[i] = byte(v >> (8 * uint(b)))
 			i++
 		}
 	}
 }
 
 // ExpectedContent is the package-level oracle for preloaded (never-written)
-// page content, shared with the filesystem preload path and tests.
-func ExpectedContent(seed uint64, pageSize int, p PPA, off int, buf []byte) {
-	patternSource{seed: seed, pageSize: pageSize}.fill(p, off, buf)
+// page content: len(buf) bytes of page p from byte offset off.
+func ExpectedContent(seed uint64, p PPA, off int, buf []byte) {
+	patternSource{seed: seed}.fill(p, off, buf)
 }

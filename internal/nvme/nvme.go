@@ -121,11 +121,22 @@ type Command struct {
 	// destination the device DMAs into for OpRead (len = Pages*pagesize).
 	Data []byte
 
+	// Discard names the pages of an OpRead whose bytes the host will not
+	// look at: bit i covers page i. The device still senses, transfers and
+	// DMAs every page, so timing and traffic do not change; it only leaves
+	// the discarded pages' part of Data unwritten, and the simulator builds
+	// no bytes nobody reads. The zero value delivers every page; a non-zero
+	// mask needs Pages <= DiscardPages.
+	Discard uint64
+
 	// FineLBAs lists the logical pages an OpFineRead touches. The byte
 	// ranges and destinations travel out-of-band in the HMB Info Area, as
 	// in the paper's design.
 	FineLBAs []uint64
 }
+
+// DiscardPages is the longest OpRead a Command.Discard mask can describe.
+const DiscardPages = 64
 
 // Completion is one completion-queue entry.
 type Completion struct {

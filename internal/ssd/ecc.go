@@ -54,16 +54,18 @@ func (c *Controller) Faults() FaultStats {
 // readLBAInto is the single page-load path shared by block reads, fine
 // reads, and CMB loads: write-buffer coherence first, then NAND via the
 // FTL, then ECC recovery when the injector flips bits in the sensed page.
+// Every load costs a whole page of media time, but only the page bytes
+// [off, off+len(dst)) land in dst; an empty dst loads for timing alone.
 // loaded reports whether NAND was touched (callers count PagesLoaded from
 // it). On an uncorrectable page the returned error wraps
 // nvme.ErrUncorrectable and dst must not be trusted.
-func (c *Controller) readLBAInto(now sim.Time, lba uint64, dst []byte) (done sim.Time, loaded bool, err error) {
+func (c *Controller) readLBAInto(now sim.Time, lba uint64, off int, dst []byte) (done sim.Time, loaded bool, err error) {
 	if buffered, ok := c.bufLookup(lba); ok {
 		// Write-buffer hit: served from controller DRAM, no media involved.
-		copy(dst, buffered)
+		copy(dst, buffered[off:])
 		return now, false, nil
 	}
-	done, err = c.fl.ReadInto(now, ftl.LBA(lba), dst)
+	done, err = c.fl.ReadRangeInto(now, ftl.LBA(lba), off, dst)
 	if err != nil {
 		return done, false, err
 	}
@@ -72,7 +74,7 @@ func (c *Controller) readLBAInto(now sim.Time, lba uint64, dst []byte) (done sim
 		// attribution frontier so the re-senses the FTL marks as NAND time
 		// get moved to the retry stage, keeping conservation exact.
 		frontier := c.sa.Cursor()
-		done, err = c.eccRecover(done, lba, dst, out.Sev)
+		done, err = c.eccRecover(done, lba, off, dst, out.Sev)
 		c.sa.Reattribute(frontier, telemetry.StageRetry)
 		c.sa.Mark(telemetry.StageRetry, done)
 	}
@@ -86,8 +88,8 @@ func (c *Controller) readLBAInto(now sim.Time, lba uint64, dst []byte) (done sim
 // after a severity-proportional number of steps. Every step re-issues the
 // page read through the FTL, so it charges a full tR plus channel
 // transfer on the NAND resource timelines — fault recovery is slower, not
-// wrong.
-func (c *Controller) eccRecover(now sim.Time, lba uint64, dst []byte, sev float64) (sim.Time, error) {
+// wrong. Each step re-senses the same byte range as the first sense.
+func (c *Controller) eccRecover(now sim.Time, lba uint64, off int, dst []byte, sev float64) (sim.Time, error) {
 	steps := c.cfg.ECCRetrySteps
 	uncorrectable := sev < c.cfg.ECCUncorrectableFrac || steps <= 0
 	n := steps
@@ -101,7 +103,7 @@ func (c *Controller) eccRecover(now sim.Time, lba uint64, dst []byte, sev float6
 	t := now
 	for i := 0; i < n; i++ {
 		var err error
-		if t, err = c.fl.ReadInto(t, ftl.LBA(lba), dst); err != nil {
+		if t, err = c.fl.ReadRangeInto(t, ftl.LBA(lba), off, dst); err != nil {
 			return t, err
 		}
 		c.fltECCRetry.Inc()

@@ -327,10 +327,11 @@ func statusFor(err error) nvme.Status {
 
 // execBlockRead serves a conventional multi-page read: all pages issue to
 // the NAND array at once (channel parallelism emerges from the array's
-// resource model), then the aggregate DMAs to the host buffer.
+// resource model), then the aggregate DMAs to the host buffer. Pages in
+// the command's discard mask cost the same but leave Data untouched.
 func (c *Controller) execBlockRead(now sim.Time, cmd *nvme.Command) nvme.Completion {
 	ps := c.cfg.NAND.PageSize
-	if cmd.Pages <= 0 || len(cmd.Data) < cmd.Pages*ps {
+	if cmd.Pages <= 0 || len(cmd.Data) < cmd.Pages*ps || (cmd.Discard != 0 && cmd.Pages > nvme.DiscardPages) {
 		return nvme.Completion{Status: nvme.StatusInvalidCommand, Done: now}
 	}
 	c.stats.BlockReadCmds++
@@ -349,8 +350,11 @@ func (c *Controller) execBlockRead(now sim.Time, cmd *nvme.Command) nvme.Complet
 			issueAt = start
 		}
 		for i := batch; i < batchEnd; i++ {
-			lba := cmd.LBA + uint64(i)
-			done, loaded, err := c.readLBAInto(issueAt, lba, cmd.Data[i*ps:(i+1)*ps])
+			dst := cmd.Data[i*ps : (i+1)*ps]
+			if cmd.Discard&(1<<uint(i)) != 0 {
+				dst = dst[:0]
+			}
+			done, loaded, err := c.readLBAInto(issueAt, cmd.LBA+uint64(i), 0, dst)
 			if err != nil {
 				// A failed read still waits for the racing loads it already
 				// issued: the command completes no earlier than any of them.
@@ -464,11 +468,14 @@ func (c *Controller) execFineRead(now sim.Time, cmd *nvme.Command) nvme.Completi
 
 	// Phase 1: load pages into the controller read buffer; they issue
 	// together and race across channels. Pages land contiguously, so the
-	// extract phase is one range copy.
+	// extract phase is one range copy. Each page costs a full load, but
+	// only its share of the demanded range is written.
 	maxDone := start
+	end := rec.ByteOff + rec.ByteLen
 	for i, lba := range cmd.FineLBAs {
-		dst := c.readBuf[i*ps : (i+1)*ps]
-		done, loaded, err := c.readLBAInto(start, lba, dst)
+		lo := max(rec.ByteOff, i*ps)
+		hi := max(lo, min(end, (i+1)*ps)) // a page past the range loads for timing alone
+		done, loaded, err := c.readLBAInto(start, lba, lo-i*ps, c.readBuf[lo:hi])
 		if err != nil {
 			// As in the block path: the command outlives its racing loads.
 			if done < maxDone {
@@ -541,7 +548,7 @@ func (c *Controller) LoadToCMB(now sim.Time, lba uint64) (slot int, done sim.Tim
 	ps := c.cfg.NAND.PageSize
 	slot = c.cmbNext
 	dst := c.cmb[slot*ps : (slot+1)*ps]
-	if done, _, err = c.readLBAInto(now, lba, dst); err != nil {
+	if done, _, err = c.readLBAInto(now, lba, 0, dst); err != nil {
 		return 0, done, err
 	}
 	c.cmbNext = (c.cmbNext + 1) % c.cmbSlots

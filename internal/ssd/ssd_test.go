@@ -8,7 +8,9 @@ import (
 	"pipette/internal/hmb"
 	"pipette/internal/nand"
 	"pipette/internal/nvme"
+	"pipette/internal/resource"
 	"pipette/internal/sim"
+	"pipette/internal/telemetry"
 )
 
 func testConfig() Config {
@@ -45,7 +47,7 @@ func expected(c *Controller, lba uint64, off, n int) []byte {
 		panic(err)
 	}
 	buf := make([]byte, n)
-	nand.ExpectedContent(c.Array().Config().ContentSeed, c.PageSize(), ppa, off, buf)
+	nand.ExpectedContent(c.Array().Config().ContentSeed, ppa, off, buf)
 	return buf
 }
 
@@ -88,6 +90,77 @@ func TestBlockReadRoundTrip(t *testing.T) {
 	}
 	if comp.Done <= 0 {
 		t.Fatal("no virtual time consumed")
+	}
+}
+
+func TestBlockReadDiscardIsTimingNeutral(t *testing.T) {
+	// A discard mask changes only which bytes the simulator builds: twin
+	// controllers serving the same 8-page read, one with every page but one
+	// discarded, must agree on the completion, the NAND counters, the stage
+	// totals and every resource's busy time.
+	const pages, kept = 8, 5
+	type run struct {
+		comp nvme.Completion
+		nand nand.Stats
+		sa   *telemetry.StageAccount
+		rt   *resource.Tracker
+		data []byte
+	}
+	read := func(discard uint64) run {
+		c := newCtrl(t)
+		preload(t, c, 16)
+		r := run{sa: telemetry.NewStageAccount(), rt: resource.NewTracker(), data: make([]byte, pages*c.PageSize())}
+		c.SetStages(r.sa)
+		c.SetResources(r.rt)
+		r.sa.Begin(0)
+		r.comp = c.Execute(0, &nvme.Command{Op: nvme.OpRead, LBA: 3, Pages: pages, Data: r.data, Discard: discard})
+		r.sa.Finish(r.comp.Done)
+		r.nand = c.Array().Stats()
+		if !r.comp.Ok() {
+			t.Fatalf("discard %#x: %+v", discard, r.comp)
+		}
+		ps := c.PageSize()
+		want := make([]byte, ps)
+		if err := c.PeekLBA(3+kept, 0, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r.data[kept*ps:(kept+1)*ps], want) {
+			t.Fatalf("discard %#x: kept page differs from PeekLBA", discard)
+		}
+		return r
+	}
+	all := read(0)
+	one := read((1<<pages - 1) &^ (1 << kept))
+	if one.comp != all.comp {
+		t.Fatalf("completion %+v, without discard %+v", one.comp, all.comp)
+	}
+	if one.nand != all.nand {
+		t.Fatalf("nand stats %+v, without discard %+v", one.nand, all.nand)
+	}
+	ps := len(one.data) / pages
+	for i := 0; i < pages; i++ {
+		if i != kept && bytes.Count(one.data[i*ps:(i+1)*ps], []byte{0}) != ps {
+			t.Fatalf("discarded page %d was written", i)
+		}
+	}
+	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
+		if one.sa.Total(s) != all.sa.Total(s) {
+			t.Fatalf("stage %v: %v, without discard %v", s, one.sa.Total(s), all.sa.Total(s))
+		}
+	}
+	for i := 0; i < all.rt.Len(); i++ {
+		if a, o := all.rt.At(i), one.rt.At(i); o.Busy() != a.Busy() || o.Ops() != a.Ops() {
+			t.Fatalf("%s busy %v in %d ops, without discard %v in %d", a.Name(), o.Busy(), o.Ops(), a.Busy(), a.Ops())
+		}
+	}
+
+	// The mask addresses 64 pages; a longer command cannot carry one.
+	const long = nvme.DiscardPages + 1
+	c := newCtrl(t)
+	preload(t, c, long)
+	comp := c.Execute(0, &nvme.Command{Op: nvme.OpRead, Pages: long, Data: make([]byte, long*c.PageSize()), Discard: 1})
+	if comp.Status != nvme.StatusInvalidCommand {
+		t.Fatalf("%d-page read with a discard mask: status %v, want InvalidCommand", long, comp.Status)
 	}
 }
 

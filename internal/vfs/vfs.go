@@ -473,7 +473,9 @@ func (v *VFS) blockRead(now sim.Time, f *File, buf []byte, off int64) (sim.Time,
 // every fetched page into the cache (clean), in ascending-LBA order so the
 // cache's recency list evolves identically run to run. If want is non-nil
 // and page p is fetched, its content starting at page offset wantOff is
-// copied into want and gotWant is true.
+// copied into want and gotWant is true. The cache keeps clean pages as
+// metadata, so page p's bytes, when wanted, are the only ones the fetch
+// asks the device for.
 func (v *VFS) fetchPages(now sim.Time, f *File, p uint64, count int, want []byte, wantOff int) (bool, sim.Time, error) {
 	// Evicted-but-unflushed pages must reach the device before it serves
 	// this fetch, or the read returns the pre-writeback flash content. The
@@ -488,6 +490,8 @@ func (v *VFS) fetchPages(now sim.Time, f *File, p uint64, count int, want []byte
 	ftlLayer := v.fs.Controller().FTL()
 	lbas := v.fetchLBAs[:0]
 	pairs := v.fetchPairs[:0]
+	var keepBuf [1]uint64
+	var keep []uint64
 	for i := 0; i < count; i++ {
 		page := p + uint64(i)
 		key := pagecache.Key{File: f.inode.Ino, Index: page}
@@ -503,6 +507,10 @@ func (v *VFS) fetchPages(now sim.Time, f *File, p uint64, count int, want []byte
 			continue // hole: reads as zeros, nothing to fetch
 		}
 		lbas = append(lbas, lba)
+		if page == p && want != nil {
+			keepBuf[0] = lba
+			keep = keepBuf[:]
+		}
 		// Insertion sort by LBA: the delivery walk below needs ascending
 		// order, and windows are small (read-ahead capped).
 		j := len(pairs)
@@ -520,7 +528,7 @@ func (v *VFS) fetchPages(now sim.Time, f *File, p uint64, count int, want []byte
 	gotWant := false
 	idx := 0
 	var insertErr error
-	done, moved, err := v.blk.ReadPagesEach(now, lbas, func(lba uint64, data []byte) {
+	done, moved, err := v.blk.ReadPagesKeep(now, lbas, keep, func(lba uint64, data []byte) {
 		for idx < len(pairs) && pairs[idx].lba < lba {
 			idx++
 		}
