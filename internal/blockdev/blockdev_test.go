@@ -252,3 +252,33 @@ func TestTrim(t *testing.T) {
 		t.Fatal("read after trim succeeded")
 	}
 }
+
+// TestReadPagesEachAllocFree pins the block layer's steady state at zero
+// allocations: sorting, merging and issuing an unsorted LBA set with a
+// duplicate reuses the layer's scratch and the driver's completion slot.
+func TestReadPagesEachAllocFree(t *testing.T) {
+	ctrl, l := testStack(t)
+	for i := 0; i < 16; i++ {
+		if err := ctrl.FTL().Preload(ftl.LBA(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lbas := []uint64{9, 2, 3, 9} // two runs after merging: [2,+2) and [9,+1)
+	var delivered int
+	deliver := func(lba uint64, data []byte) { delivered++ }
+	var now sim.Time
+	read := func() {
+		done, _, err := l.ReadPagesEach(now, lbas, deliver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+	}
+	read()
+	if delivered != 3 {
+		t.Fatalf("delivered %d pages, want 3 (duplicate collapsed)", delivered)
+	}
+	if allocs := testing.AllocsPerRun(500, read); allocs != 0 {
+		t.Fatalf("ReadPagesEach allocated %.2f times per call, want 0", allocs)
+	}
+}

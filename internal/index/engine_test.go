@@ -456,3 +456,35 @@ func TestRemoveFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestLSMCachedLookupAllocFree pins an LSM point lookup whose block is in
+// the block cache at zero allocations: the block search compares record
+// keys in place instead of building a string per record.
+func TestLSMCachedLookupAllocFree(t *testing.T) {
+	eng, err := index.New(testBackend(t, true), testEngineConfig(index.LSM, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := sim.Time(0)
+	for i := 0; i < 200; i++ {
+		if now, err = eng.Insert(now, testKey(i), index.Loc{Seg: uint32(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := testKey(37) // flushed to a run by now
+	lookup := func() {
+		l, ok, done, err := eng.Lookup(now, key)
+		if err != nil || !ok || l.Seg != 38 {
+			t.Fatalf("Lookup(%q) = %v %v %v", key, l, ok, err)
+		}
+		now = done
+	}
+	lookup()
+	before := eng.Stats()
+	if allocs := testing.AllocsPerRun(500, lookup); allocs != 0 {
+		t.Errorf("cached LSM lookup allocated %.2f times, want 0", allocs)
+	}
+	if after := eng.Stats(); after.CacheHits == before.CacheHits || after.CacheMisses != before.CacheMisses {
+		t.Fatalf("lookups under test did not all hit the block cache: %+v -> %+v", before, after)
+	}
+}

@@ -32,7 +32,7 @@ type run struct {
 	seq     uint64 // global allocation order; bigger = newer data
 	name    string
 	r       File
-	size    int64    // data bytes including block padding
+	size    int64 // data bytes including block padding
 	blocks  int
 	fences  []string // first key of each block
 	filter  *bloom
@@ -49,7 +49,7 @@ type lsmEngine struct {
 	nextSeq uint64
 	cache   *blockCache
 
-	stats   Stats
+	stats    Stats
 	buildBuf []byte
 }
 
@@ -258,10 +258,11 @@ func searchBlock(block []byte, key string) (Loc, bool, bool) {
 		if !ok {
 			break // block padding: no further records here
 		}
-		if k == key {
+		// string(k) in a comparison does not allocate.
+		if string(k) == key {
 			return l, tomb, true
 		}
-		if k > key {
+		if string(k) > key {
 			break
 		}
 		off += sz
@@ -330,7 +331,7 @@ func (it *runIter) next(now sim.Time) (sim.Time, error) {
 		if it.off < len(it.block) {
 			k, l, tomb, sz, ok := parseRunRecord(it.block[it.off:])
 			if ok {
-				it.key, it.loc, it.tomb, it.valid = k, l, tomb, true
+				it.key, it.loc, it.tomb, it.valid = string(k), l, tomb, true
 				it.off += sz
 				return now, nil
 			}

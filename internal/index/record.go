@@ -78,24 +78,25 @@ func appendRunRecord(dst []byte, key string, l Loc, tombstone bool) []byte {
 }
 
 // parseRunRecord decodes one run record at b[0:]; ok=false means no record
-// starts here (block padding or damage).
-func parseRunRecord(b []byte) (key string, l Loc, tombstone bool, size int, ok bool) {
+// starts here (block padding or damage). key is a view into b, so a caller
+// that only compares it allocates nothing; one that keeps it copies it.
+func parseRunRecord(b []byte) (key []byte, l Loc, tombstone bool, size int, ok bool) {
 	if len(b) < recHdrSize || b[0] != recMagic {
-		return "", Loc{}, false, 0, false
+		return nil, Loc{}, false, 0, false
 	}
 	if b[1]&^byte(recFlagTombstone) != 0 {
-		return "", Loc{}, false, 0, false
+		return nil, Loc{}, false, 0, false
 	}
 	klen := int(binary.LittleEndian.Uint16(b[2:4]))
 	vlen := int(binary.LittleEndian.Uint32(b[4:8]))
 	if klen == 0 || vlen != locBytes || recSize(klen) > len(b) {
-		return "", Loc{}, false, 0, false
+		return nil, Loc{}, false, 0, false
 	}
 	sz := recSize(klen)
 	if fnv32a(b[1:8], b[recHdrSize:sz]) != binary.LittleEndian.Uint32(b[8:12]) {
-		return "", Loc{}, false, 0, false
+		return nil, Loc{}, false, 0, false
 	}
-	return string(b[recHdrSize : recHdrSize+klen]),
+	return b[recHdrSize : recHdrSize+klen],
 		decodeLoc(b[recHdrSize+klen : sz]),
 		b[1]&recFlagTombstone != 0,
 		sz, true

@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -45,11 +47,11 @@ func TestRunRecordRoundTrip(t *testing.T) {
 	buf = appendRunRecord(buf, "tomb", Loc{}, true)
 
 	key, l, tomb, sz, ok := parseRunRecord(buf)
-	if !ok || key != "some/key" || l != want || tomb {
+	if !ok || string(key) != "some/key" || l != want || tomb {
 		t.Fatalf("parse = %q %v %v %v", key, l, tomb, ok)
 	}
 	key, _, tomb, _, ok = parseRunRecord(buf[sz:])
-	if !ok || key != "tomb" || !tomb {
+	if !ok || string(key) != "tomb" || !tomb {
 		t.Fatalf("parse tombstone = %q %v %v", key, tomb, ok)
 	}
 
@@ -57,7 +59,7 @@ func TestRunRecordRoundTrip(t *testing.T) {
 	for off := 0; off < sz; off++ {
 		for bit := uint(0); bit < 8; bit++ {
 			buf[off] ^= 1 << bit
-			if k, gl, _, gsz, gok := parseRunRecord(buf); gok && gsz == sz && (k != key || gl != want) {
+			if k, gl, _, gsz, gok := parseRunRecord(buf); gok && gsz == sz && (string(k) != string(key) || gl != want) {
 				t.Fatalf("bit flip at %d/%d decoded as %q %v", off, bit, k, gl)
 			}
 			buf[off] ^= 1 << bit
@@ -116,5 +118,70 @@ func TestBlockCacheLRU(t *testing.T) {
 	}
 	if _, ok := c.get(k(2, 0)); !ok {
 		t.Fatal("dropRun evicted another run's block")
+	}
+}
+
+// TestSearchBlockMatchesLinearScan checks searchBlock, which compares the
+// []byte key views in place, against a linear scan over the block's records
+// with string keys. Blocks are random sorted runs of records with
+// tombstones, keys that are prefixes of one another and bytes above 0x7f,
+// and zero padding after the last record.
+func TestSearchBlockMatchesLinearScan(t *testing.T) {
+	t.Parallel()
+	type rec struct {
+		key  string
+		loc  Loc
+		tomb bool
+	}
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []byte{'a', 'b', 'z', 0x00, 0x7f, 0x80, 0xff}
+	randKey := func() string {
+		k := make([]byte, 1+rng.Intn(6))
+		for i := range k {
+			k[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(k)
+	}
+	linear := func(recs []rec, key string) (Loc, bool, bool) {
+		for _, r := range recs {
+			if r.key == key {
+				return r.loc, r.tomb, true
+			}
+		}
+		return Loc{}, false, false
+	}
+	for trial := 0; trial < 500; trial++ {
+		uniq := map[string]bool{}
+		for n := rng.Intn(12); len(uniq) < n; {
+			uniq[randKey()] = true
+		}
+		keys := make([]string, 0, len(uniq))
+		for k := range uniq {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		recs := make([]rec, len(keys))
+		var block []byte
+		for i, k := range keys {
+			recs[i] = rec{key: k, loc: Loc{Seg: rng.Uint32(), Off: rng.Int63(), ValLen: rng.Uint32()}, tomb: rng.Intn(4) == 0}
+			block = appendRunRecord(block, k, recs[i].loc, recs[i].tomb)
+		}
+		block = append(block, make([]byte, rng.Intn(64))...) // padding
+
+		probes := append([]string{"", "\xff\xff\xff\xff\xff\xff\xff"}, keys...)
+		for i := 0; i < 20; i++ {
+			probes = append(probes, randKey())
+		}
+		for _, k := range keys {
+			probes = append(probes, k[:len(k)-1], k+"\x00", k+"\xff")
+		}
+		for _, p := range probes {
+			gl, gt, gok := searchBlock(block, p)
+			wl, wt, wok := linear(recs, p)
+			if gl != wl || gt != wt || gok != wok {
+				t.Fatalf("trial %d, keys %q: searchBlock(%q) = %v %v %v, linear scan %v %v %v",
+					trial, keys, p, gl, gt, gok, wl, wt, wok)
+			}
+		}
 	}
 }

@@ -218,7 +218,9 @@ func (q *SQ) Pop() (Command, error) {
 		return Command{}, ErrQueueEmpty
 	}
 	q.normalize()
-	c := q.entries[q.head%uint32(len(q.entries))]
+	slot := &q.entries[q.head%uint32(len(q.entries))]
+	c := *slot
+	*slot = Command{} // the ring must not pin the caller's buffers
 	q.head++
 	return c, nil
 }
@@ -326,7 +328,7 @@ type inflight struct {
 	pair     *queuePair
 	submitAt sim.Time
 	fetchEnd sim.Time
-	op       Opcode
+	cmd      Command // the fetched entry; Execute gets a pointer to it
 	comp     Completion
 	complete func(Completion)
 
@@ -450,9 +452,12 @@ func (m *MultiQueue) get() *inflight {
 	return ic
 }
 
+// put recycles ic. Clearing cmd drops the references to the caller's Data
+// and FineLBAs, so a pooled entry never pins a finished command's buffers.
 func (m *MultiQueue) put(ic *inflight) {
 	ic.pair = nil
 	ic.complete = nil
+	ic.cmd = Command{}
 	ic.comp = Completion{}
 	ic.next = m.free
 	m.free = ic
@@ -499,16 +504,15 @@ func (m *MultiQueue) Submit(now sim.Time, cmd Command, complete func(Completion)
 // fetch is the device-side SQ fetch event: pop the entry, execute it, and
 // schedule the completion.
 func (m *MultiQueue) fetch(ic *inflight) {
-	fetched, err := ic.pair.sq.Pop()
-	if err != nil {
+	var err error
+	if ic.cmd, err = ic.pair.sq.Pop(); err != nil {
 		m.fail(fmt.Errorf("nvme: device fetch: %w", err))
 		m.inFlight--
 		m.put(ic)
 		return
 	}
-	ic.op = fetched.Op
-	comp := m.dev.Execute(ic.fetchEnd, &fetched)
-	comp.ID = fetched.ID
+	comp := m.dev.Execute(ic.fetchEnd, &ic.cmd)
+	comp.ID = ic.cmd.ID
 	execDone := comp.Done
 	comp.Done += m.costs.Completion
 	m.sa.MarkRes(telemetry.StageRing, comp.Done, ResRing)
@@ -536,7 +540,7 @@ func (m *MultiQueue) reap(ic *inflight) {
 	m.completed++
 	m.inFlight--
 	if m.tr.Enabled() {
-		m.tr.Span(telemetry.TrackNVMe, ic.op.String(), ic.submitAt, reaped.Done)
+		m.tr.Span(telemetry.TrackNVMe, ic.cmd.Op.String(), ic.submitAt, reaped.Done)
 	}
 	cb := ic.complete
 	m.put(ic)
@@ -551,9 +555,17 @@ func (m *MultiQueue) reap(ic *inflight) {
 // callers that submit at overlapping virtual times still see queueing —
 // that is how the open-loop harness models outstanding requests over a
 // synchronous stack.
+//
+// The driver keeps one completion slot and a completion callback bound at
+// construction, so Submit allocates nothing. Submit is not re-entrant: the
+// device must not submit through the driver it is executing for.
 type Driver struct {
 	mq  *MultiQueue
 	eng *sim.Engine
+
+	out    Completion
+	done   bool
+	onDone func(Completion)
 }
 
 // NewDriver builds a single queue pair of the given depth over a device.
@@ -565,7 +577,9 @@ func NewDriver(dev Device, queueDepth int, costs Costs) *Driver {
 // depth; submissions round-robin across the pairs.
 func NewDriverQueues(dev Device, pairs, queueDepth int, costs Costs) *Driver {
 	eng := sim.NewEngine()
-	return &Driver{mq: NewMultiQueue(dev, pairs, queueDepth, costs, eng), eng: eng}
+	d := &Driver{mq: NewMultiQueue(dev, pairs, queueDepth, costs, eng), eng: eng}
+	d.onDone = func(c Completion) { d.out, d.done = c, true }
+	return d
 }
 
 // Queues exposes the underlying multi-queue transport.
@@ -588,20 +602,16 @@ func (d *Driver) Stats() (submitted, completed uint64) { return d.mq.Stats() }
 
 // Submit runs one command to completion in virtual time.
 func (d *Driver) Submit(now sim.Time, cmd Command) (Completion, error) {
-	var out Completion
-	done := false
-	if err := d.mq.Submit(now, cmd, func(c Completion) {
-		out = c
-		done = true
-	}); err != nil {
+	d.out, d.done = Completion{}, false
+	if err := d.mq.Submit(now, cmd, d.onDone); err != nil {
 		return Completion{}, err
 	}
 	d.eng.Run()
 	if err := d.mq.Err(); err != nil {
 		return Completion{}, err
 	}
-	if !done {
+	if !d.done {
 		return Completion{}, errors.New("nvme: command never completed")
 	}
-	return out, nil
+	return d.out, nil
 }

@@ -207,9 +207,18 @@ func (c *Cache) Contains(key Key) bool {
 
 // ContainsDirty checks for a resident dirty copy without counting an
 // access or touching LRU.
-func (c *Cache) ContainsDirty(key Key) bool {
+func (c *Cache) ContainsDirty(key Key) bool { return c.DirtyData(key) != nil }
+
+// DirtyData returns a resident dirty page's buffer without counting an
+// access or touching LRU; nil when the page is absent or clean. The buffer
+// stays cache-owned: a writer may edit it in place and pass it back to
+// MarkDirty.
+func (c *Cache) DirtyData(key Key) []byte {
 	e, ok := c.get(key)
-	return ok && e.dirty
+	if !ok || !e.dirty {
+		return nil
+	}
+	return e.data
 }
 
 // Insert makes a page resident. data must be nil for clean pages and the

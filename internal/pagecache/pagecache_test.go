@@ -129,6 +129,37 @@ func TestMarkDirty(t *testing.T) {
 	}
 }
 
+// TestDirtyData: the accessor returns a dirty page's own buffer and nil for
+// absent or clean pages, without counting an access or moving the page in
+// the LRU.
+func TestDirtyData(t *testing.T) {
+	c := newCache(t, 2)
+	dirty, clean := Key{1, 0}, Key{1, 1}
+	payload := make([]byte, 4096)
+	if err := c.Insert(dirty, true, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert(clean, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.DirtyData(dirty); len(d) != 4096 || &d[0] != &payload[0] {
+		t.Fatal("DirtyData did not return the page's own buffer")
+	}
+	if c.DirtyData(clean) != nil || c.DirtyData(Key{1, 2}) != nil {
+		t.Fatal("DirtyData returned bytes for a clean or absent page")
+	}
+	if hits, accesses, _, _ := c.Stats(); hits != 0 || accesses != 0 {
+		t.Fatalf("DirtyData counted accesses: %d/%d", hits, accesses)
+	}
+	// dirty is still the LRU page: the next insert evicts it.
+	if err := c.Insert(Key{1, 3}, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if c.Contains(dirty) || !c.Contains(clean) {
+		t.Fatal("DirtyData moved the page in the LRU")
+	}
+}
+
 func TestFlushDirty(t *testing.T) {
 	c := newCache(t, 4)
 	payload := make([]byte, 4096)

@@ -64,19 +64,23 @@ func (f *File) writeAt(now sim.Time, data []byte, off int64) (int, sim.Time, err
 		if hi <= lo {
 			continue
 		}
-		page := v.getPageBuf()
-		fullPage := pageLo == 0 && hi-lo == ps
-		if !fullPage {
-			// Read-modify-write: obtain the current page content.
-			t, err := v.loadPageForRMW(done, f, p, page)
-			if err != nil {
-				return 0, t, err
+		key := pagecache.Key{File: f.inode.Ino, Index: p}
+		var page []byte
+		if pageLo == 0 && hi-lo == ps {
+			// Full-page overwrite: no read, and no counted access. A
+			// resident dirty page is edited in place.
+			if page = v.cache.DirtyData(key); page == nil {
+				page = v.getPageBuf()
 			}
-			done = t
+		} else {
+			// Read-modify-write: obtain the current page content.
+			var err error
+			if page, done, err = v.loadPageForRMW(done, f, p); err != nil {
+				return 0, done, err
+			}
 		}
 		copy(page[pageLo:], data[dataLo:dataLo+int(hi-lo)])
 
-		key := pagecache.Key{File: f.inode.Ino, Index: p}
 		marked, err := v.cache.MarkDirty(key, page)
 		if err != nil {
 			return 0, done, err
@@ -98,26 +102,26 @@ func (f *File) writeAt(now sim.Time, data []byte, off int64) (int, sim.Time, err
 	return len(data), v.copyOut(done), nil
 }
 
-// loadPageForRMW fills page with the current content of file page p:
-// from the dirty cache copy, the clean oracle, the device (timed block
-// read), or zeros for a hole.
-func (v *VFS) loadPageForRMW(now sim.Time, f *File, p uint64, page []byte) (sim.Time, error) {
+// loadPageForRMW returns a buffer holding the current content of file page
+// p, after one counted cache lookup: a resident dirty page's own buffer
+// (the write edits it in place), or a fresh buffer filled from the clean
+// oracle, the device (timed block read), or zeros for a hole.
+func (v *VFS) loadPageForRMW(now sim.Time, f *File, p uint64) ([]byte, sim.Time, error) {
 	key := pagecache.Key{File: f.inode.Ino, Index: p}
-	if data, dirty, ok := v.cache.Lookup(key); ok {
-		if dirty {
-			copy(page, data)
-			return now, nil
-		}
-		return now, v.fs.Peek(f.inode, int64(p)*int64(v.fs.PageSize()), pageTrim(page, f, p, v.fs.PageSize()))
+	data, dirty, ok := v.cache.Lookup(key)
+	if ok && dirty {
+		return data, now, nil
+	}
+	page := v.getPageBuf()
+	if ok {
+		return page, now, v.fs.Peek(f.inode, int64(p)*int64(v.fs.PageSize()), pageTrim(page, f, p, v.fs.PageSize()))
 	}
 	got, done, err := v.fetchPages(now, f, p, 1, page, 0)
 	if err == nil && !got {
 		// Hole page: reads as zeros, and the buffer may be recycled.
-		for i := range page {
-			page[i] = 0
-		}
+		clear(page)
 	}
-	return done, err
+	return page, done, err
 }
 
 // pageTrim bounds the oracle read to the file tail (the last page of a
