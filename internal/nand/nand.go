@@ -192,15 +192,13 @@ func (c Config) Decompose(p PPA) (channel, way, plane, block, page int) {
 }
 
 // ChannelOf reports the channel a PPA lives on.
-func (c Config) ChannelOf(p PPA) int {
-	ch, _, _, _, _ := c.Decompose(p)
-	return ch
-}
+func (c Config) ChannelOf(p PPA) int { return c.DieOf(p) / c.WaysPerChannel }
 
-// DieOf reports the die index of a PPA.
+// DieOf reports the die index of a PPA: the PPA encoding puts the die
+// above every in-die coordinate, so one division by the pages per die
+// finds it.
 func (c Config) DieOf(p PPA) int {
-	ch, way, _, _, _ := c.Decompose(p)
-	return ch*c.WaysPerChannel + way
+	return int(uint64(p) / (uint64(c.PagesPerBlock) * uint64(c.BlocksPerPlane) * uint64(c.PlanesPerDie)))
 }
 
 // BlockID identifies a physical block (die, plane, block) as a flat index.
@@ -259,6 +257,11 @@ type Array struct {
 	stats   Stats
 	pattern patternSource
 
+	// Geometry fixed at New, so the per-page paths skip re-deriving it.
+	totalPages  uint64
+	pagesPerDie uint64
+	pageXfer    sim.Time // bus time of one whole-page transfer
+
 	tr        telemetry.Tracer
 	dieTracks []string // per-die span track names ("nand/d3")
 	chTracks  []string // per-channel span track names ("nand/ch0")
@@ -282,7 +285,12 @@ func New(cfg Config) (*Array, error) {
 		rng:     sim.NewRNG(cfg.ContentSeed ^ 0xfeed_beef),
 		timing:  timings[cfg.Cell],
 		pattern: patternSource{seed: cfg.ContentSeed},
-		tr:      telemetry.Nop(),
+
+		totalPages:  cfg.TotalPages(),
+		pagesPerDie: uint64(cfg.PagesPerDie()),
+		pageXfer:    cfg.transferTime(cfg.PageSize),
+
+		tr: telemetry.Nop(),
 	}
 	return a, nil
 }
@@ -350,9 +358,12 @@ func (a *Array) Stats() Stats { return a.stats }
 // Timing returns the active latency profile.
 func (a *Array) Timing() Timing { return a.timing }
 
+// dieOf is Config.DieOf with the pages per die computed once.
+func (a *Array) dieOf(p PPA) int { return int(uint64(p) / a.pagesPerDie) }
+
 func (a *Array) checkPPA(p PPA) error {
-	if uint64(p) >= a.cfg.TotalPages() {
-		return fmt.Errorf("%w: ppa %d >= %d", ErrOutOfRange, p, a.cfg.TotalPages())
+	if uint64(p) >= a.totalPages {
+		return fmt.Errorf("%w: ppa %d >= %d", ErrOutOfRange, p, a.totalPages)
 	}
 	return nil
 }
@@ -409,7 +420,7 @@ func (a *Array) ReadPageRange(now sim.Time, p PPA, off int, dst []byte) (sim.Tim
 	if a.blocks[b].bad {
 		return now, ErrBadBlock
 	}
-	_, _, _, _, page := a.cfg.Decompose(p)
+	page := int(p - a.cfg.FirstPPA(b))
 	if page >= a.blocks[b].nextPage && !a.loaded.Get(int(p)) {
 		return now, fmt.Errorf("%w: ppa %d", ErrNotProgram, p)
 	}
@@ -421,9 +432,10 @@ func (a *Array) ReadPageRange(now sim.Time, p PPA, off int, dst []byte) (sim.Tim
 		tR += a.cfg.RetryPenalty
 		a.stats.ReadRetries++
 	}
-	die, ch := a.cfg.DieOf(p), a.cfg.ChannelOf(p)
+	die := a.dieOf(p)
+	ch := die / a.cfg.WaysPerChannel
 	senseStart, senseEnd := a.dies.Acquire(die, now, tR)
-	txStart, done := a.buses.Acquire(ch, senseEnd, a.cfg.transferTime(a.cfg.PageSize))
+	txStart, done := a.buses.Acquire(ch, senseEnd, a.pageXfer)
 	if a.tr.Enabled() {
 		a.tr.Span(a.dieTracks[die], "tR", senseStart, senseEnd)
 		a.tr.Span(a.chTracks[ch], "xfer", txStart, done)
@@ -455,7 +467,7 @@ func (a *Array) PeekRange(p PPA, off int, buf []byte) error {
 		return err
 	}
 	if off < 0 || off+len(buf) > a.cfg.PageSize {
-		return ErrOutOfRange
+		return fmt.Errorf("%w: bytes [%d,%d) of a %d-byte page", ErrOutOfRange, off, off+len(buf), a.cfg.PageSize)
 	}
 	if d, ok := a.data[p]; ok {
 		copy(buf, d[off:off+len(buf)])
@@ -480,7 +492,7 @@ func (a *Array) ProgramPage(now sim.Time, p PPA, data []byte) (sim.Time, error) 
 	if bs.bad {
 		return now, ErrBadBlock
 	}
-	_, _, _, _, page := a.cfg.Decompose(p)
+	page := int(p - a.cfg.FirstPPA(b))
 	switch {
 	case page < bs.nextPage:
 		return now, fmt.Errorf("%w: page %d already programmed", ErrNotErased, page)
@@ -489,8 +501,9 @@ func (a *Array) ProgramPage(now sim.Time, p PPA, data []byte) (sim.Time, error) 
 	}
 
 	// Bus transfer into the page register, then the program pulse.
-	die, ch := a.cfg.DieOf(p), a.cfg.ChannelOf(p)
-	txStart, txEnd := a.buses.Acquire(ch, now, a.cfg.transferTime(a.cfg.PageSize))
+	die := a.dieOf(p)
+	ch := die / a.cfg.WaysPerChannel
+	txStart, txEnd := a.buses.Acquire(ch, now, a.pageXfer)
 	progStart, done := a.dies.Acquire(die, txEnd, a.timing.Program)
 	if a.tr.Enabled() {
 		a.tr.Span(a.chTracks[ch], "xfer", txStart, txEnd)
@@ -527,7 +540,7 @@ func (a *Array) EraseBlock(now sim.Time, b BlockID) (sim.Time, error) {
 		a.loaded.Clear(int(first) + i)
 	}
 	bs.nextPage = 0
-	die := a.cfg.DieOf(first)
+	die := a.dieOf(first)
 	eraseStart, done := a.dies.Acquire(die, now, a.timing.EraseBlock)
 	if a.tr.Enabled() {
 		a.tr.Span(a.dieTracks[die], "tBERS", eraseStart, done)
@@ -553,7 +566,7 @@ func (a *Array) Preload(p PPA) error {
 	if bs.bad {
 		return ErrBadBlock
 	}
-	_, _, _, _, page := a.cfg.Decompose(p)
+	page := int(p - a.cfg.FirstPPA(b))
 	switch {
 	case page < bs.nextPage:
 		return fmt.Errorf("%w: page %d already programmed", ErrNotErased, page)
@@ -581,15 +594,24 @@ func (ps patternSource) key(p PPA) uint64 {
 }
 
 // word is pattern word wordIdx of page p: page byte a is byte a&7 of the
-// little-endian word(p, a>>3). fill is the fast form of this rule.
+// little-endian word(p, a>>3). fill is the fast form of this rule, and the
+// reference its vector kernel is tested against.
 func (ps patternSource) word(p PPA, wordIdx int) uint64 {
 	return sim.Mix64(ps.key(p) ^ uint64(wordIdx))
 }
 
-// fill writes the pattern bytes of page p starting at byte offset off.
-// Ragged edges go byte by byte. The aligned body builds four independent
-// words per step, so the multiply chains of neighbouring words overlap.
+// fill writes the pattern bytes of page p starting at byte offset off. On
+// AVX-512 hosts the aligned body's 64-byte groups go to the vector kernel
+// (fill_amd64.s); everything else runs the Go loop.
 func (ps patternSource) fill(p PPA, off int, buf []byte) {
+	ps.fillUsing(p, off, buf, vectorFill)
+}
+
+// fillUsing is fill's body; vector false is the Go loop alone, as on hosts
+// without the kernel. Ragged edges go byte by byte. The Go loop builds four
+// independent words per step, so the multiply chains of neighbouring words
+// overlap.
+func (ps patternSource) fillUsing(p PPA, off int, buf []byte, vector bool) {
 	key := ps.key(p)
 	w := uint64(off >> 3)
 	i := 0
@@ -600,6 +622,10 @@ func (ps patternSource) fill(p PPA, off int, buf []byte) {
 			i++
 		}
 		w++
+	}
+	if n := (len(buf) - i) &^ 63; vector && n > 0 {
+		fillVector(buf[i:i+n], key, w)
+		i, w = i+n, w+uint64(n>>3)
 	}
 	for ; len(buf)-i >= 32; i, w = i+32, w+4 {
 		q := buf[i : i+32 : i+32]

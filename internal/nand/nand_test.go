@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"hash/fnv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -267,8 +268,12 @@ func TestPeekRangeMatchesRead(t *testing.T) {
 			t.Fatalf("PeekRange(%d,%d) mismatch", tc.off, tc.n)
 		}
 	}
-	if err := a.PeekRange(p, 4090, make([]byte, 10)); !errors.Is(err, ErrOutOfRange) {
+	err := a.PeekRange(p, 4090, make([]byte, 10))
+	if !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("overlong PeekRange err = %v", err)
+	}
+	if want := "bytes [4090,4100) of a 4096-byte page"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("overlong PeekRange err = %q, want it to name %q", err, want)
 	}
 }
 
@@ -433,7 +438,8 @@ func TestPatternFillConsistentAcrossOffsets(t *testing.T) {
 	// fill(p, off, buf) must equal the per-word definition byte for byte at
 	// any offset and length: page byte a is byte a&7 of word(p, a>>3).
 	// Random pages, offsets and lengths cover every alignment of both
-	// ragged edges.
+	// ragged edges, on the dispatching fill and on the Go loop alike.
+	logFillPath(t)
 	ps := patternSource{seed: DefaultConfig().ContentSeed}
 	rng := sim.NewRNG(5)
 	buf := make([]byte, 4096)
@@ -441,11 +447,13 @@ func TestPatternFillConsistentAcrossOffsets(t *testing.T) {
 		p := PPA(rng.Uint64n(1 << 32))
 		off := int(rng.Uint64n(4096))
 		n := int(rng.Uint64n(uint64(4096 - off + 1)))
-		ps.fill(p, off, buf[:n])
-		for j, got := range buf[:n] {
-			a := off + j
-			if want := byte(ps.word(p, a>>3) >> (8 * uint(a&7))); got != want {
-				t.Fatalf("page %d [%d,+%d): byte %d = %#x, want %#x", p, off, n, a, got, want)
+		for _, path := range fillPaths {
+			path.fill(ps, p, off, buf[:n])
+			for j, got := range buf[:n] {
+				a := off + j
+				if want := byte(ps.word(p, a>>3) >> (8 * uint(a&7))); got != want {
+					t.Fatalf("%s: page %d [%d,+%d): byte %d = %#x, want %#x", path.name, p, off, n, a, got, want)
+				}
 			}
 		}
 	}

@@ -388,12 +388,16 @@ func (v *VFS) tryServeFromCache(now sim.Time, f *File, buf []byte, off int64) (b
 	ps := int64(v.fs.PageSize())
 	first := uint64(off / ps)
 	last := uint64((off + int64(len(buf)) - 1) / ps)
-	// Peek residency without accounting, then do counted lookups so a
-	// partially-resident range registers as one miss, not several.
-	for p := first; p <= last; p++ {
-		if !v.cache.Contains(pagecache.Key{File: f.inode.Ino, Index: p}) {
-			v.cache.Lookup(pagecache.Key{File: f.inode.Ino, Index: p}) // counted miss
-			return false, now
+	// A multi-page range peeks residency without accounting first, then
+	// does counted lookups, so a partially resident range registers as one
+	// miss, not several. A one-page range needs no peek: its one counted
+	// lookup below is that hit or miss.
+	if first != last {
+		for p := first; p <= last; p++ {
+			if !v.cache.Contains(pagecache.Key{File: f.inode.Ino, Index: p}) {
+				v.cache.Lookup(pagecache.Key{File: f.inode.Ino, Index: p}) // counted miss
+				return false, now
+			}
 		}
 	}
 	for n := 0; n < len(buf); {
@@ -406,7 +410,7 @@ func (v *VFS) tryServeFromCache(now sim.Time, f *File, buf []byte, off int64) (b
 		}
 		data, dirty, ok := v.cache.Lookup(pagecache.Key{File: f.inode.Ino, Index: p})
 		if !ok {
-			return false, now // impossible after Contains, defensive
+			return false, now // a one-page range's counted miss
 		}
 		if dirty {
 			copy(buf[n:n+chunk], data[inPage:])
