@@ -54,7 +54,7 @@ func main() {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		traceOut  = flag.String("trace-out", "", "phases experiment: write Chrome trace-event JSON (open in Perfetto)")
 		statsOut  = flag.String("stats-out", "", "phases experiment: write sampled time-series CSV")
-		exportOut = flag.String("export-out", "", "phases experiment: write the run-export bundle JSON (pipette-report input)")
+		exportOut = flag.String("export-out", "", "phases, qdepth, kv or cluster experiment (one per run): write the run-export bundle JSON (pipette-report input)")
 		statsInt  = flag.Duration("stats-interval", time.Millisecond, "virtual-time sampling interval for -stats-out")
 		faultProf = flag.String("fault-profile", "", "arm fault injection on every engine: site:spec rules, e.g. 'nand.read:rber*20,hmb.ring:0.01' (empty = off)")
 		flightOut = flag.String("flight-dump", "", "arm a shared flight recorder on every engine; a panicking cell or fatal error dumps the recent-event ring to this file as JSON")
@@ -121,6 +121,10 @@ func main() {
 	}
 	if *compare && *baseline == "" {
 		fmt.Fprintln(os.Stderr, "pipette-bench: -compare needs -baseline")
+		os.Exit(2)
+	}
+	if err := checkExportOut(*expName, *exportOut); err != nil {
+		fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -275,6 +279,34 @@ func parseFloatList(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// exportExperiments honour -export-out, each writing the whole file.
+var exportExperiments = []string{"phases", "qdepth", "kv", "cluster"}
+
+// checkExportOut rejects an -export-out run whose selection names more than
+// one exporting experiment ("all" names every one): each would overwrite the
+// file the previous one wrote. Unknown names are left to runExperiments.
+func checkExportOut(sel, out string) error {
+	if out == "" {
+		return nil
+	}
+	var picked []string
+	for _, id := range exportExperiments {
+		for _, raw := range strings.Split(sel, ",") {
+			name := strings.TrimSpace(raw)
+			exp, err := bench.Find(name)
+			if name == "all" || (err == nil && exp.ID == id) {
+				picked = append(picked, id)
+				break
+			}
+		}
+	}
+	if len(picked) > 1 {
+		return fmt.Errorf("-export-out writes one experiment's runs, but %s are selected; run them one at a time",
+			strings.Join(picked, ", "))
+	}
+	return nil
 }
 
 // runExperiments executes a comma-separated experiment selection against

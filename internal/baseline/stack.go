@@ -1,0 +1,272 @@
+package baseline
+
+import (
+	"fmt"
+
+	"pipette/internal/blockdev"
+	"pipette/internal/core"
+	"pipette/internal/extfs"
+	"pipette/internal/fault"
+	"pipette/internal/ftl"
+	"pipette/internal/metrics"
+	"pipette/internal/nvme"
+	"pipette/internal/resource"
+	"pipette/internal/sim"
+	"pipette/internal/ssd"
+	"pipette/internal/telemetry"
+	"pipette/internal/vfs"
+)
+
+// StackConfig assembles one private system.
+type StackConfig struct {
+	SSD        ssd.Config
+	VFS        vfs.Config
+	Block      blockdev.Config
+	Core       core.Config
+	NVMe       nvme.Costs
+	Depth      int // per-pair queue depth
+	QueuePairs int // NVMe SQ/CQ pairs (0 = default 4)
+	FileName   string
+	FileSize   int64
+
+	// TwoBSSD costs: the per-access critical-path setup the paper charges
+	// 2B-SSD with (§2.2): a page fault before MMIO access, or a DMA
+	// mapping before a DMA transfer.
+	PageFault sim.Time
+	DMAMap    sim.Time
+
+	// FaultProfile configures deterministic fault injection across the
+	// stack; the empty profile is the zero-cost default. FaultSeed drives
+	// the per-site decision streams.
+	FaultProfile fault.Profile
+	FaultSeed    uint64
+}
+
+// DefaultStackConfig sizes a stack for a dataset of fileSize bytes: the
+// flash is provisioned ~1.5x the file and the defaults mirror the paper's
+// platform.
+func DefaultStackConfig(fileSize int64) StackConfig {
+	scfg := ssd.DefaultConfig()
+	// Provision just enough blocks for the file plus GC/write headroom —
+	// the channel/way geometry (the paper's 8x8) stays fixed so
+	// parallelism behaviour is scale-independent, while capacity tracks
+	// the dataset to keep mapping-table memory proportional.
+	pageBytes := int64(scfg.NAND.PageSize)
+	needPages := fileSize/pageBytes + fileSize/(2*pageBytes) + 4096
+	perDie := needPages/int64(scfg.NAND.Dies())/int64(scfg.NAND.PagesPerBlock) + 1
+	perPlane := int(perDie)/scfg.NAND.PlanesPerDie + 1
+	// The FTL needs GC reserve plus frontier per die.
+	if min := ftl.DefaultConfig().GCFreeBlockLow + 3; perPlane < min {
+		perPlane = min
+	}
+	scfg.NAND.BlocksPerPlane = perPlane
+	return StackConfig{
+		SSD:        scfg,
+		VFS:        vfs.DefaultConfig(),
+		Block:      blockdev.DefaultConfig(),
+		Core:       core.DefaultConfig(),
+		NVMe:       nvme.DefaultCosts(),
+		Depth:      256,
+		QueuePairs: 4,
+		FileName:   "workload.dat",
+		FileSize:   fileSize,
+		PageFault:  3 * sim.Microsecond,
+		DMAMap:     23 * sim.Microsecond,
+	}
+}
+
+// Stack is one assembled host + SSD system: controller, NVMe driver, block
+// layer, filesystem and VFS, plus the fine-grained read core when the stack
+// was built with the fine path. Every comparison in the repo — the
+// engines, the KV matrix, the cluster shards and the public facade — runs
+// over a Stack, so they differ only in the part under test.
+type Stack struct {
+	Ctrl *ssd.Controller
+	Drv  *nvme.Driver
+	Blk  *blockdev.Layer
+	V    *vfs.VFS
+	Core *core.Pipette   // nil without the fine path
+	Inj  *fault.Injector // nil until armed with a non-empty profile
+	SA   *telemetry.StageAccount
+	Res  *resource.Tracker
+}
+
+// NewStack assembles ssd → nvme (cfg.QueuePairs × cfg.Depth) → blockdev →
+// extfs → vfs, plus the fine-grained read core when fine is set. The stage
+// account and resource tracker thread through every layer, and
+// cfg.FaultProfile arms the injector. cfg.FileName and cfg.FileSize are the
+// engines' business: the stack holds no files.
+func NewStack(cfg StackConfig, fine bool) (*Stack, error) {
+	ctrl, err := ssd.New(cfg.SSD)
+	if err != nil {
+		return nil, err
+	}
+	pairs := cfg.QueuePairs
+	if pairs <= 0 {
+		pairs = 4
+	}
+	drv := nvme.NewDriverQueues(ctrl, pairs, cfg.Depth, cfg.NVMe)
+	blk, err := blockdev.New(drv, ctrl.PageSize(), cfg.Block)
+	if err != nil {
+		return nil, err
+	}
+	v, err := vfs.New(extfs.New(ctrl), blk, cfg.VFS)
+	if err != nil {
+		return nil, err
+	}
+	s := &Stack{Ctrl: ctrl, Drv: drv, Blk: blk, V: v,
+		SA: telemetry.NewStageAccount(), Res: resource.NewTracker()}
+	if fine {
+		if s.Core, err = core.New(v, drv, cfg.Core); err != nil {
+			return nil, err
+		}
+		s.Core.SetStages(s.SA)
+	}
+	// Registration order (dma, nand, ring) is the export row order.
+	v.SetStages(s.SA)
+	blk.SetStages(s.SA)
+	drv.SetStages(s.SA)
+	ctrl.SetStages(s.SA)
+	ctrl.SetResources(s.Res)
+	drv.SetRingTimeline(s.Res.Register("nvme.ring"))
+	s.Arm(cfg.FaultProfile.NewInjector(cfg.FaultSeed))
+	return s, nil
+}
+
+// Arm wires inj into the controller, the VFS and the fine-read core, so
+// device-side corruption and host-side validation agree on when to run. A
+// nil injector (the empty profile) leaves the stack fault-free.
+func (s *Stack) Arm(inj *fault.Injector) {
+	if inj == nil {
+		return
+	}
+	s.Inj = inj
+	s.Ctrl.SetInjector(inj)
+	s.V.SetInjector(inj)
+	if s.Core != nil {
+		s.Core.SetInjector(inj)
+	}
+}
+
+// SetTracer instruments every layer: VFS, block layer, NVMe driver, SSD
+// controller (cascading to FTL and NAND) and the fine-read core. nil
+// returns to the no-op default.
+func (s *Stack) SetTracer(tr telemetry.Tracer) {
+	tr = telemetry.OrNop(tr)
+	s.V.SetTracer(tr)
+	s.Blk.SetTracer(tr)
+	s.Drv.SetTracer(tr)
+	s.Ctrl.SetTracer(tr)
+	if s.Core != nil {
+		s.Core.SetTracer(tr)
+	}
+}
+
+// Snapshot merges the VFS and fine-path traffic and cache statistics under
+// name; ops, latency and elapsed time are the caller's to fill.
+func (s *Stack) Snapshot(name string) metrics.Snapshot {
+	pc := s.V.PageCache()
+	hits, accesses, ins, evs := pc.Stats()
+	snap := metrics.Snapshot{Name: name, IO: s.V.IO(),
+		PageCache: metrics.Cache{Hits: hits, Accesses: accesses, Insertions: ins, Evictions: evs},
+		MemoryMB:  float64(pc.MemoryBytes()) / (1 << 20)}
+	if p := s.Core; p != nil {
+		fio := p.IO()
+		snap.IO.BytesTransferred += fio.BytesTransferred
+		snap.IO.FineReads = fio.FineReads
+		snap.FineCache = p.CacheStats()
+		snap.MemoryMB += float64(p.MemoryBytes()) / (1 << 20)
+	}
+	return snap
+}
+
+// Faults aggregates the injection and recovery counters of every layer
+// (all zeros while unarmed).
+func (s *Stack) Faults() fault.Report {
+	f := s.Ctrl.Faults()
+	r := fault.Report{
+		Injected:         s.Inj.TotalInjected(),
+		ECCRetries:       f.ECCRetries,
+		Uncorrectable:    f.Uncorrectable,
+		RingCorruptions:  f.RingCorruptions,
+		DMACorruptions:   f.DMACorruptions,
+		ProgramRetries:   f.ProgramRetries,
+		WritebackRetries: s.V.WritebackRetries(),
+	}
+	if s.Core != nil {
+		r.RingFallbacks = s.Core.RingFallbacks()
+		r.DMAFallbacks = s.Core.DMAFallbacks()
+	}
+	return r
+}
+
+// Probes builds the stack's sampled time series: read amplification,
+// page-cache hit ratio, the fine-path series when the core is present (fine
+// hit ratio, adaptive threshold, resident memory, overflow FIFO, HMB
+// info-ring occupancy), the fault series when armed, and per-channel NAND
+// bus utilization.
+func (s *Stack) Probes() []telemetry.Probe {
+	probes := []telemetry.Probe{
+		telemetry.GaugeProbe("read_amp", func() float64 {
+			io := s.Snapshot("").IO
+			return io.ReadAmplification()
+		}),
+		telemetry.GaugeProbe("pc_hit_ratio", func() float64 {
+			hits, accesses, _, _ := s.V.PageCache().Stats()
+			c := metrics.Cache{Hits: hits, Accesses: accesses}
+			return c.HitRatio()
+		}),
+	}
+	p := s.Core
+	if p != nil {
+		probes = append(probes,
+			telemetry.GaugeProbe("fine_hit_ratio", func() float64 {
+				c := p.CacheStats()
+				return c.HitRatio()
+			}),
+			telemetry.GaugeProbe("threshold", func() float64 {
+				return float64(p.Threshold())
+			}),
+			telemetry.GaugeProbe("fine_mem_bytes", func() float64 {
+				return float64(p.MemoryBytes())
+			}),
+			telemetry.GaugeProbe("overflow_bytes", func() float64 {
+				return float64(p.OverflowBytes())
+			}),
+			telemetry.GaugeProbe("hmb_info_pending", func() float64 {
+				return float64(p.Region().Info().Pending())
+			}),
+		)
+	}
+	if s.Inj != nil {
+		probes = append(probes,
+			telemetry.GaugeProbe("fault.injected", func() float64 {
+				return float64(s.Inj.TotalInjected())
+			}),
+			telemetry.GaugeProbe("fault.ecc_retries", func() float64 {
+				return float64(s.Ctrl.Faults().ECCRetries)
+			}),
+			telemetry.GaugeProbe("fault.uncorrectable", func() float64 {
+				return float64(s.Ctrl.Faults().Uncorrectable)
+			}),
+			telemetry.GaugeProbe("fault.wb_retries", func() float64 {
+				return float64(s.V.WritebackRetries())
+			}),
+		)
+		if p != nil {
+			probes = append(probes,
+				telemetry.GaugeProbe("fault.fallbacks", func() float64 {
+					return float64(p.RingFallbacks() + p.DMAFallbacks())
+				}),
+			)
+		}
+	}
+	arr := s.Ctrl.Array()
+	for ch := 0; ch < arr.Config().Channels; ch++ {
+		ch := ch
+		probes = append(probes, telemetry.RateProbe(
+			fmt.Sprintf("ch%d_busy", ch),
+			func() sim.Time { return arr.ChannelBusy(ch) }))
+	}
+	return probes
+}

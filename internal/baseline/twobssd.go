@@ -3,12 +3,9 @@ package baseline
 import (
 	"fmt"
 
-	"pipette/internal/fault"
 	"pipette/internal/metrics"
-	"pipette/internal/resource"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
-	"pipette/internal/vfs"
 )
 
 // TwoBSSDMode selects the byte-interface transfer mechanism.
@@ -25,11 +22,14 @@ const (
 // Controller Memory Buffer, paying a critical-path setup per access — a
 // page fault before MMIO loads, or a DMA mapping before a DMA transfer —
 // and bypassing the I/O stack entirely, so there is no host-side caching
-// of any kind ("without supporting data locality").
+// of any kind ("without supporting data locality"). Writes take the
+// conventional buffered path (the paper evaluates reads), so byte-interface
+// reads observe pre-writeback flash content until Sync — a real limitation
+// of the baseline the paper calls out ("simply bypasses the I/O stack").
 type TwoBSSD struct {
-	s    *stack
-	mode TwoBSSDMode
-	cfg  StackConfig
+	*VFSEngine // writes, Sync, Oracle and the stack's instruments
+	mode       TwoBSSDMode
+	setup      sim.Time // per-access page fault (MMIO) or DMA mapping
 
 	lbaScratch  []uint64
 	slotScratch []int
@@ -39,19 +39,15 @@ type TwoBSSD struct {
 
 // NewTwoBSSD builds the baseline in the given mode.
 func NewTwoBSSD(cfg StackConfig, mode TwoBSSDMode) (*TwoBSSD, error) {
-	s, err := newStack(cfg, vfs.ReadWrite)
+	name, setup := "2B-SSD MMIO", cfg.PageFault
+	if mode == DMA {
+		name, setup = "2B-SSD DMA", cfg.DMAMap
+	}
+	e, err := newVFSEngine(cfg, name, false)
 	if err != nil {
 		return nil, err
 	}
-	return &TwoBSSD{s: s, mode: mode, cfg: cfg}, nil
-}
-
-// Name implements Engine.
-func (e *TwoBSSD) Name() string {
-	if e.mode == MMIO {
-		return "2B-SSD MMIO"
-	}
-	return "2B-SSD DMA"
+	return &TwoBSSD{VFSEngine: e, mode: mode, setup: setup}, nil
 }
 
 // ReadAt implements Engine: load the covering NAND pages into the CMB
@@ -60,20 +56,20 @@ func (e *TwoBSSD) Name() string {
 // bypasses the VFS, so the engine owns the stage-account request scope
 // itself.
 func (e *TwoBSSD) ReadAt(now sim.Time, buf []byte, off int64) (sim.Time, error) {
-	e.s.sa.Begin(now)
+	e.st.SA.Begin(now)
 	done, err := e.readAt(now, buf, off)
-	e.s.sa.Finish(done)
+	e.st.SA.Finish(done)
 	return done, err
 }
 
 func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) {
 	n := len(buf)
-	if off < 0 || off+int64(n) > e.s.file.Size() {
+	if off < 0 || off+int64(n) > e.file.Size() {
 		return now, fmt.Errorf("baseline: 2B-SSD read [%d,+%d) out of file", off, n)
 	}
 	e.io.BytesRequested += uint64(n)
-	ps := e.s.ctrl.PageSize()
-	lbas, err := e.s.file.Inode().AppendLBAs(e.lbaScratch[:0], off, n, ps)
+	ps := e.st.Ctrl.PageSize()
+	lbas, err := e.file.Inode().AppendLBAs(e.lbaScratch[:0], off, n, ps)
 	e.lbaScratch = lbas[:0]
 	if err != nil {
 		return now, err
@@ -81,13 +77,8 @@ func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) 
 
 	// Per-access critical-path setup (§2.2): page fault for MMIO mapping
 	// or DMA mapping establishment.
-	switch e.mode {
-	case MMIO:
-		now += e.cfg.PageFault
-	case DMA:
-		now += e.cfg.DMAMap
-	}
-	e.s.sa.Mark(telemetry.StageConstruct, now)
+	now += e.setup
+	e.st.SA.Mark(telemetry.StageConstruct, now)
 
 	// Load pages to the CMB; issue together, wait for the last.
 	if cap(e.slotScratch) < len(lbas) {
@@ -96,7 +87,7 @@ func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) 
 	slots := e.slotScratch[:len(lbas)]
 	loadDone := now
 	for i, lba := range lbas {
-		slot, done, err := e.s.ctrl.LoadToCMB(now, lba)
+		slot, done, err := e.st.Ctrl.LoadToCMB(now, lba)
 		if err != nil {
 			// The failed access still waits for its racing loads.
 			if done > loadDone {
@@ -111,7 +102,7 @@ func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) 
 	}
 
 	// Close the racing loads' attribution window at the last completion.
-	e.s.sa.Mark(telemetry.StageNAND, loadDone)
+	e.st.SA.Mark(telemetry.StageNAND, loadDone)
 
 	// Transfer the demanded window page by page.
 	t := loadDone
@@ -133,9 +124,9 @@ func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) 
 		var done sim.Time
 		var terr error
 		if e.mode == MMIO {
-			done, terr = e.s.ctrl.MMIORead(t, slots[i], inPage, dst)
+			done, terr = e.st.Ctrl.MMIORead(t, slots[i], inPage, dst)
 		} else {
-			done, terr = e.s.ctrl.DMAReadFromCMB(t, slots[i], inPage, dst)
+			done, terr = e.st.Ctrl.DMAReadFromCMB(t, slots[i], inPage, dst)
 		}
 		if terr != nil {
 			return t, terr
@@ -147,20 +138,10 @@ func (e *TwoBSSD) readAt(now sim.Time, buf []byte, off int64) (sim.Time, error) 
 	return t, nil
 }
 
-// WriteAt implements Engine. 2B-SSD's byte interface is read-side here (the
-// paper evaluates reads); writes take the conventional buffered path. Note
-// the consistency gap this implies — byte-interface reads bypass the page
-// cache, so they can observe pre-writeback flash content — is a real
-// limitation of the baseline the paper calls out ("simply bypasses the I/O
-// stack").
-func (e *TwoBSSD) WriteAt(now sim.Time, data []byte, off int64) (sim.Time, error) {
-	_, done, err := e.s.file.WriteAt(now, data, off)
-	return done, err
-}
-
-// Snapshot implements Engine.
+// Snapshot implements Engine: the stack's buffered-path traffic plus the
+// byte interface's.
 func (e *TwoBSSD) Snapshot() metrics.Snapshot {
-	snap := snapshotOf(e.Name(), e.s, nil)
+	snap := e.VFSEngine.Snapshot()
 	snap.IO.BytesRequested += e.io.BytesRequested
 	snap.IO.BytesTransferred += e.io.BytesTransferred
 	snap.IO.FineReads = e.io.FineReads
@@ -168,25 +149,3 @@ func (e *TwoBSSD) Snapshot() metrics.Snapshot {
 	snap.MemoryMB = 0
 	return snap
 }
-
-// Oracle implements Engine.
-func (e *TwoBSSD) Oracle(buf []byte, off int64) error { return e.s.oracle(buf, off) }
-
-// SetTracer implements Engine.
-func (e *TwoBSSD) SetTracer(tr telemetry.Tracer) { e.s.setTracer(tr) }
-
-// Probes implements Engine.
-func (e *TwoBSSD) Probes() []telemetry.Probe { return stackProbes(e.s, nil) }
-
-// Faults implements Engine.
-func (e *TwoBSSD) Faults() fault.Report { return e.s.faults() }
-
-// Stages implements Engine.
-func (e *TwoBSSD) Stages() *telemetry.StageAccount { return e.s.sa }
-
-// Resources implements Engine.
-func (e *TwoBSSD) Resources() *resource.Tracker { return e.s.res }
-
-// Sync flushes buffered writes to flash — after which the byte interface
-// observes them.
-func (e *TwoBSSD) Sync(now sim.Time) (sim.Time, error) { return e.s.file.Sync(now) }

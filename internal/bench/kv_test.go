@@ -9,6 +9,7 @@ import (
 
 	"pipette/internal/index"
 	"pipette/internal/report"
+	"pipette/internal/telemetry"
 )
 
 // kvMatrixTestScale shrinks the kv matrix so its 24 cells run in test time
@@ -166,5 +167,28 @@ func TestKVMatrixDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !strings.Contains(string(exports[0]), "\"index\"") {
 		t.Errorf("export bundle carries no index summaries")
+	}
+}
+
+// A fine kv cell's stack must give the core its stage account: fine-cache
+// hits bill StageCache and request construction bills StageConstruct,
+// rather than leaking into the ring and later stages — and the waterfall
+// still sums to the accounted latency.
+func TestKVFineCellBillsCoreStages(t *testing.T) {
+	t.Parallel()
+	r, err := runKVCell(kvMatrixTestScale(), "C", true, index.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.snap.IO.FineReads == 0 || r.snap.FineCache.Hits == 0 {
+		t.Fatalf("cell exercised no fine reads (%d) or fine hits (%d)", r.snap.IO.FineReads, r.snap.FineCache.Hits)
+	}
+	for _, s := range []telemetry.Stage{telemetry.StageConstruct, telemetry.StageCache} {
+		if r.stages.Totals[s] == 0 {
+			t.Errorf("stage %v: no time billed", s)
+		}
+	}
+	if r.stages.Sum() != r.stages.Elapsed {
+		t.Fatalf("stage sum %v != elapsed %v: conservation broken", r.stages.Sum(), r.stages.Elapsed)
 	}
 }

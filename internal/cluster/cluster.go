@@ -244,7 +244,9 @@ func (c *Cluster) SealLoad() (sim.Time, error) {
 			return 0, fmt.Errorf("cluster: seal shard %d: %w", sh.ID, err)
 		}
 		sh.loadClock = done
-		sh.arm()
+		if sh.Inj == nil {
+			sh.Arm(sh.cfg.Fault.NewInjector(sh.cfg.FaultSeed))
+		}
 		if done > max {
 			max = done
 		}

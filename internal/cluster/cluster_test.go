@@ -393,3 +393,36 @@ func TestClusterHedgedReads(t *testing.T) {
 		t.Logf("note: hedged p99 %v > primary p99 %v (hedges add load; not a failure)", hq, pq)
 	}
 }
+
+// A fine-read shard armed at SealLoad must arm its core too: the host then
+// verifies every fine DMA payload and sealed Info-Area record, so corrupted
+// transfers fall back to block I/O instead of reaching the store as data.
+func TestFineShardFaultsNeverServeCorruptValues(t *testing.T) {
+	t.Parallel()
+	const records = 20000
+	c, now := buildTestCluster(t, testClusterOpts{
+		cfg:     Config{Shards: 1, Tenants: 1},
+		records: records,
+		fault:   "nvme.dma:0.3,hmb.ring:0.05",
+	})
+	sh := c.Shard(0)
+	var got []byte
+	var err error
+	for i := 0; i < 3*records; i++ {
+		rec := sim.Mix64(uint64(i)) % records
+		got, now, err = sh.Store.Get(now, testKey(0, rec), got[:0])
+		if err != nil {
+			t.Fatalf("get %d: %v", rec, err)
+		}
+		if !bytes.Equal(got, testVal(0, rec)) {
+			t.Fatalf("get %d served corrupted bytes", rec)
+		}
+	}
+	f := sh.Faults()
+	if f.DMACorruptions == 0 || f.DMAFallbacks != f.DMACorruptions {
+		t.Fatalf("DMA corruptions %d, fallbacks %d: want equal and non-zero", f.DMACorruptions, f.DMAFallbacks)
+	}
+	if f.RingFallbacks == 0 {
+		t.Fatal("no ring fallbacks: the core's Info-Area ring is unarmed")
+	}
+}

@@ -46,7 +46,7 @@ func (s *System) OpenKV(opts KVOptions) (*KV, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, done, err := kv.Open(s.clock.Now(), kv.VFSBackend{V: s.v}, kv.Config{
+	store, done, err := kv.Open(s.clock.Now(), kv.VFSBackend{V: s.st.V}, kv.Config{
 		NamePrefix:   opts.NamePrefix,
 		SegmentBytes: opts.SegmentBytes,
 		FineReads:    !opts.BlockReads,

@@ -25,7 +25,7 @@ import (
 	"sync"
 	"time"
 
-	"pipette/internal/blockdev"
+	"pipette/internal/baseline"
 	"pipette/internal/core"
 	"pipette/internal/extfs"
 	"pipette/internal/fault"
@@ -34,7 +34,6 @@ import (
 	"pipette/internal/nvme"
 	"pipette/internal/resource"
 	"pipette/internal/sim"
-	"pipette/internal/ssd"
 	"pipette/internal/telemetry"
 	"pipette/internal/vfs"
 )
@@ -83,15 +82,8 @@ type System struct {
 	mu    sync.Mutex
 	clock sim.Clock
 
-	ctrl *ssd.Controller
-	drv  *nvme.Driver
-	blk  *blockdev.Layer
-	v    *vfs.VFS
-	core *core.Pipette
-	inj  *fault.Injector // nil unless Options.FaultProfile armed one
-	kvs  []*kv.Store     // stores compacted by MaintenanceTick
-	sa   *telemetry.StageAccount
-	res  *resource.Tracker
+	st  *baseline.Stack // Inj is nil unless Options.FaultProfile armed one
+	kvs []*kv.Store     // stores compacted by MaintenanceTick
 }
 
 // New assembles a system.
@@ -106,72 +98,41 @@ func New(opts Options) (*System, error) {
 		return nil, errors.New("pipette: negative budgets")
 	}
 
-	scfg := ssd.DefaultConfig()
-	pageBytes := int64(scfg.NAND.PageSize)
+	cfg := baseline.DefaultStackConfig(0)
+	nand := &cfg.SSD.NAND
+	pageBytes := int64(nand.PageSize)
 	needPages := opts.CapacityBytes / pageBytes
-	perPlane := int(needPages/int64(scfg.NAND.Dies()*scfg.NAND.PagesPerBlock*scfg.NAND.PlanesPerDie)) + 1
+	perPlane := int(needPages/int64(nand.Dies()*nand.PagesPerBlock*nand.PlanesPerDie)) + 1
 	if perPlane < 6 {
 		perPlane = 6
 	}
-	scfg.NAND.BlocksPerPlane = perPlane
-	ctrl, err := ssd.New(scfg)
-	if err != nil {
-		return nil, err
-	}
-	drv := nvme.NewDriver(ctrl, 256, nvme.DefaultCosts())
-	blk, err := blockdev.New(drv, ctrl.PageSize(), blockdev.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	fs := extfs.New(ctrl)
-	vcfg := vfs.DefaultConfig()
-	vcfg.PageCachePages = int(opts.PageCacheBytes / pageBytes)
-	v, err := vfs.New(fs, blk, vcfg)
-	if err != nil {
-		return nil, err
-	}
-	ccfg := core.DefaultConfig()
+	nand.BlocksPerPlane = perPlane
+	cfg.QueuePairs = 1
+	cfg.VFS.PageCachePages = int(opts.PageCacheBytes / pageBytes)
 	if opts.Core != nil {
-		ccfg = *opts.Core
+		cfg.Core = *opts.Core
 	}
 	if opts.FineCacheBytes != 0 {
-		ccfg.HMB.DataBytes = opts.FineCacheBytes
+		cfg.Core.HMB.DataBytes = opts.FineCacheBytes
 	}
-	p, err := core.New(v, drv, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	if opts.DisableFineCache {
-		p.DisableCache()
-	}
-	s := &System{ctrl: ctrl, drv: drv, blk: blk, v: v, core: p,
-		sa: telemetry.NewStageAccount(), res: resource.NewTracker()}
-	// Stage attribution and resource occupancy thread through every layer;
-	// registration order (dma, nand, ring) is the export row order.
-	v.SetStages(s.sa)
-	blk.SetStages(s.sa)
-	drv.SetStages(s.sa)
-	ctrl.SetStages(s.sa)
-	p.SetStages(s.sa)
-	ctrl.SetResources(s.res)
-	drv.SetRingTimeline(s.res.Register("nvme.ring"))
 	if opts.FaultProfile != "" {
 		prof, err := fault.ParseProfile(opts.FaultProfile)
 		if err != nil {
 			return nil, fmt.Errorf("pipette: %w", err)
 		}
-		seed := opts.FaultSeed
-		if seed == 0 {
-			seed = 0x5eed
-		}
-		if inj := prof.NewInjector(seed); inj != nil {
-			s.inj = inj
-			ctrl.SetInjector(inj)
-			v.SetInjector(inj)
-			p.SetInjector(inj)
+		cfg.FaultProfile, cfg.FaultSeed = prof, opts.FaultSeed
+		if cfg.FaultSeed == 0 {
+			cfg.FaultSeed = 0x5eed
 		}
 	}
-	return s, nil
+	st, err := baseline.NewStack(cfg, true)
+	if err != nil {
+		return nil, err
+	}
+	if opts.DisableFineCache {
+		st.Core.DisableCache()
+	}
+	return &System{st: st}, nil
 }
 
 // SetTracer installs a tracer on every layer of the system: VFS, block
@@ -180,78 +141,23 @@ func New(opts Options) (*System, error) {
 func (s *System) SetTracer(tr telemetry.Tracer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tr = telemetry.OrNop(tr)
-	s.v.SetTracer(tr)
-	s.blk.SetTracer(tr)
-	s.drv.SetTracer(tr)
-	s.ctrl.SetTracer(tr)
-	s.core.SetTracer(tr)
+	s.st.SetTracer(tr)
 }
 
 // Probes returns the sampled time series of the system: read amplification,
 // both cache hit ratios, the adaptive threshold, fine-cache memory, HMB
-// info-ring occupancy, and per-channel NAND bus utilization. Feed them to a
-// telemetry.Sampler.
+// info-ring occupancy, the fault counters when a profile is armed, and
+// per-channel NAND bus utilization. Feed them to a telemetry.Sampler; each
+// sample runs under the system lock.
 func (s *System) Probes() []telemetry.Probe {
-	locked := func(get func() float64) func() float64 {
-		return func() float64 {
+	probes := s.st.Probes()
+	for i := range probes {
+		sample := probes[i].Sample
+		probes[i].Sample = func(now sim.Time) float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return get()
+			return sample(now)
 		}
-	}
-	probes := []telemetry.Probe{
-		telemetry.GaugeProbe("read_amp", locked(func() float64 {
-			io := s.v.IO()
-			fio := s.core.IO()
-			io.BytesTransferred += fio.BytesTransferred
-			return io.ReadAmplification()
-		})),
-		telemetry.GaugeProbe("pc_hit_ratio", locked(func() float64 {
-			hits, accesses, _, _ := s.v.PageCache().Stats()
-			c := metrics.Cache{Hits: hits, Accesses: accesses}
-			return c.HitRatio()
-		})),
-		telemetry.GaugeProbe("fine_hit_ratio", locked(func() float64 {
-			c := s.core.CacheStats()
-			return c.HitRatio()
-		})),
-		telemetry.GaugeProbe("threshold", locked(func() float64 {
-			return float64(s.core.Threshold())
-		})),
-		telemetry.GaugeProbe("fine_mem_bytes", locked(func() float64 {
-			return float64(s.core.MemoryBytes())
-		})),
-		telemetry.GaugeProbe("overflow_bytes", locked(func() float64 {
-			return float64(s.core.OverflowBytes())
-		})),
-		telemetry.GaugeProbe("hmb_info_pending", locked(func() float64 {
-			return float64(s.core.Region().Info().Pending())
-		})),
-	}
-	if s.inj != nil {
-		probes = append(probes,
-			telemetry.GaugeProbe("fault.injected", locked(func() float64 {
-				return float64(s.inj.TotalInjected())
-			})),
-			telemetry.GaugeProbe("fault.uncorrectable", locked(func() float64 {
-				return float64(s.ctrl.Faults().Uncorrectable)
-			})),
-			telemetry.GaugeProbe("fault.fallbacks", locked(func() float64 {
-				return float64(s.core.RingFallbacks() + s.core.DMAFallbacks())
-			})),
-		)
-	}
-	arr := s.ctrl.Array()
-	for ch := 0; ch < arr.Config().Channels; ch++ {
-		ch := ch
-		probes = append(probes, telemetry.RateProbe(
-			fmt.Sprintf("ch%d_busy", ch),
-			func() sim.Time {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return arr.ChannelBusy(ch)
-			}))
 	}
 	return probes
 }
@@ -280,29 +186,29 @@ func (s *System) RegisterMetrics(reg *telemetry.Registry) {
 	}
 
 	reg.CounterFunc("ssd_reads_total", "read commands issued to the device",
-		lockedU(func() uint64 { return s.v.IO().BlockReads }), telemetry.L("interface", "block"))
+		lockedU(func() uint64 { return s.st.V.IO().BlockReads }), telemetry.L("interface", "block"))
 	reg.CounterFunc("ssd_reads_total", "read commands issued to the device",
-		lockedU(func() uint64 { return s.core.IO().FineReads }), telemetry.L("interface", "fine"))
+		lockedU(func() uint64 { return s.st.Core.IO().FineReads }), telemetry.L("interface", "fine"))
 	reg.CounterFunc("ssd_writes_total", "write commands issued to the device",
-		lockedU(func() uint64 { return s.v.IO().Writes }))
+		lockedU(func() uint64 { return s.st.V.IO().Writes }))
 	reg.CounterFunc("ssd_bytes_total", "host-interface traffic",
-		lockedU(func() uint64 { return s.v.IO().BytesRequested }), telemetry.L("direction", "requested"))
+		lockedU(func() uint64 { return s.st.V.IO().BytesRequested }), telemetry.L("direction", "requested"))
 	reg.CounterFunc("ssd_bytes_total", "host-interface traffic",
-		lockedU(func() uint64 { return s.v.IO().BytesTransferred + s.core.IO().BytesTransferred }),
+		lockedU(func() uint64 { return s.st.V.IO().BytesTransferred + s.st.Core.IO().BytesTransferred }),
 		telemetry.L("direction", "transferred"))
 	reg.CounterFunc("ssd_bytes_total", "host-interface traffic",
-		lockedU(func() uint64 { return s.v.IO().BytesWritten }), telemetry.L("direction", "written"))
+		lockedU(func() uint64 { return s.st.V.IO().BytesWritten }), telemetry.L("direction", "written"))
 
 	reg.CounterFunc("cache_hits_total", "cache hits",
-		lockedU(func() uint64 { h, _, _, _ := s.v.PageCache().Stats(); return h }),
+		lockedU(func() uint64 { h, _, _, _ := s.st.V.PageCache().Stats(); return h }),
 		telemetry.L("cache", "page"))
 	reg.CounterFunc("cache_accesses_total", "cache accesses",
-		lockedU(func() uint64 { _, a, _, _ := s.v.PageCache().Stats(); return a }),
+		lockedU(func() uint64 { _, a, _, _ := s.st.V.PageCache().Stats(); return a }),
 		telemetry.L("cache", "page"))
 	reg.CounterFunc("cache_hits_total", "cache hits",
-		lockedU(func() uint64 { return s.core.CacheStats().Hits }), telemetry.L("cache", "fine"))
+		lockedU(func() uint64 { return s.st.Core.CacheStats().Hits }), telemetry.L("cache", "fine"))
 	reg.CounterFunc("cache_accesses_total", "cache accesses",
-		lockedU(func() uint64 { return s.core.CacheStats().Accesses }), telemetry.L("cache", "fine"))
+		lockedU(func() uint64 { return s.st.Core.CacheStats().Accesses }), telemetry.L("cache", "fine"))
 
 	kvTotal := func(get func(kv.Stats) uint64) func() uint64 {
 		return lockedU(func() uint64 {
@@ -326,9 +232,9 @@ func (s *System) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("kv_log_bytes_total", "KV value-log traffic",
 		kvTotal(func(st kv.Stats) uint64 { return st.BytesRead }), telemetry.L("direction", "read"))
 
-	if s.inj != nil {
+	if s.st.Inj != nil {
 		faultU := func(get func(fault.Report) uint64) func() uint64 {
-			return lockedU(func() uint64 { return get(s.faults()) })
+			return lockedU(func() uint64 { return get(s.st.Faults()) })
 		}
 		reg.CounterFunc("fault_injected_total", "fault decisions drawn across all sites",
 			faultU(func(r fault.Report) uint64 { return r.Injected }))
@@ -350,24 +256,23 @@ func (s *System) RegisterMetrics(reg *telemetry.Registry) {
 		lockedF(func() float64 { return s.clock.Now().Seconds() }))
 	reg.GaugeFunc("pipette_read_amplification", "transferred / requested bytes",
 		lockedF(func() float64 {
-			io := s.v.IO()
-			io.BytesTransferred += s.core.IO().BytesTransferred
+			io := s.st.Snapshot("").IO
 			return io.ReadAmplification()
 		}))
 	reg.GaugeFunc("pipette_fine_threshold_bytes", "adaptive fine-read admission threshold",
-		lockedF(func() float64 { return float64(s.core.Threshold()) }))
+		lockedF(func() float64 { return float64(s.st.Core.Threshold()) }))
 	reg.GaugeFunc("pipette_cache_resident_bytes", "cache memory in use",
-		lockedF(func() float64 { return float64(s.v.PageCache().MemoryBytes()) }),
+		lockedF(func() float64 { return float64(s.st.V.PageCache().MemoryBytes()) }),
 		telemetry.L("cache", "page"))
 	reg.GaugeFunc("pipette_cache_resident_bytes", "cache memory in use",
-		lockedF(func() float64 { return float64(s.core.MemoryBytes()) }),
+		lockedF(func() float64 { return float64(s.st.Core.MemoryBytes()) }),
 		telemetry.L("cache", "fine"))
 
 	// Per-request stage attribution (atomic mirrors, scraped lock-free) and
 	// per-resource occupancy (scrape-time reads under the system lock).
-	s.sa.BindRegistry(reg)
-	for i := 0; i < s.res.Len(); i++ {
-		tl := s.res.At(i)
+	s.st.SA.BindRegistry(reg)
+	for i := 0; i < s.st.Res.Len(); i++ {
+		tl := s.st.Res.At(i)
 		reg.GaugeFunc("pipette_resource_utilization",
 			"busy fraction of elapsed virtual time per hardware resource",
 			lockedF(func() float64 { return tl.Utilization(s.clock.Now()) }),
@@ -382,12 +287,12 @@ func (s *System) RegisterMetrics(reg *telemetry.Registry) {
 // Stages exposes the per-request stage account. Readers must not race
 // in-flight I/O: snapshot between requests or under an idle system.
 func (s *System) Stages() *telemetry.StageAccount {
-	return s.sa
+	return s.st.SA
 }
 
 // Resources exposes the resource-occupancy tracker, same caveat as Stages.
 func (s *System) Resources() *resource.Tracker {
-	return s.res
+	return s.st.Res
 }
 
 // CreateFile makes a fixed-size file. preload fills it with deterministic
@@ -395,7 +300,7 @@ func (s *System) Resources() *resource.Tracker {
 func (s *System) CreateFile(name string, size int64, preload bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := s.v.FS().Create(name, size, extfs.CreateOpts{Preload: preload})
+	_, err := s.st.V.FS().Create(name, size, extfs.CreateOpts{Preload: preload})
 	return err
 }
 
@@ -404,14 +309,14 @@ func (s *System) CreateFile(name string, size int64, preload bool) error {
 func (s *System) RemoveFile(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.v.Remove(name)
+	return s.st.V.Remove(name)
 }
 
 // Files lists file names.
 func (s *System) Files() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.v.FS().Files()
+	return s.st.V.FS().Files()
 }
 
 // File is an open handle. ReadAt/WriteAt implement io.ReaderAt/io.WriterAt
@@ -426,7 +331,7 @@ type File struct {
 func (s *System) Open(name string, flags OpenFlag) (*File, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := s.v.Open(name, flags)
+	f, err := s.st.V.Open(name, flags)
 	if err != nil {
 		return nil, err
 	}
@@ -493,7 +398,7 @@ func (s *System) Now() sim.Time {
 func (s *System) MaintenanceTick() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.core.MaintenanceTick()
+	s.st.Core.MaintenanceTick()
 	s.tickKVs()
 }
 
@@ -546,43 +451,24 @@ type Report struct {
 func (s *System) Report() Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	snap := s.st.Snapshot("")
 	r := Report{
-		Elapsed:   s.clock.Now(),
-		IO:        s.v.IO(),
-		FineCache: s.core.CacheStats(),
-		Threshold: s.core.Threshold(),
-		Core:      s.core.Stats(),
+		Elapsed:              s.clock.Now(),
+		IO:                   snap.IO,
+		PageCache:            snap.PageCache,
+		FineCache:            snap.FineCache,
+		FineCacheMemoryBytes: s.st.Core.MemoryBytes(),
+		PageCacheMemoryBytes: s.st.V.PageCache().MemoryBytes(),
+		Threshold:            s.st.Core.Threshold(),
+		Core:                 s.st.Core.Stats(),
+		Stages:               s.st.SA.Snapshot(),
+		Resources:            s.st.Res.Snapshot(s.clock.Now()),
 	}
-	fio := s.core.IO()
-	r.IO.BytesTransferred += fio.BytesTransferred
-	r.IO.FineReads = fio.FineReads
-	hits, accesses, ins, evs := s.v.PageCache().Stats()
-	r.PageCache = metrics.Cache{Hits: hits, Accesses: accesses, Insertions: ins, Evictions: evs}
-	r.PageCacheMemoryBytes = s.v.PageCache().MemoryBytes()
-	r.FineCacheMemoryBytes = s.core.MemoryBytes()
-	r.Stages = s.sa.Snapshot()
-	r.Resources = s.res.Snapshot(s.clock.Now())
-	if s.inj != nil {
-		f := s.faults()
+	if s.st.Inj != nil {
+		f := s.st.Faults()
 		r.Faults = &f
 	}
 	return r
-}
-
-// faults assembles the reliability ledger. Callers hold s.mu.
-func (s *System) faults() fault.Report {
-	cf := s.ctrl.Faults()
-	return fault.Report{
-		Injected:         s.inj.TotalInjected(),
-		ECCRetries:       cf.ECCRetries,
-		Uncorrectable:    cf.Uncorrectable,
-		RingCorruptions:  cf.RingCorruptions,
-		DMACorruptions:   cf.DMACorruptions,
-		RingFallbacks:    s.core.RingFallbacks(),
-		DMAFallbacks:     s.core.DMAFallbacks(),
-		ProgramRetries:   cf.ProgramRetries,
-		WritebackRetries: s.v.WritebackRetries(),
-	}
 }
 
 // String renders the report for humans.
