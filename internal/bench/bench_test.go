@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"pipette/internal/workload"
@@ -218,15 +219,34 @@ func TestFindExperiment(t *testing.T) {
 	}
 }
 
+// tinySerial is the one -j 1 tiny-scale RunAll shared by TestRunAllTiny and
+// TestParallelDeterminism, so the package runs the full harness twice, not
+// three times.
+var tinySerial struct {
+	once sync.Once
+	out  []byte
+	err  error
+}
+
+func tinySerialRunAll() ([]byte, error) {
+	tinySerial.once.Do(func() {
+		var buf bytes.Buffer
+		tinySerial.err = RunAll(&buf, TinyScale(), NewPool(1))
+		tinySerial.out = buf.Bytes()
+	})
+	return tinySerial.out, tinySerial.err
+}
+
 func TestRunAllTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness pass")
 	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf, TinyScale(), nil); err != nil {
+	t.Parallel()
+	serial, err := tinySerialRunAll()
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	out := string(serial)
 	for _, want := range []string{"Figure 6", "Table 2", "Figure 7", "Table 3",
 		"Figure 8", "Figure 9(a)", "Figure 9(b)", "Table 4", "Figure 1", "Ablation",
 		"YCSB"} {

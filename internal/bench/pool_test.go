@@ -84,16 +84,16 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Skip("two full harness passes")
 	}
 	t.Parallel()
-	s := TinyScale()
-	var serial, parallel bytes.Buffer
-	if err := RunAll(&serial, s, NewPool(1)); err != nil {
+	serial, err := tinySerialRunAll()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunAll(&parallel, s, NewPool(8)); err != nil {
+	var parallel bytes.Buffer
+	if err := RunAll(&parallel, TinyScale(), NewPool(8)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		a, b := serial.String(), parallel.String()
+	if !bytes.Equal(serial, parallel.Bytes()) {
+		a, b := string(serial), parallel.String()
 		for i := 0; i < len(a) && i < len(b); i++ {
 			if a[i] != b[i] {
 				lo := i - 80

@@ -23,12 +23,26 @@ type Key struct {
 	Index uint64 // page index within the file
 }
 
-// entry is one resident page.
+// maxIndex bounds Key.Index: Insert rejects a page index at or above it,
+// and the lookups report such a key as absent. Each inode's slot table is
+// dense up to its highest index inserted, so the bound keeps a hostile
+// index from sizing one; below it, a table's length fits an int on 32-bit
+// hosts too.
+const maxIndex = 1 << 31
+
+// entry is one resident page, or a recycled slot on the free list. Entries
+// live in one array and link by slot number; slot 0 is the LRU sentinel.
 type entry struct {
 	key        Key
-	dirty      bool
 	data       []byte // nil unless dirty
-	prev, next *entry
+	prev, next int32
+	dirty      bool
+}
+
+// slotTable maps one inode's page indices to entry slots, 0 meaning
+// absent. It is as long as the highest index inserted, plus one.
+type slotTable struct {
+	slots []int32
 }
 
 // EvictFunc is called when a page leaves the cache. For dirty pages, data
@@ -37,18 +51,19 @@ type EvictFunc func(key Key, dirty bool, data []byte)
 
 // Cache is the page cache. Not safe for concurrent use.
 //
-// The index is two-level — inode, then page index — so lookups take the
-// runtime's fast uint64 map path instead of hashing a struct key, and the
-// common one-file-per-engine case resolves through a memoized inner map.
+// Nothing on the lookup, insert or eviction path hashes: a page resolves
+// through its inode's dense slot table, indexed by page number, into one
+// entry array whose prev/next slot numbers form the LRU. The inode → table
+// map is consulted only when the inode changes; the common one-file case
+// resolves through the memoized last table.
 type Cache struct {
-	capacity int // pages; 0 means empty cache (everything misses)
-	pages    map[uint64]map[uint64]*entry
+	capacity int     // pages; 0 means empty cache (everything misses)
+	ents     []entry // ents[0]: sentinel, next is most recent, prev least
+	free     int32   // recycled slots, chained on next; 0 when none
+	files    map[uint64]*slotTable
 	count    int
 	lastIno  uint64
-	lastFile map[uint64]*entry
-	head     *entry // sentinel: most recent after head
-	tail     *entry // sentinel: least recent before tail
-	free     *entry // recycled entries, chained on next
+	last     *slotTable // nil when no memo
 	onEvict  EvictFunc
 
 	pageSize int
@@ -68,17 +83,13 @@ func New(capacityPages, pageSize int, onEvict EvictFunc) (*Cache, error) {
 	if pageSize <= 0 {
 		return nil, errors.New("pagecache: page size must be positive")
 	}
-	c := &Cache{
+	return &Cache{
 		capacity: capacityPages,
-		pages:    make(map[uint64]map[uint64]*entry),
-		head:     &entry{},
-		tail:     &entry{},
+		ents:     make([]entry, 1),
+		files:    make(map[uint64]*slotTable),
 		onEvict:  onEvict,
 		pageSize: pageSize,
-	}
-	c.head.next = c.tail
-	c.tail.prev = c.head
-	return c, nil
+	}, nil
 }
 
 // Len reports resident pages.
@@ -108,80 +119,89 @@ func (c *Cache) HitRatio() float64 {
 	return float64(c.hits) / float64(c.accesses)
 }
 
-// fileMap resolves the inner map of one inode, memoizing the last file
-// touched (requests run page loops over a single file).
-func (c *Cache) fileMap(ino uint64) map[uint64]*entry {
-	if c.lastFile != nil && c.lastIno == ino {
-		return c.lastFile
+// table resolves one inode's slot table, memoizing the last file touched
+// (requests run page loops over a single file). nil when the inode has
+// none.
+func (c *Cache) table(ino uint64) *slotTable {
+	if c.last != nil && c.lastIno == ino {
+		return c.last
 	}
-	m, ok := c.pages[ino]
-	if !ok {
-		return nil
+	t := c.files[ino]
+	if t != nil {
+		c.lastIno, c.last = ino, t
 	}
-	c.lastIno, c.lastFile = ino, m
-	return m
+	return t
 }
 
-func (c *Cache) get(key Key) (*entry, bool) {
-	m := c.fileMap(key.File)
-	if m == nil {
-		return nil, false
+// get returns the slot holding key, 0 when absent.
+func (c *Cache) get(key Key) int32 {
+	t := c.table(key.File)
+	if t == nil || key.Index >= uint64(len(t.slots)) {
+		return 0
 	}
-	e, ok := m[key.Index]
-	return e, ok
+	return t.slots[key.Index]
 }
 
-func (c *Cache) put(e *entry) {
-	m := c.fileMap(e.key.File)
-	if m == nil {
-		m = make(map[uint64]*entry)
-		c.pages[e.key.File] = m
-		c.lastIno, c.lastFile = e.key.File, m
+// put records slot i as key's, growing the inode's table to reach
+// key.Index (< maxIndex).
+func (c *Cache) put(key Key, i int32) {
+	t := c.table(key.File)
+	if t == nil {
+		t = &slotTable{}
+		c.files[key.File] = t
+		c.lastIno, c.last = key.File, t
 	}
-	m[e.key.Index] = e
+	if key.Index >= uint64(len(t.slots)) {
+		t.slots = append(t.slots, make([]int32, key.Index+1-uint64(len(t.slots)))...)
+	}
+	t.slots[key.Index] = i
 	c.count++
 }
 
-func (c *Cache) del(e *entry) {
-	m := c.fileMap(e.key.File)
-	delete(m, e.key.Index)
+func (c *Cache) del(key Key) {
+	c.table(key.File).slots[key.Index] = 0
 	c.count--
-	if len(m) == 0 {
-		delete(c.pages, e.key.File)
-		if c.lastIno == e.key.File {
-			c.lastFile = nil
-		}
+}
+
+// newEntry takes a slot from the free list, or appends one. Appending may
+// move the entry array: no &c.ents[i] survives a call to it.
+func (c *Cache) newEntry() int32 {
+	if i := c.free; i != 0 {
+		c.free = c.ents[i].next
+		c.ents[i] = entry{}
+		return i
 	}
+	c.ents = append(c.ents, entry{})
+	return int32(len(c.ents) - 1)
 }
 
-func (c *Cache) newEntry() *entry {
-	if e := c.free; e != nil {
-		c.free = e.next
-		*e = entry{}
-		return e
+func (c *Cache) recycle(i int32) {
+	c.ents[i] = entry{next: c.free}
+	c.free = i
+}
+
+func (c *Cache) pushFront(i int32) {
+	ents := c.ents
+	first := ents[0].next
+	ents[i].prev = 0
+	ents[i].next = first
+	ents[first].prev = i
+	ents[0].next = i
+}
+
+func (c *Cache) unlink(i int32) {
+	ents := c.ents
+	prev, next := ents[i].prev, ents[i].next
+	ents[prev].next = next
+	ents[next].prev = prev
+}
+
+// touch moves slot i to the LRU front.
+func (c *Cache) touch(i int32) {
+	if c.ents[0].next != i {
+		c.unlink(i)
+		c.pushFront(i)
 	}
-	return &entry{}
-}
-
-func (c *Cache) recycle(e *entry) {
-	e.key = Key{}
-	e.data = nil
-	e.prev = nil
-	e.next = c.free
-	c.free = e
-}
-
-func (c *Cache) pushFront(e *entry) {
-	e.prev = c.head
-	e.next = c.head.next
-	c.head.next.prev = e
-	c.head.next = e
-}
-
-func (c *Cache) unlink(e *entry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = nil, nil
 }
 
 // Lookup checks residency and counts the access. On a hit the page moves to
@@ -189,21 +209,18 @@ func (c *Cache) unlink(e *entry) {
 // caller regenerates clean bytes from the device oracle).
 func (c *Cache) Lookup(key Key) (data []byte, dirty, ok bool) {
 	c.accesses++
-	e, found := c.get(key)
-	if !found {
+	i := c.get(key)
+	if i == 0 {
 		return nil, false, false
 	}
 	c.hits++
-	c.unlink(e)
-	c.pushFront(e)
+	c.touch(i)
+	e := &c.ents[i]
 	return e.data, e.dirty, true
 }
 
 // Contains checks residency without counting an access or touching LRU.
-func (c *Cache) Contains(key Key) bool {
-	_, ok := c.get(key)
-	return ok
-}
+func (c *Cache) Contains(key Key) bool { return c.get(key) != 0 }
 
 // ContainsDirty checks for a resident dirty copy without counting an
 // access or touching LRU.
@@ -214,23 +231,26 @@ func (c *Cache) ContainsDirty(key Key) bool { return c.DirtyData(key) != nil }
 // stays cache-owned: a writer may edit it in place and pass it back to
 // MarkDirty.
 func (c *Cache) DirtyData(key Key) []byte {
-	e, ok := c.get(key)
-	if !ok || !e.dirty {
+	i := c.get(key)
+	if i == 0 || !c.ents[i].dirty {
 		return nil
 	}
-	return e.data
+	return c.ents[i].data
 }
 
 // Insert makes a page resident. data must be nil for clean pages and the
 // page's bytes for dirty ones (the cache takes ownership of the slice).
 // Inserting over an existing entry replaces its state. Eviction keeps
-// residency within capacity.
+// residency within capacity. key.Index must be below 1<<31.
 func (c *Cache) Insert(key Key, dirty bool, data []byte) error {
 	if dirty && len(data) != c.pageSize {
 		return fmt.Errorf("pagecache: dirty insert with %d bytes, want %d", len(data), c.pageSize)
 	}
 	if !dirty && data != nil {
 		return errors.New("pagecache: clean pages must not materialize data")
+	}
+	if key.Index >= maxIndex {
+		return fmt.Errorf("pagecache: page index %d out of range (max %d)", key.Index, uint64(maxIndex-1))
 	}
 	if c.capacity == 0 {
 		// Zero-budget cache admits nothing; dirty data is immediately
@@ -240,30 +260,32 @@ func (c *Cache) Insert(key Key, dirty bool, data []byte) error {
 		}
 		return nil
 	}
-	if e, ok := c.get(key); ok {
-		if e.dirty != dirty {
-			if dirty {
-				c.dirtyN++
-			} else {
-				c.dirtyN--
-			}
-		}
-		e.dirty = dirty
-		e.data = data
-		c.unlink(e)
-		c.pushFront(e)
+	if i := c.get(key); i != 0 {
+		c.setState(i, dirty, data)
+		c.touch(i)
 		return nil
 	}
-	e := c.newEntry()
-	e.key, e.dirty, e.data = key, dirty, data
-	if dirty {
-		c.dirtyN++
-	}
-	c.put(e)
-	c.pushFront(e)
+	i := c.newEntry()
+	c.ents[i].key = key
+	c.setState(i, dirty, data)
+	c.put(key, i)
+	c.pushFront(i)
 	c.inserts++
 	c.evictOverflow()
 	return nil
+}
+
+// setState gives slot i its dirty flag and data, keeping the dirty count.
+func (c *Cache) setState(i int32, dirty bool, data []byte) {
+	e := &c.ents[i]
+	if e.dirty != dirty {
+		if dirty {
+			c.dirtyN++
+		} else {
+			c.dirtyN--
+		}
+	}
+	e.dirty, e.data = dirty, data
 }
 
 // MarkDirty transitions a resident page to dirty with its bytes (the cache
@@ -272,80 +294,82 @@ func (c *Cache) MarkDirty(key Key, data []byte) (bool, error) {
 	if len(data) != c.pageSize {
 		return false, fmt.Errorf("pagecache: dirty data %d bytes, want %d", len(data), c.pageSize)
 	}
-	e, ok := c.get(key)
-	if !ok {
+	i := c.get(key)
+	if i == 0 {
 		return false, nil
 	}
-	if !e.dirty {
-		c.dirtyN++
-	}
-	e.dirty = true
-	e.data = data
-	c.unlink(e)
-	c.pushFront(e)
+	c.setState(i, true, data)
+	c.touch(i)
 	return true, nil
 }
 
 // Remove drops a page (invalidation). Dirty data is passed to the evict
 // hook for writeback.
 func (c *Cache) Remove(key Key) bool {
-	e, ok := c.get(key)
-	if !ok {
+	i := c.get(key)
+	if i == 0 {
 		return false
 	}
-	c.dropEntry(e)
+	c.dropEntry(i)
 	return true
 }
 
-func (c *Cache) dropEntry(e *entry) {
-	c.unlink(e)
-	c.del(e)
+// dropEntry evicts slot i. The hook runs last, after the slot is recycled,
+// so it may re-enter the cache.
+func (c *Cache) dropEntry(i int32) {
+	c.unlink(i)
+	e := c.ents[i]
+	c.del(e.key)
 	c.evicts++
 	if e.dirty {
 		c.dirtyN--
 	}
-	key, dirty, data := e.key, e.dirty, e.data
-	c.recycle(e)
+	c.recycle(i)
 	if c.onEvict != nil {
-		c.onEvict(key, dirty, data)
+		c.onEvict(e.key, e.dirty, e.data)
 	}
 }
 
-// DiscardFile drops every resident page of one file without invoking the
-// evict hook — unlink semantics: dirty pages are abandoned, not written
-// back. release, when non-nil, receives each dirty page's buffer so the
-// caller can recycle it. Returns the number of pages dropped.
+// DiscardFile drops every resident page of one file, in page order,
+// without invoking the evict hook — unlink semantics: dirty pages are
+// abandoned, not written back. release, when non-nil, receives each dirty
+// page's buffer so the caller can recycle it. Returns the number of pages
+// dropped.
 func (c *Cache) DiscardFile(ino uint64, release func(data []byte)) int {
-	m := c.pages[ino]
-	if m == nil {
+	t := c.files[ino]
+	if t == nil {
 		return 0
 	}
+	delete(c.files, ino)
+	if c.lastIno == ino {
+		c.last = nil
+	}
 	dropped := 0
-	for _, e := range m {
-		c.unlink(e)
+	for _, i := range t.slots {
+		if i == 0 {
+			continue
+		}
+		c.unlink(i)
 		c.evicts++
+		e := c.ents[i]
+		c.recycle(i)
 		if e.dirty {
 			c.dirtyN--
 			if release != nil && e.data != nil {
 				release(e.data)
 			}
 		}
-		c.recycle(e)
 		dropped++
 	}
 	c.count -= dropped
-	delete(c.pages, ino)
-	if c.lastIno == ino {
-		c.lastFile = nil
-	}
 	return dropped
 }
 
 // evictOverflow trims LRU pages until within capacity.
 func (c *Cache) evictOverflow() {
 	for c.count > c.capacity {
-		lru := c.tail.prev
-		if lru == c.head {
+		lru := c.ents[0].prev
+		if lru == 0 {
 			return
 		}
 		c.dropEntry(lru)
@@ -373,15 +397,20 @@ func (c *Cache) FlushDirty(fn func(key Key, data []byte) error) error {
 // FlushDirtySelect flushes only the dirty pages match accepts — fsync of a
 // single file, while FlushDirty is syncfs.
 func (c *Cache) FlushDirtySelect(match func(Key) bool, fn func(key Key, data []byte) error) error {
-	for e := c.tail.prev; e != c.head; e = e.prev {
-		if !e.dirty || !match(e.key) {
+	for i := c.ents[0].prev; i != 0; i = c.ents[i].prev {
+		e := &c.ents[i]
+		if !e.dirty {
 			continue
 		}
-		if err := fn(e.key, e.data); err != nil {
+		key, data := e.key, e.data
+		if !match(key) {
+			continue
+		}
+		if err := fn(key, data); err != nil {
 			return err
 		}
-		e.dirty = false
-		e.data = nil
+		e = &c.ents[i] // the callbacks may have moved the entry array
+		e.dirty, e.data = false, nil
 		c.dirtyN--
 	}
 	return nil

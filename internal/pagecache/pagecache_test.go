@@ -1,6 +1,7 @@
 package pagecache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -347,4 +348,157 @@ func TestReadaheadDegenerateParams(t *testing.T) {
 	if got := ra.OnMiss(2); got != 1 {
 		t.Fatalf("clamped readahead fetched %d", got)
 	}
+}
+
+// TestIndexBound: a page index at or above maxIndex is never inserted, so
+// no slot table grows toward it, and the lookups report it absent.
+func TestIndexBound(t *testing.T) {
+	c := newCache(t, 4)
+	// 1<<16 makes a 256 KiB table; maxIndex-1 would make an 8 GiB one.
+	for _, index := range []uint64{0, 1 << 16} {
+		if err := c.Insert(Key{1, index}, false, nil); err != nil || !c.Contains(Key{1, index}) {
+			t.Fatalf("Insert(index %d) = %v", index, err)
+		}
+	}
+	for _, index := range []uint64{maxIndex, maxIndex + 1, 1 << 32, 1<<64 - 1} {
+		k := Key{1, index}
+		if err := c.Insert(k, false, nil); err == nil {
+			t.Errorf("clean Insert(index %d) accepted", index)
+		}
+		if err := c.Insert(k, true, make([]byte, 4096)); err == nil {
+			t.Errorf("dirty Insert(index %d) accepted", index)
+		}
+		if _, _, ok := c.Lookup(k); ok || c.Contains(k) || c.ContainsDirty(k) || c.DirtyData(k) != nil {
+			t.Errorf("index %d reported resident", index)
+		}
+		if ok, err := c.MarkDirty(k, make([]byte, 4096)); ok || err != nil {
+			t.Errorf("MarkDirty(index %d) = %v, %v", index, ok, err)
+		}
+		if c.Remove(k) {
+			t.Errorf("Remove(index %d) removed a page", index)
+		}
+	}
+	hits, accesses, inserts, _ := c.Stats()
+	if c.Len() != 2 || hits != 0 || accesses != 4 || inserts != 2 {
+		t.Errorf("Len %d, stats %d/%d/%d; want 2 pages, 0 hits of 4 counted accesses, 2 inserts",
+			c.Len(), hits, accesses, inserts)
+	}
+}
+
+// TestCacheSteadyStateAllocFree: once the entry array and the slot tables
+// have grown, a miss that inserts a clean page and evicts the LRU one, a
+// hit, and a MarkDirty of a resident page allocate nothing.
+func TestCacheSteadyStateAllocFree(t *testing.T) {
+	const capacity, span = 64, 192
+	evicted := 0
+	c, err := New(capacity, 4096, func(Key, bool, []byte) { evicted++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < span; i++ { // grow both files' tables to span
+		for ino := uint64(1); ino <= 2; ino++ {
+			if err := c.Insert(Key{ino, i}, false, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	next := uint64(0)
+	missInsertEvict := func() {
+		// Walk pages in order: each was evicted span-capacity inserts ago.
+		k := Key{1 + next%2, next / 2 % span}
+		next++
+		if _, _, ok := c.Lookup(k); ok {
+			t.Fatal("steady-state miss hit")
+		}
+		if err := c.Insert(k, false, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := evicted
+	if n := testing.AllocsPerRun(1000, missInsertEvict); n != 0 {
+		t.Errorf("miss, insert and eviction: %v allocs, want 0", n)
+	}
+	if evicted == before {
+		t.Fatal("the miss cycle evicted nothing")
+	}
+
+	hot := Key{1, 7}
+	if err := c.Insert(hot, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, _, ok := c.Lookup(hot); !ok {
+			t.Fatal("hot page missed")
+		}
+	}); n != 0 {
+		t.Errorf("hit: %v allocs, want 0", n)
+	}
+	page := make([]byte, 4096)
+	if n := testing.AllocsPerRun(1000, func() {
+		if ok, err := c.MarkDirty(hot, page); !ok || err != nil {
+			t.Fatalf("MarkDirty = %v, %v", ok, err)
+		}
+	}); n != 0 {
+		t.Errorf("MarkDirty: %v allocs, want 0", n)
+	}
+}
+
+// BenchmarkHit: a counted lookup of a resident page.
+func BenchmarkHit(b *testing.B) {
+	const capacity = 1 << 14
+	c := newCache(b, capacity)
+	for i := uint64(0); i < capacity; i++ {
+		if err := c.Insert(Key{1, i}, false, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	idx := randomIndices(capacity)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := c.Lookup(Key{1, idx[i&(len(idx)-1)]}); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
+// BenchmarkMissEvict follows block-uniform's pattern: uniform page indices
+// over three times the capacity; a miss inserts a 4-page read-ahead window,
+// skipping resident pages, each insert evicting the LRU page. One op is
+// one access.
+func BenchmarkMissEvict(b *testing.B) {
+	const capacity, window = 1 << 14, 4
+	const pages = 3 * capacity
+	c := newCache(b, capacity)
+	idx := randomIndices(pages)
+	for _, p := range idx[:pages] { // warm to capacity
+		if err := c.Insert(Key{1, p}, false, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := idx[i&(len(idx)-1)]
+		if _, _, ok := c.Lookup(Key{1, p}); ok {
+			continue
+		}
+		for q := p; q < p+window && q < pages; q++ {
+			if k := (Key{1, q}); !c.Contains(k) {
+				if err := c.Insert(k, false, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// randomIndices returns 1<<16 seeded uniform page indices below n.
+func randomIndices(n int) []uint64 {
+	rng := rand.New(rand.NewSource(1))
+	idx := make([]uint64, 1<<16)
+	for i := range idx {
+		idx[i] = uint64(rng.Intn(n))
+	}
+	return idx
 }
