@@ -28,7 +28,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"pipette/internal/bench"
@@ -145,29 +144,17 @@ func main() {
 	}
 
 	// -flight-dump arms one shared recorder across every engine the harness
-	// builds. The file is created eagerly so a missing directory fails
-	// before hours of cells run, and the dump closure is once-only — under
-	// -j several cells can fail together, but only the first writes.
-	var dumpFlight func(reason string)
+	// builds. Under -j several cells can fail together; only the first
+	// dumps.
+	var flight *telemetry.FlightDump
 	if *flightOut != "" {
-		flight := telemetry.NewFlightRecorder(telemetry.DefaultFlightEvents)
-		flightFile, err := os.Create(*flightOut)
-		if err != nil {
+		var err error
+		if flight, err = telemetry.OpenFlightDump(*flightOut, "pipette-bench", nil, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
 			os.Exit(1)
 		}
-		defer flightFile.Close()
-		var once sync.Once
-		dumpFlight = func(reason string) {
-			once.Do(func() {
-				if derr := flight.Dump(flightFile, reason, 0); derr != nil {
-					fmt.Fprintf(os.Stderr, "pipette-bench: flight dump: %v\n", derr)
-					return
-				}
-				fmt.Fprintf(os.Stderr, "pipette-bench: flight recorder dumped to %s (%s)\n", *flightOut, reason)
-			})
-		}
-		bench.ArmFlight(flight, dumpFlight)
+		defer flight.Close()
+		bench.ArmFlight(flight.Recorder(), flight.Dump)
 		defer bench.ArmFlight(nil, nil)
 	}
 
@@ -199,9 +186,7 @@ func main() {
 
 	start := time.Now()
 	if err := runExperiments(*expName, scale, topts, pool); err != nil {
-		if dumpFlight != nil {
-			dumpFlight(fmt.Sprintf("fatal: %v", err))
-		}
+		flight.Dump(fmt.Sprintf("fatal: %v", err))
 		fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
 		os.Exit(1)
 	}

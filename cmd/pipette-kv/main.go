@@ -29,7 +29,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"sync"
 
 	"pipette"
 	"pipette/internal/buildinfo"
@@ -111,34 +110,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// -flight-dump arms the ring on every layer of the system. The file is
-	// created eagerly so a bad path fails before the load phase; the dump
-	// fires at most once, from the first fatal error or panic.
-	var dumpFlight func(reason string)
+	// -flight-dump arms the ring on every layer of the system; the dump
+	// fires from the first fatal error or panic.
+	var flight *telemetry.FlightDump
 	if *flightOut != "" {
-		flight := telemetry.NewFlightRecorder(telemetry.DefaultFlightEvents)
-		flightFile, err := os.Create(*flightOut)
-		if err != nil {
+		if flight, err = telemetry.OpenFlightDump(*flightOut, "pipette-kv", sys.Now, nil); err != nil {
 			log.Fatalf("pipette-kv: %v", err)
 		}
-		defer flightFile.Close()
-		var once sync.Once
-		dumpFlight = func(reason string) {
-			once.Do(func() {
-				if derr := flight.Dump(flightFile, reason, sys.Now()); derr != nil {
-					fmt.Fprintf(os.Stderr, "pipette-kv: flight dump: %v\n", derr)
-					return
-				}
-				fmt.Fprintf(os.Stderr, "pipette-kv: flight recorder dumped to %s (%s)\n", *flightOut, reason)
-			})
-		}
-		sys.SetTracer(flight)
-		defer func() {
-			if r := recover(); r != nil {
-				dumpFlight(fmt.Sprintf("panic: %v", r))
-				panic(r)
-			}
-		}()
+		defer flight.Close()
+		sys.SetTracer(flight.Recorder())
+		defer flight.OnPanic()
 	}
 
 	if *listen != "" {
@@ -159,9 +140,7 @@ func main() {
 			continue
 		}
 		if err := runWorkload(sys, wl, *records, *ops, *valBytes, *seed, *fine, *indexEng); err != nil {
-			if dumpFlight != nil {
-				dumpFlight(fmt.Sprintf("fatal: workload %s: %v", wl, err))
-			}
+			flight.Dump(fmt.Sprintf("fatal: workload %s: %v", wl, err))
 			log.Fatalf("workload %s: %v", wl, err)
 		}
 	}

@@ -213,7 +213,7 @@ type openLoop struct {
 }
 
 func run(w io.Writer, wl, dist string, requests int, fileMB, pcMB int64, fgMB int, fine bool, seed uint64, faultProf string, faultSeed uint64, ol openLoop, topts telemetryOpts, expRun *report.Run) (err error) {
-	gen, err := makeGenerator(wl, dist, fileMB<<20, seed)
+	gen, err := workload.ByName(wl, dist, fileMB<<20, seed)
 	if err != nil {
 		return err
 	}
@@ -270,44 +270,23 @@ func run(w io.Writer, wl, dist string, requests int, fileMB, pcMB int64, fgMB in
 			return err
 		}
 	}
-	var flight *telemetry.FlightRecorder
-	var flightFile *os.File
-	dumped := false
+	var flight *telemetry.FlightDump
 	if topts.flightOut != "" {
-		flight = telemetry.NewFlightRecorder(telemetry.DefaultFlightEvents)
-		if flightFile, err = os.Create(topts.flightOut); err != nil {
+		if flight, err = telemetry.OpenFlightDump(topts.flightOut, "pipette-sim", sys.Now, w); err != nil {
 			return err
 		}
-		defer flightFile.Close()
-	}
-	// The first anomaly owns the dump: its ring holds the events leading
-	// up to the problem, which later dumps would overwrite.
-	dumpFlight := func(reason string) {
-		if flight == nil || dumped {
-			return
-		}
-		dumped = true
-		if derr := flight.Dump(flightFile, reason, sys.Now()); derr != nil {
-			fmt.Fprintf(os.Stderr, "pipette-sim: flight dump: %v\n", derr)
-			return
-		}
-		fmt.Fprintf(w, "flight recorder dumped to %s (%s)\n", topts.flightOut, reason)
+		defer flight.Close()
 	}
 	// A panic anywhere in the replay still dumps the ring — the events
 	// leading up to the crash are exactly what the recorder is for — then
 	// resumes unwinding.
-	defer func() {
-		if r := recover(); r != nil {
-			dumpFlight(fmt.Sprintf("panic: %v", r))
-			panic(r)
-		}
-	}()
+	defer flight.OnPanic()
 	var tracers []telemetry.Tracer
 	if rec != nil {
 		tracers = append(tracers, rec)
 	}
 	if flight != nil {
-		tracers = append(tracers, flight)
+		tracers = append(tracers, flight.Recorder())
 	}
 	if len(tracers) > 0 {
 		sys.SetTracer(telemetry.Tee(tracers...))
@@ -340,14 +319,14 @@ func run(w io.Writer, wl, dist string, requests int, fileMB, pcMB int64, fgMB in
 			// Under an armed fault profile uncorrectable media errors are
 			// expected outcomes, not harness failures: count and go on.
 			if !errors.Is(err, pipette.ErrUncorrectable) {
-				dumpFlight(fmt.Sprintf("fatal error at request %d: %v", i, err))
+				flight.Dump(fmt.Sprintf("fatal error at request %d: %v", i, err))
 				return fmt.Errorf("request %d: %w", i, err)
 			}
 			lost++
 			if topts.progress != nil {
 				topts.progress.lost.Add(1)
 			}
-			dumpFlight(fmt.Sprintf("uncorrectable media error at request %d", i))
+			flight.Dump(fmt.Sprintf("uncorrectable media error at request %d", i))
 		}
 		if topts.progress != nil {
 			topts.progress.done.Store(uint64(i + 1))
@@ -394,9 +373,7 @@ func run(w io.Writer, wl, dist string, requests int, fileMB, pcMB int64, fgMB in
 		fmt.Fprintf(w, "time series written to %s (%d samples, %d series)\n",
 			topts.statsOut, sampler.Rows(), len(sampler.Series()))
 	}
-	if flight != nil && !dumped {
-		dumpFlight("end of run (no anomaly)")
-	}
+	flight.Dump("end of run (no anomaly)") // no-op after an anomaly's dump
 	return nil
 }
 
@@ -473,35 +450,4 @@ func runOpenLoop(w io.Writer, wl string, gen workload.Generator, requests int, p
 	fmt.Fprintf(w, "  max             %.2f µs\n", res.Hist.Max().Micros())
 	fmt.Fprintf(w, "mean queue wait   %.2f µs\n", queueUs)
 	return nil
-}
-
-func makeGenerator(wl, dist string, fileSize int64, seed uint64) (workload.Generator, error) {
-	d := workload.Uniform
-	if dist == "zipfian" {
-		d = workload.Zipfian
-	} else if dist != "uniform" {
-		return nil, fmt.Errorf("unknown distribution %q", dist)
-	}
-	switch wl {
-	case "mixA", "mixB", "mixC", "mixD", "mixE":
-		idx := int(wl[3] - 'A')
-		return workload.NewSynthetic(workload.Mixes(fileSize, 4096, d, seed)[idx])
-	case "recommender":
-		cfg := workload.DefaultRecommenderConfig()
-		cfg.TableBytes = fileSize
-		cfg.Seed = seed
-		return workload.NewRecommender(cfg)
-	case "socialgraph":
-		cfg := workload.DefaultSocialGraphConfig()
-		cfg.Nodes = uint64(fileSize) / 120 // ~96 B node + ~2 edges
-		cfg.Seed = seed
-		return workload.NewSocialGraph(cfg)
-	case "searchengine":
-		cfg := workload.DefaultSearchEngineConfig()
-		cfg.Terms = uint64(fileSize) / 600 // entry + mean posting footprint
-		cfg.Seed = seed
-		return workload.NewSearchEngine(cfg)
-	default:
-		return nil, fmt.Errorf("unknown workload %q", wl)
-	}
 }

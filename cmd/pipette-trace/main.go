@@ -130,7 +130,7 @@ func cmdGen(args []string) error {
 	out := fs.String("o", "trace.bin", "output file")
 	_ = fs.Parse(args)
 
-	gen, err := makeGenerator(*wl, *dist, *fileMB<<20, *seed)
+	gen, err := workload.ByName(*wl, *dist, *fileMB<<20, *seed)
 	if err != nil {
 		return err
 	}
@@ -237,35 +237,4 @@ func cmdReplay(args []string) error {
 	}
 	fmt.Println(sys.Report())
 	return nil
-}
-
-func makeGenerator(wl, dist string, fileSize int64, seed uint64) (workload.Generator, error) {
-	d := workload.Uniform
-	if dist == "zipfian" {
-		d = workload.Zipfian
-	} else if dist != "uniform" {
-		return nil, fmt.Errorf("unknown distribution %q", dist)
-	}
-	switch wl {
-	case "mixA", "mixB", "mixC", "mixD", "mixE":
-		idx := int(wl[3] - 'A')
-		return workload.NewSynthetic(workload.Mixes(fileSize, 4096, d, seed)[idx])
-	case "recommender":
-		cfg := workload.DefaultRecommenderConfig()
-		cfg.TableBytes = fileSize
-		cfg.Seed = seed
-		return workload.NewRecommender(cfg)
-	case "socialgraph":
-		cfg := workload.DefaultSocialGraphConfig()
-		cfg.Nodes = uint64(fileSize) / 120
-		cfg.Seed = seed
-		return workload.NewSocialGraph(cfg)
-	case "searchengine":
-		cfg := workload.DefaultSearchEngineConfig()
-		cfg.Terms = uint64(fileSize) / 600 // entry + mean posting footprint
-		cfg.Seed = seed
-		return workload.NewSearchEngine(cfg)
-	default:
-		return nil, fmt.Errorf("unknown workload %q", wl)
-	}
 }

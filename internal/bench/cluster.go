@@ -259,23 +259,6 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 	return slot, nil
 }
 
-// hotShardShare reports the largest single-shard fraction of primary
-// routing — 1/Shards is perfectly balanced, 1.0 is one shard taking
-// everything.
-func hotShardShare(shards []report.ShardSummary) float64 {
-	var max, total uint64
-	for _, ss := range shards {
-		total += ss.Primary
-		if ss.Primary > max {
-			max = ss.Primary
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(max) / float64(total)
-}
-
 // WriteCluster runs the serving-tier sweep: replication factor x tenant
 // Zipf skew, each point healthy and with one member degraded, over a
 // multi-tenant open-loop stream with per-tenant token-bucket QoS and
@@ -377,7 +360,7 @@ func renderClusterTable(w io.Writer, s Scale, points []clusterPoint, slots []*cl
 			fmt.Sprintf("%d", sl.cres.Rejected),
 			fmt.Sprintf("%d", sl.cres.Throttled),
 			fmt.Sprintf("%d", sl.cres.Lost),
-			fmt.Sprintf("%.1f", 100*hotShardShare(sl.shards)),
+			fmt.Sprintf("%.1f", 100*report.HotShardShare(sl.shards)),
 			fmt.Sprintf("%d", hedges),
 			fmt.Sprintf("%d", failovers),
 		)

@@ -124,7 +124,7 @@ func RunFaults(s Scale, p *Pool) (map[string]map[string]map[string]*FaultResult,
 						}
 						fr := &FaultResult{Result: *res, Report: e.Faults()}
 						*slot = fr
-						p.Live().AddFaults(fr.Report)
+						p.Live().Fold(&baseline.Ledger{Faults: fr.Report})
 						return &fr.Result, nil
 					},
 				})

@@ -318,8 +318,7 @@ func RunKV(s Scale, p *Pool) ([][][]*kvCellResult, error) {
 							return nil, err
 						}
 						grid[wi][ei][ki] = r
-						p.Live().AddKV(r.store)
-						p.Live().AddIndex(r.idx)
+						p.Live().Fold(&baseline.Ledger{KV: r.store, Index: r.idx})
 						// Returning the measurement (rather than nil) feeds the
 						// cell's deterministic throughput/read-amp/latency into
 						// the -json summary and the regression gate.

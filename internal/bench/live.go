@@ -6,44 +6,32 @@ import (
 	"sync"
 	"time"
 
-	"pipette/internal/fault"
-	"pipette/internal/index"
-	"pipette/internal/kv"
-	"pipette/internal/metrics"
+	"pipette/internal/baseline"
 	"pipette/internal/resource"
 	"pipette/internal/telemetry"
 )
 
 // Live is the harness's bridge into the unified metrics registry: one
 // instance aggregates every finished cell's counters — SSD traffic, cache
-// activity, KV log maintenance, fault/recovery ledgers — into live
-// Prometheus families, and tracks per-cell completion for the /progress
-// endpoint. Cells stay fully private simulations; they report into Live
-// only at completion (atomic adds), so a scraper polling /metrics at any
-// rate observes the suite's progress without perturbing a single cell —
-// the rendered tables are byte-identical with or without a listener.
+// activity, KV log maintenance, fault/recovery ledgers — into the live
+// Prometheus families of baseline.Counters, and tracks per-cell
+// completion for the /progress endpoint. Cells stay fully private
+// simulations; they report into Live only at completion (atomic adds), so
+// a scraper polling /metrics at any rate observes the suite's progress
+// without perturbing a single cell — the rendered tables are
+// byte-identical with or without a listener.
 type Live struct {
 	reg *telemetry.Registry
 
-	cellsDone *telemetry.LiveCounter
-	opsDone   *telemetry.LiveCounter
+	cellsDone *telemetry.Counter
+	opsDone   *telemetry.Counter
 	cellWall  *telemetry.LiveHistogram
-
-	ssdBlockReads, ssdFineReads, ssdWrites                  *telemetry.LiveCounter
-	bytesRequested, bytesTransferred, bytesWritten          *telemetry.LiveCounter
-	pcHits, pcAccesses, fineHits, fineAccesses              *telemetry.LiveCounter
-	kvPuts, kvGets, kvRotations, kvCompactions              *telemetry.LiveCounter
-	kvBytesWritten, kvBytesRead                             *telemetry.LiveCounter
-	idxNodeReads, idxBloomChecks, idxBloomNegative          *telemetry.LiveCounter
-	idxCacheHits, idxCacheMisses                            *telemetry.LiveCounter
-	idxBytesRead, idxBytesWritten                           *telemetry.LiveCounter
-	fInjected, fECCRetries, fUncorrectable                  *telemetry.LiveCounter
-	fRingFallbacks, fDMAFallbacks, fProgRetries, fWBRetries *telemetry.LiveCounter
+	counters  []*telemetry.Counter // one per baseline.Counters row
 
 	mu      sync.Mutex
 	total   int
 	cells   map[string]*cellState
-	resBusy map[string]*telemetry.LiveCounter
+	resBusy map[string]*telemetry.Counter
 }
 
 // cellState is one cell's /progress record.
@@ -54,9 +42,10 @@ type cellState struct {
 	started     time.Time
 }
 
-// NewLive registers the harness's metric families on reg.
+// NewLive registers the harness's metric families on reg: its own bench_*
+// families and every row of baseline.Counters.
 func NewLive(reg *telemetry.Registry) *Live {
-	l := &Live{reg: reg, cells: make(map[string]*cellState), resBusy: make(map[string]*telemetry.LiveCounter)}
+	l := &Live{reg: reg, cells: make(map[string]*cellState), resBusy: make(map[string]*telemetry.Counter)}
 	l.cellsDone = reg.Counter("bench_cells_done_total", "experiment cells completed")
 	l.opsDone = reg.Counter("bench_ops_total", "measured simulated operations completed by finished cells")
 	l.cellWall = reg.Histogram("bench_cell_wall_seconds", "wall-clock cost of one cell",
@@ -77,63 +66,25 @@ func NewLive(reg *telemetry.Registry) *Live {
 		}
 		return float64(n)
 	})
-
-	l.ssdBlockReads = reg.Counter("ssd_reads_total", "read commands issued to the device", telemetry.L("interface", "block"))
-	l.ssdFineReads = reg.Counter("ssd_reads_total", "read commands issued to the device", telemetry.L("interface", "fine"))
-	l.ssdWrites = reg.Counter("ssd_writes_total", "write commands issued to the device")
-	l.bytesRequested = reg.Counter("ssd_bytes_total", "host-interface traffic", telemetry.L("direction", "requested"))
-	l.bytesTransferred = reg.Counter("ssd_bytes_total", "host-interface traffic", telemetry.L("direction", "transferred"))
-	l.bytesWritten = reg.Counter("ssd_bytes_total", "host-interface traffic", telemetry.L("direction", "written"))
-
-	l.pcHits = reg.Counter("cache_hits_total", "cache hits", telemetry.L("cache", "page"))
-	l.pcAccesses = reg.Counter("cache_accesses_total", "cache accesses", telemetry.L("cache", "page"))
-	l.fineHits = reg.Counter("cache_hits_total", "cache hits", telemetry.L("cache", "fine"))
-	l.fineAccesses = reg.Counter("cache_accesses_total", "cache accesses", telemetry.L("cache", "fine"))
-
-	l.kvPuts = reg.Counter("kv_ops_total", "KV store operations", telemetry.L("op", "put"))
-	l.kvGets = reg.Counter("kv_ops_total", "KV store operations", telemetry.L("op", "get"))
-	l.kvRotations = reg.Counter("kv_rotations_total", "KV log segments sealed")
-	l.kvCompactions = reg.Counter("kv_compactions_total", "KV segments compacted")
-	l.kvBytesWritten = reg.Counter("kv_log_bytes_total", "KV value-log traffic", telemetry.L("direction", "written"))
-	l.kvBytesRead = reg.Counter("kv_log_bytes_total", "KV value-log traffic", telemetry.L("direction", "read"))
-
-	l.idxNodeReads = reg.Counter("kv_index_node_reads_total", "B+-tree node fetches paid by KV lookups")
-	l.idxBloomChecks = reg.Counter("kv_index_bloom_total", "LSM run-filter membership decisions", telemetry.L("result", "checked"))
-	l.idxBloomNegative = reg.Counter("kv_index_bloom_total", "LSM run-filter membership decisions", telemetry.L("result", "negative"))
-	l.idxCacheHits = reg.Counter("kv_index_cache_total", "LSM block-cache outcomes", telemetry.L("result", "hit"))
-	l.idxCacheMisses = reg.Counter("kv_index_cache_total", "LSM block-cache outcomes", telemetry.L("result", "miss"))
-	l.idxBytesRead = reg.Counter("kv_index_bytes_total", "KV index-file traffic", telemetry.L("direction", "read"))
-	l.idxBytesWritten = reg.Counter("kv_index_bytes_total", "KV index-file traffic", telemetry.L("direction", "written"))
-
-	l.fInjected = reg.Counter("fault_injected_total", "fault decisions drawn across all sites")
-	l.fECCRetries = reg.Counter("fault_ecc_retries_total", "NAND read-retry steps charged by the ECC ladder")
-	l.fUncorrectable = reg.Counter("fault_uncorrectable_total", "reads that exhausted the retry budget")
-	l.fRingFallbacks = reg.Counter("fault_fallbacks_total", "fine reads re-served via block I/O", telemetry.L("path", "ring"))
-	l.fDMAFallbacks = reg.Counter("fault_fallbacks_total", "fine reads re-served via block I/O", telemetry.L("path", "dma"))
-	l.fProgRetries = reg.Counter("fault_retries_total", "commands re-issued after a fault", telemetry.L("site", "program"))
-	l.fWBRetries = reg.Counter("fault_retries_total", "commands re-issued after a fault", telemetry.L("site", "writeback"))
+	for i := range baseline.Counters {
+		c := &baseline.Counters[i]
+		l.counters = append(l.counters, reg.Counter(c.Name, c.Help, c.Labels()...))
+	}
 	return l
 }
 
 // Registry returns the registry Live reports into.
 func (l *Live) Registry() *telemetry.Registry { return l.reg }
 
-// AddSnapshot folds one finished cell's traffic and cache counters into
-// the ssd and cache families.
-func (l *Live) AddSnapshot(s *metrics.Snapshot) {
-	if l == nil || s == nil {
+// Fold adds one finished cell's ledger to every counter row. A cell fills
+// only the parts it produced; the rest are zero and add nothing.
+func (l *Live) Fold(in *baseline.Ledger) {
+	if l == nil {
 		return
 	}
-	l.ssdBlockReads.Add(s.IO.BlockReads)
-	l.ssdFineReads.Add(s.IO.FineReads)
-	l.ssdWrites.Add(s.IO.Writes)
-	l.bytesRequested.Add(s.IO.BytesRequested)
-	l.bytesTransferred.Add(s.IO.BytesTransferred)
-	l.bytesWritten.Add(s.IO.BytesWritten)
-	l.pcHits.Add(s.PageCache.Hits)
-	l.pcAccesses.Add(s.PageCache.Accesses)
-	l.fineHits.Add(s.FineCache.Hits)
-	l.fineAccesses.Add(s.FineCache.Accesses)
+	for i := range baseline.Counters {
+		l.counters[i].Add(baseline.Counters[i].Get(in))
+	}
 }
 
 // AddResources folds one finished cell's per-resource busy time into the
@@ -148,7 +99,7 @@ func (l *Live) AddResources(s *resource.Snapshot) {
 		return
 	}
 	l.mu.Lock()
-	counters := make([]*telemetry.LiveCounter, 0, len(s.Resources))
+	counters := make([]*telemetry.Counter, 0, len(s.Resources))
 	values := make([]uint64, 0, len(s.Resources))
 	for _, r := range s.Resources {
 		if strings.Contains(r.Name, ".w") {
@@ -168,49 +119,6 @@ func (l *Live) AddResources(s *resource.Snapshot) {
 	for i, c := range counters {
 		c.Add(values[i])
 	}
-}
-
-// AddKV folds one finished cell's store counters into the kv family.
-func (l *Live) AddKV(st kv.Stats) {
-	if l == nil {
-		return
-	}
-	l.kvPuts.Add(st.Puts)
-	l.kvGets.Add(st.Gets)
-	l.kvRotations.Add(st.Rotations)
-	l.kvCompactions.Add(st.Compactions)
-	l.kvBytesWritten.Add(st.BytesWritten)
-	l.kvBytesRead.Add(st.BytesRead)
-}
-
-// AddIndex folds one finished cell's index-engine counters into the
-// kv_index families.
-func (l *Live) AddIndex(st index.Stats) {
-	if l == nil {
-		return
-	}
-	l.idxNodeReads.Add(st.NodeReads)
-	l.idxBloomChecks.Add(st.BloomChecks)
-	l.idxBloomNegative.Add(st.BloomNegative)
-	l.idxCacheHits.Add(st.CacheHits)
-	l.idxCacheMisses.Add(st.CacheMisses)
-	l.idxBytesRead.Add(st.BytesRead)
-	l.idxBytesWritten.Add(st.BytesWritten)
-}
-
-// AddFaults folds one finished cell's injection/recovery ledger into the
-// fault family.
-func (l *Live) AddFaults(r fault.Report) {
-	if l == nil {
-		return
-	}
-	l.fInjected.Add(r.Injected)
-	l.fECCRetries.Add(r.ECCRetries)
-	l.fUncorrectable.Add(r.Uncorrectable)
-	l.fRingFallbacks.Add(r.RingFallbacks)
-	l.fDMAFallbacks.Add(r.DMAFallbacks)
-	l.fProgRetries.Add(r.ProgramRetries)
-	l.fWBRetries.Add(r.WritebackRetries)
 }
 
 // cellStarted records a cell entering execution.

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"pipette/internal/baseline"
 )
 
 // Pool is the harness's worker-pool execution layer. Every experiment
@@ -132,7 +134,7 @@ func (p *Pool) runCell(c Cell) error {
 		pf.ReadAmp = res.Snapshot.IO.ReadAmplification()
 		pf.MeanUs = res.Snapshot.MeanLat.Micros()
 		pf.P99Us = res.Snapshot.P99Lat.Micros()
-		p.live.AddSnapshot(&res.Snapshot)
+		p.live.Fold(&baseline.Ledger{Snap: res.Snapshot})
 		p.live.AddResources(res.Resources)
 	}
 	p.live.cellFinished(c.Label, pf, err != nil)

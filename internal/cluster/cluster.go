@@ -754,32 +754,13 @@ func opString(write bool) string {
 
 // RegisterMetrics mirrors every shard's stage account and resource
 // occupancy into reg with a per-shard label, so one /metrics scrape covers
-// the whole tier: pipette_stage_us{stage=...,shard=...} histograms and
-// pipette_resource_utilization{resource=...,shard=...} gauges, the same
-// families a single-device system exports.
+// the whole tier: the stage histograms and resource series a
+// single-device system exports, each gaining shard=<id>.
 func (c *Cluster) RegisterMetrics(reg *telemetry.Registry) {
+	now := func() sim.Time { return c.now }
 	for _, sh := range c.shards {
-		sh := sh
 		lbl := telemetry.L("shard", strconv.Itoa(sh.ID))
 		sh.SA.BindRegistry(reg, lbl)
-		for i := 0; i < sh.Res.Len(); i++ {
-			tl := sh.Res.At(i)
-			reg.GaugeFunc("pipette_resource_utilization",
-				"busy fraction of elapsed virtual time per hardware resource",
-				func() float64 {
-					c.mu.Lock()
-					defer c.mu.Unlock()
-					return tl.Utilization(c.now)
-				},
-				telemetry.L("resource", tl.Name()), lbl)
-			reg.CounterFunc("pipette_resource_busy_ns_total",
-				"cumulative busy virtual time per hardware resource, in nanoseconds",
-				func() uint64 {
-					c.mu.Lock()
-					defer c.mu.Unlock()
-					return uint64(tl.Busy())
-				},
-				telemetry.L("resource", tl.Name()), lbl)
-		}
+		sh.Res.RegisterMetrics(reg, &c.mu, now, lbl)
 	}
 }

@@ -249,9 +249,9 @@ func writeSaturationChart(b *strings.Builder, groups []*satGroup) {
 	b.WriteString("</svg>\n")
 }
 
-// hotShardShare reports the largest single-shard fraction of primary
+// HotShardShare reports the largest single-shard fraction of primary
 // routing for a cluster run (1/shards is balanced, 1.0 is one hot shard).
-func hotShardShare(shards []ShardSummary) float64 {
+func HotShardShare(shards []ShardSummary) float64 {
 	var max, total uint64
 	for i := range shards {
 		total += shards[i].Primary
@@ -287,7 +287,7 @@ func writeClusterSummary(b *strings.Builder, runs []Run) {
 		}
 		fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%.0f</td><td>%.1f</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>\n",
 			html.EscapeString(runLabel(r)), len(r.Shards), r.OpsPerSec,
-			100*hotShardShare(r.Shards), r.Rejected, r.Throttled, r.Lost,
+			100*HotShardShare(r.Shards), r.Rejected, r.Throttled, r.Lost,
 			hedges, failovers)
 	}
 	b.WriteString("</table>\n")

@@ -23,9 +23,11 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"pipette/internal/metrics"
 	"pipette/internal/sim"
+	"pipette/internal/telemetry"
 )
 
 // DefaultMaxBins is the per-timeline bin budget: 256 bins × 8 B ≈ 2 KB
@@ -152,6 +154,31 @@ func (tr *Tracker) Len() int {
 
 // At returns the i'th registered timeline.
 func (tr *Tracker) At(i int) *Timeline { return tr.tls[i] }
+
+// RegisterMetrics publishes every registered timeline on reg as the
+// pipette_resource_utilization gauge and pipette_resource_busy_ns_total
+// counter, labelled resource=<name> then labels. The series are read at
+// scrape time under mu, the owning system's lock, with now as the elapsed
+// virtual time.
+func (tr *Tracker) RegisterMetrics(reg *telemetry.Registry, mu sync.Locker, now func() sim.Time, labels ...telemetry.Label) {
+	for _, tl := range tr.tls {
+		lbls := append([]telemetry.Label{telemetry.L("resource", tl.name)}, labels...)
+		reg.GaugeFunc("pipette_resource_utilization",
+			"busy fraction of elapsed virtual time per hardware resource",
+			func() float64 {
+				mu.Lock()
+				defer mu.Unlock()
+				return tl.Utilization(now())
+			}, lbls...)
+		reg.CounterFunc("pipette_resource_busy_ns_total",
+			"cumulative busy virtual time per hardware resource, in nanoseconds",
+			func() uint64 {
+				mu.Lock()
+				defer mu.Unlock()
+				return uint64(tl.busy)
+			}, lbls...)
+	}
+}
 
 // cover widens the shared bin scale until `end` fits every timeline.
 func (tr *Tracker) cover(end sim.Time) {

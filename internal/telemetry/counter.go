@@ -11,6 +11,8 @@ import "sync/atomic"
 //
 // The simulator is single-threaded per system, but counters are read by
 // telemetry probes that may sample from another goroutine, hence atomic.
+// Registry.Counter hands out the same type as an owned series value, so a
+// scrape reads the word without coordination.
 type Counter struct {
 	v atomic.Uint64
 }

@@ -3,7 +3,9 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
+	"os"
 	"sync"
 
 	"pipette/internal/sim"
@@ -140,6 +142,83 @@ func (f *FlightRecorder) Dump(w io.Writer, reason string, now sim.Time) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// FlightDump arms a FlightRecorder for a command-line tool: it owns the
+// ring and the file the ring is dumped into. The file is created up
+// front, so a bad path fails before the run does, and the first Dump is
+// the only one — the first anomaly's ring holds the events leading up to
+// it, which later dumps would overwrite. All methods are safe on a nil
+// *FlightDump (no -flight-dump given) and from concurrent goroutines.
+type FlightDump struct {
+	rec    *FlightRecorder
+	path   string
+	file   *os.File
+	tool   string
+	now    func() sim.Time
+	out    io.Writer
+	prefix string // on the out line: "tool: " when it goes to stderr
+	once   sync.Once
+}
+
+// OpenFlightDump creates path and arms a default-size recorder. now stamps
+// the dump with the run's virtual time (nil stamps 0). The line
+// "flight recorder dumped to PATH (REASON)" goes to out; a nil out sends it
+// to stderr with the "tool: " prefix. Dump failures always go to stderr.
+func OpenFlightDump(path, tool string, now func() sim.Time, out io.Writer) (*FlightDump, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	d := &FlightDump{rec: NewFlightRecorder(DefaultFlightEvents),
+		path: path, file: f, tool: tool, now: now, out: out}
+	if d.now == nil {
+		d.now = func() sim.Time { return 0 }
+	}
+	if d.out == nil {
+		d.out, d.prefix = os.Stderr, tool+": "
+	}
+	return d, nil
+}
+
+// Recorder returns the ring to install as a tracer (nil when unarmed).
+func (d *FlightDump) Recorder() *FlightRecorder {
+	if d == nil {
+		return nil
+	}
+	return d.rec
+}
+
+// Dump writes the ring with reason on the first call and reports where
+// it went; every later call is a no-op.
+func (d *FlightDump) Dump(reason string) {
+	if d == nil {
+		return
+	}
+	d.once.Do(func() {
+		if err := d.rec.Dump(d.file, reason, d.now()); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: flight dump: %v\n", d.tool, err)
+			return
+		}
+		fmt.Fprintf(d.out, "%sflight recorder dumped to %s (%s)\n", d.prefix, d.path, reason)
+	})
+}
+
+// OnPanic is deferred around a run: a panic dumps the ring with the panic
+// value as the reason, then keeps unwinding.
+func (d *FlightDump) OnPanic() {
+	if r := recover(); r != nil {
+		d.Dump(fmt.Sprintf("panic: %v", r))
+		panic(r)
+	}
+}
+
+// Close closes the dump file.
+func (d *FlightDump) Close() error {
+	if d == nil {
+		return nil
+	}
+	return d.file.Close()
 }
 
 // multiTracer fans events out to several tracers.

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"pipette/internal/sim"
@@ -129,5 +134,100 @@ func TestTee(t *testing.T) {
 	}
 	if fr.Len() != 3 { // request + span + instant (EndRequest unrecorded)
 		t.Fatalf("flight recorder holds %d entries, want 3", fr.Len())
+	}
+}
+
+// TestFlightDumpOnce: racing Dump calls (a -j run whose cells fail
+// together) leave exactly one JSON document in the file, report it once,
+// and the first caller's reason wins.
+func TestFlightDumpOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.json")
+	var out bytes.Buffer
+	d, err := OpenFlightDump(path, "tool", func() sim.Time { return 7 * sim.Microsecond }, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Recorder().Note("before the failure", 0)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			d.Dump(fmt.Sprintf("cell %d failed", i))
+		}(i)
+	}
+	wg.Wait()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	var doc struct {
+		Reason   string  `json:"reason"`
+		AtUs     float64 `json:"at_us"`
+		Captured int     `json:"captured"`
+	}
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("dump is not valid JSON: %v\n%s", err, raw)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		t.Fatalf("file holds more than one document (%v):\n%s", err, raw)
+	}
+	if doc.AtUs != 7 || doc.Captured != 1 || !strings.HasPrefix(doc.Reason, "cell ") {
+		t.Fatalf("dump header wrong: %+v", doc)
+	}
+	want := fmt.Sprintf("flight recorder dumped to %s (%s)\n", path, doc.Reason)
+	if out.String() != want {
+		t.Fatalf("report line %q, want %q", out.String(), want)
+	}
+}
+
+// TestFlightDumpBadPath: a path that cannot be created fails at open,
+// before any run starts.
+func TestFlightDumpBadPath(t *testing.T) {
+	d, err := OpenFlightDump(filepath.Join(t.TempDir(), "missing", "flight.json"), "tool", nil, nil)
+	if err == nil || d != nil {
+		t.Fatalf("OpenFlightDump on a missing directory = %v, %v; want an error", d, err)
+	}
+}
+
+// TestFlightDumpOnPanic: the deferred panic guard dumps with the panic
+// value as the reason and keeps unwinding with the same value; unarmed
+// (nil), it only keeps unwinding.
+func TestFlightDumpOnPanic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.json")
+	var out bytes.Buffer
+	d, err := OpenFlightDump(path, "tool", nil, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, fd := range []*FlightDump{d, nil} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("panic value %v, want boom", r)
+				}
+			}()
+			defer fd.OnPanic()
+			panic("boom")
+		}()
+	}
+	var doc struct {
+		Reason string `json:"reason"`
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil || doc.Reason != "panic: boom" {
+		t.Fatalf("panic dump = %q (%v), want reason %q", raw, err, "panic: boom")
+	}
+	if !strings.Contains(out.String(), "(panic: boom)") {
+		t.Fatalf("panic dump not reported: %q", out.String())
 	}
 }

@@ -119,8 +119,8 @@ type StageAccount struct {
 	// into atomic live values at Finish so a concurrent scraper never
 	// reads the account's plain fields.
 	live      [NumStages]*LiveHistogram
-	liveTotal [NumStages]*LiveCounter
-	liveReqs  *LiveCounter
+	liveTotal [NumStages]*Counter
+	liveReqs  *Counter
 
 	// onFinish, when set, observes every finished request's segments;
 	// tests use it to assert per-request conservation.

@@ -174,3 +174,38 @@ func (f *FixedSize) Next() Request {
 	}
 	return r
 }
+
+// ByName builds the generator the command-line tools select by name: the
+// Table 1 mixes "mixA".."mixE" over dist ("uniform" or "zipfian"), or the
+// application workloads "recommender", "socialgraph" and "searchengine"
+// sized to fileSize.
+func ByName(wl, dist string, fileSize int64, seed uint64) (Generator, error) {
+	d := Uniform
+	if dist == "zipfian" {
+		d = Zipfian
+	} else if dist != "uniform" {
+		return nil, fmt.Errorf("unknown distribution %q", dist)
+	}
+	switch wl {
+	case "mixA", "mixB", "mixC", "mixD", "mixE":
+		idx := int(wl[3] - 'A')
+		return NewSynthetic(Mixes(fileSize, 4096, d, seed)[idx])
+	case "recommender":
+		cfg := DefaultRecommenderConfig()
+		cfg.TableBytes = fileSize
+		cfg.Seed = seed
+		return NewRecommender(cfg)
+	case "socialgraph":
+		cfg := DefaultSocialGraphConfig()
+		cfg.Nodes = uint64(fileSize) / 120 // ~96 B node + ~2 edges
+		cfg.Seed = seed
+		return NewSocialGraph(cfg)
+	case "searchengine":
+		cfg := DefaultSearchEngineConfig()
+		cfg.Terms = uint64(fileSize) / 600 // entry + mean posting footprint
+		cfg.Seed = seed
+		return NewSearchEngine(cfg)
+	default:
+		return nil, fmt.Errorf("unknown workload %q", wl)
+	}
+}

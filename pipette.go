@@ -163,20 +163,26 @@ func (s *System) Probes() []telemetry.Probe {
 }
 
 // RegisterMetrics exposes the system's live counters on a
-// telemetry.Registry as scrape-time collectors, under the same family
-// names pipette-bench's harness publishes — one dashboard serves both. The
-// collectors are stateless reads of the layers' accumulators, each taking
-// the System lock for the duration of one getter: a scraper may briefly
-// delay application threads but can never advance virtual time or change
-// any simulated outcome.
+// telemetry.Registry as scrape-time collectors: every row of
+// baseline.Counters (the fault rows only when a profile is armed), the
+// schema pipette-bench's harness publishes too, so one dashboard serves
+// both. The collectors are stateless reads of the layers' accumulators,
+// each taking the System lock for the duration of one getter: a scraper
+// may briefly delay application threads but can never advance virtual
+// time or change any simulated outcome.
 func (s *System) RegisterMetrics(reg *telemetry.Registry) {
-	lockedU := func(get func() uint64) func() uint64 {
-		return func() uint64 {
+	for i := range baseline.Counters {
+		c := &baseline.Counters[i]
+		if c.Source == baseline.FromFaults && s.st.Inj == nil {
+			continue
+		}
+		reg.CounterFunc(c.Name, c.Help, func() uint64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return get()
-		}
+			return s.count(c)
+		}, c.Labels()...)
 	}
+
 	lockedF := func(get func() float64) func() float64 {
 		return func() float64 {
 			s.mu.Lock()
@@ -184,74 +190,6 @@ func (s *System) RegisterMetrics(reg *telemetry.Registry) {
 			return get()
 		}
 	}
-
-	reg.CounterFunc("ssd_reads_total", "read commands issued to the device",
-		lockedU(func() uint64 { return s.st.V.IO().BlockReads }), telemetry.L("interface", "block"))
-	reg.CounterFunc("ssd_reads_total", "read commands issued to the device",
-		lockedU(func() uint64 { return s.st.Core.IO().FineReads }), telemetry.L("interface", "fine"))
-	reg.CounterFunc("ssd_writes_total", "write commands issued to the device",
-		lockedU(func() uint64 { return s.st.V.IO().Writes }))
-	reg.CounterFunc("ssd_bytes_total", "host-interface traffic",
-		lockedU(func() uint64 { return s.st.V.IO().BytesRequested }), telemetry.L("direction", "requested"))
-	reg.CounterFunc("ssd_bytes_total", "host-interface traffic",
-		lockedU(func() uint64 { return s.st.V.IO().BytesTransferred + s.st.Core.IO().BytesTransferred }),
-		telemetry.L("direction", "transferred"))
-	reg.CounterFunc("ssd_bytes_total", "host-interface traffic",
-		lockedU(func() uint64 { return s.st.V.IO().BytesWritten }), telemetry.L("direction", "written"))
-
-	reg.CounterFunc("cache_hits_total", "cache hits",
-		lockedU(func() uint64 { h, _, _, _ := s.st.V.PageCache().Stats(); return h }),
-		telemetry.L("cache", "page"))
-	reg.CounterFunc("cache_accesses_total", "cache accesses",
-		lockedU(func() uint64 { _, a, _, _ := s.st.V.PageCache().Stats(); return a }),
-		telemetry.L("cache", "page"))
-	reg.CounterFunc("cache_hits_total", "cache hits",
-		lockedU(func() uint64 { return s.st.Core.CacheStats().Hits }), telemetry.L("cache", "fine"))
-	reg.CounterFunc("cache_accesses_total", "cache accesses",
-		lockedU(func() uint64 { return s.st.Core.CacheStats().Accesses }), telemetry.L("cache", "fine"))
-
-	kvTotal := func(get func(kv.Stats) uint64) func() uint64 {
-		return lockedU(func() uint64 {
-			var n uint64
-			for _, st := range s.kvs {
-				n += get(st.Stats())
-			}
-			return n
-		})
-	}
-	reg.CounterFunc("kv_ops_total", "KV store operations",
-		kvTotal(func(st kv.Stats) uint64 { return st.Puts }), telemetry.L("op", "put"))
-	reg.CounterFunc("kv_ops_total", "KV store operations",
-		kvTotal(func(st kv.Stats) uint64 { return st.Gets }), telemetry.L("op", "get"))
-	reg.CounterFunc("kv_rotations_total", "KV log segments sealed",
-		kvTotal(func(st kv.Stats) uint64 { return st.Rotations }))
-	reg.CounterFunc("kv_compactions_total", "KV segments compacted",
-		kvTotal(func(st kv.Stats) uint64 { return st.Compactions }))
-	reg.CounterFunc("kv_log_bytes_total", "KV value-log traffic",
-		kvTotal(func(st kv.Stats) uint64 { return st.BytesWritten }), telemetry.L("direction", "written"))
-	reg.CounterFunc("kv_log_bytes_total", "KV value-log traffic",
-		kvTotal(func(st kv.Stats) uint64 { return st.BytesRead }), telemetry.L("direction", "read"))
-
-	if s.st.Inj != nil {
-		faultU := func(get func(fault.Report) uint64) func() uint64 {
-			return lockedU(func() uint64 { return get(s.st.Faults()) })
-		}
-		reg.CounterFunc("fault_injected_total", "fault decisions drawn across all sites",
-			faultU(func(r fault.Report) uint64 { return r.Injected }))
-		reg.CounterFunc("fault_ecc_retries_total", "NAND read-retry steps charged by the ECC ladder",
-			faultU(func(r fault.Report) uint64 { return r.ECCRetries }))
-		reg.CounterFunc("fault_uncorrectable_total", "reads that exhausted the retry budget",
-			faultU(func(r fault.Report) uint64 { return r.Uncorrectable }))
-		reg.CounterFunc("fault_fallbacks_total", "fine reads re-served via block I/O",
-			faultU(func(r fault.Report) uint64 { return r.RingFallbacks }), telemetry.L("path", "ring"))
-		reg.CounterFunc("fault_fallbacks_total", "fine reads re-served via block I/O",
-			faultU(func(r fault.Report) uint64 { return r.DMAFallbacks }), telemetry.L("path", "dma"))
-		reg.CounterFunc("fault_retries_total", "commands re-issued after a fault",
-			faultU(func(r fault.Report) uint64 { return r.ProgramRetries }), telemetry.L("site", "program"))
-		reg.CounterFunc("fault_retries_total", "commands re-issued after a fault",
-			faultU(func(r fault.Report) uint64 { return r.WritebackRetries }), telemetry.L("site", "writeback"))
-	}
-
 	reg.GaugeFunc("pipette_virtual_seconds", "elapsed simulated time",
 		lockedF(func() float64 { return s.clock.Now().Seconds() }))
 	reg.GaugeFunc("pipette_read_amplification", "transferred / requested bytes",
@@ -271,16 +209,23 @@ func (s *System) RegisterMetrics(reg *telemetry.Registry) {
 	// Per-request stage attribution (atomic mirrors, scraped lock-free) and
 	// per-resource occupancy (scrape-time reads under the system lock).
 	s.st.SA.BindRegistry(reg)
-	for i := 0; i < s.st.Res.Len(); i++ {
-		tl := s.st.Res.At(i)
-		reg.GaugeFunc("pipette_resource_utilization",
-			"busy fraction of elapsed virtual time per hardware resource",
-			lockedF(func() float64 { return tl.Utilization(s.clock.Now()) }),
-			telemetry.L("resource", tl.Name()))
-		reg.CounterFunc("pipette_resource_busy_ns_total",
-			"cumulative busy virtual time per hardware resource, in nanoseconds",
-			lockedU(func() uint64 { return uint64(tl.Busy()) }),
-			telemetry.L("resource", tl.Name()))
+	s.st.Res.RegisterMetrics(reg, &s.mu, s.clock.Now)
+}
+
+// count reads one counter row over the system's current state, summing
+// store rows across every open KV store. Callers hold s.mu.
+func (s *System) count(c *baseline.Counter) uint64 {
+	switch c.Source {
+	case baseline.FromStore:
+		var n uint64
+		for _, st := range s.kvs {
+			n += c.Get(&baseline.Ledger{KV: st.Stats(), Index: st.IndexStats()})
+		}
+		return n
+	case baseline.FromFaults:
+		return c.Get(&baseline.Ledger{Faults: s.st.Faults()})
+	default:
+		return c.Get(&baseline.Ledger{Snap: s.st.Snapshot("")})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pipette"
+	"pipette/internal/bench"
 	"pipette/internal/telemetry"
 )
 
@@ -71,4 +72,67 @@ func TestRegisterMetrics(t *testing.T) {
 	if !strings.Contains(exposition, `job="test"`) {
 		t.Errorf("constant label missing from exposition:\n%s", exposition)
 	}
+}
+
+// TestMetricSchemaShared pins the promise that one dashboard serves both
+// the facade and pipette-bench's harness: every shared counter family —
+// all but the facade's own pipette_* and the harness's own bench_* — has
+// the same # HELP and # TYPE lines and the same series label sets on a
+// faulted System as on a bench.Live.
+func TestMetricSchemaShared(t *testing.T) {
+	sys, err := pipette.New(pipette.Options{CapacityBytes: 64 << 20, FaultProfile: "nand.read:rber*50"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	facade := telemetry.NewRegistry()
+	sys.RegisterMetrics(facade)
+	harness := telemetry.NewRegistry()
+	bench.NewLive(harness)
+
+	got, want := counterSchema(t, facade), counterSchema(t, harness)
+	for name, w := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("facade lacks family %s", name)
+		} else if g != w {
+			t.Errorf("family %s differs:\n--- facade\n%s--- harness\n%s", name, g, w)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("harness lacks family %s", name)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no shared counter families found")
+	}
+}
+
+// counterSchema scrapes reg and returns each shared counter family's
+// HELP/TYPE lines and series identities, sample values stripped.
+func counterSchema(t *testing.T, reg *telemetry.Registry) map[string]string {
+	t.Helper()
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	families := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		var name string
+		if strings.HasPrefix(line, "# ") {
+			name = strings.Fields(line)[2]
+		} else {
+			name = line[:strings.IndexAny(line, "{ ")]
+			line = line[:strings.LastIndexByte(line, ' ')]
+		}
+		if strings.HasPrefix(name, "pipette_") || strings.HasPrefix(name, "bench_") {
+			continue
+		}
+		families[name] += line + "\n"
+	}
+	for name, schema := range families {
+		if !strings.Contains(schema, "# TYPE "+name+" counter\n") {
+			delete(families, name)
+		}
+	}
+	return families
 }
