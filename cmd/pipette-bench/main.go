@@ -8,7 +8,7 @@
 //	pipette-bench -exp fig6               # or table2, fig8, apps, ...
 //	pipette-bench -exp phases,kv,faults   # comma-separated selection
 //	pipette-bench -exp qdepth             # open-loop saturation sweep
-//	pipette-bench -exp qdepth -export-out qd.json  # curves for pipette-report
+//	pipette-bench -exp qdepth -export-out qd.json  # any one experiment's runs for pipette-report
 //	pipette-bench -exp cluster            # sharded serving tier sweep
 //	pipette-bench -exp cluster -shards 8 -replicas 1,3 -tenants 4 -skew 0,0.99
 //	pipette-bench -exp apps -scale full   # paper-scale (slow)
@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strconv"
@@ -33,6 +34,7 @@ import (
 	"pipette/internal/bench"
 	"pipette/internal/buildinfo"
 	"pipette/internal/fault"
+	"pipette/internal/report"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
 )
@@ -53,7 +55,7 @@ func main() {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		traceOut  = flag.String("trace-out", "", "phases experiment: write Chrome trace-event JSON (open in Perfetto)")
 		statsOut  = flag.String("stats-out", "", "phases experiment: write sampled time-series CSV")
-		exportOut = flag.String("export-out", "", "phases, qdepth, kv or cluster experiment (one per run): write the run-export bundle JSON (pipette-report input)")
+		exportOut = flag.String("export-out", "", "write every cell's run record to this run-export bundle JSON (pipette-report input); the selection must name one experiment")
 		statsInt  = flag.Duration("stats-interval", time.Millisecond, "virtual-time sampling interval for -stats-out")
 		faultProf = flag.String("fault-profile", "", "arm fault injection on every engine: site:spec rules, e.g. 'nand.read:rber*20,hmb.ring:0.01' (empty = off)")
 		flightOut = flag.String("flight-dump", "", "arm a shared flight recorder on every engine; a panicking cell or fatal error dumps the recent-event ring to this file as JSON")
@@ -126,6 +128,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
 		os.Exit(2)
 	}
+	if err := checkTraceOut(*expName, *traceOut, *statsOut); err != nil {
+		fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -158,13 +164,38 @@ func main() {
 		defer bench.ArmFlight(nil, nil)
 	}
 
-	topts := bench.TelemetryOpts{
+	pool := bench.NewPool(*workers)
+	pool.SetTelemetry(bench.TelemetryOpts{
 		TraceOut:      *traceOut,
 		StatsOut:      *statsOut,
 		StatsInterval: sim.Time((*statsInt).Nanoseconds()),
 		ExportOut:     *exportOut,
+	})
+
+	// -export-out: one bundle of the pool's run records, created before any
+	// cell runs (a bad path fails fast) and flushed even when a cell fails,
+	// so the runs that finished survive.
+	var exports telemetry.Exports
+	defer exports.Close()
+	if *exportOut != "" {
+		var name string // checkExportOut allowed at most one
+		if names := selection(*expName); len(names) == 1 {
+			name = names[0]
+		}
+		exp, err := bench.Find(name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
+			os.Exit(1)
+		}
+		if err := exports.Add(*exportOut, func(w io.Writer) error {
+			bundle := &report.Export{Tool: "pipette-bench " + exp.ID, Version: buildinfo.Version,
+				Scale: scale.Name, Runs: pool.Runs()}
+			return bundle.WriteJSON(w)
+		}); err != nil {
+			fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
+			os.Exit(1)
+		}
 	}
-	pool := bench.NewPool(*workers)
 
 	// -listen attaches the live registry before any cell runs. Finished
 	// cells fold their counters in atomically, so the rendered tables on
@@ -185,10 +216,18 @@ func main() {
 	}
 
 	start := time.Now()
-	if err := runExperiments(*expName, scale, topts, pool); err != nil {
+	err := runExperiments(*expName, scale, pool)
+	if cerr := exports.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		flight.Dump(fmt.Sprintf("fatal: %v", err))
 		fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
 		os.Exit(1)
+	}
+	if *exportOut != "" {
+		fmt.Printf("\nrun export written to %s (%d runs; render with pipette-report)\n",
+			*exportOut, len(pool.Runs()))
 	}
 	wall := time.Since(start).Seconds()
 	fmt.Printf("(wall time %.1fs, scale %s, -j %d)\n", wall, scale.Name, pool.Workers())
@@ -266,43 +305,49 @@ func parseFloatList(s string) ([]float64, error) {
 	return out, nil
 }
 
-// exportExperiments honour -export-out, each writing the whole file.
-var exportExperiments = []string{"phases", "qdepth", "kv", "cluster"}
+// selection splits a comma-separated -exp value into its non-empty names.
+func selection(sel string) []string {
+	var names []string
+	for _, raw := range strings.Split(sel, ",") {
+		if name := strings.TrimSpace(raw); name != "" {
+			names = append(names, name)
+		}
+	}
+	return names
+}
 
 // checkExportOut rejects an -export-out run whose selection names more than
-// one exporting experiment ("all" names every one): each would overwrite the
-// file the previous one wrote. Unknown names are left to runExperiments.
+// one experiment ("all" names every one): the bundle holds one experiment's
+// runs. Unknown names are left to runExperiments.
 func checkExportOut(sel, out string) error {
 	if out == "" {
 		return nil
 	}
-	var picked []string
-	for _, id := range exportExperiments {
-		for _, raw := range strings.Split(sel, ",") {
-			name := strings.TrimSpace(raw)
-			exp, err := bench.Find(name)
-			if name == "all" || (err == nil && exp.ID == id) {
-				picked = append(picked, id)
-				break
-			}
-		}
-	}
-	if len(picked) > 1 {
+	if names := selection(sel); len(names) > 1 || (len(names) == 1 && names[0] == "all") {
 		return fmt.Errorf("-export-out writes one experiment's runs, but %s are selected; run them one at a time",
-			strings.Join(picked, ", "))
+			strings.Join(names, ", "))
 	}
 	return nil
 }
 
+// checkTraceOut rejects -trace-out and -stats-out when the selection leaves
+// out the phases experiment, the one that writes them.
+func checkTraceOut(sel, traceOut, statsOut string) error {
+	if traceOut == "" && statsOut == "" {
+		return nil
+	}
+	for _, name := range selection(sel) {
+		if exp, err := bench.Find(name); name == "all" || (err == nil && exp.ID == "phases") {
+			return nil
+		}
+	}
+	return fmt.Errorf("-trace-out and -stats-out are written by the phases experiment, which %q does not select", sel)
+}
+
 // runExperiments executes a comma-separated experiment selection against
 // one shared pool, so the perf summary covers every cell.
-func runExperiments(sel string, scale bench.Scale, topts bench.TelemetryOpts, pool *bench.Pool) error {
-	names := strings.Split(sel, ",")
-	for i, raw := range names {
-		name := strings.TrimSpace(raw)
-		if name == "" {
-			continue
-		}
+func runExperiments(sel string, scale bench.Scale, pool *bench.Pool) error {
+	for i, name := range selection(sel) {
 		if i > 0 {
 			fmt.Println()
 		}
@@ -317,22 +362,7 @@ func runExperiments(sel string, scale bench.Scale, topts bench.TelemetryOpts, po
 			return err
 		}
 		fmt.Printf("### %s\n\n", exp.Title)
-		if exp.ID == "phases" {
-			// The phases experiment honours the export flags.
-			err = bench.WritePhaseBreakdown(os.Stdout, scale, topts, pool)
-		} else if exp.ID == "qdepth" {
-			// The qdepth experiment honours -export-out.
-			err = bench.WriteQDepth(os.Stdout, scale, topts, pool)
-		} else if exp.ID == "cluster" {
-			// The cluster experiment honours -export-out.
-			err = bench.WriteCluster(os.Stdout, scale, topts, pool)
-		} else if exp.ID == "kv" {
-			// The kv matrix honours -export-out.
-			err = bench.WriteKV(os.Stdout, scale, topts, pool)
-		} else {
-			err = exp.Run(os.Stdout, scale, pool)
-		}
-		if err != nil {
+		if err := exp.Run(os.Stdout, scale, pool); err != nil {
 			return err
 		}
 	}

@@ -430,7 +430,8 @@ func runOpenLoop(w io.Writer, wl string, gen workload.Generator, requests int, p
 		return err
 	}
 	if expRun != nil {
-		*expRun = bench.ExportRun(wl, fmt.Sprintf("%s-qd%d-%s@%.0f", wl, res.Depth, res.Arrivals, ol.rate), res)
+		res.Name, res.Workload = wl, fmt.Sprintf("%s-qd%d-%s@%.0f", wl, res.Depth, res.Arrivals, ol.rate)
+		*expRun = bench.ExportRun(res)
 	}
 
 	var queueUs float64

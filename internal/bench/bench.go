@@ -16,6 +16,8 @@ import (
 
 	"pipette/internal/baseline"
 	"pipette/internal/fault"
+	"pipette/internal/index"
+	"pipette/internal/kv"
 	"pipette/internal/metrics"
 	"pipette/internal/nvme"
 	"pipette/internal/report"
@@ -326,6 +328,23 @@ type Result struct {
 	// for replays that collect no telemetry.
 	Tail *telemetry.TailSnapshot
 	Heat *telemetry.HeatSnapshot
+
+	// Name and Workload identify the cell's run record in an export
+	// bundle; Run sets them to the engine's and the generator's names,
+	// and a cell whose grid axes those miss overrides them. Index (kv
+	// cells) and Shards and Throttled (cluster cells) are the extras some
+	// experiments add to that record.
+	Name, Workload string
+	Index          *report.IndexSummary
+	Shards         []report.ShardSummary
+	Throttled      uint64
+
+	// KV, IndexStats and Faults are the store, index-engine and fault
+	// ledgers of the cells that produce them; the pool folds them into
+	// the live registry together with Snapshot.
+	KV         kv.Stats
+	IndexStats index.Stats
+	Faults     fault.Report
 }
 
 // tailTopK is how many slowest-request exemplars each cell captures;
@@ -358,7 +377,7 @@ func Run(e baseline.Engine, gen workload.Generator, requests int, opts RunOpts) 
 		return nil, errors.New("bench: an open-loop replay takes no warmup; replay the warm-up as its own call")
 	}
 	r := &replay{e: e, gen: gen, opts: opts, total: opts.Warmup + requests, depth: 1,
-		eng: sim.NewEngine(), res: &Result{}}
+		eng: sim.NewEngine(), res: &Result{Name: e.Name(), Workload: gen.Name()}}
 	if opts.Arrivals != nil {
 		r.depth = max(opts.Depth, 1)
 		r.res.Offered, r.res.Depth, r.res.Arrivals = opts.Offered, r.depth, opts.Arrivals.Name()
@@ -576,11 +595,11 @@ func measured(cur, base metrics.Snapshot, h *metrics.Histogram, elapsed sim.Time
 
 // ExportRun converts one cell measurement into a report-bundle run record,
 // the pipette-report input format.
-func ExportRun(name, wl string, r *Result) report.Run {
+func ExportRun(r *Result) report.Run {
 	exemplars, blame, kept := report.TailRows(r.Tail)
 	return report.Run{
-		Name:      name,
-		Workload:  wl,
+		Name:      r.Name,
+		Workload:  r.Workload,
 		Requests:  r.Snapshot.Ops,
 		ElapsedNs: int64(r.Snapshot.Elapsed),
 		OpsPerSec: r.Snapshot.ThroughputOpsPerSec(),
@@ -599,6 +618,9 @@ func ExportRun(name, wl string, r *Result) report.Run {
 		Arrivals:         r.Arrivals,
 		Lost:             r.Lost,
 		Rejected:         r.Rejected,
+		Throttled:        r.Throttled,
+		Shards:           r.Shards,
+		Index:            r.Index,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"pipette/internal/buildinfo"
 	"pipette/internal/cluster"
 	"pipette/internal/fault"
 	"pipette/internal/kv"
@@ -105,12 +104,11 @@ func clusterTenants(s Scale, skew float64) []workload.TenantConfig {
 }
 
 // clusterSlot is one finished cell's full measurement: the pool-facing
-// bench result, the tier's own ledger, and the per-shard summary rows the
-// report renders.
+// bench result, whose Shards are the per-shard summary rows the report
+// renders, and the tier's own ledger.
 type clusterSlot struct {
-	res    *Result
-	cres   *cluster.Result
-	shards []report.ShardSummary
+	res  *Result
+	cres *cluster.Result
 }
 
 // runClusterCell builds a private cluster, preloads every tenant's
@@ -213,7 +211,6 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 		return nil, err
 	}
 
-	slot := &clusterSlot{cres: cres}
 	res := &Result{
 		Hist:     cres.Hist,
 		Offered:  s.ClusterRate,
@@ -223,9 +220,13 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 		Rejected: cres.Rejected,
 		Tail:     tail.Snapshot(),
 		Heat:     grid.Snapshot(),
+
+		Name:      "cluster",
+		Workload:  pt.workload(),
+		Throttled: cres.Throttled,
+		Shards:    make([]report.ShardSummary, cfg.Shards),
 	}
 	cur := metrics.Snapshot{Name: "cluster"}
-	slot.shards = make([]report.ShardSummary, cfg.Shards)
 	for i, ss := range cres.Shards {
 		sh := c.Shard(i)
 		addCounters(&cur, sh.Snapshot())
@@ -240,7 +241,7 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 				util = f
 			}
 		}
-		slot.shards[i] = report.ShardSummary{
+		res.Shards[i] = report.ShardSummary{
 			Shard:         ss.Shard,
 			Primary:       ss.Primary,
 			Executions:    ss.Executions,
@@ -255,50 +256,26 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 		}
 	}
 	res.Snapshot = measured(cur, base, &cres.Hist, cres.Elapsed)
-	slot.res = res
-	return slot, nil
+	return &clusterSlot{res: res, cres: cres}, nil
 }
 
-// WriteCluster runs the serving-tier sweep: replication factor x tenant
+// writeCluster runs the serving-tier sweep: replication factor x tenant
 // Zipf skew, each point healthy and with one member degraded, over a
 // multi-tenant open-loop stream with per-tenant token-bucket QoS and
 // bounded per-shard admission FIFOs. It prints the trade-off table
 // (goodput, tails, backpressure, hot-shard concentration) plus per-shard
-// ledgers for the highest-skew points. When opts names an export file the
-// per-point run records — including the per-shard summaries the HTML
-// report's cluster section renders — are written there. Each point is a
-// pool cell over a private tier; rendering happens after all complete, in
-// grid order, so the output is byte-identical at any worker count.
-func WriteCluster(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) {
+// ledgers for the highest-skew points; each point's run record carries the
+// per-shard summaries the HTML report's cluster section renders. Each
+// point is a pool cell over a private tier; rendering happens after all
+// complete, in grid order, so the output is byte-identical at any worker
+// count.
+func writeCluster(w io.Writer, s Scale, p *Pool) error {
 	if s.ClusterShards <= 0 || len(s.ClusterReplicas) == 0 || len(s.ClusterSkews) == 0 ||
 		s.ClusterRequests <= 0 || s.ClusterRecords == 0 {
 		return errors.New("bench: scale has no cluster sweep parameters")
 	}
 	points := clusterPoints(s)
 	slots := make([]*clusterSlot, len(points))
-
-	var exports telemetry.Exports
-	defer func() {
-		if cerr := exports.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	if opts.ExportOut != "" {
-		if aerr := exports.Add(opts.ExportOut, func(fw io.Writer) error {
-			exp := &report.Export{Tool: "pipette-bench cluster", Version: buildinfo.Version, Scale: s.Name}
-			for i, pt := range points {
-				if sl := slots[i]; sl != nil {
-					run := ExportRun("cluster", pt.workload(), sl.res)
-					run.Throttled = sl.cres.Throttled
-					run.Shards = sl.shards
-					exp.Runs = append(exp.Runs, run)
-				}
-			}
-			return exp.WriteJSON(fw)
-		}); aerr != nil {
-			return aerr
-		}
-	}
 
 	cells := make([]Cell, len(points))
 	for i, pt := range points {
@@ -324,13 +301,6 @@ func WriteCluster(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error)
 	renderClusterTable(w, s, points, slots)
 	fmt.Fprintln(w)
 	renderClusterShards(w, s, points, slots)
-	if opts.ExportOut != "" {
-		if cerr := exports.Close(); cerr != nil { // idempotent; defer no-ops
-			return cerr
-		}
-		fmt.Fprintf(w, "\nrun export written to %s (%d runs; render with pipette-report)\n",
-			opts.ExportOut, len(points))
-	}
 	return nil
 }
 
@@ -360,7 +330,7 @@ func renderClusterTable(w io.Writer, s Scale, points []clusterPoint, slots []*cl
 			fmt.Sprintf("%d", sl.cres.Rejected),
 			fmt.Sprintf("%d", sl.cres.Throttled),
 			fmt.Sprintf("%d", sl.cres.Lost),
-			fmt.Sprintf("%.1f", 100*report.HotShardShare(sl.shards)),
+			fmt.Sprintf("%.1f", 100*report.HotShardShare(sl.res.Shards)),
 			fmt.Sprintf("%d", hedges),
 			fmt.Sprintf("%d", failovers),
 		)
@@ -394,10 +364,10 @@ func renderClusterShards(w io.Writer, s Scale, points []clusterPoint, slots []*c
 			"shard", "primary", "share%", "execs", "repl.writes",
 			"hedges", "failovers", "rejected", "media.err", "util%"}}
 		var total uint64
-		for _, ss := range sl.shards {
+		for _, ss := range sl.res.Shards {
 			total += ss.Primary
 		}
-		for _, ss := range sl.shards {
+		for _, ss := range sl.res.Shards {
 			name := fmt.Sprintf("%d", ss.Shard)
 			if ss.Faulted {
 				name += "*"

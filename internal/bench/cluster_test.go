@@ -1,13 +1,8 @@
 package bench
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"pipette/internal/report"
 )
 
 // clusterTestScale shrinks the sweep so the grid (2 replication factors x
@@ -36,48 +31,14 @@ func clusterTestScale() Scale {
 // cells, where the faulted member's injection stream must not leak
 // host-scheduling order into the shared-nothing cells.
 func TestClusterDeterministicAcrossWorkers(t *testing.T) {
-	s := clusterTestScale()
-	dir := t.TempDir()
-	outs := make([]bytes.Buffer, 2)
-	exports := make([][]byte, 2)
-	htmls := make([][]byte, 2)
-	for i, workers := range []int{1, 8} {
-		path := filepath.Join(dir, "cluster.json")
-		if err := WriteCluster(&outs[i], s, TelemetryOpts{ExportOut: path}, NewPool(workers)); err != nil {
-			t.Fatalf("-j %d: %v", workers, err)
-		}
-		var err error
-		if exports[i], err = os.ReadFile(path); err != nil {
-			t.Fatal(err)
-		}
-		exp, err := report.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var h bytes.Buffer
-		if err := report.WriteHTML(&h, "cluster", []*report.Export{exp}); err != nil {
-			t.Fatal(err)
-		}
-		htmls[i] = h.Bytes()
-	}
-	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
-		t.Error("cluster stdout differs between -j 1 and -j 8")
-	}
-	if !bytes.Equal(exports[0], exports[1]) {
-		t.Error("export bundle differs between -j 1 and -j 8")
-	}
-	if !bytes.Equal(htmls[0], htmls[1]) {
-		t.Error("rendered HTML differs between -j 1 and -j 8")
-	}
-
-	out := outs[0].String()
+	out, _, html, _ := exportAcrossWorkers(t, "cluster", clusterTestScale(), 1, 8)
 	for _, want := range []string{"per-shard ledger", "degraded", "hedged"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cluster stdout misses %q", want)
 		}
 	}
 	for _, want := range []string{"Cluster summary", "Per-shard utilization"} {
-		if !strings.Contains(string(htmls[0]), want) {
+		if !strings.Contains(html, want) {
 			t.Errorf("cluster report HTML misses %q", want)
 		}
 	}
@@ -117,14 +78,14 @@ func TestClusterCellMeasuresTier(t *testing.T) {
 	if slot.res.Snapshot.Ops != cres.Hist.Count() {
 		t.Errorf("snapshot ops %d != histogram count %d", slot.res.Snapshot.Ops, cres.Hist.Count())
 	}
-	if len(slot.shards) != s.ClusterShards {
-		t.Fatalf("shard summaries: got %d, want %d", len(slot.shards), s.ClusterShards)
+	if len(slot.res.Shards) != s.ClusterShards {
+		t.Fatalf("shard summaries: got %d, want %d", len(slot.res.Shards), s.ClusterShards)
 	}
-	if !slot.shards[0].Faulted {
+	if !slot.res.Shards[0].Faulted {
 		t.Error("shard 0 not marked faulted in the summary")
 	}
 	var util float64
-	for _, ss := range slot.shards {
+	for _, ss := range slot.res.Shards {
 		if ss.Utilization > util {
 			util = ss.Utilization
 		}

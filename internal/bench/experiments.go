@@ -55,9 +55,7 @@ func Experiments() []Experiment {
 			ID:        "phases",
 			Artifacts: []string{"breakdown"},
 			Title:     "Per-phase latency breakdown, VFS to NAND (observability)",
-			Run: func(w io.Writer, s Scale, p *Pool) error {
-				return WritePhaseBreakdown(w, s, TelemetryOpts{}, p)
-			},
+			Run:       writePhases,
 		},
 		{
 			ID:        "ablation",
@@ -75,9 +73,7 @@ func Experiments() []Experiment {
 			ID:        "kv",
 			Artifacts: []string{"ycsb"},
 			Title:     "Log-structured KV store: YCSB x engine x index matrix (beyond the paper)",
-			Run: func(w io.Writer, s Scale, p *Pool) error {
-				return WriteKV(w, s, TelemetryOpts{}, p)
-			},
+			Run:       writeKV,
 		},
 		{
 			ID:        "faults",
@@ -89,17 +85,13 @@ func Experiments() []Experiment {
 			ID:        "qdepth",
 			Artifacts: []string{"saturation"},
 			Title:     "Open-loop saturation: arrival rate x queue depth x engine (beyond the paper)",
-			Run: func(w io.Writer, s Scale, p *Pool) error {
-				return WriteQDepth(w, s, TelemetryOpts{}, p)
-			},
+			Run:       writeQDepth,
 		},
 		{
 			ID:        "cluster",
 			Artifacts: []string{"tier"},
 			Title:     "Sharded serving tier: replication x skew, per-tenant QoS, degraded mode (beyond the paper)",
-			Run: func(w io.Writer, s Scale, p *Pool) error {
-				return WriteCluster(w, s, TelemetryOpts{}, p)
-			},
+			Run:       writeCluster,
 		},
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pipette/internal/buildinfo"
 	"pipette/internal/fault"
 	"pipette/internal/report"
 	"pipette/internal/workload"
@@ -53,7 +54,7 @@ func TestRunCapturesStagesAndResources(t *testing.T) {
 		t.Fatalf("resource occupancy not recorded: nand=%d dma=%d", nand, dma)
 	}
 
-	run := ExportRun("Pipette", "mixC", res)
+	run := ExportRun(res)
 	var sum int64
 	for _, row := range run.Stages {
 		sum += row.TotalNs
@@ -116,7 +117,7 @@ func TestRunTailExemplarsConserve(t *testing.T) {
 		t.Fatalf("heatmap total %+v, want %d completions", res.Heat, requests-res.Lost)
 	}
 	// The export carries the same material with the same conservation.
-	run := ExportRun("Pipette", "mixC", res)
+	run := ExportRun(res)
 	if len(run.Exemplars) != len(res.Tail.TopK) || run.TailKept != res.Tail.Kept {
 		t.Fatalf("export lost exemplars: %d vs %d", len(run.Exemplars), len(res.Tail.TopK))
 	}
@@ -134,46 +135,89 @@ func TestRunTailExemplarsConserve(t *testing.T) {
 	}
 }
 
-// TestPhaseExportDeterministicAcrossWorkers runs the phases experiment at
-// -j 1 and -j 2 and requires the stdout tables, the export bundle, and the
-// rendered HTML to be byte-identical — the report pipeline must not leak
-// scheduling order anywhere.
-func TestPhaseExportDeterministicAcrossWorkers(t *testing.T) {
-	s := TinyScale()
-	dir := t.TempDir()
-	outs := make([]bytes.Buffer, 2)
-	exports := make([][]byte, 2)
-	htmls := make([][]byte, 2)
-	for i, workers := range []int{1, 2} {
-		path := filepath.Join(dir, "exp.json")
-		err := WritePhaseBreakdown(&outs[i], s, TelemetryOpts{ExportOut: path}, NewPool(workers))
-		if err != nil {
-			t.Fatalf("-j %d: %v", workers, err)
+// exportAcrossWorkers runs one experiment through its Run entry point at
+// each worker count with run recording on, writes the pool's runs as the
+// pipette-bench bundle, and renders that bundle to HTML the way
+// pipette-report does. It requires stdout, bundle and HTML to be
+// byte-identical across the counts — the report pipeline must not leak
+// scheduling order anywhere — and returns them with the bundle's runs.
+func exportAcrossWorkers(t *testing.T, id string, s Scale, workers ...int) (out, bundle, html string, runs []report.Run) {
+	t.Helper()
+	exp, err := Find(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), id+".json")
+	for i, j := range workers {
+		p := NewPool(j)
+		p.SetTelemetry(TelemetryOpts{ExportOut: path})
+		var w bytes.Buffer
+		if err := exp.Run(&w, s, p); err != nil {
+			t.Fatalf("-j %d: %v", j, err)
 		}
-		if exports[i], err = os.ReadFile(path); err != nil {
+		b := &report.Export{Tool: "pipette-bench " + id, Version: buildinfo.Version, Scale: s.Name, Runs: p.Runs()}
+		var raw bytes.Buffer
+		if err := b.WriteJSON(&raw); err != nil {
 			t.Fatal(err)
 		}
-		exp, err := report.ReadFile(path)
+		if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := report.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var h bytes.Buffer
-		if err := report.WriteHTML(&h, "phases", []*report.Export{exp}); err != nil {
+		if err := report.WriteHTML(&h, id, []*report.Export{back}); err != nil {
 			t.Fatal(err)
 		}
-		htmls[i] = h.Bytes()
+		if i == 0 {
+			out, bundle, html, runs = w.String(), raw.String(), h.String(), b.Runs
+			continue
+		}
+		if w.String() != out {
+			t.Errorf("%s stdout differs between -j %d and -j %d", id, workers[0], j)
+		}
+		if raw.String() != bundle {
+			t.Errorf("%s export bundle differs between -j %d and -j %d", id, workers[0], j)
+		}
+		if h.String() != html {
+			t.Errorf("%s rendered HTML differs between -j %d and -j %d", id, workers[0], j)
+		}
 	}
-	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
-		t.Error("phases stdout differs between -j 1 and -j 2")
-	}
-	if !bytes.Equal(exports[0], exports[1]) {
-		t.Error("export bundle differs between -j 1 and -j 2")
-	}
-	if !bytes.Equal(htmls[0], htmls[1]) {
-		t.Error("rendered HTML differs between -j 1 and -j 2")
-	}
-	if !strings.Contains(outs[0].String(), "stage waterfall") ||
-		!strings.Contains(outs[0].String(), "resource utilization") {
+	return out, bundle, html, runs
+}
+
+// TestPhaseExportDeterministicAcrossWorkers runs the phases experiment at
+// -j 1 and -j 2 and requires the stdout tables, the export bundle, and the
+// rendered HTML to be byte-identical.
+func TestPhaseExportDeterministicAcrossWorkers(t *testing.T) {
+	out, _, _, _ := exportAcrossWorkers(t, "phases", TinyScale(), 1, 2)
+	if !strings.Contains(out, "stage waterfall") || !strings.Contains(out, "resource utilization") {
 		t.Error("phases output misses the waterfall/utilization tables")
+	}
+}
+
+// TestFaultsExport: the faults sweep, which had no export path of its own,
+// writes one run per cell through the pool, byte-identical at -j 1 and
+// -j 2, each carrying the lost-request count of its fault level.
+func TestFaultsExport(t *testing.T) {
+	s := TinyScale()
+	_, _, _, runs := exportAcrossWorkers(t, "faults", s, 1, 2)
+	if want := 2 * len(FaultLevels) * len(faultEngineIdx); len(runs) != want {
+		t.Fatalf("bundle holds %d runs, want one per cell (%d)", len(runs), want)
+	}
+	seen := make(map[string]bool)
+	var lost uint64
+	for _, r := range runs {
+		key := r.Name + " " + r.Workload
+		if seen[key] {
+			t.Errorf("run %q recorded twice", key)
+		}
+		seen[key] = true
+		lost += r.Lost
+	}
+	if lost == 0 {
+		t.Error("no run records the requests the injected faults lost")
 	}
 }

@@ -55,14 +55,6 @@ func (m *writeMixer) Next() workload.Request {
 	return req
 }
 
-// FaultResult is one (mix, level, engine) cell: the usual measurement over
-// the surviving requests — Lost counts the requests that surfaced an
-// uncorrectable media error — plus the stack's injection/recovery counters.
-type FaultResult struct {
-	Result
-	Report fault.Report
-}
-
 // syncOnWrite makes every write a write-fsync cycle: the faulted replay
 // verifies reads against the flash-content oracle, so dirty pages must not
 // outlive the request that made them (and the writeback fault site sees
@@ -79,8 +71,11 @@ func (e syncOnWrite) WriteAt(now sim.Time, data []byte, off int64) (sim.Time, er
 
 // RunFaults executes the faults grid: mixes C and E (uniform) × FaultLevels
 // × {Block I/O, Pipette}, every cell a private system with its own injector
-// over the same fault seed.
-func RunFaults(s Scale, p *Pool) (map[string]map[string]map[string]*FaultResult, error) {
+// over the same fault seed. Each cell's measurement covers the surviving
+// requests — Lost counts the requests that surfaced an uncorrectable media
+// error — and its Faults ledger holds the stack's injection and recovery
+// counters.
+func RunFaults(s Scale, p *Pool) (map[string]map[string]map[string]*Result, error) {
 	profiles := make([]fault.Profile, len(FaultLevels))
 	for i, lv := range FaultLevels {
 		prof, err := fault.ParseProfile(lv.Profile)
@@ -92,7 +87,7 @@ func RunFaults(s Scale, p *Pool) (map[string]map[string]map[string]*FaultResult,
 	all := workload.Mixes(s.FileSize(), 4096, workload.Uniform, 0xbead)
 	mixes := []workload.SyntheticConfig{all[2], all[4]} // C (50% small) and E (all small)
 
-	grid := make([]*FaultResult, len(mixes)*len(FaultLevels)*len(faultEngineIdx))
+	grid := make([]*Result, len(mixes)*len(FaultLevels)*len(faultEngineIdx))
 	cells := make([]Cell, 0, len(grid))
 	for mi, mixCfg := range mixes {
 		for li, lv := range FaultLevels {
@@ -122,10 +117,10 @@ func RunFaults(s Scale, p *Pool) (map[string]map[string]map[string]*FaultResult,
 						if err != nil {
 							return nil, err
 						}
-						fr := &FaultResult{Result: *res, Report: e.Faults()}
-						*slot = fr
-						p.Live().Fold(&baseline.Ledger{Faults: fr.Report})
-						return &fr.Result, nil
+						res.Workload = fmt.Sprintf("mix%s-%s", mixCfg.Name, lv.Name)
+						res.Faults = e.Faults()
+						*slot = res
+						return res, nil
 					},
 				})
 			}
@@ -135,11 +130,11 @@ func RunFaults(s Scale, p *Pool) (map[string]map[string]map[string]*FaultResult,
 		return nil, err
 	}
 
-	out := make(map[string]map[string]map[string]*FaultResult)
+	out := make(map[string]map[string]map[string]*Result)
 	for mi, mixCfg := range mixes {
-		out[mixCfg.Name] = make(map[string]map[string]*FaultResult)
+		out[mixCfg.Name] = make(map[string]map[string]*Result)
 		for li, lv := range FaultLevels {
-			out[mixCfg.Name][lv.Name] = make(map[string]*FaultResult)
+			out[mixCfg.Name][lv.Name] = make(map[string]*Result)
 			for ki, ei := range faultEngineIdx {
 				out[mixCfg.Name][lv.Name][EngineNames[ei]] =
 					grid[(mi*len(FaultLevels)+li)*len(faultEngineIdx)+ki]
@@ -168,7 +163,7 @@ func writeFaults(w io.Writer, s Scale, p *Pool) error {
 			for _, ei := range faultEngineIdx {
 				name := EngineNames[ei]
 				fr := res[mix][lv.Name][name]
-				r := fr.Report
+				r := fr.Faults
 				t.AddRow(lv.Name, name,
 					fmt.Sprintf("%.1f", fr.Snapshot.ThroughputOpsPerSec()/1000),
 					fmt.Sprintf("%d", fr.Lost),

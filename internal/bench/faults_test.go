@@ -39,21 +39,21 @@ func TestFaultsRecoveryCounters(t *testing.T) {
 	}
 	for _, mix := range []string{"C", "E"} {
 		for name, fr := range res[mix]["none"] {
-			if fr.Lost != 0 || fr.Report.Injected != 0 {
+			if fr.Lost != 0 || fr.Faults.Injected != 0 {
 				t.Errorf("mix %s %s: control level injected %d, failed %d",
-					mix, name, fr.Report.Injected, fr.Lost)
+					mix, name, fr.Faults.Injected, fr.Lost)
 			}
 		}
 		blk := res[mix]["high"]["Block I/O"]
 		pip := res[mix]["high"]["Pipette"]
-		if blk.Report.ECCRetries == 0 || blk.Report.Uncorrectable == 0 {
-			t.Errorf("mix %s block: no ECC activity at high level: %+v", mix, blk.Report)
+		if blk.Faults.ECCRetries == 0 || blk.Faults.Uncorrectable == 0 {
+			t.Errorf("mix %s block: no ECC activity at high level: %+v", mix, blk.Faults)
 		}
-		if pip.Report.RingFallbacks == 0 || pip.Report.DMAFallbacks == 0 {
-			t.Errorf("mix %s pipette: no fine fallbacks at high level: %+v", mix, pip.Report)
+		if pip.Faults.RingFallbacks == 0 || pip.Faults.DMAFallbacks == 0 {
+			t.Errorf("mix %s pipette: no fine fallbacks at high level: %+v", mix, pip.Faults)
 		}
-		if blk.Report.ProgramRetries == 0 || blk.Report.WritebackRetries == 0 {
-			t.Errorf("mix %s block: write-side sites silent: %+v", mix, blk.Report)
+		if blk.Faults.ProgramRetries == 0 || blk.Faults.WritebackRetries == 0 {
+			t.Errorf("mix %s block: write-side sites silent: %+v", mix, blk.Faults)
 		}
 	}
 }

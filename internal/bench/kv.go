@@ -7,14 +7,11 @@ import (
 	"strings"
 
 	"pipette/internal/baseline"
-	"pipette/internal/buildinfo"
 	"pipette/internal/index"
 	"pipette/internal/kv"
 	"pipette/internal/metrics"
 	"pipette/internal/report"
-	"pipette/internal/resource"
 	"pipette/internal/sim"
-	"pipette/internal/telemetry"
 	"pipette/internal/workload"
 )
 
@@ -142,21 +139,18 @@ func kvIndexConfig(s Scale, kind index.Kind) index.Config {
 	return index.Config{Kind: kind, MemtableEntries: memtable}
 }
 
-// kvCellResult is one (workload, engine, index) measurement.
+// kvCellResult is one (workload, engine, index) measurement: the cell's
+// Result, whose IndexStats count since open (load + workload + probes),
+// plus the store shape and the absent-key probe figures the tables
+// render.
 type kvCellResult struct {
-	snap      metrics.Snapshot
-	hist      metrics.Histogram
-	stages    telemetry.StageSnapshot
-	resources *resource.Snapshot
-	store     kv.Stats
-	segs      int
-	keys      int
+	Result
+	segs int
+	keys int
 
 	kind     index.Kind
-	idx      index.Stats       // engine counters since open: load + workload + probes
 	negHist  metrics.Histogram // latency of the absent-key probes
 	negBytes uint64            // device bytes moved by the probes (read amp)
-	bres     *Result           // the cell measurement handed to the pool/export
 }
 
 // runKVCell loads the store and replays one YCSB workload over one
@@ -255,7 +249,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 			}
 		}
 		st.SA.Finish(now)
-		res.hist.Observe(now - before)
+		res.Hist.Observe(now - before)
 		if i%kvTickEvery == kvTickEvery-1 {
 			if _, now, err = store.MaintenanceTick(now); err != nil {
 				return nil, fmt.Errorf("bench: kv %s compaction: %w", wl, err)
@@ -263,14 +257,14 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 		}
 	}
 
-	res.snap = measured(st.Snapshot(""), base, &res.hist, now-start)
-	res.stages = st.SA.Snapshot()
-	res.resources = st.Res.Snapshot(now)
-	res.store = store.Stats()
-	res.store.Puts -= baseKV.Puts
-	res.store.Gets -= baseKV.Gets
-	res.store.BytesWritten -= baseKV.BytesWritten
-	res.store.BytesRead -= baseKV.BytesRead
+	res.Snapshot = measured(st.Snapshot(""), base, &res.Hist, now-start)
+	res.Stages = st.SA.Snapshot()
+	res.Resources = st.Res.Snapshot(now)
+	res.KV = store.Stats()
+	res.KV.Puts -= baseKV.Puts
+	res.KV.Gets -= baseKV.Gets
+	res.KV.BytesWritten -= baseKV.BytesWritten
+	res.KV.BytesRead -= baseKV.BytesRead
 	res.segs = store.Segments()
 	res.keys = store.Len()
 
@@ -292,7 +286,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 		res.negHist.Observe(now - before)
 	}
 	res.negBytes = st.Snapshot("").IO.BytesTransferred - preProbe
-	res.idx = store.IndexStats()
+	res.IndexStats = store.IndexStats()
 	return res, nil
 }
 
@@ -305,10 +299,11 @@ func RunKV(s Scale, p *Pool) ([][][]*kvCellResult, error) {
 			grid[i][j] = make([]*kvCellResult, len(kvIndexKinds))
 		}
 	}
+	// Cells run in the export bundle's (workload, index, engine) order.
 	var cells []Cell
 	for wi, wl := range kvWorkloads {
-		for ei, name := range kvEngines {
-			for ki, kind := range kvIndexKinds {
+		for ki, kind := range kvIndexKinds {
+			for ei, name := range kvEngines {
 				wi, ei, ki, wl, name, kind := wi, ei, ki, wl, name, kind
 				cells = append(cells, Cell{
 					Label: fmt.Sprintf("kv/ycsb-%s/%s/%s", wl, name, kind),
@@ -317,13 +312,10 @@ func RunKV(s Scale, p *Pool) ([][][]*kvCellResult, error) {
 						if err != nil {
 							return nil, err
 						}
+						r.Name, r.Workload = fmt.Sprintf("%s/%s", name, kind), "YCSB-"+wl
+						r.Index = kvIndexSummary(r)
 						grid[wi][ei][ki] = r
-						p.Live().Fold(&baseline.Ledger{KV: r.store, Index: r.idx})
-						// Returning the measurement (rather than nil) feeds the
-						// cell's deterministic throughput/read-amp/latency into
-						// the -json summary and the regression gate.
-						r.bres = &Result{Snapshot: r.snap, Hist: r.hist, Stages: r.stages, Resources: r.resources}
-						return r.bres, nil
+						return &r.Result, nil
 					},
 				})
 			}
@@ -338,7 +330,7 @@ func RunKV(s Scale, p *Pool) ([][][]*kvCellResult, error) {
 // kvIndexSummary flattens one cell's index counters into the export record
 // the HTML report's index section renders.
 func kvIndexSummary(r *kvCellResult) *report.IndexSummary {
-	idx := r.idx
+	idx := r.IndexStats
 	return &report.IndexSummary{
 		Kind:               string(r.kind),
 		NodeReadsPerLookup: idx.NodeReadsPerLookup(),
@@ -359,46 +351,13 @@ func kvIndexSummary(r *kvCellResult) *report.IndexSummary {
 	}
 }
 
-// WriteKV renders the kv experiment: the matrix table (per-workload
+// writeKV renders the kv experiment: the matrix table (per-workload
 // throughput, latency, and read amplification over every read × index
 // engine pair), the per-index-engine structure tables, and the log
-// maintenance summary. When opts names an export file the per-cell run
-// records — including the index summaries the HTML report renders — are
-// written there; the file is created before any cell runs (a bad path
-// fails fast) and flushed even when a cell dies mid-run.
-func WriteKV(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) {
-	var grid [][][]*kvCellResult // populated by RunKV below; the export closure sees it
-
-	var exports telemetry.Exports
-	defer func() {
-		if cerr := exports.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	if opts.ExportOut != "" {
-		if aerr := exports.Add(opts.ExportOut, func(fw io.Writer) error {
-			exp := &report.Export{Tool: "pipette-bench kv", Version: buildinfo.Version, Scale: s.Name}
-			for wi := range grid {
-				for ki := range kvIndexKinds {
-					for ei, name := range kvEngines {
-						r := grid[wi][ei][ki]
-						if r == nil || r.bres == nil {
-							continue
-						}
-						run := ExportRun(fmt.Sprintf("%s/%s", name, kvIndexKinds[ki]),
-							"YCSB-"+kvWorkloads[wi], r.bres)
-						run.Index = kvIndexSummary(r)
-						exp.Runs = append(exp.Runs, run)
-					}
-				}
-			}
-			return exp.WriteJSON(fw)
-		}); aerr != nil {
-			return aerr
-		}
-	}
-
-	grid, err = RunKV(s, p)
+// maintenance summary. Each cell's run record carries the index summary
+// the HTML report renders.
+func writeKV(w io.Writer, s Scale, p *Pool) error {
+	grid, err := RunKV(s, p)
 	if err != nil {
 		return err
 	}
@@ -413,13 +372,13 @@ func WriteKV(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) {
 				r := grid[wi][ei][ki]
 				t.AddRow(
 					"YCSB-"+wl, string(kind), name,
-					fmt.Sprintf("%.1f", r.snap.ThroughputOpsPerSec()/1e3),
-					fmt.Sprintf("%.1f", r.snap.MeanLat.Micros()),
-					fmt.Sprintf("%.1f", r.snap.P99Lat.Micros()),
-					fmt.Sprintf("%.2f", r.snap.IO.ReadAmplification()),
-					fmt.Sprintf("%.1f", r.snap.PageCache.HitRatio()*100),
-					fmt.Sprintf("%.1f", r.snap.IO.TrafficMB()),
-					fmt.Sprintf("%.1f", float64(r.snap.IO.BytesWritten)/(1<<20)),
+					fmt.Sprintf("%.1f", r.Snapshot.ThroughputOpsPerSec()/1e3),
+					fmt.Sprintf("%.1f", r.Snapshot.MeanLat.Micros()),
+					fmt.Sprintf("%.1f", r.Snapshot.P99Lat.Micros()),
+					fmt.Sprintf("%.2f", r.Snapshot.IO.ReadAmplification()),
+					fmt.Sprintf("%.1f", r.Snapshot.PageCache.HitRatio()*100),
+					fmt.Sprintf("%.1f", r.Snapshot.IO.TrafficMB()),
+					fmt.Sprintf("%.1f", float64(r.Snapshot.IO.BytesWritten)/(1<<20)),
 				)
 			}
 		}
@@ -439,15 +398,15 @@ func WriteKV(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) {
 			r := grid[wi][ei][btIdx]
 			bt.AddRow(
 				"YCSB-"+wl, name,
-				fmt.Sprintf("%d", r.idx.Height),
-				fmt.Sprintf("%d", r.idx.Nodes),
-				fmt.Sprintf("%.2f", r.idx.NodeReadsPerLookup()),
-				fmt.Sprintf("%d", r.idx.Splits),
-				fmt.Sprintf("%d", r.idx.Merges),
+				fmt.Sprintf("%d", r.IndexStats.Height),
+				fmt.Sprintf("%d", r.IndexStats.Nodes),
+				fmt.Sprintf("%.2f", r.IndexStats.NodeReadsPerLookup()),
+				fmt.Sprintf("%d", r.IndexStats.Splits),
+				fmt.Sprintf("%d", r.IndexStats.Merges),
 				fmt.Sprintf("%.1f", r.negHist.Mean().Micros()),
 				fmt.Sprintf("%.1f", r.negHist.Quantile(0.99).Micros()),
 				fmt.Sprintf("%.1f", float64(r.negBytes)/1024),
-				fmt.Sprintf("%.1f", float64(r.idx.BytesRead)/(1<<20)),
+				fmt.Sprintf("%.1f", float64(r.IndexStats.BytesRead)/(1<<20)),
 			)
 		}
 	}
@@ -461,16 +420,16 @@ func WriteKV(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) {
 			r := grid[wi][ei][lsmIdx]
 			lt.AddRow(
 				"YCSB-"+wl, name,
-				fmt.Sprintf("%d", r.idx.Runs),
-				fmt.Sprintf("%d", r.idx.Flushes),
-				fmt.Sprintf("%d", r.idx.Compactions),
-				fmt.Sprintf("%d", r.idx.BloomNegative),
-				fmt.Sprintf("%.2f", 100*r.idx.BloomFPRate()),
-				fmt.Sprintf("%.1f", 100*r.idx.CacheHitRate()),
+				fmt.Sprintf("%d", r.IndexStats.Runs),
+				fmt.Sprintf("%d", r.IndexStats.Flushes),
+				fmt.Sprintf("%d", r.IndexStats.Compactions),
+				fmt.Sprintf("%d", r.IndexStats.BloomNegative),
+				fmt.Sprintf("%.2f", 100*r.IndexStats.BloomFPRate()),
+				fmt.Sprintf("%.1f", 100*r.IndexStats.CacheHitRate()),
 				fmt.Sprintf("%.1f", r.negHist.Mean().Micros()),
 				fmt.Sprintf("%.1f", r.negHist.Quantile(0.99).Micros()),
 				fmt.Sprintf("%.1f", float64(r.negBytes)/1024),
-				fmt.Sprintf("%.1f", float64(r.idx.BytesRead)/(1<<20)),
+				fmt.Sprintf("%.1f", float64(r.IndexStats.BytesRead)/(1<<20)),
 			)
 		}
 	}
@@ -486,21 +445,14 @@ func WriteKV(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) {
 			"YCSB-"+wl,
 			fmt.Sprintf("%d", r.keys),
 			fmt.Sprintf("%d", r.segs),
-			fmt.Sprintf("%d", r.store.Rotations),
-			fmt.Sprintf("%d", r.store.Compactions),
-			fmt.Sprintf("%.1f", float64(r.store.ReclaimedBytes)/(1<<20)),
-			fmt.Sprintf("%.1f", float64(r.store.MovedBytes)/(1<<20)),
+			fmt.Sprintf("%d", r.KV.Rotations),
+			fmt.Sprintf("%d", r.KV.Compactions),
+			fmt.Sprintf("%.1f", float64(r.KV.ReclaimedBytes)/(1<<20)),
+			fmt.Sprintf("%.1f", float64(r.KV.MovedBytes)/(1<<20)),
 		)
 	}
 	fmt.Fprint(w, mt.Render())
 	fmt.Fprintln(w)
-	if opts.ExportOut != "" {
-		if cerr := exports.Close(); cerr != nil { // idempotent; defer no-ops
-			return cerr
-		}
-		fmt.Fprintf(w, "run export written to %s (%d runs; render with pipette-report)\n",
-			opts.ExportOut, len(kvWorkloads)*len(kvEngines)*len(kvIndexKinds))
-	}
 	return nil
 }
 

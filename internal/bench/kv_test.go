@@ -1,14 +1,10 @@
 package bench
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"pipette/internal/index"
-	"pipette/internal/report"
 	"pipette/internal/telemetry"
 )
 
@@ -40,30 +36,30 @@ func TestKVExperimentShapes(t *testing.T) {
 		if blk.keys != pip.keys {
 			t.Errorf("YCSB-%s: engines diverge on final key count: %d vs %d", wl, blk.keys, pip.keys)
 		}
-		if blk.snap.Ops == 0 || pip.snap.Ops == 0 {
+		if blk.Snapshot.Ops == 0 || pip.Snapshot.Ops == 0 {
 			t.Fatalf("YCSB-%s: no measured ops", wl)
 		}
 		if wl == "A" || wl == "B" || wl == "C" {
-			if pip.snap.IO.FineReads == 0 {
+			if pip.Snapshot.IO.FineReads == 0 {
 				t.Errorf("YCSB-%s: Pipette engine served no fine reads", wl)
 			}
-			if pa, ba := pip.snap.IO.ReadAmplification(), blk.snap.IO.ReadAmplification(); pa >= ba {
+			if pa, ba := pip.Snapshot.IO.ReadAmplification(), blk.Snapshot.IO.ReadAmplification(); pa >= ba {
 				t.Errorf("YCSB-%s: Pipette read amp %.2f not below block I/O %.2f", wl, pa, ba)
 			}
 		}
-		if blk.snap.IO.FineReads != 0 {
+		if blk.Snapshot.IO.FineReads != 0 {
 			t.Errorf("YCSB-%s: block engine reports fine reads", wl)
 		}
 		// The measured window's stage attribution must conserve for both
 		// engines — mutation paths (Put, compaction) included.
 		for ei, r := range []*kvCellResult{blk, pip} {
-			if r.stages.Requests == 0 {
+			if r.Stages.Requests == 0 {
 				t.Fatalf("YCSB-%s/%s: no stage-accounted ops", wl, kvEngines[ei])
 			}
-			if r.stages.Sum() != r.stages.Elapsed {
-				t.Errorf("YCSB-%s/%s: stage sum %v != elapsed %v", wl, kvEngines[ei], r.stages.Sum(), r.stages.Elapsed)
+			if r.Stages.Sum() != r.Stages.Elapsed {
+				t.Errorf("YCSB-%s/%s: stage sum %v != elapsed %v", wl, kvEngines[ei], r.Stages.Sum(), r.Stages.Elapsed)
 			}
-			if r.resources == nil {
+			if r.Resources == nil {
 				t.Fatalf("YCSB-%s/%s: no resource snapshot", wl, kvEngines[ei])
 			}
 		}
@@ -77,24 +73,24 @@ func TestKVExperimentShapes(t *testing.T) {
 				t.Errorf("YCSB-%s: index engines diverge on key count: hash %d, btree %d, lsm %d",
 					wl, blk.keys, bt.keys, lsm.keys)
 			}
-			if bt.idx.Height < 2 || bt.idx.Splits == 0 {
+			if bt.IndexStats.Height < 2 || bt.IndexStats.Splits == 0 {
 				t.Errorf("YCSB-%s/%s: btree never grew (height %d, %d splits)",
-					wl, kvEngines[ei], bt.idx.Height, bt.idx.Splits)
+					wl, kvEngines[ei], bt.IndexStats.Height, bt.IndexStats.Splits)
 			}
-			if bt.idx.NodeReadsPerLookup() < 1 {
+			if bt.IndexStats.NodeReadsPerLookup() < 1 {
 				t.Errorf("YCSB-%s/%s: btree lookups paid %.2f node reads each",
-					wl, kvEngines[ei], bt.idx.NodeReadsPerLookup())
+					wl, kvEngines[ei], bt.IndexStats.NodeReadsPerLookup())
 			}
-			if lsm.idx.Flushes == 0 || lsm.idx.Runs == 0 {
+			if lsm.IndexStats.Flushes == 0 || lsm.IndexStats.Runs == 0 {
 				t.Errorf("YCSB-%s/%s: lsm never flushed (%d flushes, %d runs)",
-					wl, kvEngines[ei], lsm.idx.Flushes, lsm.idx.Runs)
+					wl, kvEngines[ei], lsm.IndexStats.Flushes, lsm.IndexStats.Runs)
 			}
-			if lsm.idx.BloomNegative == 0 {
+			if lsm.IndexStats.BloomNegative == 0 {
 				t.Errorf("YCSB-%s/%s: bloom filters pruned nothing", wl, kvEngines[ei])
 			}
 			// FP fraction of all checks (BloomFPRate normalizes by the
 			// maybes, which probe-only workloads like E drive to 1.0).
-			if fp := float64(lsm.idx.BloomFalsePos) / float64(lsm.idx.BloomChecks); fp > 0.1 {
+			if fp := float64(lsm.IndexStats.BloomFalsePos) / float64(lsm.IndexStats.BloomChecks); fp > 0.1 {
 				t.Errorf("YCSB-%s/%s: bloom FP fraction %.2f", wl, kvEngines[ei], fp)
 			}
 		}
@@ -122,50 +118,16 @@ func TestKVExperimentShapes(t *testing.T) {
 // leak host-scheduling order anywhere.
 func TestKVMatrixDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
-	s := kvMatrixTestScale()
-	dir := t.TempDir()
-	outs := make([]bytes.Buffer, 2)
-	exports := make([][]byte, 2)
-	htmls := make([][]byte, 2)
-	for i, workers := range []int{1, 8} {
-		path := filepath.Join(dir, "kv.json")
-		if err := WriteKV(&outs[i], s, TelemetryOpts{ExportOut: path}, NewPool(workers)); err != nil {
-			t.Fatalf("-j %d: %v", workers, err)
-		}
-		var err error
-		if exports[i], err = os.ReadFile(path); err != nil {
-			t.Fatal(err)
-		}
-		exp, err := report.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var h bytes.Buffer
-		if err := report.WriteHTML(&h, "kv", []*report.Export{exp}); err != nil {
-			t.Fatal(err)
-		}
-		htmls[i] = h.Bytes()
-	}
-	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
-		t.Error("kv stdout differs between -j 1 and -j 8")
-	}
-	if !bytes.Equal(exports[0], exports[1]) {
-		t.Error("export bundle differs between -j 1 and -j 8")
-	}
-	if !bytes.Equal(htmls[0], htmls[1]) {
-		t.Error("rendered HTML differs between -j 1 and -j 8")
-	}
-
-	out := outs[0].String()
+	out, bundle, html, _ := exportAcrossWorkers(t, "kv", kvMatrixTestScale(), 1, 8)
 	for _, want := range []string{"YCSB-A", "Compactions", "B+-tree index", "LSM index", "Bloom neg"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("kv stdout misses %q", want)
 		}
 	}
-	if !strings.Contains(string(htmls[0]), "KV index engines") {
+	if !strings.Contains(html, "KV index engines") {
 		t.Errorf("kv report HTML misses the index summary table")
 	}
-	if !strings.Contains(string(exports[0]), "\"index\"") {
+	if !strings.Contains(bundle, "\"index\"") {
 		t.Errorf("export bundle carries no index summaries")
 	}
 }
@@ -180,15 +142,15 @@ func TestKVFineCellBillsCoreStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.snap.IO.FineReads == 0 || r.snap.FineCache.Hits == 0 {
-		t.Fatalf("cell exercised no fine reads (%d) or fine hits (%d)", r.snap.IO.FineReads, r.snap.FineCache.Hits)
+	if r.Snapshot.IO.FineReads == 0 || r.Snapshot.FineCache.Hits == 0 {
+		t.Fatalf("cell exercised no fine reads (%d) or fine hits (%d)", r.Snapshot.IO.FineReads, r.Snapshot.FineCache.Hits)
 	}
 	for _, s := range []telemetry.Stage{telemetry.StageConstruct, telemetry.StageCache} {
-		if r.stages.Totals[s] == 0 {
+		if r.Stages.Totals[s] == 0 {
 			t.Errorf("stage %v: no time billed", s)
 		}
 	}
-	if r.stages.Sum() != r.stages.Elapsed {
-		t.Fatalf("stage sum %v != elapsed %v: conservation broken", r.stages.Sum(), r.stages.Elapsed)
+	if r.Stages.Sum() != r.Stages.Elapsed {
+		t.Fatalf("stage sum %v != elapsed %v: conservation broken", r.Stages.Sum(), r.Stages.Elapsed)
 	}
 }

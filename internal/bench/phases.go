@@ -4,39 +4,29 @@ import (
 	"fmt"
 	"io"
 
-	"pipette/internal/buildinfo"
-	"pipette/internal/report"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
 	"pipette/internal/workload"
 )
-
-// TelemetryOpts directs the optional export artifacts of the
-// phase-breakdown experiment. Zero values skip the corresponding file.
-type TelemetryOpts struct {
-	TraceOut      string   // Chrome trace-event JSON (open in Perfetto)
-	StatsOut      string   // time-series CSV
-	StatsInterval sim.Time // sampling interval; 0 = 1 ms virtual
-	ExportOut     string   // run-export bundle JSON (pipette-report input)
-}
 
 // phaseEngineIdxs are the two ends of the comparison: the conventional
 // path and the full framework, so the breakdown shows where each spends
 // time (indexes into EngineNames / newEngine).
 var phaseEngineIdxs = []int{0, 4}
 
-// WritePhaseBreakdown replays workload mix C (50% small / 50% 4 KiB,
-// uniform) against Block I/O and Pipette with every layer instrumented,
-// then prints the per-phase latency table of each engine: mean/p50/p99 per
-// span name, from the VFS syscall entry down to the NAND tR and bus
-// transfer. When opts names files, the Pipette run's trace (Chrome
+// writePhases replays workload mix C (50% small / 50% 4 KiB, uniform)
+// against Block I/O and Pipette with every layer instrumented, then prints
+// the per-phase latency table of each engine: mean/p50/p99 per span name,
+// from the VFS syscall entry down to the NAND tR and bus transfer. When
+// the pool's telemetry names files, the Pipette run's trace (Chrome
 // trace-event JSON) and sampled time series (CSV) are written there too,
 // through a telemetry.Exports set: the files are created before any cell
 // runs (a bad path fails fast) and flushed even when a cell dies mid-run,
 // so a partial trace survives for post-mortem reading. The two engine
 // replays are pool cells; rendering happens after both complete, in the
 // fixed engine order.
-func WritePhaseBreakdown(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) {
+func writePhases(w io.Writer, s Scale, p *Pool) (err error) {
+	opts := p.Telemetry()
 	interval := opts.StatsInterval
 	if interval <= 0 {
 		interval = sim.Millisecond
@@ -79,19 +69,6 @@ func WritePhaseBreakdown(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err
 			return aerr
 		}
 	}
-	if opts.ExportOut != "" {
-		if aerr := exports.Add(opts.ExportOut, func(fw io.Writer) error {
-			exp := &report.Export{Tool: "pipette-bench phases", Version: buildinfo.Version, Scale: s.Name}
-			for i, ei := range phaseEngineIdxs {
-				if r := outs[i].res; r != nil {
-					exp.Runs = append(exp.Runs, ExportRun(EngineNames[ei], "mixC", r))
-				}
-			}
-			return exp.WriteJSON(fw)
-		}); aerr != nil {
-			return aerr
-		}
-	}
 
 	cells := make([]Cell, 0, len(phaseEngineIdxs))
 	for i, ei := range phaseEngineIdxs {
@@ -120,6 +97,7 @@ func WritePhaseBreakdown(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err
 				if err != nil {
 					return nil, fmt.Errorf("bench: phases %s: %w", e.Name(), err)
 				}
+				res.Workload = "mixC"
 				outs[i].res = res
 				return res, nil
 			},

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"pipette/internal/baseline"
+	"pipette/internal/report"
+	"pipette/internal/sim"
 )
 
 // Pool is the harness's worker-pool execution layer. Every experiment
@@ -21,10 +23,24 @@ import (
 // (tests, the public API) pass.
 type Pool struct {
 	workers int
-	live    *Live // nil unless -listen attached a registry
+	live    *Live         // nil unless -listen attached a registry
+	tel     TelemetryOpts // the run's export artifacts; zero = none
 
 	mu   sync.Mutex
 	perf []CellPerf
+	runs []report.Run // finished cells' run records, when tel.ExportOut is set
+}
+
+// TelemetryOpts directs a run's optional export artifacts. Zero values
+// skip the corresponding file.
+type TelemetryOpts struct {
+	TraceOut      string   // phases: Chrome trace-event JSON (open in Perfetto)
+	StatsOut      string   // phases: time-series CSV
+	StatsInterval sim.Time // phases: sampling interval; 0 = 1 ms virtual
+	// ExportOut names the run-export bundle (pipette-report input). The
+	// pool records every finished cell's run for it; the caller writes
+	// the file.
+	ExportOut string
 }
 
 // NewPool creates a pool with the given worker count. workers <= 0 selects
@@ -53,18 +69,39 @@ func (p *Pool) SetLive(l *Live) {
 	}
 }
 
-// Live reports the attached metrics bridge (nil when not listening).
-func (p *Pool) Live() *Live {
+// SetTelemetry directs the run's export artifacts: the phases experiment
+// reads its trace and stats paths from here, and with ExportOut set every
+// finished cell's run record is kept for Runs.
+func (p *Pool) SetTelemetry(o TelemetryOpts) {
+	if p != nil {
+		p.tel = o
+	}
+}
+
+// Telemetry reports the run's export artifacts (zero for a nil pool).
+func (p *Pool) Telemetry() TelemetryOpts {
+	if p == nil {
+		return TelemetryOpts{}
+	}
+	return p.tel
+}
+
+// Runs returns the recorded run records: each RunCells batch in cell
+// order, batches in the order they ran.
+func (p *Pool) Runs() []report.Run {
 	if p == nil {
 		return nil
 	}
-	return p.live
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]report.Run(nil), p.runs...)
 }
 
 // Cell is one independently runnable unit of an experiment: typically one
 // (engine, workload) pair over a private simulated system. Run returns the
-// cell's measurement for perf accounting; cells that do not produce a
-// single Result (e.g. the phase breakdown) may return nil.
+// cell's measurement, which the pool records: its perf row, its ledger in
+// the live registry, and its run record when the run exports. A cell that
+// measures nothing may return nil.
 type Cell struct {
 	Label string
 	Run   func() (*Result, error)
@@ -87,17 +124,21 @@ type CellPerf struct {
 
 // RunCells executes the cells, at most Workers() at a time, and returns the
 // first error in cell order. It always drains every started cell before
-// returning, so callers may reuse the slots the cells wrote.
+// returning, so callers may reuse the slots the cells wrote. The batch's
+// run records are kept in cell order, a failed batch's finished cells
+// included, so a partial bundle still flushes them.
 func (p *Pool) RunCells(cells []Cell) error {
+	results := make([]*Result, len(cells))
+	errs := make([]error, len(cells))
+	defer p.record(results)
 	if p == nil || p.workers <= 1 {
 		for i := range cells {
-			if err := p.runCell(cells[i]); err != nil {
-				return err
+			if results[i], errs[i] = p.runCell(cells[i]); errs[i] != nil {
+				return errs[i]
 			}
 		}
 		return nil
 	}
-	errs := make([]error, len(cells))
 	sem := make(chan struct{}, p.workers)
 	var wg sync.WaitGroup
 	for i := range cells {
@@ -106,7 +147,7 @@ func (p *Pool) RunCells(cells []Cell) error {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = p.runCell(cells[i])
+			results[i], errs[i] = p.runCell(cells[i])
 		}(i)
 	}
 	wg.Wait()
@@ -118,11 +159,10 @@ func (p *Pool) RunCells(cells []Cell) error {
 	return nil
 }
 
-func (p *Pool) runCell(c Cell) error {
+func (p *Pool) runCell(c Cell) (*Result, error) {
 	defer flightPanic(c.Label)
 	if p == nil {
-		_, err := c.Run()
-		return err
+		return c.Run()
 	}
 	p.live.cellStarted(c.Label)
 	start := time.Now()
@@ -134,14 +174,29 @@ func (p *Pool) runCell(c Cell) error {
 		pf.ReadAmp = res.Snapshot.IO.ReadAmplification()
 		pf.MeanUs = res.Snapshot.MeanLat.Micros()
 		pf.P99Us = res.Snapshot.P99Lat.Micros()
-		p.live.Fold(&baseline.Ledger{Snap: res.Snapshot})
+		p.live.Fold(&baseline.Ledger{Snap: res.Snapshot, KV: res.KV, Index: res.IndexStats, Faults: res.Faults})
 		p.live.AddResources(res.Resources)
 	}
 	p.live.cellFinished(c.Label, pf, err != nil)
 	p.mu.Lock()
 	p.perf = append(p.perf, pf)
 	p.mu.Unlock()
-	return err
+	return res, err
+}
+
+// record keeps one batch's run records, in cell order, when the run
+// exports.
+func (p *Pool) record(results []*Result) {
+	if p == nil || p.tel.ExportOut == "" {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, r := range results {
+		if r != nil {
+			p.runs = append(p.runs, ExportRun(r))
+		}
+	}
 }
 
 // Perf returns the executed cells' perf records, sorted by label so the

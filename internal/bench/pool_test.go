@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -158,3 +159,37 @@ func BenchmarkRunPipette(b *testing.B) { benchmarkRunEngine(b, 4) }
 // BenchmarkRunBlockIO measures per-request cost on the conventional block
 // engine.
 func BenchmarkRunBlockIO(b *testing.B) { benchmarkRunEngine(b, 0) }
+
+// TestPoolRecordsRunsOfFailedBatch: with the export on, a batch's run
+// records keep cell order, and a failed batch still keeps the cells that
+// finished, so the caller's partial bundle flushes them.
+func TestPoolRecordsRunsOfFailedBatch(t *testing.T) {
+	t.Parallel()
+	errFail := errors.New("fail")
+	cell := func(name string, err error) Cell {
+		return Cell{Label: name, Run: func() (*Result, error) {
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Name: name}, nil
+		}}
+	}
+	cells := []Cell{cell("a", nil), cell("b", errFail), cell("c", nil)}
+	for _, tc := range []struct {
+		workers int
+		want    string
+	}{{1, "a"}, {4, "a,c"}} {
+		p := NewPool(tc.workers)
+		p.SetTelemetry(TelemetryOpts{ExportOut: "bundle.json"})
+		if err := p.RunCells(cells); !errors.Is(err, errFail) {
+			t.Fatalf("-j %d: err = %v, want %v", tc.workers, err, errFail)
+		}
+		var names []string
+		for _, r := range p.Runs() {
+			names = append(names, r.Name)
+		}
+		if got := strings.Join(names, ","); got != tc.want {
+			t.Errorf("-j %d: recorded runs %q, want %q", tc.workers, got, tc.want)
+		}
+	}
+}

@@ -6,8 +6,6 @@ import (
 	"io"
 
 	"pipette/internal/baseline"
-	"pipette/internal/buildinfo"
-	"pipette/internal/report"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
 	"pipette/internal/workload"
@@ -103,43 +101,21 @@ func qdepthPoints(s Scale) []qdepthPoint {
 	return points
 }
 
-// WriteQDepth runs the saturation sweep: arrival rate x queue depth x
+// writeQDepth runs the saturation sweep: arrival rate x queue depth x
 // engine over workload mix E (100% small reads, uniform), open loop with
 // Poisson and bursty arrivals plus the closed-loop reference, and prints
 // the throughput-vs-latency table and each configuration's saturation
-// knee. When opts names an export file the per-point run records (the
-// pipette-report input, including the queue stage and per-resource
-// occupancy) are written there; the trace/stats outputs do not apply to
-// this experiment. Each point is a pool cell over a private system;
-// rendering happens after all complete, in grid order, so the output is
-// byte-identical at any worker count.
-func WriteQDepth(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) {
+// knee. Each point's run record carries the queue stage and per-resource
+// occupancy pipette-report plots. Each point is a pool cell over a private
+// system; rendering happens after all complete, in grid order, so the
+// output is byte-identical at any worker count.
+func writeQDepth(w io.Writer, s Scale, p *Pool) error {
 	if len(s.QDepths) == 0 || len(s.QDepthRates) == 0 || s.QDepthRequests <= 0 {
 		return errors.New("bench: scale has no qdepth sweep parameters")
 	}
 	mixE := workload.Mixes(s.FileSize(), 4096, workload.Uniform, 0xbead)[4]
 	points := qdepthPoints(s)
 	slots := make([]*Result, len(points))
-
-	var exports telemetry.Exports
-	defer func() {
-		if cerr := exports.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	if opts.ExportOut != "" {
-		if aerr := exports.Add(opts.ExportOut, func(fw io.Writer) error {
-			exp := &report.Export{Tool: "pipette-bench qdepth", Version: buildinfo.Version, Scale: s.Name}
-			for i, pt := range points {
-				if r := slots[i]; r != nil {
-					exp.Runs = append(exp.Runs, ExportRun(EngineNames[pt.engine], pt.workload(), r))
-				}
-			}
-			return exp.WriteJSON(fw)
-		}); aerr != nil {
-			return aerr
-		}
-	}
 
 	cells := make([]Cell, len(points))
 	for i, pt := range points {
@@ -172,6 +148,7 @@ func WriteQDepth(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) 
 				if err != nil {
 					return nil, fmt.Errorf("bench: %s: %w", pt.label(), err)
 				}
+				res.Workload = pt.workload()
 				slots[i] = res
 				return res, nil
 			},
@@ -186,13 +163,6 @@ func WriteQDepth(w io.Writer, s Scale, opts TelemetryOpts, p *Pool) (err error) 
 	renderQDepthTable(w, points, slots)
 	fmt.Fprintln(w)
 	renderQDepthKnees(w, s, points, slots)
-	if opts.ExportOut != "" {
-		if cerr := exports.Close(); cerr != nil { // idempotent; defer no-ops
-			return cerr
-		}
-		fmt.Fprintf(w, "\nrun export written to %s (%d runs; render with pipette-report)\n",
-			opts.ExportOut, len(points))
-	}
 	return nil
 }
 

@@ -1,14 +1,10 @@
 package bench
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"pipette/internal/fault"
-	"pipette/internal/report"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
 	"pipette/internal/workload"
@@ -193,42 +189,11 @@ func TestQDepthDeterministicAcrossWorkers(t *testing.T) {
 			s.QDepthRates = []float64{100_000, 1_600_000}
 			s.QDepthRequests = 600
 			s.Fault = tc.prof
-			dir := t.TempDir()
-			outs := make([]bytes.Buffer, 2)
-			exports := make([][]byte, 2)
-			htmls := make([][]byte, 2)
-			for i, workers := range []int{1, 8} {
-				path := filepath.Join(dir, "qdepth.json")
-				err := WriteQDepth(&outs[i], s, TelemetryOpts{ExportOut: path}, NewPool(workers))
-				if err != nil {
-					t.Fatalf("-j %d: %v", workers, err)
-				}
-				if exports[i], err = os.ReadFile(path); err != nil {
-					t.Fatal(err)
-				}
-				exp, err := report.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var h bytes.Buffer
-				if err := report.WriteHTML(&h, "qdepth", []*report.Export{exp}); err != nil {
-					t.Fatal(err)
-				}
-				htmls[i] = h.Bytes()
-			}
-			if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
-				t.Error("qdepth stdout differs between -j 1 and -j 8")
-			}
-			if !bytes.Equal(exports[0], exports[1]) {
-				t.Error("export bundle differs between -j 1 and -j 8")
-			}
-			if !bytes.Equal(htmls[0], htmls[1]) {
-				t.Error("rendered HTML differs between -j 1 and -j 8")
-			}
-			if !strings.Contains(outs[0].String(), "saturation knees") {
+			out, _, html, _ := exportAcrossWorkers(t, "qdepth", s, 1, 8)
+			if !strings.Contains(out, "saturation knees") {
 				t.Error("qdepth output misses the knee summary")
 			}
-			if !strings.Contains(string(htmls[0]), "Throughput vs latency (open loop)") {
+			if !strings.Contains(html, "Throughput vs latency (open loop)") {
 				t.Error("report HTML misses the throughput-vs-latency section")
 			}
 		})

@@ -67,6 +67,7 @@ func RunCacheSensitivity(s Scale, p *Pool) (*metrics.Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("bench: sensitivity 1/%d: %w", frac, err)
 				}
+				res.Name = fmt.Sprintf("Pipette/arena-1of%d", frac)
 				results[1+fi] = res
 				return res, nil
 			},
@@ -175,6 +176,7 @@ func RunWriteBuffer(s Scale, p *Pool) (*metrics.Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("bench: write buffer %d: %w", bufPages, err)
 				}
+				res.Name = fmt.Sprintf("Pipette/wb-%dpages", bufPages)
 				results[bi] = res
 				return res, nil
 			},

@@ -46,19 +46,6 @@ func (p ReadPolicy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// ParseReadPolicy resolves a flag value.
-func ParseReadPolicy(s string) (ReadPolicy, error) {
-	switch s {
-	case "primary":
-		return ReadPrimary, nil
-	case "fanout":
-		return ReadFanout, nil
-	case "hedged":
-		return ReadHedged, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown read policy %q (primary|fanout|hedged)", s)
-}
-
 // Config parameterizes the serving tier.
 type Config struct {
 	Shards   int // member count (>= 1)

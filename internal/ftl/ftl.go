@@ -269,15 +269,6 @@ func (f *FTL) popFree(die int) nand.BlockID {
 	return id
 }
 
-// FreeBlocks reports the total free-pool size across dies.
-func (f *FTL) FreeBlocks() int {
-	n := 0
-	for _, pool := range f.freeBlocks {
-		n += len(pool)
-	}
-	return n
-}
-
 // allocate returns the next physical page on the striping frontier,
 // running GC first if the target die's pool is low. now is needed because
 // GC consumes virtual time; the possibly-advanced time is returned.

@@ -339,16 +339,6 @@ func (a *Array) ChannelBusy(ch int) sim.Time { return a.buses.Get(ch).BusyTime()
 // DieBusy reports the cumulative busy time of one die.
 func (a *Array) DieBusy(die int) sim.Time { return a.dies.Get(die).BusyTime() }
 
-// DieWaitTime reports the cumulative queueing delay across all dies:
-// virtual time operations spent waiting for a busy die. With overlapping
-// in-flight commands this is the device-side queueing the open-loop
-// harness surfaces; a closed-loop single-stream replay keeps it near zero.
-func (a *Array) DieWaitTime() sim.Time { return a.dies.WaitTime() }
-
-// BusWaitTime reports the cumulative queueing delay across the channel
-// buses.
-func (a *Array) BusWaitTime() sim.Time { return a.buses.WaitTime() }
-
 // Config returns the array's configuration.
 func (a *Array) Config() Config { return a.cfg }
 
@@ -577,10 +567,6 @@ func (a *Array) Preload(p PPA) error {
 	bs.nextPage = page + 1
 	return nil
 }
-
-// ProgrammedPages reports how many pages currently hold data (programmed or
-// preloaded).
-func (a *Array) ProgrammedPages() int { return len(a.data) + a.loaded.Count() }
 
 // patternSource generates deterministic page content from (seed, ppa).
 type patternSource struct {

@@ -27,9 +27,6 @@ func (r *Resource) Acquire(now, dur Time) (start, end Time) {
 	return start, end
 }
 
-// FreeAt reports the time at which the resource next becomes idle.
-func (r *Resource) FreeAt() Time { return r.freeAt }
-
 // BusyTime reports the cumulative span the resource has been occupied.
 func (r *Resource) BusyTime() Time { return r.busy }
 

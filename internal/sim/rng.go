@@ -49,14 +49,6 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	}
 }
 
-// Int63n returns a uniform value in [0, n). n must be > 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with n <= 0")
-	}
-	return int64(r.Uint64n(uint64(n)))
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -178,10 +178,6 @@ func (c *Controller) linkSpan(at, dur sim.Time) (start, end sim.Time) {
 	return at, at + dur
 }
 
-// LinkWaitTime reports the cumulative time transfers queued for the link
-// (always zero unless LinkArbitration is on).
-func (c *Controller) LinkWaitTime() sim.Time { return c.link.WaitTime() }
-
 // New builds the full device stack: NAND array, FTL, controller.
 func New(cfg Config) (*Controller, error) {
 	arr, err := nand.New(cfg.NAND)

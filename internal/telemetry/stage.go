@@ -318,9 +318,6 @@ func (a *StageAccount) Finish(end sim.Time) sim.Time {
 	return end - a.start
 }
 
-// Active reports whether a request scope is open.
-func (a *StageAccount) Active() bool { return a != nil && a.active }
-
 // Cursor reports the open request's attribution frontier: the end of the
 // last claimed interval. Layers that may need to reattribute work they
 // are about to cause (ECC retries, fallbacks) capture it first so the

@@ -166,9 +166,6 @@ func (v *VFS) PageCache() *pagecache.Cache { return v.cache }
 // IO returns accumulated host I/O accounting.
 func (v *VFS) IO() metrics.IO { return v.io }
 
-// ResetIO zeroes the accounting (between benchmark phases).
-func (v *VFS) ResetIO() { v.io = metrics.IO{} }
-
 // ErrClosed is returned by operations on a closed descriptor.
 var ErrClosed = errors.New("vfs: file closed")
 
@@ -218,16 +215,6 @@ func (f *File) Close() error {
 	return nil
 }
 
-// OpenCount reports the live descriptors for a file (0 when closed or
-// unknown) — the open-table leak regression test hooks in here.
-func (v *VFS) OpenCount(name string) int {
-	ino, err := v.fs.Lookup(name)
-	if err != nil {
-		return 0
-	}
-	return v.open[ino.Ino]
-}
-
 // Remove unlinks a file: resident pages are discarded (dirty pages dropped
 // without writeback — unlink semantics), queued writebacks for the inode are
 // cancelled, read-ahead and open-table state is dropped, and the file's
@@ -257,9 +244,6 @@ func (v *VFS) Remove(name string) error {
 // Inode exposes the file's metadata (the fine router's LBA extraction
 // needs it).
 func (f *File) Inode() *extfs.Inode { return f.inode }
-
-// Flags reports the open flags.
-func (f *File) Flags() OpenFlag { return f.flags }
 
 // Size reports the file size.
 func (f *File) Size() int64 { return f.inode.Size }
