@@ -46,6 +46,38 @@ type entry struct {
 	table *fileTable
 }
 
+// entryChunk is how many entries the arena allocates at once.
+const entryChunk = 256
+
+// entryArena hands out entries from chunks and recycles deleted ones, so
+// the detector's ghost entries — one per new access range — do not cost an
+// allocation each.
+type entryArena struct {
+	chunk []entry  // unused tail of the current chunk
+	free  []*entry // deleted entries, ready for reuse
+}
+
+// alloc returns a zeroed entry.
+func (a *entryArena) alloc() *entry {
+	if n := len(a.free); n > 0 {
+		e := a.free[n-1]
+		a.free = a.free[:n-1]
+		return e
+	}
+	if len(a.chunk) == 0 {
+		a.chunk = make([]entry, entryChunk)
+	}
+	e := &a.chunk[0]
+	a.chunk = a.chunk[1:]
+	return e
+}
+
+// release takes back an entry that no index, list or map still holds.
+func (a *entryArena) release(e *entry) {
+	*e = entry{}
+	a.free = append(a.free, e)
+}
+
 // fileTable is the per-file hash lookup table of §3.1.2 plus the per-page
 // interval index used for write invalidation and containment hits.
 type fileTable struct {

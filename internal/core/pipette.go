@@ -34,6 +34,7 @@ type Pipette struct {
 
 	tables    map[uint64]*fileTable
 	lastTbl   *fileTable // memo: fine reads hammer one file at a time
+	entries   entryArena
 	bySlabOff map[int]*entry
 	overflow  *list.List // FIFO of *entry in stateOverflow
 	overBytes int
@@ -245,7 +246,8 @@ func (p *Pipette) TryFineRead(now sim.Time, f *vfs.File, off int64, buf []byte) 
 	p.fg.Record(false)
 
 	if !seenExact {
-		exact = &entry{key: key, state: stateGhost, table: tbl}
+		exact = p.entries.alloc()
+		exact.key, exact.state, exact.table = key, stateGhost, tbl
 		tbl.index(exact, p.pageSize)
 	}
 	exact.refCount++
@@ -437,6 +439,7 @@ func (p *Pipette) deleteEntry(e *entry) {
 		p.removeOverflow(e)
 	}
 	e.table.unindex(e, p.pageSize)
+	p.entries.release(e)
 }
 
 func (p *Pipette) removeOverflow(e *entry) {

@@ -58,17 +58,17 @@ func TestParseProfileEmpty(t *testing.T) {
 func TestParseProfileErrors(t *testing.T) {
 	t.Parallel()
 	for _, s := range []string{
-		"nand.read",           // no colon
-		"bogus.site:0.5",      // unknown site
-		"nand.read:1.5",       // probability out of range
-		"nand.read:-0.1",      // negative probability
-		"nand.read:rber*",     // missing multiplier
-		"nand.read:rber*-3",   // negative multiplier
-		"hmb.ring:0.1#0",      // zero count
-		"hmb.ring:0.1#x",      // bad count
-		"nvme.dma:0.1@5",      // range missing hi
-		"nvme.dma:0.1@9-2",    // empty range
-		"nvme.dma:0.1@a-b",    // non-numeric range
+		"nand.read",         // no colon
+		"bogus.site:0.5",    // unknown site
+		"nand.read:1.5",     // probability out of range
+		"nand.read:-0.1",    // negative probability
+		"nand.read:rber*",   // missing multiplier
+		"nand.read:rber*-3", // negative multiplier
+		"hmb.ring:0.1#0",    // zero count
+		"hmb.ring:0.1#x",    // bad count
+		"nvme.dma:0.1@5",    // range missing hi
+		"nvme.dma:0.1@9-2",  // empty range
+		"nvme.dma:0.1@a-b",  // non-numeric range
 	} {
 		if _, err := ParseProfile(s); err == nil {
 			t.Errorf("ParseProfile(%q) accepted", s)

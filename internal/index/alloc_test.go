@@ -1,0 +1,271 @@
+package index
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
+	"testing"
+
+	"pipette/internal/sim"
+)
+
+// memFile and memBackend hold index files in host memory, so the tests and
+// benchmarks below count and time the engine's own work and nothing of a
+// storage stack underneath.
+type memFile struct{ data []byte }
+
+func (f *memFile) ReadAt(now sim.Time, buf []byte, off int64) (int, sim.Time, error) {
+	return copy(buf, f.data[off:]), now, nil
+}
+
+func (f *memFile) WriteAt(now sim.Time, data []byte, off int64) (int, sim.Time, error) {
+	return copy(f.data[off:], data), now, nil
+}
+
+func (f *memFile) Sync(now sim.Time) (sim.Time, error) { return now, nil }
+func (f *memFile) Close() error                        { return nil }
+func (f *memFile) Size() int64                         { return int64(len(f.data)) }
+
+type memBackend map[string]*memFile
+
+func (b memBackend) Create(name string, size int64) (File, error) {
+	f := &memFile{data: make([]byte, size)}
+	b[name] = f
+	return f, nil
+}
+
+func (b memBackend) open(name string) (File, error) {
+	f, ok := b[name]
+	if !ok {
+		return nil, fmt.Errorf("no file %s", name)
+	}
+	return f, nil
+}
+
+func (b memBackend) OpenReader(name string, _ bool) (File, error) { return b.open(name) }
+func (b memBackend) OpenWriter(name string) (File, error)         { return b.open(name) }
+func (b memBackend) Remove(name string) error                     { delete(b, name); return nil }
+func (b memBackend) PageSize() int                                { return 4096 }
+
+func (b memBackend) Files() []string {
+	names := make([]string, 0, len(b))
+	for name := range b {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// meanAllocs is testing.AllocsPerRun without its rounding down to a whole
+// allocation: the mean number of heap allocations over runs calls of f,
+// after one warm-up call.
+func meanAllocs(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// shuffledKeys returns n distinct keys in a seeded random order.
+func shuffledKeys(n int, seed int64) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%08d", i)
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	return keys
+}
+
+// TestMemtableOverwriteAllocFree: updating a key already in the memtable
+// rewrites its node in place.
+func TestMemtableOverwriteAllocFree(t *testing.T) {
+	keys := shuffledKeys(1000, 1)
+	l := newSkipList(1)
+	for _, k := range keys {
+		l.set(k, Loc{Seg: 1}, false)
+	}
+	i := 0
+	overwrite := func() {
+		l.set(keys[i%len(keys)], Loc{Seg: uint32(i)}, i%3 == 0)
+		i++
+	}
+	if allocs := testing.AllocsPerRun(1000, overwrite); allocs != 0 {
+		t.Errorf("memtable overwrite allocated %.2f times, want 0", allocs)
+	}
+}
+
+// TestMemtableInsertAllocsAmortized: nodes and towers come from the list's
+// arena chunks, so an insert averages at most 1/64 allocations, the new
+// list's own head and RNG included.
+func TestMemtableInsertAllocsAmortized(t *testing.T) {
+	keys := shuffledKeys(8192, 2)
+	fill := func() {
+		l := newSkipList(2)
+		for _, k := range keys {
+			l.set(k, Loc{Seg: 1}, false)
+		}
+	}
+	if per := meanAllocs(3, fill) / float64(len(keys)); per > 1.0/64 {
+		t.Errorf("memtable insert allocated %.4f times on average, want <= 1/64", per)
+	}
+}
+
+// TestSkipListReusesDeletedNodes: under delete and insert churn at a
+// constant size the arena stops growing.
+func TestSkipListReusesDeletedNodes(t *testing.T) {
+	keys := shuffledKeys(4096, 3)
+	l := newSkipList(3)
+	for _, k := range keys[:2048] {
+		l.set(k, Loc{}, false)
+	}
+	i := 0
+	churn := func() {
+		// Retire the oldest live key and insert the next one: the list
+		// stays at 2048 keys while every key comes and goes.
+		l.delete(keys[i%len(keys)])
+		l.set(keys[(i+2048)%len(keys)], Loc{}, false)
+		i++
+	}
+	for j := 0; j < 4*len(keys); j++ { // let the free lists settle
+		churn()
+	}
+	if per := meanAllocs(8192, churn); per != 0 {
+		t.Errorf("delete+insert churn allocated %.4f times per step, want 0", per)
+	}
+	if l.len() != 2048 {
+		t.Fatalf("len = %d, want 2048", l.len())
+	}
+}
+
+// TestLSMLookupMissAllocFree: a lookup whose block is not cached reads it
+// into the buffer of the block the full cache evicts, so it allocates
+// nothing either.
+func TestLSMLookupMissAllocFree(t *testing.T) {
+	cfg := Config{Kind: LSM, MemtableEntries: 1000, BlockCacheBlocks: 4}
+	cfg.setDefaults()
+	e := newLSM(memBackend{}, cfg)
+	keys := shuffledKeys(3000, 5)
+	now := sim.Time(0)
+	var err error
+	for i, k := range keys {
+		if now, err = e.Insert(now, k, Loc{Seg: uint32(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Keys 64 apart in sort order sit in different blocks, and cycling
+	// through many more blocks than the cache holds misses every time.
+	sort.Strings(keys)
+	var probes []string
+	for j := 0; j < len(keys); j += 64 {
+		probes = append(probes, keys[j])
+	}
+	i := 0
+	lookup := func() {
+		key := probes[i%len(probes)]
+		i++
+		if _, ok, _, err := e.Lookup(now, key); err != nil || !ok {
+			t.Fatalf("Lookup(%q) = %v %v", key, ok, err)
+		}
+	}
+	for j := 0; j < len(probes); j++ { // fill the cache
+		lookup()
+	}
+	before := e.stats
+	if allocs := testing.AllocsPerRun(500, lookup); allocs != 0 {
+		t.Errorf("LSM lookup miss allocated %.2f times, want 0", allocs)
+	}
+	if e.stats.CacheHits != before.CacheHits || e.stats.CacheMisses == before.CacheMisses {
+		t.Fatalf("lookups under test were not all block-cache misses: %+v -> %+v", before, e.stats)
+	}
+}
+
+// newMergeEngine returns an LSM engine over memory holding exactly
+// LevelFanout+1 level-0 runs of n keys in total, whose key ranges overlap,
+// so the next Tick merges level 0.
+func newMergeEngine(tb testing.TB, n int) (*lsmEngine, sim.Time) {
+	cfg := Config{Kind: LSM, LevelFanout: 4, MemtableEntries: n / 5}
+	cfg.setDefaults()
+	e := newLSM(memBackend{}, cfg)
+	now := sim.Time(0)
+	var err error
+	for i, k := range shuffledKeys(n, int64(n)) {
+		if now, err = e.Insert(now, k, Loc{Seg: uint32(i), Off: int64(i), ValLen: 100}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if len(e.runs) != 5 || e.mem.len() != 0 {
+		tb.Fatalf("setup left %d runs and %d memtable keys, want 5 and 0", len(e.runs), e.mem.len())
+	}
+	return e, now
+}
+
+// mergeAllocs counts the heap allocations of one level-0 merge of n keys
+// and the run blocks it read and wrote.
+func mergeAllocs(t *testing.T, n int) (allocs uint64, blocks int) {
+	e, now := newMergeEngine(t, n)
+	for _, r := range e.runs {
+		blocks += r.blocks
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ran, _, err := e.Tick(now)
+	runtime.ReadMemStats(&after)
+	if err != nil || !ran || len(e.runs) != 1 {
+		t.Fatalf("merge of %d keys: ran=%v err=%v, %d runs left", n, ran, err, len(e.runs))
+	}
+	return after.Mallocs - before.Mallocs, blocks + e.runs[0].blocks
+}
+
+// TestMergeAllocsGrowWithBlocks: a level merge reads its inputs into one
+// buffer per run and copies keys into one scratch buffer, so four times the
+// records cost at most one more allocation per extra block (the output's
+// fence string), not one per record.
+func TestMergeAllocsGrowWithBlocks(t *testing.T) {
+	const n = 5000
+	a1, b1 := mergeAllocs(t, n)
+	a4, b4 := mergeAllocs(t, 4*n)
+	extra := int64(a4) - int64(a1)
+	if limit := int64(b4-b1) + 32; extra > limit {
+		t.Errorf("merging %d instead of %d records took %d more allocations (%d vs %d); "+
+			"%d more blocks allow at most %d", 4*n, n, extra, a4, a1, b4-b1, limit)
+	}
+}
+
+// BenchmarkLSMInsert times LSM inserts of fresh keys, memtable flushes
+// included.
+func BenchmarkLSMInsert(b *testing.B) {
+	cfg := Config{Kind: LSM}
+	cfg.setDefaults()
+	e := newLSM(memBackend{}, cfg)
+	keys := shuffledKeys(1<<16, 4)
+	now := sim.Time(0)
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if now, err = e.Insert(now, keys[i%len(keys)], Loc{Seg: uint32(i), ValLen: 100}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLSMMerge times one level-0 merge of five runs holding 20,000
+// keys in total.
+func BenchmarkLSMMerge(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e, now := newMergeEngine(b, 20000)
+		b.StartTimer()
+		if ran, _, err := e.Tick(now); err != nil || !ran {
+			b.Fatalf("merge: ran=%v err=%v", ran, err)
+		}
+	}
+}

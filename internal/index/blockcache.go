@@ -38,24 +38,36 @@ func (c *blockCache) get(k blockCacheKey) ([]byte, bool) {
 	return e.data, true
 }
 
-func (c *blockCache) put(k blockCacheKey, data []byte) {
+// put caches data under k. A full cache evicts its least recently used
+// block and reuses that entry; put returns the evicted block's buffer (nil
+// when nothing was evicted), which the caller may read its next block
+// into. Without capacity nothing is cached and data itself comes back.
+func (c *blockCache) put(k blockCacheKey, data []byte) []byte {
 	if c.cap <= 0 {
-		return
+		return data
 	}
 	if e, ok := c.m[k]; ok {
+		old := e.data
 		e.data = data
 		c.unlink(e)
 		c.push(e)
-		return
+		return old
 	}
+	var e *blockCacheEntry
+	var spare []byte
 	for len(c.m) >= c.cap {
-		ev := c.tail
-		c.unlink(ev)
-		delete(c.m, ev.key)
+		e = c.tail
+		c.unlink(e)
+		delete(c.m, e.key)
+		spare = e.data
 	}
-	e := &blockCacheEntry{key: k, data: data}
+	if e == nil {
+		e = &blockCacheEntry{}
+	}
+	e.key, e.data = k, data
 	c.m[k] = e
 	c.push(e)
+	return spare
 }
 
 // dropRun evicts every block of a retired run.

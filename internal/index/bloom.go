@@ -31,8 +31,11 @@ func newBloom(n, bitsPerKey int) *bloom {
 	return &bloom{bits: make([]uint64, (nbits+63)/64), nbits: nbits, k: k}
 }
 
-// hashes derives the double-hashing pair for key.
-func bloomHashes(key string) (uint64, uint64) {
+// bloomHashes derives the double-hashing pair for key: FNV-1a 64 mixed
+// twice. The hash decides which runs a lookup probes, so it sets simulated
+// device traffic; it must not change without a reason to move every LSM
+// number.
+func bloomHashes[K string | []byte](key K) (uint64, uint64) {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -43,7 +46,7 @@ func bloomHashes(key string) (uint64, uint64) {
 	return h1, h2
 }
 
-func (f *bloom) add(key string) {
+func (f *bloom) add(key []byte) {
 	h1, h2 := bloomHashes(key)
 	for i := 0; i < f.k; i++ {
 		bit := (h1 + uint64(i)*h2) % f.nbits

@@ -24,7 +24,7 @@ import (
 //	[4:8]    link, uint32 LE — next-leaf id for leaves, leftmost child for
 //	         interior nodes (0 = none)
 //	[8:10]   used entry bytes, uint16 LE
-//	[10:14]  FNV-32a checksum over bytes [1:10] ++ entries
+//	[10:14]  CRC-32C checksum over bytes [1:10] ++ entries
 //	[14:]    entries, sorted by key:
 //	         leaf:     [klen u16][key][seg u32][off u64][vallen u32]
 //	         interior: [klen u16][key][child u32]
@@ -203,7 +203,7 @@ func (t *btreeEngine) decode(id uint32, b []byte) (*btNode, error) {
 	if btHdrSize+used > len(b) {
 		return nil, fmt.Errorf("index: btree node %d: used %d overflows cell", id, used)
 	}
-	if sum := fnv32a(b[1:10], b[btHdrSize:btHdrSize+used]); sum != binary.LittleEndian.Uint32(b[10:14]) {
+	if sum := Checksum(b[1:10], b[btHdrSize:btHdrSize+used]); sum != binary.LittleEndian.Uint32(b[10:14]) {
 		return nil, fmt.Errorf("index: btree node %d: checksum mismatch", id)
 	}
 	n := &btNode{
@@ -280,7 +280,7 @@ func (t *btreeEngine) writeNode(now sim.Time, n *btNode) (sim.Time, error) {
 	}
 	used := p - btHdrSize
 	binary.LittleEndian.PutUint16(b[8:10], uint16(used))
-	binary.LittleEndian.PutUint32(b[10:14], fnv32a(b[1:10], b[btHdrSize:p]))
+	binary.LittleEndian.PutUint32(b[10:14], Checksum(b[1:10], b[btHdrSize:p]))
 
 	ar, off := t.place(n.id)
 	wrote, done, err := ar.w.WriteAt(now, b, off)

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -51,6 +52,7 @@ type lsmEngine struct {
 
 	stats    Stats
 	buildBuf []byte
+	spare    []byte // the next lookup miss reads its block into this buffer
 }
 
 func newLSM(be Backend, cfg Config) *lsmEngine {
@@ -101,13 +103,15 @@ func (e *lsmEngine) flush(now sim.Time) (sim.Time, error) {
 		return now, nil
 	}
 	n := e.mem.first()
-	next := func(now sim.Time) (sim.Time, string, Loc, bool, bool) {
+	var key []byte
+	next := func(now sim.Time) (sim.Time, []byte, Loc, bool, bool) {
 		if n == nil {
-			return now, "", Loc{}, false, false
+			return now, nil, Loc{}, false, false
 		}
-		k, l, t := n.key, n.loc, n.tombstone
+		key = append(key[:0], n.key...)
+		l, t := n.loc, n.tombstone
 		n = n.next[0]
-		return now, k, l, t, true
+		return now, key, l, t, true
 	}
 	now, _, err := e.buildRun(now, 0, e.mem.len(), next)
 	if err != nil {
@@ -120,15 +124,17 @@ func (e *lsmEngine) flush(now sim.Time) (sim.Time, error) {
 
 // buildRun materializes a sorted record stream into a run file at level,
 // building its fences and bloom filter along the way. The write is one
-// timed sequential append — the LSM's characteristic I/O shape.
-func (e *lsmEngine) buildRun(now sim.Time, level, count int, next func(sim.Time) (sim.Time, string, Loc, bool, bool)) (sim.Time, *run, error) {
+// timed sequential append — the LSM's characteristic I/O shape. Each key
+// next yields need only stay valid until the following call: the run
+// copies one key string per block, for its fence.
+func (e *lsmEngine) buildRun(now sim.Time, level, count int, next func(sim.Time) (sim.Time, []byte, Loc, bool, bool)) (sim.Time, *run, error) {
 	bb := e.cfg.BlockBytes
 	buf := e.buildBuf[:0]
 	filter := newBloom(count, e.cfg.BloomBitsPerKey)
 	var fences []string
 	entries := 0
 	for {
-		var key string
+		var key []byte
 		var l Loc
 		var tomb, ok bool
 		now, key, l, tomb, ok = next(now)
@@ -143,7 +149,7 @@ func (e *lsmEngine) buildRun(now sim.Time, level, count int, next func(sim.Time)
 			}
 		}
 		if len(buf)%bb == 0 {
-			fences = append(fences, key)
+			fences = append(fences, string(key))
 		}
 		buf = appendRunRecord(buf, key, l, tomb)
 		filter.add(key)
@@ -208,28 +214,19 @@ func (e *lsmEngine) sortRuns() {
 
 // ---- block reads ----
 
-// readBlock fetches one run block, via the block cache when forLookup.
-// Sequential consumers (merges, scans) bypass the cache so streaming a
-// level does not evict the hot lookup blocks.
-func (e *lsmEngine) readBlock(now sim.Time, r *run, blk int, forLookup bool) ([]byte, sim.Time, error) {
-	key := blockCacheKey{seq: r.seq, blk: blk}
-	if forLookup {
-		if data, ok := e.cache.get(key); ok {
-			e.stats.CacheHits++
-			if e.tr.Enabled() {
-				e.tr.Instant(telemetry.TrackIndex, "index.lsm.block_cache", now)
-			}
-			return data, now, nil
-		}
-		e.stats.CacheMisses++
-	}
+// readBlock reads one run block into buf, growing it if needed, and
+// returns the block.
+func (e *lsmEngine) readBlock(now sim.Time, r *run, blk int, buf []byte) ([]byte, sim.Time, error) {
 	bb := int64(e.cfg.BlockBytes)
 	off := int64(blk) * bb
 	n := bb
 	if off+n > r.size {
 		n = r.size - off
 	}
-	buf := make([]byte, n)
+	if int64(cap(buf)) < n {
+		buf = make([]byte, bb)
+	}
+	buf = buf[:n]
 	start := now
 	got, done, err := r.r.ReadAt(now, buf, off)
 	if err != nil {
@@ -243,9 +240,30 @@ func (e *lsmEngine) readBlock(now sim.Time, r *run, blk int, forLookup bool) ([]
 	if e.tr.Enabled() {
 		e.tr.Span(telemetry.TrackIndex, "index.lsm.block_read", start, now)
 	}
-	if forLookup {
-		e.cache.put(key, buf)
+	return buf, now, nil
+}
+
+// lookupBlock fetches one run block for a point lookup, through the block
+// cache. A miss reads into the buffer of the block the cache evicted last,
+// so a cache at capacity reads without allocating. The block is valid until
+// the next lookupBlock. Sequential consumers (merges, scans) call readBlock
+// with their own buffers, so streaming a level does not evict the hot
+// lookup blocks.
+func (e *lsmEngine) lookupBlock(now sim.Time, r *run, blk int) ([]byte, sim.Time, error) {
+	key := blockCacheKey{seq: r.seq, blk: blk}
+	if data, ok := e.cache.get(key); ok {
+		e.stats.CacheHits++
+		if e.tr.Enabled() {
+			e.tr.Instant(telemetry.TrackIndex, "index.lsm.block_cache", now)
+		}
+		return data, now, nil
 	}
+	e.stats.CacheMisses++
+	buf, now, err := e.readBlock(now, r, blk, e.spare)
+	if err != nil {
+		return nil, now, err
+	}
+	e.spare = e.cache.put(key, buf)
 	return buf, now, nil
 }
 
@@ -293,7 +311,7 @@ func (e *lsmEngine) Lookup(now sim.Time, key string) (Loc, bool, sim.Time, error
 			e.stats.BloomFalsePos++ // key sorts before the run's first record
 			continue
 		}
-		block, done, err := e.readBlock(now, r, blk-1, true)
+		block, done, err := e.lookupBlock(now, r, blk-1)
 		if err != nil {
 			return Loc{}, false, done, err
 		}
@@ -311,6 +329,8 @@ func (e *lsmEngine) Lookup(now sim.Time, key string) (Loc, bool, sim.Time, error
 // ---- iteration (scan + merge) ----
 
 // runIter streams one run's records in key order with timed block reads.
+// It reads every block into the one buffer it owns, so key is a view that
+// stays valid only until the next call to next.
 type runIter struct {
 	e     *lsmEngine
 	r     *run
@@ -318,7 +338,7 @@ type runIter struct {
 	block []byte
 	off   int
 
-	key   string
+	key   []byte
 	loc   Loc
 	tomb  bool
 	valid bool
@@ -331,7 +351,7 @@ func (it *runIter) next(now sim.Time) (sim.Time, error) {
 		if it.off < len(it.block) {
 			k, l, tomb, sz, ok := parseRunRecord(it.block[it.off:])
 			if ok {
-				it.key, it.loc, it.tomb, it.valid = string(k), l, tomb, true
+				it.key, it.loc, it.tomb, it.valid = k, l, tomb, true
 				it.off += sz
 				return now, nil
 			}
@@ -340,7 +360,7 @@ func (it *runIter) next(now sim.Time) (sim.Time, error) {
 		if it.blk >= it.r.blocks {
 			return now, nil
 		}
-		block, done, err := it.e.readBlock(now, it.r, it.blk, false)
+		block, done, err := it.e.readBlock(now, it.r, it.blk, it.block)
 		if err != nil {
 			return done, err
 		}
@@ -358,14 +378,14 @@ func (it *runIter) seek(now sim.Time, start string) (sim.Time, error) {
 		blk-- // start may fall inside the preceding block
 	}
 	it.blk = blk
-	it.block = nil
+	it.block = it.block[:0]
 	it.off = 0
 	var err error
 	for {
 		if now, err = it.next(now); err != nil {
 			return now, err
 		}
-		if !it.valid || it.key >= start {
+		if !it.valid || string(it.key) >= start {
 			return now, nil
 		}
 	}
@@ -375,39 +395,41 @@ func (it *runIter) seek(now sim.Time, start string) (sim.Time, error) {
 // newest source wins, and tombstones suppress the key entirely.
 func (e *lsmEngine) Scan(now sim.Time, start string, fn func(sim.Time, string, Loc) (sim.Time, bool)) (sim.Time, error) {
 	mem := e.mem.seek(start)
-	iters := make([]*runIter, len(e.runs))
+	iters := make([]runIter, len(e.runs))
 	var err error
 	for i, r := range e.runs {
-		iters[i] = &runIter{e: e, r: r}
+		iters[i] = runIter{e: e, r: r}
 		if now, err = iters[i].seek(now, start); err != nil {
 			return now, err
 		}
 	}
+	var best []byte // the smallest key, copied out of its source
 	for {
 		// Smallest key across sources; the first source holding it (memtable,
 		// then runs in slice order) is the newest version.
-		best := ""
 		have := false
 		if mem != nil {
-			best, have = mem.key, true
+			best, have = append(best[:0], mem.key...), true
 		}
-		for _, it := range iters {
-			if it.valid && (!have || it.key < best) {
-				best, have = it.key, true
+		for i := range iters {
+			if it := &iters[i]; it.valid && (!have || bytes.Compare(it.key, best) < 0) {
+				best, have = append(best[:0], it.key...), true
 			}
 		}
 		if !have {
 			return now, nil
 		}
+		var key string // the memtable's own string, when it holds the key
 		var winLoc Loc
 		var winTomb bool
 		decided := false
-		if mem != nil && mem.key == best {
-			winLoc, winTomb, decided = mem.loc, mem.tombstone, true
+		if mem != nil && mem.key == string(best) {
+			key, winLoc, winTomb, decided = mem.key, mem.loc, mem.tombstone, true
 			mem = mem.next[0]
 		}
-		for _, it := range iters {
-			if it.valid && it.key == best {
+		fromRun := !decided
+		for i := range iters {
+			if it := &iters[i]; it.valid && bytes.Equal(it.key, best) {
 				if !decided {
 					winLoc, winTomb, decided = it.loc, it.tomb, true
 				}
@@ -419,8 +441,11 @@ func (e *lsmEngine) Scan(now sim.Time, start string, fn func(sim.Time, string, L
 		if winTomb {
 			continue
 		}
+		if fromRun {
+			key = string(best)
+		}
 		var more bool
-		now, more = fn(now, best, winLoc)
+		now, more = fn(now, key, winLoc)
 		if !more {
 			return now, nil
 		}
@@ -455,11 +480,11 @@ func (e *lsmEngine) Tick(now sim.Time) (bool, sim.Time, error) {
 // first source wins. Tombstones survive unless lvl is the deepest occupied
 // level — then nothing older can resurrect the key.
 func (e *lsmEngine) mergeLevel(now sim.Time, lvl int, inputs []*run, maxLevel int) (sim.Time, error) {
-	iters := make([]*runIter, len(inputs))
+	iters := make([]runIter, len(inputs))
 	count := 0
 	var err error
 	for i, r := range inputs {
-		iters[i] = &runIter{e: e, r: r}
+		iters[i] = runIter{e: e, r: r}
 		if now, err = iters[i].next(now); err != nil {
 			return now, err
 		}
@@ -470,20 +495,22 @@ func (e *lsmEngine) mergeLevel(now sim.Time, lvl int, inputs []*run, maxLevel in
 	// shadows, so it must ride along until the deepest level merges.
 	dropTombs := lvl == maxLevel
 
-	next := func(now sim.Time) (sim.Time, string, Loc, bool, bool) {
+	var key []byte // the winning key, copied out before its iterators advance
+	next := func(now sim.Time) (sim.Time, []byte, Loc, bool, bool) {
 		for {
 			best := -1
-			for i, it := range iters {
-				if it.valid && (best < 0 || it.key < iters[best].key) {
+			for i := range iters {
+				if iters[i].valid && (best < 0 || bytes.Compare(iters[i].key, iters[best].key) < 0) {
 					best = i
 				}
 			}
 			if best < 0 {
-				return now, "", Loc{}, false, false
+				return now, nil, Loc{}, false, false
 			}
-			key, l, tomb := iters[best].key, iters[best].loc, iters[best].tomb
-			for _, it := range iters {
-				if it.valid && it.key == key {
+			key = append(key[:0], iters[best].key...)
+			l, tomb := iters[best].loc, iters[best].tomb
+			for i := range iters {
+				if it := &iters[i]; it.valid && bytes.Equal(it.key, key) {
 					var nerr error
 					if now, nerr = it.next(now); nerr != nil && err == nil {
 						err = nerr

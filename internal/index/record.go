@@ -1,6 +1,9 @@
 package index
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"hash/crc32"
+)
 
 // LSM runs reuse the value-log segment record format (bitcask-style), with
 // the 16-byte encoded Loc as the record's value:
@@ -9,7 +12,7 @@ import "encoding/binary"
 //	[1]     flags (bit 0: tombstone)
 //	[2:4]   key length, uint16 LE
 //	[4:8]   value length, uint32 LE
-//	[8:12]  FNV-32a checksum over bytes [1:8] ++ key ++ value
+//	[8:12]  CRC-32C checksum over bytes [1:8] ++ key ++ value
 //	[12:]   key, then value
 //
 // Sharing the format means the same torn-tail/bit-flip reasoning applies: a
@@ -25,16 +28,17 @@ const (
 	locBytes = 16 // seg u32 ++ off u64 ++ vallen u32
 )
 
-// fnv32a hashes the given byte sections (FNV-1a, 32-bit).
-func fnv32a(sections ...[]byte) uint32 {
-	h := uint32(2166136261)
-	for _, s := range sections {
-		for _, b := range s {
-			h ^= uint32(b)
-			h *= 16777619
-		}
-	}
-	return h
+// castagnoli is the CRC-32C table; hash/crc32 recognises it and runs the
+// SSE4.2 instruction on amd64 (and the CRC32 instructions on arm64).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum is the CRC-32C of head ++ body: the checksum of every persisted
+// record this package and the KV value log write (value-log records, run
+// records, B+-tree nodes). Each format's checked header fields and its
+// payload are not adjacent (the checksum field sits between them), hence
+// two sections.
+func Checksum(head, body []byte) uint32 {
+	return crc32.Update(crc32.Update(0, castagnoli, head), castagnoli, body)
 }
 
 // recSize is a run record's on-file footprint for a key with a Loc value.
@@ -56,7 +60,7 @@ func decodeLoc(b []byte) Loc {
 }
 
 // appendRunRecord appends one encoded run record to dst.
-func appendRunRecord(dst []byte, key string, l Loc, tombstone bool) []byte {
+func appendRunRecord(dst, key []byte, l Loc, tombstone bool) []byte {
 	base := len(dst)
 	sz := recSize(len(key))
 	for cap(dst) < base+sz {
@@ -73,7 +77,7 @@ func appendRunRecord(dst []byte, key string, l Loc, tombstone bool) []byte {
 	binary.LittleEndian.PutUint32(b[4:8], locBytes)
 	copy(b[recHdrSize:], key)
 	encodeLoc(b[recHdrSize+len(key):], l)
-	binary.LittleEndian.PutUint32(b[8:12], fnv32a(b[1:8], b[recHdrSize:sz]))
+	binary.LittleEndian.PutUint32(b[8:12], Checksum(b[1:8], b[recHdrSize:sz]))
 	return dst
 }
 
@@ -93,7 +97,7 @@ func parseRunRecord(b []byte) (key []byte, l Loc, tombstone bool, size int, ok b
 		return nil, Loc{}, false, 0, false
 	}
 	sz := recSize(klen)
-	if fnv32a(b[1:8], b[recHdrSize:sz]) != binary.LittleEndian.Uint32(b[8:12]) {
+	if Checksum(b[1:8], b[recHdrSize:sz]) != binary.LittleEndian.Uint32(b[8:12]) {
 		return nil, Loc{}, false, 0, false
 	}
 	return b[recHdrSize : recHdrSize+klen],

@@ -7,7 +7,18 @@ import "pipette/internal/sim"
 // Loc payload (and, for the memtable, a tombstone flag). Level draws come
 // from a seeded RNG, keeping the structure — and therefore every simulated
 // run — deterministic.
-const skipMaxLevel = 20 // comfortable for ~10^9 keys at p = 1/4
+//
+// Nodes and their towers are carved from chunks the list owns, so an insert
+// allocates only when a chunk runs out, and a flushed memtable drops its
+// chunks as a whole with the list. Deleted nodes (the hash engine deletes;
+// the memtable writes tombstones instead) are kept on free lists by tower
+// capacity and reused by later inserts, so delete churn does not grow the
+// arena.
+const (
+	skipMaxLevel   = 20  // comfortable for ~10^9 keys at p = 1/4
+	skipNodeChunk  = 128 // nodes per arena chunk
+	skipTowerChunk = 512 // tower pointers per arena chunk
+)
 
 type skipNode struct {
 	key       string
@@ -21,6 +32,10 @@ type skipList struct {
 	rng    *sim.RNG
 	level  int // highest level currently in use
 	length int
+
+	nodes  []skipNode                  // unused tail of the current node chunk
+	towers []*skipNode                 // unused tail of the current tower chunk
+	free   [skipMaxLevel + 1]*skipNode // deleted nodes by tower capacity, chained on next[0]
 }
 
 func newSkipList(seed uint64) *skipList {
@@ -66,12 +81,37 @@ func (l *skipList) set(key string, loc Loc, tombstone bool) {
 		}
 		l.level = lvl
 	}
-	n := &skipNode{key: key, loc: loc, tombstone: tombstone, next: make([]*skipNode, lvl)}
+	n := l.newNode(lvl)
+	n.key, n.loc, n.tombstone = key, loc, tombstone
 	for i := 0; i < lvl; i++ {
 		n.next[i] = update[i].next[i]
 		update[i].next[i] = n
 	}
 	l.length++
+}
+
+// newNode returns a node with a tower of lvl levels: a deleted node whose
+// tower is tall enough, else the next node and tower of the arena chunks.
+// The caller overwrites every field.
+func (l *skipList) newNode(lvl int) *skipNode {
+	for c := lvl; c <= skipMaxLevel; c++ {
+		if n := l.free[c]; n != nil {
+			l.free[c] = n.next[0]
+			n.next = n.next[:lvl]
+			return n
+		}
+	}
+	if len(l.nodes) == 0 {
+		l.nodes = make([]skipNode, skipNodeChunk)
+	}
+	n := &l.nodes[0]
+	l.nodes = l.nodes[1:]
+	if len(l.towers) < lvl {
+		l.towers = make([]*skipNode, skipTowerChunk)
+	}
+	n.next = l.towers[:lvl:lvl]
+	l.towers = l.towers[lvl:]
+	return n
 }
 
 // get returns key's entry, if present.
@@ -99,6 +139,10 @@ func (l *skipList) delete(key string) bool {
 		l.level--
 	}
 	l.length--
+	c := cap(n.next)
+	n.key = ""
+	n.next[0] = l.free[c]
+	l.free[c] = n
 	return true
 }
 

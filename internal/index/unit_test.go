@@ -40,11 +40,24 @@ func TestSkipList(t *testing.T) {
 	}
 }
 
+// TestChecksumIsCRC32C pins the record checksum to CRC-32C (Castagnoli)
+// by its standard check value, "123456789" -> 0xE3069283, split into the
+// two sections at every point.
+func TestChecksumIsCRC32C(t *testing.T) {
+	t.Parallel()
+	in := []byte("123456789")
+	for i := 0; i <= len(in); i++ {
+		if got := Checksum(in[:i], in[i:]); got != 0xE3069283 {
+			t.Fatalf("Checksum(%q, %q) = %#08x, want 0xe3069283", in[:i], in[i:], got)
+		}
+	}
+}
+
 func TestRunRecordRoundTrip(t *testing.T) {
 	t.Parallel()
 	want := Loc{Seg: 7, Off: 123456789, ValLen: 321}
-	buf := appendRunRecord(nil, "some/key", want, false)
-	buf = appendRunRecord(buf, "tomb", Loc{}, true)
+	buf := appendRunRecord(nil, []byte("some/key"), want, false)
+	buf = appendRunRecord(buf, []byte("tomb"), Loc{}, true)
 
 	key, l, tomb, sz, ok := parseRunRecord(buf)
 	if !ok || string(key) != "some/key" || l != want || tomb {
@@ -77,7 +90,7 @@ func TestBloomFilter(t *testing.T) {
 	const n = 4096
 	f := newBloom(n, 10)
 	for i := 0; i < n; i++ {
-		f.add(fmt.Sprintf("present-%05d", i))
+		f.add([]byte(fmt.Sprintf("present-%05d", i)))
 	}
 	for i := 0; i < n; i++ {
 		if !f.mayContain(fmt.Sprintf("present-%05d", i)) {
@@ -164,7 +177,7 @@ func TestSearchBlockMatchesLinearScan(t *testing.T) {
 		var block []byte
 		for i, k := range keys {
 			recs[i] = rec{key: k, loc: Loc{Seg: rng.Uint32(), Off: rng.Int63(), ValLen: rng.Uint32()}, tomb: rng.Intn(4) == 0}
-			block = appendRunRecord(block, k, recs[i].loc, recs[i].tomb)
+			block = appendRunRecord(block, []byte(k), recs[i].loc, recs[i].tomb)
 		}
 		block = append(block, make([]byte, rng.Intn(64))...) // padding
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pipette/internal/index"
-
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
 )
@@ -59,9 +58,13 @@ func (s *Store) pickVictim() *segment {
 // compact rewrites sg: live records move to the active segment, tombstones
 // still shadowing older segments are preserved, everything else is dropped.
 // Then the segment file is removed and its space returns to the filesystem.
+// Every record is verified against its checksum before it is moved, and
+// moved byte for byte: a damaged record stops the compaction with an error
+// naming the segment and offset, and the segment is kept, so recovery
+// still sees (and skips) the damage instead of compaction laundering it
+// under a fresh checksum.
 func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 	hdr := make([]byte, headerSize)
-	var payload []byte
 	reclaimed := uint64(sg.tail)
 	for off := int64(0); off < sg.tail; {
 		if _, done, err := sg.r.ReadAt(now, hdr, off); err != nil {
@@ -74,52 +77,52 @@ func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 			return now, fmt.Errorf("kv: segment %s corrupt at offset %d", sg.name, off)
 		}
 		sz := recordSize(h.keyLen, h.valLen)
-		need := h.keyLen + h.valLen
-		if cap(payload) < need {
-			payload = make([]byte, need)
+		if int64(cap(s.scratch)) < sz {
+			s.scratch = make([]byte, sz)
 		}
-		payload = payload[:need]
-		if _, done, err := sg.r.ReadAt(now, payload, off+headerSize); err != nil {
+		rec := s.scratch[:sz]
+		copy(rec, hdr)
+		if _, done, err := sg.r.ReadAt(now, rec[headerSize:], off+headerSize); err != nil {
 			return done, err
 		} else {
 			now = done
 		}
-		key := string(payload[:h.keyLen])
-		switch {
-		case h.tombstone:
+		if index.Checksum(rec[1:8], rec[headerSize:]) != h.checksum {
+			return now, fmt.Errorf("kv: segment %s corrupt at offset %d: checksum mismatch", sg.name, off)
+		}
+		key := rec[headerSize : headerSize+h.keyLen]
+		if h.tombstone {
 			// A tombstone may still be shadowing a record in an older
 			// segment. Once the key is live again (or the tombstone's
 			// segment is the oldest holder), it can be dropped; re-append
 			// it otherwise, to keep deletes durable across recovery.
-			if s.tombstoneObsolete(key, sg.id) {
-				break
+			if !s.tombstoneObsolete(key, sg.id) {
+				id, _, done, err := s.appendRecord(now, rec)
+				if err != nil {
+					return done, err
+				}
+				now = done
+				s.segs[id].dead += sz
+				reclaimed -= uint64(sz)
 			}
-			s.scratch = encodeRecord(s.scratch, key, nil, true)
-			id, _, done, err := s.appendRecord(now, s.scratch)
-			if err != nil {
-				return done, err
-			}
-			now = done
-			s.segs[id].dead += int64(len(s.scratch))
-			reclaimed -= uint64(len(s.scratch))
-		case s.isCurrent(key, sg.id, off):
-			// Live record: move the value to the active log and repoint the
-			// index engine at it (a timed engine write — compaction pays the
+		} else if slot, ok := s.acct[string(key)]; ok && s.locs[slot].Seg == sg.id && s.locs[slot].Off == off {
+			// Live record: move it to the active log and repoint the index
+			// engine at it (a timed engine write — compaction pays the
 			// index's update cost too).
-			s.scratch = encodeRecord(s.scratch, key, payload[h.keyLen:], false)
-			id, recOff, done, err := s.appendRecord(now, s.scratch)
+			id, recOff, done, err := s.appendRecord(now, rec)
 			if err != nil {
 				return done, err
 			}
 			now = done
 			l := index.Loc{Seg: id, Off: recOff, ValLen: uint32(h.valLen)}
-			s.acct[key] = l
-			if now, err = s.eng.Insert(now, key, l); err != nil {
+			s.retire(h.keyLen, s.locs[slot])
+			s.locs[slot] = l
+			if now, err = s.eng.Insert(now, string(key), l); err != nil {
 				return now, err
 			}
-			s.segs[id].live += int64(len(s.scratch))
-			s.stats.MovedBytes += uint64(len(s.scratch))
-			reclaimed -= uint64(len(s.scratch))
+			s.segs[id].live += sz
+			s.stats.MovedBytes += uint64(sz)
+			reclaimed -= uint64(sz)
 		}
 		off += sz
 	}
@@ -131,23 +134,16 @@ func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 	return now, nil
 }
 
-// tombstoneObsolete reports whether a tombstone in segment id no longer
-// shadows anything: the key has a live record again, or no older segment
-// could still hold a stale version of it.
-func (s *Store) tombstoneObsolete(key string, id uint32) bool {
-	if _, ok := s.acct[key]; ok {
+// tombstoneObsolete reports whether a tombstone of key in segment id no
+// longer shadows anything: the key has a live record again, or no older
+// segment could still hold a stale version of it.
+func (s *Store) tombstoneObsolete(key []byte, id uint32) bool {
+	if _, ok := s.acct[string(key)]; ok {
 		return true
 	}
 	// If this is the oldest remaining segment, nothing older can resurrect
 	// the key after recovery.
 	return len(s.order) > 0 && s.order[0] == id
-}
-
-// isCurrent reports whether the record at (id, off) is the one the index
-// points at for key.
-func (s *Store) isCurrent(key string, id uint32, off int64) bool {
-	l, ok := s.acct[key]
-	return ok && l.Seg == id && l.Off == off
 }
 
 // dropSegment closes and deletes sg's file and forgets it.

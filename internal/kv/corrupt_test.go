@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pipette/internal/sim"
@@ -53,9 +54,9 @@ func TestRecoverySkipsBitFlippedRecord(t *testing.T) {
 		bit   uint
 	}{
 		{"magic", 0, 3},
-		{"flags", 1, 6},   // unknown flag bit: header parse rejects
-		{"keylen", 2, 2},  // perceived record size changes
-		{"vallen", 4, 0},  // checksum read over wrong payload
+		{"flags", 1, 6},  // unknown flag bit: header parse rejects
+		{"keylen", 2, 2}, // perceived record size changes
+		{"vallen", 4, 0}, // checksum read over wrong payload
 		{"checksum", 8, 7},
 		{"payload", headerSize + 2, 5}, // a key byte: checksum mismatch
 	}
@@ -153,7 +154,7 @@ func TestRecoverySkipsConsecutiveDamage(t *testing.T) {
 	if now, err = s.Close(now); err != nil {
 		t.Fatal(err)
 	}
-	flipBit(t, be, segName, offs[3], 0)             // record 3: magic
+	flipBit(t, be, segName, offs[3], 0)            // record 3: magic
 	flipBit(t, be, segName, offs[4]+headerSize, 1) // record 4: payload
 
 	s2, now, err := Open(now, be, cfg)
@@ -174,6 +175,79 @@ func TestRecoverySkipsConsecutiveDamage(t *testing.T) {
 	}
 	for _, i := range []int{0, 1, 2, 5, 6, 7, 8, 9} {
 		key := fmt.Sprintf("d-%d", i)
+		if _, _, err := s2.Get(now, key, nil); err != nil {
+			t.Fatalf("Get(%s): %v", key, err)
+		}
+	}
+}
+
+// TestCompactionRefusesDamagedRecord flips a value bit of a live record in
+// a sealed segment and then compacts that segment. Compaction must verify
+// the record instead of re-appending it under a fresh checksum: it fails
+// naming the segment and offset, keeps the segment, and a reopen skips the
+// damaged record rather than serving its bytes.
+func TestCompactionRefusesDamagedRecord(t *testing.T) {
+	t.Parallel()
+	be := testBackend(t, false)
+	cfg := Config{SegmentBytes: 4 << 10, CompactMinDeadFrac: 0.3}
+	s := testStore(t, be, cfg)
+	now := sim.Time(0)
+	var err error
+	const victim = "cold-key" // written once, so no older version exists
+	if now, err = s.Put(now, victim, testVal(victim, 0)); err != nil {
+		t.Fatal(err)
+	}
+	// Overwrite a hot set until the victim's segment is sealed and mostly
+	// dead.
+	first := s.active
+	for round := 0; s.active == first || round < 4; round++ {
+		for i := 0; i < 10; i++ {
+			key := fmt.Sprintf("hot-%d", i)
+			if now, err = s.Put(now, key, testVal(key, round)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	l := s.locs[s.acct[victim]]
+	if l.Seg != first.id {
+		t.Fatalf("victim in segment %d, want %d", l.Seg, first.id)
+	}
+	damaged := l.Off + valueOffset(victim) + 3
+	flipBit(t, be, first.name, damaged, 2)
+
+	for i := 0; i < 20; i++ {
+		var did bool
+		did, now, err = s.MaintenanceTick(now)
+		if err != nil || !did {
+			break
+		}
+	}
+	if err == nil {
+		t.Fatal("compaction moved a damaged record without complaint")
+	}
+	want := fmt.Sprintf("segment %s corrupt at offset %d", first.name, l.Off)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("compaction error %q does not name %q", err, want)
+	}
+	if _, ok := s.segs[first.id]; !ok {
+		t.Fatal("the damaged segment was dropped")
+	}
+	if now, err = s.Close(now); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, now, err := Open(now, be, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.CorruptSkips != 1 {
+		t.Fatalf("CorruptSkips = %d, want 1: recovery must still see the damage", st.CorruptSkips)
+	}
+	if got, _, err := s2.Get(now, victim, nil); err != ErrNotFound {
+		t.Fatalf("Get(%s) = %q, %v; want ErrNotFound", victim, got, err)
+	}
+	for i := 0; i < 10; i++ {
+		key := fmt.Sprintf("hot-%d", i)
 		if _, _, err := s2.Get(now, key, nil); err != nil {
 			t.Fatalf("Get(%s): %v", key, err)
 		}

@@ -116,13 +116,17 @@ type Store struct {
 	// measurement. acct shadows it untimed for the store's own bookkeeping
 	// (segment live/dead accounting, presence checks, compaction currency):
 	// the engine must not be charged device time for accounting the store
-	// does off the critical path.
+	// does off the critical path. acct maps each live key to a slot of
+	// locs, so an update probes the map once and rewrites the slot in
+	// place; Delete returns the slot to free.
 	eng  index.Engine
-	acct map[string]index.Loc
+	acct map[string]int32
+	locs []index.Loc
+	free []int32
 
 	stats   Stats
 	tr      telemetry.Tracer
-	scratch []byte
+	scratch []byte // one record: encoded by Put and Delete, read by compact
 }
 
 // Open starts a store over be, replaying any existing segments under
@@ -152,7 +156,7 @@ func Open(now sim.Time, be Backend, cfg Config) (*Store, sim.Time, error) {
 		be:     be,
 		segs:   make(map[uint32]*segment),
 		eng:    eng,
-		acct:   make(map[string]index.Loc),
+		acct:   make(map[string]int32),
 		tr:     cfg.Tracer,
 		nextID: 1,
 	}
@@ -223,8 +227,7 @@ func (s *Store) Put(now sim.Time, key string, val []byte) (sim.Time, error) {
 	}
 	now = done
 	l := index.Loc{Seg: id, Off: off, ValLen: uint32(len(val))}
-	s.dropIndexed(key)
-	s.acct[key] = l
+	s.setIndexed(key, l)
 	if now, err = s.eng.Insert(now, key, l); err != nil {
 		return now, err
 	}
@@ -298,7 +301,8 @@ func (s *Store) Delete(now sim.Time, key string) (sim.Time, error) {
 	if err := s.checkKey(key); err != nil {
 		return now, err
 	}
-	if _, ok := s.acct[key]; !ok {
+	slot, ok := s.acct[key]
+	if !ok {
 		s.stats.Misses++
 		return now, ErrNotFound
 	}
@@ -308,7 +312,7 @@ func (s *Store) Delete(now sim.Time, key string) (sim.Time, error) {
 		return done, err
 	}
 	now = done
-	s.dropIndexed(key)
+	s.dropIndexed(key, slot)
 	if now, err = s.eng.Delete(now, key); err != nil {
 		return now, err
 	}

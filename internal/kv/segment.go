@@ -16,7 +16,7 @@ import (
 //	[1]     flags (bit 0: tombstone)
 //	[2:4]   key length, uint16 LE
 //	[4:8]   value length, uint32 LE
-//	[8:12]  FNV-32a checksum over bytes [1:8] ++ key ++ value
+//	[8:12]  CRC-32C checksum (index.Checksum) over bytes [1:8] ++ key ++ value
 //	[12:]   key, then value
 //
 // The checksum makes torn tails self-delimiting: the recovery scan stops at
@@ -35,18 +35,6 @@ func recordSize(keyLen, valLen int) int64 {
 	return int64(headerSize + keyLen + valLen)
 }
 
-// fnv32a hashes the given byte sections (FNV-1a, 32-bit).
-func fnv32a(sections ...[]byte) uint32 {
-	h := uint32(2166136261)
-	for _, s := range sections {
-		for _, b := range s {
-			h ^= uint32(b)
-			h *= 16777619
-		}
-	}
-	return h
-}
-
 // encodeRecord renders one record into dst (reused across appends).
 func encodeRecord(dst []byte, key string, val []byte, tombstone bool) []byte {
 	sz := int(recordSize(len(key), len(val)))
@@ -63,7 +51,7 @@ func encodeRecord(dst []byte, key string, val []byte, tombstone bool) []byte {
 	binary.LittleEndian.PutUint32(dst[4:8], uint32(len(val)))
 	copy(dst[headerSize:], key)
 	copy(dst[headerSize+len(key):], val)
-	binary.LittleEndian.PutUint32(dst[8:12], fnv32a(dst[1:8], dst[headerSize:]))
+	binary.LittleEndian.PutUint32(dst[8:12], index.Checksum(dst[1:8], dst[headerSize:]))
 	return dst
 }
 
@@ -234,7 +222,7 @@ func (s *Store) tryRecordAt(now sim.Time, sg *segment, off int64, hdr []byte, pa
 		return recordHeader{}, nil, now, false
 	}
 	now = done
-	if fnv32a(hdr[1:8], p) != h.checksum {
+	if index.Checksum(hdr[1:8], p) != h.checksum {
 		return recordHeader{}, nil, now, false
 	}
 	return h, p, now, true
@@ -305,15 +293,16 @@ func (s *Store) recoverSegment(now sim.Time, sg *segment) (sim.Time, error) {
 		sz := recordSize(h.keyLen, h.valLen)
 		var err error
 		if h.tombstone {
-			s.dropIndexed(key)
+			if slot, ok := s.acct[key]; ok {
+				s.dropIndexed(key, slot)
+			}
 			if now, err = s.eng.Delete(now, key); err != nil {
 				return now, err
 			}
 			sg.dead += sz
 		} else {
-			s.dropIndexed(key)
 			l := index.Loc{Seg: sg.id, Off: off, ValLen: uint32(h.valLen)}
-			s.acct[key] = l
+			s.setIndexed(key, l)
 			if now, err = s.eng.Insert(now, key, l); err != nil {
 				return now, err
 			}
@@ -327,18 +316,40 @@ func (s *Store) recoverSegment(now sim.Time, sg *segment) (sim.Time, error) {
 	return now, nil
 }
 
-// dropIndexed retires the current record of key, if any: its bytes become
-// dead in whatever segment holds them. Pure accounting — the engine's own
-// state changes ride the caller's timed Insert or Delete.
-func (s *Store) dropIndexed(key string) {
-	l, ok := s.acct[key]
-	if !ok {
+// setIndexed points key at l, retiring the record it superseded, if any.
+// An existing key costs one map probe: its slot is rewritten in place.
+func (s *Store) setIndexed(key string, l index.Loc) {
+	if slot, ok := s.acct[key]; ok {
+		s.retire(len(key), s.locs[slot])
+		s.locs[slot] = l
 		return
 	}
-	sz := recordSize(len(key), int(l.ValLen))
+	if n := len(s.free); n > 0 {
+		slot := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.locs[slot] = l
+		s.acct[key] = slot
+		return
+	}
+	s.acct[key] = int32(len(s.locs))
+	s.locs = append(s.locs, l)
+}
+
+// dropIndexed retires key's current record, held in slot, and frees the
+// slot.
+func (s *Store) dropIndexed(key string, slot int32) {
+	s.retire(len(key), s.locs[slot])
+	delete(s.acct, key)
+	s.free = append(s.free, slot)
+}
+
+// retire turns the record at l, of a key keyLen bytes long, from live into
+// dead bytes in whatever segment holds it. Pure accounting — the engine's
+// own state changes ride the caller's timed Insert or Delete.
+func (s *Store) retire(keyLen int, l index.Loc) {
+	sz := recordSize(keyLen, int(l.ValLen))
 	if sg, ok := s.segs[l.Seg]; ok {
 		sg.live -= sz
 		sg.dead += sz
 	}
-	delete(s.acct, key)
 }

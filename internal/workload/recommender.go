@@ -50,11 +50,11 @@ func DefaultRecommenderConfig() RecommenderConfig {
 // Recommender emits one embedding lookup per Next, cycling through the
 // sparse-feature tables the way one inference batch gathers its features.
 type Recommender struct {
-	cfg   RecommenderConfig
-	vecs    []uint64 // per-table vector counts
-	base    []int64  // per-table byte offsets within the file
-	size    int64
-	next    int
+	cfg      RecommenderConfig
+	vecs     []uint64 // per-table vector counts
+	base     []int64  // per-table byte offsets within the file
+	size     int64
+	next     int
 	choosers []*KeyChooser
 
 	rng    *sim.RNG
