@@ -62,13 +62,9 @@ func (p *Pipette) makeRoom(cls int) bool {
 	if ref, ok := p.alloc.EvictLRU(cls); ok {
 		p.stats.Evictions++
 		p.fg.Evictions++
-		if e, tracked := p.bySlabOff[ref.Off]; tracked {
-			delete(p.bySlabOff, ref.Off)
-			// Keep the ghost: its reference count survives so a re-read
-			// re-admits without starting from zero.
-			e.state = stateGhost
-			e.slabOff, e.slabCls = 0, 0
-		}
+		// Keep the ghost: its reference count survives so a re-read
+		// re-admits without starting from zero.
+		p.disown(ref.Off, stateGhost)
 		return true
 	}
 	// The class owns no evictable item (it has no slab yet): migration is
@@ -116,15 +112,12 @@ func (p *Pipette) detachToOverflow(cls int) bool {
 		return false
 	}
 	for _, ref := range refs {
-		e, tracked := p.bySlabOff[ref.Off]
-		if !tracked {
+		e := p.disown(ref.Off, stateOverflow)
+		if e == nil {
 			continue
 		}
-		delete(p.bySlabOff, ref.Off)
 		data := make([]byte, e.key.n)
 		_ = p.region.ReadAt(ref.Off, data)
-		e.state = stateOverflow
-		e.slabOff, e.slabCls = 0, 0
 		e.data = data
 		e.overElem = p.overflow.PushBack(e)
 		p.overBytes += len(data)

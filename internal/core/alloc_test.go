@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"runtime"
-	"slices"
 	"testing"
 )
 
@@ -25,7 +24,7 @@ func meanAllocs(runs int, f func()) float64 {
 // TestColdFineReadsAllocRarely pins the detector's ghost entries to the
 // entry arena: cold fine reads of new ranges, on pages the table already
 // indexes, average at most 1/64 allocations each. The per-page index
-// slices are grown up front, so their appends are not part of the bound.
+// slices are made up front, so their appends are not part of the bound.
 func TestColdFineReadsAllocRarely(t *testing.T) {
 	cfg := smallCoreConfig()
 	cfg.InitialThreshold = cfg.MaxThreshold // every new range stays a ghost
@@ -35,8 +34,8 @@ func TestColdFineReadsAllocRarely(t *testing.T) {
 		s.read(t, int64(p)*4096, n)
 	}
 	tbl := s.p.table(s.f.Inode().Ino)
-	for p, set := range tbl.byPage {
-		tbl.byPage[p] = slices.Grow(set, perPage+1)
+	for p := range tbl.byPage {
+		tbl.byPage[p].rest = make([]pageItem, 0, perPage)
 	}
 	buf := make([]byte, n)
 	next := 0
@@ -89,5 +88,66 @@ func TestRecycledEntryStartsCold(t *testing.T) {
 	}
 	if got := s.p.Stats().Admissions; got != 1 {
 		t.Fatalf("a first reference was admitted (%d admissions): the recycled entry kept its count", got)
+	}
+}
+
+// cachedRanges admits count 128 B ranges, one per page, into the fine
+// cache and returns their offsets.
+func cachedRanges(t testing.TB, s *stack, count int) []int64 {
+	t.Helper()
+	offs := make([]int64, count)
+	for i := range offs {
+		offs[i] = int64(i)*4096 + 1024
+		s.read(t, offs[i], 128)
+	}
+	if got := s.p.Stats().Admissions; got != uint64(count) {
+		t.Fatalf("setup: %d admissions, want %d", got, count)
+	}
+	return offs
+}
+
+// TestFineHitAllocFree pins the fine-cache hit path — the page index scan,
+// the slab LRU touch and the copy out of the arena — to zero allocations.
+func TestFineHitAllocFree(t *testing.T) {
+	cfg := smallCoreConfig()
+	cfg.InitialThreshold = 1 // admit on first reference
+	s := newStack(t, cfg, 64, 1<<20)
+	offs := cachedRanges(t, s, 64)
+	buf := make([]byte, 128)
+	next := 0
+	hit := func() {
+		off := offs[next%len(offs)]
+		next++
+		done, err := s.f.ReadFull(s.now, buf, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.now = done
+	}
+	before := s.p.CacheStats().Hits
+	if allocs := testing.AllocsPerRun(500, hit); allocs != 0 {
+		t.Errorf("fine cache hit allocated %v times, want 0", allocs)
+	}
+	if hits := s.p.CacheStats().Hits - before; hits != 501 {
+		t.Fatalf("%d of 501 reads hit the fine cache", hits)
+	}
+}
+
+// BenchmarkFineHit times one fine-cache hit through the VFS: 128 B reads
+// cycling over 64 cached ranges.
+func BenchmarkFineHit(b *testing.B) {
+	cfg := smallCoreConfig()
+	cfg.InitialThreshold = 1
+	s := newStack(b, cfg, 64, 1<<20)
+	offs := cachedRanges(b, s, 64)
+	buf := make([]byte, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done, err := s.f.ReadFull(s.now, buf, offs[i%len(offs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.now = done
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"slices"
 )
 
 // entryState tracks where an access range's data lives.
@@ -14,21 +15,10 @@ const (
 )
 
 // rangeKey identifies an access range within a file — the unit the
-// per-file hash lookup table is keyed by.
+// per-file lookup table is keyed by.
 type rangeKey struct {
 	off int64
 	n   int32
-}
-
-// keyLenBits packs a range's length into the low bits of its uint64 map
-// key. Fine ranges are at most FineMaxBytes <= one page (4 KiB), so 13 bits
-// hold the length and offsets up to 2^51 bytes keep distinct keys.
-const keyLenBits = 13
-
-// packed folds the key into one uint64 so the lookup table hits the
-// runtime's fast integer map path instead of the generic struct hasher.
-func (k rangeKey) packed() uint64 {
-	return uint64(k.off)<<keyLenBits | uint64(k.n)
 }
 
 // entry is one tracked access range.
@@ -78,27 +68,90 @@ func (a *entryArena) release(e *entry) {
 	a.free = append(a.free, e)
 }
 
-// fileTable is the per-file hash lookup table of §3.1.2 plus the per-page
-// interval index used for write invalidation and containment hits.
-type fileTable struct {
-	ino     uint64
-	entries map[uint64]*entry   // packed rangeKey -> entry
-	byPage  map[uint64][]*entry // page index -> entries touching the page
-	scratch []*entry            // overlapping() result, reused per call
+// pageItem is one entry's place in a page's set. The key, and the arena
+// offset while the entry is cached in a slab, sit beside the pointer: a
+// scan compares ranges without dereferencing the entries it passes over,
+// and a slab hit finds its bytes without waiting on its entry.
+type pageItem struct {
+	off     int64 // the entry's key
+	n       int32
+	slabOff int32 // the entry's slabOff in stateSlab, else -1
+	e       *entry
 }
 
-func newFileTable(ino uint64) *fileTable {
-	return &fileTable{
-		ino:     ino,
-		entries: make(map[uint64]*entry),
-		byPage:  make(map[uint64][]*entry),
+func (it *pageItem) key() rangeKey { return rangeKey{off: it.off, n: it.n} }
+
+// cached reports whether the entry holds data (is not a ghost).
+func (it *pageItem) cached() bool { return it.slabOff >= 0 || it.e.state == stateOverflow }
+
+// pageSet holds the entries touching one page, in insertion order up to
+// swap-removes. The first sits inline, so a page with one tracked range —
+// what page-aligned fine reads produce — is read without another
+// indirection; the rest spill into a slice that keeps its capacity when
+// the page empties.
+type pageSet struct {
+	first pageItem // e is nil when the set is empty
+	rest  []pageItem
+}
+
+func (s *pageSet) len() int {
+	if s.first.e == nil {
+		return 0
+	}
+	return 1 + len(s.rest)
+}
+
+// at returns the i'th item.
+func (s *pageSet) at(i int) *pageItem {
+	if i == 0 {
+		return &s.first
+	}
+	return &s.rest[i-1]
+}
+
+func (s *pageSet) add(it pageItem) {
+	if s.first.e == nil {
+		s.first = it
+	} else {
+		s.rest = append(s.rest, it)
 	}
 }
 
+// remove deletes e, moving the last item into its place.
+func (s *pageSet) remove(e *entry) {
+	n := s.len()
+	for i := 0; i < n; i++ {
+		if it := s.at(i); it.e == e {
+			last := s.at(n - 1)
+			*it = *last
+			*last = pageItem{}
+			if n > 1 {
+				s.rest = s.rest[:n-2]
+			}
+			return
+		}
+	}
+}
+
+// fileTable is the per-file lookup table of §3.1.2: a dense index, by page
+// number, of the entries touching each page. One scan of a page's set finds
+// an exact key, a containment hit and the write-invalidation set alike.
+// The index grows on demand up to the file's highest indexed page.
+type fileTable struct {
+	ino      uint64
+	pageSize uint64
+	byPage   []pageSet // page index -> entries touching the page
+	scratch  []*entry  // overlapping() result, reused per call
+}
+
+func newFileTable(ino uint64, pageSize int) *fileTable {
+	return &fileTable{ino: ino, pageSize: uint64(pageSize)}
+}
+
 // pages iterates the page indices a range touches.
-func (k rangeKey) pages(pageSize int) (first, last uint64) {
-	first = uint64(k.off) / uint64(pageSize)
-	last = uint64(k.off+int64(k.n)-1) / uint64(pageSize)
+func (k rangeKey) pages(pageSize uint64) (first, last uint64) {
+	first = uint64(k.off) / pageSize
+	last = uint64(k.off+int64(k.n)-1) / pageSize
 	return first, last
 }
 
@@ -112,75 +165,93 @@ func (k rangeKey) overlaps(off int64, n int) bool {
 	return k.off < off+int64(n) && off < k.off+int64(k.n)
 }
 
-// lookup returns the entry with exactly key k, if tracked.
-func (t *fileTable) lookup(k rangeKey) (*entry, bool) {
-	e, ok := t.entries[k.packed()]
-	return e, ok
+// set returns the entries touching page p, nil past the indexed pages.
+func (t *fileTable) set(p uint64) *pageSet {
+	if p < uint64(len(t.byPage)) {
+		return &t.byPage[p]
+	}
+	return nil
 }
 
-// index inserts e into the lookup table and the per-page index.
-func (t *fileTable) index(e *entry, pageSize int) {
-	t.entries[e.key.packed()] = e
-	first, last := e.key.pages(pageSize)
+// find scans the first page of [off, off+n) once and returns the entry
+// with exactly that key, if tracked, and the item of a cached (non-ghost)
+// entry whose range covers it: the exact entry if cached, else the first
+// cached containing entry in the page's set. This lets a small read hit a
+// previously cached larger range. The set's order is deterministic, so ties
+// resolve identically run to run.
+func (t *fileTable) find(off int64, n int) (exact *entry, covering *pageItem) {
+	set := t.set(uint64(off) / t.pageSize)
+	if set == nil {
+		return nil, nil
+	}
+	for i, m := 0, set.len(); i < m; i++ {
+		it := set.at(i)
+		if it.off == off && int(it.n) == n {
+			if exact = it.e; it.cached() {
+				return exact, it
+			}
+		} else if covering == nil && it.key().contains(off, n) && it.cached() {
+			covering = it
+		}
+	}
+	return exact, covering
+}
+
+// index inserts e, a ghost, into the set of every page it touches.
+func (t *fileTable) index(e *entry) {
+	first, last := e.key.pages(t.pageSize)
+	if need := int(last) + 1; need > len(t.byPage) {
+		t.byPage = slices.Grow(t.byPage, need-len(t.byPage))[:need]
+	}
 	for p := first; p <= last; p++ {
-		t.byPage[p] = append(t.byPage[p], e)
+		t.byPage[p].add(pageItem{off: e.key.off, n: e.key.n, slabOff: -1, e: e})
 	}
 }
 
-// unindex removes e from both indexes.
-func (t *fileTable) unindex(e *entry, pageSize int) {
-	delete(t.entries, e.key.packed())
-	first, last := e.key.pages(pageSize)
+// mirror records slabOff, e's arena offset or -1 when it leaves its slab,
+// in each of e's items.
+func (t *fileTable) mirror(e *entry, slabOff int32) {
+	first, last := e.key.pages(t.pageSize)
 	for p := first; p <= last; p++ {
-		set := t.byPage[p]
-		for i, cand := range set {
-			if cand == e {
-				set[i] = set[len(set)-1]
-				set[len(set)-1] = nil
-				t.byPage[p] = set[:len(set)-1]
+		set := &t.byPage[p]
+		for i, m := 0, set.len(); i < m; i++ {
+			if it := set.at(i); it.e == e {
+				it.slabOff = slabOff
 				break
 			}
 		}
-		if len(t.byPage[p]) == 0 {
-			delete(t.byPage, p)
-		}
 	}
 }
 
-// findCovering locates a cached (non-ghost) entry whose range fully covers
-// [off, off+n): the exact key if cached, else a containment scan over the
-// entries touching the first page. This lets a small read hit a previously
-// cached larger range. The slice scan visits entries in a deterministic
-// order, so ties resolve identically run to run.
-func (t *fileTable) findCovering(off int64, n int, pageSize int) *entry {
-	if e, ok := t.lookup(rangeKey{off: off, n: int32(n)}); ok && e.state != stateGhost {
-		return e
+// unindex removes e from every page set.
+func (t *fileTable) unindex(e *entry) {
+	first, last := e.key.pages(t.pageSize)
+	for p := first; p <= last; p++ {
+		t.byPage[p].remove(e)
 	}
-	first := uint64(off) / uint64(pageSize)
-	for _, e := range t.byPage[first] {
-		if e.state != stateGhost && e.key.contains(off, n) {
-			return e
-		}
-	}
-	return nil
 }
 
 // overlapping collects entries intersecting [off, off+n) — the write
 // invalidation set. The result is table-owned scratch, valid until the next
 // call. An entry spanning several pages is reported once: at the first page
 // of the scan window that touches it.
-func (t *fileTable) overlapping(off int64, n int, pageSize int) []*entry {
-	first := uint64(off) / uint64(pageSize)
-	last := uint64(off+int64(n)-1) / uint64(pageSize)
+func (t *fileTable) overlapping(off int64, n int) []*entry {
+	first := uint64(off) / t.pageSize
+	last := uint64(off+int64(n)-1) / t.pageSize
 	out := t.scratch[:0]
 	for p := first; p <= last; p++ {
-		for _, e := range t.byPage[p] {
-			ef, _ := e.key.pages(pageSize)
+		set := t.set(p)
+		if set == nil {
+			break
+		}
+		for i, m := 0, set.len(); i < m; i++ {
+			it := set.at(i)
+			ef, _ := it.key().pages(t.pageSize)
 			if ef < first {
 				ef = first
 			}
-			if p == ef && e.key.overlaps(off, n) {
-				out = append(out, e)
+			if p == ef && it.key().overlaps(off, n) {
+				out = append(out, it.e)
 			}
 		}
 	}

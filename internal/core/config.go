@@ -13,6 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pipette/internal/hmb"
 	"pipette/internal/sim"
@@ -113,6 +114,9 @@ func (c Config) Validate() error {
 		return errors.New("core: negative page cache floor")
 	case c.OverflowMaxBytes < 0:
 		return errors.New("core: negative overflow bound")
+	case c.HMB.DataBytes > math.MaxInt32:
+		// The file tables keep arena offsets as int32.
+		return fmt.Errorf("core: Data Area of %d bytes exceeds 2 GiB", c.HMB.DataBytes)
 	}
 	if err := c.HMB.Validate(); err != nil {
 		return err

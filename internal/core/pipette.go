@@ -35,7 +35,7 @@ type Pipette struct {
 	tables    map[uint64]*fileTable
 	lastTbl   *fileTable // memo: fine reads hammer one file at a time
 	entries   entryArena
-	bySlabOff map[int]*entry
+	owners    []*entry   // slab slot -> the stateSlab entry its item holds; grown on demand
 	overflow  *list.List // FIFO of *entry in stateOverflow
 	overBytes int
 
@@ -109,7 +109,6 @@ func New(v *vfs.VFS, drv *nvme.Driver, cfg Config) (*Pipette, error) {
 		alloc:       alloc,
 		pageSize:    v.FS().PageSize(),
 		tables:      make(map[uint64]*fileTable),
-		bySlabOff:   make(map[int]*entry),
 		overflow:    list.New(),
 		threshold:   cfg.InitialThreshold,
 		evictSnap:   make([]uint64, alloc.Classes()),
@@ -186,9 +185,9 @@ func (p *Pipette) table(ino uint64) *fileTable {
 	}
 	t, ok := p.tables[ino]
 	if !ok {
-		// The per-file hash lookup table is created on the file's first
+		// The per-file lookup table is created on the file's first
 		// fine-grained read (§3.1.2).
-		t = newFileTable(ino)
+		t = newFileTable(ino, p.pageSize)
 		p.tables[ino] = t
 	}
 	p.lastTbl = t
@@ -225,8 +224,8 @@ func (p *Pipette) TryFineRead(now sim.Time, f *vfs.File, off int64, buf []byte) 
 	key := rangeKey{off: off, n: int32(n)}
 	p.winAccess++
 	p.sinceMaint++
-	exact, seenExact := tbl.lookup(key)
-	covering := tbl.findCovering(off, n, p.pageSize)
+	exact, covering := tbl.find(off, n)
+	seenExact := exact != nil
 	if seenExact || covering != nil {
 		p.winReuse++
 	}
@@ -234,7 +233,7 @@ func (p *Pipette) TryFineRead(now sim.Time, f *vfs.File, off int64, buf []byte) 
 	if covering != nil {
 		// Cache hit.
 		p.fg.Record(true)
-		covering.refCount++
+		covering.e.refCount++
 		p.serveFrom(covering, off, buf)
 		p.afterAccess()
 		if p.tr.Enabled() {
@@ -248,7 +247,7 @@ func (p *Pipette) TryFineRead(now sim.Time, f *vfs.File, off int64, buf []byte) 
 	if !seenExact {
 		exact = p.entries.alloc()
 		exact.key, exact.state, exact.table = key, stateGhost, tbl
-		tbl.index(exact, p.pageSize)
+		tbl.index(exact)
 	}
 	exact.refCount++
 
@@ -275,10 +274,7 @@ func (p *Pipette) TryFineRead(now sim.Time, f *vfs.File, off int64, buf []byte) 
 	}
 
 	if admitted {
-		exact.state = stateSlab
-		exact.slabOff = ref.Off
-		exact.slabCls = ref.Class
-		p.bySlabOff[ref.Off] = exact
+		p.own(ref, exact)
 		p.fg.Insertions++
 		p.stats.Admissions++
 	} else {
@@ -372,18 +368,17 @@ func (p *Pipette) fallBack(now, done sim.Time) sim.Time {
 	return done
 }
 
-// serveFrom copies the demanded window out of a cached entry and maintains
-// recency.
-func (p *Pipette) serveFrom(e *entry, off int64, buf []byte) {
-	delta := int(off - e.key.off)
-	switch e.state {
-	case stateSlab:
-		_ = p.region.ReadAt(e.slabOff+delta, buf)
-		_ = p.alloc.Touch(slab.Ref{Off: e.slabOff, Class: e.slabCls})
-	case stateOverflow:
-		copy(buf, e.data[delta:])
-		p.repromote(e)
+// serveFrom copies the demanded window out of a cached entry, given by its
+// page item, and maintains recency.
+func (p *Pipette) serveFrom(it *pageItem, off int64, buf []byte) {
+	delta := int(off - it.off)
+	if it.slabOff >= 0 {
+		_ = p.region.ReadAt(int(it.slabOff)+delta, buf)
+		_ = p.alloc.Touch(slab.Ref{Off: int(it.slabOff), Class: it.e.slabCls})
+		return
 	}
+	copy(buf, it.e.data[delta:])
+	p.repromote(it.e)
 }
 
 // repromote moves an overflow entry back into the arena when a free item
@@ -405,11 +400,7 @@ func (p *Pipette) repromote(e *entry) {
 	}
 	copy(dst, e.data)
 	p.removeOverflow(e)
-	e.state = stateSlab
-	e.slabOff = ref.Off
-	e.slabCls = ref.Class
-	e.data = nil
-	p.bySlabOff[ref.Off] = e
+	p.own(ref, e)
 	p.stats.Repromotions++
 	p.syncBudget()
 }
@@ -422,7 +413,7 @@ func (p *Pipette) OnWrite(ino uint64, off int64, n int) {
 	if !ok {
 		return
 	}
-	for _, e := range tbl.overlapping(off, n, p.pageSize) {
+	for _, e := range tbl.overlapping(off, n) {
 		p.deleteEntry(e)
 		p.stats.Invalidations++
 	}
@@ -433,12 +424,13 @@ func (p *Pipette) OnWrite(ino uint64, off int64, n int) {
 func (p *Pipette) deleteEntry(e *entry) {
 	switch e.state {
 	case stateSlab:
-		delete(p.bySlabOff, e.slabOff)
-		_ = p.alloc.Release(slab.Ref{Off: e.slabOff, Class: e.slabCls})
+		ref := slab.Ref{Off: e.slabOff, Class: e.slabCls}
+		p.disown(ref.Off, stateGhost)
+		_ = p.alloc.Release(ref)
 	case stateOverflow:
 		p.removeOverflow(e)
 	}
-	e.table.unindex(e, p.pageSize)
+	e.table.unindex(e)
 	p.entries.release(e)
 }
 
@@ -449,4 +441,31 @@ func (p *Pipette) removeOverflow(e *entry) {
 	}
 	p.overBytes -= len(e.data)
 	e.data = nil
+}
+
+// own puts e in stateSlab, the owner of the slab item ref.
+func (p *Pipette) own(ref slab.Ref, e *entry) {
+	s := p.alloc.Slot(ref.Off)
+	if s >= len(p.owners) {
+		grown := make([]*entry, min(max(s+1, 2*len(p.owners)), p.alloc.Slots()))
+		copy(grown, p.owners)
+		p.owners = grown
+	}
+	p.owners[s] = e
+	e.state, e.slabOff, e.slabCls = stateSlab, ref.Off, ref.Class
+	e.table.mirror(e, int32(ref.Off))
+}
+
+// disown moves the owner of the slab item at off, if any, out of the slab
+// into state st, and returns it.
+func (p *Pipette) disown(off int, st entryState) *entry {
+	s := p.alloc.Slot(off)
+	if s >= len(p.owners) || p.owners[s] == nil {
+		return nil
+	}
+	e := p.owners[s]
+	p.owners[s] = nil
+	e.state, e.slabOff, e.slabCls = st, 0, 0
+	e.table.mirror(e, -1)
+	return e
 }

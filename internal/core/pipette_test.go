@@ -108,6 +108,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.PageCacheFloorPages = -1 },
 		func(c *Config) { c.OverflowMaxBytes = -1 },
 		func(c *Config) { c.SlabSize = 0 },
+		func(c *Config) { c.HMB.DataBytes = 1 << 31 },
 	}
 	for i, m := range mut {
 		c := DefaultConfig()

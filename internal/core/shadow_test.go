@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"pipette/internal/sim"
@@ -39,6 +40,11 @@ func TestShadowModelFuzz(t *testing.T) {
 
 	readBuf := make([]byte, 4096)
 	for op := 0; op < 8000; op++ {
+		if op%250 == 0 {
+			if err := checkInvariants(s.p); err != nil {
+				t.Fatalf("before op %d: %v", op, err)
+			}
+		}
 		off := int64(rng.Uint64n(fileSize - 4096))
 		switch rng.Uint64n(10) {
 		case 0, 1: // write a small range (RMW + invalidation path)
@@ -96,6 +102,9 @@ func TestShadowModelFuzz(t *testing.T) {
 		}
 	}
 
+	if err := checkInvariants(s.p); err != nil {
+		t.Fatal(err)
+	}
 	// The churn must actually have exercised the interesting machinery.
 	st := s.p.Stats()
 	if st.FineReads == 0 || st.Admissions == 0 || st.Invalidations == 0 {
@@ -105,6 +114,65 @@ func TestShadowModelFuzz(t *testing.T) {
 	if cs.Hits == 0 {
 		t.Fatal("fuzz never hit the fine cache")
 	}
+}
+
+// checkInvariants cross-checks the framework's indexes: every entry is
+// indexed, under its own key and slab offset, on each page it spans and on
+// no other; every stateSlab entry owns its slab slot; and every owned slot
+// holds a stateSlab entry at that slot.
+func checkInvariants(p *Pipette) error {
+	seen := map[*entry]int{} // entry -> pages indexing it
+	for _, tbl := range p.tables {
+		for pg := range tbl.byPage {
+			set := &tbl.byPage[pg]
+			for i := 0; i < set.len(); i++ {
+				it := set.at(i)
+				e := it.e
+				first, last := e.key.pages(tbl.pageSize)
+				mirror := int32(-1)
+				if e.state == stateSlab {
+					mirror = int32(e.slabOff)
+				}
+				switch {
+				case it.key() != e.key || e.table != tbl:
+					return fmt.Errorf("page %d of file %d indexes %v under key %v", pg, tbl.ino, e.key, it.key())
+				case it.slabOff != mirror:
+					return fmt.Errorf("page %d of file %d holds slab offset %d for %v, entry in state %d at %d", pg, tbl.ino, it.slabOff, e.key, e.state, e.slabOff)
+				case uint64(pg) < first || uint64(pg) > last:
+					return fmt.Errorf("page %d of file %d indexes %v, which spans pages %d-%d", pg, tbl.ino, e.key, first, last)
+				}
+				seen[e]++
+			}
+		}
+	}
+	slabEntries := 0
+	for e, n := range seen {
+		first, last := e.key.pages(e.table.pageSize)
+		if n != int(last-first+1) {
+			return fmt.Errorf("entry %v of file %d is indexed %d times over %d pages", e.key, e.table.ino, n, last-first+1)
+		}
+		if e.state != stateSlab {
+			continue
+		}
+		slabEntries++
+		if s := p.alloc.Slot(e.slabOff); s >= len(p.owners) || p.owners[s] != e {
+			return fmt.Errorf("slab entry %v does not own its slot %d", e.key, s)
+		}
+	}
+	owned := 0
+	for s, e := range p.owners {
+		if e == nil {
+			continue
+		}
+		owned++
+		if e.state != stateSlab || p.alloc.Slot(e.slabOff) != s || seen[e] == 0 {
+			return fmt.Errorf("slot %d is owned by entry %v in state %d at offset %d", s, e.key, e.state, e.slabOff)
+		}
+	}
+	if owned != slabEntries {
+		return fmt.Errorf("%d owned slots for %d slab entries", owned, slabEntries)
+	}
+	return p.alloc.CheckInvariants()
 }
 
 // TestShadowModelNoCacheVariant repeats the fuzz with the cache disabled:

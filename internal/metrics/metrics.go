@@ -9,6 +9,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -96,14 +97,8 @@ func (h *Histogram) Observe(d sim.Time) {
 	h.sum += d
 }
 
-func log2Bucket(v uint64) int {
-	b := 0
-	for v > 1 {
-		v >>= 1
-		b++
-	}
-	return b
-}
+// log2Bucket is floor(log2(v)), with 0 for v = 0 (bucket 0 covers [0, 2)).
+func log2Bucket(v uint64) int { return bits.Len64(v|1) - 1 }
 
 // Count reports the number of samples.
 func (h *Histogram) Count() uint64 { return h.count }

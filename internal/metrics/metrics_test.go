@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -108,6 +109,28 @@ func TestLog2Bucket(t *testing.T) {
 	for v, want := range cases {
 		if got := log2Bucket(v); got != want {
 			t.Errorf("log2Bucket(%d) = %d, want %d", v, got, want)
+		}
+	}
+}
+
+// TestLog2BucketMatchesShiftLoop pins log2Bucket to the shift loop it
+// replaced, at 0, 1, every 2^k-1 and 2^k, and the largest value.
+func TestLog2BucketMatchesShiftLoop(t *testing.T) {
+	loop := func(v uint64) int {
+		b := 0
+		for v > 1 {
+			v >>= 1
+			b++
+		}
+		return b
+	}
+	vals := []uint64{0, 1, math.MaxUint64}
+	for k := 1; k < 64; k++ {
+		vals = append(vals, 1<<k-1, 1<<k)
+	}
+	for _, v := range vals {
+		if got, want := log2Bucket(v), loop(v); got != want {
+			t.Errorf("log2Bucket(%d) = %d, shift loop gives %d", v, got, want)
 		}
 	}
 }

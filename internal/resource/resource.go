@@ -50,6 +50,10 @@ type Timeline struct {
 	ops  uint64
 	end  sim.Time // latest busy endpoint seen
 	bins []sim.Time
+	// last is the bin the last interval ended in. Back-to-back intervals
+	// of one resource mostly land in it, and those need no division. Any
+	// index below len(bins) is a sound guess, so a rescale may leave it.
+	last sim.Time
 }
 
 // Name reports the resource name, e.g. "nand.ch0" or "pcie.dma".
@@ -85,8 +89,13 @@ func (t *Timeline) Add(start, end sim.Time) {
 	}
 	t.tr.cover(end)
 	w := t.tr.binWidth
-	for b := start / w; b <= (end-1)/w; b++ {
-		lo, hi := sim.Time(b)*w, sim.Time(b+1)*w
+	if lo := t.last * w; start >= lo && end <= lo+w {
+		t.bins[t.last] += end - start
+		return
+	}
+	last := (end - 1) / w
+	for b := start / w; b <= last; b++ {
+		lo, hi := b*w, (b+1)*w
 		if start > lo {
 			lo = start
 		}
@@ -95,6 +104,7 @@ func (t *Timeline) Add(start, end sim.Time) {
 		}
 		t.bins[b] += hi - lo
 	}
+	t.last = last
 }
 
 // Utilization reports the busy fraction of [0, elapsed].

@@ -2,6 +2,7 @@ package resource
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"pipette/internal/sim"
@@ -199,5 +200,69 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if buf2.String() != first {
 		t.Error("snapshot JSON is not byte-stable across a round trip")
+	}
+}
+
+// TestTimelineAddMatchesDivisionReference replays random intervals on
+// three timelines of one tracker beside a reference that finds every
+// interval's bins by division, and requires identical bins throughout,
+// across many rescales.
+func TestTimelineAddMatchesDivisionReference(t *testing.T) {
+	const n = 3
+	tr := NewTracker()
+	var tls [n]*Timeline
+	var ref [n][]sim.Time
+	for i := range tls {
+		tls[i] = tr.Register("r")
+		ref[i] = make([]sim.Time, DefaultMaxBins)
+	}
+	w := DefaultBinWidth
+	refAdd := func(bins []sim.Time, start, end sim.Time) {
+		for b := start / w; b <= (end-1)/w; b++ {
+			lo, hi := max(start, b*w), min(end, (b+1)*w)
+			bins[b] += hi - lo
+		}
+	}
+	rng := sim.NewRNG(5)
+	const dw = DefaultBinWidth
+	var free [n]sim.Time
+	rescales := 0
+	for op := 0; op < 200000; op++ {
+		i := int(rng.Uint64n(n))
+		start := free[i]
+		switch rng.Uint64n(8) {
+		case 0: // idle gap, sometimes long
+			start += sim.Time(rng.Uint64n(uint64(4 * dw)))
+		case 1:
+			start += sim.Time(rng.Uint64n(100))
+		}
+		end := start + 1 + sim.Time(rng.Uint64n(uint64(dw/8)))
+		if rng.Uint64n(64) == 0 {
+			end += sim.Time(rng.Uint64n(uint64(3 * dw))) // spans bins
+		}
+		free[i] = end
+		for end > w*DefaultMaxBins {
+			w *= 2
+			rescales++
+			for j := range ref {
+				half := len(ref[j]) / 2
+				for k := 0; k < half; k++ {
+					ref[j][k] = ref[j][2*k] + ref[j][2*k+1]
+				}
+				clear(ref[j][half:])
+			}
+		}
+		refAdd(ref[i], start, end)
+		tls[i].Add(start, end)
+		if op%997 == 0 || op == 199999 {
+			for j := range tls {
+				if !slices.Equal(tls[j].bins, ref[j]) {
+					t.Fatalf("op %d: timeline %d bins diverged from the division reference", op, j)
+				}
+			}
+		}
+	}
+	if rescales < 3 {
+		t.Fatalf("only %d rescales exercised", rescales)
 	}
 }

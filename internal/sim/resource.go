@@ -8,19 +8,13 @@ package sim
 type Resource struct {
 	freeAt Time
 	busy   Time // total occupied span, for utilization accounting
-	wait   Time // total span requests spent queued behind earlier work
 }
 
 // Acquire schedules an operation of duration dur requested at time now.
 // It returns the operation's start and completion times. The operation
-// starts at max(now, freeAt): if the resource is busy, the request waits,
-// and the wait is accumulated for queueing-delay accounting.
+// starts at max(now, freeAt): if the resource is busy, the request waits.
 func (r *Resource) Acquire(now, dur Time) (start, end Time) {
-	start = now
-	if r.freeAt > start {
-		start = r.freeAt
-		r.wait += start - now
-	}
+	start = max(now, r.freeAt)
 	end = start + dur
 	r.freeAt = end
 	r.busy += dur
@@ -30,12 +24,8 @@ func (r *Resource) Acquire(now, dur Time) (start, end Time) {
 // BusyTime reports the cumulative span the resource has been occupied.
 func (r *Resource) BusyTime() Time { return r.busy }
 
-// WaitTime reports the cumulative span requests waited for the resource —
-// the device-side queueing delay overlapping in-flight I/O creates.
-func (r *Resource) WaitTime() Time { return r.wait }
-
 // Reset returns the resource to the free state (test setup only).
-func (r *Resource) Reset() { r.freeAt, r.busy, r.wait = 0, 0, 0 }
+func (r *Resource) Reset() { r.freeAt, r.busy = 0, 0 }
 
 // ResourceSet is an indexed group of identical resources, e.g. the channels
 // of a NAND array.
@@ -69,13 +59,4 @@ func (s *ResourceSet) MaxFreeAt() Time {
 		}
 	}
 	return m
-}
-
-// WaitTime reports the cumulative queueing delay across the set.
-func (s *ResourceSet) WaitTime() Time {
-	var w Time
-	for i := range s.rs {
-		w += s.rs[i].wait
-	}
-	return w
 }

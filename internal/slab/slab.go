@@ -16,6 +16,8 @@ package slab
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -69,11 +71,28 @@ type Ref struct {
 	Class int
 }
 
-// node is an LRU list element for one live item.
+// Item slots. The arena is cut into slots of one grain, the greatest common
+// divisor of the item sizes, so every item of every class starts on a slot
+// boundary. Slot numbers are dense — slab index in the high bits, slot
+// within the slab in the low strideShift bits — and they link each class's
+// LRU list and index owner tables in place of a map from offset to item.
+const (
+	nilSlot  int32 = -1 // the end of an LRU list
+	deadSlot int32 = -2 // links of a slot that holds no live item
+)
+
+// node is the LRU link of one item slot.
 type node struct {
-	off        int
-	slabBase   int
-	prev, next *node
+	prev, next int32
+}
+
+// slabState is one slab's per-slot LRU nodes and its live-item count. The
+// nodes are allocated when a class first claims the slab and kept when it
+// returns to the free pool, so an arena the cache never fills costs no
+// node memory, and reclaiming a slab costs no allocation.
+type slabState struct {
+	nodes []node
+	live  int
 }
 
 // class is the per-capacity state from the paper's Figure 3.
@@ -86,22 +105,9 @@ type class struct {
 
 	recycled []int // cleanup array: offsets of freed items
 
-	lruHead, lruTail *node // sentinels
-	live             int
-	evictions        uint64
-}
-
-func (c *class) pushFront(n *node) {
-	n.prev = c.lruHead
-	n.next = c.lruHead.next
-	c.lruHead.next.prev = n
-	c.lruHead.next = n
-}
-
-func unlink(n *node) {
-	n.prev.next = n.next
-	n.next.prev = n.prev
-	n.prev, n.next = nil, nil
+	head, tail int32 // most and least recently used live slot; nilSlot when empty
+	live       int
+	evictions  uint64
 }
 
 // Allocator manages the arena. Not safe for concurrent use.
@@ -109,7 +115,15 @@ type Allocator struct {
 	cfg       Config
 	classes   []class
 	freeSlabs []int
-	items     map[int]*node // live item offset -> LRU node
+	slabs     []slabState // by slab index, base / SlabSize
+
+	grain       int   // slot size in bytes
+	grainShift  int   // log2(grain) when slots tile the arena exactly, else -1
+	strideShift uint  // log2 of the slot numbers reserved per slab
+	strideMask  int32 // slot number -> slot within its slab
+	limit       int   // end of the last whole slab
+
+	detached []Ref // DetachSlab's result, reused per call
 }
 
 // New creates an allocator; the whole arena starts in the free-slab pool.
@@ -117,24 +131,46 @@ func New(cfg Config) (*Allocator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	nslabs := cfg.ArenaSize / cfg.SlabSize
 	a := &Allocator{
 		cfg:     cfg,
 		classes: make([]class, len(cfg.ItemSizes)),
-		items:   make(map[int]*node),
+		slabs:   make([]slabState, nslabs),
+		grain:   cfg.ItemSizes[0],
+		limit:   nslabs * cfg.SlabSize,
+	}
+	for _, s := range cfg.ItemSizes[1:] {
+		a.grain = gcd(a.grain, s)
+	}
+	perSlab := (cfg.SlabSize + a.grain - 1) / a.grain
+	a.strideShift = uint(bits.Len(uint(perSlab - 1)))
+	a.strideMask = 1<<a.strideShift - 1
+	if uint64(nslabs)<<a.strideShift > math.MaxInt32 {
+		return nil, fmt.Errorf("slab: %d slabs of %d slots exceed the slot numbering", nslabs, perSlab)
+	}
+	a.grainShift = -1
+	if isPow2(cfg.SlabSize) && isPow2(a.grain) {
+		a.grainShift = bits.TrailingZeros(uint(a.grain))
 	}
 	for i := range a.classes {
 		c := &a.classes[i]
 		c.itemSize = cfg.ItemSizes[i]
-		c.lruHead = &node{}
-		c.lruTail = &node{}
-		c.lruHead.next = c.lruTail
-		c.lruTail.prev = c.lruHead
+		c.head, c.tail = nilSlot, nilSlot
 	}
 	for base := 0; base+cfg.SlabSize <= cfg.ArenaSize; base += cfg.SlabSize {
 		a.freeSlabs = append(a.freeSlabs, base)
 	}
 	return a, nil
 }
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
 // Classes reports the number of classes.
 func (a *Allocator) Classes() int { return len(a.classes) }
@@ -180,6 +216,79 @@ func (a *Allocator) UsedBytes() int {
 // slabOf returns the base offset of the slab containing off.
 func (a *Allocator) slabOf(off int) int { return off - off%a.cfg.SlabSize }
 
+// Slots bounds the slot numbers Slot returns.
+func (a *Allocator) Slots() int { return len(a.slabs) << a.strideShift }
+
+// Slot reports the slot number of the item at arena offset off: a dense
+// index below Slots, distinct for every live item, that an owner table can
+// use in place of a map keyed by offset.
+func (a *Allocator) Slot(off int) int { return int(a.slot(off)) }
+
+func (a *Allocator) slot(off int) int32 {
+	if a.grainShift >= 0 {
+		return int32(off >> a.grainShift)
+	}
+	s := off / a.cfg.SlabSize
+	return int32(s<<a.strideShift | (off-s*a.cfg.SlabSize)/a.grain)
+}
+
+// offOf is the inverse of slot.
+func (a *Allocator) offOf(s int32) int {
+	return int(s>>a.strideShift)*a.cfg.SlabSize + int(s&a.strideMask)*a.grain
+}
+
+func (a *Allocator) node(s int32) *node {
+	return &a.slabs[s>>a.strideShift].nodes[s&a.strideMask]
+}
+
+// liveNode finds the slot and node of the live item at off.
+func (a *Allocator) liveNode(off int) (int32, *node, bool) {
+	if off < 0 || off >= a.limit {
+		return 0, nil, false
+	}
+	s := a.slot(off)
+	nodes := a.slabs[s>>a.strideShift].nodes
+	if nodes == nil {
+		return 0, nil, false
+	}
+	n := &nodes[s&a.strideMask]
+	if n.prev == deadSlot || a.offOf(s) != off {
+		return 0, nil, false
+	}
+	return s, n, true
+}
+
+func (a *Allocator) pushFront(c *class, s int32, n *node) {
+	n.prev, n.next = nilSlot, c.head
+	if c.head != nilSlot {
+		a.node(c.head).prev = s
+	} else {
+		c.tail = s
+	}
+	c.head = s
+}
+
+func (a *Allocator) unlink(c *class, n *node) {
+	if n.prev != nilSlot {
+		a.node(n.prev).next = n.next
+	} else {
+		c.head = n.next
+	}
+	if n.next != nilSlot {
+		a.node(n.next).prev = n.prev
+	} else {
+		c.tail = n.prev
+	}
+}
+
+// kill unlinks a live node and marks its slot dead.
+func (a *Allocator) kill(c *class, s int32, n *node) {
+	a.unlink(c, n)
+	n.prev, n.next = deadSlot, deadSlot
+	c.live--
+	a.slabs[s>>a.strideShift].live--
+}
+
 // TryAlloc obtains a free item of the class without evicting: first from
 // the cleanup array, then by carving the current slab, then by claiming a
 // slab from the free pool. Returns false when all three fail — the caller
@@ -199,6 +308,12 @@ func (a *Allocator) TryAlloc(class int) (Ref, bool) {
 		base := a.freeSlabs[len(a.freeSlabs)-1]
 		a.freeSlabs = a.freeSlabs[:len(a.freeSlabs)-1]
 		c.slabs = append(c.slabs, base)
+		if st := &a.slabs[base/a.cfg.SlabSize]; st.nodes == nil {
+			st.nodes = make([]node, 1<<a.strideShift)
+			for i := range st.nodes {
+				st.nodes[i] = node{deadSlot, deadSlot}
+			}
+		}
 		c.carveOff = base
 		c.carveLeft = a.cfg.SlabSize / c.itemSize
 		off = c.carveOff
@@ -207,34 +322,34 @@ func (a *Allocator) TryAlloc(class int) (Ref, bool) {
 	default:
 		return Ref{}, false
 	}
-	n := &node{off: off, slabBase: a.slabOf(off)}
-	c.pushFront(n)
+	s := a.slot(off)
+	a.pushFront(c, s, a.node(s))
 	c.live++
-	a.items[off] = n
+	a.slabs[s>>a.strideShift].live++
 	return Ref{Off: off, Class: class}, true
 }
 
 // Touch moves a live item to the front of its class's LRU list.
 func (a *Allocator) Touch(ref Ref) error {
-	n, ok := a.items[ref.Off]
+	s, n, ok := a.liveNode(ref.Off)
 	if !ok {
 		return fmt.Errorf("slab: touch of dead item %d", ref.Off)
 	}
-	unlink(n)
-	a.classes[ref.Class].pushFront(n)
+	if c := &a.classes[ref.Class]; c.head != s {
+		a.unlink(c, n)
+		a.pushFront(c, s, n)
+	}
 	return nil
 }
 
 // Release frees a live item into its class's cleanup array.
 func (a *Allocator) Release(ref Ref) error {
-	n, ok := a.items[ref.Off]
+	s, n, ok := a.liveNode(ref.Off)
 	if !ok {
 		return fmt.Errorf("slab: release of dead item %d", ref.Off)
 	}
-	unlink(n)
-	delete(a.items, ref.Off)
 	c := &a.classes[ref.Class]
-	c.live--
+	a.kill(c, s, n)
 	c.recycled = append(c.recycled, ref.Off)
 	return nil
 }
@@ -243,10 +358,10 @@ func (a *Allocator) Release(ref Ref) error {
 // evicting it.
 func (a *Allocator) LRUTail(class int) (Ref, bool) {
 	c := &a.classes[class]
-	if c.lruTail.prev == c.lruHead {
+	if c.tail == nilSlot {
 		return Ref{}, false
 	}
-	return Ref{Off: c.lruTail.prev.off, Class: class}, true
+	return Ref{Off: a.offOf(c.tail), Class: class}, true
 }
 
 // EvictLRU removes the least recently used item of the class (solution 1 of
@@ -283,23 +398,17 @@ func (a *Allocator) DonorClass(pick uint64, exclude int) (int, bool) {
 }
 
 // VictimSlab selects the slab of a class with the fewest live items — the
-// cheapest slab to detach for migration or reassignment.
+// cheapest slab to detach for migration or reassignment. Ties go to the
+// slab the class claimed first.
 func (a *Allocator) VictimSlab(class int) (base int, ok bool) {
 	c := &a.classes[class]
 	if len(c.slabs) == 0 {
 		return 0, false
 	}
-	liveBySlab := make(map[int]int, len(c.slabs))
+	best, bestLive := -1, 0
 	for _, b := range c.slabs {
-		liveBySlab[b] = 0
-	}
-	for n := c.lruHead.next; n != c.lruTail; n = n.next {
-		liveBySlab[n.slabBase]++
-	}
-	best := -1
-	for _, b := range c.slabs {
-		if best == -1 || liveBySlab[b] < liveBySlab[best] {
-			best = b
+		if live := a.slabs[b/a.cfg.SlabSize].live; best == -1 || live < bestLive {
+			best, bestLive = b, live
 		}
 	}
 	return best, true
@@ -307,8 +416,10 @@ func (a *Allocator) VictimSlab(class int) (base int, ok bool) {
 
 // DetachSlab removes one slab (by base offset) from a class and returns it
 // to the free pool. The refs of live items that resided in the slab are
-// returned so the caller can relocate their data and fix its lookup tables
-// — the mechanics of §3.2.1 solution 2 and §3.2.3's re-balance thread.
+// returned, most recently used first, so the caller can relocate their data
+// and fix its lookup tables — the mechanics of §3.2.1 solution 2 and
+// §3.2.3's re-balance thread. The returned slice is valid until the next
+// DetachSlab call.
 func (a *Allocator) DetachSlab(class, base int) ([]Ref, error) {
 	c := &a.classes[class]
 	idx := -1
@@ -321,19 +432,20 @@ func (a *Allocator) DetachSlab(class, base int) ([]Ref, error) {
 	if idx == -1 {
 		return nil, fmt.Errorf("slab: class %d does not own slab %d", class, base)
 	}
+	si := int32(base / a.cfg.SlabSize)
 
 	// Collect and unlink live items in the slab.
-	var refs []Ref
-	for n := c.lruHead.next; n != c.lruTail; {
+	refs := a.detached[:0]
+	for s := c.head; s != nilSlot; {
+		n := a.node(s)
 		next := n.next
-		if n.slabBase == base {
-			refs = append(refs, Ref{Off: n.off, Class: class})
-			unlink(n)
-			delete(a.items, n.off)
-			c.live--
+		if s>>a.strideShift == si {
+			refs = append(refs, Ref{Off: a.offOf(s), Class: class})
+			a.kill(c, s, n)
 		}
-		n = next
+		s = next
 	}
+	a.detached = refs
 	// Purge recycled offsets that pointed into the slab.
 	kept := c.recycled[:0]
 	for _, off := range c.recycled {
@@ -369,12 +481,18 @@ func (a *Allocator) CheckInvariants() error {
 				return fmt.Errorf("slab %d owned by %s and class %d", b, prev, i)
 			}
 			owner[b] = fmt.Sprintf("class %d", i)
+			if a.slabs[b/a.cfg.SlabSize].nodes == nil {
+				return fmt.Errorf("class %d owns slab %d without nodes", i, b)
+			}
 		}
 	}
 	if want := a.cfg.ArenaSize / a.cfg.SlabSize; len(owner) != want {
 		return fmt.Errorf("%d slabs tracked, want %d", len(owner), want)
 	}
 
+	// Every live node sits on exactly one class list, which the per-slab
+	// counts must match.
+	liveBySlab := make([]int, len(a.slabs))
 	for i := range a.classes {
 		c := &a.classes[i]
 		ownedBy := func(off int) bool {
@@ -383,31 +501,53 @@ func (a *Allocator) CheckInvariants() error {
 		// LRU walk must match live count, and items must sit in owned slabs
 		// at class-aligned offsets.
 		count := 0
-		for n := c.lruHead.next; n != c.lruTail; n = n.next {
-			if !ownedBy(n.off) {
-				return fmt.Errorf("class %d live item %d in foreign slab", i, n.off)
+		prev := nilSlot
+		for s := c.head; s != nilSlot; s = a.node(s).next {
+			off := a.offOf(s)
+			if !ownedBy(off) {
+				return fmt.Errorf("class %d live item %d in foreign slab", i, off)
 			}
-			if (n.off-n.slabBase)%c.itemSize != 0 {
-				return fmt.Errorf("class %d item %d misaligned", i, n.off)
+			if (off-a.slabOf(off))%c.itemSize != 0 {
+				return fmt.Errorf("class %d item %d misaligned", i, off)
 			}
-			if a.items[n.off] != n {
-				return fmt.Errorf("class %d item %d not indexed", i, n.off)
+			if a.node(s).prev != prev {
+				return fmt.Errorf("class %d item %d has a broken back link", i, off)
 			}
+			if _, _, alive := a.liveNode(off); !alive {
+				return fmt.Errorf("class %d item %d listed but not live", i, off)
+			}
+			liveBySlab[s>>a.strideShift]++
+			prev = s
 			count++
+			if count > c.live {
+				return fmt.Errorf("class %d LRU holds more than live=%d items", i, c.live)
+			}
 		}
-		if count != c.live {
-			return fmt.Errorf("class %d live=%d but LRU holds %d", i, c.live, count)
+		if count != c.live || c.tail != prev {
+			return fmt.Errorf("class %d live=%d tail=%d but LRU holds %d ending at %d", i, c.live, c.tail, count, prev)
 		}
 		for _, off := range c.recycled {
 			if !ownedBy(off) {
 				return fmt.Errorf("class %d recycled item %d in foreign slab", i, off)
 			}
-			if _, alive := a.items[off]; alive {
+			if _, _, alive := a.liveNode(off); alive {
 				return fmt.Errorf("class %d item %d both live and recycled", i, off)
 			}
 		}
 		if c.carveLeft > 0 && !ownedBy(c.carveOff) {
 			return fmt.Errorf("class %d carve frontier %d in foreign slab", i, c.carveOff)
+		}
+	}
+	for si := range a.slabs {
+		st := &a.slabs[si]
+		nodes := 0
+		for _, n := range st.nodes {
+			if n.prev != deadSlot {
+				nodes++
+			}
+		}
+		if st.live != liveBySlab[si] || nodes != liveBySlab[si] {
+			return fmt.Errorf("slab %d counts %d live, holds %d live nodes, lists %d", si, st.live, nodes, liveBySlab[si])
 		}
 	}
 	return nil

@@ -350,6 +350,44 @@ func TestRandomOpsProperty(t *testing.T) {
 	}
 }
 
+// TestClaimCycleAllocFree pins the slot-indexed LRU's cost: once a slab's
+// nodes exist, claiming it, allocating, touching, evicting, releasing and
+// detaching it again make no allocation.
+func TestClaimCycleAllocFree(t *testing.T) {
+	a := mustAlloc(t, tiny())
+	cycle := func() {
+		r1, ok1 := a.TryAlloc(0) // claims a slab from the free pool
+		r2, ok2 := a.TryAlloc(0)
+		r3, ok3 := a.TryAlloc(0)
+		if !ok1 || !ok2 || !ok3 || a.SlabCount(0) != 1 {
+			t.Fatal("allocation failed")
+		}
+		if err := a.Touch(r1); err != nil {
+			t.Fatal(err)
+		}
+		if ev, ok := a.EvictLRU(0); !ok || ev != r2 {
+			t.Fatalf("evicted %+v, want %+v", ev, r2)
+		}
+		if err := a.Release(r1); err != nil {
+			t.Fatal(err)
+		}
+		base, ok := a.VictimSlab(0)
+		if !ok {
+			t.Fatal("no victim")
+		}
+		refs, err := a.DetachSlab(0, base)
+		if err != nil || len(refs) != 1 || refs[0] != r3 {
+			t.Fatalf("detached %v, %v; want [%+v]", refs, err, r3)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("claim cycle made %v allocations, want 0", allocs)
+	}
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkAllocReleaseCycle(b *testing.B) {
 	a, err := New(DefaultConfig())
 	if err != nil {

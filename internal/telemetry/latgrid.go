@@ -42,15 +42,24 @@ func NewLatencyGrid(origin sim.Time) *LatencyGrid {
 	return &LatencyGrid{origin: origin, binWidth: defaultLatGridBin, counts: counts}
 }
 
+// latGridBoundsNs is the ladder in whole nanoseconds, the form latBucket
+// compares against: lat < b ns exactly when lat.Micros() < b/1000 µs.
+var latGridBoundsNs = func() []sim.Time {
+	ns := make([]sim.Time, len(latGridBoundsUs))
+	for i, b := range latGridBoundsUs {
+		ns[i] = sim.Time(b) * sim.Microsecond
+	}
+	return ns
+}()
+
 // latBucket maps a latency to its ladder row.
 func latBucket(lat sim.Time) int {
-	us := lat.Micros()
-	for i, b := range latGridBoundsUs {
-		if us < b {
+	for i, b := range latGridBoundsNs {
+		if lat < b {
 			return i
 		}
 	}
-	return len(latGridBoundsUs)
+	return len(latGridBoundsNs)
 }
 
 // Observe records one completion at virtual time done with end-to-end

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pipette/internal/metrics"
 	"pipette/internal/sim"
@@ -55,6 +56,9 @@ const (
 	// NumStages is the number of defined stages.
 	NumStages
 )
+
+// Finish keeps the stages a request touched in a uint64 bit set.
+const _ uint64 = 1 << (NumStages - 1)
 
 var stageNames = [NumStages]string{
 	"syscall", "cache", "queue", "construct", "ring", "firmware",
@@ -282,12 +286,14 @@ func (a *StageAccount) Finish(end sim.Time) sim.Time {
 	a.active = false
 
 	var perStage [NumStages]sim.Time
+	var held uint64 // bit s: stage s holds time (no segment is empty)
 	at := a.start
 	for _, seg := range a.segs {
 		if seg.Start != at {
 			a.gaps++
 		}
 		perStage[seg.Stage] += seg.End - seg.Start
+		held |= 1 << seg.Stage
 		at = seg.End
 	}
 	if at != end {
@@ -295,10 +301,8 @@ func (a *StageAccount) Finish(end sim.Time) sim.Time {
 	}
 	a.requests++
 	a.elapsed += end - a.start
-	for s := Stage(0); s < NumStages; s++ {
-		if perStage[s] == 0 {
-			continue
-		}
+	for ; held != 0; held &= held - 1 {
+		s := Stage(bits.TrailingZeros64(held))
 		a.totals[s] += perStage[s]
 		a.hists[s].Observe(perStage[s])
 		if a.live[s] != nil {

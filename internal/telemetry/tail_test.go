@@ -202,6 +202,31 @@ func TestLatencyGridRescale(t *testing.T) {
 	}
 }
 
+// TestLatBucketMatchesMicrosLadder pins the integer-nanosecond ladder to
+// the float-microsecond comparison it replaced, one nanosecond either side
+// of every bound.
+func TestLatBucketMatchesMicrosLadder(t *testing.T) {
+	micros := func(lat sim.Time) int {
+		us := lat.Micros()
+		for i, b := range latGridBoundsUs {
+			if us < b {
+				return i
+			}
+		}
+		return len(latGridBoundsUs)
+	}
+	lats := []sim.Time{-1, 0, 1}
+	for _, b := range latGridBoundsUs {
+		ns := sim.Time(b * 1000)
+		lats = append(lats, ns-1, ns, ns+1)
+	}
+	for _, lat := range lats {
+		if got, want := latBucket(lat), micros(lat); got != want {
+			t.Errorf("latBucket(%d ns) = %d, microsecond ladder gives %d", lat, got, want)
+		}
+	}
+}
+
 func TestLatencyGridNilAndEmpty(t *testing.T) {
 	var g *LatencyGrid
 	g.Observe(0, 10)
