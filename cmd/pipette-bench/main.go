@@ -50,7 +50,7 @@ func main() {
 		jsonOut   = flag.String("json", "", "write the machine-readable perf summary (regression-gate format) to this file; '-' for stdout")
 		baseline  = flag.String("baseline", "", "compare the run's perf summary against this committed baseline JSON")
 		compare   = flag.Bool("compare", false, "with -baseline: exit non-zero when any cell regresses past tolerance")
-		tolerance = flag.Float64("tolerance", 0, "override every tolerance band with this relative fraction (0 = defaults)")
+		tolerance = flag.Float64("tolerance", 0, "relative tolerance band for every gated metric (0 = the default, 0.10)")
 		rev       = flag.String("rev", "", "revision stamped into the perf summary (default: build version)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		traceOut  = flag.String("trace-out", "", "phases experiment: write Chrome trace-event JSON (open in Perfetto)")
@@ -122,6 +122,11 @@ func main() {
 	}
 	if *compare && *baseline == "" {
 		fmt.Fprintln(os.Stderr, "pipette-bench: -compare needs -baseline")
+		os.Exit(2)
+	}
+	tol, err := gateTolerance(*tolerance)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pipette-bench: -tolerance: %v\n", err)
 		os.Exit(2)
 	}
 	if err := checkExportOut(*expName, *exportOut); err != nil {
@@ -216,7 +221,7 @@ func main() {
 	}
 
 	start := time.Now()
-	err := runExperiments(*expName, scale, pool)
+	err = runExperiments(*expName, scale, pool)
 	if cerr := exports.Close(); err == nil {
 		err = cerr
 	}
@@ -265,17 +270,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
 			os.Exit(1)
 		}
-		tol := bench.DefaultTolerance()
-		if *tolerance > 0 {
-			tol = bench.Uniform(*tolerance)
-		}
-		regs, err := bench.Compare(summary, base, tol)
+		d, err := bench.Compare(summary, base, tol)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Print(bench.GateReport(summary, base, regs))
-		if *compare && len(regs) > 0 {
+		fmt.Print(bench.GateReport(summary, base, d))
+		if *compare && d.Failures() > 0 {
 			os.Exit(1)
 		}
 	}
@@ -314,6 +315,15 @@ func selection(sel string) []string {
 		}
 	}
 	return names
+}
+
+// gateTolerance resolves -tolerance: 0 selects report.DefaultTolerance,
+// and a value report.CheckTolerance rejects is an error.
+func gateTolerance(v float64) (float64, error) {
+	if v == 0 {
+		return report.DefaultTolerance, nil
+	}
+	return v, report.CheckTolerance(v)
 }
 
 // checkExportOut rejects an -export-out run whose selection names more than

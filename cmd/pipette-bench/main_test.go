@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"pipette/internal/report"
+)
 
 func TestCheckExportOut(t *testing.T) {
 	for _, tc := range []struct {
@@ -41,6 +46,24 @@ func TestCheckTraceOut(t *testing.T) {
 	} {
 		if err := checkTraceOut(tc.sel, tc.trace, tc.stats); (err == nil) != tc.ok {
 			t.Errorf("checkTraceOut(%q, %q, %q) = %v, want ok=%v", tc.sel, tc.trace, tc.stats, err, tc.ok)
+		}
+	}
+}
+
+func TestGateTolerance(t *testing.T) {
+	for _, tc := range []struct {
+		in, want float64
+		ok       bool
+	}{
+		{0, report.DefaultTolerance, true},
+		{0.25, 0.25, true},
+		{-0.5, 0, false},
+		{math.NaN(), 0, false},
+		{math.Inf(1), 0, false},
+	} {
+		got, err := gateTolerance(tc.in)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("gateTolerance(%g) = %g, %v; want %g, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
 }

@@ -8,10 +8,11 @@
 //
 // With -diff it compares two runs instead of rendering one: either two
 // run exports or two bench suite summaries (BENCH_<rev>.json). Every
-// metric's delta is printed as a table on stdout; rows beyond the
-// tolerance band are flagged and make the command exit 1, so the diff
-// doubles as a gate. A file diffed against itself reports zero changes
-// and exits 0.
+// metric's delta is printed as a table on stdout. The comparison is the
+// perf gate's own (report.Match): rows beyond the tolerance band are
+// flagged, and they or a run or cell missing from the new file make the
+// command exit 1. A file diffed against itself reports zero changes and
+// exits 0.
 //
 // The output is fully deterministic: it embeds no wall-clock content and
 // formats every number with fixed precision, so identical runs produce
@@ -31,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pipette/internal/bench"
@@ -43,163 +45,155 @@ func main() {
 		out     = flag.String("o", "report.html", "output HTML file; '-' for stdout")
 		title   = flag.String("title", "Pipette run report", "report title")
 		diff    = flag.Bool("diff", false, "compare two exports or bench summaries: -diff old.json new.json")
-		tol     = flag.Float64("tol", 0.10, "relative tolerance band for -diff highlighting")
+		tol     = flag.Float64("tol", report.DefaultTolerance, "relative tolerance band for -diff highlighting")
 		version = flag.Bool("version", false, "print build identity and exit")
 	)
 	flag.Parse()
-	if *version {
+	code := 0
+	switch {
+	case *version:
 		buildinfo.Fprint(os.Stdout, "pipette-report")
-		return
-	}
-	if *diff {
+	case *diff:
 		htmlOut := ""
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "o" {
 				htmlOut = *out
 			}
 		})
-		runDiff(flag.Args(), *tol, htmlOut, *title)
-		return
+		code = runDiff(flag.Args(), *tol, htmlOut, *title, os.Stdout, os.Stderr)
+	default:
+		code = render(flag.Args(), *out, *title)
 	}
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "pipette-report: no export files given (write them with pipette-sim -export or pipette-bench -export-out)")
-		os.Exit(2)
-	}
+	os.Exit(code)
+}
 
-	exports := make([]*report.Export, 0, flag.NArg())
-	for _, path := range flag.Args() {
+// render writes the HTML run report for the export files at paths and
+// returns the exit code: 0 on success, 2 without files, 1 on errors.
+func render(paths []string, out, title string) int {
+	if len(paths) == 0 {
+		fmt.Fprintln(os.Stderr, "pipette-report: no export files given (write them with pipette-sim -export or pipette-bench -export-out)")
+		return 2
+	}
+	exports := make([]*report.Export, 0, len(paths))
+	runs := 0
+	for _, path := range paths {
 		e, err := report.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		exports = append(exports, e)
-	}
-
-	if *out == "-" {
-		if err := report.WriteHTML(os.Stdout, *title, exports); err != nil {
-			fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-		os.Exit(1)
-	}
-	if err := report.WriteHTML(f, *title, exports); err != nil {
-		f.Close()
-		fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-		os.Exit(1)
-	}
-	runs := 0
-	for _, e := range exports {
 		runs += len(e.Runs)
 	}
-	fmt.Printf("report written to %s (%d runs)\n", *out, runs)
+	write := func(w io.Writer) error { return report.WriteHTML(w, title, exports) }
+	if out == "-" {
+		if err := write(os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
+			return 1
+		}
+		return 0
+	}
+	if err := writeFile(out, write); err != nil {
+		fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
+		return 1
+	}
+	fmt.Printf("report written to %s (%d runs)\n", out, runs)
+	return 0
 }
 
-// fileKind sniffs whether path holds a bench suite summary ("cells") or a
-// run export ("runs") without committing to either schema.
-func fileKind(path string) (string, error) {
+// writeFile creates path and fills it with write, reporting the first
+// error including the close's.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// diffInput is one -diff operand: a bench suite summary or a run export.
+type diffInput struct {
+	kind string // "summary" or "export"
+	sum  *bench.Summary
+	exp  *report.Export
+}
+
+// readDiffInput reads path once, sniffs whether it holds a bench suite
+// summary ("cells") or a run export ("runs"), and decodes it as that.
+func readDiffInput(path string) (*diffInput, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &probe); err != nil {
-		return "", fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	in := &diffInput{}
+	var into any
 	if _, ok := probe["cells"]; ok {
-		return "summary", nil
+		in.kind, in.sum = "summary", &bench.Summary{}
+		into = in.sum
+	} else if _, ok := probe["runs"]; ok {
+		in.kind, in.exp = "export", &report.Export{}
+		into = in.exp
+	} else {
+		return nil, fmt.Errorf("%s: neither a bench summary (no \"cells\") nor a run export (no \"runs\")", path)
 	}
-	if _, ok := probe["runs"]; ok {
-		return "export", nil
+	if err := json.Unmarshal(raw, into); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return "", fmt.Errorf("%s: neither a bench summary (no \"cells\") nor a run export (no \"runs\")", path)
+	return in, nil
 }
 
-// runDiff compares two files of the same kind and exits: 0 when every
-// metric stays inside the tolerance band, 1 when something exceeds it,
-// 2 on usage or read errors.
-func runDiff(args []string, tol float64, out, title string) {
+// runDiff compares two files of the same kind and returns the exit code:
+// 0 when every metric stays inside the tolerance band and nothing is
+// missing from the new file, 1 otherwise, 2 on usage or read errors.
+func runDiff(args []string, tol float64, out, title string, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "pipette-report: %v\n", err)
+		return 2
+	}
 	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "pipette-report: -diff needs exactly two files: old.json new.json")
-		os.Exit(2)
+		return fail(fmt.Errorf("-diff needs exactly two files: old.json new.json"))
 	}
-	oldPath, newPath := args[0], args[1]
-	oldKind, err := fileKind(oldPath)
+	if err := report.CheckTolerance(tol); err != nil {
+		return fail(fmt.Errorf("-tol: %w", err))
+	}
+	old, err := readDiffInput(args[0])
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-		os.Exit(2)
+		return fail(err)
 	}
-	newKind, err := fileKind(newPath)
+	cur, err := readDiffInput(args[1])
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-		os.Exit(2)
+		return fail(err)
 	}
-	if oldKind != newKind {
-		fmt.Fprintf(os.Stderr, "pipette-report: cannot diff a %s against a %s\n", oldKind, newKind)
-		os.Exit(2)
+	if old.kind != cur.kind {
+		return fail(fmt.Errorf("cannot diff a %s against a %s", old.kind, cur.kind))
 	}
 
 	var d *report.Diff
-	if oldKind == "summary" {
-		oldSum, err := bench.ReadSummary(oldPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-			os.Exit(2)
-		}
-		newSum, err := bench.ReadSummary(newPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-			os.Exit(2)
-		}
-		d, err = bench.DiffSummaries(newSum, oldSum, bench.Uniform(tol))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-			os.Exit(2)
+	if old.kind == "summary" {
+		if d, err = bench.Compare(cur.sum, old.sum, tol); err != nil {
+			return fail(err)
 		}
 	} else {
-		oldExp, err := report.ReadFile(oldPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-			os.Exit(2)
-		}
-		newExp, err := report.ReadFile(newPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-			os.Exit(2)
-		}
-		d = report.DiffExports(oldExp, newExp, tol)
+		d = report.DiffExports(old.exp, cur.exp, tol)
 	}
-
-	if err := d.WriteText(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-		os.Exit(2)
+	if err := d.WriteText(stdout); err != nil {
+		return fail(err)
 	}
 	if out != "" && out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-			os.Exit(2)
-		}
-		if err := d.WriteHTML(f, title); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-			os.Exit(2)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "pipette-report: %v\n", err)
-			os.Exit(2)
+		if err := writeFile(out, func(w io.Writer) error { return d.WriteHTML(w, title) }); err != nil {
+			return fail(err)
 		}
 	}
-	if d.Exceeded() > 0 {
-		os.Exit(1)
+	if d.Failures() > 0 {
+		return 1
 	}
+	return 0
 }

@@ -53,172 +53,65 @@ func ReadSummary(path string) (*Summary, error) {
 	return &s, nil
 }
 
-// Tolerance is the gate's per-metric relative band, as fractions: with
-// Throughput 0.1 a cell fails when its simulated throughput drops more
-// than 10% below baseline. Simulated metrics are deterministic, so the
-// bands absorb only intentional model drift, not run-to-run noise.
-type Tolerance struct {
-	Throughput float64 // max relative drop in sim ops/s
-	ReadAmp    float64 // max relative rise in read amplification
-	Latency    float64 // max relative rise in mean/p99 latency
+var cellMetrics = []report.Metric[CellPerf]{
+	{Name: "sim_ops_per_sec", Get: func(c *CellPerf) float64 { return c.SimOpsPerSec }},
+	{Name: "read_amp", Get: func(c *CellPerf) float64 { return c.ReadAmp }, UpIsBad: true},
+	{Name: "mean_us", Get: func(c *CellPerf) float64 { return c.MeanUs }, UpIsBad: true},
+	{Name: "p99_us", Get: func(c *CellPerf) float64 { return c.P99Us }, UpIsBad: true},
 }
 
-// DefaultTolerance is the gate's default band (10% on every axis).
-func DefaultTolerance() Tolerance {
-	return Tolerance{Throughput: 0.10, ReadAmp: 0.10, Latency: 0.10}
-}
-
-// Uniform builds a tolerance with the same fraction on every axis.
-func Uniform(f float64) Tolerance {
-	return Tolerance{Throughput: f, ReadAmp: f, Latency: f}
-}
-
-// Regression is one tolerance-band violation.
-type Regression struct {
-	Label  string  // cell label
-	Metric string  // which metric crossed its band
-	Base   float64 // baseline value
-	Cur    float64 // current value
-	Limit  float64 // the bound that was crossed
-}
-
-func (r Regression) String() string {
-	return fmt.Sprintf("%s: %s %.4g -> %.4g (limit %.4g)", r.Label, r.Metric, r.Base, r.Cur, r.Limit)
-}
-
-// Compare gates cur against base: every baseline cell must still exist
-// and stay inside the tolerance bands on simulated throughput, read
-// amplification, and latency. Cells new in cur pass silently — they have
-// no baseline yet. Mismatched scale or experiment set is an error, not a
-// regression: the numbers would be incomparable.
-func Compare(cur, base *Summary, tol Tolerance) ([]Regression, error) {
+// Compare diffs cur against base cell by cell with report.Match on
+// simulated throughput, read amplification, and mean and p99 latency. It
+// is both the CI perf gate and pipette-report -diff on summaries: the
+// gate fails when the diff's Failures() is nonzero, that is when a metric
+// crosses the tol band in its regressing direction or a baseline cell is
+// missing. Cells new in cur pass silently — they have no baseline yet.
+// Mismatched scale or experiment set is an error, not a regression: the
+// numbers would be incomparable.
+func Compare(cur, base *Summary, tol float64) (*report.Diff, error) {
 	if cur.Scale != base.Scale {
 		return nil, fmt.Errorf("bench: scale mismatch: current %q vs baseline %q", cur.Scale, base.Scale)
 	}
 	if cur.Experiment != base.Experiment {
 		return nil, fmt.Errorf("bench: experiment mismatch: current %q vs baseline %q", cur.Experiment, base.Experiment)
 	}
-	curCells := make(map[string]CellPerf, len(cur.Cells))
-	for _, c := range cur.Cells {
-		curCells[c.Label] = c
-	}
-	var regs []Regression
-	for _, b := range base.Cells {
-		c, ok := curCells[b.Label]
-		if !ok {
-			regs = append(regs, Regression{Label: b.Label, Metric: "missing cell"})
-			continue
-		}
-		if b.SimOpsPerSec > 0 {
-			if limit := b.SimOpsPerSec * (1 - tol.Throughput); c.SimOpsPerSec < limit {
-				regs = append(regs, Regression{b.Label, "sim_ops_per_sec", b.SimOpsPerSec, c.SimOpsPerSec, limit})
-			}
-		}
-		if b.ReadAmp > 0 {
-			if limit := b.ReadAmp * (1 + tol.ReadAmp); c.ReadAmp > limit {
-				regs = append(regs, Regression{b.Label, "read_amp", b.ReadAmp, c.ReadAmp, limit})
-			}
-		}
-		if b.MeanUs > 0 {
-			if limit := b.MeanUs * (1 + tol.Latency); c.MeanUs > limit {
-				regs = append(regs, Regression{b.Label, "mean_us", b.MeanUs, c.MeanUs, limit})
-			}
-		}
-		if b.P99Us > 0 {
-			if limit := b.P99Us * (1 + tol.Latency); c.P99Us > limit {
-				regs = append(regs, Regression{b.Label, "p99_us", b.P99Us, c.P99Us, limit})
-			}
-		}
-	}
-	sort.Slice(regs, func(i, j int) bool {
-		if regs[i].Label != regs[j].Label {
-			return regs[i].Label < regs[j].Label
-		}
-		return regs[i].Metric < regs[j].Metric
-	})
-	return regs, nil
-}
-
-// DiffSummaries builds the full per-cell, per-metric delta table between
-// two suite summaries (the BENCH_<rev>.json shape) as a report.Diff. The
-// tolerance verdicts come from Compare — the same machinery the CI perf
-// gate runs — so a row is flagged exactly when the gate would call it a
-// regression; the diff just also shows everything that moved inside the
-// band. A summary diffed against itself has zero changed rows.
-func DiffSummaries(cur, base *Summary, tol Tolerance) (*report.Diff, error) {
-	regs, err := Compare(cur, base, tol)
-	if err != nil {
-		return nil, err
-	}
-	exceeded := make(map[string]bool, len(regs))
-	for _, r := range regs {
-		exceeded[r.Label+"\x00"+r.Metric] = true
-	}
-	label := func(s *Summary) string {
-		l := s.Experiment + " scale=" + s.Scale
-		if s.Rev != "" {
-			l += " rev=" + s.Rev
-		}
-		return l
-	}
-	d := &report.Diff{
-		OldLabel:  label(base),
-		NewLabel:  label(cur),
-		Tolerance: tol.Throughput,
-	}
-	curCells := make(map[string]*CellPerf, len(cur.Cells))
-	for i := range cur.Cells {
-		curCells[cur.Cells[i].Label] = &cur.Cells[i]
-	}
-	metrics := []struct {
-		name string
-		get  func(*CellPerf) float64
-	}{
-		{"sim_ops_per_sec", func(c *CellPerf) float64 { return c.SimOpsPerSec }},
-		{"read_amp", func(c *CellPerf) float64 { return c.ReadAmp }},
-		{"mean_us", func(c *CellPerf) float64 { return c.MeanUs }},
-		{"p99_us", func(c *CellPerf) float64 { return c.P99Us }},
-	}
-	for i := range base.Cells {
-		b := &base.Cells[i]
-		c, ok := curCells[b.Label]
-		if !ok {
-			d.OnlyOld = append(d.OnlyOld, b.Label)
-			continue
-		}
-		for _, m := range metrics {
-			bv, cv := m.get(b), m.get(c)
-			if bv == 0 && cv == 0 {
-				continue
-			}
-			row := report.DiffRow{Run: b.Label, Metric: m.name, Old: bv, New: cv,
-				Exceeds: exceeded[b.Label+"\x00"+m.name]}
-			if bv != 0 {
-				row.DeltaPct = 100 * (cv - bv) / bv
-			}
-			d.Rows = append(d.Rows, row)
-		}
-	}
-	baseLabels := make(map[string]bool, len(base.Cells))
-	for i := range base.Cells {
-		baseLabels[base.Cells[i].Label] = true
-	}
-	for i := range cur.Cells {
-		if !baseLabels[cur.Cells[i].Label] {
-			d.OnlyNew = append(d.OnlyNew, cur.Cells[i].Label)
-		}
-	}
+	d := report.Match(base.Cells, cur.Cells, func(c *CellPerf) string { return c.Label }, cellMetrics, tol)
+	d.OldLabel, d.NewLabel = summaryLabel(base), summaryLabel(cur)
 	return d, nil
 }
 
-// GateReport renders the compare outcome for humans: per-cell verdicts
-// and the regression list (empty = all clear).
-func GateReport(cur, base *Summary, regs []Regression) string {
+func summaryLabel(s *Summary) string {
+	l := s.Experiment + " scale=" + s.Scale
+	if s.Rev != "" {
+		l += " rev=" + s.Rev
+	}
+	return l
+}
+
+// GateReport renders the compare outcome for humans: the rows beyond
+// tolerance and the missing baseline cells, sorted by cell and metric
+// (empty = all clear).
+func GateReport(cur, base *Summary, d *report.Diff) string {
+	regs := make([]report.DiffRow, 0, d.Failures())
+	for _, r := range d.Rows {
+		if r.Exceeds {
+			regs = append(regs, r)
+		}
+	}
+	for _, label := range d.OnlyOld {
+		regs = append(regs, report.DiffRow{Run: label, Metric: "missing cell"})
+	}
+	sort.Slice(regs, func(i, j int) bool {
+		if regs[i].Run != regs[j].Run {
+			return regs[i].Run < regs[j].Run
+		}
+		return regs[i].Metric < regs[j].Metric
+	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "perf gate: %d baseline cells, %d current cells, %d regressions\n",
 		len(base.Cells), len(cur.Cells), len(regs))
 	for _, r := range regs {
-		fmt.Fprintf(&b, "  REGRESSION %s\n", r)
+		fmt.Fprintf(&b, "  REGRESSION %s: %s %.4g -> %.4g (limit %.4g)\n", r.Run, r.Metric, r.Old, r.New, r.Limit)
 	}
 	if len(regs) == 0 {
 		b.WriteString("  all cells within tolerance\n")

@@ -2,8 +2,9 @@ package bench
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"pipette/internal/report"
 )
 
 func gateSummary(cells ...CellPerf) *Summary {
@@ -17,18 +18,25 @@ func TestCompareAllClear(t *testing.T) {
 	)
 	// Identical numbers (the deterministic same-commit case) and numbers
 	// inside the band must both pass.
-	regs, err := Compare(base, base, DefaultTolerance())
-	if err != nil || len(regs) != 0 {
-		t.Fatalf("self-compare: regs=%v err=%v", regs, err)
+	d, err := Compare(base, base, report.DefaultTolerance)
+	if err != nil || d.Failures() != 0 {
+		t.Fatalf("self-compare: failures=%d err=%v", d.Failures(), err)
 	}
 	cur := gateSummary(
 		CellPerf{Label: "a", SimOpsPerSec: 950, ReadAmp: 2.1, MeanUs: 10.5, P99Us: 54},
 		CellPerf{Label: "b", SimOpsPerSec: 500, ReadAmp: 1.1, MeanUs: 20, P99Us: 90},
 		CellPerf{Label: "new-cell", SimOpsPerSec: 1}, // no baseline: passes
 	)
-	regs, err = Compare(cur, base, DefaultTolerance())
-	if err != nil || len(regs) != 0 {
-		t.Fatalf("within-band compare: regs=%v err=%v", regs, err)
+	d, err = Compare(cur, base, report.DefaultTolerance)
+	if err != nil || d.Failures() != 0 {
+		t.Fatalf("within-band compare: rows=%v err=%v", d.Rows, err)
+	}
+	// The in-band moves still show as changed rows.
+	if d.Changed() != 4 {
+		t.Errorf("within-band compare: %d changed rows, want 4", d.Changed())
+	}
+	if len(d.OnlyNew) != 1 || d.OnlyNew[0] != "new-cell" {
+		t.Errorf("OnlyNew = %v, want [new-cell]", d.OnlyNew)
 	}
 }
 
@@ -39,23 +47,35 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	)
 	cur := gateSummary(
 		CellPerf{Label: "a", SimOpsPerSec: 800, ReadAmp: 2.5, MeanUs: 12, P99Us: 60},
+		CellPerf{Label: "fresh", SimOpsPerSec: 7},
 	)
-	regs, err := Compare(cur, base, DefaultTolerance())
+	d, err := Compare(cur, base, report.DefaultTolerance)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byMetric := map[string]bool{}
-	for _, r := range regs {
-		byMetric[r.Metric] = true
+	if d.Exceeded() != 4 || d.Failures() != 5 {
+		t.Errorf("exceeded %d failures %d, want 4 and 5 (rows %v)", d.Exceeded(), d.Failures(), d.Rows)
 	}
-	for _, want := range []string{"sim_ops_per_sec", "read_amp", "mean_us", "p99_us", "missing cell"} {
-		if !byMetric[want] {
-			t.Errorf("missing regression for %s (got %v)", want, regs)
-		}
+	if len(d.OnlyOld) != 1 || d.OnlyOld[0] != "gone" {
+		t.Errorf("OnlyOld = %v, want [gone]", d.OnlyOld)
 	}
-	report := GateReport(cur, base, regs)
-	if !strings.Contains(report, "REGRESSION a: sim_ops_per_sec 1000 -> 800") {
-		t.Errorf("gate report missing throughput line:\n%s", report)
+	if len(d.OnlyNew) != 1 || d.OnlyNew[0] != "fresh" {
+		t.Errorf("OnlyNew = %v, want [fresh]", d.OnlyNew)
+	}
+	// The golden gate text: every metric, the missing cell, sorted by
+	// cell then metric, with the crossed limit.
+	want := `perf gate: 2 baseline cells, 2 current cells, 5 regressions
+  REGRESSION a: mean_us 10 -> 12 (limit 11)
+  REGRESSION a: p99_us 50 -> 60 (limit 55)
+  REGRESSION a: read_amp 2 -> 2.5 (limit 2.2)
+  REGRESSION a: sim_ops_per_sec 1000 -> 800 (limit 900)
+  REGRESSION gone: missing cell 0 -> 0 (limit 0)
+`
+	if got := GateReport(cur, base, d); got != want {
+		t.Errorf("gate report:\n%s\nwant:\n%s", got, want)
+	}
+	if got := GateReport(base, base, &report.Diff{}); got != "perf gate: 2 baseline cells, 2 current cells, 0 regressions\n  all cells within tolerance\n" {
+		t.Errorf("all-clear gate report:\n%s", got)
 	}
 }
 
@@ -63,22 +83,22 @@ func TestCompareToleranceBands(t *testing.T) {
 	base := gateSummary(CellPerf{Label: "a", SimOpsPerSec: 1000})
 	// 15% drop passes at 20% tolerance, fails at 10%.
 	cur := gateSummary(CellPerf{Label: "a", SimOpsPerSec: 850})
-	if regs, _ := Compare(cur, base, Uniform(0.20)); len(regs) != 0 {
-		t.Fatalf("15%% drop flagged at 20%% tolerance: %v", regs)
+	if d, _ := Compare(cur, base, 0.20); d.Failures() != 0 {
+		t.Fatalf("15%% drop flagged at 20%% tolerance: %v", d.Rows)
 	}
-	if regs, _ := Compare(cur, base, Uniform(0.10)); len(regs) != 1 {
-		t.Fatalf("15%% drop not flagged at 10%% tolerance: %v", regs)
+	if d, _ := Compare(cur, base, 0.10); d.Failures() != 1 {
+		t.Fatalf("15%% drop not flagged at 10%% tolerance: %v", d.Rows)
 	}
 }
 
 func TestCompareMismatchErrors(t *testing.T) {
 	base := gateSummary()
 	curScale := &Summary{Experiment: base.Experiment, Scale: "quick"}
-	if _, err := Compare(curScale, base, DefaultTolerance()); err == nil {
+	if _, err := Compare(curScale, base, report.DefaultTolerance); err == nil {
 		t.Fatal("scale mismatch must error")
 	}
 	curExp := &Summary{Experiment: "all", Scale: base.Scale}
-	if _, err := Compare(curExp, base, DefaultTolerance()); err == nil {
+	if _, err := Compare(curExp, base, report.DefaultTolerance); err == nil {
 		t.Fatal("experiment mismatch must error")
 	}
 }
@@ -91,70 +111,15 @@ func TestDiffSummariesSelfIsZero(t *testing.T) {
 		CellPerf{Label: "a", SimOpsPerSec: 1000, ReadAmp: 2.0, MeanUs: 10, P99Us: 50},
 		CellPerf{Label: "b", SimOpsPerSec: 500, ReadAmp: 1.1, MeanUs: 20, P99Us: 90},
 	)
-	d, err := DiffSummaries(s, s, DefaultTolerance())
+	d, err := Compare(s, s, report.DefaultTolerance)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Rows) != 8 {
 		t.Fatalf("compared %d metrics, want 8 (2 cells x 4)", len(d.Rows))
 	}
-	if d.Changed() != 0 || d.Exceeded() != 0 {
-		t.Fatalf("self-diff: changed %d exceeded %d, want 0 and 0", d.Changed(), d.Exceeded())
-	}
-}
-
-// TestDiffSummariesMatchesCompare checks the diff's Exceeds flags agree
-// with the CI gate: exactly the rows Compare reports as regressions are
-// flagged, while in-band movement shows as a changed-but-clean delta.
-func TestDiffSummariesMatchesCompare(t *testing.T) {
-	base := gateSummary(
-		CellPerf{Label: "a", SimOpsPerSec: 1000, ReadAmp: 2.0, MeanUs: 10, P99Us: 50},
-		CellPerf{Label: "gone", SimOpsPerSec: 1},
-	)
-	cur := gateSummary(
-		CellPerf{Label: "a", SimOpsPerSec: 800, ReadAmp: 2.05, MeanUs: 12, P99Us: 49},
-		CellPerf{Label: "fresh", SimOpsPerSec: 7},
-	)
-	d, err := DiffSummaries(cur, base, DefaultTolerance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagged := map[string]bool{}
-	for _, r := range d.Rows {
-		if r.Exceeds {
-			flagged[r.Metric] = true
-		}
-	}
-	regs, err := Compare(cur, base, DefaultTolerance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromGate := map[string]bool{}
-	for _, r := range regs {
-		if r.Metric != "missing cell" {
-			fromGate[r.Metric] = true
-		}
-	}
-	if len(flagged) != len(fromGate) {
-		t.Fatalf("diff flags %v, gate flags %v", flagged, fromGate)
-	}
-	for m := range fromGate {
-		if !flagged[m] {
-			t.Errorf("gate regression %s not flagged in diff", m)
-		}
-	}
-	// In-band read_amp rise (+2.5%): changed but clean.
-	if flagged["read_amp"] {
-		t.Error("in-band read_amp movement flagged as exceeding")
-	}
-	if len(d.OnlyOld) != 1 || d.OnlyOld[0] != "gone" {
-		t.Errorf("OnlyOld = %v, want [gone]", d.OnlyOld)
-	}
-	if len(d.OnlyNew) != 1 || d.OnlyNew[0] != "fresh" {
-		t.Errorf("OnlyNew = %v, want [fresh]", d.OnlyNew)
-	}
-	if _, err := DiffSummaries(&Summary{Scale: "quick", Experiment: base.Experiment}, base, DefaultTolerance()); err == nil {
-		t.Error("scale mismatch must error")
+	if d.Changed() != 0 || d.Failures() != 0 {
+		t.Fatalf("self-diff: changed %d failures %d, want 0 and 0", d.Changed(), d.Failures())
 	}
 }
 

@@ -8,21 +8,22 @@ import (
 	"strings"
 )
 
-// DiffRow is one (run, metric) delta between two exports. DeltaPct is the
-// relative change from old to new ((new-old)/old, percent); Exceeds marks
-// rows whose change is beyond the tolerance in the regressing direction
-// (higher latency, lower throughput, higher read amplification).
+// DiffRow is one (item, metric) delta between two sides. DeltaPct is the
+// relative change from old to new ((new-old)/old, percent; +Inf for a rise
+// from zero); Limit is the bound new may not cross and Exceeds marks rows
+// that crossed it (see verdict).
 type DiffRow struct {
 	Run      string  `json:"run"`
 	Metric   string  `json:"metric"`
 	Old      float64 `json:"old"`
 	New      float64 `json:"new"`
 	DeltaPct float64 `json:"delta_pct"`
+	Limit    float64 `json:"limit"`
 	Exceeds  bool    `json:"exceeds,omitempty"`
 }
 
-// Diff is the comparison of two exports: per-run metric deltas for runs
-// present on both sides, plus the run labels only one side has.
+// Diff is the comparison of two sides: per-item metric deltas for items
+// present on both, plus the item keys only one side has.
 type Diff struct {
 	OldLabel, NewLabel string
 	Tolerance          float64
@@ -30,15 +31,88 @@ type Diff struct {
 	OnlyOld, OnlyNew   []string
 }
 
-// diffMetric describes one compared metric: how to read it from a run and
-// whether an increase is the regressing direction.
-type diffMetric struct {
-	name    string
-	get     func(*Run) float64
-	upIsBad bool
+// DefaultTolerance is the relative band every comparison uses unless told
+// otherwise: the perf gate and both -diff paths.
+const DefaultTolerance = 0.10
+
+// CheckTolerance rejects a tolerance no comparison can use: a negative,
+// NaN or infinite one.
+func CheckTolerance(tol float64) error {
+	if tol < 0 || math.IsNaN(tol) || math.IsInf(tol, 0) {
+		return fmt.Errorf("tolerance %v: want a finite fraction >= 0", tol)
+	}
+	return nil
 }
 
-var diffMetrics = []diffMetric{
+// Metric describes one compared metric of an item: how to read it and
+// whether an increase is the regressing direction.
+type Metric[T any] struct {
+	Name    string
+	Get     func(*T) float64
+	UpIsBad bool
+}
+
+// verdict is the one comparison rule. A metric moving from old to cur may
+// not cross limit: old·(1+tol) when up is bad, old·(1−tol) otherwise.
+// Landing exactly on the limit passes, improvements never exceed, and a
+// rise from zero exceeds when up is bad.
+func verdict(old, cur, tol float64, upIsBad bool) (limit float64, exceeds bool) {
+	if upIsBad {
+		limit = old * (1 + tol)
+		return limit, cur > limit
+	}
+	limit = old * (1 - tol)
+	return limit, cur < limit
+}
+
+// Match compares two item lists. Items pair on key; a key appearing more
+// than once on a side pairs positionally within that key. Each pair gets
+// one row per metric, in old order, except metrics zero on both sides.
+// Unpaired items land in OnlyOld and OnlyNew. tol is the relative
+// tolerance (0.10 = 10%) the verdict applies.
+func Match[T any](old, cur []T, key func(*T) string, metrics []Metric[T], tol float64) *Diff {
+	d := &Diff{Tolerance: tol}
+	pool := make(map[string][]*T, len(cur))
+	for i := range cur {
+		k := key(&cur[i])
+		pool[k] = append(pool[k], &cur[i])
+	}
+	paired := make(map[string]int, len(pool))
+	for i := range old {
+		o := &old[i]
+		k := key(o)
+		if paired[k] == len(pool[k]) {
+			d.OnlyOld = append(d.OnlyOld, k)
+			continue
+		}
+		c := pool[k][paired[k]]
+		paired[k]++
+		for _, m := range metrics {
+			ov, nv := m.Get(o), m.Get(c)
+			if ov == 0 && nv == 0 {
+				continue
+			}
+			row := DiffRow{Run: k, Metric: m.Name, Old: ov, New: nv, DeltaPct: math.Inf(1)}
+			if ov != 0 {
+				row.DeltaPct = 100 * (nv - ov) / ov
+			}
+			row.Limit, row.Exceeds = verdict(ov, nv, tol, m.UpIsBad)
+			d.Rows = append(d.Rows, row)
+		}
+	}
+	// The first paired[k] items of each key were paired; the rest are new.
+	for i := range cur {
+		k := key(&cur[i])
+		if paired[k] > 0 {
+			paired[k]--
+			continue
+		}
+		d.OnlyNew = append(d.OnlyNew, k)
+	}
+	return d
+}
+
+var exportMetrics = []Metric[Run]{
 	{"ops_per_sec", func(r *Run) float64 { return r.OpsPerSec }, false},
 	{"read_amp", func(r *Run) float64 { return r.ReadAmp }, true},
 	{"mean_us", func(r *Run) float64 { return r.Latency.MeanUs }, true},
@@ -57,61 +131,12 @@ func diffKey(r *Run) string {
 	return k
 }
 
-// DiffExports compares two exports run by run. Runs match on their label
-// (name/workload, plus the sweep-point identity for open-loop runs); a
-// label appearing more than once on a side matches positionally within
-// that label. tol is the relative tolerance (0.10 = 10%) beyond which a
-// regressing delta is flagged.
+// DiffExports compares two exports run by run: Match over their runs,
+// keyed by label (name/workload, plus the sweep-point identity for
+// open-loop runs).
 func DiffExports(old, cur *Export, tol float64) *Diff {
-	d := &Diff{
-		OldLabel:  exportLabel(old),
-		NewLabel:  exportLabel(cur),
-		Tolerance: tol,
-	}
-	oldRuns := map[string][]*Run{}
-	var oldOrder []string
-	for i := range old.Runs {
-		k := diffKey(&old.Runs[i])
-		if len(oldRuns[k]) == 0 {
-			oldOrder = append(oldOrder, k)
-		}
-		oldRuns[k] = append(oldRuns[k], &old.Runs[i])
-	}
-	matched := map[string]int{}
-	for i := range cur.Runs {
-		r := &cur.Runs[i]
-		k := diffKey(r)
-		pool := oldRuns[k]
-		if matched[k] >= len(pool) {
-			d.OnlyNew = append(d.OnlyNew, k)
-			continue
-		}
-		o := pool[matched[k]]
-		matched[k]++
-		for _, m := range diffMetrics {
-			ov, nv := m.get(o), m.get(r)
-			if ov == 0 && nv == 0 {
-				continue
-			}
-			row := DiffRow{Run: k, Metric: m.name, Old: ov, New: nv}
-			if ov != 0 {
-				row.DeltaPct = 100 * (nv - ov) / ov
-			} else {
-				row.DeltaPct = math.Inf(1)
-			}
-			worse := row.DeltaPct
-			if !m.upIsBad {
-				worse = -worse
-			}
-			row.Exceeds = worse > 100*tol
-			d.Rows = append(d.Rows, row)
-		}
-	}
-	for _, k := range oldOrder {
-		if matched[k] < len(oldRuns[k]) {
-			d.OnlyOld = append(d.OnlyOld, k)
-		}
-	}
+	d := Match(old.Runs, cur.Runs, diffKey, exportMetrics, tol)
+	d.OldLabel, d.NewLabel = exportLabel(old), exportLabel(cur)
 	return d
 }
 
@@ -150,6 +175,13 @@ func (d *Diff) Exceeded() int {
 		}
 	}
 	return n
+}
+
+// Failures counts what fails the comparison: rows beyond tolerance plus
+// old items missing on the new side. The perf gate and -diff both exit
+// non-zero on it.
+func (d *Diff) Failures() int {
+	return d.Exceeded() + len(d.OnlyOld)
 }
 
 // WriteText renders the diff as an aligned stdout table. Unchanged rows
