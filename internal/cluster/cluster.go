@@ -428,7 +428,7 @@ func (c *Cluster) Replay(next func() Request, requests int, opts ReplayOpts) (*R
 	// PreQueue, and at the leg's own start otherwise); gap labels the
 	// dispatch→leg-start interval of secondary legs.
 	var tailScratch []telemetry.StageSeg
-	observeTail := func(p *pending, done, dispatch, legStart sim.Time, legSegs []telemetry.StageSeg, gap telemetry.Stage, gapRes string) {
+	observeTail := func(p *pending, done, dispatch, legStart sim.Time, legSegs []telemetry.StageSeg, gap telemetry.Stage, gapRes telemetry.Res) {
 		if opts.Tail == nil {
 			return
 		}
@@ -570,7 +570,7 @@ func (c *Cluster) Replay(next func() Request, requests int, opts ReplayOpts) (*R
 			}
 			if ok {
 				observe(&p, best)
-				observeTail(&p, best, now, now, bestSegs, 0, "")
+				observeTail(&p, best, now, now, bestSegs, 0, 0)
 			} else {
 				lose(&p, lastFail)
 			}
@@ -606,7 +606,7 @@ func (c *Cluster) Replay(next func() Request, requests int, opts ReplayOpts) (*R
 				}
 				observe(&p, best)
 				if best == done1 {
-					observeTail(&p, done1, now, now, segs1, 0, "")
+					observeTail(&p, done1, now, now, segs1, 0, 0)
 				} else {
 					// The hedge won: the wait for the hedge to fire is
 					// part of the critical path, blamed queue/"hedge".
@@ -616,7 +616,7 @@ func (c *Cluster) Replay(next func() Request, requests int, opts ReplayOpts) (*R
 			return
 		}
 		observe(&p, done1)
-		observeTail(&p, done1, now, now, segs1, 0, "")
+		observeTail(&p, done1, now, now, segs1, 0, 0)
 	}
 
 	dispatchWrite := func(si int32, now sim.Time, p pending) {
@@ -648,7 +648,7 @@ func (c *Cluster) Replay(next func() Request, requests int, opts ReplayOpts) (*R
 			return
 		}
 		observe(&p, worst)
-		observeTail(&p, worst, now, now, worstSegs, 0, "")
+		observeTail(&p, worst, now, now, worstSegs, 0, 0)
 	}
 
 	admit = func(si int32, now sim.Time) {

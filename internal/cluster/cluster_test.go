@@ -283,13 +283,13 @@ func TestClusterTailBlameConservation(t *testing.T) {
 		name    string
 		cfg     Config
 		fault   string
-		wantRes string // a synthetic blame label this path must produce
+		wantRes telemetry.Res // a synthetic blame label this path must produce
 	}{
-		{"primary", Config{Shards: 4, Replicas: 1, Tenants: 2}, "", ""},
+		{"primary", Config{Shards: 4, Replicas: 1, Tenants: 2}, "", 0},
 		{"failover", Config{Shards: 4, Replicas: 2, Tenants: 2}, "nand.read:0.8", telemetry.ResFailover},
 		{"hedged", Config{Shards: 4, Replicas: 2, Tenants: 2, Depth: 4,
 			ReadPolicy: ReadHedged, HedgeDelay: 30 * sim.Microsecond}, "nand.read:0.8", telemetry.ResHedge},
-		{"fanout", Config{Shards: 4, Replicas: 2, Tenants: 2, ReadPolicy: ReadFanout}, "nand.read:0.8", ""},
+		{"fanout", Config{Shards: 4, Replicas: 2, Tenants: 2, ReadPolicy: ReadFanout}, "nand.read:0.8", 0},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -336,7 +336,7 @@ func TestClusterTailBlameConservation(t *testing.T) {
 			if snap == nil || len(snap.TopK) == 0 {
 				t.Fatal("no tail exemplars captured")
 			}
-			seenRes := map[string]bool{}
+			seenRes := map[telemetry.Res]bool{}
 			for _, ex := range snap.TopK {
 				if len(ex.Segs) == 0 {
 					t.Fatalf("exemplar seq %d has no segments", ex.Seq)
@@ -358,7 +358,7 @@ func TestClusterTailBlameConservation(t *testing.T) {
 						tc.name, ex.Seq, at, ex.End)
 				}
 			}
-			if tc.wantRes != "" && !seenRes[tc.wantRes] {
+			if tc.wantRes != 0 && !seenRes[tc.wantRes] {
 				t.Errorf("%s: no blame segment tagged %q — the path's synthesized prefix never appeared",
 					tc.name, tc.wantRes)
 			}

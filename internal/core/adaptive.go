@@ -119,7 +119,7 @@ func (p *Pipette) detachToOverflow(cls int) bool {
 		data := make([]byte, e.key.n)
 		_ = p.region.ReadAt(ref.Off, data)
 		e.data = data
-		e.overElem = p.overflow.PushBack(e)
+		p.overflow.pushBack(e)
 		p.overBytes += len(data)
 	}
 	return true
@@ -128,8 +128,8 @@ func (p *Pipette) detachToOverflow(cls int) bool {
 // trimOverflow enforces the overflow bound by dropping the oldest migrated
 // items (they decay to ghosts, keeping their reference counts).
 func (p *Pipette) trimOverflow() {
-	for p.overBytes > p.cfg.OverflowMaxBytes && p.overflow.Len() > 0 {
-		e := p.overflow.Front().Value.(*entry)
+	for p.overBytes > p.cfg.OverflowMaxBytes && p.overflow.head != nil {
+		e := p.overflow.head
 		p.removeOverflow(e)
 		e.state = stateGhost
 		p.stats.OverflowDrops++

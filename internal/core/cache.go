@@ -1,9 +1,6 @@
 package core
 
-import (
-	"container/list"
-	"slices"
-)
+import "slices"
 
 // entryState tracks where an access range's data lives.
 type entryState uint8
@@ -28,10 +25,12 @@ type entry struct {
 
 	refCount uint32 // compared against the adaptive threshold on access
 
-	slabOff  int    // valid in stateSlab: arena offset of the item
-	slabCls  int    // valid in stateSlab
-	data     []byte // valid in stateOverflow
-	overElem *list.Element
+	slabOff int32  // valid in stateSlab: arena offset of the item (Config caps the Data Area at 2 GiB)
+	slabCls int32  // valid in stateSlab
+	data    []byte // valid in stateOverflow
+
+	// The overflow FIFO's links, valid in stateOverflow.
+	overPrev, overNext *entry
 
 	table *fileTable
 }
@@ -66,6 +65,37 @@ func (a *entryArena) alloc() *entry {
 func (a *entryArena) release(e *entry) {
 	*e = entry{}
 	a.free = append(a.free, e)
+}
+
+// overflowFIFO is the FIFO of stateOverflow entries, oldest first, linked
+// through the entries themselves.
+type overflowFIFO struct {
+	head, tail *entry
+}
+
+func (q *overflowFIFO) pushBack(e *entry) {
+	e.overPrev, e.overNext = q.tail, nil
+	if q.tail != nil {
+		q.tail.overNext = e
+	} else {
+		q.head = e
+	}
+	q.tail = e
+}
+
+// remove unlinks e, which must be in the FIFO.
+func (q *overflowFIFO) remove(e *entry) {
+	if e.overPrev != nil {
+		e.overPrev.overNext = e.overNext
+	} else {
+		q.head = e.overNext
+	}
+	if e.overNext != nil {
+		e.overNext.overPrev = e.overPrev
+	} else {
+		q.tail = e.overPrev
+	}
+	e.overPrev, e.overNext = nil, nil
 }
 
 // pageItem is one entry's place in a page's set. The key, and the arena

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 
@@ -19,7 +18,7 @@ import (
 // Pipette is the fine-grained read framework. It implements vfs.FineRouter.
 // ResHostCache is the blame label for time served from the host-side
 // fine-read cache (and the page cache above it) without touching the device.
-const ResHostCache = "host.cache"
+var ResHostCache = telemetry.Intern("host.cache")
 
 // Not safe for concurrent use (the simulation is single-threaded; see
 // Runner for the wall-clock maintenance thread used outside simulation).
@@ -35,8 +34,8 @@ type Pipette struct {
 	tables    map[uint64]*fileTable
 	lastTbl   *fileTable // memo: fine reads hammer one file at a time
 	entries   entryArena
-	owners    []*entry   // slab slot -> the stateSlab entry its item holds; grown on demand
-	overflow  *list.List // FIFO of *entry in stateOverflow
+	owners    []*entry // slab slot -> the stateSlab entry its item holds; grown on demand
+	overflow  overflowFIFO
 	overBytes int
 
 	lbaScratch []uint64 // Constructor scratch; safe to reuse, Submit is synchronous
@@ -109,7 +108,6 @@ func New(v *vfs.VFS, drv *nvme.Driver, cfg Config) (*Pipette, error) {
 		alloc:       alloc,
 		pageSize:    v.FS().PageSize(),
 		tables:      make(map[uint64]*fileTable),
-		overflow:    list.New(),
 		threshold:   cfg.InitialThreshold,
 		evictSnap:   make([]uint64, alloc.Classes()),
 		staleStages: make([]int, alloc.Classes()),
@@ -374,7 +372,7 @@ func (p *Pipette) serveFrom(it *pageItem, off int64, buf []byte) {
 	delta := int(off - it.off)
 	if it.slabOff >= 0 {
 		_ = p.region.ReadAt(int(it.slabOff)+delta, buf)
-		_ = p.alloc.Touch(slab.Ref{Off: int(it.slabOff), Class: it.e.slabCls})
+		_ = p.alloc.Touch(slab.Ref{Off: int(it.slabOff), Class: int(it.e.slabCls)})
 		return
 	}
 	copy(buf, it.e.data[delta:])
@@ -424,7 +422,7 @@ func (p *Pipette) OnWrite(ino uint64, off int64, n int) {
 func (p *Pipette) deleteEntry(e *entry) {
 	switch e.state {
 	case stateSlab:
-		ref := slab.Ref{Off: e.slabOff, Class: e.slabCls}
+		ref := slab.Ref{Off: int(e.slabOff), Class: int(e.slabCls)}
 		p.disown(ref.Off, stateGhost)
 		_ = p.alloc.Release(ref)
 	case stateOverflow:
@@ -435,10 +433,7 @@ func (p *Pipette) deleteEntry(e *entry) {
 }
 
 func (p *Pipette) removeOverflow(e *entry) {
-	if e.overElem != nil {
-		p.overflow.Remove(e.overElem)
-		e.overElem = nil
-	}
+	p.overflow.remove(e)
 	p.overBytes -= len(e.data)
 	e.data = nil
 }
@@ -452,8 +447,8 @@ func (p *Pipette) own(ref slab.Ref, e *entry) {
 		p.owners = grown
 	}
 	p.owners[s] = e
-	e.state, e.slabOff, e.slabCls = stateSlab, ref.Off, ref.Class
-	e.table.mirror(e, int32(ref.Off))
+	e.state, e.slabOff, e.slabCls = stateSlab, int32(ref.Off), int32(ref.Class)
+	e.table.mirror(e, e.slabOff)
 }
 
 // disown moves the owner of the slab item at off, if any, out of the slab

@@ -118,8 +118,9 @@ func TestShadowModelFuzz(t *testing.T) {
 
 // checkInvariants cross-checks the framework's indexes: every entry is
 // indexed, under its own key and slab offset, on each page it spans and on
-// no other; every stateSlab entry owns its slab slot; and every owned slot
-// holds a stateSlab entry at that slot.
+// no other; every stateSlab entry owns its slab slot; every owned slot
+// holds a stateSlab entry at that slot; and the overflow FIFO holds exactly
+// the stateOverflow entries and the bytes accounted to it.
 func checkInvariants(p *Pipette) error {
 	seen := map[*entry]int{} // entry -> pages indexing it
 	for _, tbl := range p.tables {
@@ -155,7 +156,7 @@ func checkInvariants(p *Pipette) error {
 			continue
 		}
 		slabEntries++
-		if s := p.alloc.Slot(e.slabOff); s >= len(p.owners) || p.owners[s] != e {
+		if s := p.alloc.Slot(int(e.slabOff)); s >= len(p.owners) || p.owners[s] != e {
 			return fmt.Errorf("slab entry %v does not own its slot %d", e.key, s)
 		}
 	}
@@ -165,12 +166,33 @@ func checkInvariants(p *Pipette) error {
 			continue
 		}
 		owned++
-		if e.state != stateSlab || p.alloc.Slot(e.slabOff) != s || seen[e] == 0 {
+		if e.state != stateSlab || p.alloc.Slot(int(e.slabOff)) != s || seen[e] == 0 {
 			return fmt.Errorf("slot %d is owned by entry %v in state %d at offset %d", s, e.key, e.state, e.slabOff)
 		}
 	}
 	if owned != slabEntries {
 		return fmt.Errorf("%d owned slots for %d slab entries", owned, slabEntries)
+	}
+	order, err := p.overflow.order()
+	if err != nil {
+		return fmt.Errorf("overflow FIFO: %v", err)
+	}
+	overBytes := 0
+	for _, e := range order {
+		if e.state != stateOverflow || seen[e] == 0 {
+			return fmt.Errorf("overflow FIFO holds entry %v in state %d, indexed %d times", e.key, e.state, seen[e])
+		}
+		overBytes += len(e.data)
+	}
+	overEntries := 0
+	for e := range seen {
+		if e.state == stateOverflow {
+			overEntries++
+		}
+	}
+	if overEntries != len(order) || overBytes != p.overBytes {
+		return fmt.Errorf("overflow FIFO holds %d entries and %d bytes, %d entries are in overflow and %d bytes accounted",
+			len(order), overBytes, overEntries, p.overBytes)
 	}
 	return p.alloc.CheckInvariants()
 }

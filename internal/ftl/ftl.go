@@ -105,7 +105,7 @@ type FTL struct {
 	stats        Stats
 	tr           telemetry.Tracer
 	sa           *telemetry.StageAccount
-	dieLabels    []string // interned per-die blame labels ("nand.ch0.w0", ...)
+	dieLabels    []telemetry.Res // per-die blame resources ("nand.ch0.w0", ...)
 }
 
 // New builds an FTL over the array. Bad blocks already marked on the array
@@ -129,13 +129,13 @@ func New(arr *nand.Array, cfg Config) (*FTL, error) {
 		open:       make([]openBlock, geo.Dies()),
 		relocBuf:   make([]byte, geo.PageSize),
 		tr:         telemetry.Nop(),
-		dieLabels:  make([]string, geo.Dies()),
+		dieLabels:  make([]telemetry.Res, geo.Dies()),
 	}
 	// Per-die blame labels, matching the nand package's die timeline names
 	// so the blame table and the utilization bars agree on spelling.
 	for die := range f.dieLabels {
-		f.dieLabels[die] = fmt.Sprintf("nand.ch%d.w%d",
-			die/geo.WaysPerChannel, die%geo.WaysPerChannel)
+		f.dieLabels[die] = telemetry.Intern(fmt.Sprintf("nand.ch%d.w%d",
+			die/geo.WaysPerChannel, die%geo.WaysPerChannel))
 	}
 	total := geo.TotalPages()
 	f.l2p = make([]nand.PPA, 0)

@@ -341,7 +341,7 @@ type inflight struct {
 // "nvme.ring" resource timeline name. Fetch-side time is blamed on the
 // specific SQ pair ("nvme.sq<N>") instead, so arbitration stalls point at
 // the queue that suffered them.
-const ResRing = "nvme.ring"
+var ResRing = telemetry.Intern("nvme.ring")
 
 // MultiQueue is the asynchronous host↔device transport: N SQ/CQ pairs of
 // configurable depth over one device, driven by a discrete-event engine.
@@ -376,7 +376,7 @@ type MultiQueue struct {
 	tr       telemetry.Tracer
 	sa       *telemetry.StageAccount
 	ringRes  *resource.Timeline // ring-protocol occupancy (nil = off)
-	sqLabels []string           // interned per-pair blame labels ("nvme.sq0", ...)
+	sqLabels []telemetry.Res    // per-pair blame resources ("nvme.sq0", ...)
 
 	free *inflight
 }
@@ -394,10 +394,10 @@ func NewMultiQueue(dev Device, pairs, depth int, costs Costs, eng *sim.Engine) *
 		eng:   eng,
 		tr:    telemetry.Nop(),
 	}
-	m.sqLabels = make([]string, pairs)
+	m.sqLabels = make([]telemetry.Res, pairs)
 	for i := range m.pairs {
 		m.pairs[i] = queuePair{sq: NewSQ(depth), cq: NewCQ(depth)}
-		m.sqLabels[i] = fmt.Sprintf("nvme.sq%d", i)
+		m.sqLabels[i] = telemetry.Intern(fmt.Sprintf("nvme.sq%d", i))
 	}
 	return m
 }

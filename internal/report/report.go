@@ -206,7 +206,7 @@ func TailRows(snap *telemetry.TailSnapshot) (exemplars []Exemplar, blame []Blame
 		for j, s := range e.Segs {
 			spans[j] = SpanRow{
 				Stage:   s.Stage.String(),
-				Res:     s.Res,
+				Res:     s.Res.String(),
 				StartNs: int64(s.Start),
 				EndNs:   int64(s.End),
 			}

@@ -237,9 +237,9 @@ func (c *Controller) Stats() Stats { return c.stats }
 // "pcie.dma" resource timeline; ResFirmware names the controller CPU,
 // which has no occupancy timeline (firmware time is per-command, not a
 // shared contended unit in this model).
-const (
-	ResDMALink  = "pcie.dma"
-	ResFirmware = "cpu.fw"
+var (
+	ResDMALink  = telemetry.Intern("pcie.dma")
+	ResFirmware = telemetry.Intern("cpu.fw")
 )
 
 // SetTracer installs a tracer on the controller and cascades it down to the

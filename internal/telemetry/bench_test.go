@@ -25,3 +25,45 @@ func BenchmarkRecorderSpan(b *testing.B) {
 		r.Span(TrackSSD, "read.nand", sim.Time(i), sim.Time(i+10))
 	}
 }
+
+// BenchmarkStageAccount times the instruments of one fine-cache hit: Begin,
+// three marks and a Finish offering the request to a full tail recorder
+// that keeps it one time in 64.
+func BenchmarkStageAccount(b *testing.B) {
+	a := NewStageAccount()
+	a.SetTail(fullTail(1024))
+	cache := Intern("host.cache")
+	fineHit(a, 0, 5, cache) // grows the account's segment buffer
+	now := sim.Time(5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lat := sim.Time(5)
+		if i%64 == 0 {
+			lat += sim.Time(i)
+		}
+		fineHit(a, now, lat, cache)
+		now += lat
+	}
+}
+
+// BenchmarkTailObserve times TailRecorder.Observe on a stream the full kept
+// set mostly rejects: one request in 64 outranks it and is admitted, with
+// 3, 8 or 12 segments in turn, so admissions move between slot sizes.
+func BenchmarkTailObserve(b *testing.B) {
+	r := fullTail(1024)
+	segs := make([]StageSeg, 12)
+	for i := range segs {
+		segs[i] = StageSeg{Start: sim.Time(i), End: sim.Time(i + 1), Stage: Stage(i)}
+	}
+	sizes := [...]int{3, 8, 12} // a hit, a block read, a retried read
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lat, n := sim.Time(3+i%50), 8
+		if i%64 == 0 {
+			lat, n = lat+sim.Time(i), sizes[i/64%len(sizes)]
+		}
+		r.Observe(segs[:n], 0, lat)
+	}
+}

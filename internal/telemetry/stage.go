@@ -78,15 +78,14 @@ func (s Stage) String() string {
 // [request start, request end] exactly — that is the conservation
 // invariant.
 //
-// Res optionally names the concrete resource the interval was spent on —
-// "nand.ch2.w5", "nvme.sq1", "pcie.dma" — refining the stage into a
-// critical-path blame vector. Layers pass interned (package-constant or
-// precomputed) strings so marking stays allocation-free; the empty string
-// means "the stage itself" and renders under the stage name.
+// Res optionally names the concrete resource the interval was spent on,
+// refining the stage into a critical-path blame vector; 0 means "the stage
+// itself" and renders under the stage name. A segment holds no pointer, so
+// recording one is a plain 24-byte store.
 type StageSeg struct {
-	Stage      Stage
-	Res        string
 	Start, End sim.Time
+	Stage      Stage
+	Res        Res
 }
 
 // StageAccount splits each request's end-to-end virtual time into named
@@ -225,16 +224,15 @@ func (a *StageAccount) Resume() {
 // the cursor. Marks at or before the cursor (overlapped work already
 // claimed) attribute nothing.
 func (a *StageAccount) Mark(stage Stage, t sim.Time) {
-	a.MarkRes(stage, t, "")
+	a.MarkRes(stage, t, 0)
 }
 
 // MarkRes is Mark with a blame resource: the claimed interval is tagged
-// with res ("nand.ch2.w5", "nvme.sq1", "pcie.dma", ...) so the request's
-// segments double as a critical-path blame vector. res must be an
-// interned string; adjacent segments merge only when both stage and
-// resource match, so a request bouncing between dies keeps one segment
-// per die visit.
-func (a *StageAccount) MarkRes(stage Stage, t sim.Time, res string) {
+// with res (see Intern) so the request's segments double as a
+// critical-path blame vector. Adjacent segments merge only when both stage
+// and resource match, so a request bouncing between dies keeps one
+// segment per die visit.
+func (a *StageAccount) MarkRes(stage Stage, t sim.Time, res Res) {
 	if a == nil || !a.active || a.suspended > 0 || t <= a.cursor {
 		return
 	}
@@ -269,8 +267,9 @@ func (a *StageAccount) Reattribute(from sim.Time, stage Stage) {
 		// on the die/link that performed it.
 		tail := StageSeg{Stage: stage, Res: seg.Res, Start: from, End: seg.End}
 		seg.End = from
-		rest := append([]StageSeg{tail}, a.segs[i+1:]...)
-		a.segs = append(a.segs[:i+1], rest...)
+		a.segs = append(a.segs, StageSeg{})
+		copy(a.segs[i+2:], a.segs[i+1:])
+		a.segs[i+1] = tail
 		break
 	}
 }

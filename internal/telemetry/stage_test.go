@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -222,5 +223,94 @@ func TestStageSnapshotMerge(t *testing.T) {
 	}
 	if sa.Totals[StageNAND] != 150 || sa.Hists[StageNAND].Count() != 2 {
 		t.Fatalf("merge: nand total %d count %d", sa.Totals[StageNAND], sa.Hists[StageNAND].Count())
+	}
+}
+
+// mallocs counts the heap allocations of runs calls of f, after one
+// warm-up call.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// fullTail returns a tail recorder whose kept set has filled.
+func fullTail(keep int) *TailRecorder {
+	r := NewTailRecorder(5, keep)
+	segs := []StageSeg{{Start: 0, End: 1}, {Start: 1, End: 2}, {Start: 2, End: 3}}
+	for i := 0; i < keep; i++ {
+		r.Observe(segs, 0, 3)
+	}
+	return r
+}
+
+// fineHit accounts one fine-cache hit of latency lat at now: Begin, the
+// three marks of the hit path and Finish.
+func fineHit(a *StageAccount, now, lat sim.Time, cache Res) {
+	a.Begin(now)
+	a.Mark(StageSyscall, now+1)
+	a.MarkRes(StageCache, now+lat-1, cache)
+	a.Mark(StageCopyout, now+lat)
+	a.Finish(now + lat)
+}
+
+// TestStageAccountAllocFree pins a fine-cache hit's instruments — Begin,
+// three marks and a Finish that offers the request to a full tail
+// recorder — to zero allocations, for rejected and admitted requests alike.
+func TestStageAccountAllocFree(t *testing.T) {
+	a := NewStageAccount()
+	a.SetTail(fullTail(64))
+	cache := Intern("host.cache")
+	now := sim.Time(0)
+	i := 0
+	hit := func() {
+		lat := sim.Time(5)
+		if i%4 == 0 {
+			lat += sim.Time(i) // outranks the kept set: an admission
+		}
+		i++
+		fineHit(a, now, lat, cache)
+		now += lat
+	}
+	if n := mallocs(1000, hit); n != 0 {
+		t.Fatalf("1000 requests allocated %d times, want 0", n)
+	}
+	if a.Gaps() != 0 || a.Sum() != a.Elapsed() {
+		t.Fatalf("gaps %d, sum %d, elapsed %d", a.Gaps(), a.Sum(), a.Elapsed())
+	}
+}
+
+// TestReattributeAllocFree drives a fine->block fallback through a stage
+// account: the fine attempt's time moves to retry, splitting the segment
+// it started in, and the block path completes the request. In steady state
+// this allocates nothing.
+func TestReattributeAllocFree(t *testing.T) {
+	a := NewStageAccount()
+	die, dma := Intern("nand.ch0.w0"), Intern("pcie.dma")
+	now := sim.Time(0)
+	fallback := func() {
+		a.Begin(now)
+		a.Mark(StageSyscall, now+10)
+		a.Mark(StageConstruct, now+20)
+		a.MarkRes(StageNAND, now+55, die)
+		a.MarkRes(StageDMA, now+70, dma)
+		a.Reattribute(now+15, StageRetry) // splits the construct segment
+		a.Mark(StageRetry, now+75)
+		a.MarkRes(StageNAND, now+130, die)
+		a.Mark(StageCopyout, now+140)
+		a.Finish(now + 140)
+		now += 140
+	}
+	if n := mallocs(1000, fallback); n != 0 {
+		t.Fatalf("1000 fallbacks allocated %d times, want 0", n)
+	}
+	if a.Total(StageRetry) != 1001*60 || a.Total(StageConstruct) != 1001*5 || a.Gaps() != 0 {
+		t.Fatalf("retry %d, construct %d, gaps %d", a.Total(StageRetry), a.Total(StageConstruct), a.Gaps())
 	}
 }

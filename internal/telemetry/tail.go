@@ -1,19 +1,10 @@
 package telemetry
 
 import (
+	"math/bits"
 	"sort"
 
 	"pipette/internal/sim"
-)
-
-// Synthetic blame resources: labels for time a request spent outside any
-// concrete device resource. The admission label tags open-loop pre-queue
-// wait; hedge and failover tag the dispatch gaps the cluster synthesizes
-// for secondary legs (see cluster.Replay).
-const (
-	ResAdmission = "admission"
-	ResHedge     = "hedge"
-	ResFailover  = "failover"
 )
 
 // TailExemplar is one captured slow request: its full contiguous span
@@ -30,7 +21,7 @@ type TailExemplar struct {
 func (e *TailExemplar) Latency() sim.Time { return e.End - e.Start }
 
 // BlameSeg is one row of an aggregate blame composition: total virtual
-// time a set of requests spent in (Stage, Res).
+// time a set of requests spent in (Stage, Res). Res is the resource's name.
 type BlameSeg struct {
 	Stage Stage
 	Res   string
@@ -61,19 +52,50 @@ type TailSnapshot struct {
 // count, as long as each recorder observes one single-threaded cell.
 //
 // Observe copies a request's segments only when it enters the kept set,
-// so the steady-state cost for a fast request is one comparison.
+// so the steady-state cost for a fast request is one comparison. Kept
+// segments live in slots carved from pointer-free chunks: a slot holds
+// tailSlotMin segments, or the next power-of-two multiple of that when a
+// request has more. An admitted request takes over the evicted entry's
+// slot when it fits; otherwise the evicted slot goes on its size's free
+// list and the request takes a free slot of its own size, or a new one.
+// An admission therefore copies the segments and sifts the heap, and
+// allocates nothing once the kept set has filled.
 type TailRecorder struct {
 	topK     int
 	keep     int
 	seq      uint64
 	observed uint64
-	ents     []tailEntry // min-heap: ents[0] is the weakest kept entry
+	ents     []tailEntry // min-heap: ents[0] is the weakest kept entry; cap keep
+
+	chunkSegs int          // segments per chunk
+	chunks    [][]StageSeg // slot storage
+	used      int          // segments carved from the last chunk
+	free      [][]tailSlot // free slots by size class
+}
+
+// Slot sizes are tailSlotMin << class; a chunk holds tailChunkSegs
+// segments (fewer when keep is small).
+const (
+	tailSlotMin   = 8
+	tailChunkSegs = 4096
+)
+
+// tailSlot locates a slot: its chunk, first segment and size class.
+type tailSlot struct {
+	chunk, off int32
+	class      int32
 }
 
 type tailEntry struct {
 	seq        uint64
 	start, end sim.Time
-	segs       []StageSeg
+	slot       tailSlot
+	n          int32 // segments held
+}
+
+// slotClass is the size class of a slot holding n segments.
+func slotClass(n int) int32 {
+	return int32(bits.Len(uint(max(n, 1)-1) / tailSlotMin))
 }
 
 // outranks reports whether a is a strictly stronger exemplar than b.
@@ -99,7 +121,8 @@ func NewTailRecorder(topK, keep int) *TailRecorder {
 	if keep < topK {
 		keep = topK
 	}
-	return &TailRecorder{topK: topK, keep: keep}
+	return &TailRecorder{topK: topK, keep: keep, ents: make([]tailEntry, 0, keep),
+		chunkSegs: min(keep*tailSlotMin, tailChunkSegs)}
 }
 
 // Observe offers one finished request to the recorder. segs is valid only
@@ -109,10 +132,11 @@ func (t *TailRecorder) Observe(segs []StageSeg, start, end sim.Time) {
 		return
 	}
 	t.observed++
-	e := tailEntry{seq: t.seq, start: start, end: end}
+	e := tailEntry{seq: t.seq, start: start, end: end, n: int32(len(segs))}
 	t.seq++
 	if len(t.ents) < t.keep {
-		e.segs = append([]StageSeg(nil), segs...)
+		e.slot = t.takeSlot(len(segs))
+		copy(t.segs(&e), segs)
 		t.ents = append(t.ents, e)
 		t.siftUp(len(t.ents) - 1)
 		return
@@ -120,10 +144,42 @@ func (t *TailRecorder) Observe(segs []StageSeg, start, end sim.Time) {
 	if !e.outranks(&t.ents[0]) {
 		return
 	}
-	// Evict the weakest kept entry, reusing its segment storage.
-	e.segs = append(t.ents[0].segs[:0], segs...)
+	// Evict the weakest kept entry, taking over its slot if it fits.
+	e.slot = t.ents[0].slot
+	if slotClass(len(segs)) > e.slot.class {
+		t.free[e.slot.class] = append(t.free[e.slot.class], e.slot)
+		e.slot = t.takeSlot(len(segs))
+	}
+	copy(t.segs(&e), segs)
 	t.ents[0] = e
 	t.siftDown(0)
+}
+
+// segs returns the segments e holds.
+func (t *TailRecorder) segs(e *tailEntry) []StageSeg {
+	return t.chunks[e.slot.chunk][e.slot.off : e.slot.off+e.n]
+}
+
+// takeSlot returns a slot for n segments: a free one of n's size class,
+// else one carved from the last chunk, else from a new chunk.
+func (t *TailRecorder) takeSlot(n int) tailSlot {
+	class := slotClass(n)
+	if int(class) < len(t.free) {
+		if f := t.free[class]; len(f) > 0 {
+			t.free[class] = f[:len(f)-1]
+			return f[len(f)-1]
+		}
+	} else {
+		t.free = append(t.free, make([][]tailSlot, int(class)+1-len(t.free))...)
+	}
+	size := tailSlotMin << class
+	if len(t.chunks) == 0 || t.used+size > len(t.chunks[len(t.chunks)-1]) {
+		t.chunks = append(t.chunks, make([]StageSeg, max(size, t.chunkSegs)))
+		t.used = 0
+	}
+	s := tailSlot{chunk: int32(len(t.chunks) - 1), off: int32(t.used), class: class}
+	t.used += size
+	return s
 }
 
 // weaker is the heap order: true when ents[i] should sit below ents[j]
@@ -194,29 +250,37 @@ func (t *TailRecorder) Snapshot() *TailSnapshot {
 			Seq:   e.seq,
 			Start: e.start,
 			End:   e.end,
-			Segs:  append([]StageSeg(nil), e.segs...),
+			Segs:  append([]StageSeg(nil), t.segs(e)...),
 		}
 	}
-	snap.Blame = blameOf(t.ents)
+	blame := blameFold{}
+	for i := range t.ents {
+		blame.add(t.segs(&t.ents[i]))
+	}
+	snap.Blame = blame.rows()
 	return snap
 }
 
-// blameOf folds a set of requests' segments into (stage, resource) totals,
-// ordered by stage then resource.
-func blameOf(ents []tailEntry) []BlameSeg {
-	type key struct {
-		stage Stage
-		res   string
+// blameFold sums segments by (stage, resource).
+type blameFold map[blameKey]sim.Time
+
+type blameKey struct {
+	stage Stage
+	res   Res
+}
+
+func (f blameFold) add(segs []StageSeg) {
+	for _, s := range segs {
+		f[blameKey{s.Stage, s.Res}] += s.End - s.Start
 	}
-	totals := map[key]sim.Time{}
-	for i := range ents {
-		for _, s := range ents[i].segs {
-			totals[key{s.Stage, s.Res}] += s.End - s.Start
-		}
-	}
-	out := make([]BlameSeg, 0, len(totals))
-	for k, v := range totals {
-		out = append(out, BlameSeg{Stage: k.stage, Res: k.res, Total: v})
+}
+
+// rows returns the totals ordered by stage, then resource name: resource
+// IDs depend on the order stacks were built in, names do not.
+func (f blameFold) rows() []BlameSeg {
+	out := make([]BlameSeg, 0, len(f))
+	for k, v := range f {
+		out = append(out, BlameSeg{Stage: k.stage, Res: k.res.String(), Total: v})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Stage != out[j].Stage {
@@ -230,5 +294,7 @@ func blameOf(ents []tailEntry) []BlameSeg {
 // BlameVector folds one request's segments into (stage, resource) totals —
 // the per-exemplar blame vector rendered next to its waterfall.
 func BlameVector(segs []StageSeg) []BlameSeg {
-	return blameOf([]tailEntry{{segs: segs}})
+	f := blameFold{}
+	f.add(segs)
+	return f.rows()
 }

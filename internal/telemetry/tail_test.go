@@ -1,15 +1,19 @@
 package telemetry
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"pipette/internal/sim"
 )
 
-// seg is a test shorthand for a contiguous span.
+// seg is a test shorthand for a contiguous span; it interns res.
 func seg(st Stage, res string, a, b sim.Time) StageSeg {
-	return StageSeg{Stage: st, Res: res, Start: a, End: b}
+	return StageSeg{Stage: st, Res: Intern(res), Start: a, End: b}
 }
 
 func TestTailRecorderRankingAndEviction(t *testing.T) {
@@ -69,7 +73,7 @@ func TestTailRecorderCopiesSegments(t *testing.T) {
 	r.Observe(scratch, 0, 100)
 	scratch[0] = seg(StageDMA, "pcie.dma", 5, 7) // caller reuses its buffer
 	snap := r.Snapshot()
-	if got := snap.TopK[0].Segs[0]; got.Stage != StageNAND || got.Res != "nand.ch0.w0" {
+	if got := snap.TopK[0].Segs[0]; got.Stage != StageNAND || got.Res.String() != "nand.ch0.w0" {
 		t.Fatalf("recorder aliased the caller's segment buffer: %+v", got)
 	}
 }
@@ -124,10 +128,10 @@ func TestMarkResSegments(t *testing.T) {
 		segs = append([]StageSeg(nil), s...)
 	})
 	a.Begin(0)
-	a.MarkRes(StageNAND, 10, "nand.ch0.w0")
-	a.MarkRes(StageNAND, 25, "nand.ch0.w0") // merges
-	a.MarkRes(StageNAND, 40, "nand.ch1.w2") // new segment, same stage
-	a.MarkRes(StageDMA, 44, "pcie.dma")
+	a.MarkRes(StageNAND, 10, Intern("nand.ch0.w0"))
+	a.MarkRes(StageNAND, 25, Intern("nand.ch0.w0")) // merges
+	a.MarkRes(StageNAND, 40, Intern("nand.ch1.w2")) // new segment, same stage
+	a.MarkRes(StageDMA, 44, Intern("pcie.dma"))
 	a.Finish(44)
 
 	want := []StageSeg{
@@ -235,5 +239,149 @@ func TestLatencyGridNilAndEmpty(t *testing.T) {
 	}
 	if NewLatencyGrid(0).Snapshot() != nil {
 		t.Fatal("empty grid must snapshot to nil")
+	}
+}
+
+// rankedRef is the brute-force tail reference: every observed request,
+// with a private copy of its segments.
+type rankedRef struct {
+	ents []tailEntry
+	segs map[uint64][]StageSeg // by seq
+}
+
+func (r *rankedRef) observe(segs []StageSeg, start, end sim.Time) {
+	seq := uint64(len(r.ents))
+	r.ents = append(r.ents, tailEntry{seq: seq, start: start, end: end})
+	r.segs[seq] = append([]StageSeg(nil), segs...)
+}
+
+// snapshot sorts everything observed and keeps the top keep.
+func (r *rankedRef) snapshot(topK, keep int) *TailSnapshot {
+	order := append([]tailEntry(nil), r.ents...)
+	sort.Slice(order, func(i, j int) bool { return order[i].outranks(&order[j]) })
+	kept := order[:min(keep, len(order))]
+	snap := &TailSnapshot{Kept: len(kept), Observed: uint64(len(r.ents))}
+	blame := blameFold{}
+	for i, e := range kept {
+		if i < topK {
+			snap.TopK = append(snap.TopK, TailExemplar{Seq: e.seq, Start: e.start, End: e.end,
+				Segs: append([]StageSeg(nil), r.segs[e.seq]...)})
+		}
+		blame.add(r.segs[e.seq])
+	}
+	snap.Blame = blame.rows()
+	return snap
+}
+
+// TestTailRecorderMatchesSort feeds random streams with many tied
+// latencies and starts, and segment counts across several slot sizes, and
+// compares the recorder with a reference that sorts everything and keeps
+// the top keep — including a snapshot taken mid-stream, which must not
+// change as more requests arrive.
+func TestTailRecorderMatchesSort(t *testing.T) {
+	res := []Res{0, Intern("nand.ch0.w0"), Intern("nand.ch1.w1"), Intern("pcie.dma"), Intern("nvme.sq0")}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		topK, keep := 1+rng.Intn(5), 1+rng.Intn(40)
+		r := NewTailRecorder(topK, keep)
+		keep = max(keep, topK) // as the recorder clamps it
+		ref := &rankedRef{segs: map[uint64][]StageSeg{}}
+		var scratch []StageSeg
+		var mid, midWant *TailSnapshot
+		const requests = 2000
+		for i := 0; i < requests; i++ {
+			start := sim.Time(rng.Intn(50)) * 10
+			end := start + sim.Time(rng.Intn(8))*100
+			n := rng.Intn(6)
+			if rng.Intn(8) == 0 {
+				n = rng.Intn(70) // spills into the larger slot sizes
+			}
+			scratch = scratch[:0]
+			for k := 0; k < n; k++ {
+				// Segments need not tile the request here: the recorder
+				// copies them verbatim.
+				scratch = append(scratch, StageSeg{Start: sim.Time(k), End: sim.Time(2*k + rng.Intn(3)),
+					Stage: Stage(rng.Intn(int(NumStages))), Res: res[rng.Intn(len(res))]})
+			}
+			r.Observe(scratch, start, end)
+			ref.observe(scratch, start, end)
+			if i == requests/2 {
+				mid, midWant = r.Snapshot(), ref.snapshot(topK, keep)
+				if !reflect.DeepEqual(mid, midWant) {
+					t.Fatalf("seed %d: mid-stream snapshot\n got %+v\nwant %+v", seed, mid, midWant)
+				}
+			}
+		}
+		if got, want := r.Snapshot(), ref.snapshot(topK, keep); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: snapshot\n got %+v\nwant %+v", seed, got, want)
+		}
+		if !reflect.DeepEqual(mid, midWant) {
+			t.Fatalf("seed %d: later observations changed the mid-stream snapshot", seed)
+		}
+		if r.Observed() != requests {
+			t.Fatalf("seed %d: observed %d, want %d", seed, r.Observed(), requests)
+		}
+	}
+}
+
+// TestBlameSortedByName interns resources in reverse name order: blame rows
+// must still come out by stage, then name, never by ID.
+func TestBlameSortedByName(t *testing.T) {
+	c, b, a := Intern("zz.sorted.c"), Intern("zz.sorted.b"), Intern("zz.sorted.a")
+	if !(c < b && b < a) {
+		t.Fatalf("IDs %d %d %d were not assigned in intern order", c, b, a)
+	}
+	segs := []StageSeg{
+		{Start: 0, End: 1, Stage: StageNAND, Res: c},
+		{Start: 1, End: 3, Stage: StageNAND, Res: a},
+		{Start: 3, End: 6, Stage: StageDMA, Res: b},
+		{Start: 6, End: 10, Stage: StageNAND, Res: b},
+		{Start: 10, End: 15, Stage: StageNAND},
+	}
+	want := []BlameSeg{
+		{Stage: StageNAND, Res: "", Total: 5},
+		{Stage: StageNAND, Res: "zz.sorted.a", Total: 2},
+		{Stage: StageNAND, Res: "zz.sorted.b", Total: 4},
+		{Stage: StageNAND, Res: "zz.sorted.c", Total: 1},
+		{Stage: StageDMA, Res: "zz.sorted.b", Total: 3},
+	}
+	if got := BlameVector(segs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("BlameVector = %+v, want %+v", got, want)
+	}
+	r := NewTailRecorder(1, 4)
+	r.Observe(segs, 0, 15)
+	if got := r.Snapshot().Blame; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Snapshot().Blame = %+v, want %+v", got, want)
+	}
+}
+
+// TestInternShared interns overlapping names from several goroutines, as
+// parallel workers building their stacks do: every caller gets one ID per
+// name, and the ID names it back.
+func TestInternShared(t *testing.T) {
+	const workers = 4
+	ids := make([][]Res, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				// Each worker starts at a different name.
+				ids[w] = append(ids[w], Intern(fmt.Sprintf("zz.shared.%d", (i+50*w)%200)))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		for i, id := range ids[w] {
+			name := fmt.Sprintf("zz.shared.%d", (i+50*w)%200)
+			if id.String() != name || id != ids[0][(i+50*w)%200] {
+				t.Fatalf("worker %d: %q got ID %d (%q), worker 0 got %d", w, name, id, id.String(), ids[0][(i+50*w)%200])
+			}
+		}
+	}
+	if Intern("") != 0 || Res(0).String() != "" {
+		t.Fatal("the empty name must be resource 0")
 	}
 }
