@@ -21,10 +21,15 @@ func meanAllocs(runs int, f func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
+// newFileTable is a table whose page sets spill into a pool of its own.
+func newFileTable(ino uint64, pageSize int) *fileTable {
+	return newTable(ino, pageSize, new(itemPool))
+}
+
 // TestColdFineReadsAllocRarely pins the detector's ghost entries to the
-// entry arena: cold fine reads of new ranges, on pages the table already
-// indexes, average at most 1/64 allocations each. The per-page index
-// slices are made up front, so their appends are not part of the bound.
+// entry arena and their page-set items to the item pool: the k-th new
+// range on a page the table already indexes, for k up to 32, averages at
+// most 1/64 allocations per cold fine read.
 func TestColdFineReadsAllocRarely(t *testing.T) {
 	cfg := smallCoreConfig()
 	cfg.InitialThreshold = cfg.MaxThreshold // every new range stays a ghost
@@ -32,10 +37,6 @@ func TestColdFineReadsAllocRarely(t *testing.T) {
 	s := newStack(t, cfg, 64, pages*4096)
 	for p := 0; p < pages; p++ {
 		s.read(t, int64(p)*4096, n)
-	}
-	tbl := s.p.table(s.f.Inode().Ino)
-	for p := range tbl.byPage {
-		tbl.byPage[p].rest = make([]pageItem, 0, perPage)
 	}
 	buf := make([]byte, n)
 	next := 0

@@ -1,6 +1,9 @@
 package core
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // entryState tracks where an access range's data lives.
 type entryState uint8
@@ -117,11 +120,11 @@ func (it *pageItem) cached() bool { return it.slabOff >= 0 || it.e.state == stat
 // pageSet holds the entries touching one page, in insertion order up to
 // swap-removes. The first sits inline, so a page with one tracked range —
 // what page-aligned fine reads produce — is read without another
-// indirection; the rest spill into a slice that keeps its capacity when
-// the page empties.
+// indirection; the rest spill into a slot of the core's item pool, which
+// the set keeps when the page empties.
 type pageSet struct {
-	first pageItem // e is nil when the set is empty
-	rest  []pageItem
+	first pageItem   // e is nil when the set is empty
+	rest  []pageItem // a pool slot: cap is the slot's size
 }
 
 func (s *pageSet) len() int {
@@ -139,12 +142,17 @@ func (s *pageSet) at(i int) *pageItem {
 	return &s.rest[i-1]
 }
 
-func (s *pageSet) add(it pageItem) {
+// add appends it, moving the spill items to a slot of the next size class
+// when theirs is full.
+func (s *pageSet) add(items *itemPool, it pageItem) {
 	if s.first.e == nil {
 		s.first = it
-	} else {
-		s.rest = append(s.rest, it)
+		return
 	}
+	if len(s.rest) == cap(s.rest) {
+		s.rest = items.grow(s.rest)
+	}
+	s.rest = append(s.rest, it)
 }
 
 // remove deletes e, moving the last item into its place.
@@ -163,6 +171,53 @@ func (s *pageSet) remove(e *entry) {
 	}
 }
 
+// Spill slots hold itemSlotMin items, or a power-of-two multiple of that;
+// a chunk holds itemChunk items (a bigger slot gets a chunk of its own).
+const (
+	itemSlotMin = 2
+	itemChunk   = 1024
+)
+
+// itemPool hands out the spill slots of page sets, carved from chunks in
+// power-of-two size classes. A set that outgrows its slot moves to a slot
+// of the next class and frees the old one on its class's free list, so new
+// ranges on indexed pages allocate only when a chunk runs out.
+type itemPool struct {
+	chunk []pageItem       // uncarved tail of the current chunk
+	free  [32][][]pageItem // free slots by size class, each empty
+}
+
+// itemClass is the size class of a slot of n items.
+func itemClass(n int) int { return bits.Len(uint(n-1) / itemSlotMin) }
+
+// grow returns a slot of the next size class up from full's (the smallest
+// for an empty set) holding full's items, and frees full's slot.
+func (p *itemPool) grow(full []pageItem) []pageItem {
+	size := max(itemSlotMin, 2*cap(full))
+	class := itemClass(size)
+	var slot []pageItem
+	if f := p.free[class]; len(f) > 0 {
+		slot, p.free[class] = f[len(f)-1], f[:len(f)-1]
+	} else {
+		if len(p.chunk) < size {
+			p.chunk = make([]pageItem, max(size, itemChunk))
+		}
+		slot, p.chunk = p.chunk[:0:size], p.chunk[size:]
+	}
+	slot = append(slot, full...)
+	if cap(full) > 0 {
+		clear(full[:cap(full)]) // drop the entry pointers
+		c := itemClass(cap(full))
+		if p.free[c] == nil {
+			// Room for a chunk's worth of the class's slots up front: sets
+			// tend to outgrow a class together.
+			p.free[c] = make([][]pageItem, 0, max(1, itemChunk/cap(full)))
+		}
+		p.free[c] = append(p.free[c], full[:0])
+	}
+	return slot
+}
+
 // fileTable is the per-file lookup table of §3.1.2: a dense index, by page
 // number, of the entries touching each page. One scan of a page's set finds
 // an exact key, a containment hit and the write-invalidation set alike.
@@ -171,11 +226,13 @@ type fileTable struct {
 	ino      uint64
 	pageSize uint64
 	byPage   []pageSet // page index -> entries touching the page
+	items    *itemPool // spill slots of the page sets
 	scratch  []*entry  // overlapping() result, reused per call
 }
 
-func newFileTable(ino uint64, pageSize int) *fileTable {
-	return &fileTable{ino: ino, pageSize: uint64(pageSize)}
+// newTable returns an empty table whose page sets spill into items.
+func newTable(ino uint64, pageSize int, items *itemPool) *fileTable {
+	return &fileTable{ino: ino, pageSize: uint64(pageSize), items: items}
 }
 
 // pages iterates the page indices a range touches.
@@ -234,7 +291,7 @@ func (t *fileTable) index(e *entry) {
 		t.byPage = slices.Grow(t.byPage, need-len(t.byPage))[:need]
 	}
 	for p := first; p <= last; p++ {
-		t.byPage[p].add(pageItem{off: e.key.off, n: e.key.n, slabOff: -1, e: e})
+		t.byPage[p].add(t.items, pageItem{off: e.key.off, n: e.key.n, slabOff: -1, e: e})
 	}
 }
 

@@ -34,6 +34,7 @@ type Pipette struct {
 	tables    map[uint64]*fileTable
 	lastTbl   *fileTable // memo: fine reads hammer one file at a time
 	entries   entryArena
+	items     itemPool // spill slots of every file table's page sets
 	owners    []*entry // slab slot -> the stateSlab entry its item holds; grown on demand
 	overflow  overflowFIFO
 	overBytes int
@@ -185,7 +186,7 @@ func (p *Pipette) table(ino uint64) *fileTable {
 	if !ok {
 		// The per-file lookup table is created on the file's first
 		// fine-grained read (§3.1.2).
-		t = newFileTable(ino, p.pageSize)
+		t = newTable(ino, p.pageSize, &p.items)
 		p.tables[ino] = t
 	}
 	p.lastTbl = t

@@ -409,8 +409,7 @@ func (f *FTL) dieOfBlock(b nand.BlockID) int {
 // setMapping points lba at ppa, invalidating any previous backing.
 func (f *FTL) setMapping(lba LBA, ppa nand.PPA) {
 	if old := f.l2p[lba]; old != invalidPPA {
-		f.p2l[old] = invalidLBA
-		f.validCount[f.geo.BlockOf(old)]--
+		f.unmap(old)
 	}
 	f.l2p[lba] = ppa
 	f.p2l[ppa] = lba
@@ -447,12 +446,19 @@ func (f *FTL) Trim(lba LBA) error {
 		return fmt.Errorf("%w: %d", ErrBadLBA, lba)
 	}
 	if old := f.l2p[lba]; old != invalidPPA {
-		f.p2l[old] = invalidLBA
-		f.validCount[f.geo.BlockOf(old)]--
+		f.unmap(old)
 		f.l2p[lba] = invalidPPA
 		f.stats.TrimmedPages++
 	}
 	return nil
+}
+
+// unmap invalidates ppa, a page that stopped backing its LBA, and drops its
+// flash content: no read reaches a page the FTL does not map.
+func (f *FTL) unmap(ppa nand.PPA) {
+	f.p2l[ppa] = invalidLBA
+	f.validCount[f.geo.BlockOf(ppa)]--
+	f.arr.Discard(ppa)
 }
 
 // Preload maps lba to a frontier page holding deterministic content,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -225,8 +226,8 @@ func mergeAllocs(t *testing.T, n int) (allocs uint64, blocks int) {
 
 // TestMergeAllocsGrowWithBlocks: a level merge reads its inputs into one
 // buffer per run and copies keys into one scratch buffer, so four times the
-// records cost at most one more allocation per extra block (the output's
-// fence string), not one per record.
+// records cost at most one more allocation per extra block, not one per
+// record.
 func TestMergeAllocsGrowWithBlocks(t *testing.T) {
 	const n = 5000
 	a1, b1 := mergeAllocs(t, n)
@@ -235,6 +236,58 @@ func TestMergeAllocsGrowWithBlocks(t *testing.T) {
 	if limit := int64(b4-b1) + 32; extra > limit {
 		t.Errorf("merging %d instead of %d records took %d more allocations (%d vs %d); "+
 			"%d more blocks allow at most %d", 4*n, n, extra, a4, a1, b4-b1, limit)
+	}
+}
+
+// flushAllocs counts the heap allocations of flushing a memtable of n
+// keys, after a first flush of n other keys has sized the engine's build
+// buffers, and returns them with the flushed run's block count.
+func flushAllocs(t *testing.T, n int) (allocs uint64, blocks int) {
+	cfg := Config{Kind: LSM, MemtableEntries: 1 << 30} // flush by hand only
+	cfg.setDefaults()
+	e := newLSM(memBackend{}, cfg)
+	keys := shuffledKeys(2*n, int64(n))
+	now := sim.Time(0)
+	var err error
+	for round := 0; round < 2; round++ {
+		for i, k := range keys[round*n : (round+1)*n] {
+			if now, err = e.Insert(now, k, Loc{Seg: uint32(i), ValLen: 100}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// No collection mid-flush: one would empty fmt's buffer pool and
+		// charge the run name's formatting to the bigger flush.
+		runtime.GC()
+		gc := debug.SetGCPercent(-1)
+		prev := runtime.GOMAXPROCS(1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		now, err = e.flush(now)
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(prev)
+		debug.SetGCPercent(gc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs = after.Mallocs - before.Mallocs
+	}
+	return allocs, e.runs[0].blocks
+}
+
+// TestFlushAllocsPerRun: a flush keeps its run's fences in one buffer, so
+// its allocations are per run — the file, the filter, the fence buffer —
+// and do not grow with its block count: four times the blocks may cost a
+// few allocations more or less from flush to flush, not one per block.
+func TestFlushAllocsPerRun(t *testing.T) {
+	const n = 2000
+	a1, b1 := flushAllocs(t, n)
+	a4, b4 := flushAllocs(t, 4*n)
+	t.Logf("flush of %d blocks: %d allocations; %d blocks: %d", b1, a1, b4, a4)
+	if b4 < 3*b1 {
+		t.Fatalf("setup: runs of %d and %d blocks", b1, b4)
+	}
+	if a4 > a1+8 {
+		t.Errorf("a flush of %d blocks took %d allocations, one of %d blocks %d; want at most 8 more", b4, a4, b1, a1)
 	}
 }
 

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pipette/internal/sim"
@@ -35,7 +36,7 @@ type run struct {
 	r       File
 	size    int64 // data bytes including block padding
 	blocks  int
-	fences  []string // first key of each block
+	fences  fenceKeys // first key of each block
 	filter  *bloom
 	entries int
 }
@@ -52,7 +53,44 @@ type lsmEngine struct {
 
 	stats    Stats
 	buildBuf []byte
-	spare    []byte // the next lookup miss reads its block into this buffer
+	fenceBuf fenceKeys // the run being built's fences, copied out at its end
+	spare    []byte    // the next lookup miss reads its block into this buffer
+}
+
+// fenceKeys holds a run's fence pointers, the first key of each block, in
+// one buffer: key i is keys[ends[i-1]:ends[i]], with ends[-1] = 0.
+type fenceKeys struct {
+	keys []byte
+	ends []int32
+}
+
+func (f *fenceKeys) len() int { return len(f.ends) }
+
+// at returns fence i as a view into the buffer.
+func (f *fenceKeys) at(i int) []byte {
+	lo := int32(0)
+	if i > 0 {
+		lo = f.ends[i-1]
+	}
+	return f.keys[lo:f.ends[i]]
+}
+
+func (f *fenceKeys) add(key []byte) {
+	f.keys = append(f.keys, key...)
+	f.ends = append(f.ends, int32(len(f.keys)))
+}
+
+// search returns the index of the first fence >= key, as sort.SearchStrings
+// over the fences would, and whether that fence equals key.
+func (f *fenceKeys) search(key string) (int, bool) {
+	// string(...) in a comparison does not allocate.
+	i := sort.Search(f.len(), func(i int) bool { return string(f.at(i)) >= key })
+	return i, i < f.len() && string(f.at(i)) == key
+}
+
+// clone returns a copy sized to its contents.
+func (f *fenceKeys) clone() fenceKeys {
+	return fenceKeys{keys: slices.Clone(f.keys), ends: slices.Clone(f.ends)}
 }
 
 func newLSM(be Backend, cfg Config) *lsmEngine {
@@ -126,12 +164,13 @@ func (e *lsmEngine) flush(now sim.Time) (sim.Time, error) {
 // building its fences and bloom filter along the way. The write is one
 // timed sequential append — the LSM's characteristic I/O shape. Each key
 // next yields need only stay valid until the following call: the run
-// copies one key string per block, for its fence.
+// copies each block's first key into its fence buffer.
 func (e *lsmEngine) buildRun(now sim.Time, level, count int, next func(sim.Time) (sim.Time, []byte, Loc, bool, bool)) (sim.Time, *run, error) {
 	bb := e.cfg.BlockBytes
 	buf := e.buildBuf[:0]
 	filter := newBloom(count, e.cfg.BloomBitsPerKey)
-	var fences []string
+	fences := &e.fenceBuf
+	fences.keys, fences.ends = fences.keys[:0], fences.ends[:0]
 	entries := 0
 	for {
 		var key []byte
@@ -149,7 +188,7 @@ func (e *lsmEngine) buildRun(now sim.Time, level, count int, next func(sim.Time)
 			}
 		}
 		if len(buf)%bb == 0 {
-			fences = append(fences, string(key))
+			fences.add(key)
 		}
 		buf = appendRunRecord(buf, key, l, tomb)
 		filter.add(key)
@@ -193,7 +232,7 @@ func (e *lsmEngine) buildRun(now sim.Time, level, count int, next func(sim.Time)
 		r:       r,
 		size:    int64(len(buf)),
 		blocks:  (len(buf) + bb - 1) / bb,
-		fences:  fences,
+		fences:  fences.clone(),
 		filter:  filter,
 		entries: entries,
 	}
@@ -303,8 +342,8 @@ func (e *lsmEngine) Lookup(now sim.Time, key string) (Loc, bool, sim.Time, error
 			continue
 		}
 		// Fence search: the block whose first key is <= key.
-		blk := sort.SearchStrings(r.fences, key)
-		if blk < len(r.fences) && r.fences[blk] == key {
+		blk, exact := r.fences.search(key)
+		if exact {
 			blk++ // exact fence hit: key is this block's first record
 		}
 		if blk == 0 {
@@ -373,8 +412,8 @@ func (it *runIter) next(now sim.Time) (sim.Time, error) {
 
 // seek positions the iterator at the first record with key >= start.
 func (it *runIter) seek(now sim.Time, start string) (sim.Time, error) {
-	blk := sort.SearchStrings(it.r.fences, start)
-	if blk > 0 && !(blk < len(it.r.fences) && it.r.fences[blk] == start) {
+	blk, exact := it.r.fences.search(start)
+	if blk > 0 && !exact {
 		blk-- // start may fall inside the preceding block
 	}
 	it.blk = blk
@@ -458,19 +497,20 @@ func (e *lsmEngine) Scan(now sim.Time, start string, fn func(sim.Time, string, L
 // — one leveled-merge round per maintenance tick, so compaction work rides
 // the same cadence as the value log's.
 func (e *lsmEngine) Tick(now sim.Time) (bool, sim.Time, error) {
-	byLevel := make(map[int][]*run)
-	maxLevel := 0
-	for _, r := range e.runs {
-		byLevel[r.level] = append(byLevel[r.level], r)
-		if r.level > maxLevel {
-			maxLevel = r.level
+	// e.runs is in read order, level ascending, so each level's runs sit
+	// together, newest first.
+	for lo := 0; lo < len(e.runs); {
+		lvl, hi := e.runs[lo].level, lo+1
+		for hi < len(e.runs) && e.runs[hi].level == lvl {
+			hi++
 		}
-	}
-	for lvl := 0; lvl <= maxLevel; lvl++ {
-		if len(byLevel[lvl]) > e.cfg.LevelFanout {
-			now, err := e.mergeLevel(now, lvl, byLevel[lvl], maxLevel)
+		if hi-lo > e.cfg.LevelFanout {
+			// The merge retires its inputs from e.runs: hand it a copy.
+			inputs := slices.Clone(e.runs[lo:hi])
+			now, err := e.mergeLevel(now, lvl, inputs, e.runs[len(e.runs)-1].level)
 			return err == nil, now, err
 		}
+		lo = hi
 	}
 	return false, now, nil
 }

@@ -7,6 +7,55 @@ import (
 	"testing"
 )
 
+// TestFenceSearchMatchesSearchStrings: the run's one-buffer fences pick
+// the block sort.SearchStrings picks over the same keys as strings, for
+// probes before, between, on and after the fences.
+func TestFenceSearchMatchesSearchStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	randKey := func() string {
+		b := make([]byte, 1+rng.Intn(6))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(4)) // a small alphabet: shared prefixes
+		}
+		return string(b)
+	}
+	for round := 0; round < 200; round++ {
+		seen := map[string]bool{}
+		var keys []string
+		for n := rng.Intn(12); len(keys) < n; {
+			if k := randKey(); !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		var f fenceKeys
+		for _, k := range keys {
+			f.add([]byte(k))
+		}
+		if f.len() != len(keys) {
+			t.Fatalf("%d fences, want %d", f.len(), len(keys))
+		}
+		probes := append([]string{"", "\xff"}, keys...)
+		for i := 0; i < 20; i++ {
+			probes = append(probes, randKey())
+		}
+		for _, p := range probes {
+			want := sort.SearchStrings(keys, p)
+			got, exact := f.search(p)
+			if got != want || exact != (want < len(keys) && keys[want] == p) {
+				t.Fatalf("fences %q: search(%q) = %d %v, SearchStrings %d", keys, p, got, exact, want)
+			}
+		}
+		c := f.clone()
+		for i, k := range keys {
+			if string(c.at(i)) != k {
+				t.Fatalf("clone fence %d = %q, want %q", i, c.at(i), k)
+			}
+		}
+	}
+}
+
 func TestSkipList(t *testing.T) {
 	t.Parallel()
 	l := newSkipList(42)

@@ -64,9 +64,14 @@ func (s *Store) pickVictim() *segment {
 // still sees (and skips) the damage instead of compaction laundering it
 // under a fresh checksum.
 func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
-	hdr := make([]byte, headerSize)
 	reclaimed := uint64(sg.tail)
 	for off := int64(0); off < sg.tail; {
+		// The header lands in the store's record scratch, where the rest
+		// of the record follows it.
+		if cap(s.scratch) < headerSize {
+			s.scratch = make([]byte, headerSize)
+		}
+		hdr := s.scratch[:headerSize]
 		if _, done, err := sg.r.ReadAt(now, hdr, off); err != nil {
 			return done, err
 		} else {
@@ -78,10 +83,11 @@ func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 		}
 		sz := recordSize(h.keyLen, h.valLen)
 		if int64(cap(s.scratch)) < sz {
-			s.scratch = make([]byte, sz)
+			grown := make([]byte, sz)
+			copy(grown, hdr)
+			s.scratch = grown
 		}
 		rec := s.scratch[:sz]
-		copy(rec, hdr)
 		if _, done, err := sg.r.ReadAt(now, rec[headerSize:], off+headerSize); err != nil {
 			return done, err
 		} else {
@@ -117,7 +123,7 @@ func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 			l := index.Loc{Seg: id, Off: recOff, ValLen: uint32(h.valLen)}
 			s.retire(h.keyLen, s.locs[slot])
 			s.locs[slot] = l
-			if now, err = s.eng.Insert(now, string(key), l); err != nil {
+			if now, err = s.eng.Insert(now, s.keys[slot], l); err != nil {
 				return now, err
 			}
 			s.segs[id].live += sz

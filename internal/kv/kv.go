@@ -118,10 +118,13 @@ type Store struct {
 	// the engine must not be charged device time for accounting the store
 	// does off the critical path. acct maps each live key to a slot of
 	// locs, so an update probes the map once and rewrites the slot in
-	// place; Delete returns the slot to free.
+	// place; Delete returns the slot to free. keys holds each slot's key,
+	// the string acct holds, so compaction re-inserts a moved record under
+	// it instead of converting the key bytes it read.
 	eng  index.Engine
 	acct map[string]int32
 	locs []index.Loc
+	keys []string
 	free []int32
 
 	stats   Stats

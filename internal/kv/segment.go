@@ -327,12 +327,13 @@ func (s *Store) setIndexed(key string, l index.Loc) {
 	if n := len(s.free); n > 0 {
 		slot := s.free[n-1]
 		s.free = s.free[:n-1]
-		s.locs[slot] = l
+		s.locs[slot], s.keys[slot] = l, key
 		s.acct[key] = slot
 		return
 	}
 	s.acct[key] = int32(len(s.locs))
 	s.locs = append(s.locs, l)
+	s.keys = append(s.keys, key)
 }
 
 // dropIndexed retires key's current record, held in slot, and frees the
@@ -340,6 +341,7 @@ func (s *Store) setIndexed(key string, l index.Loc) {
 func (s *Store) dropIndexed(key string, slot int32) {
 	s.retire(len(key), s.locs[slot])
 	delete(s.acct, key)
+	s.keys[slot] = ""
 	s.free = append(s.free, slot)
 }
 

@@ -7,10 +7,11 @@
 // the defaults mirror it. Timing accumulates on sim resources so that
 // channel-level parallelism and contention emerge naturally.
 //
-// Capacity is sparse: only programmed pages store real bytes. Pages
-// "preloaded" with file data (the multi-gigabyte datasets the paper's
-// workloads read) return deterministic seed-derived content instead of
-// materializing hundreds of gigabytes of host RAM; see Preload.
+// Capacity is sparse: only programmed pages store real bytes, and only
+// while the FTL maps them (see Discard). Pages "preloaded" with file data
+// (the multi-gigabyte datasets the paper's workloads read) return
+// deterministic seed-derived content instead of materializing hundreds of
+// gigabytes of host RAM; see Preload.
 package nand
 
 import (
@@ -232,13 +233,19 @@ var (
 	ErrBadLength   = errors.New("nand: data length does not match page size")
 	ErrOutOfRange  = errors.New("nand: address out of range")
 	ErrNotProgram  = errors.New("nand: reading an unwritten page")
+	ErrDiscarded   = errors.New("nand: reading a discarded page")
 	ErrEraseActive = errors.New("nand: block has programmed pages; erase first")
 )
 
-// blockState tracks per-block programming progress.
+// blockState tracks per-block programming progress and where the block's
+// programmed bytes live, so a read finds everything it checks in one place.
 type blockState struct {
-	nextPage int  // next programmable page index
-	bad      bool // manufacturing/grown bad block
+	nextPage  int32 // next programmable page index
+	bad       bool  // manufacturing/grown bad block
+	discarded bool  // some page lost its content since the last erase
+	// slots maps page -> content store slot, -1 for none; nil until the
+	// block is first programmed, so read-only blocks carry no table.
+	slots []int32
 }
 
 // Array is the flash device. Operations take the current virtual time and
@@ -249,8 +256,8 @@ type Array struct {
 	dies  *sim.ResourceSet // die occupancy: tR / tPROG / tBERS
 	buses *sim.ResourceSet // channel bus occupancy: data transfer
 
-	data    map[PPA][]byte // programmed pages with materialized content
-	loaded  bitset.Set     // preloaded pages (deterministic content)
+	store   pageStore  // materialized bytes of programmed, undiscarded pages
+	loaded  bitset.Set // preloaded, undiscarded pages (deterministic content)
 	blocks  []blockState
 	rng     *sim.RNG
 	timing  Timing
@@ -279,7 +286,7 @@ func New(cfg Config) (*Array, error) {
 		cfg:     cfg,
 		dies:    sim.NewResourceSet(cfg.Dies()),
 		buses:   sim.NewResourceSet(cfg.Channels),
-		data:    make(map[PPA][]byte),
+		store:   pageStore{pageSize: cfg.PageSize},
 		loaded:  bitset.New(int(cfg.TotalPages())),
 		blocks:  make([]blockState, cfg.TotalBlocks()),
 		rng:     sim.NewRNG(cfg.ContentSeed ^ 0xfeed_beef),
@@ -359,11 +366,13 @@ func (a *Array) checkPPA(p PPA) error {
 }
 
 // MarkBad marks a block as unusable; the FTL skips bad blocks at format.
+// Whatever the block held can no longer be read, so its content goes.
 func (a *Array) MarkBad(b BlockID) error {
 	if int(b) >= len(a.blocks) {
 		return ErrOutOfRange
 	}
 	a.blocks[b].bad = true
+	a.dropContent(b)
 	return nil
 }
 
@@ -406,13 +415,9 @@ func (a *Array) ReadPageRange(now sim.Time, p PPA, off int, dst []byte) (sim.Tim
 	if off < 0 || off+len(dst) > a.cfg.PageSize {
 		return now, fmt.Errorf("%w: bytes [%d,%d) of a %d-byte page", ErrOutOfRange, off, off+len(dst), a.cfg.PageSize)
 	}
-	b := a.cfg.BlockOf(p)
-	if a.blocks[b].bad {
-		return now, ErrBadBlock
-	}
-	page := int(p - a.cfg.FirstPPA(b))
-	if page >= a.blocks[b].nextPage && !a.loaded.Get(int(p)) {
-		return now, fmt.Errorf("%w: ppa %d", ErrNotProgram, p)
+	stored, err := a.content(p)
+	if err != nil {
+		return now, err
 	}
 
 	tR := a.timing.ReadPage
@@ -437,21 +442,15 @@ func (a *Array) ReadPageRange(now sim.Time, p PPA, off int, dst []byte) (sim.Tim
 
 	a.stats.Reads++
 	a.stats.BytesOut += uint64(a.cfg.PageSize)
-	if len(dst) == 0 {
-		return done, nil
-	}
-	if d, ok := a.data[p]; ok {
-		copy(dst, d[off:])
-	} else {
-		a.pattern.fill(p, off, dst)
-	}
+	a.copyOut(p, stored, off, dst)
 	return done, nil
 }
 
 // PeekRange returns len(buf) bytes of a page's content starting at off,
 // without timing or stats — the oracle used by tests and by the host to
-// verify end-to-end correctness. It does not require the page to be
-// programmed (unwritten pages read as pattern content would).
+// verify end-to-end correctness. A page PeekRange serves is exactly one
+// ReadPageRange serves: it fails the same way on a bad block and on an
+// unwritten or discarded page.
 func (a *Array) PeekRange(p PPA, off int, buf []byte) error {
 	if err := a.checkPPA(p); err != nil {
 		return err
@@ -459,12 +458,47 @@ func (a *Array) PeekRange(p PPA, off int, buf []byte) error {
 	if off < 0 || off+len(buf) > a.cfg.PageSize {
 		return fmt.Errorf("%w: bytes [%d,%d) of a %d-byte page", ErrOutOfRange, off, off+len(buf), a.cfg.PageSize)
 	}
-	if d, ok := a.data[p]; ok {
-		copy(buf, d[off:off+len(buf)])
-		return nil
+	stored, err := a.content(p)
+	if err != nil {
+		return err
 	}
-	a.pattern.fill(p, off, buf)
+	a.copyOut(p, stored, off, buf)
 	return nil
+}
+
+// content finds the bytes of page p, an in-range PPA, for a read or a
+// peek: its store slot if it was programmed, nil if it holds preloaded
+// pattern content, or the error that makes it unreadable.
+func (a *Array) content(p PPA) ([]byte, error) {
+	b := a.cfg.BlockOf(p)
+	bs := &a.blocks[b]
+	if bs.bad {
+		return nil, ErrBadBlock
+	}
+	page := int32(p - a.cfg.FirstPPA(b))
+	switch {
+	case page >= bs.nextPage:
+		return nil, fmt.Errorf("%w: ppa %d", ErrNotProgram, p)
+	case bs.slots != nil && bs.slots[page] >= 0:
+		return a.store.page(bs.slots[page]), nil
+	case !bs.discarded || a.loaded.Get(int(p)):
+		// Programmed without a slot: preloaded, unless a discard took it.
+		return nil, nil
+	}
+	return nil, fmt.Errorf("%w: ppa %d", ErrDiscarded, p)
+}
+
+// copyOut writes the page bytes [off, off+len(dst)) of page p into dst:
+// from stored, content's result, or the pattern when stored is nil.
+func (a *Array) copyOut(p PPA, stored []byte, off int, dst []byte) {
+	if len(dst) == 0 {
+		return // a timing-only read builds nothing
+	}
+	if stored != nil {
+		copy(dst, stored[off:])
+	} else {
+		a.pattern.fill(p, off, dst)
+	}
 }
 
 // ProgramPage writes one full page. NAND constraints are enforced: the
@@ -482,7 +516,7 @@ func (a *Array) ProgramPage(now sim.Time, p PPA, data []byte) (sim.Time, error) 
 	if bs.bad {
 		return now, ErrBadBlock
 	}
-	page := int(p - a.cfg.FirstPPA(b))
+	page := int32(p - a.cfg.FirstPPA(b))
 	switch {
 	case page < bs.nextPage:
 		return now, fmt.Errorf("%w: page %d already programmed", ErrNotErased, page)
@@ -504,10 +538,14 @@ func (a *Array) ProgramPage(now sim.Time, p PPA, data []byte) (sim.Time, error) 
 		a.dieRes[die].Add(progStart, done)
 	}
 
-	stored := make([]byte, len(data))
-	copy(stored, data)
-	a.data[p] = stored
-	a.loaded.Clear(int(p))
+	if bs.slots == nil {
+		bs.slots = make([]int32, a.cfg.PagesPerBlock)
+		for i := range bs.slots {
+			bs.slots[i] = -1
+		}
+	}
+	bs.slots[page] = a.store.take()
+	copy(a.store.page(bs.slots[page]), data)
 	bs.nextPage = page + 1
 	a.stats.Programs++
 	a.stats.BytesIn += uint64(len(data))
@@ -524,12 +562,9 @@ func (a *Array) EraseBlock(now sim.Time, b BlockID) (sim.Time, error) {
 	if bs.bad {
 		return now, ErrBadBlock
 	}
-	first := a.cfg.FirstPPA(b)
-	for i := 0; i < a.cfg.PagesPerBlock; i++ {
-		delete(a.data, first+PPA(i))
-		a.loaded.Clear(int(first) + i)
-	}
+	a.dropContent(b)
 	bs.nextPage = 0
+	first := a.cfg.FirstPPA(b)
 	die := a.dieOf(first)
 	eraseStart, done := a.dies.Acquire(die, now, a.timing.EraseBlock)
 	if a.tr.Enabled() {
@@ -541,6 +576,50 @@ func (a *Array) EraseBlock(now sim.Time, b BlockID) (sim.Time, error) {
 	a.stats.Erases++
 	return done, nil
 }
+
+// Discard drops the content of page p: the FTL calls it when it stops
+// mapping p, on an overwrite, a GC or wear-leveling move and a trim. The
+// page stays programmed for the block's program order and its erase, but
+// its store slot goes back to the pool, and a later read or peek of it
+// fails with ErrDiscarded. Discarding a page that holds no content, or an
+// out-of-range PPA, does nothing.
+func (a *Array) Discard(p PPA) {
+	if uint64(p) >= a.totalPages {
+		return
+	}
+	a.loaded.Clear(int(p))
+	b := a.cfg.BlockOf(p)
+	bs := &a.blocks[b]
+	bs.discarded = true
+	if bs.slots != nil {
+		page := p - a.cfg.FirstPPA(b)
+		if slot := bs.slots[page]; slot >= 0 {
+			a.store.release(slot)
+			bs.slots[page] = -1
+		}
+	}
+}
+
+// dropContent returns every store slot of block b to the pool, clears its
+// preloaded pages and forgets its discards: nothing in it is readable.
+func (a *Array) dropContent(b BlockID) {
+	first := int(a.cfg.FirstPPA(b))
+	for i := 0; i < a.cfg.PagesPerBlock; i++ {
+		a.loaded.Clear(first + i)
+	}
+	bs := &a.blocks[b]
+	for i, slot := range bs.slots {
+		if slot >= 0 {
+			a.store.release(slot)
+			bs.slots[i] = -1
+		}
+	}
+	bs.discarded = false
+}
+
+// ContentPages reports how many pages hold materialized bytes: programmed
+// pages not yet discarded or erased. Preloaded pages hold none.
+func (a *Array) ContentPages() int { return a.store.resident() }
 
 // Preload marks a page as holding deterministic seed-derived content, as if
 // it had been programmed, without materializing bytes or consuming virtual
@@ -556,7 +635,7 @@ func (a *Array) Preload(p PPA) error {
 	if bs.bad {
 		return ErrBadBlock
 	}
-	page := int(p - a.cfg.FirstPPA(b))
+	page := int32(p - a.cfg.FirstPPA(b))
 	switch {
 	case page < bs.nextPage:
 		return fmt.Errorf("%w: page %d already programmed", ErrNotErased, page)

@@ -8,6 +8,7 @@ import (
 	"pipette/internal/fault"
 	"pipette/internal/hmb"
 	"pipette/internal/nvme"
+	"pipette/internal/sim"
 )
 
 // armed builds a controller with a fault injector from the given profile.
@@ -180,6 +181,61 @@ func TestProgramRetryRemaps(t *testing.T) {
 	}
 	if !bytes.Equal(buf, data) {
 		t.Fatal("read-back after program retry returned wrong bytes")
+	}
+}
+
+// TestOverwriteChurnReadsBack: under injected NAND read faults, every
+// mapped LBA of a device churned by overwrites, trims and GC reads back its
+// last write through the ECC retry ladder, and flash content is held for
+// mapped pages only.
+func TestOverwriteChurnReadsBack(t *testing.T) {
+	c := armed(t, "nand.read:0.3", 11)
+	c.cfg.ECCUncorrectableFrac = 0 // every injected error recovers
+	fl := c.FTL()
+	ps := c.PageSize()
+	working := fl.LogicalPages() * 3 / 4
+	rng := sim.NewRNG(5)
+	last := map[uint64]byte{}
+	var now sim.Time
+	for i := 0; i < int(c.Array().Config().TotalPages())*3; i++ {
+		lba := rng.Uint64n(working)
+		if i%16 == 15 {
+			if comp := c.Execute(now, &nvme.Command{Op: nvme.OpTrim, LBA: lba, Pages: 1}); !comp.Ok() {
+				t.Fatalf("trim %d: %+v", lba, comp)
+			}
+			delete(last, lba)
+			continue
+		}
+		data := bytes.Repeat([]byte{byte(i)}, ps)
+		comp := c.Execute(now, &nvme.Command{Op: nvme.OpWrite, LBA: lba, Pages: 1, Data: data})
+		if !comp.Ok() {
+			t.Fatalf("write %d: %+v", lba, comp)
+		}
+		now = comp.Done
+		last[lba] = byte(i)
+	}
+	if fl.Stats().GCWrites == 0 {
+		t.Fatal("GC relocated nothing")
+	}
+	if err := fl.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, ps)
+	for lba, want := range last {
+		comp := c.Execute(now, &nvme.Command{Op: nvme.OpRead, LBA: lba, Pages: 1, Data: buf})
+		if !comp.Ok() {
+			t.Fatalf("read %d: %+v", lba, comp)
+		}
+		now = comp.Done
+		if !bytes.Equal(buf, bytes.Repeat([]byte{want}, ps)) {
+			t.Fatalf("lba %d does not hold its last write %d", lba, want)
+		}
+	}
+	if c.Faults().ECCRetries == 0 {
+		t.Fatal("no ECC retries charged")
+	}
+	if got := c.Array().ContentPages(); got != len(last) {
+		t.Fatalf("%d pages hold content, %d LBAs mapped", got, len(last))
 	}
 }
 

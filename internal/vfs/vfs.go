@@ -84,6 +84,7 @@ type VFS struct {
 
 	io        metrics.IO
 	pendingWB []wbEntry
+	drainWB   []wbEntry // the batch drainWriteback is landing; reused
 
 	// Request-scoped fetch scratch (the VFS is single-threaded).
 	fetchLBAs  []uint64

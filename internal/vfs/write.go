@@ -236,14 +236,18 @@ func (v *VFS) drainWriteback(now sim.Time) (sim.Time, error) {
 	v.sa.Suspend()
 	defer v.sa.Resume()
 	for len(v.pendingWB) > 0 {
+		// Writebacks can evict more dirty pages: they queue on the other
+		// of the two buffers, which trade places each batch.
 		pending := v.pendingWB
-		v.pendingWB = nil
+		v.pendingWB, v.drainWB = v.drainWB[:0], nil
 		for _, wb := range pending {
 			if _, err := v.writebackPage(now, wb.key, wb.data); err != nil {
 				return now, err
 			}
 			v.putPageBuf(wb.data)
 		}
+		clear(pending) // drop the page references
+		v.drainWB = pending[:0]
 	}
 	return now, nil
 }
