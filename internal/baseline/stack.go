@@ -1,7 +1,7 @@
 package baseline
 
 import (
-	"fmt"
+	"strings"
 
 	"pipette/internal/blockdev"
 	"pipette/internal/core"
@@ -261,12 +261,13 @@ func (s *Stack) Probes() []telemetry.Probe {
 			)
 		}
 	}
-	arr := s.Ctrl.Array()
-	for ch := 0; ch < arr.Config().Channels; ch++ {
-		ch := ch
-		probes = append(probes, telemetry.RateProbe(
-			fmt.Sprintf("ch%d_busy", ch),
-			func() sim.Time { return arr.ChannelBusy(ch) }))
+	// One busy-rate series per channel bus, read off its "nand.chN"
+	// timeline (the dies' "nand.chN.wM" timelines are skipped).
+	for i := 0; i < s.Res.Len(); i++ {
+		tl := s.Res.At(i)
+		if ch, ok := strings.CutPrefix(tl.Name(), "nand.ch"); ok && !strings.Contains(ch, ".") {
+			probes = append(probes, telemetry.RateProbe("ch"+ch+"_busy", tl.Busy))
+		}
 	}
 	return probes
 }

@@ -252,19 +252,6 @@ func newEngine(idx int, cfg baseline.StackConfig) (baseline.Engine, error) {
 	return e, nil
 }
 
-// engineSet builds the paper's five engines over identical private systems.
-func engineSet(cfg baseline.StackConfig) ([]baseline.Engine, error) {
-	engines := make([]baseline.Engine, len(EngineNames))
-	for i := range engines {
-		e, err := newEngine(i, cfg)
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = e
-	}
-	return engines, nil
-}
-
 // RunOpts tunes one replay. The arrival process is the only scheduling
 // setting: nil Arrivals is a closed loop with one client, where each request
 // arrives the moment the previous one completes.

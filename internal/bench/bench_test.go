@@ -261,12 +261,12 @@ func TestRunVerifiesContent(t *testing.T) {
 	// VerifyEvery exercises the oracle comparison path; a passing run means
 	// every sampled read returned device-true bytes.
 	s := TinyScale()
-	engines, err := engineSet(s.stackConfig(s.FileSize()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	mix := workload.Mixes(s.FileSize(), 4096, workload.Uniform, 7)[2]
-	for _, e := range engines {
+	for i := range EngineNames {
+		e, err := newEngine(i, s.stackConfig(s.FileSize()))
+		if err != nil {
+			t.Fatal(err)
+		}
 		gen, err := workload.NewSynthetic(mix)
 		if err != nil {
 			t.Fatal(err)

@@ -73,9 +73,6 @@ func NewLive(reg *telemetry.Registry) *Live {
 	return l
 }
 
-// Registry returns the registry Live reports into.
-func (l *Live) Registry() *telemetry.Registry { return l.reg }
-
 // Fold adds one finished cell's ledger to every counter row. A cell fills
 // only the parts it produced; the rest are zero and add nothing.
 func (l *Live) Fold(in *baseline.Ledger) {

@@ -31,15 +31,6 @@ func (s Set) Clear(i int) { s.words[i>>6] &^= 1 << (uint(i) & 63) }
 // Get reports bit i.
 func (s Set) Get(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// Count reports the number of set bits.
-func (s Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // NextSet returns the index of the first set bit in [from, s.Len()), or -1
 // if there is none. Scanning word-at-a-time keeps range iteration cheap even
 // over sparse sets.

@@ -188,26 +188,6 @@ func (l *Layer) ReadPagesKeep(now sim.Time, lbas, keep []uint64, deliver func(lb
 	return done, moved, nil
 }
 
-// ReadPages reads the given page LBAs. It returns the page contents keyed
-// by LBA and the completion time of the last command. All merged commands
-// issue at now and race on the device. Hot paths should prefer
-// ReadPagesEach, which does not allocate the result map.
-func (l *Layer) ReadPages(now sim.Time, lbas []uint64) (map[uint64][]byte, sim.Time, uint64, error) {
-	if len(lbas) == 0 {
-		return nil, now, 0, nil
-	}
-	out := make(map[uint64][]byte, len(lbas))
-	done, moved, err := l.ReadPagesEach(now, lbas, func(lba uint64, data []byte) {
-		page := make([]byte, len(data))
-		copy(page, data)
-		out[lba] = page
-	})
-	if err != nil {
-		return nil, done, moved, err
-	}
-	return out, done, moved, nil
-}
-
 // WritePages writes contiguous pages starting at lba. data must be
 // page-aligned in length. Commands are split at MaxPagesPerCommand and
 // chained (writes serialize on the FTL frontier anyway).
@@ -247,20 +227,4 @@ func (l *Layer) WritePages(now sim.Time, lba uint64, data []byte) (sim.Time, uin
 		l.stats.PagesWritten += uint64(n)
 	}
 	return t, moved, nil
-}
-
-// Trim discards the given contiguous page range.
-func (l *Layer) Trim(now sim.Time, lba uint64, pages int) (sim.Time, error) {
-	issueAt := now + l.cfg.PerRequestOverhead
-	l.sa.Mark(telemetry.StageQueue, issueAt)
-	comp, err := l.drv.Submit(issueAt, nvme.Command{
-		Op: nvme.OpTrim, LBA: lba, Pages: pages,
-	})
-	if err != nil {
-		return now, err
-	}
-	if !comp.Ok() {
-		return comp.Done, fmt.Errorf("blockdev: trim: %w", comp.Status.Err())
-	}
-	return comp.Done, nil
 }

@@ -30,6 +30,15 @@ func testStack(t testing.TB) (*ssd.Controller, *Layer) {
 	return ctrl, layer
 }
 
+// readPages reads lbas through ReadPagesEach, copying out each page.
+func readPages(l *Layer, now sim.Time, lbas []uint64) (map[uint64][]byte, sim.Time, uint64, error) {
+	pages := map[uint64][]byte{}
+	done, moved, err := l.ReadPagesEach(now, lbas, func(lba uint64, data []byte) {
+		pages[lba] = bytes.Clone(data)
+	})
+	return pages, done, moved, err
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, 0, DefaultConfig()); err == nil {
 		t.Error("zero page size accepted")
@@ -82,7 +91,7 @@ func TestReadPagesMergedCommand(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pages, done, moved, err := l.ReadPages(0, []uint64{2, 3, 4, 5})
+	pages, done, moved, err := readPages(l, 0, []uint64{2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +177,11 @@ func TestReadPagesScatteredRace(t *testing.T) {
 	}
 	// Two disjoint runs race on the device: the total should be much less
 	// than two serialized device reads.
-	_, oneDone, _, err := l.ReadPages(0, []uint64{0})
+	_, oneDone, _, err := readPages(l, 0, []uint64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, twoDone, _, err := l.ReadPages(0, []uint64{8, 1})
+	_, twoDone, _, err := readPages(l, 0, []uint64{8, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,15 +195,15 @@ func TestReadPagesScatteredRace(t *testing.T) {
 
 func TestReadPagesEmpty(t *testing.T) {
 	_, l := testStack(t)
-	pages, done, moved, err := l.ReadPages(42, nil)
-	if err != nil || pages != nil || done != 42 || moved != 0 {
+	pages, done, moved, err := readPages(l, 42, nil)
+	if err != nil || len(pages) != 0 || done != 42 || moved != 0 {
 		t.Fatalf("empty read = %v,%v,%d,%v", pages, done, moved, err)
 	}
 }
 
 func TestReadUnmappedFails(t *testing.T) {
 	_, l := testStack(t)
-	if _, _, _, err := l.ReadPages(0, []uint64{999}); err == nil {
+	if _, _, _, err := readPages(l, 0, []uint64{999}); err == nil {
 		t.Fatal("unmapped read succeeded")
 	}
 }
@@ -212,7 +221,7 @@ func TestWritePages(t *testing.T) {
 	if moved != uint64(len(data)) || done <= 0 {
 		t.Fatalf("moved=%d done=%v", moved, done)
 	}
-	pages, _, _, err := l.ReadPages(done, []uint64{10, 11, 12})
+	pages, _, _, err := readPages(l, done, []uint64{10, 11, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +254,10 @@ func TestTrim(t *testing.T) {
 	if _, _, err := l.WritePages(0, 5, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Trim(0, 5, 1); err != nil {
+	if err := ctrl.Trim(5); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := l.ReadPages(0, []uint64{5}); err == nil {
+	if _, _, _, err := readPages(l, 0, []uint64{5}); err == nil {
 		t.Fatal("read after trim succeeded")
 	}
 }

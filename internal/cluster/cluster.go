@@ -52,9 +52,6 @@ type Config struct {
 	Replicas int // copies per key, clamped to [1, Shards]
 	Tenants  int // tenant namespaces (>= 1)
 
-	// VirtualNodes per shard on the ring (<= 0 = DefaultVirtualNodes).
-	VirtualNodes int
-
 	// Depth bounds each shard's in-flight requests; arrivals past it wait
 	// in the shard's admission FIFO (<= 0 = 16).
 	Depth int
@@ -161,7 +158,7 @@ func New(cfg Config, shardCfg func(id int) ShardConfig) (*Cluster, error) {
 	if cfg.Replicas > maxReplicas {
 		return nil, fmt.Errorf("cluster: replicas %d exceeds limit %d", cfg.Replicas, maxReplicas)
 	}
-	c := &Cluster{cfg: cfg, ring: NewRing(cfg.VirtualNodes)}
+	c := &Cluster{cfg: cfg, ring: NewRing()}
 	for id := 0; id < cfg.Shards; id++ {
 		sh, err := NewShard(id, shardCfg(id))
 		if err != nil {
@@ -177,21 +174,8 @@ func New(cfg Config, shardCfg func(id int) ShardConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Config reports the effective (defaulted) configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// Ring exposes the placement ring (read-only use).
-func (c *Cluster) Ring() *Ring { return c.ring }
-
 // Shard returns member i.
 func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
-
-// Now reports the cluster's virtual-time frontier.
-func (c *Cluster) Now() sim.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
 
 // Route returns the replica set (primary first) for a namespaced key,
 // appending into dst.

@@ -10,7 +10,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
 
 	"pipette/internal/sim"
@@ -28,22 +27,17 @@ type ringPoint struct {
 // shard id — the same membership always yields the same ring, across runs
 // and platforms.
 type Ring struct {
-	vnodes int
 	points []ringPoint // sorted by (hash, shard)
 	shards map[int]struct{}
 }
 
-// DefaultVirtualNodes spreads each shard over enough ring positions that
-// the per-shard keyspace share stays within a few percent of 1/N.
+// DefaultVirtualNodes is the number of ring positions per shard: enough
+// that the per-shard keyspace share stays within a few percent of 1/N.
 const DefaultVirtualNodes = 128
 
-// NewRing builds an empty ring with the given virtual-node count per shard
-// (<= 0 selects DefaultVirtualNodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	return &Ring{vnodes: vnodes, shards: make(map[int]struct{})}
+// NewRing builds an empty ring.
+func NewRing() *Ring {
+	return &Ring{shards: make(map[int]struct{})}
 }
 
 // vnodeHash positions one (shard, vnode) pair on the circle.
@@ -58,7 +52,7 @@ func (r *Ring) Add(shard int) {
 		return
 	}
 	r.shards[shard] = struct{}{}
-	for v := 0; v < r.vnodes; v++ {
+	for v := 0; v < DefaultVirtualNodes; v++ {
 		r.points = append(r.points, ringPoint{hash: vnodeHash(shard, v), shard: shard})
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -68,35 +62,6 @@ func (r *Ring) Add(shard int) {
 		return r.points[i].shard < r.points[j].shard
 	})
 }
-
-// Remove takes a shard's virtual nodes off the ring. Removing an absent
-// shard is a no-op.
-func (r *Ring) Remove(shard int) {
-	if _, ok := r.shards[shard]; !ok {
-		return
-	}
-	delete(r.shards, shard)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != shard {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Shards lists the current membership in ascending id order.
-func (r *Ring) Shards() []int {
-	out := make([]int, 0, len(r.shards))
-	for s := range r.shards {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Len reports the member count.
-func (r *Ring) Len() int { return len(r.shards) }
 
 // HashKey maps a key string onto the circle: FNV-1a finalized through
 // Mix64 so consecutive keys scatter.
@@ -111,19 +76,6 @@ func HashKey(key string) uint64 {
 		h *= prime64
 	}
 	return sim.Mix64(h)
-}
-
-// Lookup returns the shard owning hash h: the first virtual node at or
-// clockwise of h. Panics on an empty ring.
-func (r *Ring) Lookup(h uint64) int {
-	if len(r.points) == 0 {
-		panic("cluster: lookup on empty ring")
-	}
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].shard
 }
 
 // LookupN returns the n distinct shards a key replicates on, walking the
@@ -160,9 +112,4 @@ func (r *Ring) LookupN(h uint64, n int, dst []int) []int {
 		i++
 	}
 	return dst
-}
-
-// String summarizes the ring.
-func (r *Ring) String() string {
-	return fmt.Sprintf("ring{%d shards, %d vnodes each}", len(r.shards), r.vnodes)
 }

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// primary returns the shard owning hash h.
+func primary(r *Ring, h uint64) int { return r.LookupN(h, 1, nil)[0] }
+
 func testKeys(n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
@@ -17,18 +20,18 @@ func testKeys(n int) []string {
 // the same routes regardless of the order they joined, in every run.
 func TestRingDeterministicPlacement(t *testing.T) {
 	t.Parallel()
-	a := NewRing(0)
+	a := NewRing()
 	for s := 0; s < 8; s++ {
 		a.Add(s)
 	}
-	b := NewRing(0)
+	b := NewRing()
 	for _, s := range []int{5, 0, 7, 2, 6, 1, 4, 3} { // join order must not matter
 		b.Add(s)
 	}
 	var ra, rb []int
 	for _, k := range testKeys(5000) {
 		h := HashKey(k)
-		if a.Lookup(h) != b.Lookup(h) {
+		if primary(a, h) != primary(b, h) {
 			t.Fatalf("key %q: primaries differ across add orders", k)
 		}
 		ra = a.LookupN(h, 3, ra)
@@ -43,24 +46,27 @@ func TestRingDeterministicPlacement(t *testing.T) {
 
 // Removing one of N shards must move only that shard's keys, and adding a
 // shard must move roughly K/(N+1) keys, all of them onto the newcomer —
-// the consistent-hashing contract.
+// the consistent-hashing contract. Placement is a pure function of
+// membership, so a removal is a ring built without the shard.
 func TestRingKeyMovement(t *testing.T) {
 	t.Parallel()
 	const nShards, nKeys = 8, 20000
-	r := NewRing(0)
+	const victim = 3
+	full, without := NewRing(), NewRing()
 	for s := 0; s < nShards; s++ {
-		r.Add(s)
+		full.Add(s)
+		if s != victim {
+			without.Add(s)
+		}
 	}
 	keys := testKeys(nKeys)
 	before := make([]int, nKeys)
 	for i, k := range keys {
-		before[i] = r.Lookup(HashKey(k))
+		before[i] = primary(full, HashKey(k))
 	}
 
-	const victim = 3
-	r.Remove(victim)
 	for i, k := range keys {
-		after := r.Lookup(HashKey(k))
+		after := primary(without, HashKey(k))
 		if before[i] != victim && after != before[i] {
 			t.Fatalf("key %q moved %d->%d though shard %d was removed", k, before[i], after, victim)
 		}
@@ -68,17 +74,11 @@ func TestRingKeyMovement(t *testing.T) {
 			t.Fatalf("key %q still routes to removed shard", k)
 		}
 	}
-	r.Add(victim)
-	for i, k := range keys {
-		if got := r.Lookup(HashKey(k)); got != before[i] {
-			t.Fatalf("key %q at %d after re-add, want original %d", k, got, before[i])
-		}
-	}
 
 	moved := 0
-	r.Add(nShards) // ninth member
+	full.Add(nShards) // ninth member
 	for i, k := range keys {
-		after := r.Lookup(HashKey(k))
+		after := primary(full, HashKey(k))
 		if after != before[i] {
 			if after != nShards {
 				t.Fatalf("key %q moved %d->%d, not onto the new shard", k, before[i], after)
@@ -99,7 +99,7 @@ func TestRingKeyMovement(t *testing.T) {
 // LookupN must return R distinct live shards, primary first.
 func TestRingReplicasDistinct(t *testing.T) {
 	t.Parallel()
-	r := NewRing(0)
+	r := NewRing()
 	for s := 0; s < 5; s++ {
 		r.Add(s)
 	}
@@ -110,8 +110,8 @@ func TestRingReplicasDistinct(t *testing.T) {
 		if len(reps) != 3 {
 			t.Fatalf("key %q: %d replicas, want 3", k, len(reps))
 		}
-		if reps[0] != r.Lookup(h) {
-			t.Fatalf("key %q: first replica %d is not the primary %d", k, reps[0], r.Lookup(h))
+		if p := primary(r, h); reps[0] != p {
+			t.Fatalf("key %q: first replica %d is not the primary %d", k, reps[0], p)
 		}
 		seen := map[int]bool{}
 		for _, s := range reps {
@@ -134,13 +134,13 @@ func TestRingReplicasDistinct(t *testing.T) {
 func TestRingBalance(t *testing.T) {
 	t.Parallel()
 	const nShards, nKeys = 8, 40000
-	r := NewRing(0)
+	r := NewRing()
 	for s := 0; s < nShards; s++ {
 		r.Add(s)
 	}
 	counts := make([]int, nShards)
 	for _, k := range testKeys(nKeys) {
-		counts[r.Lookup(HashKey(k))]++
+		counts[primary(r, HashKey(k))]++
 	}
 	for s, c := range counts {
 		if c < nKeys/(3*nShards) || c > 3*nKeys/nShards {

@@ -68,14 +68,9 @@ func (ino *Inode) PageToLBA(page uint64) (uint64, error) {
 	return ext[lo].LBA + (page - ext[lo].FilePage), nil
 }
 
-// ExtractLBAs is the LBA Extractor: it returns the device LBAs of the pages
-// covering the byte range [off, off+n), in file order.
-func (ino *Inode) ExtractLBAs(off int64, n int, pageSize int) ([]uint64, error) {
-	return ino.AppendLBAs(nil, off, n, pageSize)
-}
-
-// AppendLBAs is ExtractLBAs appending to a caller-owned slice — the
-// allocation-free form the fine-read hot path uses with a reused scratch.
+// AppendLBAs is the LBA Extractor: it appends to dst the device LBAs of the
+// pages covering the byte range [off, off+n), in file order. The fine-read
+// hot path passes a reused scratch, so it allocates nothing.
 func (ino *Inode) AppendLBAs(dst []uint64, off int64, n int, pageSize int) ([]uint64, error) {
 	if off < 0 || n <= 0 || off+int64(n) > ino.Size {
 		return dst, fmt.Errorf("%w: [%d,+%d) of %q (size %d)", ErrBadRange, off, n, ino.Name, ino.Size)
@@ -277,9 +272,9 @@ func (fs *FS) Create(name string, size int64, opts CreateOpts) (*Inode, error) {
 		for _, e := range ino.Extents {
 			for i := uint64(0); i < e.Pages; i++ {
 				if err := fs.ctrl.FTL().Preload(ftl.LBA(e.LBA + i)); err != nil {
-					fs.trimExtents(ino.Extents)
+					terr := fs.trimExtents(ino.Extents)
 					fs.releaseExtents(ino.Extents)
-					return nil, fmt.Errorf("extfs: preload %q: %w", name, err)
+					return nil, errors.Join(fmt.Errorf("extfs: preload %q: %w", name, err), terr)
 				}
 			}
 		}
@@ -290,13 +285,19 @@ func (fs *FS) Create(name string, size int64, opts CreateOpts) (*Inode, error) {
 	return ino, nil
 }
 
-// trimExtents trims every LBA of the extent list, tolerating unmapped pages.
-func (fs *FS) trimExtents(extents []Extent) {
+// trimExtents trims every LBA of the extent list on the controller, which
+// drops any copy of the page held in its write buffer as well as the
+// mapping. Trimming an unmapped LBA succeeds; the one error is
+// ftl.ErrBadLBA, for an LBA beyond the device's exported capacity.
+func (fs *FS) trimExtents(extents []Extent) error {
 	for _, e := range extents {
 		for i := uint64(0); i < e.Pages; i++ {
-			_ = fs.ctrl.FTL().Trim(ftl.LBA(e.LBA + i))
+			if err := fs.ctrl.Trim(e.LBA + i); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // Lookup finds a file by name.
@@ -324,13 +325,8 @@ func (fs *FS) Remove(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	for _, e := range ino.Extents {
-		for i := uint64(0); i < e.Pages; i++ {
-			if err := fs.ctrl.FTL().Trim(ftl.LBA(e.LBA + i)); err != nil &&
-				!errors.Is(err, ftl.ErrUnmapped) {
-				return fmt.Errorf("extfs: trim %q: %w", name, err)
-			}
-		}
+	if err := fs.trimExtents(ino.Extents); err != nil {
+		return fmt.Errorf("extfs: trim %q: %w", name, err)
 	}
 	fs.releaseExtents(ino.Extents)
 	delete(fs.byName, name)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pipette/internal/ftl"
+	"pipette/internal/nvme"
 	"pipette/internal/ssd"
 )
 
@@ -134,7 +136,7 @@ func TestExtractLBAs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 128 B inside one page.
-	lbas, err := ino.ExtractLBAs(5000, 128, fs.PageSize())
+	lbas, err := ino.AppendLBAs(nil, 5000, 128, fs.PageSize())
 	if err != nil || len(lbas) != 1 {
 		t.Fatalf("single-page extract = %v, %v", lbas, err)
 	}
@@ -143,12 +145,12 @@ func TestExtractLBAs(t *testing.T) {
 		t.Fatalf("extract lba = %d, want %d", lbas[0], want)
 	}
 	// Range crossing a page boundary: two pages.
-	lbas, err = ino.ExtractLBAs(4096*2-10, 20, fs.PageSize())
+	lbas, err = ino.AppendLBAs(nil, 4096*2-10, 20, fs.PageSize())
 	if err != nil || len(lbas) != 2 {
 		t.Fatalf("cross-page extract = %v, %v", lbas, err)
 	}
 	// Range crossing an extent boundary.
-	lbas, err = ino.ExtractLBAs(4096*4-10, 20, fs.PageSize())
+	lbas, err = ino.AppendLBAs(nil, 4096*4-10, 20, fs.PageSize())
 	if err != nil || len(lbas) != 2 {
 		t.Fatalf("cross-extent extract = %v, %v", lbas, err)
 	}
@@ -160,8 +162,8 @@ func TestExtractLBAs(t *testing.T) {
 		off int64
 		n   int
 	}{{-1, 10}, {0, 0}, {16 * 4096, 1}, {16*4096 - 5, 10}} {
-		if _, err := ino.ExtractLBAs(tc.off, tc.n, fs.PageSize()); !errors.Is(err, ErrBadRange) {
-			t.Errorf("ExtractLBAs(%d,%d) err = %v", tc.off, tc.n, err)
+		if _, err := ino.AppendLBAs(nil, tc.off, tc.n, fs.PageSize()); !errors.Is(err, ErrBadRange) {
+			t.Errorf("AppendLBAs(%d,%d) err = %v", tc.off, tc.n, err)
 		}
 	}
 }
@@ -217,7 +219,7 @@ func TestNoSpaceAfterFill(t *testing.T) {
 	}
 }
 
-// Property: for random (off, n) in range, ExtractLBAs returns exactly the
+// Property: for random (off, n) in range, AppendLBAs returns exactly the
 // pages [off/ps .. (off+n-1)/ps] in order.
 func TestExtractLBAsProperty(t *testing.T) {
 	fs := testFS(t)
@@ -231,7 +233,7 @@ func TestExtractLBAsProperty(t *testing.T) {
 		if off+int64(n) > 64*4096 {
 			n = int(64*4096 - off)
 		}
-		lbas, err := ino.ExtractLBAs(off, n, fs.PageSize())
+		lbas, err := ino.AppendLBAs(nil, off, n, fs.PageSize())
 		if err != nil {
 			return false
 		}
@@ -328,4 +330,67 @@ func TestCreateRollbackOnExhaustion(t *testing.T) {
 	if got := fs.FreeCapacityPages(); got != 0 {
 		t.Fatalf("FreeCapacityPages = %d after exact fill, want 0", got)
 	}
+}
+
+// TestRemoveDropsBufferedPages: removing a file whose page sits in the
+// controller's write buffer drops that page. A preloaded file that reuses
+// the freed LBA reads its own content, both while the buffer holds pages
+// and after a flush destages them.
+func TestRemoveDropsBufferedPages(t *testing.T) {
+	cfg := ssd.DefaultConfig()
+	cfg.NAND.Channels = 2
+	cfg.NAND.WaysPerChannel = 2
+	cfg.NAND.PlanesPerDie = 1
+	cfg.NAND.BlocksPerPlane = 32
+	cfg.NAND.PagesPerBlock = 32
+	cfg.WriteBufferPages = 64
+	ctrl, err := ssd.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := New(ctrl)
+	ps := fs.PageSize()
+	old, err := fs.Create("old", int64(ps), CreateOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lba := old.Extents[0].LBA
+	stale := bytes.Repeat([]byte{0xee}, ps)
+	if comp := ctrl.Execute(0, &nvme.Command{Op: nvme.OpWrite, LBA: lba, Pages: 1, Data: stale}); !comp.Ok() {
+		t.Fatalf("write: %+v", comp)
+	}
+	if err := fs.Remove("old"); err != nil {
+		t.Fatal(err)
+	}
+	ino, err := fs.Create("new", int64(ps), CreateOpts{Preload: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ino.Extents[0].LBA; got != lba {
+		t.Fatalf("new file at LBA %d, want the freed LBA %d", got, lba)
+	}
+	// The preloaded page's content, read off the flash.
+	ppa, err := ctrl.FTL().Translate(ftl.LBA(lba))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, ps)
+	if err := ctrl.Array().PeekRange(ppa, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	read := func(when string) {
+		t.Helper()
+		got := make([]byte, ps)
+		if comp := ctrl.Execute(0, &nvme.Command{Op: nvme.OpRead, LBA: lba, Pages: 1, Data: got}); !comp.Ok() {
+			t.Fatalf("read %s: %+v", when, comp)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("read %s: got the removed file's bytes, not the new file's", when)
+		}
+	}
+	read("before the flush")
+	if comp := ctrl.Execute(0, &nvme.Command{Op: nvme.OpFlush}); !comp.Ok() {
+		t.Fatalf("flush: %+v", comp)
+	}
+	read("after the flush")
 }

@@ -43,15 +43,9 @@ func (r *residentProbe) Span(track, name string, start, end sim.Time) {
 // TestUnmappedPagesLoseContent: an overwrite, a trim and a GC relocation
 // each discard the page that stopped backing its LBA. Only mapped pages
 // keep content through an overwrite-heavy run with GC, the mapping stays
-// consistent, and every mapped LBA reads back its last write, with NAND
-// read retries drawn along the way.
+// consistent, and every mapped LBA reads back its last write.
 func TestUnmappedPagesLoseContent(t *testing.T) {
-	cfg := smallNAND(t).Config()
-	cfg.ReadErrRate = 0.3
-	arr, err := nand.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	arr := smallNAND(t)
 	f := newFTL(t, arr)
 	f.SetTracer(&residentProbe{Tracer: telemetry.Nop(), t: t, f: f, arr: arr})
 	buf := make([]byte, f.PageSize())
@@ -112,9 +106,6 @@ func TestUnmappedPagesLoseContent(t *testing.T) {
 		if buf[0] != want || buf[len(buf)-1] != want {
 			t.Fatalf("lba %d = %d, want %d", lba, buf[0], want)
 		}
-	}
-	if arr.Stats().ReadRetries == 0 {
-		t.Fatal("no read retries drawn")
 	}
 }
 

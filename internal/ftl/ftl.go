@@ -38,15 +38,11 @@ type Config struct {
 	// GCFreeBlockLow triggers garbage collection when the free-block pool
 	// of any die drops to this many blocks.
 	GCFreeBlockLow int
-	// WearDelta is the erase-count spread between a die's most-worn free
-	// block and least-worn closed block that triggers a static wear-leveling
-	// move (see WearLevelTick). 0 disables wear leveling.
-	WearDelta int
 }
 
 // DefaultConfig returns production-flavoured FTL settings.
 func DefaultConfig() Config {
-	return Config{OverprovisionPct: 7, GCFreeBlockLow: 2, WearDelta: defaultWearDelta}
+	return Config{OverprovisionPct: 7, GCFreeBlockLow: 2}
 }
 
 // Stats counts FTL-level activity.
@@ -57,15 +53,6 @@ type Stats struct {
 	BlocksErased  uint64
 	TrimmedPages  uint64
 	PreloadedPage uint64
-	WearMoves     uint64 // pages relocated by static wear leveling
-}
-
-// WriteAmplification reports (host+GC writes)/host writes.
-func (s Stats) WriteAmplification() float64 {
-	if s.HostWrites == 0 {
-		return 0
-	}
-	return float64(s.HostWrites+s.GCWrites) / float64(s.HostWrites)
 }
 
 // Errors returned by the FTL.
@@ -99,7 +86,7 @@ type FTL struct {
 	open       []openBlock      // per die write frontier
 	nextDie    int              // round-robin striping cursor
 
-	relocBuf []byte // page scratch for GC / wear-level relocation reads
+	relocBuf []byte // page scratch for GC relocation reads
 
 	logicalPages uint64
 	stats        Stats
@@ -218,19 +205,9 @@ func (f *FTL) IsMapped(lba LBA) bool {
 	return uint64(lba) < f.logicalPages && f.l2p[lba] != invalidPPA
 }
 
-// Read reads the page backing lba. Completion time accounts for die and
+// ReadInto reads the page backing lba into a caller-owned page-sized buffer:
+// ReadRangeInto over the whole page. Completion time accounts for die and
 // channel contention.
-func (f *FTL) Read(now sim.Time, lba LBA) ([]byte, sim.Time, error) {
-	ppa, err := f.Translate(lba)
-	if err != nil {
-		return nil, now, err
-	}
-	return f.arr.ReadPage(now, ppa)
-}
-
-// ReadInto reads the page backing lba into a caller-owned page-sized buffer,
-// avoiding the per-read allocation of Read: ReadRangeInto over the whole
-// page.
 func (f *FTL) ReadInto(now sim.Time, lba LBA, buf []byte) (sim.Time, error) {
 	if len(buf) != f.geo.PageSize {
 		return now, fmt.Errorf("%w: %d != %d", ErrBadLength, len(buf), f.geo.PageSize)
@@ -402,10 +379,6 @@ func (f *FTL) allocateOnDie(now sim.Time, die int, exclude nand.BlockID) (nand.P
 	return ppa, now, nil
 }
 
-func (f *FTL) dieOfBlock(b nand.BlockID) int {
-	return int(b) / f.geo.BlocksPerDie()
-}
-
 // setMapping points lba at ppa, invalidating any previous backing.
 func (f *FTL) setMapping(lba LBA, ppa nand.PPA) {
 	if old := f.l2p[lba]; old != invalidPPA {
@@ -479,13 +452,6 @@ func (f *FTL) Preload(lba LBA) error {
 	return nil
 }
 
-// EraseCounts returns a copy of per-block erase counters (wear telemetry).
-func (f *FTL) EraseCounts() []uint32 {
-	out := make([]uint32, len(f.eraseCount))
-	copy(out, f.eraseCount)
-	return out
-}
-
 // CheckInvariants validates internal consistency; property tests call it
 // after random operation sequences. It returns the first violation found.
 func (f *FTL) CheckInvariants() error {
@@ -512,6 +478,14 @@ func (f *FTL) CheckInvariants() error {
 		if f.validCount[b] != want {
 			return fmt.Errorf("validCount[%d]=%d, recount=%d", b, f.validCount[b], want)
 		}
+	}
+	// Every erase is counted once per block and once in the stats.
+	var erases uint64
+	for _, e := range f.eraseCount {
+		erases += uint64(e)
+	}
+	if erases != f.stats.BlocksErased {
+		return fmt.Errorf("erase counters sum to %d, stats count %d", erases, f.stats.BlocksErased)
 	}
 	return nil
 }

@@ -42,6 +42,13 @@ func page(f *FTL, fill byte) []byte {
 	return b
 }
 
+// readPage reads the page backing lba into a fresh buffer.
+func readPage(f *FTL, now sim.Time, lba LBA) ([]byte, error) {
+	buf := make([]byte, f.PageSize())
+	_, err := f.ReadInto(now, lba, buf)
+	return buf, err
+}
+
 func TestNewValidation(t *testing.T) {
 	arr := smallNAND(t)
 	if _, err := New(arr, Config{OverprovisionPct: 60, GCFreeBlockLow: 2}); err == nil {
@@ -67,7 +74,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if _, err := f.Write(0, 5, data); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	got, _, err := f.Read(0, 5)
+	got, err := readPage(f, 0, 5)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -78,7 +85,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestReadUnmapped(t *testing.T) {
 	f := newFTL(t, smallNAND(t))
-	if _, _, err := f.Read(0, 3); !errors.Is(err, ErrUnmapped) {
+	if _, err := readPage(f, 0, 3); !errors.Is(err, ErrUnmapped) {
 		t.Fatalf("err = %v, want ErrUnmapped", err)
 	}
 	if f.IsMapped(3) {
@@ -119,7 +126,7 @@ func TestOverwriteInvalidatesOld(t *testing.T) {
 	if cur == old {
 		t.Fatal("overwrite did not relocate (in-place NAND update impossible)")
 	}
-	got, _, err := f.Read(0, 7)
+	got, err := readPage(f, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +168,7 @@ func TestTrim(t *testing.T) {
 	if f.IsMapped(4) {
 		t.Fatal("lba still mapped after trim")
 	}
-	if _, _, err := f.Read(0, 4); !errors.Is(err, ErrUnmapped) {
+	if _, err := readPage(f, 0, 4); !errors.Is(err, ErrUnmapped) {
 		t.Fatalf("read after trim err = %v", err)
 	}
 	// Trimming an unmapped lba is a no-op.
@@ -189,7 +196,7 @@ func TestPreloadContent(t *testing.T) {
 		}
 		want := make([]byte, f.PageSize())
 		nand.ExpectedContent(arr.Config().ContentSeed, ppa, 0, want)
-		got, _, err := f.Read(0, i)
+		got, err := readPage(f, 0, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,15 +230,15 @@ func TestGCReclaimsSpace(t *testing.T) {
 	if st.GCRuns == 0 || st.BlocksErased == 0 {
 		t.Fatalf("GC never ran: %+v", st)
 	}
-	if wa := st.WriteAmplification(); wa <= 1.0 {
-		t.Fatalf("write amplification = %v, want > 1 after GC", wa)
+	if st.GCWrites == 0 {
+		t.Fatal("GC relocated no pages: write amplification did not rise above 1")
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after GC: %v", err)
 	}
 	// Data still correct after all that relocation.
 	for lba, want := range shadow {
-		got, _, err := f.Read(now, lba)
+		got, err := readPage(f, now, lba)
 		if err != nil {
 			t.Fatalf("read %d: %v", lba, err)
 		}
@@ -302,14 +309,12 @@ func TestWearAccounting(t *testing.T) {
 		}
 		now = done
 	}
-	var total uint32
-	for _, e := range f.EraseCounts() {
-		total += e
+	// CheckInvariants recounts the per-block erase counters against the
+	// stats.
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
-	if uint64(total) != f.Stats().BlocksErased {
-		t.Fatalf("erase counters %d != stats %d", total, f.Stats().BlocksErased)
-	}
-	if total == 0 {
+	if f.Stats().BlocksErased == 0 {
 		t.Fatal("no erases recorded")
 	}
 }
@@ -349,7 +354,7 @@ func TestRandomOpsInvariants(t *testing.T) {
 			return false
 		}
 		for lba, want := range shadow {
-			got, _, err := fl.Read(now, lba)
+			got, err := readPage(fl, now, lba)
 			if err != nil || got[0] != want {
 				return false
 			}

@@ -196,9 +196,6 @@ func New(cfg Config) (*Region, error) {
 	}, nil
 }
 
-// Config returns the sizing used.
-func (r *Region) Config() Config { return r.cfg }
-
 // Info returns the Info Area ring.
 func (r *Region) Info() *InfoRing { return r.info }
 

@@ -8,9 +8,7 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-	"sort"
 	"strings"
 
 	"pipette/internal/sim"
@@ -139,31 +137,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.sum += other.sum
 }
 
-// ForEachBucket calls fn for every non-empty bucket, in ascending latency
-// order, with the bucket's [lo, hi) bounds and sample count. Iteration
-// stops early if fn returns false.
-func (h *Histogram) ForEachBucket(fn func(lo, hi sim.Time, count uint64) bool) {
-	const maxTime = sim.Time(math.MaxInt64)
-	for i, n := range h.buckets {
-		if n == 0 {
-			continue
-		}
-		lo := maxTime
-		if i == 0 {
-			lo = 0
-		} else if i < 63 {
-			lo = sim.Time(1) << uint(i)
-		}
-		hi := maxTime
-		if i < 62 {
-			hi = sim.Time(1) << uint(i+1)
-		}
-		if !fn(lo, hi, n) {
-			return
-		}
-	}
-}
-
 // Quantile estimates the q'th quantile (q in [0,1]) from the buckets.
 // The estimate is the arithmetic midpoint lo + lo/2 of the containing
 // bucket [lo, 2lo), clamped
@@ -227,14 +200,6 @@ func (s *Snapshot) ThroughputOpsPerSec() float64 {
 		return 0
 	}
 	return float64(s.Ops) / s.Elapsed.Seconds()
-}
-
-// ThroughputMBPerSec reports requested bytes per virtual second in MiB.
-func (s *Snapshot) ThroughputMBPerSec() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.IO.BytesRequested) / (1 << 20) / s.Elapsed.Seconds()
 }
 
 // String renders a one-line summary.
@@ -330,10 +295,4 @@ func csvCell(c string) string {
 		return c
 	}
 	return `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-}
-
-// SortRowsByFirstColumn orders rows lexically by their label column,
-// for stable output when rows are assembled from a map.
-func (t *Table) SortRowsByFirstColumn() {
-	sort.Slice(t.Rows, func(i, j int) bool { return t.Rows[i][0] < t.Rows[j][0] })
 }

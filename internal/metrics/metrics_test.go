@@ -140,12 +140,8 @@ func TestSnapshotThroughput(t *testing.T) {
 	if got := s.ThroughputOpsPerSec(); got != 1000 {
 		t.Fatalf("ThroughputOpsPerSec = %v, want 1000", got)
 	}
-	s.IO.BytesRequested = 10 << 20
-	if got := s.ThroughputMBPerSec(); got != 10 {
-		t.Fatalf("ThroughputMBPerSec = %v, want 10", got)
-	}
 	var empty Snapshot
-	if empty.ThroughputOpsPerSec() != 0 || empty.ThroughputMBPerSec() != 0 {
+	if empty.ThroughputOpsPerSec() != 0 {
 		t.Fatal("zero-elapsed snapshot should report 0 throughput")
 	}
 }
@@ -188,16 +184,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestTableSort(t *testing.T) {
-	tab := Table{Header: []string{"k", "v"}}
-	tab.AddRow("b", "2")
-	tab.AddRow("a", "1")
-	tab.SortRowsByFirstColumn()
-	if tab.Rows[0][0] != "a" {
-		t.Fatalf("rows not sorted: %v", tab.Rows)
-	}
-}
-
 func TestHistogramMerge(t *testing.T) {
 	var a, b Histogram
 	a.Observe(100)
@@ -228,43 +214,6 @@ func TestHistogramMerge(t *testing.T) {
 	c.Merge(&a)
 	if c.Min() != 50 || c.Max() != 4000 || c.Count() != 4 {
 		t.Fatalf("merge into empty = min %v max %v count %d", c.Min(), c.Max(), c.Count())
-	}
-}
-
-func TestHistogramForEachBucket(t *testing.T) {
-	var h Histogram
-	h.Observe(1) // bucket 0: [0,2)
-	h.Observe(5) // bucket 2: [4,8)
-	h.Observe(5)
-	h.Observe(1000) // bucket 9: [512,1024)
-
-	type row struct {
-		lo, hi sim.Time
-		n      uint64
-	}
-	var got []row
-	h.ForEachBucket(func(lo, hi sim.Time, n uint64) bool {
-		got = append(got, row{lo, hi, n})
-		return true
-	})
-	want := []row{{0, 2, 1}, {4, 8, 2}, {512, 1024, 1}}
-	if len(got) != len(want) {
-		t.Fatalf("buckets = %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bucket %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-
-	// Early stop after the first bucket.
-	calls := 0
-	h.ForEachBucket(func(lo, hi sim.Time, n uint64) bool {
-		calls++
-		return false
-	})
-	if calls != 1 {
-		t.Fatalf("early stop made %d calls, want 1", calls)
 	}
 }
 

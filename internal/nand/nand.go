@@ -63,9 +63,6 @@ var timings = map[CellType]Timing{
 	TLC: {ReadPage: 68 * sim.Microsecond, Program: 900 * sim.Microsecond, EraseBlock: 10 * sim.Millisecond},
 }
 
-// TimingFor returns the latency profile of a cell type.
-func TimingFor(c CellType) Timing { return timings[c] }
-
 // rbers are datasheet raw bit error rates per cell type: the probability
 // a single sensed bit is wrong before ECC. Denser cells store more levels
 // per cell and are orders of magnitude noisier.
@@ -89,11 +86,9 @@ type Config struct {
 	PagesPerBlock  int
 	PageSize       int // bytes
 
-	Cell         CellType
-	ChannelMBps  float64 // per-channel bus bandwidth, MiB/s
-	ReadErrRate  float64 // probability a read needs one read-retry
-	ContentSeed  uint64  // seed for deterministic preloaded content
-	RetryPenalty sim.Time
+	Cell        CellType
+	ChannelMBps float64 // per-channel bus bandwidth, MiB/s
+	ContentSeed uint64  // seed for deterministic preloaded content
 }
 
 // DefaultConfig mirrors the paper's YS9203 platform (8 channels x 8 ways)
@@ -112,7 +107,6 @@ func DefaultConfig() Config {
 		Cell:           MLC,
 		ChannelMBps:    400,
 		ContentSeed:    0x9153_e2b1,
-		RetryPenalty:   TimingFor(MLC).ReadPage,
 	}
 }
 
@@ -126,8 +120,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("nand: page size %d must be a positive multiple of 8", c.PageSize)
 	case c.ChannelMBps <= 0:
 		return errors.New("nand: channel bandwidth must be positive")
-	case c.ReadErrRate < 0 || c.ReadErrRate >= 1:
-		return fmt.Errorf("nand: read error rate %g out of [0,1)", c.ReadErrRate)
 	}
 	if _, ok := timings[c.Cell]; !ok {
 		return fmt.Errorf("nand: unknown cell type %v", c.Cell)
@@ -150,11 +142,6 @@ func (c Config) PagesPerDie() int { return c.BlocksPerDie() * c.PagesPerBlock }
 // TotalPages reports the number of physical pages.
 func (c Config) TotalPages() uint64 {
 	return uint64(c.Dies()) * uint64(c.PagesPerDie())
-}
-
-// CapacityBytes reports raw capacity.
-func (c Config) CapacityBytes() uint64 {
-	return c.TotalPages() * uint64(c.PageSize)
 }
 
 // transferTime is the channel bus occupancy to move n bytes.
@@ -217,12 +204,11 @@ func (c Config) FirstPPA(b BlockID) PPA {
 
 // Stats counts physical operations.
 type Stats struct {
-	Reads       uint64
-	Programs    uint64
-	Erases      uint64
-	ReadRetries uint64
-	BytesOut    uint64 // bytes moved over channel buses to the controller
-	BytesIn     uint64
+	Reads    uint64
+	Programs uint64
+	Erases   uint64
+	BytesOut uint64 // bytes moved over channel buses to the controller
+	BytesIn  uint64
 }
 
 // Errors returned by array operations.
@@ -259,7 +245,6 @@ type Array struct {
 	store   pageStore  // materialized bytes of programmed, undiscarded pages
 	loaded  bitset.Set // preloaded, undiscarded pages (deterministic content)
 	blocks  []blockState
-	rng     *sim.RNG
 	timing  Timing
 	stats   Stats
 	pattern patternSource
@@ -289,7 +274,6 @@ func New(cfg Config) (*Array, error) {
 		store:   pageStore{pageSize: cfg.PageSize},
 		loaded:  bitset.New(int(cfg.TotalPages())),
 		blocks:  make([]blockState, cfg.TotalBlocks()),
-		rng:     sim.NewRNG(cfg.ContentSeed ^ 0xfeed_beef),
 		timing:  timings[cfg.Cell],
 		pattern: patternSource{seed: cfg.ContentSeed},
 
@@ -339,13 +323,6 @@ func (a *Array) SetResources(rt *resource.Tracker) {
 	}
 }
 
-// ChannelBusy reports the cumulative busy time of one channel bus — the
-// numerator of a per-channel utilization probe.
-func (a *Array) ChannelBusy(ch int) sim.Time { return a.buses.Get(ch).BusyTime() }
-
-// DieBusy reports the cumulative busy time of one die.
-func (a *Array) DieBusy(die int) sim.Time { return a.dies.Get(die).BusyTime() }
-
 // Config returns the array's configuration.
 func (a *Array) Config() Config { return a.cfg }
 
@@ -381,21 +358,9 @@ func (a *Array) IsBad(b BlockID) bool {
 	return int(b) < len(a.blocks) && a.blocks[b].bad
 }
 
-// ReadPage senses one page and transfers it to the controller. It returns
-// the page content and the completion time. The die is occupied for tR,
-// then the channel bus for the transfer; contention with other in-flight
-// operations delays completion.
-func (a *Array) ReadPage(now sim.Time, p PPA) ([]byte, sim.Time, error) {
-	buf := make([]byte, a.cfg.PageSize)
-	done, err := a.ReadPageInto(now, p, buf)
-	if err != nil {
-		return nil, done, err
-	}
-	return buf, done, nil
-}
-
-// ReadPageInto is ReadPage writing into a caller-owned page-sized buffer:
-// ReadPageRange over the whole page.
+// ReadPageInto senses one page and transfers it to the controller, writing
+// it into a caller-owned page-sized buffer: ReadPageRange over the whole
+// page. It returns the completion time.
 func (a *Array) ReadPageInto(now sim.Time, p PPA, buf []byte) (sim.Time, error) {
 	if len(buf) != a.cfg.PageSize {
 		return now, fmt.Errorf("%w: got %d, want %d", ErrBadLength, len(buf), a.cfg.PageSize)
@@ -420,16 +385,9 @@ func (a *Array) ReadPageRange(now sim.Time, p PPA, off int, dst []byte) (sim.Tim
 		return now, err
 	}
 
-	tR := a.timing.ReadPage
-	if a.cfg.ReadErrRate > 0 && a.rng.Float64() < a.cfg.ReadErrRate {
-		// Read-retry: the die re-senses with tuned thresholds. Modeled as
-		// one extra array read; always succeeds (ECC recovers).
-		tR += a.cfg.RetryPenalty
-		a.stats.ReadRetries++
-	}
 	die := a.dieOf(p)
 	ch := die / a.cfg.WaysPerChannel
-	senseStart, senseEnd := a.dies.Acquire(die, now, tR)
+	senseStart, senseEnd := a.dies.Acquire(die, now, a.timing.ReadPage)
 	txStart, done := a.buses.Acquire(ch, senseEnd, a.pageXfer)
 	if a.tr.Enabled() {
 		a.tr.Span(a.dieTracks[die], "tR", senseStart, senseEnd)
@@ -578,10 +536,10 @@ func (a *Array) EraseBlock(now sim.Time, b BlockID) (sim.Time, error) {
 }
 
 // Discard drops the content of page p: the FTL calls it when it stops
-// mapping p, on an overwrite, a GC or wear-leveling move and a trim. The
-// page stays programmed for the block's program order and its erase, but
-// its store slot goes back to the pool, and a later read or peek of it
-// fails with ErrDiscarded. Discarding a page that holds no content, or an
+// mapping p, on an overwrite, a GC move and a trim. The page stays
+// programmed for the block's program order and its erase, but its store
+// slot goes back to the pool, and a later read or peek of it fails with
+// ErrDiscarded. Discarding a page that holds no content, or an
 // out-of-range PPA, does nothing.
 func (a *Array) Discard(p PPA) {
 	if uint64(p) >= a.totalPages {

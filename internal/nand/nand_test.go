@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pipette/internal/resource"
 	"pipette/internal/sim"
 )
 
@@ -30,6 +31,13 @@ func mustArray(t *testing.T, cfg Config) *Array {
 	return a
 }
 
+// readPage reads page p into a fresh buffer.
+func readPage(a *Array, now sim.Time, p PPA) ([]byte, sim.Time, error) {
+	buf := make([]byte, a.Config().PageSize)
+	done, err := a.ReadPageInto(now, p, buf)
+	return buf, done, err
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := testConfig()
 	if err := good.Validate(); err != nil {
@@ -41,7 +49,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.PageSize = 100 }, // not multiple of 8
 		func(c *Config) { c.PageSize = 0 },
 		func(c *Config) { c.ChannelMBps = 0 },
-		func(c *Config) { c.ReadErrRate = 1.0 },
 		func(c *Config) { c.Cell = CellType(99) },
 	}
 	for i, mut := range cases {
@@ -63,9 +70,6 @@ func TestGeometryArithmetic(t *testing.T) {
 	}
 	if got := c.TotalPages(); got != 512 {
 		t.Errorf("TotalPages = %d, want 512", got)
-	}
-	if got := c.CapacityBytes(); got != 512*4096 {
-		t.Errorf("CapacityBytes = %d, want %d", got, 512*4096)
 	}
 }
 
@@ -136,24 +140,24 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	if _, err := a.ProgramPage(0, p, data); err != nil {
 		t.Fatalf("ProgramPage: %v", err)
 	}
-	got, _, err := a.ReadPage(0, p)
+	got, _, err := readPage(a, 0, p)
 	if err != nil {
-		t.Fatalf("ReadPage: %v", err)
+		t.Fatalf("ReadPageInto: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("read data != programmed data")
 	}
-	// The returned slice must be a copy.
+	// The read copies: changing the buffer leaves the stored page alone.
 	got[0] ^= 0xff
-	again, _, _ := a.ReadPage(0, p)
+	again, _, _ := readPage(a, 0, p)
 	if again[0] != data[0] {
-		t.Fatal("ReadPage returned aliased storage")
+		t.Fatal("ReadPageInto aliased the stored page")
 	}
 }
 
 func TestReadUnwrittenFails(t *testing.T) {
 	a := mustArray(t, testConfig())
-	_, _, err := a.ReadPage(0, 0)
+	_, _, err := readPage(a, 0, 0)
 	if !errors.Is(err, ErrNotProgram) {
 		t.Fatalf("err = %v, want ErrNotProgram", err)
 	}
@@ -194,7 +198,7 @@ func TestEraseResetsBlock(t *testing.T) {
 		t.Fatalf("EraseBlock: %v", err)
 	}
 	// After erase, page 0 is reprogrammable and unwritten reads fail.
-	if _, _, err := a.ReadPage(0, p0); !errors.Is(err, ErrNotProgram) {
+	if _, _, err := readPage(a, 0, p0); !errors.Is(err, ErrNotProgram) {
 		t.Fatalf("read after erase err = %v, want ErrNotProgram", err)
 	}
 	if _, err := a.ProgramPage(0, p0, data); err != nil {
@@ -231,9 +235,9 @@ func TestPreloadContentDeterministic(t *testing.T) {
 	if err := a.Preload(p); err != nil {
 		t.Fatalf("Preload: %v", err)
 	}
-	got, _, err := a.ReadPage(0, p)
+	got, _, err := readPage(a, 0, p)
 	if err != nil {
-		t.Fatalf("ReadPage after Preload: %v", err)
+		t.Fatalf("ReadPageInto after Preload: %v", err)
 	}
 	want := make([]byte, cfg.PageSize)
 	ExpectedContent(cfg.ContentSeed, p, 0, want)
@@ -245,7 +249,7 @@ func TestPreloadContentDeterministic(t *testing.T) {
 	if err := b.Preload(p); err != nil {
 		t.Fatal(err)
 	}
-	got2, _, _ := b.ReadPage(0, p)
+	got2, _, _ := readPage(b, 0, p)
 	if !bytes.Equal(got, got2) {
 		t.Fatal("preloaded content not deterministic across arrays")
 	}
@@ -258,7 +262,7 @@ func TestPeekRangeMatchesRead(t *testing.T) {
 	if err := a.Preload(p); err != nil {
 		t.Fatal(err)
 	}
-	full, _, _ := a.ReadPage(0, p)
+	full, _, _ := readPage(a, 0, p)
 	for _, tc := range []struct{ off, n int }{{0, 16}, {1, 7}, {100, 128}, {4000, 96}, {4095, 1}} {
 		buf := make([]byte, tc.n)
 		if err := a.PeekRange(p, tc.off, buf); err != nil {
@@ -319,11 +323,11 @@ func TestReadTimingChannelParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, d1, err := a.ReadPage(0, p1)
+	_, d1, err := readPage(a, 0, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, d2, err := a.ReadPage(0, p2)
+	_, d2, err := readPage(a, 0, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +349,8 @@ func TestReadTimingSameDieSerializes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, d1, _ := a.ReadPage(0, p1)
-	_, d2, _ := a.ReadPage(0, p2)
+	_, d1, _ := readPage(a, 0, p1)
+	_, d2, _ := readPage(a, 0, p2)
 	if d1 != tR+tx {
 		t.Fatalf("first read done at %v, want %v", d1, tR+tx)
 	}
@@ -369,33 +373,14 @@ func TestReadTimingSameChannelDifferentWays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, d1, _ := a.ReadPage(0, p1)
-	_, d2, _ := a.ReadPage(0, p2)
+	_, d1, _ := readPage(a, 0, p1)
+	_, d2, _ := readPage(a, 0, p2)
 	if d1 != tR+tx {
 		t.Fatalf("first read done at %v", d1)
 	}
 	// Senses overlap (different dies); transfers share one bus.
 	if want := tR + 2*tx; d2 != want {
 		t.Fatalf("same-channel second read done at %v, want %v", d2, want)
-	}
-}
-
-func TestReadRetryInjection(t *testing.T) {
-	cfg := testConfig()
-	cfg.ReadErrRate = 0.5
-	a := mustArray(t, cfg)
-	p := cfg.PPAOf(0, 0, 0, 0, 0)
-	if err := a.Preload(p); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if _, _, err := a.ReadPage(sim.Time(i)*sim.Millisecond, p); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-	}
-	st := a.Stats()
-	if st.ReadRetries == 0 || st.ReadRetries == st.Reads {
-		t.Fatalf("ReadRetries = %d of %d reads; expected some but not all", st.ReadRetries, st.Reads)
 	}
 }
 
@@ -407,7 +392,7 @@ func TestStatsAccumulate(t *testing.T) {
 	if _, err := a.ProgramPage(0, p, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.ReadPage(0, p); err != nil {
+	if _, _, err := readPage(a, 0, p); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.EraseBlock(0, cfg.BlockOf(p)); err != nil {
@@ -423,8 +408,8 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 func TestCellTypeTimings(t *testing.T) {
-	if TimingFor(SLC).ReadPage >= TimingFor(MLC).ReadPage ||
-		TimingFor(MLC).ReadPage >= TimingFor(TLC).ReadPage {
+	if timings[SLC].ReadPage >= timings[MLC].ReadPage ||
+		timings[MLC].ReadPage >= timings[TLC].ReadPage {
 		t.Fatal("tR must increase SLC < MLC < TLC")
 	}
 	for _, c := range []CellType{SLC, MLC, TLC} {
@@ -486,11 +471,15 @@ func TestExpectedContentGolden(t *testing.T) {
 
 func TestReadPageRangeTimesLikeFullRead(t *testing.T) {
 	// The range read and the timing-only read charge exactly what a full
-	// ReadPageInto does — completion, counters, die and bus busy time, and
-	// the read-retry draws — and the range read returns the page's bytes.
+	// ReadPageInto does — completion, counters, and die and bus busy
+	// intervals — and the range read returns the page's bytes.
 	cfg := testConfig()
-	cfg.ReadErrRate = 0.3
 	full, ranged, bare := mustArray(t, cfg), mustArray(t, cfg), mustArray(t, cfg)
+	trackers := map[*Array]*resource.Tracker{}
+	for _, a := range []*Array{full, ranged, bare} {
+		trackers[a] = resource.NewTracker()
+		a.SetResources(trackers[a])
+	}
 	var pages []PPA
 	for ch := 0; ch < cfg.Channels; ch++ {
 		for pg := 0; pg < 4; pg++ {
@@ -531,19 +520,14 @@ func TestReadPageRangeTimesLikeFullRead(t *testing.T) {
 		if a.Stats() != full.Stats() {
 			t.Fatalf("stats %+v, full reads %+v", a.Stats(), full.Stats())
 		}
-		for die := 0; die < cfg.Dies(); die++ {
-			if a.DieBusy(die) != full.DieBusy(die) {
-				t.Fatalf("die %d busy %v, full reads %v", die, a.DieBusy(die), full.DieBusy(die))
+		// One timeline per channel, then one per die.
+		got, want := trackers[a], trackers[full]
+		for i := 0; i < want.Len(); i++ {
+			g, w := got.At(i), want.At(i)
+			if g.Busy() != w.Busy() || g.Ops() != w.Ops() {
+				t.Fatalf("%s busy %v over %d ops, full reads %v over %d", w.Name(), g.Busy(), g.Ops(), w.Busy(), w.Ops())
 			}
 		}
-		for ch := 0; ch < cfg.Channels; ch++ {
-			if a.ChannelBusy(ch) != full.ChannelBusy(ch) {
-				t.Fatalf("channel %d busy %v, full reads %v", ch, a.ChannelBusy(ch), full.ChannelBusy(ch))
-			}
-		}
-	}
-	if full.Stats().ReadRetries == 0 {
-		t.Fatal("no read retries drawn; the retry path went untested")
 	}
 	if _, err := bare.ReadPageRange(0, pages[0], 4000, part); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("overlong range err = %v, want ErrOutOfRange", err)
@@ -560,9 +544,10 @@ func BenchmarkReadPage(b *testing.B) {
 	if err := a.Preload(p); err != nil {
 		b.Fatal(err)
 	}
+	buf := make([]byte, cfg.PageSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := a.ReadPage(sim.Time(i), p); err != nil {
+		if _, err := a.ReadPageInto(sim.Time(i), p, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

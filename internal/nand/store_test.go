@@ -134,7 +134,6 @@ func TestContentStoreMatchesMapModel(t *testing.T) {
 func twinContent(t *testing.T, seed uint64, ops int) {
 	cfg := testConfig()
 	cfg.PageSize = 256
-	cfg.ReadErrRate = 0.2
 	a := mustArray(t, cfg)
 	ref := newRefArray(cfg)
 	rng := sim.NewRNG(seed)
@@ -275,7 +274,7 @@ func TestDiscardedPageUnreadable(t *testing.T) {
 	if _, err := a.ProgramPage(0, p, data); err != nil {
 		t.Fatalf("program after erase: %v", err)
 	}
-	got, _, err := a.ReadPage(0, p)
+	got, _, err := readPage(a, 0, p)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after reprogram: %v", err)
 	}

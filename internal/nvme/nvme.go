@@ -28,7 +28,6 @@ const (
 	OpFlush Opcode = iota
 	OpWrite
 	OpRead
-	OpTrim
 	OpFineRead
 )
 
@@ -41,8 +40,6 @@ func (o Opcode) String() string {
 		return "Write"
 	case OpRead:
 		return "Read"
-	case OpTrim:
-		return "Trim"
 	case OpFineRead:
 		return "FineRead"
 	default:
@@ -115,7 +112,7 @@ type Command struct {
 	ID    uint16
 	Op    Opcode
 	LBA   uint64 // starting logical page
-	Pages int    // page count for Read/Write/Trim
+	Pages int    // page count for Read/Write
 
 	// Data is the host buffer: the write payload for OpWrite, and the
 	// destination the device DMAs into for OpRead (len = Pages*pagesize).

@@ -10,7 +10,7 @@ import (
 
 func TestOpcodeAndStatusStrings(t *testing.T) {
 	ops := map[Opcode]string{OpFlush: "Flush", OpWrite: "Write", OpRead: "Read",
-		OpTrim: "Trim", OpFineRead: "FineRead"}
+		OpFineRead: "FineRead"}
 	for op, want := range ops {
 		if got := op.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", op, got, want)

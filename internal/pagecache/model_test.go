@@ -350,14 +350,9 @@ func (c *modelCache) Resize(capacityPages int) error {
 	return nil
 }
 
-// FlushDirty invokes fn for every dirty page in LRU order (oldest first)
-// and marks them clean. fn is the writeback. Clean pages drop their data.
-func (c *modelCache) FlushDirty(fn func(key Key, data []byte) error) error {
-	return c.FlushDirtySelect(func(Key) bool { return true }, fn)
-}
-
-// FlushDirtySelect flushes only the dirty pages match accepts — fsync of a
-// single file, while FlushDirty is syncfs.
+// FlushDirtySelect invokes fn for every dirty page match accepts, in LRU
+// order (oldest first), and marks them clean. fn is the writeback. Flushed
+// pages drop their data.
 func (c *modelCache) FlushDirtySelect(match func(Key) bool, fn func(key Key, data []byte) error) error {
 	for e := c.tail.prev; e != c.head; e = e.prev {
 		if !e.dirty || !match(e.key) {
@@ -393,7 +388,6 @@ type pageCache interface {
 	Remove(Key) bool
 	DiscardFile(uint64, func([]byte)) int
 	Resize(int) error
-	FlushDirty(func(Key, []byte) error) error
 	FlushDirtySelect(func(Key) bool, func(Key, []byte) error) error
 }
 
@@ -482,12 +476,7 @@ func (s *twinSide) apply(op twinOp) []any {
 			}
 			return nil
 		}
-		var err error
-		if op.n < 0 {
-			err = c.FlushDirty(fn)
-		} else {
-			err = c.FlushDirtySelect(func(k Key) bool { return k.File == uint64(op.n) }, fn)
-		}
+		err := c.FlushDirtySelect(func(k Key) bool { return op.n < 0 || k.File == uint64(op.n) }, fn)
 		return []any{err == nil, calls}
 	}
 }

@@ -388,14 +388,9 @@ func (c *Cache) Resize(capacityPages int) error {
 	return nil
 }
 
-// FlushDirty invokes fn for every dirty page in LRU order (oldest first)
-// and marks them clean. fn is the writeback. Clean pages drop their data.
-func (c *Cache) FlushDirty(fn func(key Key, data []byte) error) error {
-	return c.FlushDirtySelect(func(Key) bool { return true }, fn)
-}
-
-// FlushDirtySelect flushes only the dirty pages match accepts — fsync of a
-// single file, while FlushDirty is syncfs.
+// FlushDirtySelect invokes fn for every dirty page match accepts, in LRU
+// order (oldest first), and marks them clean: fsync of one file. fn is the
+// writeback. Flushed pages stay resident and drop their data.
 func (c *Cache) FlushDirtySelect(match func(Key) bool, fn func(key Key, data []byte) error) error {
 	for i := c.ents[0].prev; i != 0; i = c.ents[i].prev {
 		e := &c.ents[i]

@@ -171,7 +171,7 @@ func TestFlushDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 	var flushed []Key
-	err := c.FlushDirty(func(k Key, data []byte) error {
+	err := c.FlushDirtySelect(func(Key) bool { return true }, func(k Key, data []byte) error {
 		flushed = append(flushed, k)
 		return nil
 	})
@@ -290,7 +290,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 }
 
 func TestReadaheadRandomOpensInitialWindow(t *testing.T) {
-	ra := DefaultReadahead()
+	ra := NewReadahead(4, 32)
 	// Random misses still open the 4-page initial window (Linux 5.4
 	// get_init_ra_size behaviour) — the pollution the paper measures.
 	for i, idx := range []uint64{100, 7, 999, 42, 13} {

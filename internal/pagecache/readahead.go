@@ -30,12 +30,6 @@ func NewReadahead(initial, max int) *Readahead {
 	return &Readahead{initial: initial, max: max}
 }
 
-// DefaultReadahead mirrors Linux defaults: a 4-page initial window growing
-// to 32 pages (128 KiB).
-func DefaultReadahead() *Readahead {
-	return NewReadahead(4, 32)
-}
-
 // OnMiss reports how many pages to fetch starting at index, given that
 // index missed the cache. The demanded page is always included (count >= 1);
 // a random miss still opens the initial window, as the 5.4 kernel does.

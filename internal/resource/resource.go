@@ -1,10 +1,11 @@
 // Package resource tracks occupancy of the simulated hardware resources —
 // NAND channels and dies (channel × way), the PCIe DMA link, the NVMe
-// rings — as busy intervals in virtual time. It generalizes the
-// cumulative busy counters the device already keeps (sim.Resource,
-// Identify's ChannelBusyTime) into timelines: per-resource utilization
-// plus a bounded busy-time histogram over virtual-time bins, the raw
-// material of pipette-report's utilization heatmap.
+// rings — as busy intervals in virtual time. It is the one record of how
+// long each resource was occupied (sim.Resource keeps only when it next
+// falls free): per-resource busy time and utilization, the per-channel
+// busy-rate series of the stats CSV, and a bounded busy-time histogram
+// over virtual-time bins, the raw material of pipette-report's utilization
+// heatmap.
 //
 // Memory stays bounded no matter how long the run is: every timeline in a
 // Tracker shares one bin width, and when a run outgrows the fixed bin
@@ -19,9 +20,7 @@
 package resource
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -248,14 +247,6 @@ func (tr *Tracker) Snapshot(elapsed sim.Time) *Snapshot {
 	return s
 }
 
-// WriteJSON writes the snapshot as indented JSON. Field and resource
-// order are fixed, so identical runs serialize byte-identically.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
 // Table renders the occupancy summary: busy time, utilization, and
 // interval count per resource. Without detail the per-die rows
 // ("nand.chX.wY") are folded away, leaving channels and links — the right
@@ -272,13 +263,4 @@ func (s *Snapshot) Table(detail bool) *metrics.Table {
 			fmt.Sprintf("%d", r.Ops))
 	}
 	return t
-}
-
-// ReadSnapshot parses a snapshot written by WriteJSON.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("resource: parsing snapshot: %w", err)
-	}
-	return &s, nil
 }

@@ -2,6 +2,7 @@ package resource
 
 import (
 	"bytes"
+	"encoding/json"
 	"slices"
 	"testing"
 
@@ -122,6 +123,21 @@ func TestTimelineRescaleBoundaryIntervals(t *testing.T) {
 	}
 }
 
+// roundTrip encodes a snapshot the way an export bundle embeds it, decodes
+// it, and returns both the decoded snapshot and the JSON.
+func roundTrip(t *testing.T, snap *Snapshot) (*Snapshot, []byte) {
+	t.Helper()
+	buf, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Snapshot
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatal(err)
+	}
+	return &got, buf
+}
+
 // TestSnapshotJSONRoundTripEmptyTimelines covers the degenerate exports:
 // registered resources that never saw traffic (bins omitted) and a
 // zero-length run. Both must survive a JSON round trip byte-stably.
@@ -131,15 +147,7 @@ func TestSnapshotJSONRoundTripEmptyTimelines(t *testing.T) {
 	tr.Register("idle.b")
 
 	for _, elapsed := range []sim.Time{0, 10 * sim.Microsecond} {
-		snap := tr.Snapshot(elapsed)
-		var buf bytes.Buffer
-		if err := snap.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, buf := roundTrip(t, tr.Snapshot(elapsed))
 		if len(got.Resources) != 2 || got.Resources[0].Name != "idle.a" ||
 			got.Resources[0].BusyNs != 0 || got.Resources[0].Ops != 0 {
 			t.Fatalf("elapsed %v: round trip mismatch: %+v", elapsed, got)
@@ -147,11 +155,7 @@ func TestSnapshotJSONRoundTripEmptyTimelines(t *testing.T) {
 		if elapsed == 0 && got.Resources[0].Bins != nil {
 			t.Fatalf("zero-length run must omit bins, got %v", got.Resources[0].Bins)
 		}
-		var buf2 bytes.Buffer
-		if err := got.WriteJSON(&buf2); err != nil {
-			t.Fatal(err)
-		}
-		if buf2.String() != buf.String() {
+		if _, buf2 := roundTrip(t, got); !bytes.Equal(buf2, buf) {
 			t.Errorf("elapsed %v: empty-timeline JSON not byte-stable", elapsed)
 		}
 	}
@@ -177,28 +181,13 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	tr := NewTracker()
 	tr.Register("nand.ch0").Add(0, 5*sim.Microsecond)
 	tr.Register("pcie.dma").Add(sim.Microsecond, 3*sim.Microsecond)
-	snap := tr.Snapshot(10 * sim.Microsecond)
-
-	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	first := buf.String()
-
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, first := roundTrip(t, tr.Snapshot(10*sim.Microsecond))
 	if len(got.Resources) != 2 || got.Resources[0].Name != "nand.ch0" ||
 		got.Resources[1].BusyNs != int64(2*sim.Microsecond) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 
-	var buf2 bytes.Buffer
-	if err := got.WriteJSON(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != first {
+	if _, buf2 := roundTrip(t, got); !bytes.Equal(buf2, first) {
 		t.Error("snapshot JSON is not byte-stable across a round trip")
 	}
 }

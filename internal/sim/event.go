@@ -61,14 +61,6 @@ func (q *EventQueue) Pop() (at Time, fn func(Time), ok bool) {
 	return top.at, top.fn, true
 }
 
-// PeekTime reports the earliest scheduled time without popping.
-func (q *EventQueue) PeekTime() (Time, bool) {
-	if len(q.heap) == 0 {
-		return 0, false
-	}
-	return q.heap[0].at, true
-}
-
 func (q *EventQueue) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -111,12 +103,6 @@ type Engine struct {
 
 // NewEngine returns an engine at time zero.
 func NewEngine() *Engine { return &Engine{} }
-
-// Now reports the engine's current virtual time.
-func (e *Engine) Now() Time { return e.clock.Now() }
-
-// Pending reports events scheduled but not yet run.
-func (e *Engine) Pending() int { return e.q.Len() }
 
 // At schedules fn to run at time t. Times in the past clamp to Now(), so
 // a completion callback can always re-arm work "immediately".

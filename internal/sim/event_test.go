@@ -63,9 +63,6 @@ func TestEventQueuePopEmpty(t *testing.T) {
 	if _, _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty queue reported ok")
 	}
-	if _, ok := q.PeekTime(); ok {
-		t.Fatal("PeekTime on empty queue reported ok")
-	}
 }
 
 func TestEngineRunsEventsAndAdvancesClock(t *testing.T) {
@@ -83,8 +80,8 @@ func TestEngineRunsEventsAndAdvancesClock(t *testing.T) {
 		e.At(20, func(Time) { order = append(order, "b") })
 	})
 	e.Run()
-	if e.Now() != 30 {
-		t.Fatalf("Now = %d after run, want 30", e.Now())
+	if e.clock.Now() != 30 {
+		t.Fatalf("Now = %d after run, want 30", e.clock.Now())
 	}
 	want := "abc"
 	var got string
@@ -107,8 +104,8 @@ func TestEngineAtClampsToNow(t *testing.T) {
 		})
 	})
 	e.Run()
-	if e.Now() != 100 {
-		t.Fatalf("Now = %d, want 100", e.Now())
+	if e.clock.Now() != 100 {
+		t.Fatalf("Now = %d, want 100", e.clock.Now())
 	}
 }
 

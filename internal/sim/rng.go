@@ -54,17 +54,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm fills out with a uniform random permutation of [0, len(out)).
-func (r *RNG) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := int(r.Uint64n(uint64(i + 1)))
-		out[i], out[j] = out[j], out[i]
-	}
-}
-
 // Split derives an independent RNG from this one, for handing to a
 // sub-generator without correlating streams.
 func (r *RNG) Split() *RNG {

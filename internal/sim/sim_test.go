@@ -11,7 +11,7 @@ func TestClockAdvance(t *testing.T) {
 	if c.Now() != 0 {
 		t.Fatalf("zero clock Now = %v, want 0", c.Now())
 	}
-	c.Advance(5 * Microsecond)
+	c.AdvanceTo(5 * Microsecond)
 	if got := c.Now(); got != 5000 {
 		t.Fatalf("Now = %v, want 5000", got)
 	}
@@ -23,16 +23,6 @@ func TestClockAdvance(t *testing.T) {
 	if got := c.Now(); got != 9000 {
 		t.Fatalf("Now = %v, want 9000", got)
 	}
-}
-
-func TestClockAdvanceNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance(-1) did not panic")
-		}
-	}()
-	var c Clock
-	c.Advance(-1)
 }
 
 func TestTimeString(t *testing.T) {
@@ -69,9 +59,6 @@ func TestResourceSerializes(t *testing.T) {
 	if s3 != 500 || e3 != 510 {
 		t.Fatalf("third op = [%d,%d], want [500,510]", s3, e3)
 	}
-	if r.BusyTime() != 210 {
-		t.Fatalf("BusyTime = %v, want 210", r.BusyTime())
-	}
 }
 
 func TestResourceSetParallelism(t *testing.T) {
@@ -82,9 +69,6 @@ func TestResourceSetParallelism(t *testing.T) {
 		if start != 0 || end != 100 {
 			t.Fatalf("resource %d = [%d,%d], want [0,100]", i, start, end)
 		}
-	}
-	if got := s.MaxFreeAt(); got != 100 {
-		t.Fatalf("MaxFreeAt = %v, want 100", got)
 	}
 	// A second op on resource 0 serializes.
 	_, end := s.Acquire(0, 0, 100)
@@ -176,19 +160,6 @@ func TestRNGUniformity(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(3)
-	out := make([]int, 20)
-	r.Perm(out)
-	seen := make(map[int]bool)
-	for _, v := range out {
-		if v < 0 || v >= len(out) || seen[v] {
-			t.Fatalf("Perm produced invalid permutation %v", out)
-		}
-		seen[v] = true
-	}
-}
-
 func TestZipfParamValidation(t *testing.T) {
 	r := NewRNG(1)
 	if _, err := NewZipf(r, 0, 0.8); err == nil {
@@ -205,8 +176,17 @@ func TestZipfParamValidation(t *testing.T) {
 	}
 }
 
+func mustZipf(t testing.TB, rng *RNG, n uint64, theta float64) *Zipf {
+	t.Helper()
+	z, err := NewZipf(rng, n, theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return z
+}
+
 func TestZipfBounds(t *testing.T) {
-	z := MustZipf(NewRNG(5), 1000, 0.8)
+	z := mustZipf(t, NewRNG(5), 1000, 0.8)
 	for i := 0; i < 100000; i++ {
 		if v := z.Next(); v >= 1000 {
 			t.Fatalf("zipf draw %d out of range", v)
@@ -219,7 +199,7 @@ func TestZipfBounds(t *testing.T) {
 func TestZipfSkew(t *testing.T) {
 	const n = 10000
 	const draws = 500000
-	z := MustZipf(NewRNG(11), n, 0.8)
+	z := mustZipf(t, NewRNG(11), n, 0.8)
 	counts := make([]int, n)
 	for i := 0; i < draws; i++ {
 		counts[z.Next()]++
@@ -296,7 +276,7 @@ func BenchmarkRNGUint64(b *testing.B) {
 }
 
 func BenchmarkZipfNext(b *testing.B) {
-	z := MustZipf(NewRNG(1), 1<<20, 0.8)
+	z := mustZipf(b, NewRNG(1), 1<<20, 0.8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = z.Next()

@@ -57,16 +57,6 @@ type Clock struct {
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// Advance moves the clock forward by d. Negative spans are a programming
-// error and panic.
-func (c *Clock) Advance(d Time) Time {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: Advance by negative span %d", d))
-	}
-	c.now += d
-	return c.now
-}
-
 // AdvanceTo moves the clock forward to t. Moving backwards is a no-op; the
 // clock is monotonic.
 func (c *Clock) AdvanceTo(t Time) Time {
@@ -75,6 +65,3 @@ func (c *Clock) AdvanceTo(t Time) Time {
 	}
 	return c.now
 }
-
-// Reset rewinds the clock to zero. Only intended for test setup.
-func (c *Clock) Reset() { c.now = 0 }

@@ -42,19 +42,6 @@ func NewZipf(rng *RNG, n uint64, theta float64) (*Zipf, error) {
 	return z, nil
 }
 
-// MustZipf is NewZipf that panics on invalid parameters (for internal use
-// with compile-time-known arguments).
-func MustZipf(rng *RNG, n uint64, theta float64) *Zipf {
-	z, err := NewZipf(rng, n, theta)
-	if err != nil {
-		panic(err)
-	}
-	return z
-}
-
-// N reports the number of items.
-func (z *Zipf) N() uint64 { return z.n }
-
 // Next draws the next item rank in [0, n), rank 0 most popular.
 func (z *Zipf) Next() uint64 {
 	u := z.rng.Float64()
@@ -108,9 +95,6 @@ func (s *ScrambledZipf) Next() uint64 {
 	// the hottest rank to item 0 and defeat the scrambling.
 	return Mix64(s.z.Next()+0x9e3779b97f4a7c15) % s.n
 }
-
-// N reports the number of items.
-func (s *ScrambledZipf) N() uint64 { return s.n }
 
 // Mix64 is a strong 64-bit finalizer (splitmix64's) usable as a cheap hash.
 func Mix64(x uint64) uint64 {

@@ -200,8 +200,8 @@ func TestOverwriteChurnReadsBack(t *testing.T) {
 	for i := 0; i < int(c.Array().Config().TotalPages())*3; i++ {
 		lba := rng.Uint64n(working)
 		if i%16 == 15 {
-			if comp := c.Execute(now, &nvme.Command{Op: nvme.OpTrim, LBA: lba, Pages: 1}); !comp.Ok() {
-				t.Fatalf("trim %d: %+v", lba, comp)
+			if err := c.Trim(lba); err != nil {
+				t.Fatalf("trim %d: %v", lba, err)
 			}
 			delete(last, lba)
 			continue

@@ -121,7 +121,6 @@ type Stats struct {
 	BlockReadCmds  uint64
 	FineReadCmds   uint64
 	WriteCmds      uint64
-	TrimCmds       uint64
 	FlushCmds      uint64
 	PagesLoaded    uint64 // NAND pages brought into the read buffer
 	PagesDestaged  uint64 // write-buffer pages flushed to NAND
@@ -284,9 +283,6 @@ func (c *Controller) EnableHMB(r *hmb.Region) {
 	c.hmbRegion = r
 }
 
-// HMBEnabled reports whether the HMB handshake happened.
-func (c *Controller) HMBEnabled() bool { return c.hmbRegion != nil }
-
 // Execute implements nvme.Device.
 func (c *Controller) Execute(now sim.Time, cmd *nvme.Command) nvme.Completion {
 	switch cmd.Op {
@@ -297,8 +293,6 @@ func (c *Controller) Execute(now sim.Time, cmd *nvme.Command) nvme.Completion {
 			return c.execBufferedWrite(now, cmd)
 		}
 		return c.execWrite(now, cmd)
-	case nvme.OpTrim:
-		return c.execTrim(now, cmd)
 	case nvme.OpFlush:
 		return c.execFlush(now)
 	case nvme.OpFineRead:
@@ -409,20 +403,14 @@ func (c *Controller) execWrite(now sim.Time, cmd *nvme.Command) nvme.Completion 
 	return nvme.Completion{Status: nvme.StatusOK, Done: t, BytesMoved: uint64(len(cmd.Data))}
 }
 
-func (c *Controller) execTrim(now sim.Time, cmd *nvme.Command) nvme.Completion {
-	if cmd.Pages <= 0 {
-		return nvme.Completion{Status: nvme.StatusInvalidCommand, Done: now}
-	}
-	c.stats.TrimCmds++
-	for i := 0; i < cmd.Pages; i++ {
-		c.bufDrop(cmd.LBA + uint64(i))
-		if err := c.fl.Trim(ftl.LBA(cmd.LBA + uint64(i))); err != nil {
-			return nvme.Completion{Status: statusFor(err), Done: now}
-		}
-	}
-	done := now + c.cfg.FirmwareBlockOverhead
-	c.sa.MarkRes(telemetry.StageFirmware, done, ResFirmware)
-	return nvme.Completion{Status: nvme.StatusOK, Done: done}
+// Trim unmaps lba without consuming virtual time; the filesystem calls it
+// for every page it frees. A copy of the page staged in the write buffer is
+// dropped first, so neither a later read nor a destage can serve or program
+// the freed bytes. Trimming an unmapped LBA is a no-op; an LBA beyond the
+// exported capacity fails with ftl.ErrBadLBA.
+func (c *Controller) Trim(lba uint64) error {
+	c.bufDrop(lba)
+	return c.fl.Trim(ftl.LBA(lba))
 }
 
 // execFineRead is the Fine-Grained Read Engine (Figure 4). One command
@@ -598,10 +586,6 @@ func (c *Controller) checkCMBRange(slot, off, n int) error {
 	}
 	return nil
 }
-
-// PCIeModel exposes the link cost model (baselines and the latency
-// experiment use it directly).
-func (c *Controller) PCIeModel() PCIe { return c.cfg.PCIe }
 
 // PeekLBA reads len(buf) bytes at byte offset off within the page backing
 // lba, without consuming virtual time or counting traffic. It is the

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"pipette/internal/ftl"
@@ -143,10 +144,8 @@ func TestBlockReadDiscardIsTimingNeutral(t *testing.T) {
 			t.Fatalf("discarded page %d was written", i)
 		}
 	}
-	for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
-		if one.sa.Total(s) != all.sa.Total(s) {
-			t.Fatalf("stage %v: %v, without discard %v", s, one.sa.Total(s), all.sa.Total(s))
-		}
+	if got, want := one.sa.Snapshot().Totals, all.sa.Snapshot().Totals; got != want {
+		t.Fatalf("stage totals %v, without discard %v", got, want)
 	}
 	for i := 0; i < all.rt.Len(); i++ {
 		if a, o := all.rt.At(i), one.rt.At(i); o.Busy() != a.Busy() || o.Ops() != a.Ops() {
@@ -183,7 +182,7 @@ func TestBlockReadParallelChannels(t *testing.T) {
 	if !one.Ok() || !two.Ok() {
 		t.Fatal("reads failed")
 	}
-	tR := nand.TimingFor(testConfig().NAND.Cell).ReadPage
+	tR := c.Array().Timing().ReadPage
 	if two.Done-one.Done >= tR {
 		t.Fatalf("2-page read %v vs 1-page %v: no channel overlap", two.Done, one.Done)
 	}
@@ -240,9 +239,13 @@ func TestWriteThenRead(t *testing.T) {
 func TestTrimAndFlush(t *testing.T) {
 	c := newCtrl(t)
 	preload(t, c, 4)
-	comp := c.Execute(0, &nvme.Command{Op: nvme.OpTrim, LBA: 1, Pages: 2})
-	if !comp.Ok() {
-		t.Fatalf("trim: %+v", comp)
+	for lba := uint64(1); lba <= 2; lba++ {
+		if err := c.Trim(lba); err != nil {
+			t.Fatalf("trim %d: %v", lba, err)
+		}
+	}
+	if err := c.Trim(c.LogicalPages()); !errors.Is(err, ftl.ErrBadLBA) {
+		t.Fatalf("trim past capacity: err %v, want ErrBadLBA", err)
 	}
 	r := c.Execute(0, &nvme.Command{Op: nvme.OpRead, LBA: 1, Pages: 1, Data: make([]byte, c.PageSize())})
 	if r.Status != nvme.StatusUnmapped {
@@ -278,9 +281,6 @@ func TestFineReadRequiresHMB(t *testing.T) {
 	if comp.Status != nvme.StatusInvalidCommand {
 		t.Fatalf("fine read without HMB: %v", comp.Status)
 	}
-	if c.HMBEnabled() {
-		t.Fatal("HMBEnabled before EnableHMB")
-	}
 }
 
 func TestFineReadExtractsRange(t *testing.T) {
@@ -310,8 +310,45 @@ func TestFineReadExtractsRange(t *testing.T) {
 	if region.Info().Pending() != 0 {
 		t.Fatal("info record not consumed (head not bumped)")
 	}
-	if c.Stats().FineReadCmds != 1 || c.Stats().RangesExtract != 1 {
+	if st := c.Stats(); st.FineReadCmds != 1 || st.RangesExtract != 1 || st.BytesToHost != n {
 		t.Fatalf("stats %+v", c.Stats())
+	}
+}
+
+func TestSmartCounters(t *testing.T) {
+	c := newCtrl(t)
+	preload(t, c, 8)
+	// One block read, one write, one fine read.
+	buf := make([]byte, c.PageSize())
+	if comp := c.Execute(0, &nvme.Command{Op: nvme.OpRead, LBA: 0, Pages: 1, Data: buf}); !comp.Ok() {
+		t.Fatalf("read: %+v", comp)
+	}
+	data := make([]byte, c.PageSize())
+	if comp := c.Execute(0, &nvme.Command{Op: nvme.OpWrite, LBA: 20, Pages: 1, Data: data}); !comp.Ok() {
+		t.Fatalf("write: %+v", comp)
+	}
+	region := newHMB(t)
+	c.EnableHMB(region)
+	if err := region.Info().Push(hmb.InfoRecord{LBA: 1, ByteOff: 0, ByteLen: 64, Dest: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if comp := c.Execute(0, &nvme.Command{Op: nvme.OpFineRead, FineLBAs: []uint64{1}}); !comp.Ok() {
+		t.Fatalf("fine read: %+v", comp)
+	}
+	// Flush so the buffered write reaches NAND as a program.
+	if comp := c.Execute(0, &nvme.Command{Op: nvme.OpFlush}); !comp.Ok() {
+		t.Fatalf("flush: %+v", comp)
+	}
+
+	s := c.Stats()
+	if s.BlockReadCmds != 1 || s.WriteCmds != 1 || s.FineReadCmds != 1 {
+		t.Fatalf("command counters: %+v", s)
+	}
+	if s.BytesToHost != uint64(c.PageSize())+64 || s.BytesFromHost != uint64(c.PageSize()) {
+		t.Fatalf("byte counters: read=%d written=%d", s.BytesToHost, s.BytesFromHost)
+	}
+	if a := c.Array().Stats(); a.Reads < 2 || a.Programs < 1 {
+		t.Fatalf("nand counters: %+v", a)
 	}
 }
 
@@ -401,7 +438,7 @@ func TestMMIOReadCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcie := c.PCIeModel()
+	pcie := c.cfg.PCIe
 	// 8 bytes: one transaction.
 	buf8 := make([]byte, 8)
 	t8, err := c.MMIORead(done, slot, 0, buf8)
@@ -450,7 +487,7 @@ func TestDMAReadFromCMB(t *testing.T) {
 		t.Fatal("DMA consumed no time")
 	}
 	// DMA of small payload beats MMIO of a large one but costs setup.
-	if end-done < c.PCIeModel().DMASetup {
+	if end-done < c.cfg.PCIe.DMASetup {
 		t.Fatal("DMA cheaper than its setup cost")
 	}
 }

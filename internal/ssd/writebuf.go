@@ -43,7 +43,7 @@ func (c *Controller) bufInsert(lba uint64, data []byte) {
 	c.wbuf = append(c.wbuf, wbEntry{lba: lba, data: stored})
 }
 
-// bufDrop removes a page (TRIM of a buffered LBA).
+// bufDrop removes a page (Trim of a buffered LBA).
 func (c *Controller) bufDrop(lba uint64) {
 	idx, ok := c.wbufIdx[lba]
 	if !ok {

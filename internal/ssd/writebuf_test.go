@@ -197,14 +197,13 @@ func TestWriteBufferTrimDropsPage(t *testing.T) {
 	ps := c.PageSize()
 	data := make([]byte, ps)
 	w := c.Execute(0, &nvme.Command{Op: nvme.OpWrite, LBA: 3, Pages: 1, Data: data})
-	tr := c.Execute(w.Done, &nvme.Command{Op: nvme.OpTrim, LBA: 3, Pages: 1})
-	if !tr.Ok() {
-		t.Fatalf("trim: %+v", tr)
+	if err := c.Trim(3); err != nil {
+		t.Fatalf("trim: %v", err)
 	}
 	if c.BufferedPages() != 0 {
 		t.Fatal("trim left the page buffered")
 	}
-	r := c.Execute(tr.Done, &nvme.Command{Op: nvme.OpRead, LBA: 3, Pages: 1, Data: make([]byte, ps)})
+	r := c.Execute(w.Done, &nvme.Command{Op: nvme.OpRead, LBA: 3, Pages: 1, Data: make([]byte, ps)})
 	if r.Status != nvme.StatusUnmapped {
 		t.Fatalf("read after trim: %v", r.Status)
 	}

@@ -25,8 +25,3 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// CounterProbe adapts a Counter into a sampled gauge series.
-func CounterProbe(name string, c *Counter) Probe {
-	return GaugeProbe(name, func() float64 { return float64(c.Load()) })
-}

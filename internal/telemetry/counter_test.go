@@ -38,19 +38,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestCounterProbe(t *testing.T) {
-	t.Parallel()
-	var c Counter
-	p := CounterProbe("retries", &c)
-	if p.Name != "retries" {
-		t.Fatalf("probe name %q", p.Name)
-	}
-	c.Add(7)
-	if got := p.Sample(0); got != 7 {
-		t.Fatalf("Sample = %g, want 7", got)
-	}
-}
-
 func BenchmarkCounterInc(b *testing.B) {
 	var c Counter
 	b.ReportAllocs()

@@ -49,9 +49,6 @@ func (e *Exports) AddCSV(path string, s *Sampler) error {
 	return e.Add(path, s.WriteCSV)
 }
 
-// Len reports registered export files.
-func (e *Exports) Len() int { return len(e.items) }
-
 // Close renders and closes every registered file. Safe to call twice
 // (e.g. once deferred for the error path and once explicitly).
 func (e *Exports) Close() error {

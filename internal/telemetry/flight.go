@@ -12,10 +12,10 @@ import (
 )
 
 // FlightRecorder is the post-mortem capture of a run: a fixed-size ring
-// of the most recent spans, instants, and annotations. Unlike Recorder it
-// never grows — a multi-hour faulted run costs the same memory as a unit
-// test — and its value is realized only when something goes wrong: the
-// CLI dumps the ring as annotated JSON when a request dies with
+// of the most recent spans, instants and request boundaries. Unlike
+// Recorder it never grows — a multi-hour faulted run costs the same memory
+// as a unit test — and its value is realized only when something goes
+// wrong: the CLI dumps the ring as annotated JSON when a request dies with
 // ErrUncorrectable or the harness hits any fatal error, so the last
 // moments before the failure (which NAND die, which retry step, which
 // fallback) are on disk for debugging.
@@ -29,11 +29,11 @@ type FlightRecorder struct {
 	next    uint64 // total entries ever pushed; ring slot is next % cap
 }
 
-// flightEntry is one captured event; Kind distinguishes spans, instants,
-// request boundaries, and caller annotations.
+// flightEntry is one captured event; Kind distinguishes spans, instants
+// and request boundaries.
 type flightEntry struct {
 	Seq     uint64  `json:"seq"`
-	Kind    string  `json:"kind"` // span | instant | request | note
+	Kind    string  `json:"kind"` // span | instant | request
 	Track   string  `json:"track,omitempty"`
 	Name    string  `json:"name"`
 	StartUs float64 `json:"start_us"`
@@ -77,12 +77,6 @@ func (f *FlightRecorder) Span(track, name string, start, end sim.Time) {
 // Instant implements Tracer.
 func (f *FlightRecorder) Instant(track, name string, at sim.Time) {
 	f.push(flightEntry{Kind: "instant", Track: track, Name: name, StartUs: at.Micros()})
-}
-
-// Note records a caller annotation — e.g. "uncorrectable read at request
-// 8124" — so the dump carries the context the error path had.
-func (f *FlightRecorder) Note(name string, at sim.Time) {
-	f.push(flightEntry{Kind: "note", Name: name, StartUs: at.Micros()})
 }
 
 func (f *FlightRecorder) push(e flightEntry) {

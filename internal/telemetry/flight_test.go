@@ -59,7 +59,6 @@ func TestFlightRecorderKinds(t *testing.T) {
 	f.BeginRequest("read", 0)
 	f.Span(TrackSSD, "exec", 0, 100)
 	f.Instant(TrackPageCache, "miss", 50)
-	f.Note("uncorrectable at request 3", sim.Time(120))
 	f.EndRequest(100) // boundary only; not recorded
 
 	var buf bytes.Buffer
@@ -74,7 +73,7 @@ func TestFlightRecorderKinds(t *testing.T) {
 	for i, ev := range d.Events {
 		kinds[i] = ev.Kind
 	}
-	want := []string{"request", "span", "instant", "note"}
+	want := []string{"request", "span", "instant"}
 	if len(kinds) != len(want) {
 		t.Fatalf("got kinds %v, want %v", kinds, want)
 	}
@@ -147,7 +146,7 @@ func TestFlightDumpOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Recorder().Note("before the failure", 0)
+	d.Recorder().Instant(TrackSSD, "before the failure", 0)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

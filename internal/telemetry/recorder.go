@@ -120,9 +120,6 @@ func (r *Recorder) Events() int { return len(r.events) }
 // Dropped reports events discarded past the cap.
 func (r *Recorder) Dropped() uint64 { return r.dropped }
 
-// Requests reports completed request scopes.
-func (r *Recorder) Requests() uint64 { return r.reqID }
-
 // PhaseHistogram returns the histogram of one "track/name" phase, or nil.
 func (r *Recorder) PhaseHistogram(key string) *metrics.Histogram { return r.hists[key] }
 

@@ -19,7 +19,7 @@ import (
 //
 // Two kinds of series coexist:
 //
-//   - Owned values (Counter, LiveGauge, LiveHistogram) are atomic
+//   - Owned values (Counter, LiveHistogram) are atomic
 //     words the instrumented code writes from any goroutine; a scrape
 //     reads them without locks, so the deterministic simulator is never
 //     perturbed by an attached scraper.
@@ -81,32 +81,10 @@ type series struct {
 	labels []Label
 
 	counter     *Counter
-	gauge       *LiveGauge
 	hist        *LiveHistogram
 	counterFunc func() uint64
 	gaugeFunc   func() float64
 }
-
-// LiveGauge is a settable series value (float64 behind atomic bits).
-type LiveGauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *LiveGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (compare-and-swap loop; gauges are updated rarely).
-func (g *LiveGauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Load returns the current value.
-func (g *LiveGauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // LiveHistogram is a fixed-bucket histogram with atomic cells, safe to
 // Observe from the simulator thread while a scraper encodes it. Bounds are
@@ -160,13 +138,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	c := &Counter{}
 	r.add(name, help, kindCounter, &series{labels: labels, counter: c})
 	return c
-}
-
-// Gauge registers a gauge family series and returns its live value.
-func (r *Registry) Gauge(name, help string, labels ...Label) *LiveGauge {
-	g := &LiveGauge{}
-	r.add(name, help, kindGauge, &series{labels: labels, gauge: g})
-	return g
 }
 
 // Histogram registers a histogram series over the bucket upper bounds.
@@ -267,8 +238,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(&b, f.name, labels, float64(s.counter.Load()))
 			case s.counterFunc != nil:
 				writeSample(&b, f.name, labels, float64(s.counterFunc()))
-			case s.gauge != nil:
-				writeSample(&b, f.name, labels, s.gauge.Load())
 			case s.gaugeFunc != nil:
 				writeSample(&b, f.name, labels, s.gaugeFunc())
 			}

@@ -20,8 +20,7 @@ func TestRegistryCounterGauge(t *testing.T) {
 	c := r.Counter("ssd_block_reads_total", "block-interface read commands")
 	c.Add(41)
 	c.Inc()
-	g := r.Gauge("cache_hit_ratio", "page cache hit ratio", L("cache", "page"))
-	g.Set(0.75)
+	r.GaugeFunc("cache_hit_ratio", "page cache hit ratio", func() float64 { return 0.75 }, L("cache", "page"))
 	r.GaugeFunc("threshold", "adaptive admission threshold", func() float64 { return 96 })
 	r.CounterFunc("kv_puts_total", "store puts", func() uint64 { return 7 })
 
@@ -61,8 +60,7 @@ func TestRegistryFamiliesSorted(t *testing.T) {
 // help strings escape backslash + newline only.
 func TestRegistryLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("weird", "help with \\ and\nnewline", L("path", `C:\tmp\"x"`+"\nline2"))
-	g.Set(1)
+	r.GaugeFunc("weird", "help with \\ and\nnewline", func() float64 { return 1 }, L("path", `C:\tmp\"x"`+"\nline2"))
 	out := scrape(t, r)
 	if want := `weird{path="C:\\tmp\\\"x\"\nline2"} 1`; !strings.Contains(out, want) {
 		t.Errorf("label escaping wrong: missing %q in:\n%s", want, out)
@@ -126,7 +124,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("registering gauge over counter family did not panic")
 		}
 	}()
-	r.Gauge("m", "")
+	r.GaugeFunc("m", "", func() float64 { return 0 })
 }
 
 func TestRegistryDuplicateSeriesPanics(t *testing.T) {
@@ -148,7 +146,6 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops_total", "")
 	h := r.Histogram("lat", "", []float64{1, 2, 4, 8})
-	g := r.Gauge("depth", "")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -169,7 +166,6 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 	}()
 	for i := 0; i < 10_000; i++ {
 		c.Inc()
-		g.Set(float64(i))
 		h.Observe(float64(i % 10))
 	}
 	close(stop)

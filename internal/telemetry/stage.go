@@ -44,7 +44,7 @@ const (
 	// StageProgram is NAND program/erase time on the write path,
 	// including garbage collection the write triggered.
 	StageProgram
-	// StageWriteback is time an fsync/syncfs request spent flushing dirty
+	// StageWriteback is time an fsync request spent flushing dirty
 	// pages to the device.
 	StageWriteback
 	// StageCopyout is the host copy into the caller's buffer.
@@ -332,58 +332,12 @@ func (a *StageAccount) Cursor() sim.Time {
 	return a.cursor
 }
 
-// Requests reports finished request scopes.
-func (a *StageAccount) Requests() uint64 {
-	if a == nil {
-		return 0
-	}
-	return a.requests
-}
-
-// Elapsed reports the sum of finished requests' end-to-end latencies.
-func (a *StageAccount) Elapsed() sim.Time {
-	if a == nil {
-		return 0
-	}
-	return a.elapsed
-}
-
-// Total reports cumulative time attributed to one stage.
-func (a *StageAccount) Total(s Stage) sim.Time {
-	if a == nil {
-		return 0
-	}
-	return a.totals[s]
-}
-
-// Sum reports the total attributed time across all stages. Conservation
-// means Sum() == Elapsed() at all times between requests.
-func (a *StageAccount) Sum() sim.Time {
-	if a == nil {
-		return 0
-	}
-	var t sim.Time
-	for _, v := range a.totals {
-		t += v
-	}
-	return t
-}
-
 // Gaps reports contiguity violations seen at Finish; it must stay zero.
 func (a *StageAccount) Gaps() uint64 {
 	if a == nil {
 		return 0
 	}
 	return a.gaps
-}
-
-// StageHistogram returns the per-request time distribution of one stage
-// (only requests where the stage was non-zero are observed).
-func (a *StageAccount) StageHistogram(s Stage) *metrics.Histogram {
-	if a == nil {
-		return nil
-	}
-	return &a.hists[s]
 }
 
 // StageSnapshot is a copyable summary of an account: the raw material of
@@ -408,7 +362,8 @@ func (a *StageAccount) Snapshot() StageSnapshot {
 	}
 }
 
-// Sum reports the total attributed time across all stages.
+// Sum reports the total attributed time across all stages. Conservation
+// means Sum() == Elapsed at all times between requests.
 func (s *StageSnapshot) Sum() sim.Time {
 	var t sim.Time
 	for _, v := range s.Totals {
@@ -457,12 +412,6 @@ func (s *StageSnapshot) Waterfall() *metrics.Table {
 		fmt.Sprintf("%d", s.Requests),
 		"", "", "")
 	return t
-}
-
-// Waterfall renders the live account's breakdown table.
-func (a *StageAccount) Waterfall() *metrics.Table {
-	snap := a.Snapshot()
-	return snap.Waterfall()
 }
 
 // stageBoundsUs are the LiveHistogram bucket bounds (microseconds) used

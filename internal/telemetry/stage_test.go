@@ -16,27 +16,28 @@ func TestStageAccountPartition(t *testing.T) {
 	a.Mark(StageDMA, 175)
 	a.Mark(StageCopyout, 180)
 	lat := a.Finish(200) // 20ns unclaimed tail -> other
+	snap := a.Snapshot()
 
 	if lat != 100 {
 		t.Fatalf("latency = %d, want 100", lat)
 	}
-	if got := a.Total(StageSyscall); got != 10 {
+	if got := snap.Totals[StageSyscall]; got != 10 {
 		t.Errorf("syscall = %d, want 10", got)
 	}
-	if got := a.Total(StageNAND); got != 50 {
+	if got := snap.Totals[StageNAND]; got != 50 {
 		t.Errorf("nand = %d, want 50", got)
 	}
-	if got := a.Total(StageOther); got != 20 {
+	if got := snap.Totals[StageOther]; got != 20 {
 		t.Errorf("other = %d, want 20", got)
 	}
-	if a.Sum() != a.Elapsed() {
-		t.Errorf("conservation violated: sum %d != elapsed %d", a.Sum(), a.Elapsed())
+	if snap.Sum() != snap.Elapsed {
+		t.Errorf("conservation violated: sum %d != elapsed %d", snap.Sum(), snap.Elapsed)
 	}
 	if a.Gaps() != 0 {
 		t.Errorf("gaps = %d, want 0", a.Gaps())
 	}
-	if a.Requests() != 1 {
-		t.Errorf("requests = %d, want 1", a.Requests())
+	if snap.Requests != 1 {
+		t.Errorf("requests = %d, want 1", snap.Requests)
 	}
 }
 
@@ -51,18 +52,19 @@ func TestStageAccountOverlappedMarks(t *testing.T) {
 	a.Mark(StageNAND, 60)     // overlapped, no-op
 	a.Mark(StageDMA, 95)
 	a.Finish(95)
+	snap := a.Snapshot()
 
-	if got := a.Total(StageNAND); got != 80 {
+	if got := snap.Totals[StageNAND]; got != 80 {
 		t.Errorf("nand = %d, want 80", got)
 	}
-	if got := a.Total(StageFirmware); got != 0 {
+	if got := snap.Totals[StageFirmware]; got != 0 {
 		t.Errorf("firmware = %d, want 0", got)
 	}
-	if got := a.Total(StageDMA); got != 15 {
+	if got := snap.Totals[StageDMA]; got != 15 {
 		t.Errorf("dma = %d, want 15", got)
 	}
-	if a.Sum() != 95 || a.Elapsed() != 95 {
-		t.Errorf("sum %d, elapsed %d, want 95 both", a.Sum(), a.Elapsed())
+	if snap.Sum() != 95 || snap.Elapsed != 95 {
+		t.Errorf("sum %d, elapsed %d, want 95 both", snap.Sum(), snap.Elapsed)
 	}
 }
 
@@ -81,21 +83,22 @@ func TestStageAccountReattribute(t *testing.T) {
 	a.Mark(StageNAND, 130)
 	a.Mark(StageCopyout, 140)
 	a.Finish(140)
+	snap := a.Snapshot()
 
-	if got := a.Total(StageSyscall); got != 10 {
+	if got := snap.Totals[StageSyscall]; got != 10 {
 		t.Errorf("syscall = %d, want 10 (reattribute must not touch time before `from`)", got)
 	}
-	if got := a.Total(StageRetry); got != 65 {
+	if got := snap.Totals[StageRetry]; got != 65 {
 		t.Errorf("retry = %d, want 65", got)
 	}
-	if got := a.Total(StageConstruct) + a.Total(StageFirmware) + a.Total(StageDMA); got != 0 {
+	if got := snap.Totals[StageConstruct] + snap.Totals[StageFirmware] + snap.Totals[StageDMA]; got != 0 {
 		t.Errorf("wasted-attempt stages retained %d ns, want 0", got)
 	}
-	if got := a.Total(StageNAND); got != 55 {
+	if got := snap.Totals[StageNAND]; got != 55 {
 		t.Errorf("nand = %d, want 55", got)
 	}
-	if a.Sum() != 140 || a.Gaps() != 0 {
-		t.Errorf("sum %d (want 140), gaps %d (want 0)", a.Sum(), a.Gaps())
+	if snap.Sum() != 140 || a.Gaps() != 0 {
+		t.Errorf("sum %d (want 140), gaps %d (want 0)", snap.Sum(), a.Gaps())
 	}
 }
 
@@ -105,11 +108,12 @@ func TestStageAccountReattributeSplitsStraddler(t *testing.T) {
 	a.Mark(StageNAND, 100)
 	a.Reattribute(40, StageRetry)
 	a.Finish(100)
+	snap := a.Snapshot()
 
-	if got := a.Total(StageNAND); got != 40 {
+	if got := snap.Totals[StageNAND]; got != 40 {
 		t.Errorf("nand = %d, want 40", got)
 	}
-	if got := a.Total(StageRetry); got != 60 {
+	if got := snap.Totals[StageRetry]; got != 60 {
 		t.Errorf("retry = %d, want 60", got)
 	}
 	if a.Gaps() != 0 {
@@ -122,12 +126,12 @@ func TestStageAccountNilSafe(t *testing.T) {
 	a.Begin(0)
 	a.Mark(StageNAND, 10)
 	a.Reattribute(0, StageRetry)
-	if a.Finish(10) != 0 || a.Sum() != 0 || a.Requests() != 0 {
+	if a.Finish(10) != 0 {
 		t.Fatal("nil account must be inert")
 	}
 	a.SetOnFinish(nil)
-	if a.StageHistogram(StageNAND) != nil {
-		t.Fatal("nil account histogram must be nil")
+	if snap := a.Snapshot(); snap.Requests != 0 || snap.Sum() != 0 {
+		t.Fatal("nil account snapshot must be empty")
 	}
 }
 
@@ -170,7 +174,8 @@ func TestStageWaterfallTable(t *testing.T) {
 	a.Mark(StageCopyout, 52000)
 	a.Finish(52000)
 
-	out := a.Waterfall().Render()
+	snap := a.Snapshot()
+	out := snap.Waterfall().Render()
 	for _, want := range []string{"syscall", "nand", "copyout", "total", "100.0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("waterfall missing %q:\n%s", want, out)
@@ -281,8 +286,8 @@ func TestStageAccountAllocFree(t *testing.T) {
 	if n := mallocs(1000, hit); n != 0 {
 		t.Fatalf("1000 requests allocated %d times, want 0", n)
 	}
-	if a.Gaps() != 0 || a.Sum() != a.Elapsed() {
-		t.Fatalf("gaps %d, sum %d, elapsed %d", a.Gaps(), a.Sum(), a.Elapsed())
+	if snap := a.Snapshot(); a.Gaps() != 0 || snap.Sum() != snap.Elapsed {
+		t.Fatalf("gaps %d, sum %d, elapsed %d", a.Gaps(), snap.Sum(), snap.Elapsed)
 	}
 }
 
@@ -310,7 +315,7 @@ func TestReattributeAllocFree(t *testing.T) {
 	if n := mallocs(1000, fallback); n != 0 {
 		t.Fatalf("1000 fallbacks allocated %d times, want 0", n)
 	}
-	if a.Total(StageRetry) != 1001*60 || a.Total(StageConstruct) != 1001*5 || a.Gaps() != 0 {
-		t.Fatalf("retry %d, construct %d, gaps %d", a.Total(StageRetry), a.Total(StageConstruct), a.Gaps())
+	if snap := a.Snapshot(); snap.Totals[StageRetry] != 1001*60 || snap.Totals[StageConstruct] != 1001*5 || a.Gaps() != 0 {
+		t.Fatalf("retry %d, construct %d, gaps %d", snap.Totals[StageRetry], snap.Totals[StageConstruct], a.Gaps())
 	}
 }

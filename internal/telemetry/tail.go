@@ -290,11 +290,3 @@ func (f blameFold) rows() []BlameSeg {
 	})
 	return out
 }
-
-// BlameVector folds one request's segments into (stage, resource) totals —
-// the per-exemplar blame vector rendered next to its waterfall.
-func BlameVector(segs []StageSeg) []BlameSeg {
-	f := blameFold{}
-	f.add(segs)
-	return f.rows()
-}

@@ -89,13 +89,17 @@ func TestTailRecorderNilSafe(t *testing.T) {
 	}
 }
 
+// TestBlameVectorFolds: a recorder holding one request blames its
+// segments as (stage, resource) totals.
 func TestBlameVectorFolds(t *testing.T) {
-	got := BlameVector([]StageSeg{
+	r := NewTailRecorder(1, 4)
+	r.Observe([]StageSeg{
 		seg(StageNAND, "nand.ch0.w0", 0, 10),
 		seg(StageDMA, "pcie.dma", 10, 14),
 		seg(StageNAND, "nand.ch0.w0", 14, 20),
 		seg(StageNAND, "nand.ch1.w0", 20, 25),
-	})
+	}, 0, 25)
+	got := r.Snapshot().Blame
 	want := []BlameSeg{
 		{Stage: StageNAND, Res: "nand.ch0.w0", Total: 16},
 		{Stage: StageNAND, Res: "nand.ch1.w0", Total: 5},
@@ -142,10 +146,11 @@ func TestMarkResSegments(t *testing.T) {
 	if !reflect.DeepEqual(segs, want) {
 		t.Fatalf("segments = %+v, want %+v", segs, want)
 	}
-	if a.Sum() != 44 || a.Gaps() != 0 {
-		t.Fatalf("sum %d gaps %d, want 44 and 0", a.Sum(), a.Gaps())
+	snap := a.Snapshot()
+	if snap.Sum() != 44 || a.Gaps() != 0 {
+		t.Fatalf("sum %d gaps %d, want 44 and 0", snap.Sum(), a.Gaps())
 	}
-	if got := a.Total(StageNAND); got != 40 {
+	if got := snap.Totals[StageNAND]; got != 40 {
 		t.Fatalf("nand total %d, want 40 (res split must not double-count)", got)
 	}
 }
@@ -344,9 +349,6 @@ func TestBlameSortedByName(t *testing.T) {
 		{Stage: StageNAND, Res: "zz.sorted.b", Total: 4},
 		{Stage: StageNAND, Res: "zz.sorted.c", Total: 1},
 		{Stage: StageDMA, Res: "zz.sorted.b", Total: 3},
-	}
-	if got := BlameVector(segs); !reflect.DeepEqual(got, want) {
-		t.Fatalf("BlameVector = %+v, want %+v", got, want)
 	}
 	r := NewTailRecorder(1, 4)
 	r.Observe(segs, 0, 15)

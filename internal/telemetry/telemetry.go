@@ -12,7 +12,9 @@
 // sites is guarded by Enabled().
 //
 // The simulator is single-threaded per system by design, so the Recorder
-// and Sampler are not safe for concurrent use, matching internal/metrics.
+// and Sampler are not safe for concurrent use, matching internal/metrics;
+// the FlightRecorder locks its ring because a dump may run on another
+// goroutine.
 package telemetry
 
 import "pipette/internal/sim"
@@ -32,7 +34,9 @@ const (
 )
 
 // Tracer receives simulation events. Implementations: Nop (default,
-// discards everything) and Recorder (collects spans and histograms).
+// discards everything), Recorder (collects spans and histograms for the
+// trace export and the phase table), FlightRecorder (keeps the last N
+// events for a dump on failure) and Tee (fans events out to several).
 //
 // All timestamps are virtual time. Spans are complete intervals — in this
 // synchronous simulator every phase's start and end are known when the

@@ -42,8 +42,8 @@ func TestRecorderSpansAndHistograms(t *testing.T) {
 	r.Span(TrackNVMe, "read", 160, 200)
 	r.EndRequest(210)
 
-	if got := r.Requests(); got != 1 {
-		t.Fatalf("Requests = %d, want 1", got)
+	if got := r.reqID; got != 1 {
+		t.Fatalf("completed request scopes = %d, want 1", got)
 	}
 	// Two nvme spans plus the request span emitted by EndRequest.
 	if got := r.Events(); got != 3 {

@@ -465,23 +465,3 @@ func TestReadFull(t *testing.T) {
 		t.Fatal("short ReadFull did not error")
 	}
 }
-
-func TestSyncAll(t *testing.T) {
-	v := testVFS(t, 128)
-	f1 := createPreloaded(t, v, "a", 8192)
-	f2 := createPreloaded(t, v, "b", 8192)
-	for _, f := range []*File{f1, f2} {
-		if _, _, err := f.WriteAt(0, bytes.Repeat([]byte{1}, 4096), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := v.SyncAll(0); err != nil {
-		t.Fatal(err)
-	}
-	if v.PageCache().DirtyCount() != 0 {
-		t.Fatal("SyncAll left dirty pages")
-	}
-	if v.IO().BytesWritten != 8192 {
-		t.Fatalf("BytesWritten = %d", v.IO().BytesWritten)
-	}
-}

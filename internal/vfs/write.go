@@ -162,25 +162,6 @@ func (f *File) Sync(now sim.Time) (sim.Time, error) {
 	return done, err
 }
 
-// SyncAll flushes every dirty page of every file — syncfs(2).
-func (v *VFS) SyncAll(now sim.Time) (sim.Time, error) {
-	v.sa.Begin(now)
-	done := now
-	err := v.cache.FlushDirty(func(k pagecache.Key, data []byte) error {
-		t, err := v.writebackPage(done, k, data)
-		if err != nil {
-			return err
-		}
-		v.putPageBuf(data)
-		done = t
-		return nil
-	})
-	v.sa.Reattribute(now, telemetry.StageWriteback)
-	v.sa.Mark(telemetry.StageWriteback, done)
-	v.sa.Finish(done)
-	return done, err
-}
-
 // writebackPage persists one dirty page.
 func (v *VFS) writebackPage(now sim.Time, key pagecache.Key, data []byte) (sim.Time, error) {
 	ino, err := v.fs.InodeByID(key.File)

@@ -39,9 +39,6 @@ func (k *KeyChooser) Next() uint64 {
 	return k.rng.Uint64n(k.n)
 }
 
-// N reports the item count.
-func (k *KeyChooser) N() uint64 { return k.n }
-
 // hashUnit01 maps x to a deterministic uniform draw in [0, 1) — the hashed
 // per-item draw the layout generators (posting sizes, node degrees, value
 // sizes) derive their distributions from.

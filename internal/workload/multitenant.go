@@ -36,7 +36,6 @@ type TenantRequest struct {
 // setting never perturbs another tenant's key sequence — adding a tenant
 // or changing a theta leaves the other tenants' streams byte-identical.
 type MultiTenant struct {
-	records  uint64
 	tenants  []TenantConfig
 	cum      []float64 // cumulative weight, normalized to [0,1]
 	rng      *sim.RNG  // tenant + read/write draws
@@ -63,7 +62,6 @@ func NewMultiTenant(records uint64, tenants []TenantConfig, seed uint64) (*Multi
 		total += tc.Weight
 	}
 	m := &MultiTenant{
-		records: records,
 		tenants: append([]TenantConfig(nil), tenants...),
 		cum:     make([]float64, len(tenants)),
 		rng:     sim.NewRNG(seed ^ 0x7e4a_11d7),
@@ -87,12 +85,6 @@ func NewMultiTenant(records uint64, tenants []TenantConfig, seed uint64) (*Multi
 	}
 	return m, nil
 }
-
-// Tenants reports the tenant count.
-func (m *MultiTenant) Tenants() int { return len(m.tenants) }
-
-// Records reports each tenant's private keyspace size.
-func (m *MultiTenant) Records() uint64 { return m.records }
 
 // Next draws the next request.
 func (m *MultiTenant) Next() TenantRequest {

@@ -50,7 +50,6 @@ type KVRequest struct {
 // below a page) is where the fine-grained read path wins; value sizing is
 // the store driver's business, keyed off KVRequest.Key.
 type YCSBConfig struct {
-	Name    string
 	Records uint64 // preloaded keyspace; inserts grow it
 
 	ReadPct   float64
@@ -77,7 +76,6 @@ type YCSBConfig struct {
 //	F  50% read / 50% read-modify-write, zipfian
 func StandardYCSB(name string, records uint64, seed uint64) (YCSBConfig, error) {
 	cfg := YCSBConfig{
-		Name:       name,
 		Records:    records,
 		Dist:       Zipfian,
 		Theta:      0.8,
@@ -150,9 +148,6 @@ func NewYCSB(cfg YCSBConfig) (*YCSB, error) {
 	}
 	return y, nil
 }
-
-// Name identifies the workload.
-func (y *YCSB) Name() string { return "ycsb-" + y.cfg.Name }
 
 // Records reports the current record count (grows with inserts).
 func (y *YCSB) Records() uint64 { return y.total }

@@ -46,8 +46,8 @@ func checkAggregateConservation(t *testing.T, sys *System) {
 	if g := sa.Gaps(); g != 0 {
 		t.Fatalf("Gaps() = %d, want 0", g)
 	}
-	if sum, el := sa.Sum(), sa.Elapsed(); sum != el {
-		t.Fatalf("Sum() = %v != Elapsed() = %v", sum, el)
+	if snap := sa.Snapshot(); snap.Sum() != snap.Elapsed {
+		t.Fatalf("stage sum %v != elapsed %v", snap.Sum(), snap.Elapsed)
 	}
 }
 
@@ -95,21 +95,21 @@ func TestStageConservationMixedWorkload(t *testing.T) {
 	}
 
 	checkAggregateConservation(t, sys)
-	sa := sys.Stages()
+	sa := sys.Stages().Snapshot()
 	for _, st := range []telemetry.Stage{
 		telemetry.StageSyscall, telemetry.StageCache, telemetry.StageQueue,
 		telemetry.StageConstruct, telemetry.StageRing, telemetry.StageFirmware,
 		telemetry.StageNAND, telemetry.StageDMA, telemetry.StageWriteback,
 		telemetry.StageCopyout,
 	} {
-		if sa.Total(st) == 0 {
+		if sa.Totals[st] == 0 {
 			t.Errorf("stage %v never attributed any time", st)
 		}
 	}
-	if other := sa.Total(telemetry.StageOther); other != 0 {
+	if other := sa.Totals[telemetry.StageOther]; other != 0 {
 		t.Errorf("residual (other) time = %v, want 0: some interval went unclaimed", other)
 	}
-	if sa.Total(telemetry.StageRetry) != 0 {
+	if sa.Totals[telemetry.StageRetry] != 0 {
 		t.Error("retry time attributed on a fault-free run")
 	}
 
@@ -170,15 +170,15 @@ func TestStageConservationECCRetry(t *testing.T) {
 		t.Fatal("no uncorrectable reads at full injection; error-path conservation unexercised")
 	}
 	checkAggregateConservation(t, sys)
-	sa := sys.Stages()
-	if sa.Total(telemetry.StageRetry) == 0 {
+	sa := sys.Stages().Snapshot()
+	if sa.Totals[telemetry.StageRetry] == 0 {
 		t.Fatal("ECC ladder charged no retry-stage time")
 	}
-	if sa.Total(telemetry.StageRetry) <= sa.Total(telemetry.StageNAND) {
+	if sa.Totals[telemetry.StageRetry] <= sa.Totals[telemetry.StageNAND] {
 		// Every read faults, and each ladder step costs a full re-read; the
 		// wasted time must dominate the single first sense.
 		t.Errorf("retry %v <= nand %v: ladder time not reattributed",
-			sa.Total(telemetry.StageRetry), sa.Total(telemetry.StageNAND))
+			sa.Totals[telemetry.StageRetry], sa.Totals[telemetry.StageNAND])
 	}
 }
 
@@ -210,12 +210,12 @@ func TestStageConservationFineFallback(t *testing.T) {
 		t.Fatalf("RingFallbacks = %v, want 4", rep.Faults)
 	}
 	checkAggregateConservation(t, sys)
-	sa := sys.Stages()
-	if sa.Total(telemetry.StageRetry) == 0 {
+	sa := sys.Stages().Snapshot()
+	if sa.Totals[telemetry.StageRetry] == 0 {
 		t.Fatal("fallback attempts charged no retry-stage time")
 	}
 	// The fallen-back requests still completed via the block path.
-	if sa.Total(telemetry.StageNAND) == 0 || sa.Total(telemetry.StageDMA) == 0 {
+	if sa.Totals[telemetry.StageNAND] == 0 || sa.Totals[telemetry.StageDMA] == 0 {
 		t.Fatal("block re-serve left no nand/dma time")
 	}
 }
