@@ -73,6 +73,9 @@ func main() {
 	if _, err := fault.ParseProfile(*faultProf); err != nil {
 		log.Fatalf("pipette-kv: %v", err)
 	}
+	if err := checkOps(*ops); err != nil {
+		log.Fatalf("pipette-kv: %v", err)
+	}
 
 	if *shards > 0 {
 		if *flightOut != "" {
@@ -157,6 +160,15 @@ type clusterOpts struct {
 	ops                       int
 	listen, faultProf         string
 	faultSeed                 uint64
+}
+
+// checkOps rejects an -ops count below 1, in single-device and cluster
+// mode alike: there is nothing to replay.
+func checkOps(n int) error {
+	if n < 1 {
+		return fmt.Errorf("-ops %d: need at least 1", n)
+	}
+	return nil
 }
 
 // runCluster serves the keyspace from the sharded tier: load every

@@ -106,6 +106,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
 		os.Exit(2)
 	}
+	if err := checkRequests(*requests); err != nil {
+		fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
+		os.Exit(2)
+	}
 	switch *arrivals {
 	case "closed", "poisson", "bursty":
 	default:
@@ -124,7 +128,7 @@ func main() {
 		statsInterval: sim.Time((*statsInt).Nanoseconds()),
 		flightOut:     *flightOut,
 	}
-	wls := strings.Split(*wl, ",")
+	wls := workloadNames(*wl)
 	if len(wls) > 1 && (topts.traceOut != "" || topts.statsOut != "" || topts.flightOut != "" || *listen != "") {
 		fmt.Fprintln(os.Stderr, "pipette-sim: -trace-out/-stats-out/-flight-dump/-listen need a single -workload")
 		os.Exit(2)
@@ -175,7 +179,6 @@ func main() {
 	bufs := make([]bytes.Buffer, len(wls))
 	cells := make([]bench.Cell, 0, len(wls))
 	for i, name := range wls {
-		i, name := i, strings.TrimSpace(name)
 		cells = append(cells, bench.Cell{
 			Label: "sim/" + name,
 			Run: func() (*bench.Result, error) {
@@ -199,6 +202,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// checkRequests rejects a -requests count below 1: there is nothing to
+// replay, and the report would divide by a zero elapsed time.
+func checkRequests(n int) error {
+	if n < 1 {
+		return fmt.Errorf("-requests %d: need at least 1", n)
+	}
+	return nil
+}
+
+// workloadNames splits a -workload list and trims each name, so a single
+// name and a list accept the same spelling.
+func workloadNames(list string) []string {
+	names := strings.Split(list, ",")
+	for i, n := range names {
+		names[i] = strings.TrimSpace(n)
+	}
+	return names
 }
 
 // openLoop is the parsed open-loop arrival configuration; mode "closed"

@@ -130,6 +130,9 @@ func cmdGen(args []string) error {
 	out := fs.String("o", "trace.bin", "output file")
 	_ = fs.Parse(args)
 
+	if err := checkCount(*n); err != nil {
+		return err
+	}
 	gen, err := workload.ByName(*wl, *dist, *fileMB<<20, *seed)
 	if err != nil {
 		return err
@@ -144,6 +147,15 @@ func cmdGen(args []string) error {
 	}
 	fmt.Printf("wrote %d requests of %s to %s (dataset %.1f MiB)\n",
 		*n, gen.Name(), *out, float64(gen.FileSize())/(1<<20))
+	return nil
+}
+
+// checkCount rejects a gen -n below 1: a trace of no requests replays
+// nothing.
+func checkCount(n int) error {
+	if n < 1 {
+		return fmt.Errorf("gen -n %d: need at least 1", n)
+	}
 	return nil
 }
 

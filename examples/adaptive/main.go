@@ -17,7 +17,6 @@ import (
 func main() {
 	ccfg := core.DefaultConfig()
 	ccfg.HMB.DataBytes = 4 << 20
-	ccfg.AdaptWindow = 512
 	ccfg.MaintenanceEvery = 4096
 	sys, err := pipette.New(pipette.Options{
 		CapacityBytes:  1 << 30,

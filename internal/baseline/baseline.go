@@ -102,7 +102,7 @@ func newVFSEngine(cfg StackConfig, name string, fine bool) (*VFSEngine, error) {
 	if fine {
 		flags |= vfs.FineGrained
 	}
-	file, err := st.V.Create(cfg.FileName, cfg.FileSize, extfs.CreateOpts{Preload: true}, flags)
+	file, err := st.V.Create(FileName, cfg.FileSize, extfs.CreateOpts{Preload: true}, flags)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ func smallStackConfig(fileSize int64) StackConfig {
 	cfg.SSD.NAND.BlocksPerPlane = 48
 	cfg.SSD.NAND.PagesPerBlock = 64
 	cfg.VFS.PageCachePages = 2048
-	cfg.Core.HMB = hmb.Config{DataBytes: 1 << 20, TempBufBytes: 64 << 10, TempSlot: 4096, InfoSlots: 256}
+	cfg.Core.HMB = hmb.Config{DataBytes: 1 << 20}
 	cfg.Core.SlabSize = 16 << 10
 	return cfg
 }

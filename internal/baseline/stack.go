@@ -17,6 +17,19 @@ import (
 	"pipette/internal/vfs"
 )
 
+const (
+	// QueueDepth is the NVMe queue depth of each SQ/CQ pair.
+	QueueDepth = 256
+	// FileName names the engines' dataset file.
+	FileName = "workload.dat"
+
+	// TwoBSSD costs: the per-access critical-path setup the paper charges
+	// 2B-SSD with (§2.2): a page fault before MMIO access, or a DMA
+	// mapping before a DMA transfer.
+	PageFault = 3 * sim.Microsecond
+	DMAMap    = 23 * sim.Microsecond
+)
+
 // StackConfig assembles one private system.
 type StackConfig struct {
 	SSD        ssd.Config
@@ -24,16 +37,8 @@ type StackConfig struct {
 	Block      blockdev.Config
 	Core       core.Config
 	NVMe       nvme.Costs
-	Depth      int // per-pair queue depth
 	QueuePairs int // NVMe SQ/CQ pairs (0 = default 4)
-	FileName   string
 	FileSize   int64
-
-	// TwoBSSD costs: the per-access critical-path setup the paper charges
-	// 2B-SSD with (§2.2): a page fault before MMIO access, or a DMA
-	// mapping before a DMA transfer.
-	PageFault sim.Time
-	DMAMap    sim.Time
 
 	// FaultProfile configures deterministic fault injection across the
 	// stack; the empty profile is the zero-cost default. FaultSeed drives
@@ -66,12 +71,8 @@ func DefaultStackConfig(fileSize int64) StackConfig {
 		Block:      blockdev.DefaultConfig(),
 		Core:       core.DefaultConfig(),
 		NVMe:       nvme.DefaultCosts(),
-		Depth:      256,
 		QueuePairs: 4,
-		FileName:   "workload.dat",
 		FileSize:   fileSize,
-		PageFault:  3 * sim.Microsecond,
-		DMAMap:     23 * sim.Microsecond,
 	}
 }
 
@@ -91,11 +92,11 @@ type Stack struct {
 	Res  *resource.Tracker
 }
 
-// NewStack assembles ssd → nvme (cfg.QueuePairs × cfg.Depth) → blockdev →
+// NewStack assembles ssd → nvme (cfg.QueuePairs × QueueDepth) → blockdev →
 // extfs → vfs, plus the fine-grained read core when fine is set. The stage
 // account and resource tracker thread through every layer, and
-// cfg.FaultProfile arms the injector. cfg.FileName and cfg.FileSize are the
-// engines' business: the stack holds no files.
+// cfg.FaultProfile arms the injector. cfg.FileSize is the engines'
+// business: the stack holds no files.
 func NewStack(cfg StackConfig, fine bool) (*Stack, error) {
 	ctrl, err := ssd.New(cfg.SSD)
 	if err != nil {
@@ -105,7 +106,7 @@ func NewStack(cfg StackConfig, fine bool) (*Stack, error) {
 	if pairs <= 0 {
 		pairs = 4
 	}
-	drv := nvme.NewDriverQueues(ctrl, pairs, cfg.Depth, cfg.NVMe)
+	drv := nvme.NewDriverQueues(ctrl, pairs, QueueDepth, cfg.NVMe)
 	blk, err := blockdev.New(drv, ctrl.PageSize(), cfg.Block)
 	if err != nil {
 		return nil, err

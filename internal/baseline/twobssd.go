@@ -39,9 +39,9 @@ type TwoBSSD struct {
 
 // NewTwoBSSD builds the baseline in the given mode.
 func NewTwoBSSD(cfg StackConfig, mode TwoBSSDMode) (*TwoBSSD, error) {
-	name, setup := "2B-SSD MMIO", cfg.PageFault
+	name, setup := "2B-SSD MMIO", PageFault
 	if mode == DMA {
-		name, setup = "2B-SSD DMA", cfg.DMAMap
+		name, setup = "2B-SSD DMA", DMAMap
 	}
 	e, err := newVFSEngine(cfg, name, false)
 	if err != nil {

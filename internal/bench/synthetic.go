@@ -132,7 +132,6 @@ func LatencySweep(s Scale, p *Pool) (map[string]map[int]*Result, error) {
 					// still goes byte-granular, and use the hot-region
 					// memory configuration (see Scale).
 					cfg.Core.FineMaxBytes = 4096
-					cfg.Core.HMB.TempSlot = 4096
 					cfg.Core.HMB.DataBytes = int(hotBytes) * 2
 					cfg.Core.OverflowMaxBytes = int(hotBytes) * 2
 					cfg.VFS.PageCachePages = s.LatencyPCPages

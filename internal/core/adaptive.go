@@ -8,7 +8,7 @@ import "pipette/internal/slab"
 
 // afterAccess runs the periodic policy work owed after each fine access.
 func (p *Pipette) afterAccess() {
-	if p.winAccess >= p.cfg.AdaptWindow {
+	if p.winAccess >= AdaptWindow {
 		p.adaptThreshold()
 	}
 	if p.sinceMaint >= p.cfg.MaintenanceEvery {
@@ -24,10 +24,10 @@ func (p *Pipette) afterAccess() {
 func (p *Pipette) adaptThreshold() {
 	ratio := float64(p.winReuse) / float64(p.winAccess)
 	switch {
-	case ratio < p.cfg.MinReuseRatio && p.threshold < p.cfg.MaxThreshold:
+	case ratio < MinReuseRatio && p.threshold < p.cfg.MaxThreshold:
 		p.threshold++
 		p.stats.ThresholdUps++
-	case ratio > p.cfg.MaxReuseRatio && p.threshold > p.cfg.MinThreshold:
+	case ratio > MaxReuseRatio && p.threshold > p.cfg.MinThreshold:
 		p.threshold--
 		p.stats.ThresholdDown++
 	}
@@ -165,7 +165,7 @@ func (p *Pipette) MaintenanceTick() {
 			p.staleStages[cls] = 0
 		}
 		p.evictSnap[cls] = ev
-		if p.staleStages[cls] >= p.cfg.ReassignStages {
+		if p.staleStages[cls] >= ReassignStages {
 			if p.detachToOverflow(cls) {
 				p.stats.Reassignments++
 				p.trimOverflow()

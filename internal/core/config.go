@@ -20,6 +20,31 @@ import (
 	"pipette/internal/slab"
 )
 
+// Fixed policy parameters and host costs, from the paper's prototype where
+// it gives numbers and sensible engineering defaults elsewhere.
+const (
+	// AdaptWindow is how many fine accesses one threshold-adaptation window
+	// spans (§3.2.2). A window whose reuse ratio falls below MinReuseRatio
+	// raises the threshold; one above MaxReuseRatio lowers it.
+	AdaptWindow   = 512
+	MinReuseRatio = 0.1
+	MaxReuseRatio = 0.5
+
+	// ReassignStages is how many maintenance stages a class's eviction
+	// count must stay still before the class donates a slab back to the
+	// free pool (§3.2.3).
+	ReassignStages = 3
+
+	// HitService is the host-side cost of serving a fine-cache hit
+	// (lookup + copy). MissHostOverhead is the Constructor/Requester
+	// software cost on top of the device command.
+	HitService       = 500 * sim.Nanosecond
+	MissHostOverhead = 500 * sim.Nanosecond
+
+	// seed drives the random donor-class pick of §3.2.1 solution 2.
+	seed = 0x9153
+)
+
 // Config tunes the framework. DefaultConfig matches the paper's prototype
 // where it gives numbers and sensible engineering defaults elsewhere.
 type Config struct {
@@ -41,16 +66,10 @@ type Config struct {
 	InitialThreshold uint32
 	MinThreshold     uint32
 	MaxThreshold     uint32
-	AdaptWindow      uint64
-	MinReuseRatio    float64
-	MaxReuseRatio    float64
 
 	// Adaptive reassignment (§3.2.3): every MaintenanceEvery fine accesses
-	// the maintenance logic runs one stage; a class whose eviction count
-	// has not moved for ReassignStages stages donates a slab back to the
-	// free pool.
+	// the maintenance logic runs one stage.
 	MaintenanceEvery uint64
-	ReassignStages   int
 
 	// Dynamic allocation (§3.2.4): when the fine cache wins the hit-ratio
 	// comparison it may grow by migrating slabs, shrinking the page cache,
@@ -58,15 +77,6 @@ type Config struct {
 	// out-of-cache region migrated data lives in.
 	PageCacheFloorPages int
 	OverflowMaxBytes    int
-
-	// HitService is the host-side cost of serving a fine-cache hit
-	// (lookup + copy). MissHostOverhead is the Constructor/Requester
-	// software cost on top of the device command.
-	HitService       sim.Time
-	MissHostOverhead sim.Time
-
-	// Seed drives the random donor-class pick of §3.2.1 solution 2.
-	Seed uint64
 }
 
 // DefaultConfig returns the defaults described above.
@@ -79,16 +89,9 @@ func DefaultConfig() Config {
 		InitialThreshold:    1,
 		MinThreshold:        1,
 		MaxThreshold:        8,
-		AdaptWindow:         512,
-		MinReuseRatio:       0.1,
-		MaxReuseRatio:       0.5,
 		MaintenanceEvery:    8192,
-		ReassignStages:      3,
 		PageCacheFloorPages: 256,
 		OverflowMaxBytes:    64 << 20,
-		HitService:          500 * sim.Nanosecond,
-		MissHostOverhead:    500 * sim.Nanosecond,
-		Seed:                0x9153,
 	}
 }
 
@@ -102,12 +105,6 @@ func (c Config) Validate() error {
 	case c.InitialThreshold < c.MinThreshold || c.InitialThreshold > c.MaxThreshold:
 		return fmt.Errorf("core: InitialThreshold %d outside [%d,%d]",
 			c.InitialThreshold, c.MinThreshold, c.MaxThreshold)
-	case c.AdaptWindow == 0:
-		return errors.New("core: AdaptWindow must be positive")
-	case c.MinReuseRatio < 0 || c.MaxReuseRatio <= c.MinReuseRatio || c.MaxReuseRatio > 1:
-		return fmt.Errorf("core: reuse ratios (%g,%g) invalid", c.MinReuseRatio, c.MaxReuseRatio)
-	case c.ReassignStages < 1:
-		return errors.New("core: ReassignStages must be >= 1")
 	case c.MaintenanceEvery == 0:
 		return errors.New("core: MaintenanceEvery must be positive")
 	case c.PageCacheFloorPages < 0:

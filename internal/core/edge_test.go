@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pipette/internal/extfs"
+	"pipette/internal/hmb"
 	"pipette/internal/vfs"
 )
 
@@ -51,7 +52,7 @@ func TestMultiFileTablesIndependent(t *testing.T) {
 func TestPageCacheFloorRespected(t *testing.T) {
 	cfg := smallCoreConfig()
 	cfg.InitialThreshold = 1
-	cfg.AdaptWindow = 1 << 60
+	cfg.MinThreshold, cfg.MaxThreshold = cfg.InitialThreshold, cfg.InitialThreshold
 	cfg.PageCacheFloorPages = 6
 	cfg.OverflowMaxBytes = 1 << 20
 	s := newStack(t, cfg, 8 /* page cache barely above floor */, 4<<20)
@@ -68,9 +69,8 @@ func TestPageCacheFloorRespected(t *testing.T) {
 func TestOverflowBoundEnforced(t *testing.T) {
 	cfg := smallCoreConfig()
 	cfg.InitialThreshold = 1
-	cfg.AdaptWindow = 1 << 60
+	cfg.MinThreshold, cfg.MaxThreshold = cfg.InitialThreshold, cfg.InitialThreshold
 	cfg.MaintenanceEvery = 64
-	cfg.ReassignStages = 1
 	cfg.OverflowMaxBytes = 16 << 10
 	s := newStack(t, cfg, 64, 4<<20)
 	// Build multi-class occupancy, then churn so reassignment and
@@ -94,7 +94,7 @@ func TestOverflowBoundEnforced(t *testing.T) {
 func TestGhostSurvivesEviction(t *testing.T) {
 	cfg := smallCoreConfig()
 	cfg.InitialThreshold = 2
-	cfg.AdaptWindow = 1 << 60
+	cfg.MinThreshold, cfg.MaxThreshold = cfg.InitialThreshold, cfg.InitialThreshold
 	cfg.OverflowMaxBytes = 0
 	s := newStack(t, cfg, 64, 4<<20)
 
@@ -126,12 +126,12 @@ func TestGhostSurvivesEviction(t *testing.T) {
 
 func TestInfoRingNeverOverflowsSynchronously(t *testing.T) {
 	cfg := smallCoreConfig()
-	cfg.HMB.InfoSlots = 2 // minimal ring: one usable slot
 	cfg.InitialThreshold = 1
-	s := newStack(t, cfg, 64, 1<<20)
+	s := newStack(t, cfg, 64, 8<<20)
 	// Synchronous operation: each fine read pushes and the device consumes
-	// before the next; even a one-slot ring suffices.
-	for i := 0; i < 50; i++ {
+	// before the next, so more reads than the ring has slots never find
+	// it full.
+	for i := 0; i < hmb.InfoSlots+50; i++ {
 		got := s.read(t, int64(i)*4096, 64)
 		want := s.oracle(t, int64(i)*4096, 64)
 		if !bytes.Equal(got, want) {

@@ -83,8 +83,8 @@ func New(v *vfs.VFS, drv *nvme.Driver, cfg Config) (*Pipette, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.HMB.TempSlot < cfg.FineMaxBytes {
-		return nil, fmt.Errorf("core: TempSlot %d < FineMaxBytes %d", cfg.HMB.TempSlot, cfg.FineMaxBytes)
+	if hmb.TempSlot < cfg.FineMaxBytes {
+		return nil, fmt.Errorf("core: TempSlot %d < FineMaxBytes %d", hmb.TempSlot, cfg.FineMaxBytes)
 	}
 	region, err := hmb.New(cfg.HMB)
 	if err != nil {
@@ -113,7 +113,7 @@ func New(v *vfs.VFS, drv *nvme.Driver, cfg Config) (*Pipette, error) {
 		evictSnap:   make([]uint64, alloc.Classes()),
 		staleStages: make([]int, alloc.Classes()),
 		basePCPages: v.PageCache().Capacity(),
-		rng:         sim.NewRNG(cfg.Seed),
+		rng:         sim.NewRNG(seed),
 		tr:          telemetry.Nop(),
 	}
 	v.SetRouter(p)
@@ -236,10 +236,10 @@ func (p *Pipette) TryFineRead(now sim.Time, f *vfs.File, off int64, buf []byte) 
 		p.serveFrom(covering, off, buf)
 		p.afterAccess()
 		if p.tr.Enabled() {
-			p.tr.Span(telemetry.TrackFine, "hit", now, now+p.cfg.HitService)
+			p.tr.Span(telemetry.TrackFine, "hit", now, now+HitService)
 		}
-		p.sa.MarkRes(telemetry.StageCache, now+p.cfg.HitService, ResHostCache)
-		return now + p.cfg.HitService, true, nil
+		p.sa.MarkRes(telemetry.StageCache, now+HitService, ResHostCache)
+		return now + HitService, true, nil
 	}
 	p.fg.Record(false)
 
@@ -319,7 +319,7 @@ func (p *Pipette) fetchFine(now sim.Time, f *vfs.File, off int64, buf []byte, de
 	if err := p.region.Info().Push(rec); err != nil {
 		return now, fmt.Errorf("core: info ring: %w", err)
 	}
-	issueAt := now + p.cfg.MissHostOverhead
+	issueAt := now + MissHostOverhead
 	p.sa.Mark(telemetry.StageConstruct, issueAt)
 	comp, err := p.drv.Submit(issueAt, nvme.Command{
 		Op:       nvme.OpFineRead,
@@ -348,7 +348,7 @@ func (p *Pipette) fetchFine(now sim.Time, f *vfs.File, off int64, buf []byte, de
 	}
 	if p.tr.Enabled() {
 		// Constructor + Requester host work before the command hits the wire.
-		p.tr.Span(telemetry.TrackFine, "construct", now, now+p.cfg.MissHostOverhead)
+		p.tr.Span(telemetry.TrackFine, "construct", now, now+MissHostOverhead)
 	}
 	return comp.Done, nil
 }

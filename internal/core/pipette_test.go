@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"pipette/internal/blockdev"
@@ -24,10 +25,9 @@ type stack struct {
 
 func smallCoreConfig() Config {
 	cfg := DefaultConfig()
-	cfg.HMB = hmb.Config{DataBytes: 64 << 10, TempBufBytes: 16 << 10, TempSlot: 4096, InfoSlots: 64}
+	cfg.HMB = hmb.Config{DataBytes: 64 << 10}
 	cfg.SlabSize = 8 << 10
 	cfg.ItemSizes = []int{64, 128, 256, 512, 1024, 2048, 4096}
-	cfg.AdaptWindow = 64
 	cfg.MaintenanceEvery = 256
 	cfg.PageCacheFloorPages = 4
 	cfg.OverflowMaxBytes = 32 << 10
@@ -101,9 +101,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.FineMaxBytes = 0 },
 		func(c *Config) { c.MinThreshold = 0 },
 		func(c *Config) { c.InitialThreshold = 99 },
-		func(c *Config) { c.AdaptWindow = 0 },
-		func(c *Config) { c.MinReuseRatio = 0.9; c.MaxReuseRatio = 0.1 },
-		func(c *Config) { c.ReassignStages = 0 },
 		func(c *Config) { c.MaintenanceEvery = 0 },
 		func(c *Config) { c.PageCacheFloorPages = -1 },
 		func(c *Config) { c.OverflowMaxBytes = -1 },
@@ -121,11 +118,10 @@ func TestConfigValidate(t *testing.T) {
 
 func TestNewRejectsSmallTempSlot(t *testing.T) {
 	cfg := smallCoreConfig()
-	cfg.HMB.TempSlot = 128
-	cfg.FineMaxBytes = 2048
+	cfg.FineMaxBytes = hmb.TempSlot + 1
 	s := newStackNoPipette(t)
-	if _, err := New(s.v, s.drvKeep, cfg); err == nil {
-		t.Fatal("TempSlot < FineMaxBytes accepted")
+	if _, err := New(s.v, s.drvKeep, cfg); err == nil || !strings.Contains(err.Error(), "TempSlot") {
+		t.Fatalf("TempSlot < FineMaxBytes: err = %v", err)
 	}
 }
 
@@ -195,7 +191,7 @@ func TestDispatcherDeclinesLargeReads(t *testing.T) {
 func TestThresholdAdmission(t *testing.T) {
 	cfg := smallCoreConfig()
 	cfg.InitialThreshold = 2
-	cfg.AdaptWindow = 1 << 60 // never adapt in this test
+	cfg.MinThreshold, cfg.MaxThreshold = cfg.InitialThreshold, cfg.InitialThreshold // never adapt in this test
 	s := newStack(t, cfg, 64, 1<<20)
 
 	// First access: below threshold -> TempBuf, not cached.
@@ -306,8 +302,8 @@ func TestWriteInvalidation(t *testing.T) {
 func TestEvictionUnderPressure(t *testing.T) {
 	cfg := smallCoreConfig()
 	cfg.InitialThreshold = 1
-	cfg.AdaptWindow = 1 << 60 // keep the threshold pinned at 1
-	cfg.OverflowMaxBytes = 0  // no migration: only solution 1
+	cfg.MinThreshold, cfg.MaxThreshold = cfg.InitialThreshold, cfg.InitialThreshold // keep the threshold pinned at 1
+	cfg.OverflowMaxBytes = 0                                                        // no migration: only solution 1
 	s := newStack(t, cfg, 64, 4<<20)
 	// 64 KiB arena of 128 B-class items (one class used): pressure it with
 	// 4x as many distinct ranges.
@@ -332,7 +328,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 func TestMigrationShrinksPageCache(t *testing.T) {
 	cfg := smallCoreConfig()
 	cfg.InitialThreshold = 1
-	cfg.AdaptWindow = 1 << 60 // keep the threshold pinned at 1
+	cfg.MinThreshold, cfg.MaxThreshold = cfg.InitialThreshold, cfg.InitialThreshold // keep the threshold pinned at 1
 	cfg.OverflowMaxBytes = 1 << 20
 	cfg.PageCacheFloorPages = 2
 	s := newStack(t, cfg, 64, 4<<20)
@@ -380,12 +376,12 @@ func TestDisableCache(t *testing.T) {
 
 func TestAdaptiveThresholdMoves(t *testing.T) {
 	cfg := smallCoreConfig()
-	cfg.AdaptWindow = 32
 	cfg.InitialThreshold = 2
 	s := newStack(t, cfg, 64, 8<<20)
 
-	// Phase 1: zero reuse — all-distinct ranges. Threshold must rise.
-	for i := 0; i < 256; i++ {
+	// Phase 1: zero reuse — all-distinct ranges over four windows.
+	// Threshold must rise.
+	for i := 0; i < 4*AdaptWindow; i++ {
 		s.read(t, int64(i)*4096, 64)
 	}
 	if s.p.Threshold() <= 2 {
@@ -395,8 +391,9 @@ func TestAdaptiveThresholdMoves(t *testing.T) {
 		t.Fatal("no threshold-up events")
 	}
 
-	// Phase 2: heavy reuse — hammer a handful of ranges. Threshold falls.
-	for i := 0; i < 512; i++ {
+	// Phase 2: heavy reuse — hammer a handful of ranges over eight windows.
+	// Threshold falls.
+	for i := 0; i < 8*AdaptWindow; i++ {
 		s.read(t, int64(i%4)*4096, 64)
 	}
 	if s.p.Threshold() != cfg.MinThreshold {
@@ -411,7 +408,6 @@ func TestMaintenanceReassignment(t *testing.T) {
 	cfg := smallCoreConfig()
 	cfg.InitialThreshold = 1
 	cfg.MaintenanceEvery = 1 << 60 // drive ticks manually
-	cfg.ReassignStages = 2
 	s := newStack(t, cfg, 64, 4<<20)
 
 	// Give the 1024 class several slabs, then go idle on it.
@@ -424,9 +420,10 @@ func TestMaintenanceReassignment(t *testing.T) {
 		t.Fatalf("setup: class owns %d slabs", before)
 	}
 	freeBefore := s.p.Allocator().FreeSlabs()
-	// Two idle stages trigger reassignment of one slab.
-	s.p.MaintenanceTick()
-	s.p.MaintenanceTick()
+	// ReassignStages idle stages trigger reassignment of one slab.
+	for i := 0; i < ReassignStages; i++ {
+		s.p.MaintenanceTick()
+	}
 	if s.p.Stats().Reassignments == 0 {
 		t.Fatal("no reassignment after idle stages")
 	}
@@ -447,12 +444,13 @@ func TestRepromotionFromOverflow(t *testing.T) {
 	cfg := smallCoreConfig()
 	cfg.InitialThreshold = 1
 	cfg.MaintenanceEvery = 1 << 60
-	cfg.ReassignStages = 1
 	s := newStack(t, cfg, 64, 4<<20)
 	for i := 0; i < 40; i++ {
 		s.read(t, int64(i)*2048, 1024)
 	}
-	s.p.MaintenanceTick() // forces a reassignment -> overflow entries
+	for i := 0; i < ReassignStages; i++ {
+		s.p.MaintenanceTick() // the last forces a reassignment -> overflow entries
+	}
 	if s.p.Stats().Reassignments == 0 {
 		t.Skip("no reassignment; nothing in overflow")
 	}

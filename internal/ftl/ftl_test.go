@@ -195,7 +195,7 @@ func TestPreloadContent(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([]byte, f.PageSize())
-		nand.ExpectedContent(arr.Config().ContentSeed, ppa, 0, want)
+		nand.ExpectedContent(ppa, 0, want)
 		got, err := readPage(f, 0, i)
 		if err != nil {
 			t.Fatal(err)

@@ -138,36 +138,29 @@ func (r *InfoRing) Consume() (InfoRecord, error) {
 // learn which requests completed).
 func (r *InfoRing) Head() uint32 { return r.head }
 
+// The fixed parts of the region, sized to the paper's 64 MB HMB mapping
+// region (Figure 5): the Data Area takes the rest.
+const (
+	TempBufBytes = 1 << 20 // TempBuf Area size
+	TempSlot     = 4096    // max bytes of one temp transfer (>= largest fine read)
+	InfoSlots    = 1024    // Info Area ring capacity
+)
+
 // Config sizes the HMB region.
 type Config struct {
-	DataBytes    int // Data Area size (slab arena)
-	TempBufBytes int // TempBuf Area size
-	TempSlot     int // max bytes of one temp transfer (>= largest fine read)
-	InfoSlots    int // Info Area ring capacity
+	DataBytes int // Data Area size (slab arena)
 }
 
 // DefaultConfig sizes a region matching the paper's 64 MB HMB mapping
 // region (Figure 5), mostly Data Area.
 func DefaultConfig() Config {
-	return Config{
-		DataBytes:    60 << 20,
-		TempBufBytes: 1 << 20,
-		TempSlot:     4096,
-		InfoSlots:    1024,
-	}
+	return Config{DataBytes: 60 << 20}
 }
 
 // Validate checks internal consistency.
 func (c Config) Validate() error {
-	switch {
-	case c.DataBytes <= 0:
+	if c.DataBytes <= 0 {
 		return errors.New("hmb: DataBytes must be positive")
-	case c.TempSlot <= 0:
-		return errors.New("hmb: TempSlot must be positive")
-	case c.TempBufBytes < c.TempSlot:
-		return fmt.Errorf("hmb: TempBufBytes %d < TempSlot %d", c.TempBufBytes, c.TempSlot)
-	case c.InfoSlots < 2:
-		return errors.New("hmb: InfoSlots must be >= 2")
 	}
 	return nil
 }
@@ -190,8 +183,8 @@ func New(cfg Config) (*Region, error) {
 	}
 	return &Region{
 		cfg:      cfg,
-		buf:      make([]byte, cfg.DataBytes+cfg.TempBufBytes),
-		info:     NewInfoRing(cfg.InfoSlots),
+		buf:      make([]byte, cfg.DataBytes+TempBufBytes),
+		info:     NewInfoRing(InfoSlots),
 		tempBase: cfg.DataBytes,
 	}, nil
 }
@@ -207,10 +200,10 @@ func (r *Region) DataSize() int { return r.cfg.DataBytes }
 // ring wraps, which is fine because the host copies it out immediately on
 // completion (that is the point of the TempBuf: no residency).
 func (r *Region) AllocTemp(n int) (int, error) {
-	if n <= 0 || n > r.cfg.TempSlot {
-		return 0, fmt.Errorf("hmb: temp alloc %d outside (0, %d]", n, r.cfg.TempSlot)
+	if n <= 0 || n > TempSlot {
+		return 0, fmt.Errorf("hmb: temp alloc %d outside (0, %d]", n, TempSlot)
 	}
-	if r.tempNext+n > r.cfg.TempBufBytes {
+	if r.tempNext+n > TempBufBytes {
 		r.tempNext = 0
 	}
 	off := r.tempBase + r.tempNext

@@ -8,7 +8,7 @@ import (
 )
 
 func smallConfig() Config {
-	return Config{DataBytes: 1 << 16, TempBufBytes: 4096, TempSlot: 512, InfoSlots: 8}
+	return Config{DataBytes: 1 << 16}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -16,10 +16,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []Config{
-		{DataBytes: 0, TempBufBytes: 10, TempSlot: 1, InfoSlots: 4},
-		{DataBytes: 10, TempBufBytes: 10, TempSlot: 0, InfoSlots: 4},
-		{DataBytes: 10, TempBufBytes: 4, TempSlot: 8, InfoSlots: 4},
-		{DataBytes: 10, TempBufBytes: 10, TempSlot: 4, InfoSlots: 1},
+		{DataBytes: 0},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -99,7 +96,7 @@ func TestRegionReadWrite(t *testing.T) {
 		t.Fatal("read != written")
 	}
 	// Out-of-range accesses are rejected.
-	total := smallConfig().DataBytes + smallConfig().TempBufBytes
+	total := smallConfig().DataBytes + TempBufBytes
 	if err := r.WriteAt(total-4, data); err == nil {
 		t.Error("overrun write accepted")
 	}
@@ -126,7 +123,7 @@ func TestRegionSlice(t *testing.T) {
 		t.Fatalf("slice write not visible: %q", got)
 	}
 	// Full-capacity slice must be rejected only if it overruns.
-	if _, err := r.Slice(0, smallConfig().DataBytes+smallConfig().TempBufBytes+1); err == nil {
+	if _, err := r.Slice(0, smallConfig().DataBytes+TempBufBytes+1); err == nil {
 		t.Error("overrun slice accepted")
 	}
 }
@@ -150,7 +147,7 @@ func TestAllocTempRotation(t *testing.T) {
 	}
 	seen[first] = true
 	wrapped := false
-	for i := 0; i < 20; i++ {
+	for i := 0; i < TempBufBytes/512+20; i++ {
 		off, err := r.AllocTemp(512)
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +158,7 @@ func TestAllocTempRotation(t *testing.T) {
 		if off == first && i > 0 {
 			wrapped = true
 		}
-		if off+512 > cfg.DataBytes+cfg.TempBufBytes {
+		if off+512 > cfg.DataBytes+TempBufBytes {
 			t.Fatalf("temp slot overruns region: %d", off)
 		}
 	}
@@ -169,7 +166,7 @@ func TestAllocTempRotation(t *testing.T) {
 		t.Error("temp cursor never wrapped around a small area")
 	}
 	// Oversized and zero allocations rejected.
-	if _, err := r.AllocTemp(cfg.TempSlot + 1); err == nil {
+	if _, err := r.AllocTemp(TempSlot + 1); err == nil {
 		t.Error("oversized temp alloc accepted")
 	}
 	if _, err := r.AllocTemp(0); err == nil {
@@ -185,7 +182,7 @@ func TestDataSize(t *testing.T) {
 	if r.DataSize() != smallConfig().DataBytes {
 		t.Fatalf("DataSize = %d", r.DataSize())
 	}
-	if r.Info() == nil || r.Info().Cap() != smallConfig().InfoSlots-1 {
+	if r.Info() == nil || r.Info().Cap() != InfoSlots-1 {
 		t.Fatal("info ring missizing")
 	}
 }

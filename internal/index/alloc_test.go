@@ -148,10 +148,11 @@ func TestSkipListReusesDeletedNodes(t *testing.T) {
 // into the buffer of the block the full cache evicts, so it allocates
 // nothing either.
 func TestLSMLookupMissAllocFree(t *testing.T) {
-	cfg := Config{Kind: LSM, MemtableEntries: 1000, BlockCacheBlocks: 4}
+	// Three runs, and three probes per cache slot.
+	cfg := Config{Kind: LSM, MemtableEntries: BlockCacheBlocks * 64}
 	cfg.setDefaults()
 	e := newLSM(memBackend{}, cfg)
-	keys := shuffledKeys(3000, 5)
+	keys := shuffledKeys(3*BlockCacheBlocks*64, 5)
 	now := sim.Time(0)
 	var err error
 	for i, k := range keys {
@@ -190,7 +191,7 @@ func TestLSMLookupMissAllocFree(t *testing.T) {
 // LevelFanout+1 level-0 runs of n keys in total, whose key ranges overlap,
 // so the next Tick merges level 0.
 func newMergeEngine(tb testing.TB, n int) (*lsmEngine, sim.Time) {
-	cfg := Config{Kind: LSM, LevelFanout: 4, MemtableEntries: n / 5}
+	cfg := Config{Kind: LSM, MemtableEntries: n / (LevelFanout + 1)}
 	cfg.setDefaults()
 	e := newLSM(memBackend{}, cfg)
 	now := sim.Time(0)

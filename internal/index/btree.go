@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"pipette/internal/sim"
-	"pipette/internal/telemetry"
 )
 
 // Paged B+-tree engine. Nodes are fixed sub-page cells (NodeBytes, default
@@ -79,7 +78,6 @@ type arena struct {
 type btreeEngine struct {
 	be  Backend
 	cfg Config
-	tr  telemetry.Tracer
 
 	arenas []arena
 	nextID uint32   // next never-used node id (1-based)
@@ -93,19 +91,15 @@ type btreeEngine struct {
 }
 
 func newBTree(be Backend, cfg Config) (*btreeEngine, error) {
-	if cfg.NodeBytes < btHdrSize+2*btLeafExtra+16 {
-		return nil, fmt.Errorf("index: NodeBytes %d too small for a btree node", cfg.NodeBytes)
-	}
-	if cfg.NodeBytes > be.PageSize() {
+	if NodeBytes > be.PageSize() {
 		return nil, fmt.Errorf("index: NodeBytes %d exceeds the %d B page — interior nodes must stay sub-page",
-			cfg.NodeBytes, be.PageSize())
+			NodeBytes, be.PageSize())
 	}
 	t := &btreeEngine{
 		be:     be,
 		cfg:    cfg,
-		tr:     cfg.Tracer,
 		nextID: 1,
-		buf:    make([]byte, cfg.NodeBytes),
+		buf:    make([]byte, NodeBytes),
 	}
 	// The tree starts as one empty leaf root; the first arena is created by
 	// the allocation below.
@@ -130,7 +124,7 @@ func (t *btreeEngine) Stats() Stats {
 	return s
 }
 
-func (t *btreeEngine) capacity() int { return t.cfg.NodeBytes - btHdrSize }
+func (t *btreeEngine) capacity() int { return NodeBytes - btHdrSize }
 
 // entrySize is a leaf entry's footprint; the largest thing Insert must fit.
 func entrySize(key string) int { return len(key) + btLeafExtra }
@@ -150,10 +144,10 @@ func (t *btreeEngine) alloc() (uint32, error) {
 		return id, nil
 	}
 	id := t.nextID
-	need := int(id-1)/t.cfg.ArenaNodes + 1
+	need := int(id-1)/ArenaNodes + 1
 	for len(t.arenas) < need {
 		name := t.arenaName(len(t.arenas))
-		w, err := t.be.Create(name, int64(t.cfg.ArenaNodes)*int64(t.cfg.NodeBytes))
+		w, err := t.be.Create(name, int64(ArenaNodes)*int64(NodeBytes))
 		if err != nil {
 			return 0, fmt.Errorf("index: create arena %s: %w", name, err)
 		}
@@ -169,7 +163,7 @@ func (t *btreeEngine) alloc() (uint32, error) {
 
 func (t *btreeEngine) place(id uint32) (*arena, int64) {
 	slot := int(id - 1)
-	return &t.arenas[slot/t.cfg.ArenaNodes], int64(slot%t.cfg.ArenaNodes) * int64(t.cfg.NodeBytes)
+	return &t.arenas[slot/ArenaNodes], int64(slot%ArenaNodes) * int64(NodeBytes)
 }
 
 // readNode fetches and decodes one node — a timed sub-page read down the
@@ -177,19 +171,15 @@ func (t *btreeEngine) place(id uint32) (*arena, int64) {
 // hot upper levels hit host memory exactly as they would on real hardware).
 func (t *btreeEngine) readNode(now sim.Time, id uint32) (*btNode, sim.Time, error) {
 	ar, off := t.place(id)
-	start := now
 	got, done, err := ar.r.ReadAt(now, t.buf, off)
 	if err != nil {
 		return nil, done, fmt.Errorf("index: btree node %d: %w", id, err)
 	}
-	if got != t.cfg.NodeBytes {
+	if got != NodeBytes {
 		return nil, done, fmt.Errorf("index: btree node %d: short read %d", id, got)
 	}
 	t.stats.NodeReads++
 	t.stats.BytesRead += uint64(got)
-	if t.tr.Enabled() {
-		t.tr.Span(telemetry.TrackIndex, "index.btree.node_read", start, done)
-	}
 	n, err := t.decode(id, t.buf)
 	return n, done, err
 }
@@ -364,7 +354,7 @@ func (t *btreeEngine) descend(now sim.Time, key string) ([]pathStep, *btNode, si
 func (t *btreeEngine) Insert(now sim.Time, key string, l Loc) (sim.Time, error) {
 	t.stats.Inserts++
 	if entrySize(key) > t.capacity()/2 {
-		return now, fmt.Errorf("index: key of %d bytes does not fit a %d B btree node", len(key), t.cfg.NodeBytes)
+		return now, fmt.Errorf("index: key of %d bytes does not fit a %d B btree node", len(key), NodeBytes)
 	}
 	path, leaf, now, err := t.descend(now, key)
 	if err != nil {

@@ -51,20 +51,14 @@ func testBackend(t testing.TB, fine bool) index.Backend {
 	return kv.VFSBackend{V: v}
 }
 
-// testEngineConfig tunes the knobs down so splits, flushes, and merges all
-// happen within a few hundred keys.
+// testEngineConfig tunes the memtable down so flushes happen within a few
+// hundred keys.
 func testEngineConfig(kind index.Kind, fine bool) index.Config {
 	return index.Config{
-		Kind:             kind,
-		NamePrefix:       "idx/",
-		Fine:             fine,
-		NodeBytes:        256,
-		ArenaNodes:       64,
-		MemtableEntries:  64,
-		BloomBitsPerKey:  10,
-		BlockBytes:       256,
-		BlockCacheBlocks: 16,
-		LevelFanout:      2,
+		Kind:            kind,
+		NamePrefix:      "idx/",
+		Fine:            fine,
+		MemtableEntries: 64,
 	}
 }
 
@@ -323,7 +317,7 @@ func TestLSMFlushMergeBloomCache(t *testing.T) {
 	if s.Compactions == 0 {
 		t.Fatalf("ticks never merged a level: %+v", s)
 	}
-	if s.Runs > cfg.LevelFanout*3 {
+	if s.Runs > index.LevelFanout*3 {
 		t.Fatalf("merge left %d runs", s.Runs)
 	}
 

@@ -30,7 +30,6 @@ import (
 	"fmt"
 
 	"pipette/internal/sim"
-	"pipette/internal/telemetry"
 )
 
 // Loc locates a key's latest value-log record: the segment, the record's
@@ -91,6 +90,17 @@ type Backend interface {
 	PageSize() int
 }
 
+// Engine geometry. Nodes and blocks are sub-page by design: they are the
+// tiny reads the fine-grained path serves exactly.
+const (
+	NodeBytes        = 512  // btree node size
+	ArenaNodes       = 1024 // nodes one btree arena file holds
+	BloomBitsPerKey  = 10   // bits per key of each lsm run's bloom filter
+	BlockBytes       = 512  // lsm run block (and fence-pointer) granularity
+	BlockCacheBlocks = 64   // lsm block cache capacity
+	LevelFanout      = 4    // runs a level accumulates before Tick merges them down
+)
+
 // Config parameterizes an engine. Zero values take defaults.
 type Config struct {
 	// Kind selects the engine; zero selects Hash.
@@ -100,28 +110,8 @@ type Config struct {
 	// Fine opens index read handles O_FINE_GRAINED, so node and block reads
 	// go down the fine-grained path. Off, they pay block granularity.
 	Fine bool
-
-	// NodeBytes is the btree node size; sub-page by design. Default 512.
-	NodeBytes int
-	// ArenaNodes is how many nodes one btree arena file holds. Default 1024.
-	ArenaNodes int
-
 	// MemtableEntries is the lsm flush threshold. Default 4096.
 	MemtableEntries int
-	// BloomBitsPerKey sizes each run's bloom filter. Default 10.
-	BloomBitsPerKey int
-	// BlockBytes is the lsm run block (and fence-pointer) granularity;
-	// sub-page by design. Default 512.
-	BlockBytes int
-	// BlockCacheBlocks bounds the lsm block cache. Default 64.
-	BlockCacheBlocks int
-	// LevelFanout is how many runs a level accumulates before Tick merges
-	// them into the next level. Default 4.
-	LevelFanout int
-
-	// Tracer receives index.btree.node_read / index.lsm.filter /
-	// index.lsm.block_cache events; nil for none.
-	Tracer telemetry.Tracer
 }
 
 func (cfg *Config) setDefaults() {
@@ -131,28 +121,9 @@ func (cfg *Config) setDefaults() {
 	if cfg.NamePrefix == "" {
 		cfg.NamePrefix = "kv/idx-"
 	}
-	if cfg.NodeBytes == 0 {
-		cfg.NodeBytes = 512
-	}
-	if cfg.ArenaNodes == 0 {
-		cfg.ArenaNodes = 1024
-	}
 	if cfg.MemtableEntries == 0 {
 		cfg.MemtableEntries = 4096
 	}
-	if cfg.BloomBitsPerKey == 0 {
-		cfg.BloomBitsPerKey = 10
-	}
-	if cfg.BlockBytes == 0 {
-		cfg.BlockBytes = 512
-	}
-	if cfg.BlockCacheBlocks == 0 {
-		cfg.BlockCacheBlocks = 64
-	}
-	if cfg.LevelFanout == 0 {
-		cfg.LevelFanout = 4
-	}
-	cfg.Tracer = telemetry.OrNop(cfg.Tracer)
 }
 
 // Stats counts engine activity since New. Fields are engine-specific where

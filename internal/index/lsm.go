@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"pipette/internal/sim"
-	"pipette/internal/telemetry"
 )
 
 // LSM engine: an in-memory memtable over immutable sorted runs on the
@@ -44,7 +43,6 @@ type run struct {
 type lsmEngine struct {
 	be  Backend
 	cfg Config
-	tr  telemetry.Tracer
 
 	mem     *skipList
 	runs    []*run // level asc, seq desc within level: recency order for reads
@@ -97,9 +95,8 @@ func newLSM(be Backend, cfg Config) *lsmEngine {
 	return &lsmEngine{
 		be:    be,
 		cfg:   cfg,
-		tr:    cfg.Tracer,
 		mem:   newSkipList(0x5eed),
-		cache: newBlockCache(cfg.BlockCacheBlocks),
+		cache: newBlockCache(BlockCacheBlocks),
 	}
 }
 
@@ -114,8 +111,8 @@ func (e *lsmEngine) Stats() Stats {
 // ---- writes ----
 
 func (e *lsmEngine) Insert(now sim.Time, key string, l Loc) (sim.Time, error) {
-	if recSize(len(key)) > e.cfg.BlockBytes {
-		return now, fmt.Errorf("index: key of %d bytes does not fit a %d B lsm block", len(key), e.cfg.BlockBytes)
+	if recSize(len(key)) > BlockBytes {
+		return now, fmt.Errorf("index: key of %d bytes does not fit a %d B lsm block", len(key), BlockBytes)
 	}
 	e.stats.Inserts++
 	e.mem.set(key, l, false)
@@ -166,9 +163,9 @@ func (e *lsmEngine) flush(now sim.Time) (sim.Time, error) {
 // next yields need only stay valid until the following call: the run
 // copies each block's first key into its fence buffer.
 func (e *lsmEngine) buildRun(now sim.Time, level, count int, next func(sim.Time) (sim.Time, []byte, Loc, bool, bool)) (sim.Time, *run, error) {
-	bb := e.cfg.BlockBytes
+	bb := BlockBytes
 	buf := e.buildBuf[:0]
-	filter := newBloom(count, e.cfg.BloomBitsPerKey)
+	filter := newBloom(count, BloomBitsPerKey)
 	fences := &e.fenceBuf
 	fences.keys, fences.ends = fences.keys[:0], fences.ends[:0]
 	entries := 0
@@ -256,7 +253,7 @@ func (e *lsmEngine) sortRuns() {
 // readBlock reads one run block into buf, growing it if needed, and
 // returns the block.
 func (e *lsmEngine) readBlock(now sim.Time, r *run, blk int, buf []byte) ([]byte, sim.Time, error) {
-	bb := int64(e.cfg.BlockBytes)
+	bb := int64(BlockBytes)
 	off := int64(blk) * bb
 	n := bb
 	if off+n > r.size {
@@ -266,7 +263,6 @@ func (e *lsmEngine) readBlock(now sim.Time, r *run, blk int, buf []byte) ([]byte
 		buf = make([]byte, bb)
 	}
 	buf = buf[:n]
-	start := now
 	got, done, err := r.r.ReadAt(now, buf, off)
 	if err != nil {
 		return nil, done, fmt.Errorf("index: run %s block %d: %w", r.name, blk, err)
@@ -276,9 +272,6 @@ func (e *lsmEngine) readBlock(now sim.Time, r *run, blk int, buf []byte) ([]byte
 		return nil, now, fmt.Errorf("index: run %s block %d: short read %d", r.name, blk, got)
 	}
 	e.stats.BytesRead += uint64(n)
-	if e.tr.Enabled() {
-		e.tr.Span(telemetry.TrackIndex, "index.lsm.block_read", start, now)
-	}
 	return buf, now, nil
 }
 
@@ -292,9 +285,6 @@ func (e *lsmEngine) lookupBlock(now sim.Time, r *run, blk int) ([]byte, sim.Time
 	key := blockCacheKey{seq: r.seq, blk: blk}
 	if data, ok := e.cache.get(key); ok {
 		e.stats.CacheHits++
-		if e.tr.Enabled() {
-			e.tr.Instant(telemetry.TrackIndex, "index.lsm.block_cache", now)
-		}
 		return data, now, nil
 	}
 	e.stats.CacheMisses++
@@ -334,9 +324,6 @@ func (e *lsmEngine) Lookup(now sim.Time, key string) (Loc, bool, sim.Time, error
 	}
 	for _, r := range e.runs {
 		e.stats.BloomChecks++
-		if e.tr.Enabled() {
-			e.tr.Instant(telemetry.TrackIndex, "index.lsm.filter", now)
-		}
 		if !r.filter.mayContain(key) {
 			e.stats.BloomNegative++
 			continue
@@ -504,7 +491,7 @@ func (e *lsmEngine) Tick(now sim.Time) (bool, sim.Time, error) {
 		for hi < len(e.runs) && e.runs[hi].level == lvl {
 			hi++
 		}
-		if hi-lo > e.cfg.LevelFanout {
+		if hi-lo > LevelFanout {
 			// The merge retires its inputs from e.runs: hand it a copy.
 			inputs := slices.Clone(e.runs[lo:hi])
 			now, err := e.mergeLevel(now, lvl, inputs, e.runs[len(e.runs)-1].level)

@@ -40,7 +40,7 @@ type modelRec struct {
 func newAcctModel(cfg Config) *acctModel {
 	m := &acctModel{
 		segBytes: cfg.SegmentBytes,
-		minDead:  cfg.CompactMinDeadFrac,
+		minDead:  CompactMinDeadFrac,
 		locs:     make(map[string]index.Loc),
 		segs:     make(map[uint32]*modelSeg),
 		nextID:   1,
@@ -181,7 +181,7 @@ func TestSlotAccountingMatchesMapModel(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed))
 			be := testBackend(t, false)
-			cfg := Config{SegmentBytes: 4 << 10, CompactMinDeadFrac: 0.3}
+			cfg := Config{SegmentBytes: 4 << 10}
 			s := testStore(t, be, cfg)
 			m := newAcctModel(cfg)
 			m.check(t, -1, s)

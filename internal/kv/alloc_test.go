@@ -21,7 +21,7 @@ func compactAllocs(t *testing.T, n int) (allocs uint64, pages int) {
 	// The first segment holds exactly the 2n records; the overwrites of
 	// the dead half, then the n moved records, fill the second.
 	rec := recordSize(len(live[0]), len(val))
-	s := testStore(t, testBackend(t, false), Config{SegmentBytes: 2 * int64(n) * rec, CompactMinDeadFrac: 0.5})
+	s := testStore(t, testBackend(t, false), Config{SegmentBytes: 2 * int64(n) * rec})
 	now := sim.Time(0)
 	var err error
 	for _, keys := range [][]string{live, dead, dead} {

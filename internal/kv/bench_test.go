@@ -13,7 +13,7 @@ import (
 // the live ones.
 func BenchmarkCompact(b *testing.B) {
 	be := testBackend(b, false)
-	s := testStore(b, be, Config{SegmentBytes: 64 << 10, CompactMinDeadFrac: 0.5})
+	s := testStore(b, be, Config{SegmentBytes: 64 << 10})
 	now := sim.Time(0)
 	var err error
 	val := make([]byte, 200)

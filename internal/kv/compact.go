@@ -5,7 +5,6 @@ import (
 
 	"pipette/internal/index"
 	"pipette/internal/sim"
-	"pipette/internal/telemetry"
 )
 
 // MaintenanceTick runs one round of background work: if any sealed segment's
@@ -19,13 +18,9 @@ import (
 func (s *Store) MaintenanceTick(now sim.Time) (bool, sim.Time, error) {
 	ran := false
 	if victim := s.pickVictim(); victim != nil {
-		start := now
 		var err error
 		if now, err = s.compact(now, victim); err != nil {
 			return false, now, err
-		}
-		if s.tr.Enabled() {
-			s.tr.Span(telemetry.TrackKV, "kv.compact", start, now)
 		}
 		ran = true
 	}
@@ -45,7 +40,7 @@ func (s *Store) pickVictim() *segment {
 		if sg.w != nil { // active segment still takes appends
 			continue
 		}
-		if sg.deadFrac() < s.cfg.CompactMinDeadFrac {
+		if sg.deadFrac() < CompactMinDeadFrac {
 			continue
 		}
 		if best == nil || sg.deadFrac() > best.deadFrac() {
@@ -77,7 +72,7 @@ func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 		} else {
 			now = done
 		}
-		h, ok := parseHeader(hdr, s.cfg.MaxKeyLen, s.cfg.SegmentBytes, off)
+		h, ok := parseHeader(hdr, MaxKeyLen, s.cfg.SegmentBytes, off)
 		if !ok {
 			return now, fmt.Errorf("kv: segment %s corrupt at offset %d", sg.name, off)
 		}

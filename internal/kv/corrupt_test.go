@@ -189,7 +189,7 @@ func TestRecoverySkipsConsecutiveDamage(t *testing.T) {
 func TestCompactionRefusesDamagedRecord(t *testing.T) {
 	t.Parallel()
 	be := testBackend(t, false)
-	cfg := Config{SegmentBytes: 4 << 10, CompactMinDeadFrac: 0.3}
+	cfg := Config{SegmentBytes: 4 << 10}
 	s := testStore(t, be, cfg)
 	now := sim.Time(0)
 	var err error

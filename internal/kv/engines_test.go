@@ -11,19 +11,14 @@ import (
 
 // engineTestConfig tunes a store so every engine exercises its on-disk
 // machinery within a few hundred keys: small segments rotate, a small
-// memtable flushes runs, small nodes split.
+// memtable flushes runs, nodes split.
 func engineTestConfig(kind index.Kind, fine bool) Config {
 	return Config{
 		SegmentBytes: 16 << 10,
 		FineReads:    fine,
 		Index: index.Config{
-			Kind:             kind,
-			NodeBytes:        256,
-			ArenaNodes:       64,
-			MemtableEntries:  32,
-			BlockBytes:       256,
-			BlockCacheBlocks: 16,
-			LevelFanout:      2,
+			Kind:            kind,
+			MemtableEntries: 32,
 		},
 	}
 }
@@ -204,7 +199,7 @@ func TestCrashRecoveryTornBTreeNode(t *testing.T) {
 			// Damage several cells, not just one — recovery must not read
 			// them at all.
 			for cell := 0; cell < 4; cell++ {
-				flipBit(t, be, arena, int64(cell*cfg.Index.NodeBytes)+tc.off, tc.bit)
+				flipBit(t, be, arena, int64(cell*index.NodeBytes)+tc.off, tc.bit)
 			}
 
 			s2, now, err := Open(now, be, cfg)

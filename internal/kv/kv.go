@@ -26,7 +26,6 @@ import (
 
 	"pipette/internal/index"
 	"pipette/internal/sim"
-	"pipette/internal/telemetry"
 )
 
 // ErrNotFound reports a Get or Delete of an absent key.
@@ -44,19 +43,19 @@ type Config struct {
 	// ordinary block-granular path — same store, different read engine.
 	// The index engine's reads follow the same setting.
 	FineReads bool
-	// CompactMinDeadFrac is the dead-byte fraction a sealed segment must
-	// reach before MaintenanceTick rewrites it. Default 0.4.
-	CompactMinDeadFrac float64
-	// MaxKeyLen bounds key size (also the recovery scan's sanity bound).
-	// Default 1024.
-	MaxKeyLen int
 	// Index configures the index engine. The store fills in NamePrefix
-	// (derived from the segment prefix), Fine (from FineReads), and Tracer;
-	// Kind and the tuning knobs are the caller's. Zero Kind selects hash.
+	// (derived from the segment prefix) and Fine (from FineReads); Kind and
+	// MemtableEntries are the caller's. Zero Kind selects hash.
 	Index index.Config
-	// Tracer receives kv.get / kv.put / kv.compact spans; nil for none.
-	Tracer telemetry.Tracer
 }
+
+const (
+	// CompactMinDeadFrac is the dead-byte fraction a sealed segment must
+	// reach before MaintenanceTick rewrites it.
+	CompactMinDeadFrac = 0.4
+	// MaxKeyLen bounds key size (also the recovery scan's sanity bound).
+	MaxKeyLen = 1 << 10
+)
 
 func (cfg *Config) setDefaults() {
 	if cfg.NamePrefix == "" {
@@ -65,18 +64,10 @@ func (cfg *Config) setDefaults() {
 	if cfg.SegmentBytes == 0 {
 		cfg.SegmentBytes = 4 << 20
 	}
-	if cfg.CompactMinDeadFrac == 0 {
-		cfg.CompactMinDeadFrac = 0.4
-	}
-	if cfg.MaxKeyLen == 0 {
-		cfg.MaxKeyLen = 1 << 10
-	}
-	cfg.Tracer = telemetry.OrNop(cfg.Tracer)
 	if cfg.Index.NamePrefix == "" {
 		cfg.Index.NamePrefix = cfg.NamePrefix + "idx-"
 	}
 	cfg.Index.Fine = cfg.FineReads
-	cfg.Index.Tracer = cfg.Tracer
 }
 
 // Stats counts store activity since Open.
@@ -128,7 +119,6 @@ type Store struct {
 	free []int32
 
 	stats   Stats
-	tr      telemetry.Tracer
 	scratch []byte // one record: encoded by Put and Delete, read by compact
 }
 
@@ -144,7 +134,7 @@ type Store struct {
 // Returns the simulated completion time of the recovery reads and writes.
 func Open(now sim.Time, be Backend, cfg Config) (*Store, sim.Time, error) {
 	cfg.setDefaults()
-	if cfg.SegmentBytes < int64(headerSize+cfg.MaxKeyLen+1) {
+	if cfg.SegmentBytes < int64(headerSize+MaxKeyLen+1) {
 		return nil, now, fmt.Errorf("kv: SegmentBytes %d cannot hold one record", cfg.SegmentBytes)
 	}
 	if err := index.RemoveFiles(be, cfg.Index.NamePrefix); err != nil {
@@ -160,7 +150,6 @@ func Open(now sim.Time, be Backend, cfg Config) (*Store, sim.Time, error) {
 		segs:   make(map[uint32]*segment),
 		eng:    eng,
 		acct:   make(map[string]int32),
-		tr:     cfg.Tracer,
 		nextID: 1,
 	}
 	ids := listSegments(be, cfg.NamePrefix)
@@ -222,7 +211,6 @@ func (s *Store) Put(now sim.Time, key string, val []byte) (sim.Time, error) {
 	if int64(recordSize(len(key), len(val))) > s.cfg.SegmentBytes {
 		return now, fmt.Errorf("kv: value of %d bytes exceeds segment size", len(val))
 	}
-	start := now
 	s.scratch = encodeRecord(s.scratch, key, val, false)
 	id, off, done, err := s.appendRecord(now, s.scratch)
 	if err != nil {
@@ -236,9 +224,6 @@ func (s *Store) Put(now sim.Time, key string, val []byte) (sim.Time, error) {
 	}
 	s.segs[id].live += int64(len(s.scratch))
 	s.stats.Puts++
-	if s.tr.Enabled() {
-		s.tr.Span(telemetry.TrackKV, "kv.put", start, now)
-	}
 	return now, nil
 }
 
@@ -248,7 +233,6 @@ func (s *Store) Put(now sim.Time, key string, val []byte) (sim.Time, error) {
 // exactly the value's bytes.
 func (s *Store) Get(now sim.Time, key string, dst []byte) ([]byte, sim.Time, error) {
 	s.stats.Gets++
-	start := now
 	l, ok, now, err := s.eng.Lookup(now, key)
 	if err != nil {
 		return dst, now, fmt.Errorf("kv: get %q: %w", key, err)
@@ -262,9 +246,6 @@ func (s *Store) Get(now sim.Time, key string, dst []byte) ([]byte, sim.Time, err
 		return dst, now, err
 	}
 	s.stats.Hits++
-	if s.tr.Enabled() {
-		s.tr.Span(telemetry.TrackKV, "kv.get", start, now)
-	}
 	return dst, now, nil
 }
 
@@ -385,8 +366,8 @@ func (s *Store) Close(now sim.Time) (sim.Time, error) {
 }
 
 func (s *Store) checkKey(key string) error {
-	if len(key) == 0 || len(key) > s.cfg.MaxKeyLen {
-		return fmt.Errorf("kv: key length %d outside [1,%d]", len(key), s.cfg.MaxKeyLen)
+	if len(key) == 0 || len(key) > MaxKeyLen {
+		return fmt.Errorf("kv: key length %d outside [1,%d]", len(key), MaxKeyLen)
 	}
 	return nil
 }

@@ -200,7 +200,7 @@ func TestSegmentRotation(t *testing.T) {
 func TestCompactionReclaims(t *testing.T) {
 	t.Parallel()
 	be := testBackend(t, false)
-	s := testStore(t, be, Config{SegmentBytes: 8 << 10, CompactMinDeadFrac: 0.3})
+	s := testStore(t, be, Config{SegmentBytes: 8 << 10})
 	now := sim.Time(0)
 	var err error
 
@@ -258,16 +258,19 @@ func TestCompactionReclaims(t *testing.T) {
 
 func TestCompactionPreservesDeletes(t *testing.T) {
 	t.Parallel()
-	s := testStore(t, testBackend(t, false), Config{SegmentBytes: 8 << 10, CompactMinDeadFrac: 0.05})
+	s := testStore(t, testBackend(t, false), Config{SegmentBytes: 8 << 10})
 	now := sim.Time(0)
 	var err error
-	for i := 0; i < 120; i++ {
+	// Enough keys to seal several segments, and half of them deleted, so
+	// sealed segments pass CompactMinDeadFrac.
+	const n = 600
+	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("d-%03d", i)
 		if now, err = s.Put(now, key, testVal(key, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 120; i += 3 {
+	for i := 0; i < n; i += 2 {
 		key := fmt.Sprintf("d-%03d", i)
 		if now, err = s.Delete(now, key); err != nil {
 			t.Fatal(err)
@@ -283,13 +286,16 @@ func TestCompactionPreservesDeletes(t *testing.T) {
 			break
 		}
 	}
-	for i := 0; i < 120; i++ {
+	if s.Stats().Compactions == 0 {
+		t.Fatal("setup: no compaction ran")
+	}
+	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("d-%03d", i)
 		_, _, err := s.Get(now, key, nil)
-		if i%3 == 0 && err != ErrNotFound {
+		if i%2 == 0 && err != ErrNotFound {
 			t.Fatalf("deleted %s resurfaced after compaction: %v", key, err)
 		}
-		if i%3 != 0 && err != nil {
+		if i%2 != 0 && err != nil {
 			t.Fatalf("Get(%s) after compaction: %v", key, err)
 		}
 	}

@@ -95,7 +95,7 @@ func TestRestartRecovery(t *testing.T) {
 func TestRecoveryAfterCompaction(t *testing.T) {
 	t.Parallel()
 	be := testBackend(t, false)
-	cfg := Config{SegmentBytes: 8 << 10, CompactMinDeadFrac: 0.3}
+	cfg := Config{SegmentBytes: 8 << 10}
 	s := testStore(t, be, cfg)
 	now := sim.Time(0)
 	var err error

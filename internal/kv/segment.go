@@ -208,7 +208,7 @@ func (s *Store) tryRecordAt(now sim.Time, sg *segment, off int64, hdr []byte, pa
 		return recordHeader{}, nil, now, false
 	}
 	now = done
-	h, ok := parseHeader(hdr, s.cfg.MaxKeyLen, s.cfg.SegmentBytes, off)
+	h, ok := parseHeader(hdr, MaxKeyLen, s.cfg.SegmentBytes, off)
 	if !ok {
 		return recordHeader{}, nil, now, false
 	}

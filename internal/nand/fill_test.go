@@ -45,7 +45,7 @@ func TestFillEveryLengthAndOffset(t *testing.T) {
 	// alignment varies too; a write outside [off, off+n) changes a guard.
 	logFillPath(t)
 	const guard, sentinel = 64, 0xa5
-	ps := patternSource{seed: DefaultConfig().ContentSeed}
+	ps := patternSource{seed: ContentSeed}
 	p := PPA(0x1234_5678)
 	ref := referenceBytes(ps, p, 4096+8)
 	clean := bytes.Repeat([]byte{sentinel}, guard+8+4096+guard)

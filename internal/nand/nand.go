@@ -1,6 +1,6 @@
 // Package nand models a NAND flash array: the geometry (channels, ways,
-// planes, blocks, pages), the physical timing (tR/tPROG/tBERS per cell type
-// plus channel bus transfer), and the physical constraints (erase-before-
+// planes, blocks, pages), the physical timing (MLC tR/tPROG/tBERS plus
+// channel bus transfer), and the physical constraints (erase-before-
 // program, in-order programming within a block).
 //
 // The paper's prototype device is an 8-channel, 8-way NVMe SSD (Figure 5);
@@ -25,56 +25,24 @@ import (
 	"pipette/internal/telemetry"
 )
 
-// CellType selects a NAND latency profile.
-type CellType int
-
-// Supported cell types, matching the paper's prototype media options.
+// The medium is MLC, the paper's: its measured block-read latencies
+// (Figure 8, ~67 us) are consistent with tR ≈ 50 us. The values are typical
+// datasheet figures (DESIGN.md §5).
 const (
-	SLC CellType = iota
-	MLC
-	TLC
+	ReadPageTime   = 50 * sim.Microsecond  // tR: cell array -> page register
+	ProgramTime    = 600 * sim.Microsecond // tPROG
+	EraseBlockTime = 5 * sim.Millisecond   // tBERS
+
+	// RBER is the raw bit error rate: the probability a single sensed bit
+	// is wrong before ECC. The fault injector's rber* rules are resolved
+	// against it.
+	RBER = 1e-7
+
+	// ChannelMBps is the per-channel bus bandwidth, MiB/s.
+	ChannelMBps = 400
+	// ContentSeed seeds the deterministic preloaded content.
+	ContentSeed = 0x9153_e2b1
 )
-
-// String returns the conventional cell-type name.
-func (c CellType) String() string {
-	switch c {
-	case SLC:
-		return "SLC"
-	case MLC:
-		return "MLC"
-	case TLC:
-		return "TLC"
-	default:
-		return fmt.Sprintf("CellType(%d)", int(c))
-	}
-}
-
-// Timing holds the per-operation latencies of one cell type.
-type Timing struct {
-	ReadPage   sim.Time // tR: cell array -> page register
-	Program    sim.Time // tPROG
-	EraseBlock sim.Time // tBERS
-}
-
-// timings are typical datasheet values for each generation.
-var timings = map[CellType]Timing{
-	SLC: {ReadPage: 25 * sim.Microsecond, Program: 200 * sim.Microsecond, EraseBlock: 2 * sim.Millisecond},
-	MLC: {ReadPage: 50 * sim.Microsecond, Program: 600 * sim.Microsecond, EraseBlock: 5 * sim.Millisecond},
-	TLC: {ReadPage: 68 * sim.Microsecond, Program: 900 * sim.Microsecond, EraseBlock: 10 * sim.Millisecond},
-}
-
-// rbers are datasheet raw bit error rates per cell type: the probability
-// a single sensed bit is wrong before ECC. Denser cells store more levels
-// per cell and are orders of magnitude noisier.
-var rbers = map[CellType]float64{
-	SLC: 1e-9,
-	MLC: 1e-7,
-	TLC: 1e-6,
-}
-
-// RBERFor returns the raw bit error rate of a cell type. The fault
-// injector's rber* rules are resolved against this.
-func RBERFor(c CellType) float64 { return rbers[c] }
 
 // Config describes an array. The zero value is not usable; start from
 // DefaultConfig.
@@ -85,17 +53,11 @@ type Config struct {
 	BlocksPerPlane int
 	PagesPerBlock  int
 	PageSize       int // bytes
-
-	Cell        CellType
-	ChannelMBps float64 // per-channel bus bandwidth, MiB/s
-	ContentSeed uint64  // seed for deterministic preloaded content
 }
 
 // DefaultConfig mirrors the paper's YS9203 platform (8 channels x 8 ways)
 // with a scaled-down block count so tests construct quickly; the benchmark
-// harness sizes BlocksPerPlane to the dataset. MLC timing is the default:
-// the paper's platform lists SLC/MLC/TLC media and its measured block-read
-// latencies (Figure 8, ~67 us) are consistent with tR ≈ 50 us.
+// harness sizes BlocksPerPlane to the dataset.
 func DefaultConfig() Config {
 	return Config{
 		Channels:       8,
@@ -104,9 +66,6 @@ func DefaultConfig() Config {
 		BlocksPerPlane: 64,
 		PagesPerBlock:  256,
 		PageSize:       4096,
-		Cell:           MLC,
-		ChannelMBps:    400,
-		ContentSeed:    0x9153_e2b1,
 	}
 }
 
@@ -118,11 +77,6 @@ func (c Config) Validate() error {
 		return errors.New("nand: all geometry dimensions must be positive")
 	case c.PageSize <= 0 || c.PageSize%8 != 0:
 		return fmt.Errorf("nand: page size %d must be a positive multiple of 8", c.PageSize)
-	case c.ChannelMBps <= 0:
-		return errors.New("nand: channel bandwidth must be positive")
-	}
-	if _, ok := timings[c.Cell]; !ok {
-		return fmt.Errorf("nand: unknown cell type %v", c.Cell)
 	}
 	return nil
 }
@@ -145,8 +99,8 @@ func (c Config) TotalPages() uint64 {
 }
 
 // transferTime is the channel bus occupancy to move n bytes.
-func (c Config) transferTime(n int) sim.Time {
-	return sim.Time(float64(n) / (c.ChannelMBps * (1 << 20)) * float64(sim.Second))
+func transferTime(n int) sim.Time {
+	return sim.Time(float64(n) / (ChannelMBps * (1 << 20)) * float64(sim.Second))
 }
 
 // PPA is a physical page address, a flat index over the whole array.
@@ -245,7 +199,6 @@ type Array struct {
 	store   pageStore  // materialized bytes of programmed, undiscarded pages
 	loaded  bitset.Set // preloaded, undiscarded pages (deterministic content)
 	blocks  []blockState
-	timing  Timing
 	stats   Stats
 	pattern patternSource
 
@@ -274,12 +227,11 @@ func New(cfg Config) (*Array, error) {
 		store:   pageStore{pageSize: cfg.PageSize},
 		loaded:  bitset.New(int(cfg.TotalPages())),
 		blocks:  make([]blockState, cfg.TotalBlocks()),
-		timing:  timings[cfg.Cell],
-		pattern: patternSource{seed: cfg.ContentSeed},
+		pattern: patternSource{seed: ContentSeed},
 
 		totalPages:  cfg.TotalPages(),
 		pagesPerDie: uint64(cfg.PagesPerDie()),
-		pageXfer:    cfg.transferTime(cfg.PageSize),
+		pageXfer:    transferTime(cfg.PageSize),
 
 		tr: telemetry.Nop(),
 	}
@@ -328,9 +280,6 @@ func (a *Array) Config() Config { return a.cfg }
 
 // Stats returns a copy of the operation counters.
 func (a *Array) Stats() Stats { return a.stats }
-
-// Timing returns the active latency profile.
-func (a *Array) Timing() Timing { return a.timing }
 
 // dieOf is Config.DieOf with the pages per die computed once.
 func (a *Array) dieOf(p PPA) int { return int(uint64(p) / a.pagesPerDie) }
@@ -387,7 +336,7 @@ func (a *Array) ReadPageRange(now sim.Time, p PPA, off int, dst []byte) (sim.Tim
 
 	die := a.dieOf(p)
 	ch := die / a.cfg.WaysPerChannel
-	senseStart, senseEnd := a.dies.Acquire(die, now, a.timing.ReadPage)
+	senseStart, senseEnd := a.dies.Acquire(die, now, ReadPageTime)
 	txStart, done := a.buses.Acquire(ch, senseEnd, a.pageXfer)
 	if a.tr.Enabled() {
 		a.tr.Span(a.dieTracks[die], "tR", senseStart, senseEnd)
@@ -486,7 +435,7 @@ func (a *Array) ProgramPage(now sim.Time, p PPA, data []byte) (sim.Time, error) 
 	die := a.dieOf(p)
 	ch := die / a.cfg.WaysPerChannel
 	txStart, txEnd := a.buses.Acquire(ch, now, a.pageXfer)
-	progStart, done := a.dies.Acquire(die, txEnd, a.timing.Program)
+	progStart, done := a.dies.Acquire(die, txEnd, ProgramTime)
 	if a.tr.Enabled() {
 		a.tr.Span(a.chTracks[ch], "xfer", txStart, txEnd)
 		a.tr.Span(a.dieTracks[die], "tPROG", progStart, done)
@@ -524,7 +473,7 @@ func (a *Array) EraseBlock(now sim.Time, b BlockID) (sim.Time, error) {
 	bs.nextPage = 0
 	first := a.cfg.FirstPPA(b)
 	die := a.dieOf(first)
-	eraseStart, done := a.dies.Acquire(die, now, a.timing.EraseBlock)
+	eraseStart, done := a.dies.Acquire(die, now, EraseBlockTime)
 	if a.tr.Enabled() {
 		a.tr.Span(a.dieTracks[die], "tBERS", eraseStart, done)
 	}
@@ -671,6 +620,6 @@ func (ps patternSource) fillUsing(p PPA, off int, buf []byte, vector bool) {
 
 // ExpectedContent is the package-level oracle for preloaded (never-written)
 // page content: len(buf) bytes of page p from byte offset off.
-func ExpectedContent(seed uint64, p PPA, off int, buf []byte) {
-	patternSource{seed: seed}.fill(p, off, buf)
+func ExpectedContent(p PPA, off int, buf []byte) {
+	patternSource{seed: ContentSeed}.fill(p, off, buf)
 }

@@ -48,8 +48,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.WaysPerChannel = -1 },
 		func(c *Config) { c.PageSize = 100 }, // not multiple of 8
 		func(c *Config) { c.PageSize = 0 },
-		func(c *Config) { c.ChannelMBps = 0 },
-		func(c *Config) { c.Cell = CellType(99) },
 	}
 	for i, mut := range cases {
 		c := testConfig()
@@ -240,7 +238,7 @@ func TestPreloadContentDeterministic(t *testing.T) {
 		t.Fatalf("ReadPageInto after Preload: %v", err)
 	}
 	want := make([]byte, cfg.PageSize)
-	ExpectedContent(cfg.ContentSeed, p, 0, want)
+	ExpectedContent(p, 0, want)
 	if !bytes.Equal(got, want) {
 		t.Fatal("preloaded content != ExpectedContent oracle")
 	}
@@ -312,8 +310,8 @@ func TestProgramOverwritesPreload(t *testing.T) {
 func TestReadTimingChannelParallelism(t *testing.T) {
 	cfg := testConfig()
 	a := mustArray(t, cfg)
-	tR := a.Timing().ReadPage
-	tx := cfg.transferTime(cfg.PageSize)
+	tR := ReadPageTime
+	tx := transferTime(cfg.PageSize)
 
 	// Two pages on different channels proceed fully in parallel.
 	p1 := cfg.PPAOf(0, 0, 0, 0, 0)
@@ -340,8 +338,8 @@ func TestReadTimingChannelParallelism(t *testing.T) {
 func TestReadTimingSameDieSerializes(t *testing.T) {
 	cfg := testConfig()
 	a := mustArray(t, cfg)
-	tR := a.Timing().ReadPage
-	tx := cfg.transferTime(cfg.PageSize)
+	tR := ReadPageTime
+	tx := transferTime(cfg.PageSize)
 	p1 := cfg.PPAOf(0, 0, 0, 0, 0)
 	p2 := cfg.PPAOf(0, 0, 0, 0, 1)
 	for _, p := range []PPA{p1, p2} {
@@ -364,8 +362,8 @@ func TestReadTimingSameDieSerializes(t *testing.T) {
 func TestReadTimingSameChannelDifferentWays(t *testing.T) {
 	cfg := testConfig()
 	a := mustArray(t, cfg)
-	tR := a.Timing().ReadPage
-	tx := cfg.transferTime(cfg.PageSize)
+	tR := ReadPageTime
+	tx := transferTime(cfg.PageSize)
 	p1 := cfg.PPAOf(0, 0, 0, 0, 0)
 	p2 := cfg.PPAOf(0, 1, 0, 0, 0)
 	for _, p := range []PPA{p1, p2} {
@@ -408,14 +406,22 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 func TestCellTypeTimings(t *testing.T) {
-	if timings[SLC].ReadPage >= timings[MLC].ReadPage ||
-		timings[MLC].ReadPage >= timings[TLC].ReadPage {
-		t.Fatal("tR must increase SLC < MLC < TLC")
-	}
-	for _, c := range []CellType{SLC, MLC, TLC} {
-		if c.String() == "" || len(c.String()) != 3 {
-			t.Errorf("CellType(%d).String() = %q", int(c), c.String())
+	// The MLC constants DESIGN.md §5 documents.
+	for _, c := range []struct {
+		name      string
+		got, want sim.Time
+	}{
+		{"tR", ReadPageTime, 50 * sim.Microsecond},
+		{"tPROG", ProgramTime, 600 * sim.Microsecond},
+		{"tBERS", EraseBlockTime, 5 * sim.Millisecond},
+		{"page transfer", transferTime(4096), 9765 * sim.Nanosecond},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
 		}
+	}
+	if RBER != 1e-7 {
+		t.Errorf("RBER = %g, want 1e-7", RBER)
 	}
 }
 
@@ -425,7 +431,7 @@ func TestPatternFillConsistentAcrossOffsets(t *testing.T) {
 	// Random pages, offsets and lengths cover every alignment of both
 	// ragged edges, on the dispatching fill and on the Go loop alike.
 	logFillPath(t)
-	ps := patternSource{seed: DefaultConfig().ContentSeed}
+	ps := patternSource{seed: ContentSeed}
 	rng := sim.NewRNG(5)
 	buf := make([]byte, 4096)
 	for i := 0; i < 20_000; i++ {
@@ -460,7 +466,7 @@ func TestExpectedContentGolden(t *testing.T) {
 		{77, 13, 300, 0xda627cc966721ad8},
 	} {
 		buf := make([]byte, c.n)
-		ExpectedContent(DefaultConfig().ContentSeed, c.p, c.off, buf)
+		ExpectedContent(c.p, c.off, buf)
 		h := fnv.New64a()
 		h.Write(buf)
 		if got := h.Sum64(); got != c.digest {

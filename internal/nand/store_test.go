@@ -100,7 +100,7 @@ func (r *refArray) read(p PPA, off, n int) ([]byte, error) {
 		return nil, ErrBadBlock
 	case r.loaded[p]:
 		out := make([]byte, n)
-		ExpectedContent(r.cfg.ContentSeed, p, off, out)
+		ExpectedContent(p, off, out)
 		return out, nil
 	case int(p-r.cfg.FirstPPA(b)) >= r.next[b]:
 		return nil, ErrNotProgram

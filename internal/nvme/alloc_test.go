@@ -31,7 +31,7 @@ func TestDriverSubmitAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	region, err := hmb.New(hmb.Config{DataBytes: 1 << 20, TempBufBytes: 64 << 10, TempSlot: 4096, InfoSlots: 64})
+	region, err := hmb.New(hmb.Config{DataBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,35 +275,29 @@ func (q *CQ) Pop() (Completion, error) {
 	return c, nil
 }
 
-// Costs models the fixed transport overheads on the command path.
-type Costs struct {
-	Doorbell   sim.Time // host MMIO doorbell write
-	Fetch      sim.Time // device SQ entry fetch over PCIe
-	Completion sim.Time // CQ post + interrupt/polling pickup
+// The fixed transport overheads on the command path, from measured NVMe
+// small-command costs.
+const (
+	DoorbellCost   = 100 * sim.Nanosecond // host MMIO doorbell write
+	FetchCost      = 400 * sim.Nanosecond // device SQ entry fetch over PCIe
+	CompletionCost = 1 * sim.Microsecond  // CQ post + interrupt/polling pickup
+)
 
+// Costs selects the command path's fetch model.
+type Costs struct {
 	// Arbitration, when positive, turns on serialized SQ-fetch arbitration:
 	// the controller's single fetch engine round-robins over the submission
-	// queues, occupying it for Fetch+Arbitration per command, so concurrent
-	// submissions queue behind each other before execution even starts.
-	// Zero (the default) models infinite fetch bandwidth — every fetch
-	// completes Doorbell+Fetch after submission regardless of load, which
-	// is the closed-loop model every existing experiment was calibrated on.
+	// queues, occupying it for FetchCost+Arbitration per command, so
+	// concurrent submissions queue behind each other before execution even
+	// starts. Zero (the default) models infinite fetch bandwidth — every
+	// fetch completes DoorbellCost+FetchCost after submission regardless of
+	// load, which is the closed-loop model every existing experiment was
+	// calibrated on.
 	Arbitration sim.Time
 }
 
-// DefaultCosts reflects measured NVMe small-command overheads.
-func DefaultCosts() Costs {
-	return Costs{
-		Doorbell:   100 * sim.Nanosecond,
-		Fetch:      400 * sim.Nanosecond,
-		Completion: 1 * sim.Microsecond,
-	}
-}
-
-// Total is the fixed per-command transport cost.
-func (c Costs) Total() sim.Time {
-	return c.Doorbell + c.Fetch + c.Arbitration + c.Completion
-}
+// DefaultCosts returns the default fetch model: no arbitration.
+func DefaultCosts() Costs { return Costs{} }
 
 // Device is the controller side: it executes one fetched command and
 // returns its completion. now is the time the device begins executing.
@@ -482,9 +476,9 @@ func (m *MultiQueue) Submit(now sim.Time, cmd Command, complete func(Completion)
 	// completes a fixed Doorbell+Fetch after submission, load-independent.
 	var fetchEnd sim.Time
 	if m.costs.Arbitration > 0 {
-		_, fetchEnd = m.fetchArb.Acquire(now+m.costs.Doorbell, m.costs.Fetch+m.costs.Arbitration)
+		_, fetchEnd = m.fetchArb.Acquire(now+DoorbellCost, FetchCost+m.costs.Arbitration)
 	} else {
-		fetchEnd = now + m.costs.Doorbell + m.costs.Fetch
+		fetchEnd = now + DoorbellCost + FetchCost
 	}
 	m.sa.MarkRes(telemetry.StageRing, fetchEnd, m.sqLabels[pairIdx])
 	m.ringRes.Add(now, fetchEnd)
@@ -511,7 +505,7 @@ func (m *MultiQueue) fetch(ic *inflight) {
 	comp := m.dev.Execute(ic.fetchEnd, &ic.cmd)
 	comp.ID = ic.cmd.ID
 	execDone := comp.Done
-	comp.Done += m.costs.Completion
+	comp.Done += CompletionCost
 	m.sa.MarkRes(telemetry.StageRing, comp.Done, ResRing)
 	m.ringRes.Add(execDone, comp.Done)
 	ic.comp = comp

@@ -132,7 +132,7 @@ func TestDriverSubmitTiming(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	want := 100*sim.Microsecond + costs.Doorbell + costs.Fetch + dev.service + costs.Completion
+	want := 100*sim.Microsecond + DoorbellCost + FetchCost + dev.service + CompletionCost
 	if comp.Done != want {
 		t.Fatalf("Done = %v, want %v", comp.Done, want)
 	}
@@ -163,9 +163,15 @@ func TestDriverAssignsIDs(t *testing.T) {
 }
 
 func TestCostsTotal(t *testing.T) {
-	c := Costs{Doorbell: 1, Fetch: 2, Completion: 3}
-	if c.Total() != 6 {
-		t.Fatalf("Total = %v", c.Total())
+	// On a device that executes instantly, a command's latency is the fixed
+	// per-command transport cost: doorbell, fetch and completion.
+	d := NewDriver(&echoDevice{}, 8, DefaultCosts())
+	comp, err := d.Submit(0, Command{Op: OpFlush})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := DoorbellCost + FetchCost + CompletionCost; comp.Done != want || want != 1500*sim.Nanosecond {
+		t.Fatalf("Done = %v, want %v (1.5us)", comp.Done, want)
 	}
 }
 
@@ -209,14 +215,14 @@ func TestDriverPoolHygiene(t *testing.T) {
 		t.Fatalf("Submit on a full queue = %+v, %v; want zero completion, ErrQueueFull", c, err)
 	}
 	d.eng.Run()
-	if side.ID != 2 || side.Done != 5+service {
+	if side.ID != 2 || side.Done != 5+DoorbellCost+FetchCost+service+CompletionCost {
 		t.Fatalf("side completion = %+v", side)
 	}
 	c, err := d.Submit(100, Command{Op: OpFlush})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ID != 3 || c.Done != 100+service {
-		t.Fatalf("Submit after ErrQueueFull = %+v, want ID 3 done at %v", c, 100+service)
+	if want := 100 + DoorbellCost + FetchCost + service + CompletionCost; c.ID != 3 || c.Done != want {
+		t.Fatalf("Submit after ErrQueueFull = %+v, want ID 3 done at %v", c, want)
 	}
 }

@@ -37,7 +37,7 @@ type FaultStats struct {
 // payload corruption on fine reads.
 func (c *Controller) SetInjector(inj *fault.Injector) {
 	c.inj = inj
-	inj.ResolveRBER(fault.SiteNANDRead, nand.RBERFor(c.cfg.NAND.Cell), c.cfg.NAND.PageSize*8)
+	inj.ResolveRBER(fault.SiteNANDRead, nand.RBER, c.cfg.NAND.PageSize*8)
 }
 
 // Faults snapshots the recovery counters.
@@ -90,14 +90,13 @@ func (c *Controller) readLBAInto(now sim.Time, lba uint64, off int, dst []byte) 
 // transfer on the NAND resource timelines — fault recovery is slower, not
 // wrong. Each step re-senses the same byte range as the first sense.
 func (c *Controller) eccRecover(now sim.Time, lba uint64, off int, dst []byte, sev float64) (sim.Time, error) {
-	steps := c.cfg.ECCRetrySteps
-	uncorrectable := sev < c.cfg.ECCUncorrectableFrac || steps <= 0
-	n := steps
+	uncorrectable := sev < c.cfg.ECCUncorrectableFrac
+	n := ECCRetrySteps
 	if !uncorrectable {
 		frac := (sev - c.cfg.ECCUncorrectableFrac) / (1 - c.cfg.ECCUncorrectableFrac)
-		n = 1 + int(frac*float64(steps))
-		if n > steps {
-			n = steps
+		n = 1 + int(frac*ECCRetrySteps)
+		if n > ECCRetrySteps {
+			n = ECCRetrySteps
 		}
 	}
 	t := now

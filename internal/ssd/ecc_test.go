@@ -79,8 +79,8 @@ func TestECCUncorrectable(t *testing.T) {
 		t.Fatalf("Uncorrectable = %d, want 1", f.Uncorrectable)
 	}
 	// The full ladder is still charged before giving up.
-	if f.ECCRetries != uint64(c.cfg.ECCRetrySteps) {
-		t.Fatalf("ECCRetries = %d, want full ladder %d", f.ECCRetries, c.cfg.ECCRetrySteps)
+	if f.ECCRetries != ECCRetrySteps {
+		t.Fatalf("ECCRetries = %d, want full ladder %d", f.ECCRetries, ECCRetrySteps)
 	}
 }
 

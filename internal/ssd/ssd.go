@@ -23,71 +23,62 @@ import (
 	"pipette/internal/telemetry"
 )
 
-// PCIe models the host interconnect costs (Gen3 x4 in the paper's
-// prototype).
-type PCIe struct {
-	DMABandwidthMBps float64  // effective DMA throughput
-	DMASetup         sim.Time // descriptor setup per DMA transfer
-	MMIOTransaction  sim.Time // one non-posted MMIO read round trip
-	MMIOPayload      int      // bytes per MMIO transaction (8 on x86)
-}
+// The host interconnect: PCIe Gen3 x4, the paper's prototype link.
+const (
+	DMABandwidthMBps = 3200                 // effective DMA throughput
+	DMASetup         = 300 * sim.Nanosecond // descriptor setup per DMA transfer
+	MMIOTransaction  = 250 * sim.Nanosecond // one non-posted MMIO read round trip
+	MMIOPayload      = 8                    // bytes per MMIO transaction (8 on x86)
+)
 
-// DefaultPCIe returns Gen3 x4-flavoured constants.
-func DefaultPCIe() PCIe {
-	return PCIe{
-		DMABandwidthMBps: 3200,
-		DMASetup:         300 * sim.Nanosecond,
-		MMIOTransaction:  250 * sim.Nanosecond,
-		MMIOPayload:      8,
-	}
-}
+// The controller's fixed resources and firmware costs.
+const (
+	// ReadBufferPages bounds how many NAND pages one command can hold in
+	// controller DRAM at once; larger multi-page commands process in
+	// batches.
+	ReadBufferPages = 64
+	// FirmwareBlockOverhead is per-command FTL/firmware processing for
+	// block commands; FirmwareFineOverhead for the leaner fine-read path.
+	FirmwareBlockOverhead = 3 * sim.Microsecond
+	FirmwareFineOverhead  = 1 * sim.Microsecond
+	// ExtractOverhead is the engine's per-range scatter cost (Figure 4
+	// step 3c).
+	ExtractOverhead = 300 * sim.Nanosecond
+	// CMBBytes sizes the Controller Memory Buffer used by the 2B-SSD
+	// baselines.
+	CMBBytes = 4 << 20
+	// ECCRetrySteps bounds the read-retry ladder the ECC engine walks when
+	// an injected raw-bit-error burst exceeds the default correction
+	// strength; each step re-senses the page (full tR + transfer). A page
+	// still failing past the ladder is uncorrectable.
+	ECCRetrySteps = 4
+)
 
 // dmaTime is the link occupancy to move n bytes by DMA.
-func (p PCIe) dmaTime(n int) sim.Time {
-	return p.DMASetup + sim.Time(float64(n)/(p.DMABandwidthMBps*(1<<20))*float64(sim.Second))
+func dmaTime(n int) sim.Time {
+	return DMASetup + sim.Time(float64(n)/(DMABandwidthMBps*(1<<20))*float64(sim.Second))
 }
 
 // mmioTime is the cost to read n bytes through non-posted MMIO
 // transactions: each moves at most MMIOPayload bytes and must wait for its
 // completion before the next issues (why 2B-SSD MMIO degrades linearly with
 // request size in the paper's Figure 8).
-func (p PCIe) mmioTime(n int) sim.Time {
-	txns := (n + p.MMIOPayload - 1) / p.MMIOPayload
-	return sim.Time(txns) * p.MMIOTransaction
+func mmioTime(n int) sim.Time {
+	txns := (n + MMIOPayload - 1) / MMIOPayload
+	return sim.Time(txns) * MMIOTransaction
 }
 
 // Config assembles a device.
 type Config struct {
 	NAND nand.Config
 	FTL  ftl.Config
-	PCIe PCIe
 
-	// ReadBufferPages bounds how many NAND pages one command can hold in
-	// controller DRAM at once; larger multi-page commands process in
-	// batches.
-	ReadBufferPages int
-	// FirmwareBlockOverhead is per-command FTL/firmware processing for
-	// block commands; FirmwareFineOverhead for the leaner fine-read path.
-	FirmwareBlockOverhead sim.Time
-	FirmwareFineOverhead  sim.Time
-	// ExtractOverhead is the engine's per-range scatter cost (Figure 4
-	// step 3c).
-	ExtractOverhead sim.Time
-	// CMBBytes sizes the Controller Memory Buffer used by the 2B-SSD
-	// baselines.
-	CMBBytes int
 	// WriteBufferPages enables the controller-DRAM write buffer: writes
 	// acknowledge after the host DMA and destage to NAND in the background;
 	// OpFlush drains synchronously. 0 disables (writes program NAND
 	// inline), the calibrated default.
 	WriteBufferPages int
 
-	// ECCRetrySteps bounds the read-retry ladder the ECC engine walks when
-	// an injected raw-bit-error burst exceeds the default correction
-	// strength; each step re-senses the page (full tR + transfer). A page
-	// still failing past the ladder is uncorrectable. 0 means no retries:
-	// any ECC hit is immediately uncorrectable.
-	ECCRetrySteps int
 	// ECCUncorrectableFrac is the fraction of the injected-severity
 	// spectrum that exhausts the whole ladder and still fails.
 	ECCUncorrectableFrac float64
@@ -103,16 +94,9 @@ type Config struct {
 // DefaultConfig mirrors the paper's platform.
 func DefaultConfig() Config {
 	return Config{
-		NAND:                  nand.DefaultConfig(),
-		FTL:                   ftl.DefaultConfig(),
-		PCIe:                  DefaultPCIe(),
-		ReadBufferPages:       64,
-		FirmwareBlockOverhead: 3 * sim.Microsecond,
-		FirmwareFineOverhead:  1 * sim.Microsecond,
-		ExtractOverhead:       300 * sim.Nanosecond,
-		CMBBytes:              4 << 20,
-		ECCRetrySteps:         4,
-		ECCUncorrectableFrac:  0.02,
+		NAND:                 nand.DefaultConfig(),
+		FTL:                  ftl.DefaultConfig(),
+		ECCUncorrectableFrac: 0.02,
 	}
 }
 
@@ -189,14 +173,8 @@ func New(cfg Config) (*Controller, error) {
 // NewWithArray builds a controller over an existing NAND array (tests use
 // this to pre-mark bad blocks).
 func NewWithArray(cfg Config, arr *nand.Array) (*Controller, error) {
-	if cfg.ReadBufferPages <= 0 {
-		return nil, errors.New("ssd: ReadBufferPages must be positive")
-	}
-	if cfg.PCIe.DMABandwidthMBps <= 0 || cfg.PCIe.MMIOPayload <= 0 {
-		return nil, errors.New("ssd: PCIe config incomplete")
-	}
-	if cfg.CMBBytes < cfg.NAND.PageSize {
-		return nil, fmt.Errorf("ssd: CMB %d smaller than one page", cfg.CMBBytes)
+	if CMBBytes < cfg.NAND.PageSize {
+		return nil, fmt.Errorf("ssd: CMB %d smaller than one page", CMBBytes)
 	}
 	fl, err := ftl.New(arr, cfg.FTL)
 	if err != nil {
@@ -209,10 +187,10 @@ func NewWithArray(cfg Config, arr *nand.Array) (*Controller, error) {
 		cfg:      cfg,
 		fl:       fl,
 		arr:      arr,
-		cmb:      make([]byte, cfg.CMBBytes),
-		cmbSlots: cfg.CMBBytes / cfg.NAND.PageSize,
+		cmb:      make([]byte, CMBBytes),
+		cmbSlots: CMBBytes / cfg.NAND.PageSize,
 		wbufIdx:  make(map[uint64]int),
-		readBuf:  make([]byte, cfg.ReadBufferPages*cfg.NAND.PageSize),
+		readBuf:  make([]byte, ReadBufferPages*cfg.NAND.PageSize),
 		tr:       telemetry.Nop(),
 	}
 	c.cmbPages = make([]uint64, c.cmbSlots)
@@ -325,13 +303,13 @@ func (c *Controller) execBlockRead(now sim.Time, cmd *nvme.Command) nvme.Complet
 		return nvme.Completion{Status: nvme.StatusInvalidCommand, Done: now}
 	}
 	c.stats.BlockReadCmds++
-	start := now + c.cfg.FirmwareBlockOverhead
+	start := now + FirmwareBlockOverhead
 	c.sa.MarkRes(telemetry.StageFirmware, start, ResFirmware)
 
 	var moved uint64
 	maxDone := start
-	for batch := 0; batch < cmd.Pages; batch += c.cfg.ReadBufferPages {
-		batchEnd := batch + c.cfg.ReadBufferPages
+	for batch := 0; batch < cmd.Pages; batch += ReadBufferPages {
+		batchEnd := batch + ReadBufferPages
 		if batchEnd > cmd.Pages {
 			batchEnd = cmd.Pages
 		}
@@ -362,7 +340,7 @@ func (c *Controller) execBlockRead(now sim.Time, cmd *nvme.Command) nvme.Complet
 		}
 	}
 	moved = uint64(cmd.Pages * ps)
-	dmaStart, done := c.linkSpan(maxDone, c.cfg.PCIe.dmaTime(int(moved)))
+	dmaStart, done := c.linkSpan(maxDone, dmaTime(int(moved)))
 	c.sa.MarkRes(telemetry.StageDMA, done, ResDMALink)
 	c.dmaRes.Add(dmaStart, done)
 	c.stats.BytesToHost += moved
@@ -382,8 +360,8 @@ func (c *Controller) execWrite(now sim.Time, cmd *nvme.Command) nvme.Completion 
 		return nvme.Completion{Status: nvme.StatusInvalidCommand, Done: now}
 	}
 	c.stats.WriteCmds++
-	fwDone := now + c.cfg.FirmwareBlockOverhead
-	dmaStart, hostDone := c.linkSpan(fwDone, c.cfg.PCIe.dmaTime(len(cmd.Data)))
+	fwDone := now + FirmwareBlockOverhead
+	dmaStart, hostDone := c.linkSpan(fwDone, dmaTime(len(cmd.Data)))
 	c.sa.MarkRes(telemetry.StageFirmware, fwDone, ResFirmware)
 	c.sa.MarkRes(telemetry.StageDMA, hostDone, ResDMALink)
 	c.dmaRes.Add(dmaStart, hostDone)
@@ -422,7 +400,7 @@ func (c *Controller) execFineRead(now sim.Time, cmd *nvme.Command) nvme.Completi
 	if c.hmbRegion == nil {
 		return nvme.Completion{Status: nvme.StatusInvalidCommand, Done: now}
 	}
-	if len(cmd.FineLBAs) == 0 || len(cmd.FineLBAs) > c.cfg.ReadBufferPages {
+	if len(cmd.FineLBAs) == 0 || len(cmd.FineLBAs) > ReadBufferPages {
 		return nvme.Completion{Status: nvme.StatusInvalidCommand, Done: now}
 	}
 	rec, err := c.hmbRegion.Info().Consume()
@@ -431,7 +409,7 @@ func (c *Controller) execFineRead(now sim.Time, cmd *nvme.Command) nvme.Completi
 			// The record is consumed (the ring must not wedge) but its
 			// fields cannot be trusted; the host re-serves via block I/O.
 			c.fltRingCorrupt.Inc()
-			rejectAt := now + c.cfg.FirmwareFineOverhead
+			rejectAt := now + FirmwareFineOverhead
 			c.sa.MarkRes(telemetry.StageFirmware, rejectAt, ResFirmware)
 			return nvme.Completion{Status: nvme.StatusCorruptRing, Done: rejectAt}
 		}
@@ -447,7 +425,7 @@ func (c *Controller) execFineRead(now sim.Time, cmd *nvme.Command) nvme.Completi
 		return nvme.Completion{Status: nvme.StatusInvalidCommand, Done: now}
 	}
 	c.stats.FineReadCmds++
-	start := now + c.cfg.FirmwareFineOverhead
+	start := now + FirmwareFineOverhead
 	c.sa.MarkRes(telemetry.StageFirmware, start, ResFirmware)
 
 	// Phase 1: load pages into the controller read buffer; they issue
@@ -491,7 +469,7 @@ func (c *Controller) execFineRead(now sim.Time, cmd *nvme.Command) nvme.Completi
 		c.fltDMACorrupt.Inc()
 		c.corruptHMB(rec.Dest, rec.ByteLen, out.Sev)
 	}
-	dmaStart, done := c.linkSpan(maxDone+c.cfg.ExtractOverhead, c.cfg.PCIe.dmaTime(rec.ByteLen))
+	dmaStart, done := c.linkSpan(maxDone+ExtractOverhead, dmaTime(rec.ByteLen))
 	c.sa.MarkRes(telemetry.StageDMA, done, ResDMALink)
 	c.dmaRes.Add(dmaStart, done)
 	c.stats.RangesExtract++
@@ -551,7 +529,7 @@ func (c *Controller) MMIORead(now sim.Time, slot, off int, buf []byte) (sim.Time
 	copy(buf, c.cmb[base+off:])
 	c.stats.MMIOBytesRead += uint64(len(buf))
 	c.stats.BytesToHost += uint64(len(buf))
-	mmioStart, done := c.linkSpan(now, c.cfg.PCIe.mmioTime(len(buf)))
+	mmioStart, done := c.linkSpan(now, mmioTime(len(buf)))
 	c.sa.MarkRes(telemetry.StageDMA, done, ResDMALink)
 	c.dmaRes.Add(mmioStart, done)
 	return done, nil
@@ -567,7 +545,7 @@ func (c *Controller) DMAReadFromCMB(now sim.Time, slot, off int, buf []byte) (si
 	base := slot * c.cfg.NAND.PageSize
 	copy(buf, c.cmb[base+off:])
 	c.stats.BytesToHost += uint64(len(buf))
-	dmaStart, done := c.linkSpan(now, c.cfg.PCIe.dmaTime(len(buf)))
+	dmaStart, done := c.linkSpan(now, dmaTime(len(buf)))
 	c.sa.MarkRes(telemetry.StageDMA, done, ResDMALink)
 	c.dmaRes.Add(dmaStart, done)
 	return done, nil

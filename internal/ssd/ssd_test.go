@@ -3,6 +3,7 @@ package ssd
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"pipette/internal/ftl"
@@ -48,25 +49,20 @@ func expected(c *Controller, lba uint64, off, n int) []byte {
 		panic(err)
 	}
 	buf := make([]byte, n)
-	nand.ExpectedContent(c.Array().Config().ContentSeed, ppa, off, buf)
+	nand.ExpectedContent(ppa, off, buf)
 	return buf
 }
 
 func TestNewValidation(t *testing.T) {
 	cfg := testConfig()
-	cfg.ReadBufferPages = 0
+	cfg.WriteBufferPages = -1
 	if _, err := New(cfg); err == nil {
-		t.Error("ReadBufferPages=0 accepted")
+		t.Error("negative write buffer accepted")
 	}
 	cfg = testConfig()
-	cfg.CMBBytes = 100
-	if _, err := New(cfg); err == nil {
-		t.Error("tiny CMB accepted")
-	}
-	cfg = testConfig()
-	cfg.PCIe.DMABandwidthMBps = 0
-	if _, err := New(cfg); err == nil {
-		t.Error("zero bandwidth accepted")
+	cfg.NAND.PageSize = 2 * CMBBytes
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "CMB") {
+		t.Errorf("page larger than the CMB: err = %v", err)
 	}
 }
 
@@ -182,7 +178,7 @@ func TestBlockReadParallelChannels(t *testing.T) {
 	if !one.Ok() || !two.Ok() {
 		t.Fatal("reads failed")
 	}
-	tR := c.Array().Timing().ReadPage
+	tR := nand.ReadPageTime
 	if two.Done-one.Done >= tR {
 		t.Fatalf("2-page read %v vs 1-page %v: no channel overlap", two.Done, one.Done)
 	}
@@ -267,7 +263,7 @@ func TestUnknownOpcode(t *testing.T) {
 
 func newHMB(t testing.TB) *hmb.Region {
 	t.Helper()
-	r, err := hmb.New(hmb.Config{DataBytes: 1 << 20, TempBufBytes: 64 << 10, TempSlot: 4096, InfoSlots: 64})
+	r, err := hmb.New(hmb.Config{DataBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,15 +434,14 @@ func TestMMIOReadCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcie := c.cfg.PCIe
 	// 8 bytes: one transaction.
 	buf8 := make([]byte, 8)
 	t8, err := c.MMIORead(done, slot, 0, buf8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t8-done != pcie.MMIOTransaction {
-		t.Fatalf("8B MMIO took %v, want %v", t8-done, pcie.MMIOTransaction)
+	if t8-done != MMIOTransaction {
+		t.Fatalf("8B MMIO took %v, want %v", t8-done, MMIOTransaction)
 	}
 	// 4096 bytes: 512 transactions — linear in size.
 	buf4k := make([]byte, 4096)
@@ -454,8 +449,8 @@ func TestMMIOReadCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t4k-done != 512*pcie.MMIOTransaction {
-		t.Fatalf("4KiB MMIO took %v, want %v", t4k-done, 512*pcie.MMIOTransaction)
+	if t4k-done != 512*MMIOTransaction {
+		t.Fatalf("4KiB MMIO took %v, want %v", t4k-done, 512*MMIOTransaction)
 	}
 	if !bytes.Equal(buf4k, expected(c, 0, 0, 4096)) {
 		t.Fatal("MMIO data wrong")
@@ -463,7 +458,7 @@ func TestMMIOReadCosts(t *testing.T) {
 	// Odd size rounds transactions up.
 	buf9 := make([]byte, 9)
 	t9, _ := c.MMIORead(done, slot, 0, buf9)
-	if t9-done != 2*pcie.MMIOTransaction {
+	if t9-done != 2*MMIOTransaction {
 		t.Fatalf("9B MMIO took %v, want 2 txns", t9-done)
 	}
 }
@@ -487,7 +482,7 @@ func TestDMAReadFromCMB(t *testing.T) {
 		t.Fatal("DMA consumed no time")
 	}
 	// DMA of small payload beats MMIO of a large one but costs setup.
-	if end-done < c.cfg.PCIe.DMASetup {
+	if end-done < DMASetup {
 		t.Fatal("DMA cheaper than its setup cost")
 	}
 }
@@ -513,21 +508,24 @@ func TestCMBRangeChecks(t *testing.T) {
 
 func TestCMBSlotRotation(t *testing.T) {
 	cfg := testConfig()
-	cfg.CMBBytes = 2 * cfg.NAND.PageSize // two slots
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	slots := CMBBytes / cfg.NAND.PageSize
+	for i := 0; i <= slots; i++ {
 		if err := c.FTL().Preload(ftl.LBA(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s0, _, _ := c.LoadToCMB(0, 0)
 	s1, _, _ := c.LoadToCMB(0, 1)
-	s2, _, _ := c.LoadToCMB(0, 2)
+	for i := 2; i < slots; i++ {
+		c.LoadToCMB(0, uint64(i))
+	}
+	s2, _, _ := c.LoadToCMB(0, uint64(slots))
 	if s0 == s1 || s0 != s2 {
-		t.Fatalf("slots %d,%d,%d: expected rotation over 2 slots", s0, s1, s2)
+		t.Fatalf("slots %d,%d,%d: expected rotation over %d slots", s0, s1, s2, slots)
 	}
 }
 
@@ -546,7 +544,7 @@ func TestDriverIntegration(t *testing.T) {
 	if !bytes.Equal(buf, expected(c, 0, 0, c.PageSize())) {
 		t.Fatal("driver read wrong data")
 	}
-	if comp.Done <= nvme.DefaultCosts().Total() {
+	if comp.Done <= nvme.DoorbellCost+nvme.FetchCost+nvme.CompletionCost {
 		t.Fatal("transport costs missing")
 	}
 }

@@ -91,7 +91,7 @@ func (c *Controller) execBufferedWrite(now sim.Time, cmd *nvme.Command) nvme.Com
 		return nvme.Completion{Status: nvme.StatusInvalidCommand, Done: now}
 	}
 	c.stats.WriteCmds++
-	_, t := c.linkSpan(now+c.cfg.FirmwareBlockOverhead, c.cfg.PCIe.dmaTime(len(cmd.Data)))
+	_, t := c.linkSpan(now+FirmwareBlockOverhead, dmaTime(len(cmd.Data)))
 	c.stats.BytesFromHost += uint64(len(cmd.Data))
 	for i := 0; i < cmd.Pages; i++ {
 		lba := cmd.LBA + uint64(i)
@@ -115,7 +115,7 @@ func (c *Controller) execBufferedWrite(now sim.Time, cmd *nvme.Command) nvme.Com
 // execFlush drains the write buffer synchronously — durability point.
 func (c *Controller) execFlush(now sim.Time) nvme.Completion {
 	c.stats.FlushCmds++
-	t := now + c.cfg.FirmwareBlockOverhead
+	t := now + FirmwareBlockOverhead
 	if c.cfg.WriteBufferPages > 0 {
 		var err error
 		t, err = c.destage(t, 0, false)

@@ -66,7 +66,7 @@ func TestWriteBufferReadCoherence(t *testing.T) {
 		t.Fatal("block read did not see buffered write")
 	}
 	// Fine read sees it too.
-	region, err := hmb.New(hmb.Config{DataBytes: 1 << 20, TempBufBytes: 64 << 10, TempSlot: 4096, InfoSlots: 16})
+	region, err := hmb.New(hmb.Config{DataBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,9 @@
 // Every instrumented layer holds a Tracer that defaults to Nop(), whose
 // methods are empty — the instrumented hot path costs one interface call
 // per phase when tracing is off. Heavier argument construction at call
-// sites is guarded by Enabled().
+// sites is guarded by Enabled(). The KV store and its index engines hold
+// no tracer: their work shows up as the VFS, device and NAND spans their
+// reads and writes issue.
 //
 // The simulator is single-threaded per system by design, so the Recorder
 // and Sampler are not safe for concurrent use, matching internal/metrics;
@@ -29,8 +31,6 @@ const (
 	TrackNVMe      = "nvme"
 	TrackSSD       = "ssd"
 	TrackFTL       = "ftl"
-	TrackKV        = "kv"
-	TrackIndex     = "index"
 )
 
 // Tracer receives simulation events. Implementations: Nop (default,

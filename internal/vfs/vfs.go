@@ -47,24 +47,22 @@ type FineRouter interface {
 	OnWrite(ino uint64, off int64, n int)
 }
 
-// Config tunes host-side software costs.
+// Linux-flavoured host software costs and read-ahead windows.
+const (
+	SyscallOverhead = 1200 * sim.Nanosecond // VFS entry: syscall + fd resolution + locking
+	CopyOverhead    = 300 * sim.Nanosecond  // copy-out to the user buffer per request
+	ReadaheadInit   = 4                     // initial read-ahead window (pages)
+	ReadaheadMax    = 32                    // maximum read-ahead window (pages)
+)
+
+// Config sizes the host side.
 type Config struct {
-	SyscallOverhead sim.Time // VFS entry: syscall + fd resolution + locking
-	CopyOverhead    sim.Time // copy-out to the user buffer per request
-	PageCachePages  int      // page cache budget
-	ReadaheadInit   int      // initial read-ahead window (pages)
-	ReadaheadMax    int      // maximum read-ahead window (pages)
+	PageCachePages int // page cache budget
 }
 
-// DefaultConfig returns Linux-flavoured costs and windows.
+// DefaultConfig returns a 256 MiB page cache.
 func DefaultConfig() Config {
-	return Config{
-		SyscallOverhead: 1200 * sim.Nanosecond,
-		CopyOverhead:    300 * sim.Nanosecond,
-		PageCachePages:  64 << 10, // 256 MiB of 4 KiB pages
-		ReadaheadInit:   4,
-		ReadaheadMax:    32,
-	}
+	return Config{PageCachePages: 64 << 10} // 256 MiB of 4 KiB pages
 }
 
 // VFS binds the filesystem metadata, the page cache, and the block layer.
@@ -76,7 +74,6 @@ type VFS struct {
 	ra     map[uint64]*pagecache.Readahead
 	open   map[uint64]int // inode -> open descriptor count
 	router FineRouter
-	cfg    Config
 	tr     telemetry.Tracer
 	sa     *telemetry.StageAccount
 	inj    *fault.Injector
@@ -117,7 +114,6 @@ func New(fs *extfs.FS, blk *blockdev.Layer, cfg Config) (*VFS, error) {
 		blk:  blk,
 		ra:   make(map[uint64]*pagecache.Readahead),
 		open: make(map[uint64]int),
-		cfg:  cfg,
 		tr:   telemetry.Nop(),
 	}
 	cache, err := pagecache.New(cfg.PageCachePages, fs.PageSize(), v.onEvict)
@@ -252,7 +248,7 @@ func (f *File) Size() int64 { return f.inode.Size }
 func (v *VFS) readahead(ino uint64) *pagecache.Readahead {
 	ra, ok := v.ra[ino]
 	if !ok {
-		ra = pagecache.NewReadahead(v.cfg.ReadaheadInit, v.cfg.ReadaheadMax)
+		ra = pagecache.NewReadahead(ReadaheadInit, ReadaheadMax)
 		v.ra[ino] = ra
 	}
 	return ra
@@ -297,9 +293,9 @@ func (f *File) readAt(now sim.Time, buf []byte, off int64) (int, sim.Time, error
 	}
 	buf = buf[:n]
 	if v.tr.Enabled() {
-		v.tr.Span(telemetry.TrackVFS, "syscall", now, now+v.cfg.SyscallOverhead)
+		v.tr.Span(telemetry.TrackVFS, "syscall", now, now+SyscallOverhead)
 	}
-	now += v.cfg.SyscallOverhead
+	now += SyscallOverhead
 	v.sa.Mark(telemetry.StageSyscall, now)
 	v.io.BytesRequested += uint64(n)
 
@@ -344,7 +340,7 @@ func (f *File) readAt(now sim.Time, buf []byte, off int64) (int, sim.Time, error
 
 // copyOut accounts the user-buffer copy that ends every successful request.
 func (v *VFS) copyOut(done sim.Time) sim.Time {
-	end := done + v.cfg.CopyOverhead
+	end := done + CopyOverhead
 	if v.tr.Enabled() {
 		v.tr.Span(telemetry.TrackVFS, "copyout", done, end)
 	}

@@ -50,9 +50,9 @@ func (f *File) writeAt(now sim.Time, data []byte, off int64) (int, sim.Time, err
 		return 0, now, nil
 	}
 	if v.tr.Enabled() {
-		v.tr.Span(telemetry.TrackVFS, "syscall", now, now+v.cfg.SyscallOverhead)
+		v.tr.Span(telemetry.TrackVFS, "syscall", now, now+SyscallOverhead)
 	}
-	now += v.cfg.SyscallOverhead
+	now += SyscallOverhead
 	v.sa.Mark(telemetry.StageSyscall, now)
 	ps := int64(v.fs.PageSize())
 	first := uint64(off / ps)

@@ -16,7 +16,7 @@ import (
 // simply dropped.
 func writeCopying(f *File, now sim.Time, data []byte, off int64) (sim.Time, error) {
 	v := f.v
-	now += v.cfg.SyscallOverhead
+	now += SyscallOverhead
 	ps := v.fs.PageSize()
 	done := now
 	first, last := uint64(off)/uint64(ps), uint64(off+int64(len(data))-1)/uint64(ps)
