@@ -137,6 +137,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
 		os.Exit(2)
 	}
+	interval, err := statsInterval(*statsInt)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -173,7 +178,7 @@ func main() {
 	pool.SetTelemetry(bench.TelemetryOpts{
 		TraceOut:      *traceOut,
 		StatsOut:      *statsOut,
-		StatsInterval: sim.Time((*statsInt).Nanoseconds()),
+		StatsInterval: interval,
 		ExportOut:     *exportOut,
 	})
 
@@ -338,6 +343,15 @@ func checkExportOut(sel, out string) error {
 			strings.Join(names, ", "))
 	}
 	return nil
+}
+
+// statsInterval converts -stats-interval to virtual time, rejecting a zero
+// or negative interval before any file is created.
+func statsInterval(d time.Duration) (sim.Time, error) {
+	if d <= 0 {
+		return 0, fmt.Errorf("-stats-interval %v: sampling interval must be positive", d)
+	}
+	return sim.Time(d.Nanoseconds()), nil
 }
 
 // checkTraceOut rejects -trace-out and -stats-out when the selection leaves

@@ -3,8 +3,10 @@ package main
 import (
 	"math"
 	"testing"
+	"time"
 
 	"pipette/internal/report"
+	"pipette/internal/sim"
 )
 
 func TestCheckExportOut(t *testing.T) {
@@ -64,6 +66,24 @@ func TestGateTolerance(t *testing.T) {
 		got, err := gateTolerance(tc.in)
 		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
 			t.Errorf("gateTolerance(%g) = %g, %v; want %g, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
+func TestStatsInterval(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want sim.Time
+		ok   bool
+	}{
+		{time.Millisecond, sim.Millisecond, true},
+		{500 * time.Microsecond, 500 * sim.Microsecond, true},
+		{0, 0, false},
+		{-3 * time.Millisecond, 0, false},
+	} {
+		got, err := statsInterval(tc.d)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("statsInterval(%v) = %v, %v; want %v, ok=%v", tc.d, got, err, tc.want, tc.ok)
 		}
 	}
 }

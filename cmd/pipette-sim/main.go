@@ -110,6 +110,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
 		os.Exit(2)
 	}
+	interval, err := statsInterval(*statsInt)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
+		os.Exit(2)
+	}
 	switch *arrivals {
 	case "closed", "poisson", "bursty":
 	default:
@@ -125,7 +130,7 @@ func main() {
 	topts := telemetryOpts{
 		traceOut:      *traceOut,
 		statsOut:      *statsOut,
-		statsInterval: sim.Time((*statsInt).Nanoseconds()),
+		statsInterval: interval,
 		flightOut:     *flightOut,
 	}
 	wls := workloadNames(*wl)
@@ -187,7 +192,7 @@ func main() {
 		})
 	}
 	pool := bench.NewPool(*workers)
-	err := pool.RunCells(cells)
+	err = pool.RunCells(cells)
 	for i := range bufs {
 		if i > 0 {
 			fmt.Println()
@@ -202,6 +207,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// statsInterval converts -stats-interval to virtual time, rejecting a zero
+// or negative interval before any file is created.
+func statsInterval(d time.Duration) (sim.Time, error) {
+	if d <= 0 {
+		return 0, fmt.Errorf("-stats-interval %v: sampling interval must be positive", d)
+	}
+	return sim.Time(d.Nanoseconds()), nil
 }
 
 // checkRequests rejects a -requests count below 1: there is nothing to
@@ -278,7 +292,7 @@ func run(w io.Writer, wl, dist string, requests int, fileMB, pcMB int64, fgMB in
 	var rec *telemetry.Recorder
 	if topts.traceOut != "" {
 		rec = telemetry.NewRecorder()
-		if err := exports.AddTrace(topts.traceOut, rec); err != nil {
+		if err := exports.Add(topts.traceOut, rec.WriteChromeTrace); err != nil {
 			return err
 		}
 	}
@@ -288,7 +302,7 @@ func run(w io.Writer, wl, dist string, requests int, fileMB, pcMB int64, fgMB in
 		if err != nil {
 			return err
 		}
-		if err := exports.AddCSV(topts.statsOut, sampler); err != nil {
+		if err := exports.Add(topts.statsOut, sampler.WriteCSV); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,9 @@ package main
 import (
 	"slices"
 	"testing"
+	"time"
+
+	"pipette/internal/sim"
 )
 
 func TestCheckRequests(t *testing.T) {
@@ -33,6 +36,24 @@ func TestWorkloadNames(t *testing.T) {
 	} {
 		if got := workloadNames(tc.list); !slices.Equal(got, tc.want) {
 			t.Errorf("workloadNames(%q) = %q, want %q", tc.list, got, tc.want)
+		}
+	}
+}
+
+func TestStatsInterval(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want sim.Time
+		ok   bool
+	}{
+		{time.Millisecond, sim.Millisecond, true},
+		{500 * time.Microsecond, 500 * sim.Microsecond, true},
+		{0, 0, false},
+		{-3 * time.Millisecond, 0, false},
+	} {
+		got, err := statsInterval(tc.d)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("statsInterval(%v) = %v, %v; want %v, ok=%v", tc.d, got, err, tc.want, tc.ok)
 		}
 	}
 }

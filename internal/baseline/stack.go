@@ -201,65 +201,29 @@ func (s *Stack) Faults() fault.Report {
 	return r
 }
 
-// Probes builds the stack's sampled time series: read amplification,
-// page-cache hit ratio, the fine-path series when the core is present (fine
-// hit ratio, adaptive threshold, resident memory, overflow FIFO, HMB
-// info-ring occupancy), the fault series when armed, and per-channel NAND
+// Read returns row r's current value on the stack. FromStore rows read the
+// KV stores, which a stack does not own, so they read zero here.
+func (s *Stack) Read(r *Series) float64 {
+	var l Ledger
+	switch r.Source {
+	case FromSnapshot:
+		l.Snap = s.Snapshot("")
+	case FromFaults:
+		l.Faults = s.Faults()
+	case FromStack:
+		l.Stack = s
+	}
+	return r.Get(&l)
+}
+
+// Probes builds the stack's sampled time series: one column per row of
+// Schema that exists on the stack, in table order, then per-channel NAND
 // bus utilization.
 func (s *Stack) Probes() []telemetry.Probe {
-	probes := []telemetry.Probe{
-		telemetry.GaugeProbe("read_amp", func() float64 {
-			io := s.Snapshot("").IO
-			return io.ReadAmplification()
-		}),
-		telemetry.GaugeProbe("pc_hit_ratio", func() float64 {
-			hits, accesses, _, _ := s.V.PageCache().Stats()
-			c := metrics.Cache{Hits: hits, Accesses: accesses}
-			return c.HitRatio()
-		}),
-	}
-	p := s.Core
-	if p != nil {
-		probes = append(probes,
-			telemetry.GaugeProbe("fine_hit_ratio", func() float64 {
-				c := p.CacheStats()
-				return c.HitRatio()
-			}),
-			telemetry.GaugeProbe("threshold", func() float64 {
-				return float64(p.Threshold())
-			}),
-			telemetry.GaugeProbe("fine_mem_bytes", func() float64 {
-				return float64(p.MemoryBytes())
-			}),
-			telemetry.GaugeProbe("overflow_bytes", func() float64 {
-				return float64(p.OverflowBytes())
-			}),
-			telemetry.GaugeProbe("hmb_info_pending", func() float64 {
-				return float64(p.Region().Info().Pending())
-			}),
-		)
-	}
-	if s.Inj != nil {
-		probes = append(probes,
-			telemetry.GaugeProbe("fault.injected", func() float64 {
-				return float64(s.Inj.TotalInjected())
-			}),
-			telemetry.GaugeProbe("fault.ecc_retries", func() float64 {
-				return float64(s.Ctrl.Faults().ECCRetries)
-			}),
-			telemetry.GaugeProbe("fault.uncorrectable", func() float64 {
-				return float64(s.Ctrl.Faults().Uncorrectable)
-			}),
-			telemetry.GaugeProbe("fault.wb_retries", func() float64 {
-				return float64(s.V.WritebackRetries())
-			}),
-		)
-		if p != nil {
-			probes = append(probes,
-				telemetry.GaugeProbe("fault.fallbacks", func() float64 {
-					return float64(p.RingFallbacks() + p.DMAFallbacks())
-				}),
-			)
+	var probes []telemetry.Probe
+	for i := range Schema {
+		if r := &Schema[i]; r.Column != "" && r.On(s) {
+			probes = append(probes, telemetry.Probe{Name: r.Column, Sample: func(sim.Time) float64 { return s.Read(r) }})
 		}
 	}
 	// One busy-rate series per channel bus, read off its "nand.chN"

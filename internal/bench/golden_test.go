@@ -2,10 +2,15 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+
+	"pipette/internal/sim"
 )
 
 // TestTinySuiteGolden renders the whole suite at tiny scale and compares it
@@ -49,4 +54,42 @@ func TestTinySuiteGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("got %d lines, want %d", len(gl), len(wl))
+}
+
+// TestPhasesExportsGolden pins the tiny-scale phases experiment's
+// -trace-out and -stats-out files by SHA-256: the Chrome trace of the
+// Pipette engine (every span, in order) and its sampled series CSV (every
+// column, in order), at the CLI's default 1 ms interval. Regenerate the
+// sums only on a deliberate output change, with
+//
+//	go run ./cmd/pipette-bench -exp phases -scale tiny -trace-out t.json -stats-out s.csv
+//	sha256sum t.json s.csv
+func TestPhasesExportsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full phases pass")
+	}
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Skipf("golden output holds for amd64 and 386, not %s", runtime.GOARCH)
+	}
+	t.Parallel()
+	dir := t.TempDir()
+	trace, stats := filepath.Join(dir, "trace.json"), filepath.Join(dir, "stats.csv")
+	p := NewPool(2)
+	p.SetTelemetry(TelemetryOpts{TraceOut: trace, StatsOut: stats, StatsInterval: sim.Millisecond})
+	var out bytes.Buffer
+	if err := writePhases(&out, TinyScale(), p); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct{ path, sum string }{
+		{trace, "66b0e4be92d2c9869c6ca56c95f746f0e3bca2843bc683fc4bc3f272e07b5317"},
+		{stats, "bc55c3491c0006a8841cc5e0df9cea10b18b6f06c437ecd395b6dad1209052e4"},
+	} {
+		b, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != f.sum {
+			t.Errorf("%s: sha256 %x, want %s", filepath.Base(f.path), sum, f.sum)
+		}
+	}
 }

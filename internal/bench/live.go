@@ -14,7 +14,7 @@ import (
 // Live is the harness's bridge into the unified metrics registry: one
 // instance aggregates every finished cell's counters — SSD traffic, cache
 // activity, KV log maintenance, fault/recovery ledgers — into the live
-// Prometheus families of baseline.Counters, and tracks per-cell
+// counter families of baseline.Schema, and tracks per-cell
 // completion for the /progress endpoint. Cells stay fully private
 // simulations; they report into Live only at completion (atomic adds), so
 // a scraper polling /metrics at any rate observes the suite's progress
@@ -26,12 +26,18 @@ type Live struct {
 	cellsDone *telemetry.Counter
 	opsDone   *telemetry.Counter
 	cellWall  *telemetry.LiveHistogram
-	counters  []*telemetry.Counter // one per baseline.Counters row
+	counters  []liveCounter // one per counter row of baseline.Schema
 
 	mu      sync.Mutex
 	total   int
 	cells   map[string]*cellState
 	resBusy map[string]*telemetry.Counter
+}
+
+// liveCounter is one counter row of baseline.Schema and its series.
+type liveCounter struct {
+	row *baseline.Series
+	c   *telemetry.Counter
 }
 
 // cellState is one cell's /progress record.
@@ -43,7 +49,7 @@ type cellState struct {
 }
 
 // NewLive registers the harness's metric families on reg: its own bench_*
-// families and every row of baseline.Counters.
+// families and every counter row of baseline.Schema.
 func NewLive(reg *telemetry.Registry) *Live {
 	l := &Live{reg: reg, cells: make(map[string]*cellState), resBusy: make(map[string]*telemetry.Counter)}
 	l.cellsDone = reg.Counter("bench_cells_done_total", "experiment cells completed")
@@ -66,9 +72,10 @@ func NewLive(reg *telemetry.Registry) *Live {
 		}
 		return float64(n)
 	})
-	for i := range baseline.Counters {
-		c := &baseline.Counters[i]
-		l.counters = append(l.counters, reg.Counter(c.Name, c.Help, c.Labels()...))
+	for i := range baseline.Schema {
+		if r := &baseline.Schema[i]; r.Name != "" && !r.Gauge {
+			l.counters = append(l.counters, liveCounter{r, reg.Counter(r.Name, r.Help, r.Labels()...)})
+		}
 	}
 	return l
 }
@@ -79,8 +86,8 @@ func (l *Live) Fold(in *baseline.Ledger) {
 	if l == nil {
 		return
 	}
-	for i := range baseline.Counters {
-		l.counters[i].Add(baseline.Counters[i].Get(in))
+	for _, lc := range l.counters {
+		lc.c.Add(uint64(lc.row.Get(in)))
 	}
 }
 

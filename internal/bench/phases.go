@@ -28,7 +28,7 @@ var phaseEngineIdxs = []int{0, 4}
 func writePhases(w io.Writer, s Scale, p *Pool) (err error) {
 	opts := p.Telemetry()
 	interval := opts.StatsInterval
-	if interval <= 0 {
+	if interval == 0 {
 		interval = sim.Millisecond
 	}
 	mix := workload.Mixes(s.FileSize(), 4096, workload.Uniform, 0xbead)[2] // C

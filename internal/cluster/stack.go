@@ -20,8 +20,6 @@ type ShardConfig struct {
 	DatasetBytes int64
 	// FineReads serves Gets through the fine-grained read path.
 	FineReads bool
-	// SegmentBytes is the KV store's segment size (0 = kv default).
-	SegmentBytes int64
 	// Fault arms deterministic fault injection on this shard's stack; the
 	// empty profile is the zero-cost default. FaultSeed drives the per-site
 	// decision streams.
@@ -92,9 +90,8 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 		return nil, fmt.Errorf("cluster: shard %d: %w", id, err)
 	}
 	store, ready, err := kv.Open(0, kv.VFSBackend{V: st.V}, kv.Config{
-		NamePrefix:   fmt.Sprintf("shard%d/seg-", id),
-		SegmentBytes: cfg.SegmentBytes,
-		FineReads:    cfg.FineReads,
+		NamePrefix: fmt.Sprintf("shard%d/seg-", id),
+		FineReads:  cfg.FineReads,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard %d: %w", id, err)

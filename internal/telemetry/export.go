@@ -39,16 +39,6 @@ func (e *Exports) Add(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// AddTrace schedules rec's Chrome trace-event JSON into path.
-func (e *Exports) AddTrace(path string, rec *Recorder) error {
-	return e.Add(path, rec.WriteChromeTrace)
-}
-
-// AddCSV schedules s's sampled time series as CSV into path.
-func (e *Exports) AddCSV(path string, s *Sampler) error {
-	return e.Add(path, s.WriteCSV)
-}
-
 // Close renders and closes every registered file. Safe to call twice
 // (e.g. once deferred for the error path and once explicitly).
 func (e *Exports) Close() error {

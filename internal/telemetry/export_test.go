@@ -25,17 +25,17 @@ func TestExportsFlushOnMidRunError(t *testing.T) {
 
 	rec := NewRecorder()
 	sampler, err := NewSampler(10*sim.Microsecond, []Probe{
-		GaugeProbe("ops", func() float64 { return 1 }),
+		{Name: "ops", Sample: func(sim.Time) float64 { return 1 }},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var exports Exports
-	if err := exports.AddTrace(tracePath, rec); err != nil {
+	if err := exports.Add(tracePath, rec.WriteChromeTrace); err != nil {
 		t.Fatal(err)
 	}
-	if err := exports.AddCSV(statsPath, sampler); err != nil {
+	if err := exports.Add(statsPath, sampler.WriteCSV); err != nil {
 		t.Fatal(err)
 	}
 

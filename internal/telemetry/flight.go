@@ -11,11 +11,11 @@ import (
 	"pipette/internal/sim"
 )
 
-// FlightRecorder is the post-mortem capture of a run: a fixed-size ring
-// of the most recent spans, instants and request boundaries. Unlike
-// Recorder it never grows — a multi-hour faulted run costs the same memory
-// as a unit test — and its value is realized only when something goes
-// wrong: the CLI dumps the ring as annotated JSON when a request dies with
+// FlightRecorder is the post-mortem capture of a run: the Recorder's event
+// ring, capped at a few thousand of the most recent spans, instants and
+// request boundaries, so a multi-hour faulted run costs the same memory as
+// a unit test. Its value is realized only when something goes wrong: the
+// CLI dumps the ring as annotated JSON when a request dies with
 // ErrUncorrectable or the harness hits any fatal error, so the last
 // moments before the failure (which NAND die, which retry step, which
 // fallback) are on disk for debugging.
@@ -24,13 +24,12 @@ import (
 // Recorder via Tee. A mutex guards the ring: spans arrive from the
 // simulator thread while Dump may be called from a signal/error path.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	entries []flightEntry
-	next    uint64 // total entries ever pushed; ring slot is next % cap
+	mu  sync.Mutex
+	log eventLog
 }
 
-// flightEntry is one captured event; Kind distinguishes spans, instants
-// and request boundaries.
+// flightEntry is one captured event as Dump writes it; Kind distinguishes
+// spans, instants and request boundaries.
 type flightEntry struct {
 	Seq     uint64  `json:"seq"`
 	Kind    string  `json:"kind"` // span | instant | request
@@ -50,7 +49,7 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	if n <= 0 {
 		n = DefaultFlightEvents
 	}
-	return &FlightRecorder{entries: make([]flightEntry, n)}
+	return &FlightRecorder{log: eventLog{max: n}}
 }
 
 // Enabled implements Tracer.
@@ -58,7 +57,7 @@ func (f *FlightRecorder) Enabled() bool { return true }
 
 // BeginRequest implements Tracer.
 func (f *FlightRecorder) BeginRequest(name string, start sim.Time) {
-	f.push(flightEntry{Kind: "request", Track: TrackVFS, Name: name, StartUs: start.Micros()})
+	f.push(event{track: TrackVFS, name: name, start: start, kind: evRequest})
 }
 
 // EndRequest implements Tracer. Request completion is implied by the next
@@ -70,20 +69,17 @@ func (f *FlightRecorder) Span(track, name string, start, end sim.Time) {
 	if end < start {
 		end = start
 	}
-	f.push(flightEntry{Kind: "span", Track: track, Name: name,
-		StartUs: start.Micros(), DurUs: (end - start).Micros()})
+	f.push(event{track: track, name: name, start: start, dur: end - start})
 }
 
 // Instant implements Tracer.
 func (f *FlightRecorder) Instant(track, name string, at sim.Time) {
-	f.push(flightEntry{Kind: "instant", Track: track, Name: name, StartUs: at.Micros()})
+	f.push(event{track: track, name: name, start: at, kind: evInstant})
 }
 
-func (f *FlightRecorder) push(e flightEntry) {
+func (f *FlightRecorder) push(e event) {
 	f.mu.Lock()
-	e.Seq = f.next
-	f.entries[f.next%uint64(len(f.entries))] = e
-	f.next++
+	f.log.push(e)
 	f.mu.Unlock()
 }
 
@@ -91,10 +87,7 @@ func (f *FlightRecorder) push(e flightEntry) {
 func (f *FlightRecorder) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.next < uint64(len(f.entries)) {
-		return int(f.next)
-	}
-	return len(f.entries)
+	return len(f.log.buf)
 }
 
 // flightDump is the JSON document Dump writes.
@@ -111,28 +104,19 @@ type flightDump struct {
 // events oldest-first. The recorder keeps recording after a dump.
 func (f *FlightRecorder) Dump(w io.Writer, reason string, now sim.Time) error {
 	f.mu.Lock()
-	n := uint64(len(f.entries))
-	kept := f.next
-	if kept > n {
-		kept = n
+	events := f.log.events()
+	d := flightDump{Reason: reason, AtUs: now.Micros(), Captured: len(events), Dropped: f.log.dropped,
+		Events: make([]flightEntry, len(events))}
+	for i, e := range events {
+		d.Events[i] = flightEntry{Seq: d.Dropped + uint64(i), Kind: eventKinds[e.kind],
+			Track: e.track, Name: e.name, StartUs: e.start.Micros(), DurUs: e.dur.Micros()}
 	}
-	events := make([]flightEntry, 0, kept)
-	for i := uint64(0); i < kept; i++ {
-		events = append(events, f.entries[(f.next-kept+i)%n])
-	}
-	dropped := f.next - kept
 	f.mu.Unlock()
 
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	enc.SetIndent("", " ")
-	if err := enc.Encode(flightDump{
-		Reason:   reason,
-		AtUs:     now.Micros(),
-		Captured: int(kept),
-		Dropped:  dropped,
-		Events:   events,
-	}); err != nil {
+	if err := enc.Encode(d); err != nil {
 		return err
 	}
 	return bw.Flush()

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -228,5 +229,66 @@ func TestFlightDumpOnPanic(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "(panic: boom)") {
 		t.Fatalf("panic dump not reported: %q", out.String())
+	}
+}
+
+// TestRecorderKeepsNewestEvents: past its cap the Recorder's trace keeps
+// the newest events, in order, and counts the older ones it dropped.
+func TestRecorderKeepsNewestEvents(t *testing.T) {
+	r := NewRecorder()
+	r.SetMaxEvents(4)
+	for i := 0; i < 10; i++ {
+		r.Span(TrackFTL, fmt.Sprintf("map-%d", i), sim.Time(i), sim.Time(i+1))
+	}
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+		OtherData struct {
+			DroppedEvents uint64 `json:"droppedEvents"`
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			names = append(names, ev.Name)
+		}
+	}
+	if want := []string{"map-6", "map-7", "map-8", "map-9"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("exported spans %v, want %v", names, want)
+	}
+	if doc.OtherData.DroppedEvents != 6 {
+		t.Fatalf("droppedEvents = %d, want 6", doc.OtherData.DroppedEvents)
+	}
+}
+
+// TestRecorderAndFlightShareLog: given the same spans and instants, the
+// Recorder and the FlightRecorder hold the same events, before and after
+// their logs wrap.
+func TestRecorderAndFlightShareLog(t *testing.T) {
+	r := NewRecorder()
+	r.SetMaxEvents(5)
+	f := NewFlightRecorder(5)
+	tr := Tee(r, f)
+	for i := 0; i < 12; i++ {
+		at := sim.Time(i * 100)
+		tr.Span(TrackSSD, fmt.Sprintf("exec-%d", i), at, at+50)
+		if i%3 == 0 {
+			tr.Instant(TrackPageCache, "miss", at+10)
+		}
+		if got, want := f.log.events(), r.log.events(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d spans: flight log %v, recorder log %v", i+1, got, want)
+		}
+	}
+	if r.Dropped() != f.log.dropped || r.Dropped() != 11 {
+		t.Fatalf("dropped: recorder %d, flight %d, want 11", r.Dropped(), f.log.dropped)
 	}
 }

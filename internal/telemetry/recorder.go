@@ -13,46 +13,89 @@ import (
 
 // event is one recorded trace entry.
 type event struct {
-	track   string
-	name    string
-	start   sim.Time
-	dur     sim.Time
-	req     uint64
-	instant bool
+	track string
+	name  string
+	start sim.Time
+	dur   sim.Time
+	req   uint64
+	kind  eventKind
+}
+
+// eventKind tells spans, instants and request boundaries apart.
+type eventKind uint8
+
+const (
+	evSpan eventKind = iota
+	evInstant
+	evRequest // a request's start; only the flight recorder logs these
+)
+
+// eventKinds names each kind in the flight dump.
+var eventKinds = [...]string{evSpan: "span", evInstant: "instant", evRequest: "request"}
+
+// eventLog is the bounded event store of the Recorder and the
+// FlightRecorder: it keeps the newest max events, growing lazily up to max,
+// and counts the older events it drops.
+type eventLog struct {
+	max     int
+	buf     []event
+	head    int // slot of the oldest event once buf is full
+	dropped uint64
+}
+
+func (l *eventLog) push(e event) {
+	if len(l.buf) < l.max {
+		l.buf = append(l.buf, e)
+		return
+	}
+	l.dropped++
+	if l.max > 0 {
+		l.buf[l.head] = e
+		l.head = (l.head + 1) % len(l.buf)
+	}
+}
+
+// events returns the kept events, oldest first. The result aliases the
+// log until it wraps.
+func (l *eventLog) events() []event {
+	if l.head == 0 {
+		return l.buf
+	}
+	out := make([]event, 0, len(l.buf))
+	return append(append(out, l.buf[l.head:]...), l.buf[:l.head]...)
 }
 
 // DefaultMaxEvents bounds the recorded event log (~30 MB of JSON). Past the
-// cap, events are dropped but phase histograms keep accumulating, so the
-// breakdown table stays exact over the whole run.
+// cap, the oldest events are dropped but phase histograms keep
+// accumulating, so the breakdown table stays exact over the whole run.
 const DefaultMaxEvents = 1 << 18
 
 // Recorder implements Tracer: it collects spans for Chrome-trace export and
 // folds every span into a per-phase latency histogram. Not safe for
 // concurrent use.
 type Recorder struct {
-	maxEvents int
-	events    []event
-	dropped   uint64
+	log eventLog
 
 	hists     map[string]*metrics.Histogram
 	histOrder []string
 
-	reqID    uint64
+	reqID    uint64 // request scopes opened so far
+	req      uint64 // the open scope's id; 0 outside a request
 	reqName  string
 	reqStart sim.Time
-	inReq    bool
 }
 
 // NewRecorder creates a recorder with the default event cap.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		maxEvents: DefaultMaxEvents,
-		hists:     make(map[string]*metrics.Histogram),
+		log:   eventLog{max: DefaultMaxEvents},
+		hists: make(map[string]*metrics.Histogram),
 	}
 }
 
-// SetMaxEvents overrides the event cap (0 keeps histograms only).
-func (r *Recorder) SetMaxEvents(n int) { r.maxEvents = n }
+// SetMaxEvents overrides the event cap before recording starts (0 keeps
+// histograms only).
+func (r *Recorder) SetMaxEvents(n int) { r.log.max = n }
 
 // Enabled implements Tracer.
 func (r *Recorder) Enabled() bool { return true }
@@ -60,18 +103,16 @@ func (r *Recorder) Enabled() bool { return true }
 // BeginRequest implements Tracer.
 func (r *Recorder) BeginRequest(name string, start sim.Time) {
 	r.reqID++
-	r.reqName = name
-	r.reqStart = start
-	r.inReq = true
+	r.req, r.reqName, r.reqStart = r.reqID, name, start
 }
 
 // EndRequest implements Tracer.
 func (r *Recorder) EndRequest(end sim.Time) {
-	if !r.inReq {
+	if r.req == 0 {
 		return
 	}
 	r.Span(TrackVFS, r.reqName, r.reqStart, end)
-	r.inReq = false
+	r.req = 0
 }
 
 // Span implements Tracer.
@@ -80,27 +121,12 @@ func (r *Recorder) Span(track, name string, start, end sim.Time) {
 		end = start
 	}
 	r.observe(track, name, end-start)
-	r.push(event{track: track, name: name, start: start, dur: end - start, req: r.curReq()})
+	r.log.push(event{track: track, name: name, start: start, dur: end - start, req: r.req})
 }
 
 // Instant implements Tracer.
 func (r *Recorder) Instant(track, name string, at sim.Time) {
-	r.push(event{track: track, name: name, start: at, req: r.curReq(), instant: true})
-}
-
-func (r *Recorder) curReq() uint64 {
-	if r.inReq {
-		return r.reqID
-	}
-	return 0
-}
-
-func (r *Recorder) push(e event) {
-	if len(r.events) >= r.maxEvents {
-		r.dropped++
-		return
-	}
-	r.events = append(r.events, e)
+	r.log.push(event{track: track, name: name, start: at, req: r.req, kind: evInstant})
 }
 
 func (r *Recorder) observe(track, name string, d sim.Time) {
@@ -114,11 +140,11 @@ func (r *Recorder) observe(track, name string, d sim.Time) {
 	h.Observe(d)
 }
 
-// Events reports recorded (non-dropped) events.
-func (r *Recorder) Events() int { return len(r.events) }
+// Events reports the kept events.
+func (r *Recorder) Events() int { return len(r.log.buf) }
 
-// Dropped reports events discarded past the cap.
-func (r *Recorder) Dropped() uint64 { return r.dropped }
+// Dropped reports the older events dropped past the cap.
+func (r *Recorder) Dropped() uint64 { return r.log.dropped }
 
 // PhaseHistogram returns the histogram of one "track/name" phase, or nil.
 func (r *Recorder) PhaseHistogram(key string) *metrics.Histogram { return r.hists[key] }
@@ -214,61 +240,43 @@ func trackRank(track string) int {
 // chrome://tracing. Tracks become named threads of one process; span
 // timestamps are virtual-time microseconds.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+	// bufio.Writer keeps its first write error and Flush returns it, so the
+	// writes below go unchecked.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`); err != nil {
-		return err
-	}
+	bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`)
 
 	// Assign tids in first-seen order; metadata names and orders the tracks.
+	events := r.log.events()
 	tids := make(map[string]int)
 	var tracks []string
-	for _, e := range r.events {
+	for _, e := range events {
 		if _, ok := tids[e.track]; !ok {
 			tids[e.track] = len(tracks) + 1
 			tracks = append(tracks, e.track)
 		}
 	}
-	first := true
-	emit := func(ev traceEvent) error {
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		first = false
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(b)
-		return err
+	sep := ""
+	emit := func(ev traceEvent) {
+		b, _ := json.Marshal(ev) // strings and finite numbers: cannot fail
+		bw.WriteString(sep)
+		bw.Write(b)
+		sep = ","
 	}
 	for _, track := range tracks {
-		if err := emit(traceEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: tids[track],
-			Args: map[string]any{"name": track}}); err != nil {
-			return err
-		}
-		if err := emit(traceEvent{Name: "thread_sort_index", Ph: "M", Pid: 1, Tid: tids[track],
-			Args: map[string]any{"sort_index": trackRank(track)}}); err != nil {
-			return err
-		}
+		emit(traceEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: tids[track],
+			Args: map[string]any{"name": track}})
+		emit(traceEvent{Name: "thread_sort_index", Ph: "M", Pid: 1, Tid: tids[track],
+			Args: map[string]any{"sort_index": trackRank(track)}})
 	}
-	if err := emit(traceEvent{Name: "process_name", Ph: "M", Pid: 1, Tid: 0,
-		Args: map[string]any{"name": "pipette (virtual time)"}}); err != nil {
-		return err
-	}
+	emit(traceEvent{Name: "process_name", Ph: "M", Pid: 1, Tid: 0,
+		Args: map[string]any{"name": "pipette (virtual time)"}})
 
-	for _, e := range r.events {
-		ev := traceEvent{
-			Name: e.name,
-			Ts:   e.start.Micros(),
-			Pid:  1,
-			Tid:  tids[e.track],
-		}
+	for _, e := range events {
+		ev := traceEvent{Name: e.name, Ts: e.start.Micros(), Pid: 1, Tid: tids[e.track]}
 		if e.req != 0 {
 			ev.Args = map[string]any{"req": e.req}
 		}
-		if e.instant {
+		if e.kind == evInstant {
 			ev.Ph = "i"
 			ev.S = "t"
 		} else {
@@ -276,12 +284,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			dur := e.dur.Micros()
 			ev.Dur = &dur
 		}
-		if err := emit(ev); err != nil {
-			return err
-		}
+		emit(ev)
 	}
-	if _, err := fmt.Fprintf(bw, `],"otherData":{"droppedEvents":%d}}`, r.dropped); err != nil {
-		return err
-	}
+	fmt.Fprintf(bw, `],"otherData":{"droppedEvents":%d}}`, r.log.dropped)
 	return bw.Flush()
 }

@@ -16,11 +16,6 @@ type Probe struct {
 	Sample func(now sim.Time) float64
 }
 
-// GaugeProbe wraps a plain getter into a Probe.
-func GaugeProbe(name string, get func() float64) Probe {
-	return Probe{Name: name, Sample: func(sim.Time) float64 { return get() }}
-}
-
 // RateProbe converts a cumulative virtual-time counter — e.g. a resource's
 // busy time — into a per-interval utilization fraction in [0,1]: the share
 // of virtual time since the previous sample that the counter advanced.

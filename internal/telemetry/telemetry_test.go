@@ -214,7 +214,7 @@ func TestBreakdownMergesInstanceTracks(t *testing.T) {
 
 func TestSamplerTickBoundaries(t *testing.T) {
 	v := 0.0
-	s, err := NewSampler(1000, []Probe{GaugeProbe("g", func() float64 { return v })})
+	s, err := NewSampler(1000, []Probe{{Name: "g", Sample: func(sim.Time) float64 { return v }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestSamplerTickBoundaries(t *testing.T) {
 }
 
 func TestNewSamplerRejectsBadConfig(t *testing.T) {
-	if _, err := NewSampler(0, []Probe{GaugeProbe("g", func() float64 { return 0 })}); err == nil {
+	if _, err := NewSampler(0, []Probe{{Name: "g", Sample: func(sim.Time) float64 { return 0 }}}); err == nil {
 		t.Fatal("accepted zero interval")
 	}
 	if _, err := NewSampler(1000, nil); err == nil {
@@ -283,8 +283,8 @@ func TestRateProbe(t *testing.T) {
 
 func TestSamplerWriteCSV(t *testing.T) {
 	s, err := NewSampler(1000, []Probe{
-		GaugeProbe("a", func() float64 { return 1.5 }),
-		GaugeProbe("b", func() float64 { return 2 }),
+		{Name: "a", Sample: func(sim.Time) float64 { return 1.5 }},
+		{Name: "b", Sample: func(sim.Time) float64 { return 2 }},
 	})
 	if err != nil {
 		t.Fatal(err)

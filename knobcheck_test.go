@@ -18,7 +18,7 @@ import (
 	"testing"
 )
 
-// The knob check keeps the stack configs free of dead options: a config
+// The knob check keeps the configs free of dead options: a config
 // field that no binary, flag or experiment sets to anything but its default
 // was never measured at another value, so it belongs in a constant. It
 // type-checks the module's non-test code (the root package, cmd/,
@@ -29,9 +29,10 @@ import (
 //
 //	go test -tags knobcheck -run TestKnobs .
 
-// knobStructs are the stack-layer config structs the check covers. A field
-// whose type is another of them only nests that config; the rest are leaf
-// fields, each one independently settable value.
+// knobStructs are the config structs the check covers: the stack layers',
+// the facade's options, the cluster's, the workloads' and the harness's. A
+// field whose type is another of them only nests that config; the rest are
+// leaf fields, each one independently settable value.
 var knobStructs = [][2]string{
 	{"pipette/internal/baseline", "StackConfig"},
 	{"pipette/internal/core", "Config"},
@@ -45,6 +46,21 @@ var knobStructs = [][2]string{
 	{"pipette/internal/slab", "Config"},
 	{"pipette/internal/ftl", "Config"},
 	{"pipette/internal/blockdev", "Config"},
+	{"pipette", "Options"},
+	{"pipette", "KVOptions"},
+	{"pipette/internal/cluster", "Config"},
+	{"pipette/internal/cluster", "ShardConfig"},
+	{"pipette/internal/cluster", "ReplayOpts"},
+	{"pipette/internal/workload", "SyntheticConfig"},
+	{"pipette/internal/workload", "YCSBConfig"},
+	{"pipette/internal/workload", "TenantConfig"},
+	{"pipette/internal/workload", "RecommenderConfig"},
+	{"pipette/internal/workload", "SearchEngineConfig"},
+	{"pipette/internal/workload", "SocialGraphConfig"},
+	{"pipette/internal/bench", "RunOpts"},
+	{"pipette/internal/bench", "TelemetryOpts"},
+	{"pipette/internal/bench", "Scale"},
+	{"pipette/internal/extfs", "CreateOpts"},
 }
 
 // defaultCtors build a config's defaults. A field set only inside one of
@@ -72,6 +88,8 @@ var knobAllow = map[string]string{
 		"waits for ROADMAP item 2's benchmark change",
 	"blockdev.Config.MaxPagesPerCommand": "benchmark/ledger_test.go calls blockdev.DefaultConfig; " +
 		"waits for ROADMAP item 2's benchmark change",
+	"extfs.CreateOpts.ExtentPages": "only the extfs fragmentation and rollback tests set it, to " +
+		"build files of many small extents",
 }
 
 func TestKnobs(t *testing.T) {

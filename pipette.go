@@ -144,67 +144,42 @@ func (s *System) SetTracer(tr telemetry.Tracer) {
 	s.st.SetTracer(tr)
 }
 
-// Probes returns the sampled time series of the system: read amplification,
-// both cache hit ratios, the adaptive threshold, fine-cache memory, HMB
-// info-ring occupancy, the fault counters when a profile is armed, and
+// Probes returns the sampled time series of the system: the columns of
+// baseline.Schema (the fault counters only when a profile is armed), then
 // per-channel NAND bus utilization. Feed them to a telemetry.Sampler; each
 // sample runs under the system lock.
 func (s *System) Probes() []telemetry.Probe {
 	probes := s.st.Probes()
 	for i := range probes {
-		sample := probes[i].Sample
-		probes[i].Sample = func(now sim.Time) float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return sample(now)
-		}
+		probes[i].Sample = s.locked(probes[i].Sample)
 	}
 	return probes
 }
 
-// RegisterMetrics exposes the system's live counters on a
-// telemetry.Registry as scrape-time collectors: every row of
-// baseline.Counters (the fault rows only when a profile is armed), the
-// schema pipette-bench's harness publishes too, so one dashboard serves
-// both. The collectors are stateless reads of the layers' accumulators,
-// each taking the System lock for the duration of one getter: a scraper
-// may briefly delay application threads but can never advance virtual
-// time or change any simulated outcome.
+// RegisterMetrics exposes the system's live series on a
+// telemetry.Registry as scrape-time collectors: every family row of
+// baseline.Schema (the fault rows only when a profile is armed), whose
+// counter families pipette-bench's harness publishes too, so one dashboard
+// serves both. The collectors are stateless reads of the layers'
+// accumulators, each taking the System lock for the duration of one getter:
+// a scraper may briefly delay application threads but can never advance
+// virtual time or change any simulated outcome.
 func (s *System) RegisterMetrics(reg *telemetry.Registry) {
-	for i := range baseline.Counters {
-		c := &baseline.Counters[i]
-		if c.Source == baseline.FromFaults && s.st.Inj == nil {
+	for i := range baseline.Schema {
+		r := &baseline.Schema[i]
+		if r.Name == "" || !r.On(s.st) {
 			continue
 		}
-		reg.CounterFunc(c.Name, c.Help, func() uint64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.count(c)
-		}, c.Labels()...)
-	}
-
-	lockedF := func(get func() float64) func() float64 {
-		return func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return get()
+		// Row getters read no clock; only the sampler's rate probes do.
+		get := s.locked(func(sim.Time) float64 { return s.read(r) })
+		if r.Gauge {
+			reg.GaugeFunc(r.Name, r.Help, func() float64 { return get(0) }, r.Labels()...)
+		} else {
+			reg.CounterFunc(r.Name, r.Help, func() uint64 { return uint64(get(0)) }, r.Labels()...)
 		}
 	}
 	reg.GaugeFunc("pipette_virtual_seconds", "elapsed simulated time",
-		lockedF(func() float64 { return s.clock.Now().Seconds() }))
-	reg.GaugeFunc("pipette_read_amplification", "transferred / requested bytes",
-		lockedF(func() float64 {
-			io := s.st.Snapshot("").IO
-			return io.ReadAmplification()
-		}))
-	reg.GaugeFunc("pipette_fine_threshold_bytes", "adaptive fine-read admission threshold",
-		lockedF(func() float64 { return float64(s.st.Core.Threshold()) }))
-	reg.GaugeFunc("pipette_cache_resident_bytes", "cache memory in use",
-		lockedF(func() float64 { return float64(s.st.V.PageCache().MemoryBytes()) }),
-		telemetry.L("cache", "page"))
-	reg.GaugeFunc("pipette_cache_resident_bytes", "cache memory in use",
-		lockedF(func() float64 { return float64(s.st.Core.MemoryBytes()) }),
-		telemetry.L("cache", "fine"))
+		func() float64 { return s.Now().Seconds() })
 
 	// Per-request stage attribution (atomic mirrors, scraped lock-free) and
 	// per-resource occupancy (scrape-time reads under the system lock).
@@ -212,21 +187,27 @@ func (s *System) RegisterMetrics(reg *telemetry.Registry) {
 	s.st.Res.RegisterMetrics(reg, &s.mu, s.clock.Now)
 }
 
-// count reads one counter row over the system's current state, summing
-// store rows across every open KV store. Callers hold s.mu.
-func (s *System) count(c *baseline.Counter) uint64 {
-	switch c.Source {
-	case baseline.FromStore:
-		var n uint64
-		for _, st := range s.kvs {
-			n += c.Get(&baseline.Ledger{KV: st.Stats(), Index: st.IndexStats()})
-		}
-		return n
-	case baseline.FromFaults:
-		return c.Get(&baseline.Ledger{Faults: s.st.Faults()})
-	default:
-		return c.Get(&baseline.Ledger{Snap: s.st.Snapshot("")})
+// locked wraps sample in the system lock: every sampler probe and every
+// /metrics collector of the system reads through it.
+func (s *System) locked(sample func(now sim.Time) float64) func(now sim.Time) float64 {
+	return func(now sim.Time) float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return sample(now)
 	}
+}
+
+// read returns row r's value over the system's current state, summing
+// store rows across every open KV store. Callers hold s.mu.
+func (s *System) read(r *baseline.Series) float64 {
+	if r.Source != baseline.FromStore {
+		return s.st.Read(r)
+	}
+	var n float64
+	for _, st := range s.kvs {
+		n += r.Get(&baseline.Ledger{KV: st.Stats(), Index: st.IndexStats()})
+	}
+	return n
 }
 
 // Stages exposes the per-request stage account. Readers must not race
