@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+
+	"pipette/internal/extfs"
+	"pipette/internal/vfs"
 )
 
 // meanAllocs is testing.AllocsPerRun without its rounding down to a whole
@@ -89,6 +92,55 @@ func TestRecycledEntryStartsCold(t *testing.T) {
 	}
 	if got := s.p.Stats().Admissions; got != 1 {
 		t.Fatalf("a first reference was admitted (%d admissions): the recycled entry kept its count", got)
+	}
+}
+
+// removedFileCycleAllocs is the mean allocation count of one cycle that
+// creates a file of 16 pages, fine-reads k distinct 64 B ranges of it
+// (admitting each, so the drop frees slab items as well as ghosts and
+// spill slots) and removes it.
+func removedFileCycleAllocs(t *testing.T, k int) float64 {
+	const pages, n = 16, 64
+	cfg := smallCoreConfig()
+	cfg.HMB.DataBytes = 256 << 10                 // room for every range: no eviction or migration
+	cfg.MaintenanceEvery = 1 << 30                // and no slab reassignment
+	cfg.InitialThreshold, cfg.MaxThreshold = 1, 1 // admit every first reference
+	s := newStack(t, cfg, 64, pages*4096)
+	buf := make([]byte, n)
+	cycle := func() {
+		f, err := s.v.Create("victim", pages*4096, extfs.CreateOpts{Preload: true}, vfs.ReadWrite|vfs.FineGrained)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < k; j++ {
+			done, err := f.ReadFull(s.now, buf, int64(j%pages)*4096+int64(j/pages*n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.now = done
+		}
+		if err := s.v.Remove("victim"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.p.Stats()
+	allocs := meanAllocs(20, cycle)
+	if st := s.p.Stats(); st.Admissions-before.Admissions != uint64(21*k) || st.Evictions+st.Migrations+st.Reassignments != 0 {
+		t.Fatalf("k=%d: reads under test were not all admitted without displacing anyone: %+v -> %+v", k, before, st)
+	}
+	return allocs
+}
+
+// TestRemovedFileStateRecycled: removing a file returns its entries, spill
+// slots and slab items for the next file to reuse, so a cycle of create, k
+// fine reads of distinct ranges and remove costs the same allocations at
+// k = 1024 as at k = 64.
+func TestRemovedFileStateRecycled(t *testing.T) {
+	a64 := removedFileCycleAllocs(t, 64)
+	a1024 := removedFileCycleAllocs(t, 1024)
+	t.Logf("allocations per cycle: %.2f at k=64, %.2f at k=1024", a64, a1024)
+	if a1024 > a64+0.5 {
+		t.Errorf("a cycle of 1024 fine reads allocated %.2f times, one of 64 %.2f: the removed file's state is not recycled", a1024, a64)
 	}
 }
 

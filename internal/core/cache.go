@@ -205,17 +205,23 @@ func (p *itemPool) grow(full []pageItem) []pageItem {
 		slot, p.chunk = p.chunk[:0:size], p.chunk[size:]
 	}
 	slot = append(slot, full...)
-	if cap(full) > 0 {
-		clear(full[:cap(full)]) // drop the entry pointers
-		c := itemClass(cap(full))
-		if p.free[c] == nil {
-			// Room for a chunk's worth of the class's slots up front: sets
-			// tend to outgrow a class together.
-			p.free[c] = make([][]pageItem, 0, max(1, itemChunk/cap(full)))
-		}
-		p.free[c] = append(p.free[c], full[:0])
-	}
+	p.release(full)
 	return slot
+}
+
+// release frees slot, if it is one, on its size class's free list.
+func (p *itemPool) release(slot []pageItem) {
+	if cap(slot) == 0 {
+		return
+	}
+	clear(slot[:cap(slot)]) // drop the entry pointers
+	c := itemClass(cap(slot))
+	if p.free[c] == nil {
+		// Room for a chunk's worth of the class's slots up front: sets
+		// tend to outgrow a class together.
+		p.free[c] = make([][]pageItem, 0, max(1, itemChunk/cap(slot)))
+	}
+	p.free[c] = append(p.free[c], slot[:0])
 }
 
 // fileTable is the per-file lookup table of §3.1.2: a dense index, by page

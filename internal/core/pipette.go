@@ -419,17 +419,48 @@ func (p *Pipette) OnWrite(ino uint64, off int64, n int) {
 	p.syncBudget()
 }
 
+// OnRemove forgets a removed file: its lookup table goes, and with it every
+// entry, slab item and overflow buffer the file held, in one walk of the
+// table's page sets. The overflow bytes return to the page cache's budget.
+func (p *Pipette) OnRemove(ino uint64) {
+	tbl, ok := p.tables[ino]
+	if !ok {
+		return
+	}
+	for pg := range tbl.byPage {
+		set := &tbl.byPage[pg]
+		for i, m := 0, set.len(); i < m; i++ {
+			// An entry spanning several pages is released at its first.
+			if it := set.at(i); uint64(it.off)/tbl.pageSize == uint64(pg) {
+				p.releaseEntry(it.e)
+			}
+		}
+		p.items.release(set.rest)
+	}
+	delete(p.tables, ino)
+	if p.lastTbl == tbl {
+		p.lastTbl = nil
+	}
+	p.syncBudget()
+}
+
 // deleteEntry removes an entry entirely, releasing whatever backs it.
 func (p *Pipette) deleteEntry(e *entry) {
+	e.table.unindex(e)
+	p.releaseEntry(e)
+}
+
+// releaseEntry frees what backs e, its slab item or overflow buffer, and
+// returns e to the arena. No page set may hold e any more, unless its whole
+// table is being dropped.
+func (p *Pipette) releaseEntry(e *entry) {
 	switch e.state {
 	case stateSlab:
-		ref := slab.Ref{Off: int(e.slabOff), Class: int(e.slabCls)}
-		p.disown(ref.Off, stateGhost)
-		_ = p.alloc.Release(ref)
+		p.owners[p.alloc.Slot(int(e.slabOff))] = nil
+		_ = p.alloc.Release(slab.Ref{Off: int(e.slabOff), Class: int(e.slabCls)})
 	case stateOverflow:
 		p.removeOverflow(e)
 	}
-	e.table.unindex(e)
 	p.entries.release(e)
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 
@@ -114,6 +115,49 @@ func TestMemtableInsertAllocsAmortized(t *testing.T) {
 	}
 	if per := meanAllocs(3, fill) / float64(len(keys)); per > 1.0/64 {
 		t.Errorf("memtable insert allocated %.4f times on average, want <= 1/64", per)
+	}
+}
+
+// TestMemtableFlushReusesArena: a flush keeps the memtable's node and tower
+// chunks for the next memtable, so once one flush has carved them, filling
+// the memtable to its flush threshold again carves none.
+func TestMemtableFlushReusesArena(t *testing.T) {
+	cfg := Config{Kind: LSM}
+	cfg.setDefaults()
+	e := newLSM(memBackend{}, cfg)
+	n := cfg.MemtableEntries
+	keys := shuffledKeys(4*n, 6)
+	now := sim.Time(0)
+	var err error
+	// chunks lists the first element of every chunk the memtable holds.
+	chunks := func() (c []any) {
+		for _, ch := range e.mem.nodeChunks {
+			c = append(c, &ch[0])
+		}
+		for _, ch := range e.mem.towerChunks {
+			c = append(c, &ch[0])
+		}
+		return c
+	}
+	var warm []any
+	for round := 0; round < 4; round++ {
+		for i, k := range keys[round*n : (round+1)*n] {
+			if now, err = e.Insert(now, k, Loc{Seg: uint32(i), ValLen: 100}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e.stats.Flushes != uint64(round+1) || e.mem.len() != 0 {
+			t.Fatalf("round %d: %d flushes, %d memtable keys left", round, e.stats.Flushes, e.mem.len())
+		}
+		if round == 0 {
+			if warm = chunks(); len(warm) == 0 { // the warm flush carved these
+				t.Fatal("the flushed memtable kept no chunks")
+			}
+			continue
+		}
+		if got := chunks(); !slices.Equal(got, warm) {
+			t.Errorf("round %d: the memtable holds %d chunks, not the %d the warm flush carved", round, len(got), len(warm))
+		}
 	}
 }
 

@@ -153,7 +153,7 @@ func (e *lsmEngine) flush(now sim.Time) (sim.Time, error) {
 		return now, err
 	}
 	e.stats.Flushes++
-	e.mem = newSkipList(0x5eed ^ e.nextSeq)
+	e.mem.reset(0x5eed ^ e.nextSeq)
 	return now, nil
 }
 

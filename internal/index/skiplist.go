@@ -9,8 +9,8 @@ import "pipette/internal/sim"
 // run — deterministic.
 //
 // Nodes and their towers are carved from chunks the list owns, so an insert
-// allocates only when a chunk runs out, and a flushed memtable drops its
-// chunks as a whole with the list. Deleted nodes (the hash engine deletes;
+// allocates only when the chunks run out, and a flushed memtable keeps its
+// chunks for the next one (reset). Deleted nodes (the hash engine deletes;
 // the memtable writes tombstones instead) are kept on free lists by tower
 // capacity and reused by later inserts, so delete churn does not grow the
 // arena.
@@ -36,6 +36,12 @@ type skipList struct {
 	nodes  []skipNode                  // unused tail of the current node chunk
 	towers []*skipNode                 // unused tail of the current tower chunk
 	free   [skipMaxLevel + 1]*skipNode // deleted nodes by tower capacity, chained on next[0]
+
+	// Every chunk carved so far, in order; nodeNext and towerNext index the
+	// first one not yet started since the last reset.
+	nodeChunks          [][]skipNode
+	towerChunks         [][]*skipNode
+	nodeNext, towerNext int
 }
 
 func newSkipList(seed uint64) *skipList {
@@ -44,6 +50,24 @@ func newSkipList(seed uint64) *skipList {
 		rng:   sim.NewRNG(seed),
 		level: 1,
 	}
+}
+
+// reset empties the list for reuse, as newSkipList(seed) would return it,
+// keeping the chunks it has carved: nodes from before the reset become
+// invalid.
+func (l *skipList) reset(seed uint64) {
+	for _, c := range l.nodeChunks[:l.nodeNext] {
+		clear(c)
+	}
+	for _, c := range l.towerChunks[:l.towerNext] {
+		clear(c)
+	}
+	clear(l.head.next)
+	l.free = [skipMaxLevel + 1]*skipNode{}
+	*l.rng = *sim.NewRNG(seed)
+	l.level, l.length = 1, 0
+	l.nodes, l.towers = nil, nil
+	l.nodeNext, l.towerNext = 0, 0
 }
 
 func (l *skipList) randLevel() int {
@@ -102,12 +126,20 @@ func (l *skipList) newNode(lvl int) *skipNode {
 		}
 	}
 	if len(l.nodes) == 0 {
-		l.nodes = make([]skipNode, skipNodeChunk)
+		if l.nodeNext == len(l.nodeChunks) {
+			l.nodeChunks = append(l.nodeChunks, make([]skipNode, skipNodeChunk))
+		}
+		l.nodes = l.nodeChunks[l.nodeNext]
+		l.nodeNext++
 	}
 	n := &l.nodes[0]
 	l.nodes = l.nodes[1:]
 	if len(l.towers) < lvl {
-		l.towers = make([]*skipNode, skipTowerChunk)
+		if l.towerNext == len(l.towerChunks) {
+			l.towerChunks = append(l.towerChunks, make([]*skipNode, skipTowerChunk))
+		}
+		l.towers = l.towerChunks[l.towerNext]
+		l.towerNext++
 	}
 	n.next = l.towers[:lvl:lvl]
 	l.towers = l.towers[lvl:]

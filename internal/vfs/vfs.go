@@ -41,10 +41,12 @@ const (
 // router may serve it (handled=true) or decline, sending the request down
 // the conventional block path — the Dispatcher decision of §3.1.2.
 // OnWrite is the consistency hook of §3.1.3: every write invalidates
-// overlapping fine-cache entries.
+// overlapping fine-cache entries. OnRemove tells the router a file is gone,
+// so it can drop whatever it tracks for the inode.
 type FineRouter interface {
 	TryFineRead(now sim.Time, f *File, off int64, buf []byte) (done sim.Time, handled bool, err error)
 	OnWrite(ino uint64, off int64, n int)
+	OnRemove(ino uint64)
 }
 
 // Linux-flavoured host software costs and read-ahead windows.
@@ -214,8 +216,9 @@ func (f *File) Close() error {
 
 // Remove unlinks a file: resident pages are discarded (dirty pages dropped
 // without writeback — unlink semantics), queued writebacks for the inode are
-// cancelled, read-ahead and open-table state is dropped, and the file's
-// blocks are trimmed on the device so the allocator can reuse them.
+// cancelled, read-ahead and open-table state is dropped, the fine router
+// forgets the inode, and the file's blocks are trimmed on the device so the
+// allocator can reuse them.
 func (v *VFS) Remove(name string) error {
 	ino, err := v.fs.Lookup(name)
 	if err != nil {
@@ -235,6 +238,9 @@ func (v *VFS) Remove(name string) error {
 	}
 	delete(v.ra, ino.Ino)
 	delete(v.open, ino.Ino)
+	if v.router != nil {
+		v.router.OnRemove(ino.Ino)
+	}
 	return v.fs.Remove(name)
 }
 

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -284,6 +285,7 @@ type stubRouter struct {
 	writeCalls int
 	lastOff    int64
 	lastLen    int
+	removed    []uint64 // inodes OnRemove was called with
 }
 
 func (s *stubRouter) TryFineRead(now sim.Time, f *File, off int64, buf []byte) (sim.Time, bool, error) {
@@ -301,6 +303,8 @@ func (s *stubRouter) OnWrite(ino uint64, off int64, n int) {
 	s.writeCalls++
 	s.lastOff, s.lastLen = off, n
 }
+
+func (s *stubRouter) OnRemove(ino uint64) { s.removed = append(s.removed, ino) }
 
 func TestFineRouterHandlesMiss(t *testing.T) {
 	v := testVFS(t, 128)
@@ -394,6 +398,29 @@ func TestWriteNotifiesRouter(t *testing.T) {
 	}
 	if r.writeCalls != 1 || r.lastOff != 777 || r.lastLen != 6 {
 		t.Fatalf("OnWrite calls=%d off=%d len=%d", r.writeCalls, r.lastOff, r.lastLen)
+	}
+}
+
+// TestRemoveNotifiesRouter: removing a file tells the router its inode
+// once; removing a missing name tells it nothing.
+func TestRemoveNotifiesRouter(t *testing.T) {
+	v := testVFS(t, 128)
+	createPreloaded(t, v, "keep", 1<<16)
+	f := createPreloaded(t, v, "gone", 1<<16)
+	ino := f.Inode().Ino
+	r := &stubRouter{}
+	v.SetRouter(r)
+	if err := v.Remove("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.removed) != 1 || r.removed[0] != ino {
+		t.Fatalf("OnRemove calls = %v, want [%d]", r.removed, ino)
+	}
+	if err := v.Remove("gone"); !errors.Is(err, extfs.ErrNotFound) {
+		t.Fatalf("second Remove = %v, want ErrNotFound", err)
+	}
+	if len(r.removed) != 1 {
+		t.Fatalf("removing a missing name called OnRemove: %v", r.removed)
 	}
 }
 
