@@ -116,7 +116,7 @@ func (p *Pipette) detachToOverflow(cls int) bool {
 		if e == nil {
 			continue
 		}
-		data := make([]byte, e.key.n)
+		data := p.overBufs.get(int(e.key.n))
 		_ = p.region.ReadAt(ref.Off, data)
 		e.data = data
 		p.overflow.pushBack(e)

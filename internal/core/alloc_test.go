@@ -204,3 +204,66 @@ func BenchmarkFineHit(b *testing.B) {
 		s.now = done
 	}
 }
+
+// TestOverflowCyclesAllocFree: migrating a slab's items to overflow and
+// repromoting them all takes the overflow buffers from the core's pool and
+// gives them back, so repeated cycles allocate nothing.
+func TestOverflowCyclesAllocFree(t *testing.T) {
+	cfg := smallCoreConfig()
+	cfg.InitialThreshold = 1 // admit on first reference
+	s := newStack(t, cfg, 64, 1<<20)
+	p := s.p
+	cachedRanges(t, s, 64) // one full slab of the 128 B class
+	cls, ok := p.alloc.ClassFor(128)
+	if !ok {
+		t.Fatal("no class for 128 B")
+	}
+	cycle := func() {
+		if !p.detachToOverflow(cls) {
+			t.Fatal("no slab to detach")
+		}
+		if p.overBytes != 64*128 {
+			t.Fatalf("%d bytes in overflow after a detach, want %d", p.overBytes, 64*128)
+		}
+		for e := p.overflow.head; e != nil; {
+			next := e.overNext
+			p.repromote(e)
+			e = next
+		}
+		if p.overBytes != 0 || p.overflow.head != nil {
+			t.Fatalf("%d bytes left in overflow after repromoting every entry", p.overBytes)
+		}
+	}
+	before := p.Stats()
+	if allocs := meanAllocs(50, cycle); allocs != 0 {
+		t.Errorf("a detach and repromote cycle allocated %.2f times, want 0", allocs)
+	}
+	if got := p.Stats().Repromotions - before.Repromotions; got != 51*64 {
+		t.Fatalf("%d repromotions, want %d", got, 51*64)
+	}
+	// The repromoted entries still serve their bytes.
+	for i := 0; i < 64; i++ {
+		off := int64(i)*4096 + 1024
+		if got, want := s.read(t, off, 128), s.oracle(t, off, 128); !bytes.Equal(got, want) {
+			t.Fatalf("range %d reads %q after the cycles, want %q", i, got, want)
+		}
+	}
+}
+
+// TestBufPoolReuse: a returned buffer serves the next request of its
+// power-of-two size, and buffers carved from one chunk do not overlap.
+func TestBufPoolReuse(t *testing.T) {
+	var bp bufPool
+	a, b := bp.get(100), bp.get(100)
+	if len(a) != 100 || cap(a) != 128 || cap(b) != 128 {
+		t.Fatalf("get(100): len %d cap %d and cap %d, want 100, 128, 128", len(a), cap(a), cap(b))
+	}
+	a[:cap(a)][127] = 1
+	if b[0] != 0 {
+		t.Fatal("carved buffers overlap")
+	}
+	bp.put(a)
+	if c := bp.get(65); &c[:1][0] != &a[:1][0] || len(c) != 65 {
+		t.Error("get(65) did not reuse the returned 128 B buffer")
+	}
+}

@@ -351,3 +351,45 @@ func (t *fileTable) overlapping(off int64, n int) []*entry {
 	t.scratch = out
 	return out
 }
+
+// bufChunk is how much memory bufPool carves its buffers from at a time.
+const bufChunk = 64 << 10
+
+// bufPool hands out byte buffers carved from bufChunk-sized chunks, and
+// recycles them by power-of-two size: a buffer for n bytes has the
+// capacity of the next power of two, and returns to that size's free
+// list.
+type bufPool struct {
+	free  [][][]byte // free[k]: buffers of capacity 1<<k
+	chunk []byte     // the rest of the chunk being carved
+}
+
+// get returns a buffer of length n, 0 < n <= bufChunk (an overflow entry
+// holds one fine read, at most hmb.TempSlot bytes). Its bytes are stale.
+func (bp *bufPool) get(n int) []byte {
+	k := bits.Len(uint(n - 1)) // 1<<k is the smallest power of two >= n
+	if k < len(bp.free) {
+		if m := len(bp.free[k]); m > 0 {
+			b := bp.free[k][m-1]
+			bp.free[k] = bp.free[k][:m-1]
+			return b[:n]
+		}
+	}
+	size := 1 << k
+	if len(bp.chunk) < size {
+		bp.chunk = make([]byte, bufChunk)
+	}
+	b := bp.chunk[:n:size]
+	bp.chunk = bp.chunk[size:]
+	return b
+}
+
+// put returns b to the pool, on the free list of the largest power of two
+// its capacity covers.
+func (bp *bufPool) put(b []byte) {
+	k := bits.Len(uint(cap(b))) - 1
+	for len(bp.free) <= k {
+		bp.free = append(bp.free, nil)
+	}
+	bp.free[k] = append(bp.free[k], b[:0])
+}

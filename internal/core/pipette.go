@@ -38,6 +38,7 @@ type Pipette struct {
 	owners    []*entry // slab slot -> the stateSlab entry its item holds; grown on demand
 	overflow  overflowFIFO
 	overBytes int
+	overBufs  bufPool // the overflow entries' buffers
 
 	lbaScratch []uint64 // Constructor scratch; safe to reuse, Submit is synchronous
 
@@ -464,9 +465,12 @@ func (p *Pipette) releaseEntry(e *entry) {
 	p.entries.release(e)
 }
 
+// removeOverflow takes e off the overflow FIFO; its buffer goes back to the
+// pool. Every overflow entry leaves through here.
 func (p *Pipette) removeOverflow(e *entry) {
 	p.overflow.remove(e)
 	p.overBytes -= len(e.data)
+	p.overBufs.put(e.data)
 	e.data = nil
 }
 

@@ -46,6 +46,7 @@ func (b memBackend) open(name string) (File, error) {
 }
 
 func (b memBackend) OpenReader(name string, _ bool) (File, error) { return b.open(name) }
+func (b memBackend) OpenDirect(name string) (File, error)         { return b.open(name) }
 func (b memBackend) OpenWriter(name string) (File, error)         { return b.open(name) }
 func (b memBackend) Remove(name string) error                     { delete(b, name); return nil }
 func (b memBackend) PageSize() int                                { return 4096 }
@@ -235,9 +236,14 @@ func TestLSMLookupMissAllocFree(t *testing.T) {
 // LevelFanout+1 level-0 runs of n keys in total, whose key ranges overlap,
 // so the next Tick merges level 0.
 func newMergeEngine(tb testing.TB, n int) (*lsmEngine, sim.Time) {
+	return newMergeEngineOn(tb, memBackend{}, n)
+}
+
+// newMergeEngineOn is newMergeEngine over be.
+func newMergeEngineOn(tb testing.TB, be Backend, n int) (*lsmEngine, sim.Time) {
 	cfg := Config{Kind: LSM, MemtableEntries: n / (LevelFanout + 1)}
 	cfg.setDefaults()
-	e := newLSM(memBackend{}, cfg)
+	e := newLSM(be, cfg)
 	now := sim.Time(0)
 	var err error
 	for i, k := range shuffledKeys(n, int64(n)) {
@@ -281,6 +287,113 @@ func TestMergeAllocsGrowWithBlocks(t *testing.T) {
 	if limit := int64(b4-b1) + 32; extra > limit {
 		t.Errorf("merging %d instead of %d records took %d more allocations (%d vs %d); "+
 			"%d more blocks allow at most %d", 4*n, n, extra, a4, a1, b4-b1, limit)
+	}
+}
+
+// countedFile counts the reads issued through one handle into its
+// backend's tally.
+type countedFile struct {
+	File
+	reads *[]int // the length of every read
+}
+
+func (f countedFile) ReadAt(now sim.Time, buf []byte, off int64) (int, sim.Time, error) {
+	*f.reads = append(*f.reads, len(buf))
+	return f.File.ReadAt(now, buf, off)
+}
+
+// countingBackend is a memBackend that records the reads of its reader
+// and direct handles apart.
+type countingBackend struct {
+	memBackend
+	readerReads, directReads []int
+}
+
+func (b *countingBackend) OpenReader(name string, fine bool) (File, error) {
+	f, err := b.memBackend.OpenReader(name, fine)
+	return countedFile{File: f, reads: &b.readerReads}, err
+}
+
+func (b *countingBackend) OpenDirect(name string) (File, error) {
+	f, err := b.memBackend.OpenDirect(name)
+	return countedFile{File: f, reads: &b.directReads}, err
+}
+
+// TestMergeReadsInputsDirect: a level merge reads each input run once,
+// through direct handles, MergeChunkBytes at a time, and grows the build
+// buffer once, to the inputs' total block count: keys of one length never
+// pack into more blocks merged than apart.
+func TestMergeReadsInputsDirect(t *testing.T) {
+	be := &countingBackend{memBackend: memBackend{}}
+	e, now := newMergeEngineOn(t, be, 20000)
+	var size, blocks int64
+	wantReads := 0
+	for _, r := range e.runs {
+		size += r.size
+		blocks += int64(r.blocks)
+		wantReads += int((r.size + MergeChunkBytes - 1) / MergeChunkBytes)
+	}
+	if size <= 2*MergeChunkBytes {
+		t.Fatalf("setup: runs of %d bytes in all fit two chunks", size)
+	}
+	be.readerReads, be.directReads = nil, nil
+	if ran, _, err := e.Tick(now); err != nil || !ran {
+		t.Fatalf("merge: ran=%v err=%v", ran, err)
+	}
+	if len(be.readerReads) != 0 {
+		t.Errorf("the merge issued %d reads through run readers", len(be.readerReads))
+	}
+	total := 0
+	for _, n := range be.directReads {
+		if n > MergeChunkBytes {
+			t.Errorf("a direct read of %d bytes, more than a %d B chunk", n, MergeChunkBytes)
+		}
+		total += n
+	}
+	if int64(total) != size || len(be.directReads) != wantReads {
+		t.Errorf("the merge read %d bytes in %d reads, want %d in %d", total, len(be.directReads), size, wantReads)
+	}
+	if int64(cap(e.buildBuf)) != blocks*BlockBytes {
+		t.Errorf("build buffer capacity %d, want the inputs' %d blocks", cap(e.buildBuf), blocks)
+	}
+}
+
+// TestMergeInputsAllocFree: once a merge has filled the engine's chunk
+// pool, streaming a level's runs through pooled chunks and direct handles
+// allocates nothing.
+func TestMergeInputsAllocFree(t *testing.T) {
+	e, now := newMergeEngine(t, 20000)
+	inputs := slices.Clone(e.runs)
+	entries := 0
+	for _, r := range inputs {
+		entries += r.entries
+	}
+	stream := func() {
+		iters, err := e.openInputs(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := 0
+		for i := range iters {
+			for {
+				if now, err = iters[i].next(now); err != nil {
+					t.Fatal(err)
+				}
+				if !iters[i].valid {
+					break
+				}
+				seen++
+			}
+		}
+		if err := e.closeInputs(iters); err != nil {
+			t.Fatal(err)
+		}
+		if seen != entries {
+			t.Fatalf("streamed %d records, want %d", seen, entries)
+		}
+	}
+	if allocs := meanAllocs(20, stream); allocs != 0 {
+		t.Errorf("streaming a merge's inputs allocated %.2f times, want 0", allocs)
 	}
 }
 

@@ -83,6 +83,10 @@ type Backend interface {
 	// OpenReader opens a read handle; fine requests O_FINE_GRAINED so index
 	// reads take the byte-granular path.
 	OpenReader(name string, fine bool) (File, error)
+	// OpenDirect opens a read handle that bypasses the host caches (the
+	// vfs's O_DIRECT): for sequential passes over a whole file, such as
+	// merges and log compaction, that should neither fill nor evict them.
+	OpenDirect(name string) (File, error)
 	// OpenWriter opens a write handle on an existing file.
 	OpenWriter(name string) (File, error)
 	Remove(name string) error
@@ -99,6 +103,9 @@ const (
 	BlockBytes       = 512  // lsm run block (and fence-pointer) granularity
 	BlockCacheBlocks = 64   // lsm block cache capacity
 	LevelFanout      = 4    // runs a level accumulates before Tick merges them down
+	// MergeChunkBytes is how much of an input run a level merge reads at
+	// a time, through a direct handle: whole blocks, many per read.
+	MergeChunkBytes = 64 << 10
 )
 
 // Config parameterizes an engine. Zero values take defaults.

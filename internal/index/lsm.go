@@ -53,6 +53,12 @@ type lsmEngine struct {
 	buildBuf []byte
 	fenceBuf fenceKeys // the run being built's fences, copied out at its end
 	spare    []byte    // the next lookup miss reads its block into this buffer
+
+	// Merge scratch, kept across merges: the input iterators, their chunk
+	// buffers and the winning key's copy.
+	mergeIters []runIter
+	chunks     [][]byte
+	mergeKey   []byte
 }
 
 // fenceKeys holds a run's fence pointers, the first key of each block, in
@@ -250,20 +256,20 @@ func (e *lsmEngine) sortRuns() {
 
 // ---- block reads ----
 
-// readBlock reads one run block into buf, growing it if needed, and
-// returns the block.
-func (e *lsmEngine) readBlock(now sim.Time, r *run, blk int, buf []byte) ([]byte, sim.Time, error) {
+// readBlocks reads up to count run blocks from blk on through f into buf,
+// growing it if needed, and returns them; fewer when the run ends first.
+func (e *lsmEngine) readBlocks(now sim.Time, f File, r *run, blk, count int, buf []byte) ([]byte, sim.Time, error) {
 	bb := int64(BlockBytes)
 	off := int64(blk) * bb
-	n := bb
+	n := int64(count) * bb
 	if off+n > r.size {
 		n = r.size - off
 	}
 	if int64(cap(buf)) < n {
-		buf = make([]byte, bb)
+		buf = make([]byte, int64(count)*bb)
 	}
 	buf = buf[:n]
-	got, done, err := r.r.ReadAt(now, buf, off)
+	got, done, err := f.ReadAt(now, buf, off)
 	if err != nil {
 		return nil, done, fmt.Errorf("index: run %s block %d: %w", r.name, blk, err)
 	}
@@ -278,9 +284,9 @@ func (e *lsmEngine) readBlock(now sim.Time, r *run, blk int, buf []byte) ([]byte
 // lookupBlock fetches one run block for a point lookup, through the block
 // cache. A miss reads into the buffer of the block the cache evicted last,
 // so a cache at capacity reads without allocating. The block is valid until
-// the next lookupBlock. Sequential consumers (merges, scans) call readBlock
-// with their own buffers, so streaming a level does not evict the hot
-// lookup blocks.
+// the next lookupBlock. Sequential consumers (merges, scans) read through
+// their own buffers, so streaming a level does not evict the hot lookup
+// blocks.
 func (e *lsmEngine) lookupBlock(now sim.Time, r *run, blk int) ([]byte, sim.Time, error) {
 	key := blockCacheKey{seq: r.seq, blk: blk}
 	if data, ok := e.cache.get(key); ok {
@@ -288,7 +294,7 @@ func (e *lsmEngine) lookupBlock(now sim.Time, r *run, blk int) ([]byte, sim.Time
 		return data, now, nil
 	}
 	e.stats.CacheMisses++
-	buf, now, err := e.readBlock(now, r, blk, e.spare)
+	buf, now, err := e.readBlocks(now, r.r, r, blk, 1, e.spare)
 	if err != nil {
 		return nil, now, err
 	}
@@ -354,12 +360,16 @@ func (e *lsmEngine) Lookup(now sim.Time, key string) (Loc, bool, sim.Time, error
 
 // ---- iteration (scan + merge) ----
 
-// runIter streams one run's records in key order with timed block reads.
-// It reads every block into the one buffer it owns, so key is a view that
-// stays valid only until the next call to next.
+// runIter streams one run's records in key order with timed reads of
+// chunk blocks at a time through f: a scan reads one block at a time
+// through the run's reader, a merge many through a direct handle. It reads
+// every chunk into the one buffer it owns, so key is a view that stays
+// valid only until the next call to next.
 type runIter struct {
 	e     *lsmEngine
 	r     *run
+	f     File
+	chunk int // blocks per read
 	blk   int // next block to read
 	block []byte
 	off   int
@@ -373,28 +383,29 @@ type runIter struct {
 // next advances the iterator; invalid when the run is exhausted.
 func (it *runIter) next(now sim.Time) (sim.Time, error) {
 	it.valid = false
-	for {
+	for it.off < len(it.block) || it.blk < it.r.blocks {
 		if it.off < len(it.block) {
-			k, l, tomb, sz, ok := parseRunRecord(it.block[it.off:])
+			// Records never straddle blocks: parse within the current one.
+			end := min((it.off/BlockBytes+1)*BlockBytes, len(it.block))
+			k, l, tomb, sz, ok := parseRunRecord(it.block[it.off:end])
 			if ok {
 				it.key, it.loc, it.tomb, it.valid = k, l, tomb, true
 				it.off += sz
 				return now, nil
 			}
-			// Padding: fall through to the next block.
+			it.off = end // padding: the rest of the block holds no record
+			continue
 		}
-		if it.blk >= it.r.blocks {
-			return now, nil
-		}
-		block, done, err := it.e.readBlock(now, it.r, it.blk, it.block)
+		block, done, err := it.e.readBlocks(now, it.f, it.r, it.blk, it.chunk, it.block)
 		if err != nil {
 			return done, err
 		}
 		now = done
 		it.block = block
 		it.off = 0
-		it.blk++
+		it.blk += it.chunk
 	}
+	return now, nil
 }
 
 // seek positions the iterator at the first record with key >= start.
@@ -424,7 +435,7 @@ func (e *lsmEngine) Scan(now sim.Time, start string, fn func(sim.Time, string, L
 	iters := make([]runIter, len(e.runs))
 	var err error
 	for i, r := range e.runs {
-		iters[i] = runIter{e: e, r: r}
+		iters[i] = runIter{e: e, r: r, f: r.r, chunk: 1}
 		if now, err = iters[i].seek(now, start); err != nil {
 			return now, err
 		}
@@ -507,22 +518,30 @@ func (e *lsmEngine) Tick(now sim.Time) (bool, sim.Time, error) {
 // first source wins. Tombstones survive unless lvl is the deepest occupied
 // level — then nothing older can resurrect the key.
 func (e *lsmEngine) mergeLevel(now sim.Time, lvl int, inputs []*run, maxLevel int) (sim.Time, error) {
-	iters := make([]runIter, len(inputs))
-	count := 0
-	var err error
+	iters, err := e.openInputs(inputs)
+	if err != nil {
+		return now, err
+	}
+	count, size := 0, int64(0)
 	for i, r := range inputs {
-		iters[i] = runIter{e: e, r: r}
 		if now, err = iters[i].next(now); err != nil {
+			e.closeInputs(iters)
 			return now, err
 		}
 		count += r.entries
+		size += int64(r.blocks) * BlockBytes
+	}
+	// The merged run takes no more blocks than its inputs when its keys are
+	// of one length, and about as many otherwise: grow the build buffer once
+	// rather than record by record.
+	if int64(cap(e.buildBuf)) < size {
+		e.buildBuf = make([]byte, 0, size)
 	}
 	// A tombstone can only be dropped when nothing older survives outside
 	// this merge: runs at deeper levels hold older data the tombstone still
 	// shadows, so it must ride along until the deepest level merges.
 	dropTombs := lvl == maxLevel
 
-	var key []byte // the winning key, copied out before its iterators advance
 	next := func(now sim.Time) (sim.Time, []byte, Loc, bool, bool) {
 		for {
 			best := -1
@@ -534,7 +553,9 @@ func (e *lsmEngine) mergeLevel(now sim.Time, lvl int, inputs []*run, maxLevel in
 			if best < 0 {
 				return now, nil, Loc{}, false, false
 			}
-			key = append(key[:0], iters[best].key...)
+			// The winning key, copied out before its iterators advance.
+			key := append(e.mergeKey[:0], iters[best].key...)
+			e.mergeKey = key
 			l, tomb := iters[best].loc, iters[best].tomb
 			for i := range iters {
 				if it := &iters[i]; it.valid && bytes.Equal(it.key, key) {
@@ -551,6 +572,9 @@ func (e *lsmEngine) mergeLevel(now sim.Time, lvl int, inputs []*run, maxLevel in
 		}
 	}
 	now, _, berr := e.buildRun(now, lvl+1, count, next)
+	if cerr := e.closeInputs(iters); cerr != nil && err == nil {
+		err = cerr
+	}
 	if berr != nil {
 		return now, berr
 	}
@@ -576,6 +600,43 @@ func (e *lsmEngine) mergeLevel(now sim.Time, lvl int, inputs []*run, maxLevel in
 		}
 	}
 	return now, err
+}
+
+// openInputs gives each merge input an iterator reading MergeChunkBytes at
+// a time through a direct handle into a chunk from the engine's pool. The
+// iterators are the engine's scratch, valid until closeInputs.
+func (e *lsmEngine) openInputs(inputs []*run) ([]runIter, error) {
+	iters := e.mergeIters[:0]
+	for _, r := range inputs {
+		f, err := e.be.OpenDirect(r.name)
+		if err != nil {
+			e.closeInputs(iters)
+			return nil, fmt.Errorf("index: open run %s: %w", r.name, err)
+		}
+		var chunk []byte
+		if n := len(e.chunks); n > 0 {
+			chunk, e.chunks = e.chunks[n-1], e.chunks[:n-1]
+		} else {
+			chunk = make([]byte, MergeChunkBytes)
+		}
+		iters = append(iters, runIter{e: e, r: r, f: f, chunk: MergeChunkBytes / BlockBytes, block: chunk[:0]})
+	}
+	e.mergeIters = iters
+	return iters, nil
+}
+
+// closeInputs closes the iterators' direct handles and returns their
+// chunks to the pool.
+func (e *lsmEngine) closeInputs(iters []runIter) error {
+	var err error
+	for i := range iters {
+		if cerr := iters[i].f.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+		e.chunks = append(e.chunks, iters[i].block[:0])
+		iters[i] = runIter{}
+	}
+	return err
 }
 
 func (e *lsmEngine) Close(now sim.Time) (sim.Time, error) {

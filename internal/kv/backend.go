@@ -40,6 +40,11 @@ func (b VFSBackend) OpenReader(name string, fine bool) (BackendFile, error) {
 	return b.V.Open(name, flags)
 }
 
+// OpenDirect implements Backend.
+func (b VFSBackend) OpenDirect(name string) (BackendFile, error) {
+	return b.V.Open(name, vfs.ReadOnly|vfs.Direct)
+}
+
 // OpenWriter implements Backend.
 func (b VFSBackend) OpenWriter(name string) (BackendFile, error) {
 	return b.V.Open(name, vfs.ReadWrite)

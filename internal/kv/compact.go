@@ -50,46 +50,67 @@ func (s *Store) pickVictim() *segment {
 	return best
 }
 
+// compactWindow is how much of a victim segment one compaction read asks
+// for: a whole number of pages, so every read but the last is
+// page-aligned at both ends.
+const compactWindow = 128 << 10
+
 // compact rewrites sg: live records move to the active segment, tombstones
 // still shadowing older segments are preserved, everything else is dropped.
 // Then the segment file is removed and its space returns to the filesystem.
-// Every record is verified against its checksum before it is moved, and
-// moved byte for byte: a damaged record stops the compaction with an error
-// naming the segment and offset, and the segment is kept, so recovery
+// The victim streams through a direct handle in compactWindow reads, so the
+// pass neither fills nor evicts the host caches just before the file goes
+// away. Every record is verified against its checksum before it is moved,
+// and moved byte for byte: a damaged record stops the compaction with an
+// error naming the segment and offset, and the segment is kept, so recovery
 // still sees (and skips) the damage instead of compaction laundering it
 // under a fresh checksum.
 func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
+	d, err := s.be.OpenDirect(sg.name)
+	if err != nil {
+		return now, fmt.Errorf("kv: open segment %s: %w", sg.name, err)
+	}
+	reclaimed, now, err := s.moveRecords(now, sg, d)
+	if cerr := d.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return now, err
+	}
+	if err := s.dropSegment(sg); err != nil {
+		return now, err
+	}
+	s.stats.Compactions++
+	s.stats.ReclaimedBytes += reclaimed
+	return now, nil
+}
+
+// moveRecords walks sg's records through the direct handle d, moving what
+// compact keeps, and returns the bytes it did not move.
+func (s *Store) moveRecords(now sim.Time, sg *segment, d BackendFile) (uint64, sim.Time, error) {
 	reclaimed := uint64(sg.tail)
+	rd := logReader{f: d, end: sg.tail, buf: s.window[:0], pageSize: s.be.PageSize()}
+	defer func() { s.window = rd.buf }()
 	for off := int64(0); off < sg.tail; {
-		// The header lands in the store's record scratch, where the rest
-		// of the record follows it.
-		if cap(s.scratch) < headerSize {
-			s.scratch = make([]byte, headerSize)
+		hdr, done, err := rd.next(now, headerSize)
+		if now = done; err != nil {
+			return 0, now, err
 		}
-		hdr := s.scratch[:headerSize]
-		if _, done, err := sg.r.ReadAt(now, hdr, off); err != nil {
-			return done, err
-		} else {
-			now = done
+		var h recordHeader
+		ok := hdr != nil
+		if ok {
+			h, ok = parseHeader(hdr, MaxKeyLen, s.cfg.SegmentBytes, off)
 		}
-		h, ok := parseHeader(hdr, MaxKeyLen, s.cfg.SegmentBytes, off)
 		if !ok {
-			return now, fmt.Errorf("kv: segment %s corrupt at offset %d", sg.name, off)
+			return 0, now, fmt.Errorf("kv: segment %s corrupt at offset %d", sg.name, off)
 		}
 		sz := recordSize(h.keyLen, h.valLen)
-		if int64(cap(s.scratch)) < sz {
-			grown := make([]byte, sz)
-			copy(grown, hdr)
-			s.scratch = grown
+		rec, done, err := rd.next(now, int(sz))
+		if now = done; err != nil {
+			return 0, now, err
 		}
-		rec := s.scratch[:sz]
-		if _, done, err := sg.r.ReadAt(now, rec[headerSize:], off+headerSize); err != nil {
-			return done, err
-		} else {
-			now = done
-		}
-		if index.Checksum(rec[1:8], rec[headerSize:]) != h.checksum {
-			return now, fmt.Errorf("kv: segment %s corrupt at offset %d: checksum mismatch", sg.name, off)
+		if rec == nil || index.Checksum(rec[1:8], rec[headerSize:]) != h.checksum {
+			return 0, now, fmt.Errorf("kv: segment %s corrupt at offset %d: checksum mismatch", sg.name, off)
 		}
 		key := rec[headerSize : headerSize+h.keyLen]
 		if h.tombstone {
@@ -100,7 +121,7 @@ func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 			if !s.tombstoneObsolete(key, sg.id) {
 				id, _, done, err := s.appendRecord(now, rec)
 				if err != nil {
-					return done, err
+					return 0, done, err
 				}
 				now = done
 				s.segs[id].dead += sz
@@ -112,27 +133,70 @@ func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 			// index's update cost too).
 			id, recOff, done, err := s.appendRecord(now, rec)
 			if err != nil {
-				return done, err
+				return 0, done, err
 			}
 			now = done
 			l := index.Loc{Seg: id, Off: recOff, ValLen: uint32(h.valLen)}
 			s.retire(h.keyLen, s.locs[slot])
 			s.locs[slot] = l
 			if now, err = s.eng.Insert(now, s.keys[slot], l); err != nil {
-				return now, err
+				return 0, now, err
 			}
 			s.segs[id].live += sz
 			s.stats.MovedBytes += uint64(sz)
 			reclaimed -= uint64(sz)
 		}
+		rd.pos += int(sz)
 		off += sz
 	}
-	if err := s.dropSegment(sg); err != nil {
-		return now, err
+	return reclaimed, now, nil
+}
+
+// logReader streams the bytes [0, end) of a segment through a direct handle,
+// asking for each byte once: reads start where the previous one stopped, on
+// a page boundary, and take compactWindow bytes, or as many whole pages as
+// the record at hand still needs, capped at end. The bytes of a record a
+// read cut off are carried to the front of the buffer and completed by the
+// next read.
+type logReader struct {
+	f        BackendFile
+	end      int64 // bytes of the file the reader may ask for
+	read     int64 // bytes it has asked for
+	pageSize int
+	buf      []byte // buf[pos:len(buf)] is unconsumed
+	pos      int
+}
+
+// next returns the unconsumed n bytes at the reader's position, reading
+// more of the file if needed; nil if the file ends before them. The bytes
+// stay valid until the next call.
+func (r *logReader) next(now sim.Time, n int) ([]byte, sim.Time, error) {
+	if have := len(r.buf) - r.pos; have < n {
+		if r.read+int64(n-have) > r.end {
+			return nil, now, nil
+		}
+		want := max(compactWindow, (n-have+r.pageSize-1)/r.pageSize*r.pageSize)
+		want = int(min(int64(want), r.end-r.read))
+		if cap(r.buf) < have+want {
+			grown := make([]byte, have, max(have+want, compactWindow+r.pageSize))
+			copy(grown, r.buf[r.pos:])
+			r.buf = grown
+		} else {
+			r.buf = r.buf[:copy(r.buf[:cap(r.buf)], r.buf[r.pos:])]
+		}
+		r.pos = 0
+		got, done, err := r.f.ReadAt(now, r.buf[have:have+want], r.read)
+		if err != nil {
+			return nil, done, err
+		}
+		if got != want {
+			return nil, done, fmt.Errorf("kv: short read %d of %d at offset %d", got, want, r.read)
+		}
+		now = done
+		r.buf = r.buf[:have+want]
+		r.read += int64(want)
 	}
-	s.stats.Compactions++
-	s.stats.ReclaimedBytes += reclaimed
-	return now, nil
+	return r.buf[r.pos : r.pos+n], now, nil
 }
 
 // tombstoneObsolete reports whether a tombstone of key in segment id no

@@ -119,7 +119,8 @@ type Store struct {
 	free []int32
 
 	stats   Stats
-	scratch []byte // one record: encoded by Put and Delete, read by compact
+	scratch []byte // one record, encoded by Put and Delete
+	window  []byte // compaction's read buffer, kept across compactions
 }
 
 // Open starts a store over be, replaying any existing segments under

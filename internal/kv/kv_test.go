@@ -18,6 +18,14 @@ import (
 // installs the Pipette fine-read engine so O_FINE_GRAINED handles work.
 func testBackend(t testing.TB, fine bool) Backend {
 	t.Helper()
+	be, _ := testStack(t, fine)
+	return be
+}
+
+// testStack is testBackend that also returns the fine-read engine (nil
+// without fine).
+func testStack(t testing.TB, fine bool) (Backend, *core.Pipette) {
+	t.Helper()
 	cfg := ssd.DefaultConfig()
 	cfg.NAND.Channels = 2
 	cfg.NAND.WaysPerChannel = 2
@@ -40,12 +48,13 @@ func testBackend(t testing.TB, fine bool) Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var p *core.Pipette
 	if fine {
-		if _, err := core.New(v, drv, core.DefaultConfig()); err != nil {
+		if p, err = core.New(v, drv, core.DefaultConfig()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return VFSBackend{V: v}
+	return VFSBackend{V: v}, p
 }
 
 func testStore(t testing.TB, be Backend, cfg Config) *Store {

@@ -29,11 +29,15 @@ import (
 type OpenFlag uint32
 
 // Open flags. FineGrained is the paper's new O_FINE_GRAINED: it permits the
-// byte-granular read path for this file descriptor.
+// byte-granular read path for this file descriptor. Direct is O_DIRECT for
+// reads: the descriptor's reads bypass the page cache and the fine router
+// (see directRead); it takes precedence over FineGrained and leaves writes
+// unchanged.
 const (
 	ReadOnly    OpenFlag = 0
 	ReadWrite   OpenFlag = 1 << 0
 	FineGrained OpenFlag = 1 << 1
+	Direct      OpenFlag = 1 << 2
 )
 
 // FineRouter is the fine-grained read framework's entry point. The VFS
@@ -305,6 +309,15 @@ func (f *File) readAt(now sim.Time, buf []byte, off int64) (int, sim.Time, error
 	v.sa.Mark(telemetry.StageSyscall, now)
 	v.io.BytesRequested += uint64(n)
 
+	if f.flags&Direct != 0 {
+		// The device DMAs into the caller's buffer: no copy-out.
+		done, err := v.directRead(now, f, buf, off)
+		if err != nil {
+			return 0, done, err
+		}
+		return n, done, eof
+	}
+
 	// Fine-grained path: consult the page cache first (§3.1.2); on a miss
 	// hand the request to the router, which may still decline (Dispatcher
 	// routes large reads back here).
@@ -502,15 +515,7 @@ func (v *VFS) fetchPages(now sim.Time, f *File, p uint64, count int, want []byte
 			keepBuf[0] = lba
 			keep = keepBuf[:]
 		}
-		// Insertion sort by LBA: the delivery walk below needs ascending
-		// order, and windows are small (read-ahead capped).
-		j := len(pairs)
-		pairs = append(pairs, fetchPair{})
-		for j > 0 && pairs[j-1].lba > lba {
-			pairs[j] = pairs[j-1]
-			j--
-		}
-		pairs[j] = fetchPair{lba: lba, page: page}
+		pairs = insertPair(pairs, fetchPair{lba: lba, page: page})
 	}
 	v.fetchLBAs, v.fetchPairs = lbas, pairs
 	if len(lbas) == 0 {
@@ -544,6 +549,78 @@ func (v *VFS) fetchPages(now sim.Time, f *File, p uint64, count int, want []byte
 	v.io.BytesTransferred += moved
 	v.io.BlockReads += uint64(len(lbas))
 	return gotWant, done, nil
+}
+
+// insertPair inserts fp into pairs, kept sorted by LBA: the delivery walks
+// need ascending order. A file's pages mostly map to ascending LBAs, so the
+// insertion sort rarely moves anything.
+func insertPair(pairs []fetchPair, fp fetchPair) []fetchPair {
+	j := len(pairs)
+	pairs = append(pairs, fp)
+	for j > 0 && pairs[j-1].lba > fp.lba {
+		pairs[j] = pairs[j-1]
+		j--
+	}
+	pairs[j] = fp
+	return pairs
+}
+
+// directRead serves a Direct read. Pending writeback drains first, as
+// before any fetch. A resident page is served from the cache (a dirty one
+// holds the only copy of its bytes) without counting the access or moving
+// it in the LRU; a hole reads as zeros; every other page is read from the
+// device in merged block commands issued at now, straight into buf.
+// Nothing enters or leaves the page cache, read-ahead state is untouched,
+// and the fine router is never consulted.
+func (v *VFS) directRead(now sim.Time, f *File, buf []byte, off int64) (sim.Time, error) {
+	if len(v.pendingWB) > 0 {
+		if _, err := v.drainWriteback(now); err != nil {
+			return now, err
+		}
+	}
+	ps := v.fs.PageSize()
+	first := uint64(off / int64(ps))
+	last := uint64((off + int64(len(buf)) - 1) / int64(ps))
+	ftlLayer := v.fs.Controller().FTL()
+	lbas := v.fetchLBAs[:0]
+	pairs := v.fetchPairs[:0]
+	for p := first; p <= last; p++ {
+		key := pagecache.Key{File: f.inode.Ino, Index: p}
+		if v.cache.Contains(key) {
+			dirty := v.cache.DirtyData(key)
+			v.copyFromPage(f, buf, off, p, dirty, dirty != nil)
+			continue
+		}
+		lba, err := f.inode.PageToLBA(p)
+		if err != nil {
+			v.fetchLBAs, v.fetchPairs = lbas, pairs
+			return now, err
+		}
+		if !ftlLayer.IsMapped(ftl.LBA(lba)) {
+			v.zeroFill(buf, off, p)
+			continue
+		}
+		lbas = append(lbas, lba)
+		pairs = insertPair(pairs, fetchPair{lba: lba, page: p})
+	}
+	v.fetchLBAs, v.fetchPairs = lbas, pairs
+	if len(lbas) == 0 {
+		return now, nil
+	}
+	idx := 0
+	done, moved, err := v.blk.ReadPagesEach(now, lbas, func(lba uint64, data []byte) {
+		for pairs[idx].lba < lba {
+			idx++
+		}
+		lo, hi, bufLo, pageLo := overlap(off, len(buf), pairs[idx].page, ps)
+		copy(buf[bufLo:bufLo+int(hi-lo)], data[pageLo:])
+	})
+	if err != nil {
+		return done, err
+	}
+	v.io.BytesTransferred += moved
+	v.io.BlockReads += uint64(len(lbas))
+	return done, nil
 }
 
 // copyFromPage serves the overlap of page p with the request from a
