@@ -190,7 +190,8 @@ func (l *Layer) ReadPagesKeep(now sim.Time, lbas, keep []uint64, deliver func(lb
 
 // WritePages writes contiguous pages starting at lba. data must be
 // page-aligned in length. Commands are split at MaxPagesPerCommand and
-// chained (writes serialize on the FTL frontier anyway).
+// chained, each issued at the previous one's completion; within a command
+// the device programs every page at once, striped over its dies by the FTL.
 func (l *Layer) WritePages(now sim.Time, lba uint64, data []byte) (sim.Time, uint64, error) {
 	if len(data) == 0 || len(data)%l.pageSize != 0 {
 		return now, 0, fmt.Errorf("blockdev: write of %d bytes not page-aligned", len(data))

@@ -68,3 +68,80 @@ func TestCompactAllocsIndependentOfRecords(t *testing.T) {
 			"%d more pages allow at most %d", 4*n, n, extra, a4, a1, p4-p1, limit)
 	}
 }
+
+// raceEnabled is set in race-detector builds (race_test.go). There the
+// allocation count of identical recoveries varies by a few: the detector
+// makes sync.Pool, which fmt uses to format segment names, drop a random
+// share of what is put back.
+var raceEnabled bool
+
+// recoverAllocs counts the heap allocations of reopening a store whose one
+// segment holds 32 valid records with n damaged ones among them, each
+// damaged record between two valid ones, so recovery resynchronizes n
+// times. All records fit in the segment's first page.
+func recoverAllocs(t *testing.T, n int) uint64 {
+	const valid = 32
+	cfg := Config{SegmentBytes: 64 << 10}
+	be := testBackend(t, false)
+	s := testStore(t, be, cfg)
+	now := sim.Time(0)
+	var err error
+	var damaged []int64
+	for i := 0; i < valid; i++ {
+		key := fmt.Sprintf("k-%02d", i)
+		if now, err = s.Put(now, key, testVal(key, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if i < n {
+			damaged = append(damaged, s.active.tail)
+			key := fmt.Sprintf("x-%02d", i)
+			if now, err = s.Put(now, key, testVal(key, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s.active.tail > 4096 {
+		t.Fatalf("setup: records end at %d, past the first page", s.active.tail)
+	}
+	name := s.active.name
+	if now, err = s.Close(now); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range damaged {
+		flipBit(t, be, name, off, 3) // the magic byte
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s2, _, err := Open(now, be, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); s2.Len() != valid || st.CorruptSkips != uint64(n) {
+		t.Fatalf("recovered %d records with %d skips, want %d and %d", s2.Len(), st.CorruptSkips, valid, n)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// TestRecoveryResyncAllocFree: the scan past a damaged record reads into
+// the store's resync scratch, so recovering a segment with 31 damaged
+// records allocates no more than with one; a chunk per scan would add 30.
+// Each count is the least of three recoveries: the malloc counter is
+// process-wide, so other goroutines and the first Open's package-level
+// state only ever add to it. Race-detector builds get a small slack.
+func TestRecoveryResyncAllocFree(t *testing.T) {
+	least := func(n int) uint64 {
+		return min(recoverAllocs(t, n), recoverAllocs(t, n), recoverAllocs(t, n))
+	}
+	a1, a31 := least(1), least(31)
+	var slack uint64
+	if raceEnabled {
+		slack = 8
+	}
+	t.Logf("allocations: %d with 1 damaged record, %d with 31", a1, a31)
+	if a31 > a1+slack {
+		t.Errorf("recovery with 31 damaged records allocated %d times, with 1: %d; want at most %d more",
+			a31, a1, slack)
+	}
+}

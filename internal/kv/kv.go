@@ -121,6 +121,7 @@ type Store struct {
 	stats   Stats
 	scratch []byte // one record, encoded by Put and Delete
 	window  []byte // compaction's read buffer, kept across compactions
+	resync  []byte // recovery's resynchronization chunk, kept across scans
 }
 
 // Open starts a store over be, replaying any existing segments under

@@ -232,10 +232,15 @@ func (s *Store) tryRecordAt(now sim.Time, sg *segment, off int64, hdr []byte, pa
 // log is read in chunks, every magic-byte candidate is validated in place
 // with tryRecordAt (header sanity plus checksum, so payload bytes that
 // merely look like a record start do not fool it). Not-found means the rest
-// of the segment holds no valid record — the torn tail.
+// of the segment holds no valid record — the torn tail. The chunk is the
+// store's resync scratch, so a scan past each damaged record allocates
+// nothing.
 func (s *Store) scanForward(now sim.Time, sg *segment, from int64, hdr []byte, payload *[]byte) (int64, sim.Time, bool) {
 	const chunk = 4096
-	buf := make([]byte, chunk)
+	if s.resync == nil {
+		s.resync = make([]byte, chunk)
+	}
+	buf := s.resync
 	for base := from; base+headerSize <= s.cfg.SegmentBytes; {
 		n := int64(chunk)
 		if base+n > s.cfg.SegmentBytes {

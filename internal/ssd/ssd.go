@@ -353,7 +353,9 @@ func (c *Controller) execBlockRead(now sim.Time, cmd *nvme.Command) nvme.Complet
 }
 
 // execWrite persists page-aligned data: DMA from host, then program via the
-// FTL (which may trigger GC, visible in the completion time).
+// FTL (which may trigger GC, visible in the completion time). Every page's
+// program issues once the DMA lands, so pages the FTL stripes over
+// different dies program together; the command completes with the latest.
 func (c *Controller) execWrite(now sim.Time, cmd *nvme.Command) nvme.Completion {
 	ps := c.cfg.NAND.PageSize
 	if cmd.Pages <= 0 || len(cmd.Data) != cmd.Pages*ps {
@@ -368,11 +370,12 @@ func (c *Controller) execWrite(now sim.Time, cmd *nvme.Command) nvme.Completion 
 	t := hostDone
 	c.stats.BytesFromHost += uint64(len(cmd.Data))
 	for i := 0; i < cmd.Pages; i++ {
-		done, err := c.programLBA(t, cmd.LBA+uint64(i), cmd.Data[i*ps:(i+1)*ps])
+		done, err := c.programLBA(hostDone, cmd.LBA+uint64(i), cmd.Data[i*ps:(i+1)*ps])
 		if err != nil {
+			// A failed program still waits for the programs already issued.
 			return nvme.Completion{Status: statusFor(err), Done: t}
 		}
-		t = done
+		t = max(t, done)
 	}
 	if c.tr.Enabled() {
 		c.tr.Span(telemetry.TrackSSD, "write.dma", now, hostDone)

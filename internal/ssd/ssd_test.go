@@ -232,6 +232,38 @@ func TestWriteThenRead(t *testing.T) {
 	}
 }
 
+// TestWriteProgramsPagesTogether: an 8-page write on a device of 8 dies
+// programs its pages together, so it completes in under two program times
+// after its DMA (one page after another would take eight).
+func TestWriteProgramsPagesTogether(t *testing.T) {
+	cfg := testConfig()
+	cfg.NAND.Channels = 4
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := c.PageSize()
+	data := make([]byte, 8*ps)
+	for i := range data {
+		data[i] = byte(i % 253)
+	}
+	w := c.Execute(0, &nvme.Command{Op: nvme.OpWrite, LBA: 20, Pages: 8, Data: data})
+	if !w.Ok() {
+		t.Fatalf("write: %+v", w)
+	}
+	dmaDone := FirmwareBlockOverhead + dmaTime(len(data))
+	if took := w.Done - dmaDone; took >= 2*nand.ProgramTime {
+		t.Errorf("8-page write took %v after its DMA, want < %v", took, 2*nand.ProgramTime)
+	}
+	buf := make([]byte, len(data))
+	if r := c.Execute(w.Done, &nvme.Command{Op: nvme.OpRead, LBA: 20, Pages: 8, Data: buf}); !r.Ok() {
+		t.Fatalf("read: %+v", r)
+	}
+	if !bytes.Equal(buf, data) {
+		t.Fatal("read != written")
+	}
+}
+
 func TestTrimAndFlush(t *testing.T) {
 	c := newCtrl(t)
 	preload(t, c, 4)

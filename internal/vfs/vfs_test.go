@@ -12,13 +12,21 @@ import (
 	"pipette/internal/pagecache"
 	"pipette/internal/sim"
 	"pipette/internal/ssd"
+	"pipette/internal/telemetry"
 )
 
 func testVFS(t testing.TB, cachePages int) *VFS {
 	t.Helper()
+	return newTestVFS(t, cachePages, 2, 2, nil)
+}
+
+// newTestVFS builds a VFS over a small device of channels × ways dies,
+// with sa (nil for none) accounting every layer's stages.
+func newTestVFS(t testing.TB, cachePages, channels, ways int, sa *telemetry.StageAccount) *VFS {
+	t.Helper()
 	cfg := ssd.DefaultConfig()
-	cfg.NAND.Channels = 2
-	cfg.NAND.WaysPerChannel = 2
+	cfg.NAND.Channels = channels
+	cfg.NAND.WaysPerChannel = ways
 	cfg.NAND.PlanesPerDie = 1
 	cfg.NAND.BlocksPerPlane = 32
 	cfg.NAND.PagesPerBlock = 32
@@ -37,6 +45,12 @@ func testVFS(t testing.TB, cachePages int) *VFS {
 	v, err := New(fs, blk, vcfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sa != nil {
+		v.SetStages(sa)
+		blk.SetStages(sa)
+		drv.SetStages(sa)
+		ctrl.SetStages(sa)
 	}
 	return v
 }

@@ -134,8 +134,11 @@ func pageTrim(page []byte, f *File, p uint64, pageSize int) []byte {
 	return page
 }
 
-// Sync flushes this file's dirty pages to the device, chaining write
-// completions in virtual time — fsync(2). The whole flush chain is
+// Sync flushes this file's dirty pages to the device — fsync(2). Every
+// page's write issues at now, as the kernel's writeback submits a file's
+// dirty pages before it waits on any of them, so the FTL's die striping
+// overlaps their programs; Sync completes with the latest. The first error
+// stops the flush and leaves later pages dirty. The whole flush is
 // attributed to the writeback stage: fsync is, by definition, time spent
 // blocked on dirty-page persistence.
 func (f *File) Sync(now sim.Time) (sim.Time, error) {
@@ -148,12 +151,12 @@ func (f *File) Sync(now sim.Time) (sim.Time, error) {
 	err := v.cache.FlushDirtySelect(
 		func(k pagecache.Key) bool { return k.File == f.inode.Ino },
 		func(k pagecache.Key, data []byte) error {
-			t, err := v.writebackPage(done, k, data)
+			t, err := v.writebackPage(now, k, data)
 			if err != nil {
 				return err
 			}
 			v.putPageBuf(data)
-			done = t
+			done = max(done, t)
 			return nil
 		})
 	v.sa.Reattribute(now, telemetry.StageWriteback)
