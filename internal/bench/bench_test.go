@@ -219,9 +219,10 @@ func TestFindExperiment(t *testing.T) {
 	}
 }
 
-// tinySerial is the one -j 1 tiny-scale RunAll shared by TestRunAllTiny and
-// TestParallelDeterminism, so the package runs the full harness twice, not
-// three times.
+// tinySerial is the one -j 1 tiny-scale RunAll shared by TestRunAllTiny,
+// TestTinySuiteGolden and, off the golden architectures,
+// TestParallelDeterminism, so the package runs the full harness twice (at
+// -j 1 and -j 8), not three times.
 var tinySerial struct {
 	once sync.Once
 	out  []byte

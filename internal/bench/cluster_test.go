@@ -15,7 +15,7 @@ func clusterTestScale() Scale {
 	s.ClusterReplicas = []int{1, 2}
 	s.ClusterSkews = []float64{0.99}
 	s.ClusterTenants = 2
-	s.ClusterRecords = 512
+	s.ClusterRecords = 2048 // enough to spill shard 0's cache, so its faulted reads reach flash
 	s.ClusterRequests = 500
 	s.ClusterRate = 30_000
 	s.ClusterDepth = 4

@@ -13,11 +13,13 @@ import (
 	"pipette/internal/sim"
 )
 
-// TestTinySuiteGolden renders the whole suite at tiny scale and compares it
-// with testdata/tiny-suite.golden byte for byte. The perf gate compares
-// only the phases, kv, faults, qdepth and cluster cells; this test also
-// pins synthetic-uniform, synthetic-zipfian, latency, apps, ablation and
-// sensitivity, so a refactor that moves any simulated number fails here.
+// TestTinySuiteGolden compares the whole suite at tiny scale, the shared
+// -j 1 run, with testdata/tiny-suite.golden byte for byte;
+// TestParallelDeterminism compares its -j 8 run with the same file. The
+// perf gate compares only the phases, kv, faults, qdepth and cluster
+// cells; this test also pins synthetic-uniform, synthetic-zipfian,
+// latency, apps, ablation and sensitivity, so a refactor that moves any
+// simulated number fails here.
 //
 // Regenerating the file is a deliberate output change, like regenerating
 // BENCH_baseline.json: do it only when a change means to move a number,
@@ -30,9 +32,7 @@ func TestTinySuiteGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness pass")
 	}
-	// ROADMAP item 12: arm64 may fuse x*y+z into one rounding, so its
-	// output is not yet bit-identical to the amd64 file.
-	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+	if !goldenHolds() {
 		t.Skipf("golden output holds for amd64 and 386, not %s", runtime.GOARCH)
 	}
 	t.Parallel()
@@ -40,20 +40,32 @@ func TestTinySuiteGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	if err := RunAll(&got, TinyScale(), NewPool(2)); err != nil {
+	got, err := tinySerialRunAll()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(got.Bytes(), want) {
+	requireSameOutput(t, "-j 1", got, "golden", want)
+}
+
+// goldenHolds reports whether this architecture reproduces the golden
+// files. ROADMAP item 12: arm64 may fuse x*y+z into one rounding, so its
+// output is not yet bit-identical to the amd64 files.
+func goldenHolds() bool { return runtime.GOARCH == "amd64" || runtime.GOARCH == "386" }
+
+// requireSameOutput fails the test at the first line where the two outputs
+// differ.
+func requireSameOutput(t *testing.T, gotName string, got []byte, wantName string, want []byte) {
+	t.Helper()
+	if bytes.Equal(got, want) {
 		return
 	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("line %d differs:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
+			t.Fatalf("line %d differs:\n%8s: %q\n%8s: %q", i+1, gotName, gl[i], wantName, wl[i])
 		}
 	}
-	t.Fatalf("got %d lines, want %d", len(gl), len(wl))
+	t.Fatalf("%s has %d lines, %s %d", gotName, len(gl), wantName, len(wl))
 }
 
 // TestPhasesExportsGolden pins the tiny-scale phases experiment's
@@ -68,7 +80,7 @@ func TestPhasesExportsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full phases pass")
 	}
-	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+	if !goldenHolds() {
 		t.Skipf("golden output holds for amd64 and 386, not %s", runtime.GOARCH)
 	}
 	t.Parallel()

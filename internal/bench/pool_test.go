@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -79,33 +80,31 @@ func TestNilPoolRunsSerially(t *testing.T) {
 
 // TestParallelDeterminism is the harness's core correctness property under
 // the worker pool: the same seed and suite produce byte-identical output at
-// -j 1 and -j 8.
+// -j 1 and -j 8. Where the golden file holds, the -j 8 run is compared with
+// it, as TestTinySuiteGolden compares the -j 1 run; elsewhere the two runs
+// are compared with each other.
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full harness passes")
 	}
 	t.Parallel()
-	serial, err := tinySerialRunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var parallel bytes.Buffer
 	if err := RunAll(&parallel, TinyScale(), NewPool(8)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(serial, parallel.Bytes()) {
-		a, b := string(serial), parallel.String()
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				lo := i - 80
-				if lo < 0 {
-					lo = 0
-				}
-				t.Fatalf("output diverges at byte %d:\n-j1: %q\n-j8: %q", i, a[lo:i+80], b[lo:i+80])
-			}
+	if goldenHolds() {
+		want, err := os.ReadFile("testdata/tiny-suite.golden")
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("output lengths differ: %d vs %d", len(a), len(b))
+		requireSameOutput(t, "-j 8", parallel.Bytes(), "golden", want)
+		return
 	}
+	serial, err := tinySerialRunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameOutput(t, "-j 8", parallel.Bytes(), "-j 1", serial)
 }
 
 // TestExperimentDeterminism covers single experiments at different worker

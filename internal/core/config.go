@@ -126,6 +126,7 @@ func (c Config) Validate() error {
 type Stats struct {
 	FineReads     uint64 // reads taken by the fine path
 	Declined      uint64 // reads routed back to the block path (too large)
+	Holes         uint64 // fine reads of unwritten pages, routed to the block path
 	Admissions    uint64 // items admitted to the Data Area
 	TempBypasses  uint64 // misses served via TempBuf (below threshold)
 	Evictions     uint64 // solution-1 evictions

@@ -74,6 +74,11 @@ type Pipette struct {
 // request — slower, never wrong.
 var errFineFallback = errors.New("core: fine path fell back")
 
+// errFineHole signals that the range covers a page the file has never
+// written (an unwritten extent). No command is sent: TryFineRead declines,
+// and the block path serves the hole as zeros and the rest from flash.
+var errFineHole = errors.New("core: fine read of a hole")
+
 var _ vfs.FineRouter = (*Pipette)(nil)
 
 // New assembles the framework over an existing VFS and its device driver:
@@ -209,6 +214,10 @@ func (p *Pipette) TryFineRead(now sim.Time, f *vfs.File, off int64, buf []byte) 
 	if p.cacheDisabled {
 		done, err := p.fetchFine(now, f, off, buf, -1)
 		if err != nil {
+			if errors.Is(err, errFineHole) {
+				p.stats.Holes++
+				return now, false, nil
+			}
 			if errors.Is(err, errFineFallback) {
 				return p.fallBack(now, done), false, nil
 			}
@@ -267,6 +276,10 @@ func (p *Pipette) TryFineRead(now sim.Time, f *vfs.File, off int64, buf []byte) 
 		if admitted {
 			_ = p.alloc.Release(ref)
 		}
+		if errors.Is(err, errFineHole) {
+			p.stats.Holes++
+			return now, false, nil
+		}
 		if errors.Is(err, errFineFallback) {
 			return p.fallBack(now, done), false, nil
 		}
@@ -289,12 +302,14 @@ func (p *Pipette) TryFineRead(now sim.Time, f *vfs.File, off int64, buf []byte) 
 // filesystem extension bypassing the block layer), reserve the HMB
 // destination, append the Info Area record, and submit the reconstructed
 // vendor command. dest < 0 means "use the TempBuf". The demanded bytes are
-// copied into buf from the DMA destination.
+// copied into buf from the DMA destination. A range that covers an
+// unwritten page fails with errFineHole before anything is reserved.
 func (p *Pipette) fetchFine(now sim.Time, f *vfs.File, off int64, buf []byte, dest int) (sim.Time, error) {
 	// The fine command reads LBAs directly, below the page cache: any dirty
 	// page evicted since the last drain — including by this very request's
 	// admission rebalancing a moment ago — must land on flash first, or the
-	// fetch returns (and the cache admits) pre-writeback content.
+	// fetch returns (and the cache admits) pre-writeback content, and the
+	// hole check below would take such a page for a hole.
 	if _, err := p.v.FlushPendingWriteback(now); err != nil {
 		return now, err
 	}
@@ -303,6 +318,11 @@ func (p *Pipette) fetchFine(now sim.Time, f *vfs.File, off int64, buf []byte, de
 	p.lbaScratch = lbas[:0]
 	if err != nil {
 		return now, err
+	}
+	for _, lba := range lbas {
+		if !p.ctrl.Written(lba) {
+			return now, errFineHole
+		}
 	}
 	if dest < 0 {
 		d, err := p.region.AllocTemp(n)

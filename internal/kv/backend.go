@@ -17,18 +17,20 @@ type BackendFile = index.File
 // VFSBackend; tests may substitute fakes.
 type Backend = index.Backend
 
-// VFSBackend runs the store over a simulated filesystem. Segments are
-// preloaded so every page is device-mapped from creation: fine-grained
-// reads never touch an unmapped LBA, and the recovery scan reads
-// deterministic pattern bytes (not holes) past the log tail — which the
-// record checksums reject, as on real hardware.
+// VFSBackend runs the store over a simulated filesystem. Files start
+// unwritten, as a fallocated file's extents do: a page reads as zeros until
+// the store writes it, on the block path and the fine path alike, and costs
+// no device read. So an append that starts a fresh page fills it without
+// reading flash first, and the recovery scan finds zeros past the log tail,
+// which no record header matches. A file created on LBAs trimmed from a
+// removed one starts as holes too, never with the old file's bytes.
 type VFSBackend struct {
 	V *vfs.VFS
 }
 
 // Create implements Backend.
 func (b VFSBackend) Create(name string, size int64) (BackendFile, error) {
-	return b.V.Create(name, size, extfs.CreateOpts{Preload: true}, vfs.ReadWrite)
+	return b.V.Create(name, size, extfs.CreateOpts{}, vfs.ReadWrite)
 }
 
 // OpenReader implements Backend.

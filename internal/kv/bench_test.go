@@ -43,3 +43,49 @@ func BenchmarkCompact(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPut appends 300 B values under distinct keys into a fresh store
+// over the block path, starting a new store every putsPerStore puts
+// (untimed), and reports the virtual time each Put takes and the device
+// reads it issues. The store's files start unwritten, so an append that
+// begins a new page reads nothing: reads/put is 0.
+func BenchmarkPut(b *testing.B) {
+	const putsPerStore = 4096 // about 1.3 MiB of log: segments rotate, pages are evicted and written back
+	val := make([]byte, 300)
+	keys := make([]string, putsPerStore)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("put-%06d", i)
+	}
+	var (
+		be    Backend
+		s     *Store
+		now   sim.Time
+		spent sim.Time
+		reads uint64
+	)
+	fresh := func() {
+		if be != nil {
+			reads += be.(VFSBackend).V.IO().BlockReads
+		}
+		be = testBackend(b, false)
+		s = testStore(b, be, Config{SegmentBytes: 1 << 20})
+		now = 0
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%putsPerStore == 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		done, err := s.Put(now, keys[i%putsPerStore], val)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spent += done - now
+		now = done
+	}
+	reads += be.(VFSBackend).V.IO().BlockReads
+	b.ReportMetric(spent.Micros()/float64(b.N), "virtual-us/put")
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/put")
+}

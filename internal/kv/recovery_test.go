@@ -207,7 +207,7 @@ func TestTornTailDetection(t *testing.T) {
 }
 
 // TestFreshSegmentScansEmpty checks recovery does not hallucinate records
-// out of the preload pattern bytes of a never-written segment.
+// out of a never-written segment, whose pages are holes that read as zeros.
 func TestFreshSegmentScansEmpty(t *testing.T) {
 	t.Parallel()
 	be := testBackend(t, false)

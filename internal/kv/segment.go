@@ -65,7 +65,7 @@ type recordHeader struct {
 }
 
 // parseHeader validates the fixed fields; ok=false means "treat as end of
-// log" (torn tail or pristine preload bytes).
+// log" (a torn tail, or the zeros of never-written pages).
 func parseHeader(hdr []byte, maxKey int, segBytes, off int64) (recordHeader, bool) {
 	if hdr[0] != recordMagic {
 		return recordHeader{}, false

@@ -394,6 +394,18 @@ func (c *Controller) Trim(lba uint64) error {
 	return c.fl.Trim(ftl.LBA(lba))
 }
 
+// Written reports whether lba holds data: a mapped page or a copy staged in
+// the write buffer. An LBA never written since creation or trim is a hole,
+// an unwritten extent: the host reads it as zeros without a command.
+func (c *Controller) Written(lba uint64) bool {
+	if len(c.wbuf) > 0 {
+		if _, ok := c.wbufIdx[lba]; ok {
+			return true
+		}
+	}
+	return c.fl.IsMapped(ftl.LBA(lba))
+}
+
 // execFineRead is the Fine-Grained Read Engine (Figure 4). One command
 // serves one reconstructed application read: (1) load the referenced NAND
 // pages into the read buffer, (2) consume the pending Info Area record for

@@ -192,16 +192,28 @@ func TestWriteBufferOverwriteCoalesces(t *testing.T) {
 	}
 }
 
+// TestWriteBufferTrimDropsPage also checks Written: a page staged in the
+// buffer holds data although the FTL does not map it yet, and is a hole
+// again once trimmed.
 func TestWriteBufferTrimDropsPage(t *testing.T) {
 	c := bufferedCtrl(t, 32)
 	ps := c.PageSize()
 	data := make([]byte, ps)
+	if c.Written(3) {
+		t.Fatal("never-written LBA reported written")
+	}
 	w := c.Execute(0, &nvme.Command{Op: nvme.OpWrite, LBA: 3, Pages: 1, Data: data})
+	if !c.Written(3) || c.FTL().IsMapped(3) {
+		t.Fatalf("buffered page: Written %v, mapped %v; want true, false", c.Written(3), c.FTL().IsMapped(3))
+	}
 	if err := c.Trim(3); err != nil {
 		t.Fatalf("trim: %v", err)
 	}
 	if c.BufferedPages() != 0 {
 		t.Fatal("trim left the page buffered")
+	}
+	if c.Written(3) {
+		t.Fatal("trimmed page reported written")
 	}
 	r := c.Execute(w.Done, &nvme.Command{Op: nvme.OpRead, LBA: 3, Pages: 1, Data: make([]byte, ps)})
 	if r.Status != nvme.StatusUnmapped {

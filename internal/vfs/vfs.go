@@ -18,7 +18,6 @@ import (
 	"pipette/internal/blockdev"
 	"pipette/internal/extfs"
 	"pipette/internal/fault"
-	"pipette/internal/ftl"
 	"pipette/internal/metrics"
 	"pipette/internal/pagecache"
 	"pipette/internal/sim"
@@ -491,7 +490,7 @@ func (v *VFS) fetchPages(now sim.Time, f *File, p uint64, count int, want []byte
 			return false, now, err
 		}
 	}
-	ftlLayer := v.fs.Controller().FTL()
+	ctrl := v.fs.Controller()
 	lbas := v.fetchLBAs[:0]
 	pairs := v.fetchPairs[:0]
 	var keepBuf [1]uint64
@@ -507,7 +506,7 @@ func (v *VFS) fetchPages(now sim.Time, f *File, p uint64, count int, want []byte
 			v.fetchLBAs, v.fetchPairs = lbas, pairs
 			return false, now, err
 		}
-		if !ftlLayer.IsMapped(ftl.LBA(lba)) {
+		if !ctrl.Written(lba) {
 			continue // hole: reads as zeros, nothing to fetch
 		}
 		lbas = append(lbas, lba)
@@ -581,7 +580,7 @@ func (v *VFS) directRead(now sim.Time, f *File, buf []byte, off int64) (sim.Time
 	ps := v.fs.PageSize()
 	first := uint64(off / int64(ps))
 	last := uint64((off + int64(len(buf)) - 1) / int64(ps))
-	ftlLayer := v.fs.Controller().FTL()
+	ctrl := v.fs.Controller()
 	lbas := v.fetchLBAs[:0]
 	pairs := v.fetchPairs[:0]
 	for p := first; p <= last; p++ {
@@ -596,7 +595,7 @@ func (v *VFS) directRead(now sim.Time, f *File, buf []byte, off int64) (sim.Time
 			v.fetchLBAs, v.fetchPairs = lbas, pairs
 			return now, err
 		}
-		if !ftlLayer.IsMapped(ftl.LBA(lba)) {
+		if !ctrl.Written(lba) {
 			v.zeroFill(buf, off, p)
 			continue
 		}

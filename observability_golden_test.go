@@ -88,9 +88,9 @@ func TestFaultedSystemOutputsGolden(t *testing.T) {
 		b    []byte
 		sum  string
 	}{
-		{"exposition", exposition.Bytes(), "7d0ba112454f3d4920d1e926118e457769e0ae30e395424b76673b22e1e1f705"},
-		{"sampler CSV", csv.Bytes(), "2af73d99fb8ed2dda00d8193b2c53cfbcc942776ec92de6fb47e746f603a15f6"},
-		{"flight dump", dump.Bytes(), "8808083ca8f92346977fc566b0311605954bfb2f5f34e5c62c76df04600183ab"},
+		{"exposition", exposition.Bytes(), "1eb038c7146ff3ef4c11ff9f81d9b960664c2e00ff338e417260f0926c43f091"},
+		{"sampler CSV", csv.Bytes(), "25f46033524b696dec168442d7a8efd27d7a7b31e6771f13f1e32820e79c2796"},
+		{"flight dump", dump.Bytes(), "c0dade6803654d06f447d69224082ce64ed103f20a73df34c7b1bdf815c5de60"},
 	} {
 		if sum := fmt.Sprintf("%x", sha256.Sum256(out.b)); sum != out.sum {
 			t.Errorf("%s: sha256 %s, want %s", out.name, sum, out.sum)
