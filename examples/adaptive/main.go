@@ -1,9 +1,12 @@
 // Adaptive: demonstrates the three adaptive mechanisms of §3.2 reacting to
-// a shifting workload. Phase 1 streams low-reuse scattered reads — the
-// admission threshold climbs to keep cold data out of the cache. Phase 2
-// hammers a small hot set — the threshold falls and the hit ratio soars.
-// Phase 3 switches object sizes — slab reassignment recycles the idle
-// class's slabs.
+// a shifting workload. Phase 1 streams low-reuse scattered reads, about
+// 5 MB of 128 B objects into a 4 MiB arena: once the arena is full and
+// admissions start evicting, the admission threshold climbs to keep cold
+// data out of the cache (it climbs only under that pressure, and stops
+// once no admission evicts). Phase 2 hammers a small hot set — the
+// threshold falls and the hit ratio soars. Phase 3 switches object sizes —
+// with no free slab left, slab reassignment recycles the idle class's
+// slabs.
 package main
 
 import (
@@ -43,9 +46,10 @@ func main() {
 	}
 
 	buf := make([]byte, 128)
-	// Phase 1: 20k scattered reads, essentially no reuse. The adaptive
-	// threshold should rise: promoting one-shot data would only pollute.
-	for i := 0; i < 20_000; i++ {
+	// Phase 1: 40k scattered reads, essentially no reuse. The first 32k
+	// fill the arena; after that each admission evicts, and the adaptive
+	// threshold rises: promoting one-shot data would only pollute.
+	for i := 0; i < 40_000; i++ {
 		off := (int64(i) * 25_013) % (size - 128)
 		if _, err := f.ReadAt(buf, off); err != nil {
 			log.Fatal(err)

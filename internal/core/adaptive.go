@@ -4,7 +4,10 @@ import "pipette/internal/slab"
 
 // This file holds the three adaptive policies of §3.2: threshold
 // adaptation (§3.2.2), slab reassignment (§3.2.3), and the dynamic
-// allocation strategy (§3.2.4).
+// allocation strategy (§3.2.4). The first two act only under arena
+// pressure (DESIGN.md §4, decision 13): a threshold that guards an arena
+// with free items protects nothing, and a free slab pool already serves
+// the classes that need a slab.
 
 // afterAccess runs the periodic policy work owed after each fine access.
 func (p *Pipette) afterAccess() {
@@ -20,18 +23,21 @@ func (p *Pipette) afterAccess() {
 // adaptThreshold closes one adaptation window (§3.2.2): the reuse ratio —
 // repeated fine accesses over all fine accesses — drives the admission
 // threshold. Low reuse raises the threshold (cache less; cold data would
-// only pollute the arena); high reuse lowers it (promote eagerly).
+// only pollute the arena), but only if the window evicted or migrated
+// something: while the arena has room, cold items displace nothing. High
+// reuse lowers it (promote eagerly).
 func (p *Pipette) adaptThreshold() {
 	ratio := float64(p.winReuse) / float64(p.winAccess)
+	pressure := p.stats.Evictions + p.stats.Migrations
 	switch {
-	case ratio < MinReuseRatio && p.threshold < p.cfg.MaxThreshold:
+	case ratio < MinReuseRatio && p.threshold < p.cfg.MaxThreshold && pressure != p.winPressure:
 		p.threshold++
 		p.stats.ThresholdUps++
 	case ratio > MaxReuseRatio && p.threshold > p.cfg.MinThreshold:
 		p.threshold--
 		p.stats.ThresholdDown++
 	}
-	p.winAccess, p.winReuse = 0, 0
+	p.winAccess, p.winReuse, p.winPressure = 0, 0, pressure
 }
 
 // allocItem obtains a Data Area item for n bytes, applying the dynamic
@@ -151,11 +157,12 @@ func (p *Pipette) syncBudget() {
 
 // MaintenanceTick runs one stage of the §3.2.3 maintenance thread: a class
 // whose eviction count has not moved for ReassignStages stages while
-// holding more than one slab is not under pressure; its emptiest slab is
-// reassigned — live data moves to spare memory and the slab returns to the
-// free pool for classes that need it. In simulation the tick is driven
-// deterministically (every MaintenanceEvery accesses); Runner drives it
-// from a real goroutine for live use.
+// holding more than one slab is not under pressure; once the free pool is
+// empty, its emptiest slab is reassigned — live data moves to spare memory
+// and the slab returns to the free pool for classes that need it. While
+// the pool still holds a slab, no class is waiting for one. In simulation
+// the tick is driven deterministically (every MaintenanceEvery accesses);
+// Runner drives it from a real goroutine for live use.
 func (p *Pipette) MaintenanceTick() {
 	for cls := 0; cls < p.alloc.Classes(); cls++ {
 		ev := p.alloc.Evictions(cls)
@@ -166,7 +173,7 @@ func (p *Pipette) MaintenanceTick() {
 		}
 		p.evictSnap[cls] = ev
 		if p.staleStages[cls] >= ReassignStages {
-			if p.detachToOverflow(cls) {
+			if p.alloc.FreeSlabs() == 0 && p.detachToOverflow(cls) {
 				p.stats.Reassignments++
 				p.trimOverflow()
 			}

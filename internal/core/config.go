@@ -4,6 +4,10 @@
 // Fine-Grained Read Cache with its adaptive caching mechanism (§3.2.2),
 // adaptive slab reassignment (§3.2.3), and dynamic allocation strategy
 // arbitrating memory between the page cache and the fine cache (§3.2.4).
+// The first two act only under arena pressure, a deliberate deviation
+// from the paper (DESIGN.md §4, decision 13): the threshold rises only
+// after a window that evicted or migrated, and an idle class gives up a
+// slab only when the free pool is empty.
 //
 // The framework plugs into the VFS as a vfs.FineRouter: fine-grained reads
 // that miss the page cache land in TryFineRead; writes invalidate
@@ -25,14 +29,15 @@ import (
 const (
 	// AdaptWindow is how many fine accesses one threshold-adaptation window
 	// spans (§3.2.2). A window whose reuse ratio falls below MinReuseRatio
-	// raises the threshold; one above MaxReuseRatio lowers it.
+	// raises the threshold if it also evicted or migrated; one above
+	// MaxReuseRatio lowers it.
 	AdaptWindow   = 512
 	MinReuseRatio = 0.1
 	MaxReuseRatio = 0.5
 
 	// ReassignStages is how many maintenance stages a class's eviction
-	// count must stay still before the class donates a slab back to the
-	// free pool (§3.2.3).
+	// count must stay still before the class donates a slab back to an
+	// empty free pool (§3.2.3).
 	ReassignStages = 3
 
 	// HitService is the host-side cost of serving a fine-cache hit

@@ -42,10 +42,11 @@ type Pipette struct {
 
 	lbaScratch []uint64 // Constructor scratch; safe to reuse, Submit is synchronous
 
-	threshold  uint32
-	winAccess  uint64
-	winReuse   uint64
-	sinceMaint uint64
+	threshold   uint32
+	winAccess   uint64
+	winReuse    uint64
+	winPressure uint64 // Evictions+Migrations when the window opened
+	sinceMaint  uint64
 
 	evictSnap   []uint64
 	staleStages []int

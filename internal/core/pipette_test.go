@@ -376,15 +376,19 @@ func TestDisableCache(t *testing.T) {
 
 func TestAdaptiveThresholdMoves(t *testing.T) {
 	cfg := smallCoreConfig()
-	cfg.InitialThreshold = 2
+	cfg.InitialThreshold = 1
 	s := newStack(t, cfg, 64, 8<<20)
 
-	// Phase 1: zero reuse — all-distinct ranges over four windows.
-	// Threshold must rise.
+	// Phase 1: zero reuse — all-distinct ranges over four windows. At
+	// threshold 1 each is admitted, so the scan overflows the arena's
+	// 1024 items of 64 B in its third window. Threshold must rise.
 	for i := 0; i < 4*AdaptWindow; i++ {
 		s.read(t, int64(i)*4096, 64)
 	}
-	if s.p.Threshold() <= 2 {
+	if s.p.Stats().Evictions == 0 {
+		t.Fatalf("setup: the scan did not overflow the arena: %+v", s.p.Stats())
+	}
+	if s.p.Threshold() <= cfg.InitialThreshold {
 		t.Fatalf("threshold %d did not rise under zero reuse", s.p.Threshold())
 	}
 	if s.p.Stats().ThresholdUps == 0 {
@@ -410,8 +414,9 @@ func TestMaintenanceReassignment(t *testing.T) {
 	cfg.MaintenanceEvery = 1 << 60 // drive ticks manually
 	s := newStack(t, cfg, 64, 4<<20)
 
-	// Give the 1024 class several slabs, then go idle on it.
-	for i := 0; i < 40; i++ {
+	// Give the 1024 class every slab of the arena (8 slabs of 8 items),
+	// then go idle on it.
+	for i := 0; i < 64; i++ {
 		s.read(t, int64(i)*2048, 1024)
 	}
 	cls1024, _ := s.p.Allocator().ClassFor(1024)
@@ -420,6 +425,9 @@ func TestMaintenanceReassignment(t *testing.T) {
 		t.Fatalf("setup: class owns %d slabs", before)
 	}
 	freeBefore := s.p.Allocator().FreeSlabs()
+	if freeBefore != 0 {
+		t.Fatalf("setup: %d free slabs, want an exhausted pool", freeBefore)
+	}
 	// ReassignStages idle stages trigger reassignment of one slab.
 	for i := 0; i < ReassignStages; i++ {
 		s.p.MaintenanceTick()
@@ -440,12 +448,70 @@ func TestMaintenanceReassignment(t *testing.T) {
 	}
 }
 
+// An arena with free items has nothing for a threshold to guard: a
+// zero-reuse stream that never evicts leaves the threshold where it began.
+func TestThresholdHoldsWithoutPressure(t *testing.T) {
+	cfg := smallCoreConfig()
+	cfg.HMB.DataBytes = 256 << 10 // 4096 items of 64 B
+	s := newStack(t, cfg, 64, 16<<20)
+
+	for i := 0; i < 6*AdaptWindow; i++ {
+		s.read(t, int64(i)*4096, 64)
+	}
+	st := s.p.Stats()
+	if st.Evictions != 0 || st.Migrations != 0 {
+		t.Fatalf("setup: the arena filled: %+v", st)
+	}
+	if st.Admissions != 6*AdaptWindow {
+		t.Fatalf("admissions = %d, want every read admitted", st.Admissions)
+	}
+	if s.p.Threshold() != cfg.InitialThreshold || st.ThresholdUps != 0 {
+		t.Fatalf("threshold %d (ups %d) moved without pressure, want %d",
+			s.p.Threshold(), st.ThresholdUps, cfg.InitialThreshold)
+	}
+}
+
+// A free slab pool already serves any class that needs a slab: an idle
+// class keeps its slabs while FreeSlabs() > 0, and nothing moves to
+// overflow at the page cache's expense.
+func TestNoReassignmentWhileSlabsFree(t *testing.T) {
+	cfg := smallCoreConfig()
+	cfg.InitialThreshold = 1
+	cfg.MaintenanceEvery = 1 << 60 // drive ticks manually
+	s := newStack(t, cfg, 64, 4<<20)
+
+	for i := 0; i < 40; i++ { // 5 of the arena's 8 slabs
+		s.read(t, int64(i)*2048, 1024)
+	}
+	a := s.p.Allocator()
+	cls1024, _ := a.ClassFor(1024)
+	before, free := a.SlabCount(cls1024), a.FreeSlabs()
+	if before < 2 || free == 0 {
+		t.Fatalf("setup: class owns %d slabs, %d free", before, free)
+	}
+	pcCap := s.v.PageCache().Capacity()
+	for i := 0; i < 3*ReassignStages; i++ {
+		s.p.MaintenanceTick()
+	}
+	if got := s.p.Stats().Reassignments; got != 0 {
+		t.Fatalf("%d reassignments with %d free slabs", got, free)
+	}
+	if a.SlabCount(cls1024) != before || a.FreeSlabs() != free {
+		t.Fatalf("slabs %d/%d free, want %d/%d", a.SlabCount(cls1024), a.FreeSlabs(), before, free)
+	}
+	if s.p.OverflowBytes() != 0 || s.v.PageCache().Capacity() != pcCap {
+		t.Fatalf("overflow %d B, page cache %d pages, want 0 and %d",
+			s.p.OverflowBytes(), s.v.PageCache().Capacity(), pcCap)
+	}
+}
+
 func TestRepromotionFromOverflow(t *testing.T) {
 	cfg := smallCoreConfig()
 	cfg.InitialThreshold = 1
 	cfg.MaintenanceEvery = 1 << 60
 	s := newStack(t, cfg, 64, 4<<20)
-	for i := 0; i < 40; i++ {
+	// Fill every slab, so the idle class is reassigned.
+	for i := 0; i < 64; i++ {
 		s.read(t, int64(i)*2048, 1024)
 	}
 	for i := 0; i < ReassignStages; i++ {
@@ -456,7 +522,7 @@ func TestRepromotionFromOverflow(t *testing.T) {
 	}
 	repBefore := s.p.Stats().Repromotions
 	// Touch everything; overflow hits repromote when arena space allows.
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 64; i++ {
 		s.read(t, int64(i)*2048, 1024)
 	}
 	if s.p.Stats().Repromotions == repBefore {

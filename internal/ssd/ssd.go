@@ -129,8 +129,9 @@ type Controller struct {
 	cmbNext  int
 	cmbPages []uint64 // lba resident in each slot (for assertions)
 
-	wbuf    []wbEntry
-	wbufIdx map[uint64]int
+	wbuf     []wbEntry
+	wbufIdx  map[uint64]int
+	wbufBase int // entries destaged so far; see bufLookup
 
 	readBuf []byte // controller-DRAM staging for fine reads (ReadBufferPages pages)
 

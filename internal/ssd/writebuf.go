@@ -21,6 +21,11 @@ type wbEntry struct {
 	data []byte
 }
 
+// The buffer is a FIFO: wbuf holds the staged pages oldest first, and
+// wbufIdx maps each LBA to its entry's position counted from the first
+// page ever staged, so wbuf[idx-wbufBase] is the entry. Destaging the
+// oldest pages advances wbufBase and moves or renumbers no other entry.
+
 // bufLookup returns the buffered content of lba, if present. All read
 // paths (block, fine, CMB, oracle) consult it for coherence.
 func (c *Controller) bufLookup(lba uint64) ([]byte, bool) {
@@ -28,7 +33,7 @@ func (c *Controller) bufLookup(lba uint64) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return c.wbuf[idx].data, true
+	return c.wbuf[idx-c.wbufBase].data, true
 }
 
 // bufInsert stages one page, overwriting any previous version in place.
@@ -36,50 +41,54 @@ func (c *Controller) bufInsert(lba uint64, data []byte) {
 	stored := make([]byte, len(data))
 	copy(stored, data)
 	if idx, ok := c.wbufIdx[lba]; ok {
-		c.wbuf[idx].data = stored
+		c.wbuf[idx-c.wbufBase].data = stored
 		return
 	}
-	c.wbufIdx[lba] = len(c.wbuf)
+	c.wbufIdx[lba] = c.wbufBase + len(c.wbuf)
 	c.wbuf = append(c.wbuf, wbEntry{lba: lba, data: stored})
 }
 
-// bufDrop removes a page (Trim of a buffered LBA).
+// bufDrop removes a page (Trim of a buffered LBA). The pages staged after
+// it move up one place, so the rest still destage oldest first.
 func (c *Controller) bufDrop(lba uint64) {
 	idx, ok := c.wbufIdx[lba]
 	if !ok {
 		return
 	}
-	last := len(c.wbuf) - 1
-	c.wbuf[idx] = c.wbuf[last]
-	c.wbufIdx[c.wbuf[idx].lba] = idx
-	c.wbuf = c.wbuf[:last]
 	delete(c.wbufIdx, lba)
+	i := idx - c.wbufBase
+	last := len(c.wbuf) - 1
+	copy(c.wbuf[i:], c.wbuf[i+1:])
+	c.wbuf[last] = wbEntry{}
+	c.wbuf = c.wbuf[:last]
+	for _, e := range c.wbuf[i:] {
+		c.wbufIdx[e.lba]--
+	}
 }
 
-// destage flushes buffered pages to NAND, oldest first, until at most
-// keep remain. Programs issue at now; when background is true the caller
-// does not wait (NAND resource timelines absorb the work), otherwise the
-// returned time covers the full drain.
-func (c *Controller) destage(now sim.Time, keep int, background bool) (sim.Time, error) {
+// destage programs the oldest buffered pages to NAND until at most keep
+// remain. Every program issues at now, so pages the FTL stripes over
+// different dies program together; the returned time is the latest
+// completion, which a background destage does not wait for (the NAND
+// resource timelines absorb the work).
+func (c *Controller) destage(now sim.Time, keep int) (sim.Time, error) {
 	t := now
-	for len(c.wbuf) > keep {
-		e := c.wbuf[0]
-		c.wbuf = c.wbuf[1:]
+	var err error
+	n := 0
+	for n < len(c.wbuf)-keep && err == nil {
+		e := c.wbuf[n]
+		c.wbuf[n] = wbEntry{}
+		n++
 		delete(c.wbufIdx, e.lba)
-		done, err := c.programLBA(t, e.lba, e.data)
-		if err != nil {
-			return t, err
+		var done sim.Time
+		if done, err = c.programLBA(now, e.lba, e.data); err == nil {
+			t = max(t, done)
+			c.stats.PagesDestaged++
 		}
-		if !background {
-			t = done
-		}
-		c.stats.PagesDestaged++
 	}
-	// Reindex after the slice shifted.
-	for i := range c.wbuf {
-		c.wbufIdx[c.wbuf[i].lba] = i
-	}
-	return t, nil
+	c.wbuf = c.wbuf[n:]
+	c.wbufBase += n
+	return t, err
 }
 
 // execBufferedWrite handles OpWrite when the write buffer is enabled:
@@ -102,7 +111,7 @@ func (c *Controller) execBufferedWrite(now sim.Time, cmd *nvme.Command) nvme.Com
 		c.bufInsert(lba, cmd.Data[i*ps:(i+1)*ps])
 	}
 	if len(c.wbuf) > c.cfg.WriteBufferPages {
-		if _, err := c.destage(t, c.cfg.WriteBufferPages/2, true); err != nil {
+		if _, err := c.destage(t, c.cfg.WriteBufferPages/2); err != nil {
 			return nvme.Completion{Status: statusFor(err), Done: t}
 		}
 	}
@@ -118,7 +127,7 @@ func (c *Controller) execFlush(now sim.Time) nvme.Completion {
 	t := now + FirmwareBlockOverhead
 	if c.cfg.WriteBufferPages > 0 {
 		var err error
-		t, err = c.destage(t, 0, false)
+		t, err = c.destage(t, 0)
 		if err != nil {
 			return nvme.Completion{Status: statusFor(err), Done: t}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"pipette/internal/ftl"
 	"pipette/internal/hmb"
+	"pipette/internal/nand"
 	"pipette/internal/nvme"
 	"pipette/internal/sim"
 )
@@ -161,6 +162,91 @@ func TestFlushDrainsBuffer(t *testing.T) {
 		if !c.FTL().IsMapped(ftl.LBA(i)) {
 			t.Fatalf("lba %d not mapped after flush", i)
 		}
+	}
+}
+
+// A flush programs every buffered page at once: pages striped over
+// distinct dies program in parallel, so 8 pages on 8 dies drain in about
+// one tPROG rather than eight.
+func TestFlushProgramsPagesTogether(t *testing.T) {
+	cfg := testConfig()
+	cfg.NAND.Channels, cfg.NAND.WaysPerChannel = 4, 2
+	cfg.WriteBufferPages = 32
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := c.PageSize()
+	w := c.Execute(0, &nvme.Command{Op: nvme.OpWrite, LBA: 0, Pages: 8, Data: make([]byte, 8*ps)})
+	if !w.Ok() || c.BufferedPages() != 8 {
+		t.Fatalf("write: %+v, %d pages buffered", w, c.BufferedPages())
+	}
+	fl := c.Execute(w.Done, &nvme.Command{Op: nvme.OpFlush})
+	if !fl.Ok() || c.BufferedPages() != 0 {
+		t.Fatalf("flush: %+v, %d pages left", fl, c.BufferedPages())
+	}
+	if got := fl.Done - w.Done; got < nand.ProgramTime || got > 2*nand.ProgramTime {
+		t.Fatalf("flush of 8 pages on 8 dies took %v, want about one tPROG (%v)", got, nand.ProgramTime)
+	}
+	if got := c.Stats().PagesDestaged; got != 8 {
+		t.Fatalf("PagesDestaged = %d, want 8", got)
+	}
+}
+
+// The buffer destages oldest first, also after a partial destage and a
+// trim of a page in its middle, and every remaining page stays reachable.
+func TestWriteBufferFIFOAfterDestage(t *testing.T) {
+	c := bufferedCtrl(t, 8)
+	ps := c.PageSize()
+	page := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, ps) }
+	var now sim.Time
+	write := func(i int) {
+		comp := c.Execute(now, &nvme.Command{Op: nvme.OpWrite, LBA: uint64(i), Pages: 1, Data: page(i)})
+		if !comp.Ok() {
+			t.Fatalf("write %d: %+v", i, comp)
+		}
+		now = comp.Done
+	}
+	destaged := func(lbas ...int) {
+		t.Helper()
+		for _, i := range lbas {
+			if !c.FTL().IsMapped(ftl.LBA(i)) {
+				t.Fatalf("page %d not destaged", i)
+			}
+		}
+	}
+	buffered := func(lbas ...int) {
+		t.Helper()
+		for _, i := range lbas {
+			if c.FTL().IsMapped(ftl.LBA(i)) {
+				t.Fatalf("page %d destaged out of order", i)
+			}
+			if got, ok := c.bufLookup(uint64(i)); !ok || !bytes.Equal(got, page(i)) {
+				t.Fatalf("buffered page %d lost", i)
+			}
+		}
+	}
+	for i := 0; i <= 8; i++ { // the ninth crosses the high-water mark
+		write(i)
+	}
+	destaged(0, 1, 2, 3, 4)
+	buffered(5, 6, 7, 8)
+	for i := 9; i <= 11; i++ {
+		write(i)
+	}
+	if err := c.Trim(5); err != nil { // the oldest page left
+		t.Fatal(err)
+	}
+	for i := 12; i <= 14; i++ { // 14 crosses the mark again
+		write(i)
+	}
+	destaged(6, 7, 8, 9, 10)
+	buffered(11, 12, 13, 14)
+	if _, ok := c.bufLookup(5); ok || c.FTL().IsMapped(5) {
+		t.Fatal("trimmed page still buffered or destaged")
+	}
+	if got := c.BufferedPages(); got != 4 {
+		t.Fatalf("BufferedPages = %d, want 4", got)
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"pipette/internal/core"
+	"pipette/internal/sim"
 )
 
 func TestKVPublicAPI(t *testing.T) {
@@ -121,5 +124,47 @@ func TestFileClose(t *testing.T) {
 	}
 	if _, err := f2.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An LSM store under a YCSB-A loop whose fine-cache arena never fills:
+// the admission threshold has nothing to guard and stays at its initial
+// value, though compaction and merges keep streaming new ranges.
+func TestKVThresholdHoldsWhileArenaHasRoom(t *testing.T) {
+	sys := newSystem(t, Options{CapacityBytes: 256 << 20, PageCacheBytes: 1 << 20, FineCacheBytes: 8 << 20})
+	kv, err := sys.OpenKV(KVOptions{Index: "lsm", SegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 20000
+	val := bytes.Repeat([]byte("v"), 200)
+	for i := 0; i < records; i++ {
+		if err := kv.Put(fmt.Sprintf("user%05d", i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := sim.NewRNG(1)
+	for op := 0; op < 8000; op++ {
+		key := fmt.Sprintf("user%05d", rng.Uint64n(records))
+		if rng.Uint64n(2) == 0 {
+			if _, err := kv.Get(key); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := kv.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		if op%1000 == 999 {
+			sys.MaintenanceTick()
+		}
+	}
+	r := sys.Report()
+	if r.Core.Evictions != 0 || r.Core.Migrations != 0 {
+		t.Fatalf("setup: the arena filled: %+v", r.Core)
+	}
+	if r.Core.FineReads < 4*core.AdaptWindow {
+		t.Fatalf("setup: %d fine reads span too few adaptation windows", r.Core.FineReads)
+	}
+	if want := core.DefaultConfig().InitialThreshold; r.Threshold != want {
+		t.Fatalf("threshold %d (ups %d), want %d", r.Threshold, r.Core.ThresholdUps, want)
 	}
 }
