@@ -31,6 +31,7 @@ func TestKVExperimentShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	hi, bi, li := kindIndex(index.Hash), kindIndex(index.BTree), kindIndex(index.LSM)
+	lsmProbeCells := 0 // workloads whose LSM probes moved bytes over block I/O
 	for wi, wl := range kvWorkloads {
 		blk, pip := grid[wi][0][hi], grid[wi][1][hi]
 		if blk.keys != pip.keys {
@@ -99,16 +100,26 @@ func TestKVExperimentShapes(t *testing.T) {
 		// move fewer device bytes over the fine path, which reads 512 B
 		// nodes and blocks instead of 4 KiB pages. Bytes moved is the
 		// robust form of the comparison — probe latency also depends on
-		// which cache regime the scale lands each engine in, while read
-		// amplification separates the paths at every scale.
+		// which cache regime the scale lands each engine in. Where the
+		// host caches answer every block-I/O probe of the LSM there is
+		// nothing to compare: at tiny scale its runs fit them on YCSB-E.
 		for _, ki := range []int{bi, li} {
 			bb := grid[wi][0][ki].negBytes
 			pb := grid[wi][1][ki].negBytes
+			if ki == li {
+				if bb == 0 {
+					continue
+				}
+				lsmProbeCells++
+			}
 			if pb >= bb {
 				t.Errorf("YCSB-%s/%s: Pipette probes moved %d KB, not below block I/O's %d KB",
 					wl, kvIndexKinds[ki], pb/1024, bb/1024)
 			}
 		}
+	}
+	if lsmProbeCells == 0 {
+		t.Error("no workload's LSM probes moved device bytes over block I/O")
 	}
 }
 

@@ -3,6 +3,7 @@ package index_test
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"pipette/internal/blockdev"
@@ -480,5 +481,122 @@ func TestLSMCachedLookupAllocFree(t *testing.T) {
 	}
 	if after := eng.Stats(); after.CacheHits == before.CacheHits || after.CacheMisses != before.CacheMisses {
 		t.Fatalf("lookups under test did not all hit the block cache: %+v -> %+v", before, after)
+	}
+}
+
+// TestLSMCorruptBlockIsAnError damages one byte of a run block, where an
+// older run holds the same keys with other Locs: the run's first block,
+// which a merge reads as it opens its inputs, and a block past the first
+// merge chunk, which it reads midway. A lookup, a scan and a merge across
+// the block must each fail with an error naming the run and the block; no
+// lookup may answer from the older run, and the failed merge leaves its
+// inputs as they were.
+func TestLSMCorruptBlockIsAnError(t *testing.T) {
+	t.Parallel()
+	const (
+		keys   = 10000 // per run: about 200 blocks, more than a merge chunk
+		damage = 20    // the damaged byte's offset in its block
+	)
+	key := func(i int) string { return fmt.Sprintf("c-%05d", i) }
+	for _, fine := range []bool{false, true} {
+		for _, blk := range []int{0, 150} {
+			fine, blk := fine, blk
+			t.Run(fmt.Sprintf("fine=%v/block=%d", fine, blk), func(t *testing.T) {
+				t.Parallel()
+				be := testBackend(t, fine)
+				cfg := testEngineConfig(index.LSM, fine)
+				cfg.MemtableEntries = keys
+				eng, err := index.New(be, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				now := sim.Time(0)
+				// Five level-0 runs, one memtable each: the keys at Seg 1 and
+				// then at Seg 2, then three runs of other keys, so the next
+				// Tick merges all five.
+				for round := 0; round < index.LevelFanout+1; round++ {
+					base := 0
+					if round >= 2 {
+						base = keys * (round - 1)
+					}
+					for i := 0; i < keys; i++ {
+						l := index.Loc{Seg: uint32(round + 1), Off: int64(i) * 4096}
+						if now, err = eng.Insert(now, key(base+i), l); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if s := eng.Stats(); s.Runs != index.LevelFanout+1 {
+					t.Fatalf("setup: %d runs, want %d", s.Runs, index.LevelFanout+1)
+				}
+				const name = "idx/lsm-L0-00000001" // the run holding the keys at Seg 2
+				w, err := be.OpenWriter(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if size := w.Size(); size <= int64(blk+1)*index.BlockBytes || size <= index.MergeChunkBytes {
+					t.Fatalf("setup: run of %d bytes", size)
+				}
+				off := int64(blk)*index.BlockBytes + damage
+				b := make([]byte, 1)
+				if _, now, err = w.ReadAt(now, b, off); err != nil {
+					t.Fatal(err)
+				}
+				b[0] ^= 0x40
+				if _, now, err = w.WriteAt(now, b, off); err != nil {
+					t.Fatal(err)
+				}
+				if now, err = w.Sync(now); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				where := fmt.Sprintf("run %s block %d:", name, blk)
+				check := func(op string, err error) {
+					t.Helper()
+					if err == nil {
+						t.Fatalf("%s across the damaged block returned no error", op)
+					}
+					if !strings.Contains(err.Error(), where) {
+						t.Fatalf("%s: error %q does not name %q", op, err, where)
+					}
+				}
+				// Every key of the damaged run resolves to its Seg 2 Loc or
+				// fails; the keys of the damaged block fail.
+				lookups := func() {
+					t.Helper()
+					var first error
+					for i := 0; i < keys; i++ {
+						l, ok, _, err := eng.Lookup(now, key(i))
+						if err == nil && (!ok || l.Seg != 2) {
+							t.Fatalf("Lookup(%s) = %v %v and no error, want Seg 2", key(i), l, ok)
+						}
+						if first == nil {
+							first = err
+						}
+					}
+					check("Lookup", first)
+				}
+				lookups()
+				_, err = eng.Scan(now, "", func(now sim.Time, key string, l index.Loc) (sim.Time, bool) {
+					if l.Seg == 1 {
+						t.Fatalf("Scan yielded %s -> %v from an older run", key, l)
+					}
+					return now, true
+				})
+				check("Scan", err)
+				_, _, err = eng.Tick(now)
+				check("merge", err)
+				if s := eng.Stats(); s.Runs != index.LevelFanout+1 {
+					t.Fatalf("after the failed merge: %d runs, want the %d inputs", s.Runs, index.LevelFanout+1)
+				}
+				if files := be.Files(); len(files) != index.LevelFanout+1 {
+					t.Fatalf("after the failed merge: files %v, want the %d inputs", files, index.LevelFanout+1)
+				}
+				lookups()
+			})
+		}
 	}
 }

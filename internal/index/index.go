@@ -13,8 +13,9 @@
 //     a real timed read through the vfs — a few hundred bytes that a
 //     block-granular stack must round up to a full page and the fine-grained
 //     path serves exactly.
-//   - lsm: a memtable plus sorted runs in the value-log record format, with
-//     per-run bloom filters (sized by bits/key) and a small block cache.
+//   - lsm: a memtable plus sorted runs in prefix-compressed, checksummed
+//     blocks, with per-run bloom filters (sized by bits/key) and a small
+//     block cache.
 //     Negative lookups are its characteristic workload: the filters prune
 //     most runs, and the residual false-positive probes are sub-page block
 //     reads — again the fine-read regime.

@@ -21,9 +21,11 @@ import (
 // fine-grained path transfers exactly a block where the block-granular
 // stack pays a full page, which is the negative-lookup experiment.
 //
-// Runs use the value-log record format (see record.go), sorted by key and
-// packed into BlockBytes blocks a record never straddles; the first key of
-// each block is kept in memory as its fence pointer. Newer data shadows
+// A run is sorted records in prefix-compressed BlockBytes blocks, each
+// sealed by one checksum (see record.go); the first key of each block is
+// kept in memory as its fence pointer. A block is verified when it is read
+// from the device, so a damaged one is an error naming its run and block,
+// never a shorter block that lets an older run answer. Newer data shadows
 // older: the memtable first, then runs by level (ascending) and, within a
 // level, by sequence number (descending).
 
@@ -50,9 +52,10 @@ type lsmEngine struct {
 	cache   *blockCache
 
 	stats    Stats
-	buildBuf []byte
-	fenceBuf fenceKeys // the run being built's fences, copied out at its end
-	spare    []byte    // the next lookup miss reads its block into this buffer
+	buildBuf []byte      // the run being built's storage, kept across builds
+	writer   blockWriter // packs the run being built into blocks
+	fenceBuf fenceKeys   // the run being built's fences, copied out at its end
+	spare    []byte      // the next lookup miss reads its block into this buffer
 
 	// Merge scratch, kept across merges: the input iterators, their chunk
 	// buffers and the winning key's copy.
@@ -117,7 +120,7 @@ func (e *lsmEngine) Stats() Stats {
 // ---- writes ----
 
 func (e *lsmEngine) Insert(now sim.Time, key string, l Loc) (sim.Time, error) {
-	if recSize(len(key)) > BlockBytes {
+	if !keyFits(len(key)) {
 		return now, fmt.Errorf("index: key of %d bytes does not fit a %d B lsm block", len(key), BlockBytes)
 	}
 	e.stats.Inserts++
@@ -169,8 +172,8 @@ func (e *lsmEngine) flush(now sim.Time) (sim.Time, error) {
 // next yields need only stay valid until the following call: the run
 // copies each block's first key into its fence buffer.
 func (e *lsmEngine) buildRun(now sim.Time, level, count int, next func(sim.Time) (sim.Time, []byte, Loc, bool, bool)) (sim.Time, *run, error) {
-	bb := BlockBytes
-	buf := e.buildBuf[:0]
+	bw := &e.writer
+	bw.reset(e.buildBuf)
 	filter := newBloom(count, BloomBitsPerKey)
 	fences := &e.fenceBuf
 	fences.keys, fences.ends = fences.keys[:0], fences.ends[:0]
@@ -183,20 +186,13 @@ func (e *lsmEngine) buildRun(now sim.Time, level, count int, next func(sim.Time)
 		if !ok {
 			break
 		}
-		sz := recSize(len(key))
-		if rem := len(buf) % bb; rem != 0 && rem+sz > bb {
-			// Pad to the next block boundary; records never straddle blocks.
-			for i := rem; i < bb; i++ {
-				buf = append(buf, 0)
-			}
-		}
-		if len(buf)%bb == 0 {
+		if bw.add(key, l, tomb) {
 			fences.add(key)
 		}
-		buf = appendRunRecord(buf, key, l, tomb)
 		filter.add(key)
 		entries++
 	}
+	buf := bw.finish()
 	e.buildBuf = buf[:0]
 	if entries == 0 {
 		return now, nil, nil
@@ -234,7 +230,7 @@ func (e *lsmEngine) buildRun(now sim.Time, level, count int, next func(sim.Time)
 		name:    name,
 		r:       r,
 		size:    int64(len(buf)),
-		blocks:  (len(buf) + bb - 1) / bb,
+		blocks:  len(buf) / BlockBytes,
 		fences:  fences.clone(),
 		filter:  filter,
 		entries: entries,
@@ -258,6 +254,7 @@ func (e *lsmEngine) sortRuns() {
 
 // readBlocks reads up to count run blocks from blk on through f into buf,
 // growing it if needed, and returns them; fewer when the run ends first.
+// Every block it returns has been verified.
 func (e *lsmEngine) readBlocks(now sim.Time, f File, r *run, blk, count int, buf []byte) ([]byte, sim.Time, error) {
 	bb := int64(BlockBytes)
 	off := int64(blk) * bb
@@ -278,6 +275,11 @@ func (e *lsmEngine) readBlocks(now sim.Time, f File, r *run, blk, count int, buf
 		return nil, now, fmt.Errorf("index: run %s block %d: short read %d", r.name, blk, got)
 	}
 	e.stats.BytesRead += uint64(n)
+	for i := 0; i < len(buf); i += BlockBytes {
+		if err := verifyBlock(buf[i : i+BlockBytes]); err != nil {
+			return nil, now, fmt.Errorf("index: run %s block %d: %w", r.name, blk+i/BlockBytes, err)
+		}
+	}
 	return buf, now, nil
 }
 
@@ -304,23 +306,50 @@ func (e *lsmEngine) lookupBlock(now sim.Time, r *run, blk int) ([]byte, sim.Time
 
 // ---- lookup ----
 
-// searchBlock scans one block's records for key.
-func searchBlock(block []byte, key string) (Loc, bool, bool) {
-	for off := 0; off < len(block); {
-		k, l, tomb, sz, ok := parseRunRecord(block[off:])
-		if !ok {
-			break // block padding: no further records here
+// searchBlock scans one verified block's records for key and returns its
+// Loc, whether that is a tombstone and whether the block holds key at all;
+// errBlockRecords when a record does not parse. It compares each record's
+// key with key without rebuilding it: match is how many leading bytes of
+// key the previous record's key holds, and as keys ascend with the longest
+// shared prefixes, a record that shares more than match bytes with its
+// predecessor still sorts below key, one that shares fewer already sorts
+// above it.
+func searchBlock(block []byte, key string) (Loc, bool, bool, error) {
+	left, b := blockRecords(block)
+	match := 0
+	for ; left > 0; left-- {
+		shared, sfx, loc, size, tomb := parseRecord(b)
+		if size == 0 {
+			return Loc{}, false, false, errBlockRecords
 		}
-		// string(k) in a comparison does not allocate.
-		if string(k) == key {
-			return l, tomb, true
+		suffix, locb := b[sfx:loc], b[loc:size]
+		b = b[size:]
+		if shared != match {
+			if shared < match {
+				break
+			}
+			continue
 		}
-		if string(k) > key {
-			break
+		n := 0
+		for n < len(suffix) && match+n < len(key) && suffix[n] == key[match+n] {
+			n++
 		}
-		off += sz
+		match += n
+		if n < len(suffix) {
+			if match == len(key) || suffix[n] > key[match] {
+				break // the record's key sorts above key
+			}
+			continue
+		}
+		if match == len(key) {
+			if l, ok := decodeLoc(locb); ok {
+				return l, tomb, true, nil
+			}
+			return Loc{}, false, false, errBlockRecords
+		}
+		// The record's key is a prefix of key: it sorts below.
 	}
-	return Loc{}, false, false
+	return Loc{}, false, false, nil
 }
 
 func (e *lsmEngine) Lookup(now sim.Time, key string) (Loc, bool, sim.Time, error) {
@@ -348,7 +377,10 @@ func (e *lsmEngine) Lookup(now sim.Time, key string) (Loc, bool, sim.Time, error
 			return Loc{}, false, done, err
 		}
 		now = done
-		l, tomb, found := searchBlock(block, key)
+		l, tomb, found, err := searchBlock(block, key)
+		if err != nil {
+			return Loc{}, false, now, fmt.Errorf("index: run %s block %d: %w", r.name, blk-1, err)
+		}
 		if !found {
 			e.stats.BloomFalsePos++
 			continue
@@ -363,16 +395,19 @@ func (e *lsmEngine) Lookup(now sim.Time, key string) (Loc, bool, sim.Time, error
 // runIter streams one run's records in key order with timed reads of
 // chunk blocks at a time through f: a scan reads one block at a time
 // through the run's reader, a merge many through a direct handle. It reads
-// every chunk into the one buffer it owns, so key is a view that stays
-// valid only until the next call to next.
+// every chunk into the one buffer it owns and rebuilds keys in its block
+// decoder, so key is a view that stays valid only until the next call to
+// next.
 type runIter struct {
-	e     *lsmEngine
-	r     *run
-	f     File
-	chunk int // blocks per read
-	blk   int // next block to read
-	block []byte
-	off   int
+	e      *lsmEngine
+	r      *run
+	f      File
+	chunk  int // blocks per read
+	blk    int // next block to read
+	block  []byte
+	off    int       // the next block to decode in block
+	dec    blockIter // the block being decoded
+	decBlk int       // its index in the run
 
 	key   []byte
 	loc   Loc
@@ -383,18 +418,26 @@ type runIter struct {
 // next advances the iterator; invalid when the run is exhausted.
 func (it *runIter) next(now sim.Time) (sim.Time, error) {
 	it.valid = false
-	for it.off < len(it.block) || it.blk < it.r.blocks {
-		if it.off < len(it.block) {
-			// Records never straddle blocks: parse within the current one.
-			end := min((it.off/BlockBytes+1)*BlockBytes, len(it.block))
-			k, l, tomb, sz, ok := parseRunRecord(it.block[it.off:end])
-			if ok {
-				it.key, it.loc, it.tomb, it.valid = k, l, tomb, true
-				it.off += sz
-				return now, nil
+	for {
+		if it.dec.next() {
+			l, ok := it.dec.loc()
+			if !ok {
+				return now, it.damaged()
 			}
-			it.off = end // padding: the rest of the block holds no record
+			it.key, it.loc, it.tomb, it.valid = it.dec.key(), l, it.dec.tomb, true
+			return now, nil
+		}
+		if it.dec.left > 0 {
+			return now, it.damaged()
+		}
+		if it.off < len(it.block) {
+			it.dec.reset(it.block[it.off : it.off+BlockBytes])
+			it.decBlk = it.blk - it.chunk + it.off/BlockBytes
+			it.off += BlockBytes
 			continue
+		}
+		if it.blk >= it.r.blocks {
+			return now, nil
 		}
 		block, done, err := it.e.readBlocks(now, it.f, it.r, it.blk, it.chunk, it.block)
 		if err != nil {
@@ -405,7 +448,11 @@ func (it *runIter) next(now sim.Time) (sim.Time, error) {
 		it.off = 0
 		it.blk += it.chunk
 	}
-	return now, nil
+}
+
+// damaged reports a record of the block being decoded that does not parse.
+func (it *runIter) damaged() error {
+	return fmt.Errorf("index: run %s block %d: %w", it.r.name, it.decBlk, errBlockRecords)
 }
 
 // seek positions the iterator at the first record with key >= start.
@@ -417,6 +464,7 @@ func (it *runIter) seek(now sim.Time, start string) (sim.Time, error) {
 	it.blk = blk
 	it.block = it.block[:0]
 	it.off = 0
+	it.dec.reset(nil)
 	var err error
 	for {
 		if now, err = it.next(now); err != nil {
@@ -543,7 +591,7 @@ func (e *lsmEngine) mergeLevel(now sim.Time, lvl int, inputs []*run, maxLevel in
 	dropTombs := lvl == maxLevel
 
 	next := func(now sim.Time) (sim.Time, []byte, Loc, bool, bool) {
-		for {
+		for err == nil {
 			best := -1
 			for i := range iters {
 				if iters[i].valid && (best < 0 || bytes.Compare(iters[i].key, iters[best].key) < 0) {
@@ -570,8 +618,9 @@ func (e *lsmEngine) mergeLevel(now sim.Time, lvl int, inputs []*run, maxLevel in
 			}
 			return now, key, l, tomb, true
 		}
+		return now, nil, Loc{}, false, false // an input failed: stop the merge
 	}
-	now, _, berr := e.buildRun(now, lvl+1, count, next)
+	now, merged, berr := e.buildRun(now, lvl+1, count, next)
 	if cerr := e.closeInputs(iters); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -579,27 +628,38 @@ func (e *lsmEngine) mergeLevel(now sim.Time, lvl int, inputs []*run, maxLevel in
 		return now, berr
 	}
 	if err != nil {
+		// The merged run lacks what the failed input still held: keep the
+		// inputs and drop it.
+		if merged != nil {
+			_ = e.retire(merged) // the input's error is the one to report
+		}
 		return now, err
 	}
 	e.stats.Compactions++
 
 	// Retire the inputs: the merged run has replaced them.
 	for _, in := range inputs {
-		if cerr := in.r.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if rerr := e.be.Remove(in.name); rerr != nil && err == nil {
+		if rerr := e.retire(in); rerr != nil && err == nil {
 			err = rerr
-		}
-		e.cache.dropRun(in.seq)
-		for i, r := range e.runs {
-			if r == in {
-				e.runs = append(e.runs[:i], e.runs[i+1:]...)
-				break
-			}
 		}
 	}
 	return now, err
+}
+
+// retire closes and removes run r and forgets its cached blocks.
+func (e *lsmEngine) retire(r *run) error {
+	err := r.r.Close()
+	if rerr := e.be.Remove(r.name); rerr != nil && err == nil {
+		err = rerr
+	}
+	e.cache.dropRun(r.seq)
+	for i, x := range e.runs {
+		if x == r {
+			e.runs = append(e.runs[:i], e.runs[i+1:]...)
+			break
+		}
+	}
+	return err
 }
 
 // openInputs gives each merge input an iterator reading MergeChunkBytes at

@@ -1,8 +1,12 @@
 package index
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -102,36 +106,176 @@ func TestChecksumIsCRC32C(t *testing.T) {
 	}
 }
 
-func TestRunRecordRoundTrip(t *testing.T) {
-	t.Parallel()
-	want := Loc{Seg: 7, Off: 123456789, ValLen: 321}
-	buf := appendRunRecord(nil, []byte("some/key"), want, false)
-	buf = appendRunRecord(buf, []byte("tomb"), Loc{}, true)
+// testRec is one run record as the tests write and expect it.
+type testRec struct {
+	key  string
+	loc  Loc
+	tomb bool
+}
 
-	key, l, tomb, sz, ok := parseRunRecord(buf)
-	if !ok || string(key) != "some/key" || l != want || tomb {
-		t.Fatalf("parse = %q %v %v %v", key, l, tomb, ok)
+// encodeRun packs recs, sorted by key, into sealed blocks, and returns
+// them with the keys the writer made fences.
+func encodeRun(recs []testRec) (run []byte, fences []string) {
+	var w blockWriter
+	w.reset(nil)
+	for _, r := range recs {
+		if w.add([]byte(r.key), r.loc, r.tomb) {
+			fences = append(fences, r.key)
+		}
 	}
-	key, _, tomb, _, ok = parseRunRecord(buf[sz:])
-	if !ok || string(key) != "tomb" || !tomb {
-		t.Fatalf("parse tombstone = %q %v %v", key, tomb, ok)
-	}
+	return w.finish(), fences
+}
 
-	// Any flipped bit must fail validation, not decode into a wrong Loc.
-	for off := 0; off < sz; off++ {
-		for bit := uint(0); bit < 8; bit++ {
-			buf[off] ^= 1 << bit
-			if k, gl, _, gsz, gok := parseRunRecord(buf); gok && gsz == sz && (string(k) != string(key) || gl != want) {
-				t.Fatalf("bit flip at %d/%d decoded as %q %v", off, bit, k, gl)
+// decodeRun verifies every block of run and returns its records in order.
+func decodeRun(t *testing.T, run []byte) []testRec {
+	t.Helper()
+	if len(run)%BlockBytes != 0 {
+		t.Fatalf("run of %d bytes is not whole %d B blocks", len(run), BlockBytes)
+	}
+	var recs []testRec
+	for off := 0; off < len(run); off += BlockBytes {
+		block := run[off : off+BlockBytes]
+		if err := verifyBlock(block); err != nil {
+			t.Fatalf("block %d: %v", off/BlockBytes, err)
+		}
+		var it blockIter
+		it.reset(block)
+		for it.next() {
+			l, ok := it.loc()
+			if !ok {
+				t.Fatalf("block %d: record %q has a Loc that does not decode", off/BlockBytes, it.key())
 			}
-			buf[off] ^= 1 << bit
+			recs = append(recs, testRec{string(it.key()), l, it.tomb})
+		}
+		if it.left != 0 {
+			t.Fatalf("block %d: %d records do not decode", off/BlockBytes, it.left)
+		}
+	}
+	return recs
+}
+
+// TestRunBlockRoundTrip: records written across several blocks decode to
+// exactly themselves, each block's first key is a fence, and a flip of any
+// bit of a sealed block fails its verification.
+func TestRunBlockRoundTrip(t *testing.T) {
+	t.Parallel()
+	recs := []testRec{
+		{"", Loc{Seg: 1}, false},
+		{"some/key", Loc{Seg: 7, Off: 123456789, ValLen: 321}, false},
+		{"some/key2", Loc{Seg: math.MaxUint32, Off: -1, ValLen: math.MaxUint32}, false},
+		{"tomb", Loc{}, true},
+	}
+	for i := 0; i < 200; i++ {
+		recs = append(recs, testRec{fmt.Sprintf("user/%08d", i), Loc{Seg: uint32(i), Off: int64(i) << 20, ValLen: 100}, i%7 == 0})
+	}
+	run, fences := encodeRun(recs)
+	if got := decodeRun(t, run); !slices.Equal(got, recs) {
+		t.Fatalf("decoded %d records, want %d: %v", len(got), len(recs), got)
+	}
+	if len(fences) != len(run)/BlockBytes || len(fences) < 3 {
+		t.Fatalf("%d fences for %d blocks", len(fences), len(run)/BlockBytes)
+	}
+	for i, f := range fences {
+		var it blockIter
+		it.reset(run[i*BlockBytes:])
+		if !it.next() || string(it.key()) != f {
+			t.Fatalf("block %d starts with %q, fence %q", i, it.key(), f)
 		}
 	}
 
-	// Padding (zero bytes) reads as "no record".
-	if _, _, _, _, ok := parseRunRecord(make([]byte, 64)); ok {
-		t.Fatal("zero padding parsed as a record")
+	block := run[BlockBytes : 2*BlockBytes]
+	for off := range block {
+		for bit := uint(0); bit < 8; bit++ {
+			block[off] ^= 1 << bit
+			if err := verifyBlock(block); err == nil {
+				t.Fatalf("bit %d of byte %d flipped and the block still verifies", bit, off)
+			}
+			block[off] ^= 1 << bit
+		}
 	}
+	if err := verifyBlock(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := verifyBlock(make([]byte, BlockBytes)); err == nil {
+		t.Fatal("a zeroed block verifies")
+	}
+}
+
+// FuzzRunBlock: decoding arbitrary bytes never panics, and a block the
+// decoder accepts answers searches for each of its keys; sorted keys with
+// random Locs and tombstones round-trip through the writer; and any single
+// changed byte of a sealed block fails verification.
+func FuzzRunBlock(f *testing.F) {
+	valid, _ := encodeRun([]testRec{{"a", Loc{Seg: 1}, false}, {"ab", Loc{Seg: 2, Off: 1 << 40}, true}, {"b", Loc{ValLen: 9}, false}})
+	f.Add([]byte{}, int64(0))
+	f.Add([]byte("\x03abc\x02ab\x05zzzzz\x01a"), int64(1))
+	f.Add(valid, int64(2))
+	f.Add(bytes.Repeat([]byte{0x0f, 'k', 'e', 'y', '/', 0x80, 0xff}, 100), int64(3))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		// Arbitrary bytes, as they are and resealed so the decoder sees
+		// past the checksum.
+		var it blockIter
+		it.reset(data)
+		for it.next() {
+		}
+		searchBlock(data, "key")
+		block := make([]byte, BlockBytes)
+		copy(block, data)
+		binary.LittleEndian.PutUint32(block[0:4], Checksum(block[4:blockHdrSize], block[blockHdrSize:]))
+		if err := verifyBlock(block); err != nil {
+			t.Fatalf("a resealed block fails verification: %v", err)
+		}
+		whole := true // every record and Loc decodes
+		for it.reset(block); it.next(); {
+			_, ok := it.loc()
+			whole = whole && ok
+		}
+		if whole && it.left == 0 {
+			for it.reset(block); it.next(); {
+				want, _ := it.loc()
+				if l, tomb, ok, err := searchBlock(block, string(it.key())); !ok || err != nil || l != want || tomb != it.tomb {
+					t.Fatalf("searchBlock(%q) = %v %v %v %v, the block holds %v %v", it.key(), l, tomb, ok, err, want, it.tomb)
+				}
+			}
+		}
+
+		// Keys cut from data: a length byte, then that many bytes.
+		rng := rand.New(rand.NewSource(seed))
+		seen := map[string]bool{}
+		var keys []string
+		for i := 0; i < len(data); {
+			n := int(data[i]) % 24
+			k := string(data[i+1 : min(i+1+n, len(data))])
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+			i += 1 + n
+		}
+		sort.Strings(keys)
+		recs := make([]testRec, len(keys))
+		for i, k := range keys {
+			recs[i] = testRec{k, Loc{Seg: rng.Uint32(), Off: int64(rng.Uint64() >> rng.Intn(64)), ValLen: rng.Uint32() >> rng.Intn(32)}, rng.Intn(3) == 0}
+		}
+		run, fences := encodeRun(recs)
+		if got := decodeRun(t, run); !slices.Equal(got, recs) {
+			t.Fatalf("records %v decoded as %v", recs, got)
+		}
+		if len(fences) != len(run)/BlockBytes {
+			t.Fatalf("%d fences for %d blocks", len(fences), len(run)/BlockBytes)
+		}
+		for off := 0; off < len(run); off += BlockBytes {
+			block := run[off : off+BlockBytes]
+			for i := range block {
+				delta := byte(1 + rng.Intn(255))
+				block[i] ^= delta
+				if verifyBlock(block) == nil {
+					t.Fatalf("byte %d of block %d changed by %#x and the block still verifies", i, off/BlockBytes, delta)
+				}
+				block[i] ^= delta
+			}
+		}
+	})
 }
 
 func TestBloomFilter(t *testing.T) {
@@ -184,17 +328,12 @@ func TestBlockCacheLRU(t *testing.T) {
 }
 
 // TestSearchBlockMatchesLinearScan checks searchBlock, which compares the
-// []byte key views in place, against a linear scan over the block's records
+// rebuilt keys in place, against a linear scan over the block's records
 // with string keys. Blocks are random sorted runs of records with
 // tombstones, keys that are prefixes of one another and bytes above 0x7f,
 // and zero padding after the last record.
 func TestSearchBlockMatchesLinearScan(t *testing.T) {
 	t.Parallel()
-	type rec struct {
-		key  string
-		loc  Loc
-		tomb bool
-	}
 	rng := rand.New(rand.NewSource(7))
 	alphabet := []byte{'a', 'b', 'z', 0x00, 0x7f, 0x80, 0xff}
 	randKey := func() string {
@@ -204,7 +343,7 @@ func TestSearchBlockMatchesLinearScan(t *testing.T) {
 		}
 		return string(k)
 	}
-	linear := func(recs []rec, key string) (Loc, bool, bool) {
+	linear := func(recs []testRec, key string) (Loc, bool, bool) {
 		for _, r := range recs {
 			if r.key == key {
 				return r.loc, r.tomb, true
@@ -222,13 +361,14 @@ func TestSearchBlockMatchesLinearScan(t *testing.T) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		recs := make([]rec, len(keys))
-		var block []byte
+		recs := make([]testRec, len(keys))
 		for i, k := range keys {
-			recs[i] = rec{key: k, loc: Loc{Seg: rng.Uint32(), Off: rng.Int63(), ValLen: rng.Uint32()}, tomb: rng.Intn(4) == 0}
-			block = appendRunRecord(block, []byte(k), recs[i].loc, recs[i].tomb)
+			recs[i] = testRec{key: k, loc: Loc{Seg: rng.Uint32(), Off: rng.Int63(), ValLen: rng.Uint32()}, tomb: rng.Intn(4) == 0}
 		}
-		block = append(block, make([]byte, rng.Intn(64))...) // padding
+		block, _ := encodeRun(recs)
+		if len(keys) > 0 && len(block) != BlockBytes {
+			t.Fatalf("trial %d: %d keys took %d bytes, not one block", trial, len(keys), len(block))
+		}
 
 		probes := append([]string{"", "\xff\xff\xff\xff\xff\xff\xff"}, keys...)
 		for i := 0; i < 20; i++ {
@@ -238,11 +378,11 @@ func TestSearchBlockMatchesLinearScan(t *testing.T) {
 			probes = append(probes, k[:len(k)-1], k+"\x00", k+"\xff")
 		}
 		for _, p := range probes {
-			gl, gt, gok := searchBlock(block, p)
+			gl, gt, gok, err := searchBlock(block, p)
 			wl, wt, wok := linear(recs, p)
-			if gl != wl || gt != wt || gok != wok {
-				t.Fatalf("trial %d, keys %q: searchBlock(%q) = %v %v %v, linear scan %v %v %v",
-					trial, keys, p, gl, gt, gok, wl, wt, wok)
+			if gl != wl || gt != wt || gok != wok || err != nil {
+				t.Fatalf("trial %d, keys %q: searchBlock(%q) = %v %v %v %v, linear scan %v %v %v",
+					trial, keys, p, gl, gt, gok, err, wl, wt, wok)
 			}
 		}
 	}
