@@ -10,9 +10,11 @@ import (
 // BenchmarkCompact times compacting one sealed segment: the log is
 // overwritten (untimed) until a segment passes the dead-fraction
 // threshold, then the timed MaintenanceTick verifies its records and moves
-// the live ones.
+// the live ones. It reports the virtual time of each compaction and the
+// appends it issues.
 func BenchmarkCompact(b *testing.B) {
 	be := testBackend(b, false)
+	v := be.(VFSBackend).V
 	s := testStore(b, be, Config{SegmentBytes: 64 << 10})
 	now := sim.Time(0)
 	var err error
@@ -22,7 +24,10 @@ func BenchmarkCompact(b *testing.B) {
 		keys[i] = fmt.Sprintf("key-%04d", i)
 	}
 	step := 0
+	var spent sim.Time
+	var appends uint64
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		for s.pickVictim() == nil {
@@ -33,15 +38,19 @@ func BenchmarkCompact(b *testing.B) {
 			}
 			step++
 		}
-		moved := s.Stats().MovedBytes
+		moved, writes := s.Stats().MovedBytes, v.IO().Writes
 		b.StartTimer()
-		if _, now, err = s.MaintenanceTick(now); err != nil {
+		done := now
+		if _, done, err = s.MaintenanceTick(now); err != nil {
 			b.Fatal(err)
 		}
+		spent, appends, now = spent+done-now, appends+v.IO().Writes-writes, done
 		if i == 0 && s.Stats().MovedBytes == moved {
 			b.Fatal("compaction moved no live record")
 		}
 	}
+	b.ReportMetric(spent.Micros()/float64(b.N), "virtual-us/compaction")
+	b.ReportMetric(float64(appends)/float64(b.N), "appends/compaction")
 }
 
 // BenchmarkPut appends 300 B values under distinct keys into a fresh store
@@ -88,4 +97,28 @@ func BenchmarkPut(b *testing.B) {
 	reads += be.(VFSBackend).V.IO().BlockReads
 	b.ReportMetric(spent.Micros()/float64(b.N), "virtual-us/put")
 	b.ReportMetric(float64(reads)/float64(b.N), "reads/put")
+}
+
+// BenchmarkRecover times reopening a store of 8,000 records of 200 B in
+// two 1 MiB segments, fine reads on: the scan that rebuilds the index from
+// the log. It reports the virtual time of each reopen.
+func BenchmarkRecover(b *testing.B) {
+	be := testBackend(b, true)
+	cfg, now := recoverySetup(b, be, 8000, 200)
+	var spent sim.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, done, err := Open(now, be, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spent += done - now
+		b.StopTimer()
+		if now, err = s.Close(done); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(spent.Micros()/1000/float64(b.N), "virtual-ms/reopen")
 }

@@ -1,7 +1,9 @@
 package kv
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pipette/internal/index"
 	"pipette/internal/sim"
@@ -64,7 +66,10 @@ const compactWindow = 128 << 10
 // and moved byte for byte: a damaged record stops the compaction with an
 // error naming the segment and offset, and the segment is kept, so recovery
 // still sees (and skips) the damage instead of compaction laundering it
-// under a fresh checksum.
+// under a fresh checksum. The moved copies are synced before the victim is
+// removed, so a crash never loses a record the victim held durably: the
+// active segment is synced here, and a segment sealed during the pass was
+// synced by rotate.
 func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 	d, err := s.be.OpenDirect(sg.name)
 	if err != nil {
@@ -73,6 +78,9 @@ func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 	reclaimed, now, err := s.moveRecords(now, sg, d)
 	if cerr := d.Close(); cerr != nil && err == nil {
 		err = cerr
+	}
+	if err == nil && reclaimed < uint64(sg.tail) { // the pass appended records
+		now, err = s.Sync(now)
 	}
 	if err != nil {
 		return now, err
@@ -86,70 +94,131 @@ func (s *Store) compact(now sim.Time, sg *segment) (sim.Time, error) {
 }
 
 // moveRecords walks sg's records through the direct handle d, moving what
-// compact keeps, and returns the bytes it did not move.
+// compact keeps, and returns the bytes it did not move. Which records are
+// live comes from one pass over the store's slots (liveSlots), not a map
+// probe per record. The records kept are gathered in the store's moving
+// scratch and go to the log once compactWindow bytes of them have gathered,
+// and once more at the end: one append each, split only where the active
+// segment ends. A damaged record drops the moves gathered but not yet
+// written.
 func (s *Store) moveRecords(now sim.Time, sg *segment, d BackendFile) (uint64, sim.Time, error) {
 	reclaimed := uint64(sg.tail)
+	live := s.liveSlots(sg.id)
 	rd := logReader{f: d, end: sg.tail, buf: s.window[:0], pageSize: s.be.PageSize()}
 	defer func() { s.window = rd.buf }()
-	for off := int64(0); off < sg.tail; {
-		hdr, done, err := rd.next(now, headerSize)
+	if s.moving == nil {
+		s.moving = make([]byte, 0, compactWindow+rd.pageSize)
+	}
+	s.moving, s.moves = s.moving[:0], s.moves[:0]
+	for off := int64(0); off < sg.tail; off = rd.offset() {
+		rec, h, done, err := recordAt(now, &rd, s.cfg.SegmentBytes)
 		if now = done; err != nil {
 			return 0, now, err
 		}
-		var h recordHeader
-		ok := hdr != nil
-		if ok {
-			h, ok = parseHeader(hdr, MaxKeyLen, s.cfg.SegmentBytes, off)
-		}
-		if !ok {
+		if rec == nil {
 			return 0, now, fmt.Errorf("kv: segment %s corrupt at offset %d", sg.name, off)
 		}
-		sz := recordSize(h.keyLen, h.valLen)
-		rec, done, err := rd.next(now, int(sz))
-		if now = done; err != nil {
-			return 0, now, err
-		}
-		if rec == nil || index.Checksum(rec[1:8], rec[headerSize:]) != h.checksum {
-			return 0, now, fmt.Errorf("kv: segment %s corrupt at offset %d: checksum mismatch", sg.name, off)
-		}
 		key := rec[headerSize : headerSize+h.keyLen]
+		slot, keep := int32(-1), false
 		if h.tombstone {
 			// A tombstone may still be shadowing a record in an older
 			// segment. Once the key is live again (or the tombstone's
 			// segment is the oldest holder), it can be dropped; re-append
 			// it otherwise, to keep deletes durable across recovery.
-			if !s.tombstoneObsolete(key, sg.id) {
-				id, _, done, err := s.appendRecord(now, rec)
-				if err != nil {
-					return 0, done, err
-				}
-				now = done
-				s.segs[id].dead += sz
-				reclaimed -= uint64(sz)
+			keep = !s.tombstoneObsolete(key, sg.id)
+		} else {
+			for len(live) > 0 && s.locs[live[0]].Off < off {
+				live = live[1:]
 			}
-		} else if slot, ok := s.acct[string(key)]; ok && s.locs[slot].Seg == sg.id && s.locs[slot].Off == off {
-			// Live record: move it to the active log and repoint the index
-			// engine at it (a timed engine write — compaction pays the
-			// index's update cost too).
-			id, recOff, done, err := s.appendRecord(now, rec)
-			if err != nil {
-				return 0, done, err
+			if len(live) > 0 && s.locs[live[0]].Off == off && s.keys[live[0]] == string(key) {
+				slot, keep = live[0], true
+				live = live[1:]
 			}
-			now = done
-			l := index.Loc{Seg: id, Off: recOff, ValLen: uint32(h.valLen)}
-			s.retire(h.keyLen, s.locs[slot])
-			s.locs[slot] = l
-			if now, err = s.eng.Insert(now, s.keys[slot], l); err != nil {
-				return 0, now, err
-			}
-			s.segs[id].live += sz
-			s.stats.MovedBytes += uint64(sz)
-			reclaimed -= uint64(sz)
 		}
-		rd.pos += int(sz)
-		off += sz
+		if keep {
+			s.moving = append(s.moving, rec...)
+			s.moves = append(s.moves, slot)
+			reclaimed -= uint64(len(rec))
+			if len(s.moving) >= compactWindow {
+				if now, err = s.appendMoves(now); err != nil {
+					return 0, now, err
+				}
+			}
+		}
+		rd.pos += len(rec)
 	}
-	return reclaimed, now, nil
+	now, err := s.appendMoves(now)
+	return reclaimed, now, err
+}
+
+// liveSlots returns the slots of the live records segment id holds, in log
+// order, gathered by one pass over the slots into the store's victim
+// scratch. A freed slot keeps its stale Loc but no key, so it is passed
+// over.
+func (s *Store) liveSlots(id uint32) []int32 {
+	v := s.victim[:0]
+	for slot, l := range s.locs {
+		if l.Seg == id && s.keys[slot] != "" {
+			v = append(v, int32(slot))
+		}
+	}
+	slices.SortFunc(v, func(a, b int32) int { return cmp.Compare(s.locs[a].Off, s.locs[b].Off) })
+	s.victim = v
+	return v
+}
+
+// appendMoves writes the records gathered in s.moving to the log, in one
+// append per segment they land in, then repoints each moved key's slot and
+// index entry at its new copy, in log order (a timed engine write per
+// record: compaction pays the index's update cost too). s.moves holds each
+// record's slot, -1 for a tombstone.
+func (s *Store) appendMoves(now sim.Time) (sim.Time, error) {
+	batch, moves := s.moving, s.moves
+	s.moving, s.moves = s.moving[:0], s.moves[:0]
+	for len(moves) > 0 {
+		// The longest run of records that fits the active segment; none
+		// fits only when the segment is full.
+		room := s.cfg.SegmentBytes - s.active.tail
+		n, k := 0, 0
+		for ; k < len(moves); k++ {
+			sz := int(recordSize(recordLens(batch[n:])))
+			if int64(n+sz) > room {
+				break
+			}
+			n += sz
+		}
+		if k == 0 {
+			var err error
+			if now, err = s.rotate(now); err != nil {
+				return now, err
+			}
+			continue
+		}
+		id, off, done, err := s.appendRecord(now, batch[:n])
+		if err != nil {
+			return done, err
+		}
+		now = done
+		for _, slot := range moves[:k] {
+			keyLen, valLen := recordLens(batch)
+			sz := recordSize(keyLen, valLen)
+			if slot < 0 {
+				s.segs[id].dead += sz
+			} else {
+				l := index.Loc{Seg: id, Off: off, ValLen: uint32(valLen)}
+				s.retire(keyLen, s.locs[slot])
+				s.locs[slot] = l
+				if now, err = s.eng.Insert(now, s.keys[slot], l); err != nil {
+					return now, err
+				}
+				s.segs[id].live += sz
+				s.stats.MovedBytes += uint64(sz)
+			}
+			batch, off = batch[sz:], off+sz
+		}
+		moves = moves[k:]
+	}
+	return now, nil
 }
 
 // logReader streams the bytes [0, end) of a segment through a direct handle,
@@ -166,6 +235,9 @@ type logReader struct {
 	buf      []byte // buf[pos:len(buf)] is unconsumed
 	pos      int
 }
+
+// offset is the file offset of the reader's position.
+func (r *logReader) offset() int64 { return r.read - int64(len(r.buf)-r.pos) }
 
 // next returns the unconsumed n bytes at the reader's position, reading
 // more of the file if needed; nil if the file ends before them. The bytes

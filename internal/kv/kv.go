@@ -119,9 +119,11 @@ type Store struct {
 	free []int32
 
 	stats   Stats
-	scratch []byte // one record, encoded by Put and Delete
-	window  []byte // compaction's read buffer, kept across compactions
-	resync  []byte // recovery's resynchronization chunk, kept across scans
+	scratch []byte  // one record, encoded by Put and Delete
+	window  []byte  // the log reader's buffer, kept across compactions and recovered segments
+	moving  []byte  // records compaction gathered to move, appended once compactWindow bytes gather
+	moves   []int32 // the slot of each record in moving, -1 for a tombstone
+	victim  []int32 // the slots of the compaction victim's live records, in log order
 }
 
 // Open starts a store over be, replaying any existing segments under

@@ -223,3 +223,57 @@ func TestFreshSegmentScansEmpty(t *testing.T) {
 		t.Fatalf("fresh segment recovered %d records, len %d", s2.Stats().Recovered, s2.Len())
 	}
 }
+
+// recoverySetup writes n records of valLen-byte values into a store over
+// be (fine reads on, 1 MiB segments) and closes it.
+func recoverySetup(t testing.TB, be Backend, n, valLen int) (Config, sim.Time) {
+	t.Helper()
+	cfg := Config{SegmentBytes: 1 << 20, FineReads: true}
+	s := testStore(t, be, cfg)
+	now := sim.Time(0)
+	var err error
+	val := bytes.Repeat([]byte{'r'}, valLen)
+	for i := 0; i < n; i++ {
+		if now, err = s.Put(now, fmt.Sprintf("rec-%05d", i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if now, err = s.Close(now); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, now
+}
+
+// TestRecoveryReadsSegmentsInWindows: a reopen streams each segment
+// through one direct handle in compactWindow reads, so 8,000 records of
+// 200 B in two 1 MiB segments take at most 1 MiB / compactWindow reads
+// per segment plus a constant, not two reads per record.
+func TestRecoveryReadsSegmentsInWindows(t *testing.T) {
+	t.Parallel()
+	const records = 8000
+	log := &ioLog{}
+	be := loggedBackend{VFSBackend: testBackend(t, true).(VFSBackend), log: log}
+	cfg, now := recoverySetup(t, be, records, 200)
+	log.reads = 0
+	s, now, err := Open(now, be, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := int(s.Segments())
+	if segs != 2 || s.Len() != records || s.Stats().Recovered != records {
+		t.Fatalf("setup: reopened %d segments holding %d keys (%d recovered), want 2 and %d",
+			segs, s.Len(), s.Stats().Recovered, records)
+	}
+	const perSegment = int(1<<20/compactWindow) + 2
+	t.Logf("reopening %d records in %d segments took %d reads", records, segs, log.reads)
+	if log.reads > segs*perSegment {
+		t.Errorf("reopening %d records in %d segments took %d reads, want at most %d",
+			records, segs, log.reads, segs*perSegment)
+	}
+	for i := 0; i < records; i += 997 {
+		key := fmt.Sprintf("rec-%05d", i)
+		if got, _, err := s.Get(now, key, nil); err != nil || len(got) != 200 {
+			t.Fatalf("Get(%s) = %d bytes, %v after the reopen", key, len(got), err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -195,108 +196,98 @@ func (s *Store) appendRecord(now sim.Time, rec []byte) (segID uint32, off int64,
 	return s.active.id, off, done, nil
 }
 
-// tryRecordAt reads and fully validates one record at off: header parse,
-// payload read, checksum over header fields plus payload. Read errors
-// (including uncorrectable media) count as "no record here" — recovery is
-// best-effort by design. The payload buffer is caller-owned scratch.
-func (s *Store) tryRecordAt(now sim.Time, sg *segment, off int64, hdr []byte, payload *[]byte) (recordHeader, []byte, sim.Time, bool) {
-	if off+headerSize > s.cfg.SegmentBytes {
-		return recordHeader{}, nil, now, false
+// recordAt returns the record at the reader's position if one starts
+// there: its header passes parseHeader for a segment of segBytes and its
+// checksum matches. A nil record means none does: damage, a torn tail, or
+// the zeros of never-written pages. The record is not consumed, and its
+// bytes stay valid until the reader reads again.
+func recordAt(now sim.Time, rd *logReader, segBytes int64) ([]byte, recordHeader, sim.Time, error) {
+	off := rd.offset()
+	hdr, now, err := rd.next(now, headerSize)
+	if err != nil || hdr == nil {
+		return nil, recordHeader{}, now, err
 	}
-	n, done, err := sg.r.ReadAt(now, hdr, off)
-	if err != nil || n != headerSize {
-		return recordHeader{}, nil, now, false
-	}
-	now = done
-	h, ok := parseHeader(hdr, MaxKeyLen, s.cfg.SegmentBytes, off)
+	h, ok := parseHeader(hdr, MaxKeyLen, segBytes, off)
 	if !ok {
-		return recordHeader{}, nil, now, false
+		return nil, h, now, nil
 	}
-	need := h.keyLen + h.valLen
-	if cap(*payload) < need {
-		*payload = make([]byte, need)
+	rec, now, err := rd.next(now, int(recordSize(h.keyLen, h.valLen)))
+	if err != nil || rec == nil || index.Checksum(rec[1:8], rec[headerSize:]) != h.checksum {
+		return nil, h, now, err
 	}
-	p := (*payload)[:need]
-	n, done, err = sg.r.ReadAt(now, p, off+headerSize)
-	if err != nil || n != need {
-		return recordHeader{}, nil, now, false
-	}
-	now = done
-	if index.Checksum(hdr[1:8], p) != h.checksum {
-		return recordHeader{}, nil, now, false
-	}
-	return h, p, now, true
+	return rec, h, now, nil
 }
 
-// scanForward searches for the next decodable record at or after from: the
-// log is read in chunks, every magic-byte candidate is validated in place
-// with tryRecordAt (header sanity plus checksum, so payload bytes that
-// merely look like a record start do not fool it). Not-found means the rest
-// of the segment holds no valid record — the torn tail. The chunk is the
-// store's resync scratch, so a scan past each damaged record allocates
-// nothing.
-func (s *Store) scanForward(now sim.Time, sg *segment, from int64, hdr []byte, payload *[]byte) (int64, sim.Time, bool) {
-	const chunk = 4096
-	if s.resync == nil {
-		s.resync = make([]byte, chunk)
-	}
-	buf := s.resync
-	for base := from; base+headerSize <= s.cfg.SegmentBytes; {
-		n := int64(chunk)
-		if base+n > s.cfg.SegmentBytes {
-			n = s.cfg.SegmentBytes - base
-		}
-		rn, done, err := sg.r.ReadAt(now, buf[:n], base)
-		if err != nil || int64(rn) != n {
-			return 0, now, false
-		}
-		now = done
-		for i := int64(0); i < n; i++ {
-			if buf[i] != recordMagic {
-				continue
-			}
-			cand := base + i
-			_, _, t, ok := s.tryRecordAt(now, sg, cand, hdr, payload)
-			now = t
-			if ok {
-				return cand, now, true
-			}
-		}
-		base += n
-	}
-	return 0, now, false
+// recordLens returns the key and value lengths in the header of the
+// record that starts rec, which was verified when it was read.
+func recordLens(rec []byte) (keyLen, valLen int) {
+	return int(binary.LittleEndian.Uint16(rec[2:4])), int(binary.LittleEndian.Uint32(rec[4:8]))
 }
 
-// recoverSegment replays one segment's records into the index engine. A
-// record that fails validation mid-segment (a bit flip in any field) is
-// skipped: the scan resynchronizes at the next decodable record, the
-// damaged bytes are charged as dead space, and recovery continues — only
-// when no valid record remains does the segment end (the torn-tail case,
-// which is not counted as corruption). Reads — and the engine's own writes
-// while it rebuilds — are timed: recovery cost is part of the simulation.
-func (s *Store) recoverSegment(now sim.Time, sg *segment) (sim.Time, error) {
-	hdr := make([]byte, headerSize)
-	var payload []byte
-	off := int64(0)
-	end := int64(0) // end of the last valid record — the append point
-	for off+headerSize <= s.cfg.SegmentBytes {
-		h, p, t, ok := s.tryRecordAt(now, sg, off, hdr, &payload)
-		now = t
-		if !ok {
-			next, t, found := s.scanForward(now, sg, off+1, hdr, &payload)
-			now = t
-			if !found {
+// scanForward moves the reader past bytes where no record starts to the
+// next record recordAt accepts, and returns it: each magic byte in the
+// window is a candidate, validated in place (header sanity plus checksum,
+// so payload bytes that merely look like a record start do not fool it),
+// and the window refills as the search runs past it. A nil record means
+// the rest of the segment holds no valid record: the torn tail.
+func scanForward(now sim.Time, rd *logReader, segBytes int64) ([]byte, recordHeader, sim.Time, error) {
+	for {
+		rd.pos = min(rd.pos+1, len(rd.buf))
+		for {
+			if i := bytes.IndexByte(rd.buf[rd.pos:], recordMagic); i >= 0 {
+				rd.pos += i
 				break
 			}
-			s.stats.CorruptSkips++
-			s.stats.SkippedBytes += uint64(next - off)
-			sg.dead += next - off
-			off = next
-			continue
+			rd.pos = len(rd.buf)
+			b, done, err := rd.next(now, headerSize)
+			if now = done; err != nil || b == nil {
+				return nil, recordHeader{}, now, err
+			}
 		}
-		key := string(p[:h.keyLen])
-		sz := recordSize(h.keyLen, h.valLen)
-		var err error
+		rec, h, done, err := recordAt(now, rd, segBytes)
+		if now = done; err != nil || rec != nil {
+			return rec, h, now, err
+		}
+	}
+}
+
+// recoverSegment replays one segment's records into the index engine,
+// streaming the segment through a direct handle with the logReader
+// compaction uses. A record that fails validation mid-segment (a bit flip
+// in any field) is skipped: the scan resynchronizes at the next decodable
+// record, the damaged bytes are charged as dead space, and recovery
+// continues — only when no valid record remains does the segment end (the
+// torn-tail case, which is not counted as corruption). A read error ends
+// the segment's replay the same way: recovery is best-effort by design.
+// Reads — and the engine's own writes while it rebuilds — are timed:
+// recovery cost is part of the simulation.
+func (s *Store) recoverSegment(now sim.Time, sg *segment) (sim.Time, error) {
+	d, err := s.be.OpenDirect(sg.name)
+	if err != nil {
+		return now, fmt.Errorf("kv: open segment %s: %w", sg.name, err)
+	}
+	defer d.Close()
+	rd := logReader{f: d, end: min(s.cfg.SegmentBytes, d.Size()), buf: s.window[:0], pageSize: s.be.PageSize()}
+	defer func() { s.window = rd.buf }()
+	end := int64(0) // end of the last valid record — the append point
+	for {
+		rec, h, done, rerr := recordAt(now, &rd, s.cfg.SegmentBytes)
+		now = done
+		if rerr == nil && rec == nil {
+			rec, h, done, rerr = scanForward(now, &rd, s.cfg.SegmentBytes)
+			now = done
+			if rec != nil {
+				s.stats.CorruptSkips++
+				s.stats.SkippedBytes += uint64(rd.offset() - end)
+				sg.dead += rd.offset() - end
+			}
+		}
+		if rerr != nil || rec == nil {
+			break
+		}
+		off := rd.offset()
+		key := string(rec[headerSize : headerSize+h.keyLen])
+		sz := int64(len(rec))
 		if h.tombstone {
 			if slot, ok := s.acct[key]; ok {
 				s.dropIndexed(key, slot)
@@ -314,8 +305,8 @@ func (s *Store) recoverSegment(now sim.Time, sg *segment) (sim.Time, error) {
 			sg.live += sz
 		}
 		s.stats.Recovered++
-		off += sz
-		end = off
+		rd.pos += len(rec)
+		end = off + sz
 	}
 	sg.tail = end
 	return now, nil
