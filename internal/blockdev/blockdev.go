@@ -39,11 +39,9 @@ func DefaultConfig() Config {
 // Stats counts layer activity.
 type Stats struct {
 	ReadRequests  uint64 // page-granular reads accepted
-	WriteRequests uint64
 	ReadCommands  uint64 // device commands after merging
 	WriteCommands uint64
 	PagesRead     uint64
-	PagesWritten  uint64
 }
 
 // Layer is the block layer bound to one device queue pair.
@@ -197,7 +195,6 @@ func (l *Layer) WritePages(now sim.Time, lba uint64, data []byte) (sim.Time, uin
 		return now, 0, fmt.Errorf("blockdev: write of %d bytes not page-aligned", len(data))
 	}
 	pages := len(data) / l.pageSize
-	l.stats.WriteRequests += uint64(pages)
 	t := now
 	var moved uint64
 	for off := 0; off < pages; off += l.cfg.MaxPagesPerCommand {
@@ -225,7 +222,6 @@ func (l *Layer) WritePages(now sim.Time, lba uint64, data []byte) (sim.Time, uin
 		t = comp.Done
 		moved += comp.BytesMoved
 		l.stats.WriteCommands++
-		l.stats.PagesWritten += uint64(n)
 	}
 	return t, moved, nil
 }

@@ -55,14 +55,6 @@ var siteNames = [numSites]string{
 	SiteVFSWriteback: "vfs.writeback",
 }
 
-// String names the site ("nand.read", ...).
-func (s Site) String() string {
-	if s < 0 || s >= numSites {
-		return fmt.Sprintf("Site(%d)", int(s))
-	}
-	return siteNames[s]
-}
-
 // SiteByName resolves a site name.
 func SiteByName(name string) (Site, bool) {
 	for s, n := range siteNames {
@@ -113,32 +105,6 @@ func (p *Profile) Set(site Site, r Rule) {
 
 // Rule returns a site's rule and whether one is set.
 func (p Profile) Rule(site Site) (Rule, bool) { return p.rules[site], p.set[site] }
-
-// String renders the profile back into ParseProfile syntax.
-func (p Profile) String() string {
-	var parts []string
-	for s := Site(0); s < numSites; s++ {
-		if !p.set[s] {
-			continue
-		}
-		r := p.rules[s]
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s:", s)
-		if r.RBERMult != 0 {
-			fmt.Fprintf(&b, "rber*%g", r.RBERMult)
-		} else {
-			fmt.Fprintf(&b, "%g", r.Prob)
-		}
-		if r.LBAMin != 0 || r.LBAMax != 0 {
-			fmt.Fprintf(&b, "@%d-%d", r.LBAMin, r.LBAMax)
-		}
-		if r.MaxCount != 0 {
-			fmt.Fprintf(&b, "#%d", r.MaxCount)
-		}
-		parts = append(parts, b.String())
-	}
-	return strings.Join(parts, ",")
-}
 
 // ParseProfile parses the -fault-profile syntax: comma-separated site
 // rules of the form

@@ -47,12 +47,10 @@ func DefaultConfig() Config {
 
 // Stats counts FTL-level activity.
 type Stats struct {
-	HostWrites    uint64 // pages written by the host
-	GCWrites      uint64 // pages relocated by GC
-	GCRuns        uint64
-	BlocksErased  uint64
-	TrimmedPages  uint64
-	PreloadedPage uint64
+	GCWrites     uint64 // pages relocated by GC
+	GCRuns       uint64
+	BlocksErased uint64
+	TrimmedPages uint64
 }
 
 // Errors returned by the FTL.
@@ -95,8 +93,7 @@ type FTL struct {
 	dieLabels    []telemetry.Res // per-die blame resources ("nand.ch0.w0", ...)
 }
 
-// New builds an FTL over the array. Bad blocks already marked on the array
-// are excluded from the pools.
+// New builds an FTL over the array.
 func New(arr *nand.Array, cfg Config) (*FTL, error) {
 	if cfg.OverprovisionPct < 0 || cfg.OverprovisionPct >= 50 {
 		return nil, fmt.Errorf("ftl: overprovision %d%% out of [0,50)", cfg.OverprovisionPct)
@@ -131,28 +128,19 @@ func New(arr *nand.Array, cfg Config) (*FTL, error) {
 		f.p2l[i] = invalidLBA
 	}
 
-	minUsable := geo.BlocksPerDie()
+	// Each die keeps GCFreeBlockLow blocks spare for the collector plus one
+	// open frontier block.
+	perDie := geo.BlocksPerDie() - cfg.GCFreeBlockLow - 1
+	if perDie < 1 {
+		return nil, fmt.Errorf("ftl: a die has only %d blocks", geo.BlocksPerDie())
+	}
 	for die := 0; die < geo.Dies(); die++ {
 		for b := 0; b < geo.BlocksPerDie(); b++ {
-			id := nand.BlockID(die*geo.BlocksPerDie() + b)
-			if arr.IsBad(id) {
-				continue
-			}
-			f.freeBlocks[die] = append(f.freeBlocks[die], id)
-		}
-		if u := len(f.freeBlocks[die]); u < minUsable {
-			minUsable = u
-		}
-		if len(f.freeBlocks[die]) < cfg.GCFreeBlockLow+2 {
-			return nil, fmt.Errorf("ftl: die %d has only %d usable blocks", die, len(f.freeBlocks[die]))
+			f.freeBlocks[die] = append(f.freeBlocks[die], nand.BlockID(die*geo.BlocksPerDie()+b))
 		}
 		f.open[die] = openBlock{id: f.popFree(die), next: 0}
 	}
 
-	// Writes stripe round-robin across dies, so exported capacity is bounded
-	// by the smallest die: each die must keep GCFreeBlockLow blocks spare
-	// for the collector plus one open frontier block.
-	perDie := minUsable - cfg.GCFreeBlockLow - 1
 	exported := uint64(geo.Dies()) * uint64(perDie) * uint64(geo.PagesPerBlock)
 	exported = exported * uint64(100-cfg.OverprovisionPct) / 100
 	f.logicalPages = exported
@@ -407,7 +395,6 @@ func (f *FTL) Write(now sim.Time, lba LBA, data []byte) (sim.Time, error) {
 		return now, fmt.Errorf("ftl: write program: %w", err)
 	}
 	f.setMapping(lba, ppa)
-	f.stats.HostWrites++
 	f.sa.MarkRes(telemetry.StageProgram, done, f.dieLabels[f.geo.DieOf(ppa)])
 	return done, nil
 }
@@ -448,7 +435,6 @@ func (f *FTL) Preload(lba LBA) error {
 		return fmt.Errorf("ftl: preload: %w", err)
 	}
 	f.setMapping(lba, ppa)
-	f.stats.PreloadedPage++
 	return nil
 }
 

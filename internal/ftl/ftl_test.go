@@ -273,30 +273,6 @@ func TestGCAdvancesTime(t *testing.T) {
 	}
 }
 
-func TestBadBlocksExcluded(t *testing.T) {
-	arr := smallNAND(t)
-	// Mark a few blocks bad before FTL format.
-	for _, b := range []nand.BlockID{1, 5, 9} {
-		if err := arr.MarkBad(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f := newFTL(t, arr)
-	// Fill to capacity; no write may touch a bad block.
-	var now sim.Time
-	for i := uint64(0); i < f.LogicalPages(); i++ {
-		done, err := f.Write(now, LBA(i), page(f, byte(i)))
-		if err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-		now = done
-		ppa, _ := f.Translate(LBA(i))
-		if arr.IsBad(arr.Config().BlockOf(ppa)) {
-			t.Fatalf("lba %d mapped into bad block", i)
-		}
-	}
-}
-
 func TestWearAccounting(t *testing.T) {
 	arr := smallNAND(t)
 	f := newFTL(t, arr)

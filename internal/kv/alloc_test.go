@@ -50,8 +50,9 @@ func compactAllocs(t *testing.T, n int) (allocs uint64, pages int) {
 }
 
 // TestCompactAllocsIndependentOfRecords: compaction re-inserts each moved
-// record under the key string the store already holds and reads into the
-// store's record scratch, so four times the live records cost at most one
+// record under the key string the store already holds, reads through the
+// log reader's window and gathers the moves in the store's moving scratch,
+// so four times the live records cost at most one
 // more allocation per extra page of log written, plus a constant, not one
 // or more per record. What remains grows with the bytes moved: the flash
 // store and its free list grow by doubling as the larger segments are
@@ -124,8 +125,9 @@ func recoverAllocs(t *testing.T, n int) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestRecoveryResyncAllocFree: the scan past a damaged record reads into
-// the store's resync scratch, so recovering a segment with 31 damaged
+// TestRecoveryResyncAllocFree: the scan past a damaged record reads
+// through the log reader's window (the store's window buffer, kept across
+// recovered segments), so recovering a segment with 31 damaged
 // records allocates no more than with one; a chunk per scan would add 30.
 // Each count is the least of three recoveries: the malloc counter is
 // process-wide, so other goroutines and the first Open's package-level

@@ -1,9 +1,6 @@
 package kv
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // NamespaceKey prefixes key with a tenant namespace, producing the flat
 // key the store (and the cluster router) actually sees. Namespaced keys
@@ -11,21 +8,4 @@ import (
 // string keys — Scan over "t3/" iterates exactly tenant 3's records.
 func NamespaceKey(tenant int, key string) string {
 	return "t" + strconv.Itoa(tenant) + "/" + key
-}
-
-// SplitNamespace reverses NamespaceKey. ok is false when k does not carry
-// a "t<tenant>/" prefix.
-func SplitNamespace(k string) (tenant int, key string, ok bool) {
-	if len(k) < 3 || k[0] != 't' {
-		return 0, "", false
-	}
-	i := strings.IndexByte(k, '/')
-	if i < 2 {
-		return 0, "", false
-	}
-	t, err := strconv.Atoi(k[1:i])
-	if err != nil || t < 0 {
-		return 0, "", false
-	}
-	return t, k[i+1:], true
 }

@@ -1,6 +1,10 @@
 package kv
 
-import "testing"
+import (
+	"strconv"
+	"strings"
+	"testing"
+)
 
 func TestNamespaceKeyRoundTrip(t *testing.T) {
 	t.Parallel()
@@ -13,18 +17,9 @@ func TestNamespaceKeyRoundTrip(t *testing.T) {
 		{3, "a/b/c"}, // keys may contain separators of their own
 	} {
 		nk := NamespaceKey(tc.tenant, tc.key)
-		tenant, key, ok := SplitNamespace(nk)
-		if !ok || tenant != tc.tenant || key != tc.key {
-			t.Fatalf("round trip %q: got (%d, %q, %v), want (%d, %q, true)", nk, tenant, key, ok, tc.tenant, tc.key)
-		}
-	}
-}
-
-func TestSplitNamespaceRejects(t *testing.T) {
-	t.Parallel()
-	for _, bad := range []string{"", "user42", "t/x", "tx/y", "t-1/x", "t12", "x3/y"} {
-		if _, _, ok := SplitNamespace(bad); ok {
-			t.Fatalf("%q accepted as namespaced", bad)
+		key, ok := strings.CutPrefix(nk, "t"+strconv.Itoa(tc.tenant)+"/")
+		if !ok || key != tc.key {
+			t.Fatalf("NamespaceKey(%d, %q) = %q, want the key after \"t%d/\"", tc.tenant, tc.key, nk, tc.tenant)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -275,5 +276,93 @@ func TestRecoveryReadsSegmentsInWindows(t *testing.T) {
 		if got, _, err := s.Get(now, key, nil); err != nil || len(got) != 200 {
 			t.Fatalf("Get(%s) = %d bytes, %v after the reopen", key, len(got), err)
 		}
+	}
+}
+
+// badPageBackend fails every direct read that covers file offset bad.
+type badPageBackend struct {
+	VFSBackend
+	bad int64
+}
+
+type badPageFile struct {
+	BackendFile
+	bad int64
+}
+
+var errBadPage = errors.New("unreadable page")
+
+func (b badPageBackend) OpenDirect(name string) (BackendFile, error) {
+	f, err := b.VFSBackend.OpenDirect(name)
+	return badPageFile{BackendFile: f, bad: b.bad}, err
+}
+
+func (f badPageFile) ReadAt(now sim.Time, buf []byte, off int64) (int, sim.Time, error) {
+	if off <= f.bad && f.bad < off+int64(len(buf)) {
+		return 0, now, errBadPage
+	}
+	return f.BackendFile.ReadAt(now, buf, off)
+}
+
+// TestRecoverySkipsUnreadablePage: a read error in a segment costs the
+// records on the unreadable page and no others. Of 4,000 synced records in
+// one segment, the direct handle fails every read covering one offset: 200
+// KiB, mid-segment, or the last record's. The window holding it is re-read
+// page by page, the failing page is charged as one skip region, and every
+// record outside it is recovered.
+func TestRecoverySkipsUnreadablePage(t *testing.T) {
+	t.Parallel()
+	const records = 4000
+	sz := recordSize(len("rec-00000"), 200)
+	for _, tc := range []struct {
+		name string
+		bad  int64
+	}{
+		{"mid", 200 << 10},
+		{"tail", (records - 1) * sz},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			be := badPageBackend{VFSBackend: testBackend(t, true).(VFSBackend), bad: tc.bad}
+			cfg, now := recoverySetup(t, be, records, 200)
+			s, now, err := Open(now, be, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := int64(be.PageSize())
+			lo, hi := tc.bad/ps*ps, tc.bad/ps*ps+ps
+			kept := 0
+			for i := 0; i < records; i++ {
+				off := int64(i) * sz
+				outside := off+sz <= lo || off >= hi
+				key := fmt.Sprintf("rec-%05d", i)
+				_, _, err := s.Get(now, key, nil)
+				switch {
+				case outside && err != nil:
+					t.Errorf("%s at [%d,%d), outside the unreadable page: %v", key, off, off+sz, err)
+				case !outside && !errors.Is(err, ErrNotFound):
+					t.Errorf("%s at [%d,%d), on the unreadable page: err %v, want ErrNotFound", key, off, off+sz, err)
+				}
+				if outside {
+					kept++
+				}
+			}
+			st := s.Stats()
+			if int(st.Recovered) != kept || s.Len() != kept {
+				t.Errorf("recovered %d records, indexed %d; want the %d outside the unreadable page",
+					st.Recovered, s.Len(), kept)
+			}
+			// The skip runs from the end of the last record before the page
+			// to the start of the first one after it, or to the page's end
+			// when none follows.
+			stop := hi
+			if next := (hi + sz - 1) / sz * sz; next < records*sz {
+				stop = next
+			}
+			if want := uint64(stop - lo/sz*sz); st.CorruptSkips != 1 || st.SkippedBytes != want {
+				t.Errorf("CorruptSkips %d, SkippedBytes %d; want 1 skip of %d bytes",
+					st.CorruptSkips, st.SkippedBytes, want)
+			}
+		})
 	}
 }

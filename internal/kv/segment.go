@@ -257,17 +257,21 @@ func scanForward(now sim.Time, rd *logReader, segBytes int64) ([]byte, recordHea
 // in any field) is skipped: the scan resynchronizes at the next decodable
 // record, the damaged bytes are charged as dead space, and recovery
 // continues — only when no valid record remains does the segment end (the
-// torn-tail case, which is not counted as corruption). A read error ends
-// the segment's replay the same way: recovery is best-effort by design.
-// Reads — and the engine's own writes while it rebuilds — are timed:
-// recovery cost is part of the simulation.
+// torn-tail case, which is not counted as corruption). A window whose read
+// fails is re-read page by page; the pages that still fail read as zeros,
+// so the scan resynchronizes after them and charges them to the skip
+// region, as damage. Unreadable pages past the last valid record are a
+// skip region of their own, and the append point moves past them. Reads —
+// and the engine's own writes while it rebuilds — are timed: recovery cost
+// is part of the simulation.
 func (s *Store) recoverSegment(now sim.Time, sg *segment) (sim.Time, error) {
 	d, err := s.be.OpenDirect(sg.name)
 	if err != nil {
 		return now, fmt.Errorf("kv: open segment %s: %w", sg.name, err)
 	}
 	defer d.Close()
-	rd := logReader{f: d, end: min(s.cfg.SegmentBytes, d.Size()), buf: s.window[:0], pageSize: s.be.PageSize()}
+	sf := &salvageFile{BackendFile: d, pageSize: s.be.PageSize()}
+	rd := logReader{f: sf, end: min(s.cfg.SegmentBytes, d.Size()), buf: s.window[:0], pageSize: sf.pageSize}
 	defer func() { s.window = rd.buf }()
 	end := int64(0) // end of the last valid record — the append point
 	for {
@@ -308,8 +312,44 @@ func (s *Store) recoverSegment(now sim.Time, sg *segment) (sim.Time, error) {
 		rd.pos += len(rec)
 		end = off + sz
 	}
+	if sf.badEnd > end {
+		s.stats.CorruptSkips++
+		s.stats.SkippedBytes += uint64(sf.badEnd - end)
+		sg.dead += sf.badEnd - end
+		end = sf.badEnd
+	}
 	sg.tail = end
 	return now, nil
+}
+
+// salvageFile is the handle recovery reads a segment through: a read that
+// fails is re-read one page at a time, and each page that still fails
+// reads as zeros, which no record validates. badEnd is the end of the last
+// such page. Reads start on page boundaries (logReader's do).
+type salvageFile struct {
+	BackendFile
+	pageSize int
+	badEnd   int64
+}
+
+func (f *salvageFile) ReadAt(now sim.Time, dst []byte, off int64) (int, sim.Time, error) {
+	n, now, err := f.BackendFile.ReadAt(now, dst, off)
+	if err == nil {
+		return n, now, nil
+	}
+	for p := 0; p < len(dst); p += f.pageSize {
+		page := dst[p:min(p+f.pageSize, len(dst))]
+		got, done, err := f.BackendFile.ReadAt(now, page, off+int64(p))
+		now = done
+		switch {
+		case err != nil:
+			clear(page)
+			f.badEnd = off + int64(p+len(page))
+		case got != len(page):
+			return p + got, now, nil
+		}
+	}
+	return len(dst), now, nil
 }
 
 // setIndexed points key at l, retiring the record it superseded, if any.

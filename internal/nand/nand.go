@@ -169,7 +169,6 @@ type Stats struct {
 var (
 	ErrNotErased   = errors.New("nand: programming a page that is not erased")
 	ErrOutOfOrder  = errors.New("nand: pages within a block must be programmed in order")
-	ErrBadBlock    = errors.New("nand: operation on a bad block")
 	ErrBadLength   = errors.New("nand: data length does not match page size")
 	ErrOutOfRange  = errors.New("nand: address out of range")
 	ErrNotProgram  = errors.New("nand: reading an unwritten page")
@@ -181,7 +180,6 @@ var (
 // programmed bytes live, so a read finds everything it checks in one place.
 type blockState struct {
 	nextPage  int32 // next programmable page index
-	bad       bool  // manufacturing/grown bad block
 	discarded bool  // some page lost its content since the last erase
 	// slots maps page -> content store slot, -1 for none; nil until the
 	// block is first programmed, so read-only blocks carry no table.
@@ -291,22 +289,6 @@ func (a *Array) checkPPA(p PPA) error {
 	return nil
 }
 
-// MarkBad marks a block as unusable; the FTL skips bad blocks at format.
-// Whatever the block held can no longer be read, so its content goes.
-func (a *Array) MarkBad(b BlockID) error {
-	if int(b) >= len(a.blocks) {
-		return ErrOutOfRange
-	}
-	a.blocks[b].bad = true
-	a.dropContent(b)
-	return nil
-}
-
-// IsBad reports whether a block is marked bad.
-func (a *Array) IsBad(b BlockID) bool {
-	return int(b) < len(a.blocks) && a.blocks[b].bad
-}
-
 // ReadPageInto senses one page and transfers it to the controller, writing
 // it into a caller-owned page-sized buffer: ReadPageRange over the whole
 // page. It returns the completion time.
@@ -356,8 +338,8 @@ func (a *Array) ReadPageRange(now sim.Time, p PPA, off int, dst []byte) (sim.Tim
 // PeekRange returns len(buf) bytes of a page's content starting at off,
 // without timing or stats — the oracle used by tests and by the host to
 // verify end-to-end correctness. A page PeekRange serves is exactly one
-// ReadPageRange serves: it fails the same way on a bad block and on an
-// unwritten or discarded page.
+// ReadPageRange serves: it fails the same way on an unwritten or discarded
+// page.
 func (a *Array) PeekRange(p PPA, off int, buf []byte) error {
 	if err := a.checkPPA(p); err != nil {
 		return err
@@ -379,9 +361,6 @@ func (a *Array) PeekRange(p PPA, off int, buf []byte) error {
 func (a *Array) content(p PPA) ([]byte, error) {
 	b := a.cfg.BlockOf(p)
 	bs := &a.blocks[b]
-	if bs.bad {
-		return nil, ErrBadBlock
-	}
 	page := int32(p - a.cfg.FirstPPA(b))
 	switch {
 	case page >= bs.nextPage:
@@ -420,9 +399,6 @@ func (a *Array) ProgramPage(now sim.Time, p PPA, data []byte) (sim.Time, error) 
 	}
 	b := a.cfg.BlockOf(p)
 	bs := &a.blocks[b]
-	if bs.bad {
-		return now, ErrBadBlock
-	}
 	page := int32(p - a.cfg.FirstPPA(b))
 	switch {
 	case page < bs.nextPage:
@@ -466,9 +442,6 @@ func (a *Array) EraseBlock(now sim.Time, b BlockID) (sim.Time, error) {
 		return now, ErrOutOfRange
 	}
 	bs := &a.blocks[b]
-	if bs.bad {
-		return now, ErrBadBlock
-	}
 	a.dropContent(b)
 	bs.nextPage = 0
 	first := a.cfg.FirstPPA(b)
@@ -526,7 +499,7 @@ func (a *Array) dropContent(b BlockID) {
 
 // ContentPages reports how many pages hold materialized bytes: programmed
 // pages not yet discarded or erased. Preloaded pages hold none.
-func (a *Array) ContentPages() int { return a.store.resident() }
+func (a *Array) ContentPages() int { return int(a.store.carved) - len(a.store.free) }
 
 // Preload marks a page as holding deterministic seed-derived content, as if
 // it had been programmed, without materializing bytes or consuming virtual
@@ -539,9 +512,6 @@ func (a *Array) Preload(p PPA) error {
 	}
 	b := a.cfg.BlockOf(p)
 	bs := &a.blocks[b]
-	if bs.bad {
-		return ErrBadBlock
-	}
 	page := int32(p - a.cfg.FirstPPA(b))
 	switch {
 	case page < bs.nextPage:

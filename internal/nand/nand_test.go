@@ -204,28 +204,6 @@ func TestEraseResetsBlock(t *testing.T) {
 	}
 }
 
-func TestBadBlockRejected(t *testing.T) {
-	a := mustArray(t, testConfig())
-	cfg := a.Config()
-	b := cfg.BlockOf(cfg.PPAOf(0, 0, 0, 2, 0))
-	if err := a.MarkBad(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.IsBad(b) {
-		t.Fatal("IsBad = false after MarkBad")
-	}
-	data := make([]byte, cfg.PageSize)
-	if _, err := a.ProgramPage(0, cfg.FirstPPA(b), data); !errors.Is(err, ErrBadBlock) {
-		t.Fatalf("program on bad block err = %v", err)
-	}
-	if _, err := a.EraseBlock(0, b); !errors.Is(err, ErrBadBlock) {
-		t.Fatalf("erase on bad block err = %v", err)
-	}
-	if err := a.Preload(cfg.FirstPPA(b)); !errors.Is(err, ErrBadBlock) {
-		t.Fatalf("preload on bad block err = %v", err)
-	}
-}
-
 func TestPreloadContentDeterministic(t *testing.T) {
 	cfg := testConfig()
 	a := mustArray(t, cfg)

@@ -37,6 +37,3 @@ func (s *pageStore) page(slot int32) []byte {
 
 // release returns a slot to the pool.
 func (s *pageStore) release(slot int32) { s.free = append(s.free, slot) }
-
-// resident reports the slots in use.
-func (s *pageStore) resident() int { return int(s.carved) - len(s.free) }

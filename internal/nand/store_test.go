@@ -11,19 +11,18 @@ import (
 
 // refArray is the content rules written the plain way, as the array kept
 // them before its slot store: a map from PPA to a private copy of each
-// programmed page, dropped on a discard, an erase or a mark-bad. It
-// answers what a read or peek must return, bytes or error.
+// programmed page, dropped on a discard or an erase. It answers what a
+// read or peek must return, bytes or error.
 type refArray struct {
 	cfg    Config
 	data   map[PPA][]byte
 	loaded map[PPA]bool
 	next   map[BlockID]int
-	bad    map[BlockID]bool
 }
 
 func newRefArray(cfg Config) *refArray {
 	return &refArray{cfg: cfg, data: map[PPA][]byte{}, loaded: map[PPA]bool{},
-		next: map[BlockID]int{}, bad: map[BlockID]bool{}}
+		next: map[BlockID]int{}}
 }
 
 // place checks a program or preload of p and returns its block.
@@ -34,8 +33,6 @@ func (r *refArray) place(p PPA) (BlockID, error) {
 	b := r.cfg.BlockOf(p)
 	page := int(p - r.cfg.FirstPPA(b))
 	switch {
-	case r.bad[b]:
-		return b, ErrBadBlock
 	case page < r.next[b]:
 		return b, ErrNotErased
 	case page > r.next[b]:
@@ -75,18 +72,9 @@ func (r *refArray) drop(b BlockID) {
 	}
 }
 
-func (r *refArray) erase(b BlockID) error {
-	if r.bad[b] {
-		return ErrBadBlock
-	}
+func (r *refArray) erase(b BlockID) {
 	r.drop(b)
 	r.next[b] = 0
-	return nil
-}
-
-func (r *refArray) markBad(b BlockID) {
-	r.bad[b] = true
-	r.drop(b)
 }
 
 // read is what both ReadPageRange and PeekRange must return.
@@ -96,8 +84,6 @@ func (r *refArray) read(p PPA, off, n int) ([]byte, error) {
 	}
 	b := r.cfg.BlockOf(p)
 	switch {
-	case r.bad[b]:
-		return nil, ErrBadBlock
 	case r.loaded[p]:
 		out := make([]byte, n)
 		ExpectedContent(p, off, out)
@@ -112,7 +98,7 @@ func (r *refArray) read(p PPA, off, n int) ([]byte, error) {
 
 // sentinel names the package error err wraps.
 func sentinel(err error) error {
-	for _, s := range []error{ErrOutOfRange, ErrBadBlock, ErrNotProgram, ErrDiscarded, ErrNotErased, ErrOutOfOrder} {
+	for _, s := range []error{ErrOutOfRange, ErrNotProgram, ErrDiscarded, ErrNotErased, ErrOutOfOrder} {
 		if errors.Is(err, s) {
 			return s
 		}
@@ -121,8 +107,8 @@ func sentinel(err error) error {
 }
 
 // TestContentStoreMatchesMapModel drives the array and the map model with
-// the same random program, preload, read, peek, discard, erase and
-// mark-bad sequences on a small geometry: every read and peek must give
+// the same random program, preload, read, peek, discard and erase
+// sequences on a small geometry: every read and peek must give
 // the same bytes or the same error, and the store must hold exactly the
 // pages the model keeps bytes for.
 func TestContentStoreMatchesMapModel(t *testing.T) {
@@ -189,51 +175,16 @@ func twinContent(t *testing.T, seed uint64, ops int) {
 		case r < 92:
 			a.Discard(p)
 			ref.discard(p)
-		case r < 99:
-			b := cfg.BlockOf(p)
-			_, err := a.EraseBlock(now, b)
-			if got, want := sentinel(err), ref.erase(b); got != want {
-				t.Fatalf("op %d: erase %d: err %v, want %v", op, b, err, want)
-			}
 		default:
 			b := cfg.BlockOf(p)
-			if err := a.MarkBad(b); err != nil {
-				t.Fatal(err)
+			if _, err := a.EraseBlock(now, b); err != nil {
+				t.Fatalf("op %d: erase %d: %v", op, b, err)
 			}
-			ref.markBad(b)
+			ref.erase(b)
 		}
 		if got, want := a.ContentPages(), len(ref.data); got != want {
 			t.Fatalf("op %d: %d pages hold content, model keeps %d", op, got, want)
 		}
-	}
-}
-
-// TestBadBlockUnreadable: a bad block's pages fail alike on the timed read
-// and the oracle, ErrBadBlock, whatever they held before.
-func TestBadBlockUnreadable(t *testing.T) {
-	cfg := testConfig()
-	a := mustArray(t, cfg)
-	p := cfg.PPAOf(1, 0, 0, 3, 0)
-	if err := a.Preload(p); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.ProgramPage(0, p+1, make([]byte, cfg.PageSize)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.MarkBad(cfg.BlockOf(p)); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 16)
-	for _, q := range []PPA{p, p + 1, p + 2} {
-		if _, err := a.ReadPageRange(0, q, 0, buf); !errors.Is(err, ErrBadBlock) {
-			t.Errorf("read of bad block page %d: err %v, want ErrBadBlock", q, err)
-		}
-		if err := a.PeekRange(q, 0, buf); !errors.Is(err, ErrBadBlock) {
-			t.Errorf("peek of bad block page %d: err %v, want ErrBadBlock", q, err)
-		}
-	}
-	if got := a.ContentPages(); got != 0 {
-		t.Errorf("a bad block still holds %d content pages", got)
 	}
 }
 

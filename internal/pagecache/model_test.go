@@ -272,17 +272,6 @@ func (c *modelCache) MarkDirty(key Key, data []byte) (bool, error) {
 	return true, nil
 }
 
-// Remove drops a page (invalidation). Dirty data is passed to the evict
-// hook for writeback.
-func (c *modelCache) Remove(key Key) bool {
-	e, ok := c.get(key)
-	if !ok {
-		return false
-	}
-	c.dropEntry(e)
-	return true
-}
-
 func (c *modelCache) dropEntry(e *modelEntry) {
 	c.unlink(e)
 	c.del(e)
@@ -385,7 +374,6 @@ type pageCache interface {
 	DirtyData(Key) []byte
 	Insert(Key, bool, []byte) error
 	MarkDirty(Key, []byte) (bool, error)
-	Remove(Key) bool
 	DiscardFile(uint64, func([]byte)) int
 	Resize(int) error
 	FlushDirtySelect(func(Key) bool, func(Key, []byte) error) error
@@ -447,10 +435,8 @@ func (s *twinSide) apply(op twinOp) []any {
 		ok, err := c.MarkDirty(op.key, op.data)
 		return []any{ok, err == nil}
 	case 4:
-		return []any{c.Remove(op.key)}
-	case 5:
 		return []any{c.Resize(op.n) == nil}
-	case 6:
+	case 5:
 		// Released buffers come out in page order here and in map order
 		// in the model: compare them as a set, sorted by key below.
 		var released []twinEvent
@@ -501,7 +487,7 @@ func (s *twinSide) state() []any {
 // TestSlotTableCacheMatchesMapModel drives the slot-table cache and the
 // map-based model with the same seeded random operations over 3 inodes:
 // lookups, residency probes, clean and dirty inserts (some malformed),
-// MarkDirty, Remove, Resize up and down (to 0 too), DiscardFile and
+// MarkDirty, Resize up and down (to 0 too), DiscardFile and
 // selective or full flushes whose callbacks re-enter the cache. At every
 // step the two must return the same values, report the same Stats, Len and
 // DirtyCount, and have made the same sequence of evict and flush callbacks
@@ -519,10 +505,10 @@ func TestSlotTableCacheMatchesMapModel(t *testing.T) {
 	}
 	a.c, b.c = ca, cb
 
-	var seen [8]int
+	var seen [7]int
 	logged := 0 // events already compared
 	for step := 0; step < 30000; step++ {
-		op := twinOp{kind: rng.Intn(8)}
+		op := twinOp{kind: rng.Intn(7)}
 		// Page indices cluster low, with a tail out to 48, so tables grow
 		// unevenly across files.
 		op.key = Key{File: uint64(1 + rng.Intn(3)), Index: uint64(rng.Intn(1 + rng.Intn(48)))}
@@ -539,16 +525,16 @@ func TestSlotTableCacheMatchesMapModel(t *testing.T) {
 			if rng.Intn(20) == 0 {
 				op.data = op.data[:1] // rejected
 			}
-		case 5:
+		case 4:
 			op.n = rng.Intn(28)
 			if rng.Intn(8) == 0 {
 				op.n = 0
 			}
-		case 6:
+		case 5:
 			if rng.Intn(8) != 0 {
 				op.kind = 0 // keep DiscardFile rare so files refill
 			}
-		case 7:
+		case 6:
 			op.n = int(op.key.File)
 			if rng.Intn(3) == 0 {
 				op.n = -1

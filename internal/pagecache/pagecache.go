@@ -303,17 +303,6 @@ func (c *Cache) MarkDirty(key Key, data []byte) (bool, error) {
 	return true, nil
 }
 
-// Remove drops a page (invalidation). Dirty data is passed to the evict
-// hook for writeback.
-func (c *Cache) Remove(key Key) bool {
-	i := c.get(key)
-	if i == 0 {
-		return false
-	}
-	c.dropEntry(i)
-	return true
-}
-
 // dropEntry evicts slot i. The hook runs last, after the slot is recycled,
 // so it may re-enter the cache.
 func (c *Cache) dropEntry(i int32) {

@@ -191,20 +191,6 @@ func TestFlushDirty(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	c := newCache(t, 4)
-	k := Key{3, 3}
-	if c.Remove(k) {
-		t.Fatal("removed absent page")
-	}
-	if err := c.Insert(k, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Remove(k) || c.Contains(k) {
-		t.Fatal("remove failed")
-	}
-}
-
 func TestResizeEvicts(t *testing.T) {
 	c := newCache(t, 8)
 	for i := uint64(0); i < 8; i++ {
@@ -373,9 +359,6 @@ func TestIndexBound(t *testing.T) {
 		}
 		if ok, err := c.MarkDirty(k, make([]byte, 4096)); ok || err != nil {
 			t.Errorf("MarkDirty(index %d) = %v, %v", index, ok, err)
-		}
-		if c.Remove(k) {
-			t.Errorf("Remove(index %d) removed a page", index)
 		}
 	}
 	hits, accesses, inserts, _ := c.Stats()

@@ -35,12 +35,6 @@ func DefaultItemSizes() []int {
 	return []int{64, 128, 256, 512, 1024, 2048, 4096}
 }
 
-// DefaultConfig returns a 60 MiB arena of 64 KiB slabs with the default
-// classes, matching the HMB Data Area default.
-func DefaultConfig() Config {
-	return Config{ArenaSize: 60 << 20, SlabSize: 64 << 10, ItemSizes: DefaultItemSizes()}
-}
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	switch {

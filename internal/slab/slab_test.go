@@ -19,8 +19,14 @@ func mustAlloc(t *testing.T, cfg Config) *Allocator {
 	return a
 }
 
+// hmbArena is the fine cache's default allocator: a 60 MiB arena (the HMB
+// Data Area default) of 64 KiB slabs with the default classes.
+func hmbArena() Config {
+	return Config{ArenaSize: 60 << 20, SlabSize: 64 << 10, ItemSizes: DefaultItemSizes()}
+}
+
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := hmbArena().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []Config{
@@ -389,7 +395,7 @@ func TestClaimCycleAllocFree(t *testing.T) {
 }
 
 func BenchmarkAllocReleaseCycle(b *testing.B) {
-	a, err := New(DefaultConfig())
+	a, err := New(hmbArena())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -56,18 +56,17 @@ func (c *Controller) Faults() FaultStats {
 // FTL, then ECC recovery when the injector flips bits in the sensed page.
 // Every load costs a whole page of media time, but only the page bytes
 // [off, off+len(dst)) land in dst; an empty dst loads for timing alone.
-// loaded reports whether NAND was touched (callers count PagesLoaded from
-// it). On an uncorrectable page the returned error wraps
-// nvme.ErrUncorrectable and dst must not be trusted.
-func (c *Controller) readLBAInto(now sim.Time, lba uint64, off int, dst []byte) (done sim.Time, loaded bool, err error) {
+// On an uncorrectable page the returned error wraps nvme.ErrUncorrectable
+// and dst must not be trusted.
+func (c *Controller) readLBAInto(now sim.Time, lba uint64, off int, dst []byte) (done sim.Time, err error) {
 	if buffered, ok := c.bufLookup(lba); ok {
 		// Write-buffer hit: served from controller DRAM, no media involved.
 		copy(dst, buffered[off:])
-		return now, false, nil
+		return now, nil
 	}
 	done, err = c.fl.ReadRangeInto(now, ftl.LBA(lba), off, dst)
 	if err != nil {
-		return done, false, err
+		return done, err
 	}
 	if out := c.inj.Check(fault.SiteNANDRead, lba); out.Hit {
 		// Everything attributed from here on is ladder work: capture the
@@ -78,7 +77,7 @@ func (c *Controller) readLBAInto(now sim.Time, lba uint64, off int, dst []byte) 
 		c.sa.Reattribute(frontier, telemetry.StageRetry)
 		c.sa.Mark(telemetry.StageRetry, done)
 	}
-	return done, true, err
+	return done, err
 }
 
 // eccRecover walks the tiered read-retry ladder for a page whose first

@@ -102,18 +102,13 @@ func DefaultConfig() Config {
 
 // Stats counts controller activity.
 type Stats struct {
-	BlockReadCmds  uint64
-	FineReadCmds   uint64
-	WriteCmds      uint64
-	FlushCmds      uint64
-	PagesLoaded    uint64 // NAND pages brought into the read buffer
-	PagesDestaged  uint64 // write-buffer pages flushed to NAND
-	BytesToHost    uint64 // PCIe device->host
-	BytesFromHost  uint64 // PCIe host->device
-	CMBPageLoads   uint64 // pages loaded into the CMB for 2B-SSD reads
-	MMIOBytesRead  uint64
-	RangesExtract  uint64 // fine ranges scattered by the read engine
-	InfoRecordsRun uint64
+	BlockReadCmds uint64
+	FineReadCmds  uint64
+	WriteCmds     uint64
+	PagesDestaged uint64 // write-buffer pages flushed to NAND
+	BytesToHost   uint64 // PCIe device->host
+	BytesFromHost uint64 // PCIe host->device
+	RangesExtract uint64 // fine ranges scattered by the read engine
 }
 
 // Controller is the device. It implements nvme.Device.
@@ -323,7 +318,7 @@ func (c *Controller) execBlockRead(now sim.Time, cmd *nvme.Command) nvme.Complet
 			if cmd.Discard&(1<<uint(i)) != 0 {
 				dst = dst[:0]
 			}
-			done, loaded, err := c.readLBAInto(issueAt, cmd.LBA+uint64(i), 0, dst)
+			done, err := c.readLBAInto(issueAt, cmd.LBA+uint64(i), 0, dst)
 			if err != nil {
 				// A failed read still waits for the racing loads it already
 				// issued: the command completes no earlier than any of them.
@@ -334,9 +329,6 @@ func (c *Controller) execBlockRead(now sim.Time, cmd *nvme.Command) nvme.Complet
 			}
 			if done > maxDone {
 				maxDone = done
-			}
-			if loaded {
-				c.stats.PagesLoaded++
 			}
 		}
 	}
@@ -431,7 +423,6 @@ func (c *Controller) execFineRead(now sim.Time, cmd *nvme.Command) nvme.Completi
 		}
 		return nvme.Completion{Status: nvme.StatusInvalidCommand, Done: now}
 	}
-	c.stats.InfoRecordsRun++
 	if rec.LBA != cmd.FineLBAs[0] {
 		return nvme.Completion{Status: nvme.StatusInvalidCommand, Done: now}
 	}
@@ -453,7 +444,7 @@ func (c *Controller) execFineRead(now sim.Time, cmd *nvme.Command) nvme.Completi
 	for i, lba := range cmd.FineLBAs {
 		lo := max(rec.ByteOff, i*ps)
 		hi := max(lo, min(end, (i+1)*ps)) // a page past the range loads for timing alone
-		done, loaded, err := c.readLBAInto(start, lba, lo-i*ps, c.readBuf[lo:hi])
+		done, err := c.readLBAInto(start, lba, lo-i*ps, c.readBuf[lo:hi])
 		if err != nil {
 			// As in the block path: the command outlives its racing loads.
 			if done < maxDone {
@@ -463,9 +454,6 @@ func (c *Controller) execFineRead(now sim.Time, cmd *nvme.Command) nvme.Completi
 		}
 		if done > maxDone {
 			maxDone = done
-		}
-		if loaded {
-			c.stats.PagesLoaded++
 		}
 	}
 
@@ -526,12 +514,11 @@ func (c *Controller) LoadToCMB(now sim.Time, lba uint64) (slot int, done sim.Tim
 	ps := c.cfg.NAND.PageSize
 	slot = c.cmbNext
 	dst := c.cmb[slot*ps : (slot+1)*ps]
-	if done, _, err = c.readLBAInto(now, lba, 0, dst); err != nil {
+	if done, err = c.readLBAInto(now, lba, 0, dst); err != nil {
 		return 0, done, err
 	}
 	c.cmbNext = (c.cmbNext + 1) % c.cmbSlots
 	c.cmbPages[slot] = lba
-	c.stats.CMBPageLoads++
 	return slot, done, nil
 }
 
@@ -543,7 +530,6 @@ func (c *Controller) MMIORead(now sim.Time, slot, off int, buf []byte) (sim.Time
 	}
 	base := slot * c.cfg.NAND.PageSize
 	copy(buf, c.cmb[base+off:])
-	c.stats.MMIOBytesRead += uint64(len(buf))
 	c.stats.BytesToHost += uint64(len(buf))
 	mmioStart, done := c.linkSpan(now, mmioTime(len(buf)))
 	c.sa.MarkRes(telemetry.StageDMA, done, ResDMALink)

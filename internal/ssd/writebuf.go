@@ -123,7 +123,6 @@ func (c *Controller) execBufferedWrite(now sim.Time, cmd *nvme.Command) nvme.Com
 
 // execFlush drains the write buffer synchronously — durability point.
 func (c *Controller) execFlush(now sim.Time) nvme.Completion {
-	c.stats.FlushCmds++
 	t := now + FirmwareBlockOverhead
 	if c.cfg.WriteBufferPages > 0 {
 		var err error

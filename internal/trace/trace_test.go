@@ -256,3 +256,69 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("empty summary wrong: %+v", empty)
 	}
 }
+
+// FuzzTraceReader: arbitrary bytes never panic ReadAll, which returns
+// ErrBadHeader, ErrTruncated or requests; the Writer takes back exactly
+// the requests it could have written (a positive size at a non-negative
+// offset), and those read back unchanged.
+func FuzzTraceReader(f *testing.F) {
+	var valid bytes.Buffer
+	w, err := NewWriter(&valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range []workload.Request{{Off: 0, Size: 128}, {Off: 4096, Size: 64, Write: true}, {Off: 1 << 40, Size: 4096}} {
+		if err := w.Append(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	hdr := valid.Bytes()[:8]
+	f.Add([]byte{})
+	f.Add(bytes.Clone(hdr))
+	f.Add(bytes.Clone(valid.Bytes()))
+	f.Add(valid.Bytes()[:valid.Len()-5])                          // torn last record
+	f.Add(append([]byte("PIPTRC\x02\x00"), valid.Bytes()[8:]...)) // unknown version
+	// A non-canonical op and pad byte, then a zero size and an offset past 2^63.
+	f.Add(append(bytes.Clone(hdr), 7, 9, 1, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		1, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs, err := ReadAll(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadHeader) && !errors.Is(err, ErrTruncated) {
+				t.Fatalf("ReadAll: %v, want ErrBadHeader or ErrTruncated", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept []workload.Request
+		for _, r := range reqs {
+			err := w.Append(r)
+			if valid := r.Size > 0 && r.Off >= 0; valid != (err == nil) {
+				t.Fatalf("Append(%+v) = %v", r, err)
+			}
+			if err == nil {
+				kept = append(kept, r)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadAll(&buf)
+		if err != nil || len(back) != len(kept) {
+			t.Fatalf("reading back %d requests: %d, %v", len(kept), len(back), err)
+		}
+		for i := range kept {
+			if back[i] != kept[i] {
+				t.Fatalf("request %d: wrote %+v, read back %+v", i, kept[i], back[i])
+			}
+		}
+	})
+}

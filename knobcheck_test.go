@@ -5,16 +5,11 @@ package pipette
 import (
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/constant"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -97,12 +92,8 @@ func TestKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := newKnobLoader(root)
-	for _, d := range l.packageDirs(t) {
-		if _, err := l.load(d); err != nil {
-			t.Fatal(err)
-		}
-	}
+	l := newModLoader(root)
+	l.loadAll(t)
 
 	// Every leaf field of the covered structs, by object.
 	names := map[*types.Var]string{}
@@ -211,13 +202,8 @@ type knobSetter struct {
 	from  []*types.Var
 }
 
-// knobPkg is one type-checked package of the module.
-type knobPkg struct {
-	files []*ast.File
-	info  *types.Info
-}
-
-func (p *knobPkg) setters(names map[*types.Var]string) []knobSetter {
+// setters lists the places p writes a covered field.
+func (p *modPkg) setters(names map[*types.Var]string) []knobSetter {
 	var out []knobSetter
 	field := func(e ast.Expr) *types.Var {
 		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
@@ -315,106 +301,4 @@ func typeOf(info *types.Info, e ast.Expr) types.Type {
 		t = p.Elem()
 	}
 	return t.Underlying()
-}
-
-// knobLoader type-checks the module's packages from source, sharing one
-// types.Package per import path so field objects compare by identity. The
-// standard library comes from the stdlib "source" importer.
-type knobLoader struct {
-	root    string
-	fset    *token.FileSet
-	ctx     build.Context
-	std     types.ImporterFrom
-	pkgs    map[string]*types.Package
-	checked []*knobPkg
-}
-
-func newKnobLoader(root string) *knobLoader {
-	// Pure-Go builds of net and os/user, so no C toolchain is needed.
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	return &knobLoader{
-		root: root,
-		fset: fset,
-		ctx:  build.Default,
-		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs: map[string]*types.Package{},
-	}
-}
-
-// packageDirs lists every directory of the module and the benchmark module
-// that holds non-test Go files.
-func (l *knobLoader) packageDirs(t *testing.T) []string {
-	var dirs []string
-	err := filepath.WalkDir(l.root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		if name := d.Name(); path != l.root && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		if _, err := l.ctx.ImportDir(path, 0); err == nil {
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dirs
-}
-
-func (l *knobLoader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, l.root, 0)
-}
-
-func (l *knobLoader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if path == "pipette" || strings.HasPrefix(path, "pipette/") {
-		return l.load(filepath.Join(l.root, strings.TrimPrefix(strings.TrimPrefix(path, "pipette"), "/")))
-	}
-	return l.std.ImportFrom(path, dir, mode)
-}
-
-func (l *knobLoader) load(dir string) (*types.Package, error) {
-	rel, err := filepath.Rel(l.root, dir)
-	if err != nil {
-		return nil, err
-	}
-	path := filepath.ToSlash(filepath.Join("pipette", rel))
-	if p, ok := l.pkgs[path]; ok {
-		if p == nil {
-			return nil, fmt.Errorf("import cycle through %s", path)
-		}
-		return p, nil
-	}
-	l.pkgs[path] = nil
-	bp, err := l.ctx.ImportDir(dir, 0)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{Importer: l}
-	p, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-check %s: %w", path, err)
-	}
-	l.pkgs[path] = p
-	l.checked = append(l.checked, &knobPkg{files: files, info: info})
-	return p, nil
 }
