@@ -111,6 +111,7 @@ func NewStack(cfg StackConfig, fine bool) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
+	blk.SetWriteCache(cfg.SSD.WriteBufferPages > 0)
 	v, err := vfs.New(extfs.New(ctrl), blk, cfg.VFS)
 	if err != nil {
 		return nil, err

@@ -52,6 +52,7 @@ type Layer struct {
 	stats    Stats
 	tr       telemetry.Tracer
 	sa       *telemetry.StageAccount
+	vwc      bool // the device has a volatile write cache; see Flush
 
 	// Request-scoped scratch (the layer, like the whole stack, is
 	// single-threaded): sort buffer and run list for coalescing, and the
@@ -82,6 +83,33 @@ func (l *Layer) SetTracer(tr telemetry.Tracer) { l.tr = telemetry.OrNop(tr) }
 // SetStages installs the per-request stage account; the layer attributes
 // its per-command software overhead to the queue stage.
 func (l *Layer) SetStages(sa *telemetry.StageAccount) { l.sa = sa }
+
+// SetWriteCache records whether the device has a volatile write cache (the
+// NVMe VWC bit), which decides whether Flush sends anything.
+func (l *Layer) SetWriteCache(on bool) { l.vwc = on }
+
+// Flush makes every completed write durable: on a device with a volatile
+// write cache it sends one flush command and returns its completion time.
+// Without one, completed writes are already on media and, as Linux sends
+// no preflush to a queue that advertises no cache, Flush sends nothing.
+func (l *Layer) Flush(now sim.Time) (sim.Time, error) {
+	if !l.vwc {
+		return now, nil
+	}
+	issueAt := now + l.cfg.PerRequestOverhead
+	l.sa.Mark(telemetry.StageQueue, issueAt)
+	comp, err := l.drv.Submit(issueAt, nvme.Command{Op: nvme.OpFlush})
+	if err != nil {
+		return now, fmt.Errorf("blockdev: flush submit: %w", err)
+	}
+	if !comp.Ok() {
+		return comp.Done, fmt.Errorf("blockdev: flush: %w", comp.Status.Err())
+	}
+	if l.tr.Enabled() {
+		l.tr.Span(telemetry.TrackBlock, "flush", now, comp.Done)
+	}
+	return comp.Done, nil
+}
 
 // run is a merged contiguous extent.
 type run struct {

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -94,16 +95,16 @@ func shuffledKeys(n int, seed int64) []string {
 }
 
 // TestMemtableOverwriteAllocFree: updating a key already in the memtable
-// rewrites its node in place.
+// rewrites its entry in place.
 func TestMemtableOverwriteAllocFree(t *testing.T) {
 	keys := shuffledKeys(1000, 1)
-	l := newSkipList(1)
+	m := newSortedMap()
 	for _, k := range keys {
-		l.set(k, Loc{Seg: 1}, false)
+		m.set(k, Loc{Seg: 1}, false)
 	}
 	i := 0
 	overwrite := func() {
-		l.set(keys[i%len(keys)], Loc{Seg: uint32(i)}, i%3 == 0)
+		m.set(keys[i%len(keys)], Loc{Seg: uint32(i)}, i%3 == 0)
 		i++
 	}
 	if allocs := testing.AllocsPerRun(1000, overwrite); allocs != 0 {
@@ -111,15 +112,15 @@ func TestMemtableOverwriteAllocFree(t *testing.T) {
 	}
 }
 
-// TestMemtableInsertAllocsAmortized: nodes and towers come from the list's
-// arena chunks, so an insert averages at most 1/64 allocations, the new
-// list's own head and RNG included.
+// TestMemtableInsertAllocsAmortized: the index map and the entry slice
+// grow geometrically, so an insert averages at most 1/64 allocations, the
+// new map's own allocations included.
 func TestMemtableInsertAllocsAmortized(t *testing.T) {
 	keys := shuffledKeys(8192, 2)
 	fill := func() {
-		l := newSkipList(2)
+		m := newSortedMap()
 		for _, k := range keys {
-			l.set(k, Loc{Seg: 1}, false)
+			m.set(k, Loc{Seg: 1}, false)
 		}
 	}
 	if per := meanAllocs(3, fill) / float64(len(keys)); per > 1.0/64 {
@@ -127,9 +128,10 @@ func TestMemtableInsertAllocsAmortized(t *testing.T) {
 	}
 }
 
-// TestMemtableFlushReusesArena: a flush keeps the memtable's node and tower
-// chunks for the next memtable, so once one flush has carved them, filling
-// the memtable to its flush threshold again carves none.
+// TestMemtableFlushReusesArena: a flush keeps the memtable's buffers for
+// the next memtable, so once one flush has grown them, filling the
+// memtable to its flush threshold and sorting it for the next flush
+// allocates nothing.
 func TestMemtableFlushReusesArena(t *testing.T) {
 	cfg := Config{Kind: LSM}
 	cfg.setDefaults()
@@ -138,17 +140,13 @@ func TestMemtableFlushReusesArena(t *testing.T) {
 	keys := shuffledKeys(4*n, 6)
 	now := sim.Time(0)
 	var err error
-	// chunks lists the first element of every chunk the memtable holds.
-	chunks := func() (c []any) {
-		for _, ch := range e.mem.nodeChunks {
-			c = append(c, &ch[0])
-		}
-		for _, ch := range e.mem.towerChunks {
-			c = append(c, &ch[0])
-		}
-		return c
+	// buffers holds the first element of every buffer the memtable holds;
+	// the sort's two swap roles from flush to flush.
+	buffers := func() map[any]bool {
+		m := e.mem
+		return map[any]bool{&m.ents[:1][0]: true, &m.order[:1][0]: true, &m.items[:1][0]: true, &m.tmp[:1][0]: true}
 	}
-	var warm []any
+	var warm map[any]bool
 	for round := 0; round < 4; round++ {
 		for i, k := range keys[round*n : (round+1)*n] {
 			if now, err = e.Insert(now, k, Loc{Seg: uint32(i), ValLen: 100}); err != nil {
@@ -159,41 +157,55 @@ func TestMemtableFlushReusesArena(t *testing.T) {
 			t.Fatalf("round %d: %d flushes, %d memtable keys left", round, e.stats.Flushes, e.mem.len())
 		}
 		if round == 0 {
-			if warm = chunks(); len(warm) == 0 { // the warm flush carved these
-				t.Fatal("the flushed memtable kept no chunks")
-			}
+			warm = buffers() // the warm flush grew these
 			continue
 		}
-		if got := chunks(); !slices.Equal(got, warm) {
-			t.Errorf("round %d: the memtable holds %d chunks, not the %d the warm flush carved", round, len(got), len(warm))
+		if got := buffers(); !maps.Equal(got, warm) {
+			t.Errorf("round %d: the memtable holds buffers %v, not the %v the warm flush grew", round, got, warm)
 		}
+	}
+	// The same cycle without the run build: fill to the threshold, sort
+	// in flush order, empty.
+	round := 0
+	cycle := func() {
+		for i, k := range keys[round%4*n : (round%4+1)*n] {
+			e.mem.set(k, Loc{Seg: uint32(i)}, false)
+		}
+		if got := len(e.mem.ascend("")); got != n {
+			t.Fatalf("flush order holds %d keys, want %d", got, n)
+		}
+		e.mem.reset()
+		round++
+	}
+	if allocs := meanAllocs(4, cycle); allocs != 0 {
+		t.Errorf("a fill-and-flush cycle allocated %.2f times, want 0", allocs)
 	}
 }
 
-// TestSkipListReusesDeletedNodes: under delete and insert churn at a
-// constant size the arena stops growing.
-func TestSkipListReusesDeletedNodes(t *testing.T) {
+// TestSortedMapReusesDeletedEntries: under delete and insert churn at a
+// constant size the entry slice and the index map stop growing.
+func TestSortedMapReusesDeletedEntries(t *testing.T) {
 	keys := shuffledKeys(4096, 3)
-	l := newSkipList(3)
+	m := newSortedMap()
 	for _, k := range keys[:2048] {
-		l.set(k, Loc{}, false)
+		m.set(k, Loc{}, false)
 	}
 	i := 0
 	churn := func() {
-		// Retire the oldest live key and insert the next one: the list
+		// Retire the oldest live key and insert the next one: the map
 		// stays at 2048 keys while every key comes and goes.
-		l.delete(keys[i%len(keys)])
-		l.set(keys[(i+2048)%len(keys)], Loc{}, false)
+		m.delete(keys[i%len(keys)])
+		m.set(keys[(i+2048)%len(keys)], Loc{}, false)
 		i++
 	}
-	for j := 0; j < 4*len(keys); j++ { // let the free lists settle
+	for j := 0; j < 4*len(keys); j++ { // let the buffers settle
 		churn()
 	}
 	if per := meanAllocs(8192, churn); per != 0 {
 		t.Errorf("delete+insert churn allocated %.4f times per step, want 0", per)
 	}
-	if l.len() != 2048 {
-		t.Fatalf("len = %d, want 2048", l.len())
+	if m.len() != 2048 {
+		t.Fatalf("len = %d, want 2048", m.len())
 	}
 }
 

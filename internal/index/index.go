@@ -5,9 +5,9 @@
 // generates tiny reads, so swapping the engine under an unchanged store
 // turns the fine-grained-read argument into an index-structure comparison:
 //
-//   - hash: the extracted original — an in-memory map plus a deterministic
-//     skip list for ordered scans. Lookups cost no device I/O; the baseline
-//     every on-device structure is measured against.
+//   - hash: the extracted original — an in-memory map, sorted on demand for
+//     ordered scans. Lookups cost no device I/O; the baseline every
+//     on-device structure is measured against.
 //   - btree: a paged B+-tree whose nodes are sub-page (512 B by default) and
 //     live in arena files on the store's filesystem. Every traversal step is
 //     a real timed read through the vfs — a few hundred bytes that a

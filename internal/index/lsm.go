@@ -46,7 +46,7 @@ type lsmEngine struct {
 	be  Backend
 	cfg Config
 
-	mem     *skipList
+	mem     *sortedMap
 	runs    []*run // level asc, seq desc within level: recency order for reads
 	nextSeq uint64
 	cache   *blockCache
@@ -104,7 +104,7 @@ func newLSM(be Backend, cfg Config) *lsmEngine {
 	return &lsmEngine{
 		be:    be,
 		cfg:   cfg,
-		mem:   newSkipList(0x5eed),
+		mem:   newSortedMap(),
 		cache: newBlockCache(BlockCacheBlocks),
 	}
 }
@@ -146,23 +146,23 @@ func (e *lsmEngine) flush(now sim.Time) (sim.Time, error) {
 	if e.mem.len() == 0 {
 		return now, nil
 	}
-	n := e.mem.first()
+	order := e.mem.ascend("")
 	var key []byte
 	next := func(now sim.Time) (sim.Time, []byte, Loc, bool, bool) {
-		if n == nil {
+		if len(order) == 0 {
 			return now, nil, Loc{}, false, false
 		}
-		key = append(key[:0], n.key...)
-		l, t := n.loc, n.tombstone
-		n = n.next[0]
-		return now, key, l, t, true
+		m := &e.mem.ents[order[0]]
+		order = order[1:]
+		key = append(key[:0], m.key...)
+		return now, key, m.loc, m.tombstone, true
 	}
 	now, _, err := e.buildRun(now, 0, e.mem.len(), next)
 	if err != nil {
 		return now, err
 	}
 	e.stats.Flushes++
-	e.mem.reset(0x5eed ^ e.nextSeq)
+	e.mem.reset()
 	return now, nil
 }
 
@@ -479,7 +479,7 @@ func (it *runIter) seek(now sim.Time, start string) (sim.Time, error) {
 // Scan merges the memtable and every run in recency order: for each key the
 // newest source wins, and tombstones suppress the key entirely.
 func (e *lsmEngine) Scan(now sim.Time, start string, fn func(sim.Time, string, Loc) (sim.Time, bool)) (sim.Time, error) {
-	mem := e.mem.seek(start)
+	mem := e.mem.ascend(start) // the memtable's positions, in key order
 	iters := make([]runIter, len(e.runs))
 	var err error
 	for i, r := range e.runs {
@@ -493,8 +493,8 @@ func (e *lsmEngine) Scan(now sim.Time, start string, fn func(sim.Time, string, L
 		// Smallest key across sources; the first source holding it (memtable,
 		// then runs in slice order) is the newest version.
 		have := false
-		if mem != nil {
-			best, have = append(best[:0], mem.key...), true
+		if len(mem) > 0 {
+			best, have = append(best[:0], e.mem.ents[mem[0]].key...), true
 		}
 		for i := range iters {
 			if it := &iters[i]; it.valid && (!have || bytes.Compare(it.key, best) < 0) {
@@ -508,9 +508,11 @@ func (e *lsmEngine) Scan(now sim.Time, start string, fn func(sim.Time, string, L
 		var winLoc Loc
 		var winTomb bool
 		decided := false
-		if mem != nil && mem.key == string(best) {
-			key, winLoc, winTomb, decided = mem.key, mem.loc, mem.tombstone, true
-			mem = mem.next[0]
+		if len(mem) > 0 {
+			if m := &e.mem.ents[mem[0]]; m.key == string(best) {
+				key, winLoc, winTomb, decided = m.key, m.loc, m.tombstone, true
+				mem = mem[1:]
+			}
 		}
 		fromRun := !decided
 		for i := range iters {

@@ -60,39 +60,6 @@ func TestFenceSearchMatchesSearchStrings(t *testing.T) {
 	}
 }
 
-func TestSkipList(t *testing.T) {
-	t.Parallel()
-	l := newSkipList(42)
-	keys := []string{"m", "c", "x", "a", "t", "c"} // one duplicate
-	for i, k := range keys {
-		l.set(k, Loc{Seg: uint32(i)}, false)
-	}
-	if l.len() != 5 {
-		t.Fatalf("len = %d, want 5", l.len())
-	}
-	// The duplicate "c" must hold the later payload.
-	if loc, tomb, ok := l.get("c"); !ok || tomb || loc.Seg != 5 {
-		t.Fatalf("get(c) = %v %v %v, want Seg=5", loc, tomb, ok)
-	}
-	var walk []string
-	for n := l.first(); n != nil; n = n.next[0] {
-		walk = append(walk, n.key)
-	}
-	if fmt.Sprint(walk) != fmt.Sprint([]string{"a", "c", "m", "t", "x"}) {
-		t.Fatalf("walk = %v", walk)
-	}
-	l.set("m", Loc{}, true) // tombstone overwrite keeps the node
-	if _, tomb, ok := l.get("m"); !ok || !tomb {
-		t.Fatal("tombstone set not visible")
-	}
-	if !l.delete("m") || l.delete("m") {
-		t.Fatal("delete semantics broken")
-	}
-	if n := l.seek("d"); n == nil || n.key != "t" {
-		t.Fatalf("seek(d) = %v, want t", n)
-	}
-}
-
 // TestChecksumIsCRC32C pins the record checksum to CRC-32C (Castagnoli)
 // by its standard check value, "123456789" -> 0xE3069283, split into the
 // two sections at every point.

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"pipette/internal/workload"
@@ -29,6 +30,24 @@ const (
 	opRead  byte = 0
 	opWrite byte = 1
 )
+
+// ErrBadRecord reports a record outside the format: an op other than read
+// or write, a nonzero pad byte, a size of 0 or above maxSize, or a
+// negative offset. Append refuses such a request and Next such a record.
+var ErrBadRecord = errors.New("trace: bad record")
+
+// maxSize is the largest request size: the record's 32 bits, or an int's
+// where that is narrower.
+const maxSize = min(math.MaxUint32, math.MaxInt)
+
+// checkRecord is the format's one rule, which Append applies before it
+// encodes a request and Next after it decodes a record.
+func checkRecord(op, pad byte, off, size int64) error {
+	if op > opWrite || pad != 0 || size <= 0 || size > maxSize || off < 0 {
+		return fmt.Errorf("%w: op %d pad %d off %d size %d", ErrBadRecord, op, pad, off, size)
+	}
+	return nil
+}
 
 // Writer streams requests to an io.Writer.
 type Writer struct {
@@ -50,14 +69,14 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{w: bw}, nil
 }
 
-// Append records one request.
+// Append records one request; ErrBadRecord if the format cannot hold it.
 func (w *Writer) Append(r workload.Request) error {
-	if r.Size <= 0 || r.Off < 0 {
-		return fmt.Errorf("trace: invalid request %+v", r)
-	}
 	var buf [recordSize]byte
 	if r.Write {
 		buf[0] = opWrite
+	}
+	if err := checkRecord(buf[0], 0, r.Off, int64(r.Size)); err != nil {
+		return err
 	}
 	binary.LittleEndian.PutUint64(buf[2:], uint64(r.Off))
 	binary.LittleEndian.PutUint32(buf[10:], uint32(r.Size))
@@ -106,7 +125,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Next reads one request; io.EOF after the last.
+// Next reads one request; io.EOF after the last, ErrBadRecord for a record
+// Append would not have written.
 func (r *Reader) Next() (workload.Request, error) {
 	var buf [recordSize]byte
 	if _, err := io.ReadFull(r.r, buf[:]); err != nil {
@@ -115,11 +135,12 @@ func (r *Reader) Next() (workload.Request, error) {
 		}
 		return workload.Request{}, err
 	}
-	return workload.Request{
-		Write: buf[0] == opWrite,
-		Off:   int64(binary.LittleEndian.Uint64(buf[2:])),
-		Size:  int(binary.LittleEndian.Uint32(buf[10:])),
-	}, nil
+	off := int64(binary.LittleEndian.Uint64(buf[2:]))
+	size := int64(binary.LittleEndian.Uint32(buf[10:]))
+	if err := checkRecord(buf[0], buf[1], off, size); err != nil {
+		return workload.Request{}, err
+	}
+	return workload.Request{Write: buf[0] == opWrite, Off: off, Size: int(size)}, nil
 }
 
 // ReadAll slurps a whole trace.
@@ -242,7 +263,8 @@ func NewReplayer(name string, fileSize int64, reqs []workload.Request) (*Replaye
 		return nil, errors.New("trace: empty trace")
 	}
 	for i, r := range reqs {
-		if r.Off < 0 || r.Off+int64(r.Size) > fileSize {
+		// Off <= fileSize, so fileSize-r.Off cannot overflow.
+		if r.Size <= 0 || r.Off < 0 || r.Off > fileSize || int64(r.Size) > fileSize-r.Off {
 			return nil, fmt.Errorf("trace: request %d [%d,+%d) outside file %d", i, r.Off, r.Size, fileSize)
 		}
 	}

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -104,6 +106,42 @@ func TestInvalidRequestsRejected(t *testing.T) {
 	}
 	if err := w.Append(workload.Request{Off: 0, Size: 0}); err == nil {
 		t.Error("zero size accepted")
+	}
+	// A size past 32 bits used to be truncated into the record.
+	big := int64(math.MaxUint32) + 1
+	if err := w.Append(workload.Request{Off: 0, Size: int(big)}); !errors.Is(err, ErrBadRecord) {
+		t.Errorf("Append of size 2^32 = %v, want ErrBadRecord", err)
+	}
+	if w.Count() != 0 {
+		t.Errorf("%d invalid requests counted", w.Count())
+	}
+}
+
+// TestBadRecordRejected: Next refuses every record Append would not have
+// written: an unknown op, a nonzero pad byte, a zero size, and an offset
+// of 2^63 or more, which would decode as negative.
+func TestBadRecordRejected(t *testing.T) {
+	good := [recordSize]byte{opWrite, 0, 0, 16, 0, 0, 0, 0, 0, 0, 128, 0, 0, 0}
+	for name, edit := range map[string]func(*[recordSize]byte){
+		"op":     func(b *[recordSize]byte) { b[0] = 2 },
+		"pad":    func(b *[recordSize]byte) { b[1] = 1 },
+		"size 0": func(b *[recordSize]byte) { binary.LittleEndian.PutUint32(b[10:], 0) },
+		"off":    func(b *[recordSize]byte) { b[9] = 0x80 },
+	} {
+		rec := good
+		edit(&rec)
+		data := append([]byte("PIPTRC\x01\x00"), good[:]...)
+		data = append(data, rec[:]...)
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req, err := r.Next(); err != nil || req != (workload.Request{Write: true, Off: 4096, Size: 128}) {
+			t.Fatalf("%s: the good record read as %+v, %v", name, req, err)
+		}
+		if req, err := r.Next(); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("%s: Next = %+v, %v, want ErrBadRecord", name, req, err)
+		}
 	}
 }
 
@@ -212,6 +250,15 @@ func TestReplayer(t *testing.T) {
 	if _, err := NewReplayer("x", 100, nil); err == nil {
 		t.Error("empty trace accepted")
 	}
+	for _, bad := range []workload.Request{
+		{Off: 0, Size: 0},
+		{Off: 64, Size: -1},
+		{Off: math.MaxInt64 - 8, Size: 64}, // Off+Size overflows
+	} {
+		if _, err := NewReplayer("x", 1<<20, []workload.Request{bad}); err == nil {
+			t.Errorf("request %+v accepted", bad)
+		}
+	}
 }
 
 // TestSummarize pins the per-op accounting and the exact (nearest-rank)
@@ -258,9 +305,8 @@ func TestSummarize(t *testing.T) {
 }
 
 // FuzzTraceReader: arbitrary bytes never panic ReadAll, which returns
-// ErrBadHeader, ErrTruncated or requests; the Writer takes back exactly
-// the requests it could have written (a positive size at a non-negative
-// offset), and those read back unchanged.
+// ErrBadHeader, ErrTruncated, ErrBadRecord or requests; the Writer takes
+// back every request read, and they read back unchanged.
 func FuzzTraceReader(f *testing.F) {
 	var valid bytes.Buffer
 	w, err := NewWriter(&valid)
@@ -288,8 +334,8 @@ func FuzzTraceReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs, err := ReadAll(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, ErrBadHeader) && !errors.Is(err, ErrTruncated) {
-				t.Fatalf("ReadAll: %v, want ErrBadHeader or ErrTruncated", err)
+			if !errors.Is(err, ErrBadHeader) && !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBadRecord) {
+				t.Fatalf("ReadAll: %v, want ErrBadHeader, ErrTruncated or ErrBadRecord", err)
 			}
 			return
 		}
@@ -298,26 +344,21 @@ func FuzzTraceReader(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var kept []workload.Request
 		for _, r := range reqs {
-			err := w.Append(r)
-			if valid := r.Size > 0 && r.Off >= 0; valid != (err == nil) {
-				t.Fatalf("Append(%+v) = %v", r, err)
-			}
-			if err == nil {
-				kept = append(kept, r)
+			if err := w.Append(r); err != nil {
+				t.Fatalf("Append(%+v) of a request read: %v", r, err)
 			}
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadAll(&buf)
-		if err != nil || len(back) != len(kept) {
-			t.Fatalf("reading back %d requests: %d, %v", len(kept), len(back), err)
+		if err != nil || len(back) != len(reqs) {
+			t.Fatalf("reading back %d requests: %d, %v", len(reqs), len(back), err)
 		}
-		for i := range kept {
-			if back[i] != kept[i] {
-				t.Fatalf("request %d: wrote %+v, read back %+v", i, kept[i], back[i])
+		for i := range reqs {
+			if back[i] != reqs[i] {
+				t.Fatalf("request %d: wrote %+v, read back %+v", i, reqs[i], back[i])
 			}
 		}
 	})

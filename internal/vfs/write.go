@@ -137,10 +137,11 @@ func pageTrim(page []byte, f *File, p uint64, pageSize int) []byte {
 // Sync flushes this file's dirty pages to the device — fsync(2). Every
 // page's write issues at now, as the kernel's writeback submits a file's
 // dirty pages before it waits on any of them, so the FTL's die striping
-// overlaps their programs; Sync completes with the latest. The first error
-// stops the flush and leaves later pages dirty. The whole flush is
-// attributed to the writeback stage: fsync is, by definition, time spent
-// blocked on dirty-page persistence.
+// overlaps their programs. Once the latest completes, Sync flushes the
+// device's volatile write cache, if it has one, through the block layer.
+// The first error stops the flush and leaves later pages dirty. The whole
+// flush is attributed to the writeback stage: fsync is, by definition, time
+// spent blocked on dirty-page persistence.
 func (f *File) Sync(now sim.Time) (sim.Time, error) {
 	v := f.v
 	if f.closed {
@@ -159,6 +160,11 @@ func (f *File) Sync(now sim.Time) (sim.Time, error) {
 			done = max(done, t)
 			return nil
 		})
+	if err == nil {
+		// The pages may sit in the device's volatile write cache: once
+		// they have all landed, flush it.
+		done, err = v.blk.Flush(done)
+	}
 	v.sa.Reattribute(now, telemetry.StageWriteback)
 	v.sa.Mark(telemetry.StageWriteback, done)
 	v.sa.Finish(done)
