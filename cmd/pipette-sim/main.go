@@ -424,10 +424,7 @@ func runOpenLoop(w io.Writer, wl string, gen workload.Generator, requests int, p
 		return err
 	}
 	cfg := baseline.DefaultStackConfig(gen.FileSize())
-	cfg.VFS.PageCachePages = int(pcMB << 20 / 4096)
-	cfg.Core.HMB.DataBytes = fgMB << 20
-	cfg.Core.OverflowMaxBytes = fgMB << 20
-	cfg.Core.PageCacheFloorPages = cfg.VFS.PageCachePages / 8
+	cfg.SetCaches(int(pcMB<<20/4096), fgMB<<20)
 	cfg.FaultProfile = prof
 	cfg.FaultSeed = faultSeed
 	cfg.SSD.LinkArbitration = true

@@ -19,11 +19,11 @@ import (
 
 func main() {
 	ccfg := core.DefaultConfig()
-	ccfg.HMB.DataBytes = 4 << 20
 	ccfg.MaintenanceEvery = 4096
 	sys, err := pipette.New(pipette.Options{
 		CapacityBytes:  1 << 30,
 		PageCacheBytes: 16 << 20,
+		FineCacheBytes: 4 << 20,
 		Core:           &ccfg,
 	})
 	if err != nil {

@@ -47,6 +47,30 @@ type StackConfig struct {
 	FaultSeed    uint64
 }
 
+// cacheShare is the share of its live bytes that a stack sized for a
+// dataset gives each cache: 1/cacheShare to the page cache, as much again
+// to the fine cache's arena.
+const cacheShare = 8
+
+// SetCaches sizes §3.2.4's shared memory budget, for every stack: the page
+// cache's pages and the arena's bytes go in. Items migrated out of the arena
+// may hold as many bytes as the arena, and migration may shrink the page
+// cache to 1/8 of its budget, no further.
+func (c *StackConfig) SetCaches(pages, arenaBytes int) {
+	c.VFS.PageCachePages = pages
+	c.Core.PageCacheFloorPages = pages / 8
+	c.Core.HMB.DataBytes = arenaBytes
+	c.Core.OverflowMaxBytes = arenaBytes
+}
+
+// CachesFor gives SetCaches the budgets for liveBytes of data: 1/cacheShare
+// each, at least 64 pages, and an arena no smaller than the page cache, so
+// small datasets still compare equal memory budgets.
+func CachesFor(liveBytes int64) (pages, arenaBytes int) {
+	pages = max(int(liveBytes/cacheShare/4096), 64)
+	return pages, max(int(liveBytes/cacheShare), pages*4096)
+}
+
 // DefaultStackConfig sizes a stack for a dataset of fileSize bytes: the
 // flash is provisioned ~1.5x the file and the defaults mirror the paper's
 // platform.

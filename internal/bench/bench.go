@@ -210,10 +210,7 @@ func (s Scale) FileSize() int64 { return int64(s.FilePages) * 4096 }
 // stackConfig builds the per-engine system configuration for this scale.
 func (s Scale) stackConfig(fileSize int64) baseline.StackConfig {
 	cfg := baseline.DefaultStackConfig(fileSize)
-	cfg.VFS.PageCachePages = s.PageCachePages
-	cfg.Core.HMB.DataBytes = s.FGRCDataBytes
-	cfg.Core.OverflowMaxBytes = s.FGRCDataBytes
-	cfg.Core.PageCacheFloorPages = s.PageCachePages / 8
+	cfg.SetCaches(s.PageCachePages, s.FGRCDataBytes)
 	cfg.FaultProfile = s.Fault
 	cfg.FaultSeed = s.FaultSeed
 	return cfg

@@ -94,21 +94,7 @@ func kvStackConfig(s Scale) baseline.StackConfig {
 	datasetBytes := int64(s.KVRecords) * kvAvgRecordBytes
 	cfg := baseline.DefaultStackConfig(datasetBytes * 4)
 	cfg.QueuePairs = 1
-	cachePages := int(datasetBytes / 4096 / 8)
-	if cachePages < 64 {
-		cachePages = 64
-	}
-	cfg.VFS.PageCachePages = cachePages
-	// The fine cache gets the same floor the page cache floor implies, so
-	// tiny scales compare equal memory budgets rather than a 256 KiB page
-	// cache against an 80 KiB fine cache.
-	fineBytes := int(datasetBytes / 8)
-	if fineBytes < cachePages*4096 {
-		fineBytes = cachePages * 4096
-	}
-	cfg.Core.HMB.DataBytes = fineBytes
-	cfg.Core.OverflowMaxBytes = fineBytes
-	cfg.Core.PageCacheFloorPages = cachePages / 8
+	cfg.SetCaches(baseline.CachesFor(datasetBytes))
 	return cfg
 }
 

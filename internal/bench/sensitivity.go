@@ -49,8 +49,7 @@ func RunCacheSensitivity(s Scale, p *Pool) (*metrics.Table, error) {
 			Label: fmt.Sprintf("sensitivity/arena-1of%d", frac),
 			Run: func() (*Result, error) {
 				cfg := s.stackConfig(s.FileSize())
-				cfg.Core.HMB.DataBytes = s.FGRCDataBytes / frac
-				cfg.Core.OverflowMaxBytes = cfg.Core.HMB.DataBytes
+				cfg.SetCaches(s.PageCachePages, s.FGRCDataBytes/frac)
 				// Keep at least 8 slabs in the smallest arenas.
 				if cfg.Core.SlabSize > cfg.Core.HMB.DataBytes/8 {
 					cfg.Core.SlabSize = cfg.Core.HMB.DataBytes / 8

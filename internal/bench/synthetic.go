@@ -132,10 +132,7 @@ func LatencySweep(s Scale, p *Pool) (map[string]map[int]*Result, error) {
 					// still goes byte-granular, and use the hot-region
 					// memory configuration (see Scale).
 					cfg.Core.FineMaxBytes = 4096
-					cfg.Core.HMB.DataBytes = int(hotBytes) * 2
-					cfg.Core.OverflowMaxBytes = int(hotBytes) * 2
-					cfg.VFS.PageCachePages = s.LatencyPCPages
-					cfg.Core.PageCacheFloorPages = s.LatencyPCPages / 8
+					cfg.SetCaches(s.LatencyPCPages, int(hotBytes)*2)
 					e, err := newEngine(ei, cfg)
 					if err != nil {
 						return nil, err

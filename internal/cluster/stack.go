@@ -69,18 +69,7 @@ func NewShard(id int, cfg ShardConfig) (*Shard, error) {
 	}
 	scfg := baseline.DefaultStackConfig(cfg.DatasetBytes * 3) // live + dead + headroom
 	scfg.QueuePairs = 1
-	cachePages := int(cfg.DatasetBytes / 4096 / 8)
-	if cachePages < 64 {
-		cachePages = 64
-	}
-	scfg.VFS.PageCachePages = cachePages
-	hmbBytes := int(cfg.DatasetBytes / 8)
-	if min := 2 * scfg.Core.SlabSize; hmbBytes < min {
-		hmbBytes = min // the slab arena needs room for at least two slabs
-	}
-	scfg.Core.HMB.DataBytes = hmbBytes
-	scfg.Core.OverflowMaxBytes = hmbBytes
-	scfg.Core.PageCacheFloorPages = cachePages / 8
+	scfg.SetCaches(baseline.CachesFor(cfg.DatasetBytes))
 	if cfg.ECCUncorrectableFrac > 0 {
 		scfg.SSD.ECCUncorrectableFrac = cfg.ECCUncorrectableFrac
 	}

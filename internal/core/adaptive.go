@@ -89,7 +89,7 @@ func (p *Pipette) migrateFrom(exclude int) bool {
 	}
 	// The page cache may not shrink below its floor.
 	wantPC := p.basePCPages - (p.overBytes+p.cfg.SlabSize+p.pageSize-1)/p.pageSize
-	if wantPC < p.cfg.PageCacheFloorPages {
+	if wantPC < p.pcFloor {
 		return false
 	}
 	donor, ok := p.alloc.DonorClass(p.rng.Uint64(), exclude)
@@ -147,8 +147,8 @@ func (p *Pipette) trimOverflow() {
 // overflow is debited from the page cache's capacity, floored.
 func (p *Pipette) syncBudget() {
 	want := p.basePCPages - (p.overBytes+p.pageSize-1)/p.pageSize
-	if want < p.cfg.PageCacheFloorPages {
-		want = p.cfg.PageCacheFloorPages
+	if want < p.pcFloor {
+		want = p.pcFloor
 	}
 	if want != p.v.PageCache().Capacity() {
 		_ = p.v.PageCache().Resize(want)

@@ -78,7 +78,8 @@ type Config struct {
 
 	// Dynamic allocation (§3.2.4): when the fine cache wins the hit-ratio
 	// comparison it may grow by migrating slabs, shrinking the page cache,
-	// but never below PageCacheFloorPages. OverflowMaxBytes bounds the
+	// but never below PageCacheFloorPages; a floor above the page cache's
+	// starting budget counts as that budget. OverflowMaxBytes bounds the
 	// out-of-cache region migrated data lives in.
 	PageCacheFloorPages int
 	OverflowMaxBytes    int

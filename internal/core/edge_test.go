@@ -159,3 +159,24 @@ func TestDeclinedReadsDoNotTouchDetector(t *testing.T) {
 		t.Fatalf("Declined = %d", got)
 	}
 }
+
+// A floor above the page cache's budget is clamped to the budget: the
+// rebalance each write runs must never grow the page cache past it.
+func TestPageCacheFloorClampedToBudget(t *testing.T) {
+	cfg := smallCoreConfig()
+	cfg.InitialThreshold = 1
+	cfg.PageCacheFloorPages = 256
+	s := newStack(t, cfg, 16, 1<<20)
+	s.read(t, 2048, 128) // the file is now tracked
+	if _, done, err := s.f.WriteAt(s.now, []byte("NEWDATA!"), 2100); err != nil {
+		t.Fatal(err)
+	} else {
+		s.now = done
+	}
+	if s.p.Stats().Invalidations != 1 {
+		t.Fatalf("setup: Invalidations = %d, want 1", s.p.Stats().Invalidations)
+	}
+	if got := s.v.PageCache().Capacity(); got != 16 {
+		t.Fatalf("page cache capacity %d after OnWrite, budget 16", got)
+	}
+}

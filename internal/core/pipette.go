@@ -51,7 +51,8 @@ type Pipette struct {
 	evictSnap   []uint64
 	staleStages []int
 
-	basePCPages int
+	basePCPages int // the page cache's budget
+	pcFloor     int // PageCacheFloorPages, capped at the budget
 	fg          metrics.Cache
 	io          metrics.IO
 	rng         *sim.RNG
@@ -107,6 +108,7 @@ func New(v *vfs.VFS, drv *nvme.Driver, cfg Config) (*Pipette, error) {
 	}
 	ctrl := v.FS().Controller()
 	ctrl.EnableHMB(region)
+	basePC := v.PageCache().Capacity()
 	p := &Pipette{
 		cfg:         cfg,
 		v:           v,
@@ -119,7 +121,8 @@ func New(v *vfs.VFS, drv *nvme.Driver, cfg Config) (*Pipette, error) {
 		threshold:   cfg.InitialThreshold,
 		evictSnap:   make([]uint64, alloc.Classes()),
 		staleStages: make([]int, alloc.Classes()),
-		basePCPages: v.PageCache().Capacity(),
+		basePCPages: basePC,
+		pcFloor:     min(cfg.PageCacheFloorPages, basePC),
 		rng:         sim.NewRNG(seed),
 		tr:          telemetry.Nop(),
 	}

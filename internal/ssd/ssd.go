@@ -119,10 +119,10 @@ type Controller struct {
 
 	hmbRegion *hmb.Region // nil until EnableHMB
 
-	cmb      []byte
+	cmb      []byte // nil until the first LoadToCMB
 	cmbSlots int
 	cmbNext  int
-	cmbPages []uint64 // lba resident in each slot (for assertions)
+	cmbPages []uint64 // lba+1 resident in each slot, 0 if empty (for assertions)
 
 	wbuf     []wbEntry
 	wbufIdx  map[uint64]int
@@ -183,15 +183,10 @@ func NewWithArray(cfg Config, arr *nand.Array) (*Controller, error) {
 		cfg:      cfg,
 		fl:       fl,
 		arr:      arr,
-		cmb:      make([]byte, CMBBytes),
 		cmbSlots: CMBBytes / cfg.NAND.PageSize,
 		wbufIdx:  make(map[uint64]int),
 		readBuf:  make([]byte, ReadBufferPages*cfg.NAND.PageSize),
 		tr:       telemetry.Nop(),
-	}
-	c.cmbPages = make([]uint64, c.cmbSlots)
-	for i := range c.cmbPages {
-		c.cmbPages[i] = ^uint64(0)
 	}
 	return c, nil
 }
@@ -511,6 +506,10 @@ func (c *Controller) corruptHMB(dest, n int, sev float64) {
 // step: "SSD controller reads pages from flash chips to the CMB"). Slot
 // reuse rotates; there is no caching, faithfully to the baseline.
 func (c *Controller) LoadToCMB(now sim.Time, lba uint64) (slot int, done sim.Time, err error) {
+	if c.cmb == nil { // only the 2B-SSD engines ever hold its 4 MiB
+		c.cmb = make([]byte, CMBBytes)
+		c.cmbPages = make([]uint64, c.cmbSlots)
+	}
 	ps := c.cfg.NAND.PageSize
 	slot = c.cmbNext
 	dst := c.cmb[slot*ps : (slot+1)*ps]
@@ -518,7 +517,7 @@ func (c *Controller) LoadToCMB(now sim.Time, lba uint64) (slot int, done sim.Tim
 		return 0, done, err
 	}
 	c.cmbNext = (c.cmbNext + 1) % c.cmbSlots
-	c.cmbPages[slot] = lba
+	c.cmbPages[slot] = lba + 1
 	return slot, done, nil
 }
 
@@ -561,7 +560,7 @@ func (c *Controller) checkCMBRange(slot, off, n int) error {
 	if off < 0 || n <= 0 || off+n > ps {
 		return fmt.Errorf("ssd: CMB range [%d,%d) outside page", off, off+n)
 	}
-	if c.cmbPages[slot] == ^uint64(0) {
+	if c.cmb == nil || c.cmbPages[slot] == 0 {
 		return errors.New("ssd: CMB slot not loaded")
 	}
 	return nil

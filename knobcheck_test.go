@@ -189,13 +189,14 @@ func isDefault(v constant.Value, defaults []constant.Value) bool {
 	return false
 }
 
-// knobSetter is one place that writes a covered field. val is the constant
-// written, or nil when the value is not a constant (or the field's address
-// escapes). ctor marks a write inside a default constructor; arg marks such
-// a write that passes one of the constructor's arguments through, and from
-// lists the other covered fields its value reads.
+// knobSetter is one place that writes a covered field, at pos. val is the
+// constant written, or nil when the value is not a constant (or the field's
+// address escapes). ctor marks a write inside a default constructor; arg
+// marks such a write that passes one of the constructor's arguments through,
+// and from lists the other covered fields its value reads.
 type knobSetter struct {
 	field *types.Var
+	pos   token.Pos
 	val   constant.Value
 	ctor  bool
 	arg   bool
@@ -231,11 +232,11 @@ func (p *modPkg) setters(names map[*types.Var]string) []knobSetter {
 					}
 				}
 			}
-			add := func(v *types.Var, rhs ast.Expr) {
+			add := func(v *types.Var, at ast.Node, rhs ast.Expr) {
 				if v == nil {
 					return
 				}
-				s := knobSetter{field: v, ctor: inCtor}
+				s := knobSetter{field: v, pos: at.Pos(), ctor: inCtor}
 				if rhs != nil {
 					s.val = p.info.Types[rhs].Value
 					ast.Inspect(rhs, func(n ast.Node) bool {
@@ -260,11 +261,11 @@ func (p *modPkg) setters(names map[*types.Var]string) []knobSetter {
 						if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
 							rhs = n.Rhs[i]
 						}
-						add(field(lhs), rhs)
+						add(field(lhs), lhs, rhs)
 					}
 				case *ast.UnaryExpr:
 					if n.Op == token.AND {
-						add(field(n.X), nil)
+						add(field(n.X), n, nil)
 					}
 				case *ast.CompositeLit:
 					st, ok := typeOf(p.info, n).(*types.Struct)
@@ -275,13 +276,13 @@ func (p *modPkg) setters(names map[*types.Var]string) []knobSetter {
 						if kv, ok := el.(*ast.KeyValueExpr); ok {
 							if id, ok := kv.Key.(*ast.Ident); ok {
 								if v, ok := p.info.Uses[id].(*types.Var); ok && names[v] != "" {
-									add(v, kv.Value)
+									add(v, kv, kv.Value)
 								}
 							}
 							continue
 						}
 						if v := st.Field(i); names[v] != "" {
-							add(v, el)
+							add(v, el, el)
 						}
 					}
 				}

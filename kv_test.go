@@ -168,3 +168,42 @@ func TestKVThresholdHoldsWhileArenaHasRoom(t *testing.T) {
 		t.Fatalf("threshold %d (ups %d), want %d", r.Threshold, r.Core.ThresholdUps, want)
 	}
 }
+
+// The page-cache budget is a hard budget: KV writes to files the fine cache
+// tracks rebalance the shared budget on every write, and that rebalance
+// must not lift a small page cache to a floor above it.
+func TestKVWritesKeepPageCacheBudget(t *testing.T) {
+	sys := newSystem(t, Options{CapacityBytes: 256 << 20, PageCacheBytes: 64 << 10})
+	kv, err := sys.OpenKV(KVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 16 // 64 KiB of 4 KiB pages
+	if got := sys.st.V.PageCache().Capacity(); got != want {
+		t.Fatalf("page cache starts at %d pages, want %d", got, want)
+	}
+	// 2,000 values of 200 B overflow the page cache, so Gets take the fine
+	// path and the fine cache tracks the value log.
+	val := make([]byte, 200)
+	put := func(round int) {
+		for i := 0; i < 2000; i++ {
+			val[0], val[1] = byte(round), byte(i)
+			if err := kv.Put(fmt.Sprintf("k%05d", i), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0)
+	for i := 0; i < 2000; i++ {
+		if _, err := kv.Get(fmt.Sprintf("k%05d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(1)
+	if sys.st.Core.Stats().FineReads == 0 {
+		t.Fatal("setup: no fine reads")
+	}
+	if got := sys.st.V.PageCache().Capacity(); got != want {
+		t.Fatalf("page cache grew to %d pages after KV writes, budget %d", got, want)
+	}
+}

@@ -57,15 +57,18 @@ var ErrUncorrectable = nvme.ErrUncorrectable
 type Options struct {
 	// CapacityBytes provisions the flash array (default 1 GiB).
 	CapacityBytes int64
-	// PageCacheBytes budgets the host page cache (default 256 MiB).
+	// PageCacheBytes is the host page cache's hard budget (default
+	// 256 MiB): migration may shrink the cache to 1/8 of it, never grow it.
 	PageCacheBytes int64
 	// FineCacheBytes budgets the fine-grained read cache's Data Area
-	// (default 60 MiB, the paper's HMB mapping region scale).
+	// (default 60 MiB, the paper's HMB mapping region scale), and as much
+	// again for the items migrated out of it.
 	FineCacheBytes int
 	// DisableFineCache runs the byte-granular path without the cache
 	// (the paper's "Pipette w/o cache" configuration).
 	DisableFineCache bool
-	// Core overrides the framework tuning; leave zero for defaults.
+	// Core overrides the framework tuning; leave zero for defaults. The
+	// two budgets above set its floor and overflow bound.
 	Core *core.Config
 	// FaultProfile arms deterministic fault injection, in the syntax of
 	// fault.ParseProfile ("nand.read:rber*20,hmb.ring:0.01"). Empty (the
@@ -108,13 +111,14 @@ func New(opts Options) (*System, error) {
 	}
 	nand.BlocksPerPlane = perPlane
 	cfg.QueuePairs = 1
-	cfg.VFS.PageCachePages = int(opts.PageCacheBytes / pageBytes)
 	if opts.Core != nil {
 		cfg.Core = *opts.Core
 	}
+	arena := cfg.Core.HMB.DataBytes
 	if opts.FineCacheBytes != 0 {
-		cfg.Core.HMB.DataBytes = opts.FineCacheBytes
+		arena = opts.FineCacheBytes
 	}
+	cfg.SetCaches(int(opts.PageCacheBytes/pageBytes), arena)
 	if opts.FaultProfile != "" {
 		prof, err := fault.ParseProfile(opts.FaultProfile)
 		if err != nil {
