@@ -205,6 +205,27 @@ func BenchmarkFineHit(b *testing.B) {
 	}
 }
 
+// newSink keeps BenchmarkNew's result live.
+var newSink *Pipette
+
+// BenchmarkNew times assembling the framework over an existing stack at the
+// quick-scale arena (12 MiB): the HMB region, the Data Area allocator and
+// the handshake with the controller.
+func BenchmarkNew(b *testing.B) {
+	s := newStackNoPipette(b)
+	cfg := DefaultConfig()
+	cfg.HMB.DataBytes = 12 << 20
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := New(s.v, s.drvKeep, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		newSink = p
+	}
+}
+
 // TestOverflowCyclesAllocFree: migrating a slab's items to overflow and
 // repromoting them all takes the overflow buffers from the core's pool and
 // gives them back, so repeated cycles allocate nothing.

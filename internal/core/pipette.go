@@ -417,12 +417,10 @@ func (p *Pipette) repromote(e *entry) {
 	if !ok {
 		return
 	}
-	dst, err := p.region.Slice(ref.Off, int(e.key.n))
-	if err != nil {
+	if err := p.region.WriteAt(ref.Off, e.data); err != nil {
 		_ = p.alloc.Release(ref)
 		return
 	}
-	copy(dst, e.data)
 	p.removeOverflow(e)
 	p.own(ref, e)
 	p.stats.Repromotions++

@@ -15,11 +15,21 @@
 //   - TempBuf Area — a rotating bounce buffer for low-reuse data that the
 //     adaptive cache declines to admit, so cold data never pollutes the
 //     Data Area.
+//
+// The Data and TempBuf Areas live in an anonymous private OS mapping where
+// the platform has one (demand-zero pages, outside the Go heap), so a page
+// costs host RAM only once the device DMAs into it or the fine cache
+// writes it; elsewhere, or if the mapping fails, in an ordinary slice. A
+// finalizer unmaps the region once it is unreachable. No view of the
+// mapping ever leaves the package: callers copy in and out through WriteAt
+// and ReadAt, and FlipBit corrupts a byte in place (DESIGN.md §4,
+// decision 17).
 package hmb
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"pipette/internal/fault"
 	"pipette/internal/sim"
@@ -169,25 +179,34 @@ func (c Config) Validate() error {
 // Area starts at offset 0 and the TempBuf Area follows it.
 type Region struct {
 	cfg  Config
-	buf  []byte
+	buf  []byte // the mapping (or slice) behind the Data and TempBuf Areas
 	info *InfoRing
 
 	tempBase int
 	tempNext int // rotating allocation cursor within the TempBuf Area
 }
 
-// New allocates a region.
+// New allocates a region. Its bytes read as zeros until written.
 func New(cfg Config) (*Region, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Region{
+	r := &Region{
 		cfg:      cfg,
-		buf:      make([]byte, cfg.DataBytes+TempBufBytes),
 		info:     NewInfoRing(InfoSlots),
 		tempBase: cfg.DataBytes,
-	}, nil
+	}
+	n := cfg.DataBytes + TempBufBytes
+	if r.buf = mapAnon(n); r.buf != nil {
+		runtime.SetFinalizer(r, (*Region).unmap)
+	} else {
+		r.buf = make([]byte, n)
+	}
+	return r, nil
 }
+
+// unmap releases the mapping of a region nothing references any more.
+func (r *Region) unmap() { unmapAnon(r.buf) }
 
 // Info returns the Info Area ring.
 func (r *Region) Info() *InfoRing { return r.info }
@@ -222,6 +241,7 @@ func (r *Region) WriteAt(off int, data []byte) error {
 		return fmt.Errorf("hmb: write [%d,%d) outside region of %d", off, off+len(data), len(r.buf))
 	}
 	copy(r.buf[off:], data)
+	runtime.KeepAlive(r)
 	return nil
 }
 
@@ -231,14 +251,17 @@ func (r *Region) ReadAt(off int, buf []byte) error {
 		return fmt.Errorf("hmb: read [%d,%d) outside region of %d", off, off+len(buf), len(r.buf))
 	}
 	copy(buf, r.buf[off:])
+	runtime.KeepAlive(r)
 	return nil
 }
 
-// Slice exposes a window of the region without copying (the slab-managed
-// Data Area uses this for in-place item access).
-func (r *Region) Slice(off, n int) ([]byte, error) {
-	if off < 0 || off+n > len(r.buf) {
-		return nil, fmt.Errorf("hmb: slice [%d,%d) outside region of %d", off, off+n, len(r.buf))
+// FlipBit inverts bit (0 = least significant) of the byte at off, in
+// place — a bit the DMA link corrupted after landing.
+func (r *Region) FlipBit(off int, bit uint) error {
+	if off < 0 || off >= len(r.buf) || bit > 7 {
+		return fmt.Errorf("hmb: flip bit %d of byte %d outside region of %d", bit, off, len(r.buf))
 	}
-	return r.buf[off : off+n : off+n], nil
+	r.buf[off] ^= 1 << bit
+	runtime.KeepAlive(r)
+	return nil
 }

@@ -3,6 +3,7 @@ package hmb
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -97,34 +98,126 @@ func TestRegionReadWrite(t *testing.T) {
 	}
 	// Out-of-range accesses are rejected.
 	total := smallConfig().DataBytes + TempBufBytes
-	if err := r.WriteAt(total-4, data); err == nil {
-		t.Error("overrun write accepted")
+	one := make([]byte, 1)
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"overrun write", r.WriteAt(total-4, data)},
+		{"write at -1", r.WriteAt(-1, one)},
+		{"write past the end", r.WriteAt(total, one)},
+		{"negative read", r.ReadAt(-1, got)},
+		{"read past the end", r.ReadAt(total, one)},
+		{"read overrunning the end", r.ReadAt(total-1, make([]byte, 2))},
+		{"flip at -1", r.FlipBit(-1, 0)},
+		{"flip past the end", r.FlipBit(total, 0)},
+		{"flip bit 8", r.FlipBit(0, 8)},
+	} {
+		if c.err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if err := r.ReadAt(-1, got); err == nil {
-		t.Error("negative read accepted")
+	// The last byte and an empty transfer at the end are in range.
+	if err := r.WriteAt(total-1, one); err != nil {
+		t.Errorf("write of the last byte: %v", err)
+	}
+	if err := r.ReadAt(total, nil); err != nil {
+		t.Errorf("empty read at the end: %v", err)
+	}
+	if err := r.FlipBit(total-1, 7); err != nil {
+		t.Errorf("flip of the last byte's top bit: %v", err)
 	}
 }
 
-func TestRegionSlice(t *testing.T) {
+func TestRegionUnwrittenReadsZero(t *testing.T) {
 	r, err := New(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := r.Slice(10, 5)
+	total := smallConfig().DataBytes + TempBufBytes
+	got := make([]byte, total)
+	for i := range got {
+		got[i] = 0xa5
+	}
+	if err := r.ReadAt(0, got); err != nil {
+		t.Fatal(err)
+	}
+	if i := bytes.IndexFunc(got, func(c rune) bool { return c != 0 }); i >= 0 {
+		t.Fatalf("never-written byte %d reads %#x, want 0", i, got[i])
+	}
+	// A write leaves its neighbours zero.
+	if err := r.WriteAt(4096, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	around := make([]byte, 5)
+	if err := r.ReadAt(4095, around); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(around, []byte{0, 1, 2, 3, 0}) {
+		t.Fatalf("bytes around a write read %v", around)
+	}
+}
+
+// TestRegionAcrossAreas: the Data and TempBuf Areas are one address range,
+// so a transfer may straddle their boundary.
+func TestRegionAcrossAreas(t *testing.T) {
+	r, err := New(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(s, "hello")
-	got := make([]byte, 5)
-	if err := r.ReadAt(10, got); err != nil {
+	boundary := r.DataSize()
+	if r.InTempArea(boundary-1) || !r.InTempArea(boundary) {
+		t.Fatalf("boundary at %d misclassified", boundary)
+	}
+	data := []byte("straddles the data/tempbuf boundary")
+	off := boundary - len(data)/2
+	if err := r.WriteAt(off, data); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "hello" {
-		t.Fatalf("slice write not visible: %q", got)
+	got := make([]byte, len(data))
+	if err := r.ReadAt(off, got); err != nil {
+		t.Fatal(err)
 	}
-	// Full-capacity slice must be rejected only if it overruns.
-	if _, err := r.Slice(0, smallConfig().DataBytes+TempBufBytes+1); err == nil {
-		t.Error("overrun slice accepted")
+	if !bytes.Equal(got, data) {
+		t.Fatalf("read %q across the boundary, wrote %q", got, data)
+	}
+	// Each half reads back from its own area.
+	tail := make([]byte, len(data)-len(data)/2)
+	if err := r.ReadAt(boundary, tail); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tail, data[len(data)/2:]) {
+		t.Fatalf("TempBuf half reads %q", tail)
+	}
+}
+
+func TestRegionFlipBit(t *testing.T) {
+	r, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("payload")
+	if err := r.WriteAt(200, want); err != nil {
+		t.Fatal(err)
+	}
+	for bit := uint(0); bit < 8; bit++ {
+		if err := r.FlipBit(203, bit); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(want))
+		if err := r.ReadAt(200, got); err != nil {
+			t.Fatal(err)
+		}
+		flipped := 0
+		for i := range got {
+			flipped += bits.OnesCount8(got[i] ^ want[i])
+		}
+		if flipped != 1 || got[3] != want[3]^1<<bit {
+			t.Fatalf("FlipBit(203, %d): %q, %d bits differ from %q", bit, got, flipped, want)
+		}
+		if err := r.FlipBit(203, bit); err != nil { // and back
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -489,15 +489,12 @@ func (c *Controller) execFineRead(now sim.Time, cmd *nvme.Command) nvme.Completi
 // corruptHMB flips one bit of a landed DMA payload in the HMB region,
 // modeling in-flight corruption the link CRC missed.
 func (c *Controller) corruptHMB(dest, n int, sev float64) {
-	window, err := c.hmbRegion.Slice(dest, n)
-	if err != nil {
-		return
-	}
 	bit := int(sev * float64(n*8))
 	if bit >= n*8 {
 		bit = n*8 - 1
 	}
-	window[bit/8] ^= 1 << (bit % 8)
+	// The payload just landed at [dest, dest+n), so the byte is in range.
+	_ = c.hmbRegion.FlipBit(dest+bit/8, uint(bit%8))
 }
 
 // --- CMB mechanics for the 2B-SSD baselines -------------------------------

@@ -415,9 +415,10 @@ func (r Report) String() string {
 	fmt.Fprintf(&b, "fine cache        %.1f%% hit (%d/%d), %.1f MB resident, threshold %d\n",
 		r.FineCache.HitRatio()*100, r.FineCache.Hits, r.FineCache.Accesses,
 		float64(r.FineCacheMemoryBytes)/(1<<20), r.Threshold)
-	fmt.Fprintf(&b, "fine path         %d reads, %d admissions, %d bypasses, %d evictions, %d migrations, %d invalidations",
+	fmt.Fprintf(&b, "fine path         %d reads, %d admissions, %d bypasses, %d evictions, %d migrations, %d reassignments, %d repromotions, %d invalidations",
 		r.Core.FineReads, r.Core.Admissions, r.Core.TempBypasses,
-		r.Core.Evictions, r.Core.Migrations, r.Core.Invalidations)
+		r.Core.Evictions, r.Core.Migrations, r.Core.Reassignments,
+		r.Core.Repromotions, r.Core.Invalidations)
 	if f := r.Faults; f != nil {
 		fmt.Fprintf(&b, "\nfaults            %d injected: %d ECC retries, %d uncorrectable, %d ring + %d DMA fallbacks, %d program + %d writeback retries",
 			f.Injected, f.ECCRetries, f.Uncorrectable,

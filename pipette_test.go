@@ -2,9 +2,13 @@ package pipette
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"pipette/internal/core"
 )
 
 func newSystem(t testing.TB, opts Options) *System {
@@ -133,6 +137,63 @@ func TestFineCacheVisibleInReport(t *testing.T) {
 	}
 	if s := rep.String(); len(s) < 100 {
 		t.Fatalf("report string too short: %q", s)
+	}
+}
+
+// TestReportPrintsFinePathCounts: the report's fine-path line prints the
+// framework's counters, §3.2.3 reassignments and the repromotions out of
+// overflow included, as Report().Core holds them.
+func TestReportPrintsFinePathCounts(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.SlabSize = 8 << 10 // a 64 KiB arena of 8 slabs
+	cfg.ItemSizes = []int{64, 128, 256, 512, 1024, 2048, 4096}
+	cfg.InitialThreshold = 1       // admit on first reference
+	cfg.MaintenanceEvery = 1 << 60 // tick by hand
+	sys := newSystem(t, Options{CapacityBytes: 64 << 20, FineCacheBytes: 64 << 10, Core: &cfg})
+	if err := sys.CreateFile("data", 4<<20, true); err != nil {
+		t.Fatal(err)
+	}
+	f, err := sys.Open("data", FineGrained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1024)
+	touchAll := func() {
+		for i := int64(0); i < 64; i++ { // every slab of the 1024 B class
+			if _, err := f.ReadAt(buf, i*2048); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	touchAll()
+	for i := 0; i < core.ReassignStages; i++ {
+		sys.MaintenanceTick() // the idle class gives a slab's items to overflow
+	}
+	touchAll() // overflow hits move back into the freed slab
+	rep := sys.Report()
+	want := rep.Core
+	if want.Reassignments == 0 || want.Repromotions == 0 {
+		t.Fatalf("setup: %d reassignments, %d repromotions, want both", want.Reassignments, want.Repromotions)
+	}
+	var line string
+	for _, l := range strings.Split(rep.String(), "\n") {
+		if strings.HasPrefix(l, "fine path") {
+			line = l
+		}
+	}
+	var got core.Stats
+	if _, err := fmt.Sscanf(line, "fine path %d reads, %d admissions, %d bypasses, %d evictions, %d migrations, %d reassignments, %d repromotions, %d invalidations",
+		&got.FineReads, &got.Admissions, &got.TempBypasses, &got.Evictions,
+		&got.Migrations, &got.Reassignments, &got.Repromotions, &got.Invalidations); err != nil {
+		t.Fatalf("fine path line %q: %v", line, err)
+	}
+	want = core.Stats{
+		FineReads: want.FineReads, Admissions: want.Admissions, TempBypasses: want.TempBypasses,
+		Evictions: want.Evictions, Migrations: want.Migrations, Reassignments: want.Reassignments,
+		Repromotions: want.Repromotions, Invalidations: want.Invalidations,
+	}
+	if got != want {
+		t.Fatalf("fine path line %q prints %+v, Report().Core holds %+v", line, got, want)
 	}
 }
 
