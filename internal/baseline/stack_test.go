@@ -27,10 +27,9 @@ func TestNewStackHonoursQueueGeometry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := st.Drv.Queues()
-		if q.Pairs() != tc.wantPairs || q.Depth() != QueueDepth-1 {
+		if d := st.Drv; d.Pairs() != tc.wantPairs || d.Depth() != QueueDepth-1 {
 			t.Errorf("QueuePairs %d: built %d pairs of usable depth %d",
-				tc.pairs, q.Pairs(), q.Depth())
+				tc.pairs, d.Pairs(), d.Depth())
 		}
 	}
 }

@@ -346,48 +346,41 @@ func tailKeep(requests int) int {
 // Run replays requests from gen against e and measures the paper's
 // metrics. Write requests carry a deterministic payload.
 //
-// Both schedules run on one sim.Engine event loop: arrivals enter an
+// The engine's stack executes each dispatched request synchronously in
+// virtual time, so a closed loop never has a second request in flight: it
+// dispatches each request in a plain loop at its predecessor's completion.
+// An open loop runs on a sim.Engine event loop: arrivals enter an
 // admission FIFO and dispatch while fewer than Depth requests are in
-// flight. The engine's stack executes each dispatched request synchronously
-// in virtual time, so overlap between in-flight open-loop requests emerges
-// from the contended device resources (NAND dies and channel buses, the
-// PCIe link and NVMe fetch arbiter when enabled) that persist across calls.
-// Host-side software state (caches, the fine-read ring) mutates at
-// dispatch, a modeling simplification documented in DESIGN.md §8.
+// flight. Overlap between in-flight requests emerges from the contended
+// device resources (NAND dies and channel buses, the PCIe link and NVMe
+// fetch arbiter when enabled) that persist across calls. Host-side
+// software state (caches, the fine-read ring) mutates at dispatch, a
+// modeling simplification documented in DESIGN.md §8.
 // Latency is measured arrival to completion, so open-loop queueing delay
 // is part of the distribution and of the stage account's queue stage.
 func Run(e baseline.Engine, gen workload.Generator, requests int, opts RunOpts) (*Result, error) {
 	if opts.Warmup > 0 && opts.Arrivals != nil {
 		return nil, errors.New("bench: an open-loop replay takes no warmup; replay the warm-up as its own call")
 	}
-	r := &replay{e: e, gen: gen, opts: opts, total: opts.Warmup + requests, depth: 1,
-		eng: sim.NewEngine(), res: &Result{Name: e.Name(), Workload: gen.Name()}}
-	if opts.Arrivals != nil {
-		r.depth = max(opts.Depth, 1)
-		r.res.Offered, r.res.Depth, r.res.Arrivals = opts.Offered, r.depth, opts.Arrivals.Name()
-	}
+	r := &replay{e: e, gen: gen, opts: opts, total: opts.Warmup + requests,
+		res: &Result{Name: e.Name(), Workload: gen.Name()}}
 	r.buf = make([]byte, 4096)
 	r.want = make([]byte, 4096)
 	r.payload = make([]byte, 4096)
 	for i := range r.payload {
 		r.payload[i] = byte(i*7 + 13)
 	}
-	// The callbacks are bound once, so the loop allocates nothing per request.
-	r.arriveFn, r.completeFn = r.arrive, r.complete
 	r.tail = telemetry.NewTailRecorder(tailTopK, tailKeep(requests))
 	defer e.Stages().SetTail(nil)
 
 	if opts.Warmup == 0 {
 		r.begin(0)
 	}
-	if r.total > 0 {
-		var first sim.Time
-		if opts.Arrivals != nil {
-			first = opts.Arrivals.Next()
-		}
-		r.eng.At(first, r.arriveFn)
+	if opts.Arrivals == nil {
+		r.closedLoop()
+	} else {
+		r.openLoop()
 	}
-	r.eng.Run()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -401,26 +394,28 @@ func Run(e baseline.Engine, gen workload.Generator, requests int, opts RunOpts) 
 	return res, nil
 }
 
-// replay is the state of one Run: the admission FIFO, the in-flight count,
-// and the measurement that starts once the warmup has completed.
+// replay is the state of one Run: the measurement that starts once the
+// warmup has completed and, for an open loop, the event loop with its
+// admission FIFO and in-flight count.
 type replay struct {
 	e     baseline.Engine
 	gen   workload.Generator
 	opts  RunOpts
 	total int // warmup plus measured requests
-	depth int
 
-	eng        *sim.Engine
-	queue      []pending
-	head       int
-	inFlight   int
-	arrived    int
 	dispatched int
-	completed  int
 	lastDone   sim.Time
 	err        error
 
-	buf, want, payload   []byte
+	buf, want, payload []byte
+
+	// Open loop only.
+	eng                  *sim.Engine
+	depth                int
+	queue                []pending
+	head                 int
+	inFlight             int
+	arrived              int
 	arriveFn, completeFn func(sim.Time)
 
 	res   *Result
@@ -446,13 +441,42 @@ func (r *replay) begin(now sim.Time) {
 	r.grid = telemetry.NewLatencyGrid(now)
 }
 
+// closedLoop replays with one client: each request arrives the moment its
+// predecessor completes, so none ever waits and no event queue is needed.
+// The warmup's last completion starts the measured phase.
+func (r *replay) closedLoop() {
+	var now sim.Time
+	for i := 1; i <= r.total && r.err == nil; i++ {
+		done := r.dispatch(now, pending{arrival: now, req: r.gen.Next()})
+		r.lastDone = max(r.lastDone, done)
+		now = max(now, done)
+		if i == r.opts.Warmup {
+			r.begin(now)
+		}
+	}
+}
+
+// openLoop replays on the arrival schedule, through the admission FIFO,
+// with at most depth requests in flight.
+func (r *replay) openLoop() {
+	r.eng = sim.NewEngine()
+	r.depth = max(r.opts.Depth, 1)
+	r.res.Offered, r.res.Depth, r.res.Arrivals = r.opts.Offered, r.depth, r.opts.Arrivals.Name()
+	// The callbacks are bound once, so the loop allocates nothing per request.
+	r.arriveFn, r.completeFn = r.arrive, r.complete
+	if r.total > 0 {
+		r.eng.At(r.opts.Arrivals.Next(), r.arriveFn)
+	}
+	r.eng.Run()
+}
+
 func (r *replay) arrive(now sim.Time) {
 	if r.err != nil {
 		return
 	}
 	req := r.gen.Next()
 	r.arrived++
-	if r.opts.Arrivals != nil && r.arrived < r.total {
+	if r.arrived < r.total {
 		r.eng.At(now+r.opts.Arrivals.Next(), r.arriveFn)
 	}
 	r.queue = append(r.queue, pending{arrival: now, req: req})
@@ -461,14 +485,6 @@ func (r *replay) arrive(now sim.Time) {
 
 func (r *replay) complete(now sim.Time) {
 	r.inFlight--
-	r.completed++
-	if r.completed == r.opts.Warmup {
-		r.begin(now)
-	}
-	if r.opts.Arrivals == nil && r.arrived < r.total {
-		r.arrive(now) // closed loop: the next request arrives as this one completes
-		return
-	}
 	r.admit(now)
 }
 

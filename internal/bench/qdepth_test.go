@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"pipette/internal/baseline"
 	"pipette/internal/fault"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
@@ -114,6 +116,117 @@ func TestClosedAndOpenLoopDoSameDeviceWork(t *testing.T) {
 	}
 	if _, err := Run(e, gen, requests, RunOpts{Warmup: 10, Arrivals: zeroGap{}}); err == nil {
 		t.Error("Run accepted a warmup on an open-loop replay")
+	}
+}
+
+// doneRecorder is an engine that records each request's completion time.
+type doneRecorder struct {
+	baseline.Engine
+	done []sim.Time
+}
+
+func (d *doneRecorder) ReadAt(now sim.Time, buf []byte, off int64) (sim.Time, error) {
+	done, err := d.Engine.ReadAt(now, buf, off)
+	d.done = append(d.done, done)
+	return done, err
+}
+
+func (d *doneRecorder) WriteAt(now sim.Time, data []byte, off int64) (sim.Time, error) {
+	done, err := d.Engine.WriteAt(now, data, off)
+	d.done = append(d.done, done)
+	return done, err
+}
+
+// everyThirdWrite turns every third request of a generator into a write.
+type everyThirdWrite struct {
+	workload.Generator
+	n int
+}
+
+func (g *everyThirdWrite) Next() workload.Request {
+	req := g.Generator.Next()
+	g.n++
+	req.Write = g.n%3 == 0
+	return req
+}
+
+// gapList is an arrival process that replays a fixed list of gaps.
+type gapList []sim.Time
+
+func (g *gapList) Name() string { return "gap-list" }
+
+func (g *gapList) Next() sim.Time {
+	gap := (*g)[0]
+	*g = (*g)[1:]
+	return gap
+}
+
+// TestClosedLoopMatchesOpenLoopAtPriorCompletion pins the closed loop's
+// direct dispatch against the open loop's event path. One mixed read/write
+// stream replays closed loop, then open loop at depth 1 with each request
+// arriving at the moment the closed loop completed its predecessor. Every
+// request then dispatches at the same virtual time on both paths, so the
+// whole Result must match: snapshot, histogram, tail exemplars and blame,
+// heatmap, stages and resources. Only the open-loop metadata differs.
+func TestClosedLoopMatchesOpenLoopAtPriorCompletion(t *testing.T) {
+	s := TinyScale()
+	mixC := workload.Mixes(s.FileSize(), 4096, workload.Uniform, 0x5eed)[2]
+	const requests = 900
+	for _, idx := range []int{0, 4} { // block I/O and Pipette, contention on
+		replay := func(opts RunOpts) (*Result, []sim.Time) {
+			t.Helper()
+			e, err := newEngine(idx, qdepthConfig(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := workload.NewSynthetic(mixC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &doneRecorder{Engine: e}
+			res, err := Run(rec, &everyThirdWrite{Generator: gen}, requests, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, rec.done
+		}
+		closed, done := replay(RunOpts{})
+		if len(done) != requests {
+			t.Fatalf("closed loop completed %d requests, want %d", len(done), requests)
+		}
+		gaps := make(gapList, requests)
+		var prev sim.Time
+		for i := 1; i < requests; i++ {
+			at := max(prev, done[i-1]) // the closed loop never dispatches back in time
+			gaps[i], prev = at-prev, at
+		}
+		open, _ := replay(RunOpts{Arrivals: &gaps, Depth: 1})
+		if open.Depth != 1 || open.Arrivals != "gap-list" {
+			t.Fatalf("open-loop metadata wrong: depth %d, arrivals %q", open.Depth, open.Arrivals)
+		}
+		open.Offered, open.Depth, open.Arrivals = 0, 0, ""
+
+		for _, f := range []struct {
+			name         string
+			closed, open any
+		}{
+			{"snapshot", closed.Snapshot, open.Snapshot},
+			{"histogram", closed.Hist, open.Hist},
+			{"tail", closed.Tail, open.Tail},
+			{"heatmap", closed.Heat, open.Heat},
+			{"stages", closed.Stages, open.Stages},
+			{"resources", closed.Resources, open.Resources},
+		} {
+			if !reflect.DeepEqual(f.closed, f.open) {
+				t.Errorf("%s: %s differ:\nclosed %+v\nopen   %+v", closed.Name, f.name, f.closed, f.open)
+			}
+		}
+		if !reflect.DeepEqual(closed, open) {
+			t.Errorf("%s: results differ:\nclosed %+v\nopen   %+v", closed.Name, closed, open)
+		}
+		if closed.Snapshot.Ops != requests || closed.Tail == nil || len(closed.Tail.TopK) == 0 {
+			t.Errorf("%s: the replay lost requests or captured no tail: %+v", closed.Name, closed.Snapshot)
+		}
 	}
 }
 

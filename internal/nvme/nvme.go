@@ -4,9 +4,10 @@
 // extension the paper adds for fine-grained reads (§4.1: "We also extend the
 // NVMe command set to support fine-grained reads").
 //
-// Queues are real rings with wrap-around and full/empty detection; the
-// driver's Submit is synchronous in virtual time (the paper's workloads are
-// blocking POSIX reads), with queueing costs modeled explicitly.
+// Queues are real rings with wrap-around and full/empty detection. The
+// paper's workloads are blocking POSIX reads, so the driver's Submit runs
+// each command to completion in virtual time as direct calls, with the
+// ring protocol's costs and the shared fetch arbiter modeled explicitly.
 package nvme
 
 import (
@@ -305,27 +306,10 @@ type Device interface {
 	Execute(now sim.Time, cmd *Command) Completion
 }
 
-// queuePair is one SQ/CQ pair of a multi-queue transport.
+// queuePair is one SQ/CQ pair of the transport.
 type queuePair struct {
 	sq *SQ
 	cq *CQ
-}
-
-// inflight is the per-command state of one asynchronously submitted
-// command. Instances are pooled on a free list with their event callbacks
-// pre-bound, so the steady-state submit path allocates nothing.
-type inflight struct {
-	m        *MultiQueue
-	pair     *queuePair
-	submitAt sim.Time
-	fetchEnd sim.Time
-	cmd      Command // the fetched entry; Execute gets a pointer to it
-	comp     Completion
-	complete func(Completion)
-
-	fetchFn func(sim.Time)
-	reapFn  func(sim.Time)
-	next    *inflight
 }
 
 // ResRing is the blame label for completion-side ring time, matching the
@@ -334,26 +318,27 @@ type inflight struct {
 // the queue that suffered them.
 var ResRing = telemetry.Intern("nvme.ring")
 
-// MultiQueue is the asynchronous host↔device transport: N SQ/CQ pairs of
-// configurable depth over one device, driven by a discrete-event engine.
-// Submit pushes the command on the next pair round-robin and returns
-// immediately (ErrQueueFull when that pair's ring is at capacity — the
-// transport's backpressure signal); the fetch, execution, and completion
-// happen as events, and the caller's callback fires at the completion's
-// virtual timestamp. With Costs.Arbitration > 0 a shared fetch-engine
-// resource serializes SQ fetches, so deep queues see real arbitration
-// delay before execution even begins.
+// Driver is the host side of the transport that the blocking POSIX stack
+// submits through: N SQ/CQ pairs of one depth over one device, with each
+// command placed on the next pair round-robin. Submit runs one command to
+// completion in virtual time as direct calls, in the order the protocol
+// runs them: the doorbell, the device's SQ fetch, Execute, and the
+// completion's post and reap. A ring therefore never holds more than the
+// command being submitted.
 //
-// Event callbacks use the timestamps captured at scheduling, so results
-// are independent of how the engine interleaves unrelated chains; ordering
-// at equal times follows submission order through the engine's (time, seq)
-// tiebreak. Like every sim type, a MultiQueue belongs to one
-// single-threaded simulated system.
-type MultiQueue struct {
+// Each step starts at the timestamp the step before it returned, so
+// callers that submit at overlapping virtual times still see queueing in
+// the state that persists across calls: the shared fetch arbiter (with
+// Costs.Arbitration > 0) and everything inside the device. That is how the
+// open-loop harness models outstanding requests over a synchronous stack.
+//
+// Submit allocates nothing. It is not re-entrant: the device must not
+// submit through the driver it is executing for. Like every sim type, a
+// Driver belongs to one single-threaded simulated system.
+type Driver struct {
 	pairs []queuePair
 	dev   Device
 	costs Costs
-	eng   *sim.Engine
 
 	fetchArb sim.Resource // shared fetch engine (used when Arbitration > 0)
 
@@ -361,202 +346,14 @@ type MultiQueue struct {
 	rr        int // round-robin pair cursor
 	submitted uint64
 	completed uint64
-	inFlight  int
-	err       error
+	// cmd is the fetched entry while the device executes it. Execute takes
+	// a pointer to it; a field, unlike a local, keeps that off the heap.
+	cmd Command
 
 	tr       telemetry.Tracer
 	sa       *telemetry.StageAccount
 	ringRes  *resource.Timeline // ring-protocol occupancy (nil = off)
 	sqLabels []telemetry.Res    // per-pair blame resources ("nvme.sq0", ...)
-
-	free *inflight
-}
-
-// NewMultiQueue builds pairs SQ/CQ pairs of the given depth over dev,
-// scheduling on eng.
-func NewMultiQueue(dev Device, pairs, depth int, costs Costs, eng *sim.Engine) *MultiQueue {
-	if pairs < 1 {
-		pairs = 1
-	}
-	m := &MultiQueue{
-		pairs: make([]queuePair, pairs),
-		dev:   dev,
-		costs: costs,
-		eng:   eng,
-		tr:    telemetry.Nop(),
-	}
-	m.sqLabels = make([]telemetry.Res, pairs)
-	for i := range m.pairs {
-		m.pairs[i] = queuePair{sq: NewSQ(depth), cq: NewCQ(depth)}
-		m.sqLabels[i] = telemetry.Intern(fmt.Sprintf("nvme.sq%d", i))
-	}
-	return m
-}
-
-// Pairs reports the number of SQ/CQ pairs.
-func (m *MultiQueue) Pairs() int { return len(m.pairs) }
-
-// Depth reports the usable per-pair queue depth.
-func (m *MultiQueue) Depth() int { return m.pairs[0].sq.Cap() }
-
-// InFlight reports commands submitted but not yet completed.
-func (m *MultiQueue) InFlight() int { return m.inFlight }
-
-// SetTracer installs a tracer; each submitted command becomes one span on
-// the nvme track, covering doorbell to completion reap.
-func (m *MultiQueue) SetTracer(tr telemetry.Tracer) { m.tr = telemetry.OrNop(tr) }
-
-// SetStages installs the per-request stage account; the transport
-// attributes the ring-protocol costs (doorbell, fetch, completion).
-func (m *MultiQueue) SetStages(sa *telemetry.StageAccount) { m.sa = sa }
-
-// SetRingTimeline records the ring protocol's occupancy windows on a
-// resource timeline (nil turns recording off).
-func (m *MultiQueue) SetRingTimeline(tl *resource.Timeline) { m.ringRes = tl }
-
-// Stats reports commands submitted and completed.
-func (m *MultiQueue) Stats() (submitted, completed uint64) {
-	return m.submitted, m.completed
-}
-
-// Err reports the first ring-protocol failure observed on the event path
-// (nil in any healthy run; a non-nil value means a callback could not
-// surface an error to its submitter).
-func (m *MultiQueue) Err() error { return m.err }
-
-func (m *MultiQueue) fail(err error) {
-	if m.err == nil {
-		m.err = err
-	}
-}
-
-func (m *MultiQueue) get() *inflight {
-	ic := m.free
-	if ic == nil {
-		ic = &inflight{m: m}
-		ic.fetchFn = func(sim.Time) { ic.m.fetch(ic) }
-		ic.reapFn = func(sim.Time) { ic.m.reap(ic) }
-	} else {
-		m.free = ic.next
-		ic.next = nil
-	}
-	return ic
-}
-
-// put recycles ic. Clearing cmd drops the references to the caller's Data
-// and FineLBAs, so a pooled entry never pins a finished command's buffers.
-func (m *MultiQueue) put(ic *inflight) {
-	ic.pair = nil
-	ic.complete = nil
-	ic.cmd = Command{}
-	ic.comp = Completion{}
-	ic.next = m.free
-	m.free = ic
-}
-
-// Submit enqueues one command on the next pair round-robin. complete fires
-// when the completion is reaped, carrying the completion with its virtual
-// Done timestamp; commands submitted while that pair's SQ is at capacity
-// are rejected with ErrQueueFull (the caller's backpressure signal).
-// Events run when the engine does — callers drive eng.Run or Step.
-func (m *MultiQueue) Submit(now sim.Time, cmd Command, complete func(Completion)) error {
-	pairIdx := m.rr
-	pair := &m.pairs[pairIdx]
-	cmd.ID = m.nextID
-	if err := pair.sq.Push(cmd); err != nil {
-		return err
-	}
-	m.nextID++
-	m.rr = (m.rr + 1) % len(m.pairs)
-	m.submitted++
-	m.inFlight++
-
-	// Doorbell, then the SQ fetch. With arbitration on, the shared fetch
-	// engine serializes fetches (FIFO in submit order); otherwise the fetch
-	// completes a fixed Doorbell+Fetch after submission, load-independent.
-	var fetchEnd sim.Time
-	if m.costs.Arbitration > 0 {
-		_, fetchEnd = m.fetchArb.Acquire(now+DoorbellCost, FetchCost+m.costs.Arbitration)
-	} else {
-		fetchEnd = now + DoorbellCost + FetchCost
-	}
-	m.sa.MarkRes(telemetry.StageRing, fetchEnd, m.sqLabels[pairIdx])
-	m.ringRes.Add(now, fetchEnd)
-
-	ic := m.get()
-	ic.pair = pair
-	ic.submitAt = now
-	ic.fetchEnd = fetchEnd
-	ic.complete = complete
-	m.eng.At(fetchEnd, ic.fetchFn)
-	return nil
-}
-
-// fetch is the device-side SQ fetch event: pop the entry, execute it, and
-// schedule the completion.
-func (m *MultiQueue) fetch(ic *inflight) {
-	var err error
-	if ic.cmd, err = ic.pair.sq.Pop(); err != nil {
-		m.fail(fmt.Errorf("nvme: device fetch: %w", err))
-		m.inFlight--
-		m.put(ic)
-		return
-	}
-	comp := m.dev.Execute(ic.fetchEnd, &ic.cmd)
-	comp.ID = ic.cmd.ID
-	execDone := comp.Done
-	comp.Done += CompletionCost
-	m.sa.MarkRes(telemetry.StageRing, comp.Done, ResRing)
-	m.ringRes.Add(execDone, comp.Done)
-	ic.comp = comp
-	m.eng.At(comp.Done, ic.reapFn)
-}
-
-// reap is the host-side completion event: post to the CQ, reap it, and
-// fire the submitter's callback.
-func (m *MultiQueue) reap(ic *inflight) {
-	if err := ic.pair.cq.Push(ic.comp); err != nil {
-		m.fail(fmt.Errorf("nvme: completion post: %w", err))
-		m.inFlight--
-		m.put(ic)
-		return
-	}
-	reaped, err := ic.pair.cq.Pop()
-	if err != nil {
-		m.fail(fmt.Errorf("nvme: completion reap: %w", err))
-		m.inFlight--
-		m.put(ic)
-		return
-	}
-	m.completed++
-	m.inFlight--
-	if m.tr.Enabled() {
-		m.tr.Span(telemetry.TrackNVMe, ic.cmd.Op.String(), ic.submitAt, reaped.Done)
-	}
-	cb := ic.complete
-	m.put(ic)
-	cb(reaped)
-}
-
-// Driver is the synchronous host-side view of the transport that the
-// blocking POSIX stack submits through: a MultiQueue over a private event
-// engine that Submit drains before returning, so one command runs to
-// completion in virtual time per call. Contended state (the fetch
-// arbiter, and everything inside the device) persists across calls, so
-// callers that submit at overlapping virtual times still see queueing —
-// that is how the open-loop harness models outstanding requests over a
-// synchronous stack.
-//
-// The driver keeps one completion slot and a completion callback bound at
-// construction, so Submit allocates nothing. Submit is not re-entrant: the
-// device must not submit through the driver it is executing for.
-type Driver struct {
-	mq  *MultiQueue
-	eng *sim.Engine
-
-	out    Completion
-	done   bool
-	onDone func(Completion)
 }
 
 // NewDriver builds a single queue pair of the given depth over a device.
@@ -567,42 +364,94 @@ func NewDriver(dev Device, queueDepth int, costs Costs) *Driver {
 // NewDriverQueues builds a driver over pairs SQ/CQ pairs of the given
 // depth; submissions round-robin across the pairs.
 func NewDriverQueues(dev Device, pairs, queueDepth int, costs Costs) *Driver {
-	eng := sim.NewEngine()
-	d := &Driver{mq: NewMultiQueue(dev, pairs, queueDepth, costs, eng), eng: eng}
-	d.onDone = func(c Completion) { d.out, d.done = c, true }
+	if pairs < 1 {
+		pairs = 1
+	}
+	d := &Driver{
+		pairs:    make([]queuePair, pairs),
+		dev:      dev,
+		costs:    costs,
+		tr:       telemetry.Nop(),
+		sqLabels: make([]telemetry.Res, pairs),
+	}
+	for i := range d.pairs {
+		d.pairs[i] = queuePair{sq: NewSQ(queueDepth), cq: NewCQ(queueDepth)}
+		d.sqLabels[i] = telemetry.Intern(fmt.Sprintf("nvme.sq%d", i))
+	}
 	return d
 }
 
-// Queues exposes the underlying multi-queue transport.
-func (d *Driver) Queues() *MultiQueue { return d.mq }
+// Pairs reports the number of SQ/CQ pairs.
+func (d *Driver) Pairs() int { return len(d.pairs) }
+
+// Depth reports the usable per-pair queue depth.
+func (d *Driver) Depth() int { return d.pairs[0].sq.Cap() }
 
 // SetTracer installs a tracer; each submitted command becomes one span on
 // the nvme track, covering doorbell to completion reap.
-func (d *Driver) SetTracer(tr telemetry.Tracer) { d.mq.SetTracer(tr) }
+func (d *Driver) SetTracer(tr telemetry.Tracer) { d.tr = telemetry.OrNop(tr) }
 
 // SetStages installs the per-request stage account; the driver attributes
 // the ring-protocol costs (doorbell, fetch, completion).
-func (d *Driver) SetStages(sa *telemetry.StageAccount) { d.mq.SetStages(sa) }
+func (d *Driver) SetStages(sa *telemetry.StageAccount) { d.sa = sa }
 
 // SetRingTimeline records the ring protocol's occupancy windows on a
 // resource timeline (nil turns recording off).
-func (d *Driver) SetRingTimeline(tl *resource.Timeline) { d.mq.SetRingTimeline(tl) }
+func (d *Driver) SetRingTimeline(tl *resource.Timeline) { d.ringRes = tl }
 
 // Stats reports commands submitted and completed.
-func (d *Driver) Stats() (submitted, completed uint64) { return d.mq.Stats() }
+func (d *Driver) Stats() (submitted, completed uint64) { return d.submitted, d.completed }
 
-// Submit runs one command to completion in virtual time.
+// Submit runs one command to completion in virtual time and returns its
+// completion, carrying the virtual Done timestamp.
 func (d *Driver) Submit(now sim.Time, cmd Command) (Completion, error) {
-	d.out, d.done = Completion{}, false
-	if err := d.mq.Submit(now, cmd, d.onDone); err != nil {
+	pairIdx := d.rr
+	pair := &d.pairs[pairIdx]
+	cmd.ID = d.nextID
+	if err := pair.sq.Push(cmd); err != nil {
 		return Completion{}, err
 	}
-	d.eng.Run()
-	if err := d.mq.Err(); err != nil {
-		return Completion{}, err
+	d.nextID++
+	d.rr = (d.rr + 1) % len(d.pairs)
+	d.submitted++
+
+	// Doorbell, then the SQ fetch. With arbitration on, the shared fetch
+	// engine serializes fetches (FIFO in submit order); otherwise the fetch
+	// completes a fixed Doorbell+Fetch after submission, load-independent.
+	var fetchEnd sim.Time
+	if d.costs.Arbitration > 0 {
+		_, fetchEnd = d.fetchArb.Acquire(now+DoorbellCost, FetchCost+d.costs.Arbitration)
+	} else {
+		fetchEnd = now + DoorbellCost + FetchCost
 	}
-	if !d.done {
-		return Completion{}, errors.New("nvme: command never completed")
+	d.sa.MarkRes(telemetry.StageRing, fetchEnd, d.sqLabels[pairIdx])
+	d.ringRes.Add(now, fetchEnd)
+
+	// The device pops the entry at fetchEnd and executes it.
+	var err error
+	if d.cmd, err = pair.sq.Pop(); err != nil {
+		return Completion{}, fmt.Errorf("nvme: device fetch: %w", err)
 	}
-	return d.out, nil
+	comp := d.dev.Execute(fetchEnd, &d.cmd)
+	comp.ID = d.cmd.ID
+	op := d.cmd.Op
+	d.cmd = Command{} // the driver must not pin the caller's buffers
+	execDone := comp.Done
+	comp.Done += CompletionCost
+	d.sa.MarkRes(telemetry.StageRing, comp.Done, ResRing)
+	d.ringRes.Add(execDone, comp.Done)
+
+	// The controller posts the completion, and the host reaps it.
+	if err := pair.cq.Push(comp); err != nil {
+		return Completion{}, fmt.Errorf("nvme: completion post: %w", err)
+	}
+	reaped, err := pair.cq.Pop()
+	if err != nil {
+		return Completion{}, fmt.Errorf("nvme: completion reap: %w", err)
+	}
+	d.completed++
+	if d.tr.Enabled() {
+		d.tr.Span(telemetry.TrackNVMe, op.String(), now, reaped.Done)
+	}
+	return reaped, nil
 }

@@ -48,12 +48,11 @@ var reachAllow = map[string]string{
 	"pipette/internal/nand.Config.Decompose":             "oracle: inverts PPAOf in TestPPARoundTrip",
 
 	// Per-layer counters the hot path keeps and tests assert on.
-	"pipette/internal/blockdev.(*Layer).Stats":  "counters: TestReadPagesMergedCommand asserts ReadCommands == 1",
-	"pipette/internal/ftl.(*FTL).Stats":         "counters: TestGCReclaimsSpace reads GCRuns and BlocksErased",
-	"pipette/internal/nand.(*Array).Stats":      "counters: TestStatsAccumulate reads reads, programs and erases",
-	"pipette/internal/nvme.(*Driver).Stats":     "counters: TestDriverAssignsIDs reads the submitted/completed counts",
-	"pipette/internal/nvme.(*MultiQueue).Stats": "counters: TestMultiQueueBackpressureAtCapacity reads the submitted/completed counts",
-	"pipette/internal/ssd.(*Controller).Stats":  "counters: TestSmartCounters reads the command and byte counters",
+	"pipette/internal/blockdev.(*Layer).Stats": "counters: TestReadPagesMergedCommand asserts ReadCommands == 1",
+	"pipette/internal/ftl.(*FTL).Stats":        "counters: TestGCReclaimsSpace reads GCRuns and BlocksErased",
+	"pipette/internal/nand.(*Array).Stats":     "counters: TestStatsAccumulate reads reads, programs and erases",
+	"pipette/internal/nvme.(*Driver).Stats":    "counters: TestDriverAssignsIDs reads the submitted/completed counts",
+	"pipette/internal/ssd.(*Controller).Stats": "counters: TestSmartCounters reads the command and byte counters",
 
 	// Points through which tests observe a layer's state.
 	"pipette/internal/bitset.Set.Len":                        "observation: TestSetClearGetCount reads the capacity",
@@ -67,10 +66,8 @@ var reachAllow = map[string]string{
 	"pipette/internal/metrics.(*Histogram).Min":              "observation: TestHistogramBasics reads the smallest sample",
 	"pipette/internal/nand.(*Array).ContentPages":            "observation: TestDiscardedPageUnreadable counts materialized pages",
 	"pipette/internal/nand.Config.ChannelOf":                 "observation: TestPPARoundTrip checks it against Decompose",
-	"pipette/internal/nvme.(*Driver).Queues":                 "observation: TestNewStackHonoursQueueGeometry reads the queue set",
-	"pipette/internal/nvme.(*MultiQueue).Depth":              "observation: TestNewStackHonoursQueueGeometry reads the depth",
-	"pipette/internal/nvme.(*MultiQueue).InFlight":           "observation: TestMultiQueueBackpressurePerPair reads per-pair occupancy",
-	"pipette/internal/nvme.(*MultiQueue).Pairs":              "observation: TestNewStackHonoursQueueGeometry reads the pair count",
+	"pipette/internal/nvme.(*Driver).Depth":                  "observation: TestNewStackHonoursQueueGeometry reads the usable ring depth",
+	"pipette/internal/nvme.(*Driver).Pairs":                  "observation: TestNewStackHonoursQueueGeometry reads the pair count",
 	"pipette/internal/pagecache.(*Cache).DirtyCount":         "observation: TestFlushDirty checks no dirty page remains",
 	"pipette/internal/pagecache.(*Cache).Len":                "observation: TestSlotTableCacheMatchesMapModel compares residency",
 	"pipette/internal/pagecache.(*Readahead).Window":         "observation: TestReadaheadSequentialGrows reads the window",
