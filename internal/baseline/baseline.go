@@ -129,11 +129,11 @@ func (e *VFSEngine) Sync(now sim.Time) (sim.Time, error) { return e.file.Sync(no
 // Snapshot implements Engine.
 func (e *VFSEngine) Snapshot() metrics.Snapshot { return e.st.Snapshot(e.name) }
 
-// Oracle implements Engine. Harness verification happens on read-only
-// workloads or after Sync, so flash content is authoritative; Peek reads
-// it without disturbing cache statistics.
+// Oracle implements Engine: the file's current content, dirty page-cache
+// pages and queued writeback over the device's, read without disturbing
+// cache statistics (vfs.File.Peek).
 func (e *VFSEngine) Oracle(buf []byte, off int64) error {
-	return e.st.V.FS().Peek(e.file.Inode(), off, buf)
+	return e.file.Peek(off, buf)
 }
 
 // SetTracer implements Engine.

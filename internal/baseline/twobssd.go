@@ -27,7 +27,7 @@ const (
 // reads observe pre-writeback flash content until Sync — a real limitation
 // of the baseline the paper calls out ("simply bypasses the I/O stack").
 type TwoBSSD struct {
-	*VFSEngine // writes, Sync, Oracle and the stack's instruments
+	*VFSEngine // writes, Sync and the stack's instruments
 	mode       TwoBSSDMode
 	setup      sim.Time // per-access page fault (MMIO) or DMA mapping
 
@@ -48,6 +48,13 @@ func NewTwoBSSD(cfg StackConfig, mode TwoBSSDMode) (*TwoBSSD, error) {
 		return nil, err
 	}
 	return &TwoBSSD{VFSEngine: e, mode: mode, setup: setup}, nil
+}
+
+// Oracle implements Engine. The byte interface bypasses the page cache, so
+// the device's content, not the file's latest bytes, is what a read must
+// return: written pages show only once writeback lands them.
+func (e *TwoBSSD) Oracle(buf []byte, off int64) error {
+	return e.st.V.FS().Peek(e.file.Inode(), off, buf)
 }
 
 // ReadAt implements Engine: load the covering NAND pages into the CMB

@@ -58,13 +58,7 @@ func RunApps(s Scale, p *Pool) (*AppResults, error) {
 					if err != nil {
 						return nil, err
 					}
-					// The social graph writes, so content verification is
-					// off for it (the oracle is flash-authoritative only).
-					verify := s.AppRequests/64 + 1
-					if app == "Social Graph" {
-						verify = 0
-					}
-					res, err := Run(e, gen, s.AppRequests, RunOpts{VerifyEvery: verify})
+					res, err := Run(e, gen, s.AppRequests, RunOpts{VerifyEvery: s.AppRequests/64 + 1})
 					if err != nil {
 						return nil, fmt.Errorf("bench: %s on %s: %w", e.Name(), app, err)
 					}

@@ -190,7 +190,7 @@ func TestClosedLoopMatchesOpenLoopAtPriorCompletion(t *testing.T) {
 			}
 			return res, rec.done
 		}
-		closed, done := replay(RunOpts{})
+		closed, done := replay(RunOpts{VerifyEvery: 7})
 		if len(done) != requests {
 			t.Fatalf("closed loop completed %d requests, want %d", len(done), requests)
 		}
@@ -200,7 +200,7 @@ func TestClosedLoopMatchesOpenLoopAtPriorCompletion(t *testing.T) {
 			at := max(prev, done[i-1]) // the closed loop never dispatches back in time
 			gaps[i], prev = at-prev, at
 		}
-		open, _ := replay(RunOpts{Arrivals: &gaps, Depth: 1})
+		open, _ := replay(RunOpts{Arrivals: &gaps, Depth: 1, VerifyEvery: 7})
 		if open.Depth != 1 || open.Arrivals != "gap-list" {
 			t.Fatalf("open-loop metadata wrong: depth %d, arrivals %q", open.Depth, open.Arrivals)
 		}
@@ -310,5 +310,28 @@ func TestQDepthDeterministicAcrossWorkers(t *testing.T) {
 				t.Error("report HTML misses the throughput-vs-latency section")
 			}
 		})
+	}
+}
+
+// TestVerifyReadsBehindBufferedWrites replays mix C with every third
+// request a write and checks every seventh read against the oracle. Writes
+// stay dirty in the page cache until eviction or Sync, so a read of a
+// written page returns bytes the device does not hold yet: the oracle must
+// lay the page cache over the device, as the read path does.
+func TestVerifyReadsBehindBufferedWrites(t *testing.T) {
+	s := TinyScale()
+	mixC := workload.Mixes(s.FileSize(), 4096, workload.Uniform, 0x5eed)[2]
+	for _, idx := range []int{0, 4} { // block I/O and Pipette
+		e, err := newEngine(idx, qdepthConfig(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := workload.NewSynthetic(mixC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(e, &everyThirdWrite{Generator: gen}, 900, RunOpts{VerifyEvery: 7}); err != nil {
+			t.Errorf("%s: %v", e.Name(), err)
+		}
 	}
 }

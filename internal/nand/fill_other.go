@@ -5,6 +5,6 @@ package nand
 // vectorFill is false off amd64: fill runs its Go loop only.
 const vectorFill = false
 
-func fillVector(dst []byte, key, w uint64) {
+func xorKey(dst, src []byte, key uint64) {
 	panic("nand: no vector fill kernel on this architecture")
 }

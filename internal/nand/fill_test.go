@@ -7,7 +7,7 @@ import (
 	"pipette/internal/sim"
 )
 
-// fillGo is fill with the Go loop alone, so AVX-512 hosts test and time
+// fillGo is fill with the Go loop alone, so AVX2 hosts test and time
 // the other hosts' path too.
 func fillGo(ps patternSource, p PPA, off int, buf []byte) { ps.fillUsing(p, off, buf, false) }
 
@@ -23,9 +23,9 @@ var fillPaths = []struct {
 
 func logFillPath(t *testing.T) {
 	if vectorFill {
-		t.Log("fill runs the AVX-512 kernel")
+		t.Log("fill runs the AVX2 kernel")
 	} else {
-		t.Log("fill runs the Go loop: no AVX-512 kernel on this host")
+		t.Log("fill runs the Go loop: no AVX2 kernel on this host")
 	}
 }
 
@@ -112,8 +112,9 @@ func TestGeometryProperty(t *testing.T) {
 
 func BenchmarkPatternFillPageGo(b *testing.B) {
 	ps := patternSource{seed: 1}
-	buf := make([]byte, 4096)
+	buf := alignedBuf(4096)
 	b.SetBytes(4096)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fillGo(ps, PPA(i), 0, buf)
 	}

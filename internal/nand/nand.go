@@ -10,14 +10,16 @@
 // Capacity is sparse: only programmed pages store real bytes, and only
 // while the FTL maps them (see Discard). Pages "preloaded" with file data
 // (the multi-gigabyte datasets the paper's workloads read) return
-// deterministic seed-derived content instead of materializing hundreds of
-// gigabytes of host RAM; see Preload.
+// deterministic content instead of materializing hundreds of gigabytes of
+// host RAM: one page template XORed with a per-page key (patternSource);
+// see Preload.
 package nand
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"pipette/internal/bitset"
 	"pipette/internal/resource"
@@ -75,8 +77,8 @@ func (c Config) Validate() error {
 	case c.Channels <= 0, c.WaysPerChannel <= 0, c.PlanesPerDie <= 0,
 		c.BlocksPerPlane <= 0, c.PagesPerBlock <= 0:
 		return errors.New("nand: all geometry dimensions must be positive")
-	case c.PageSize <= 0 || c.PageSize%8 != 0:
-		return fmt.Errorf("nand: page size %d must be a positive multiple of 8", c.PageSize)
+	case c.PageSize <= 0 || c.PageSize%8 != 0 || c.PageSize > MaxPageSize:
+		return fmt.Errorf("nand: page size %d must be a positive multiple of 8 up to %d", c.PageSize, MaxPageSize)
 	}
 	return nil
 }
@@ -524,67 +526,74 @@ func (a *Array) Preload(p PPA) error {
 	return nil
 }
 
-// patternSource generates deterministic page content from (seed, ppa).
+// MaxPageSize is the largest PageSize Validate accepts: the bytes tmpl
+// covers.
+const MaxPageSize = 16 << 10
+
+// tmplSeed seeds the page template.
+const tmplSeed = 0x2545_f491_4f6c_dd1d
+
+// tmpl is the page template behind all preloaded content: word w, stored
+// little-endian at bytes [8w, 8w+8), is Mix64(tmplSeed + w).
+var tmpl = func() (t [MaxPageSize]byte) {
+	for w := 0; w < MaxPageSize/8; w++ {
+		binary.LittleEndian.PutUint64(t[8*w:], sim.Mix64(tmplSeed+uint64(w)))
+	}
+	return t
+}()
+
+// patternSource generates deterministic page content from (seed, ppa):
+// word w of page p is template word w XOR the page's key. Mix64 is a
+// bijection, so the template's words are pairwise distinct (a read served
+// from the wrong offset of the right page shows) and every page has its own
+// key (a read served from the wrong page differs in every word).
 type patternSource struct {
 	seed uint64
 }
 
-// key is the per-page part of the pattern hash: word w of page p is
-// Mix64(key(p) ^ w).
+// key is the word mask of page p.
 func (ps patternSource) key(p PPA) uint64 {
-	return ps.seed ^ uint64(p)<<20 ^ 0xc0ffee
+	return sim.Mix64(ps.seed ^ uint64(p))
 }
 
 // word is pattern word wordIdx of page p: page byte a is byte a&7 of the
-// little-endian word(p, a>>3). fill is the fast form of this rule, and the
-// reference its vector kernel is tested against.
+// little-endian word(p, a>>3). It derives the word from the rule itself,
+// not from tmpl, and is the reference every fill path is tested against.
 func (ps patternSource) word(p PPA, wordIdx int) uint64 {
-	return sim.Mix64(ps.key(p) ^ uint64(wordIdx))
+	return sim.Mix64(tmplSeed+uint64(wordIdx)) ^ ps.key(p)
 }
 
 // fill writes the pattern bytes of page p starting at byte offset off. On
-// AVX-512 hosts the aligned body's 64-byte groups go to the vector kernel
+// AVX2 hosts the body's 128-byte groups go to the vector kernel
 // (fill_amd64.s); everything else runs the Go loop.
 func (ps patternSource) fill(p PPA, off int, buf []byte) {
 	ps.fillUsing(p, off, buf, vectorFill)
 }
 
 // fillUsing is fill's body; vector false is the Go loop alone, as on hosts
-// without the kernel. Ragged edges go byte by byte. The Go loop builds four
-// independent words per step, so the multiply chains of neighbouring words
-// overlap.
+// without the kernel. Page byte a is tmpl byte a XOR key byte a&7, so the
+// key rotated right by off's byte lane masks every 8-byte group of buf, at
+// any offset; the tail under 8 bytes goes byte by byte.
 func (ps patternSource) fillUsing(p PPA, off int, buf []byte, vector bool) {
-	key := ps.key(p)
-	w := uint64(off >> 3)
+	src := tmpl[off : off+len(buf)]
+	k := bits.RotateLeft64(ps.key(p), -8*(off&7))
 	i := 0
-	if r := off & 7; r != 0 {
-		v := sim.Mix64(key ^ w)
-		for b := r; b < 8 && i < len(buf); b++ {
-			buf[i] = byte(v >> (8 * uint(b)))
-			i++
-		}
-		w++
+	if n := len(buf) &^ 127; vector && n > 0 {
+		xorKey(buf[:n], src, k)
+		i = n
 	}
-	if n := (len(buf) - i) &^ 63; vector && n > 0 {
-		fillVector(buf[i:i+n], key, w)
-		i, w = i+n, w+uint64(n>>3)
+	for ; len(buf)-i >= 32; i += 32 {
+		d, s := (*[32]byte)(buf[i:]), (*[32]byte)(src[i:])
+		binary.LittleEndian.PutUint64(d[0:], binary.LittleEndian.Uint64(s[0:])^k)
+		binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[8:])^k)
+		binary.LittleEndian.PutUint64(d[16:], binary.LittleEndian.Uint64(s[16:])^k)
+		binary.LittleEndian.PutUint64(d[24:], binary.LittleEndian.Uint64(s[24:])^k)
 	}
-	for ; len(buf)-i >= 32; i, w = i+32, w+4 {
-		q := buf[i : i+32 : i+32]
-		binary.LittleEndian.PutUint64(q[0:], sim.Mix64(key^w))
-		binary.LittleEndian.PutUint64(q[8:], sim.Mix64(key^(w+1)))
-		binary.LittleEndian.PutUint64(q[16:], sim.Mix64(key^(w+2)))
-		binary.LittleEndian.PutUint64(q[24:], sim.Mix64(key^(w+3)))
+	for ; len(buf)-i >= 8; i += 8 {
+		binary.LittleEndian.PutUint64(buf[i:], binary.LittleEndian.Uint64(src[i:])^k)
 	}
-	for ; len(buf)-i >= 8; i, w = i+8, w+1 {
-		binary.LittleEndian.PutUint64(buf[i:], sim.Mix64(key^w))
-	}
-	if i < len(buf) {
-		v := sim.Mix64(key ^ w)
-		for b := 0; i < len(buf); b++ {
-			buf[i] = byte(v >> (8 * uint(b)))
-			i++
-		}
+	for ; i < len(buf); i, k = i+1, k>>8 {
+		buf[i] = src[i] ^ byte(k)
 	}
 }
 

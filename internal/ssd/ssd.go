@@ -159,6 +159,9 @@ func (c *Controller) linkSpan(at, dur sim.Time) (start, end sim.Time) {
 
 // New builds the full device stack: NAND array, FTL, controller.
 func New(cfg Config) (*Controller, error) {
+	if CMBBytes < cfg.NAND.PageSize {
+		return nil, fmt.Errorf("ssd: CMB %d smaller than one page", CMBBytes)
+	}
 	arr, err := nand.New(cfg.NAND)
 	if err != nil {
 		return nil, err
@@ -169,9 +172,6 @@ func New(cfg Config) (*Controller, error) {
 // NewWithArray builds a controller over an existing NAND array (tests use
 // this to pre-mark bad blocks).
 func NewWithArray(cfg Config, arr *nand.Array) (*Controller, error) {
-	if CMBBytes < cfg.NAND.PageSize {
-		return nil, fmt.Errorf("ssd: CMB %d smaller than one page", CMBBytes)
-	}
 	fl, err := ftl.New(arr, cfg.FTL)
 	if err != nil {
 		return nil, err

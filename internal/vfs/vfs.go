@@ -254,6 +254,46 @@ func (f *File) Inode() *extfs.Inode { return f.inode }
 // Size reports the file size.
 func (f *File) Size() int64 { return f.inode.Size }
 
+// Peek fills buf with the file's current bytes at [off, off+len(buf)),
+// the content a read returns, at no virtual time and without counting a
+// lookup, moving a page in the LRU or touching read-ahead. A resident
+// dirty page supplies its own bytes, then the latest queued writeback of
+// the page, then the device through extfs.FS.Peek, which fails on a hole.
+func (f *File) Peek(off int64, buf []byte) error {
+	v := f.v
+	if off < 0 || off+int64(len(buf)) > f.inode.Size {
+		return fmt.Errorf("%w: peek [%d,+%d) of %q", extfs.ErrBadRange, off, len(buf), f.inode.Name)
+	}
+	ps := v.fs.PageSize()
+	for n := 0; n < len(buf); {
+		p := uint64((off + int64(n)) / int64(ps))
+		lo, hi, bufLo, pageLo := overlap(off, len(buf), p, ps)
+		dst := buf[bufLo : bufLo+int(hi-lo)]
+		if data := v.unflushed(pagecache.Key{File: f.inode.Ino, Index: p}); data != nil {
+			copy(dst, data[pageLo:])
+		} else if err := v.fs.Peek(f.inode, lo, dst); err != nil {
+			return err
+		}
+		n += len(dst)
+	}
+	return nil
+}
+
+// unflushed returns the bytes of a page the device does not hold yet: the
+// resident dirty copy, else the latest queued writeback; nil when the
+// device's copy is current.
+func (v *VFS) unflushed(key pagecache.Key) []byte {
+	if data := v.cache.DirtyData(key); data != nil {
+		return data
+	}
+	for i := len(v.pendingWB) - 1; i >= 0; i-- {
+		if v.pendingWB[i].key == key {
+			return v.pendingWB[i].data
+		}
+	}
+	return nil
+}
+
 func (v *VFS) readahead(ino uint64) *pagecache.Readahead {
 	ra, ok := v.ra[ino]
 	if !ok {

@@ -277,3 +277,57 @@ func TestWritePathAllocFree(t *testing.T) {
 		t.Errorf("reads under test were not all misses: %d hits in %d accesses", h1-h0, a1-a0)
 	}
 }
+
+// TestPeekSeesUnflushedWrites: File.Peek returns what a read would, with
+// written bytes the device does not hold yet laid over its content, from a
+// resident dirty page and then from the writeback queue, and it counts no
+// cache access and moves no traffic.
+func TestPeekSeesUnflushedWrites(t *testing.T) {
+	v := testVFS(t, 8)
+	f := createPreloaded(t, v, "f", 1<<16)
+	want := oracle(t, v, f, 0, 3*4096)
+	for _, w := range []struct {
+		off  int64
+		data []byte
+	}{
+		{200, bytes.Repeat([]byte{0x11}, 100)},
+		{4096 + 1000, bytes.Repeat([]byte{0x22}, 4000)}, // spans pages 1 and 2
+	} {
+		if _, _, err := f.WriteAt(0, w.data, w.off); err != nil {
+			t.Fatal(err)
+		}
+		copy(want[w.off:], w.data)
+	}
+	check := func(state string) {
+		t.Helper()
+		h, a, ins, ev := v.cache.Stats()
+		io := v.IO()
+		for _, r := range []struct{ off, n int64 }{{0, 3 * 4096}, {150, 200}, {4090, 4100}, {8192, 4096}} {
+			got := make([]byte, r.n)
+			if err := f.Peek(r.off, got); err != nil {
+				t.Fatalf("%s: Peek [%d,+%d): %v", state, r.off, r.n, err)
+			}
+			if !bytes.Equal(got, want[r.off:r.off+r.n]) {
+				t.Fatalf("%s: Peek [%d,+%d) differs from the written file", state, r.off, r.n)
+			}
+		}
+		if h2, a2, ins2, ev2 := v.cache.Stats(); h2 != h || a2 != a || ins2 != ins || ev2 != ev || v.IO() != io {
+			t.Fatalf("%s: Peek moved the cache counters or the traffic", state)
+		}
+	}
+	check("dirty in the page cache")
+	if err := v.cache.Resize(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(v.pendingWB) != 3 {
+		t.Fatalf("%d writebacks queued, want 3", len(v.pendingWB))
+	}
+	check("queued for writeback")
+	if _, err := v.drainWriteback(0); err != nil {
+		t.Fatal(err)
+	}
+	check("on the device")
+	if err := f.Peek(1<<16-10, make([]byte, 11)); err == nil {
+		t.Fatal("Peek past the end of the file accepted")
+	}
+}
