@@ -53,7 +53,7 @@ func main() {
 		fgMB      = flag.Int("finecache", 8, "fine-grained read cache arena (MiB)")
 		seed      = flag.Uint64("seed", 42, "workload seed")
 		version   = flag.Bool("version", false, "print build identity and exit")
-		flightOut = flag.String("flight-dump", "", "single-device mode: arm the flight recorder; a fatal error or panic dumps the recent-event ring to this file as JSON")
+		flightOut = flag.String("flight-dump", "", "single-device mode: arm the flight recorder; the first operation lost to a media error, a fatal error, or a panic dumps the recent-event ring to this file as JSON")
 		listen    = flag.String("listen", "", "serve live /metrics, /healthz, and /progress on this address (e.g. :9102)")
 		faultProf = flag.String("fault-profile", "", "arm fault injection: site:spec rules, e.g. 'nand.read:rber*20,hmb.ring:0.01' (empty = off)")
 		faultSeed = flag.Uint64("fault-seed", 0x5eed, "seed for the fault injector's per-site decision streams")
@@ -114,7 +114,8 @@ func main() {
 	}
 
 	// -flight-dump arms the ring on every layer of the system; the dump
-	// fires from the first fatal error or panic.
+	// fires from the first operation lost to a media error, fatal error or
+	// panic.
 	var flight *telemetry.FlightDump
 	if *flightOut != "" {
 		if flight, err = telemetry.OpenFlightDump(*flightOut, "pipette-kv", sys.Now, nil); err != nil {
@@ -142,7 +143,7 @@ func main() {
 		if wl == "" {
 			continue
 		}
-		if err := runWorkload(sys, wl, *records, *ops, *valBytes, *seed, *fine, *indexEng); err != nil {
+		if err := runWorkload(sys, flight, wl, *records, *ops, *valBytes, *seed, *fine, *indexEng); err != nil {
 			flight.Dump(fmt.Sprintf("fatal: workload %s: %v", wl, err))
 			log.Fatalf("workload %s: %v", wl, err)
 		}
@@ -312,7 +313,7 @@ func value(buf []byte, key uint64, ver uint32, fixed int) []byte {
 	return buf
 }
 
-func runWorkload(sys *pipette.System, wl string, records uint64, ops, valBytes int, seed uint64, fine bool, indexEng string) error {
+func runWorkload(sys *pipette.System, flight *telemetry.FlightDump, wl string, records uint64, ops, valBytes int, seed uint64, fine bool, indexEng string) error {
 	cfg, err := workload.StandardYCSB(wl, records, seed)
 	if err != nil {
 		return err
@@ -335,10 +336,13 @@ func runWorkload(sys *pipette.System, wl string, records uint64, ops, valBytes i
 
 	// Under an armed fault profile an operation may hit an uncorrectable
 	// media error; that is the experiment's subject, so count it and go on.
+	// The first one dumps the flight ring.
 	var lost uint64
 	tolerate := func(err error) error {
 		if err != nil && errors.Is(err, pipette.ErrUncorrectable) {
-			lost++
+			if lost++; lost == 1 {
+				flight.Dump(fmt.Sprintf("uncorrectable media error in YCSB-%s: %v", wl, err))
+			}
 			return nil
 		}
 		return err

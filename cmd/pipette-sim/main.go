@@ -4,7 +4,13 @@
 // pipette-bench's fixed experiment grid. -workload accepts a
 // comma-separated list; the runs are independent simulations, so -j
 // replays them on parallel workers while the reports print in the order
-// given, byte-identical to a serial run.
+// given, byte-identical to a serial run. trace:PATH names a trace recorded
+// with pipette-trace gen, replayed over its extent.
+//
+// Every run is one bench pool cell that replays through bench.Run, closed
+// loop by default or on an open-loop arrival process (-arrivals), so the
+// exports, the flight recorder and the live endpoint work the same way in
+// both modes.
 //
 // Usage:
 //
@@ -12,201 +18,218 @@
 //	pipette-sim -workload mixA,mixC,mixE -j 3
 //	pipette-sim -workload recommender -requests 200000 -fine=false
 //	pipette-sim -workload socialgraph -pagecache 64 -finecache 8
+//	pipette-sim -workload trace:d.trace       # a recorded trace
 //	pipette-sim -trace-out trace.json -stats-out stats.csv
 //	pipette-sim -listen :9101                 # live /metrics while replaying
 //	pipette-sim -fault-profile nand.read:rber*50 -flight-dump flight.json
+//	pipette-sim -arrivals poisson -rate 150000 -qd 16
 package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"pipette"
 	"pipette/internal/baseline"
 	"pipette/internal/bench"
 	"pipette/internal/buildinfo"
 	"pipette/internal/fault"
-	"pipette/internal/metrics"
 	"pipette/internal/report"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
+	"pipette/internal/trace"
 	"pipette/internal/workload"
 )
 
-// telemetryOpts are the observability attachments of one run: export
-// files, the flight-recorder dump path, and the -listen registry.
-type telemetryOpts struct {
-	traceOut      string
-	statsOut      string
-	statsInterval sim.Time
-	flightOut     string
-	reg           *telemetry.Registry // -listen: the system registers its families here
-	progress      *simProgress        // -listen: /progress state
-}
-
-// simProgress is the /progress document of an interactive run, updated
-// with plain atomic stores — the replay itself never observes it.
-type simProgress struct {
-	total uint64
-	done  atomic.Uint64
-	lost  atomic.Uint64
-}
-
-func (p *simProgress) snapshot() any {
-	if p == nil {
-		return struct{}{}
-	}
-	return struct {
-		RequestsTotal uint64 `json:"requests_total"`
-		RequestsDone  uint64 `json:"requests_done"`
-		RequestsLost  uint64 `json:"requests_lost"`
-	}{p.total, p.done.Load(), p.lost.Load()}
-}
-
 func main() {
-	var (
-		wl        = flag.String("workload", "mixE", "comma-separated list of mixA..mixE, recommender, socialgraph, or searchengine")
-		dist      = flag.String("dist", "uniform", "synthetic request distribution: uniform or zipfian")
-		requests  = flag.Int("requests", 100_000, "requests to replay")
-		fileMB    = flag.Int64("file-mb", 128, "synthetic dataset size (MiB)")
-		pcMB      = flag.Int64("pagecache", 40, "page cache budget (MiB)")
-		fgMB      = flag.Int("finecache", 8, "fine-grained read cache arena (MiB)")
-		fine      = flag.Bool("fine", true, "enable the fine-grained read cache")
-		seed      = flag.Uint64("seed", 42, "workload seed")
-		workers   = flag.Int("j", 0, "worker goroutines when replaying several workloads (0 = GOMAXPROCS)")
-		version   = flag.Bool("version", false, "print build identity and exit")
-		listen    = flag.String("listen", "", "serve live /metrics, /healthz, and /progress on this address (e.g. :9101)")
-		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON (open in Perfetto)")
-		statsOut  = flag.String("stats-out", "", "write sampled time-series CSV")
-		statsInt  = flag.Duration("stats-interval", time.Millisecond, "virtual-time sampling interval for -stats-out")
-		exportOut = flag.String("export", "", "write the run-export bundle JSON (pipette-report input) to this file")
-		flightOut = flag.String("flight-dump", "", "arm the flight recorder; the first uncorrectable read, fatal error, or panic dumps the recent-event ring to this file as JSON")
-		faultProf = flag.String("fault-profile", "", "arm fault injection: site:spec rules, e.g. 'nand.read:rber*20,hmb.ring:0.01' (empty = off)")
-		faultSeed = flag.Uint64("fault-seed", 0x5eed, "seed for the fault injector's per-site decision streams")
-		arrivals  = flag.String("arrivals", "closed", "request arrival process: closed (next issues on completion), poisson, or bursty")
-		rate      = flag.Float64("rate", 200_000, "open loop: offered arrival rate (requests per second of virtual time)")
-		qd        = flag.Int("qd", 32, "open loop: in-flight request bound; arrivals past it queue for admission")
-		burst     = flag.Int("burst", 64, "bursty arrivals: requests per burst")
-		peak      = flag.Float64("peak", 8, "bursty arrivals: in-burst rate as a multiple of -rate")
-		arrSeed   = flag.Uint64("arrival-seed", 0xa221, "open loop: arrival process seed")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// replayer is one invocation's replay settings, shared by every workload's
+// cell, and the telemetry each cell attaches to its engine.
+type replayer struct {
+	dist      string
+	requests  int
+	fileMB    int64
+	pcMB      int64
+	fgMB      int
+	fine      bool
+	seed      uint64
+	faults    fault.Profile
+	faultSeed uint64
+	arrivals  string // closed, poisson or bursty
+	rate      float64
+	qd        int
+	burst     int
+	peak      float64
+	arrSeed   uint64
+
+	flight   *telemetry.FlightDump // -flight-dump: its ring traces every engine
+	reg      *telemetry.Registry   // -listen: each engine's stage account binds here
+	rec      *telemetry.Recorder   // -trace-out: the one workload's tracer
+	interval sim.Time              // -stats-out: the sampling interval (0 = no sampler)
+	sampler  *telemetry.Sampler    // -stats-out: set by the one workload's cell
+}
+
+// run is the command: it parses args, replays every workload as a pool
+// cell, prints the reports to stdout in input order, and returns the exit
+// code.
+func run(args []string, stdout io.Writer) int {
+	r := &replayer{}
+	fs := flag.NewFlagSet("pipette-sim", flag.ContinueOnError)
+	wl := fs.String("workload", "mixE", "comma-separated list of mixA..mixE, recommender, socialgraph, searchengine, or trace:PATH (a recorded trace)")
+	fs.StringVar(&r.dist, "dist", "uniform", "synthetic request distribution: uniform or zipfian (not for traces)")
+	fs.IntVar(&r.requests, "requests", 100_000, "requests to replay (a trace repeats from its start)")
+	fs.Int64Var(&r.fileMB, "file-mb", 128, "synthetic dataset size (MiB); a trace's dataset is its extent")
+	fs.Int64Var(&r.pcMB, "pagecache", 40, "page cache budget (MiB)")
+	fs.IntVar(&r.fgMB, "finecache", 8, "fine-grained read cache arena (MiB)")
+	fs.BoolVar(&r.fine, "fine", true, "enable the fine-grained read cache")
+	fs.Uint64Var(&r.seed, "seed", 42, "workload seed (not for traces)")
+	workers := fs.Int("j", 0, "worker goroutines when replaying several workloads (0 = GOMAXPROCS)")
+	version := fs.Bool("version", false, "print build identity and exit")
+	listen := fs.String("listen", "", "serve live /metrics, /healthz, and /progress on this address (e.g. :9101)")
+	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON (open in Perfetto)")
+	statsOut := fs.String("stats-out", "", "write sampled time-series CSV")
+	statsInt := fs.Duration("stats-interval", time.Millisecond, "virtual-time sampling interval for -stats-out")
+	exportOut := fs.String("export", "", "write the run-export bundle JSON (pipette-report input) to this file")
+	flightOut := fs.String("flight-dump", "", "arm the flight recorder; the first uncorrectable read, fatal error, or panic dumps the recent-event ring to this file as JSON")
+	faultProf := fs.String("fault-profile", "", "arm fault injection: site:spec rules, e.g. 'nand.read:rber*20,hmb.ring:0.01' (empty = off)")
+	fs.Uint64Var(&r.faultSeed, "fault-seed", 0x5eed, "seed for the fault injector's per-site decision streams")
+	fs.StringVar(&r.arrivals, "arrivals", "closed", "request arrival process: closed (next issues on completion), poisson, or bursty")
+	fs.Float64Var(&r.rate, "rate", 200_000, "open loop: offered arrival rate (requests per second of virtual time)")
+	fs.IntVar(&r.qd, "qd", 32, "open loop: in-flight request bound; arrivals past it queue for admission")
+	fs.IntVar(&r.burst, "burst", 64, "bursty arrivals: requests per burst")
+	fs.Float64Var(&r.peak, "peak", 8, "bursty arrivals: in-burst rate as a multiple of -rate")
+	fs.Uint64Var(&r.arrSeed, "arrival-seed", 0xa221, "open loop: arrival process seed")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *version {
-		buildinfo.Fprint(os.Stdout, "pipette-sim")
-		return
+		buildinfo.Fprint(stdout, "pipette-sim")
+		return 0
 	}
-	if _, err := fault.ParseProfile(*faultProf); err != nil {
+	fail := func(code int, err error) int {
 		fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
-		os.Exit(2)
+		return code
 	}
-	if err := checkRequests(*requests); err != nil {
-		fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
-		os.Exit(2)
+	var err error
+	if r.faults, err = fault.ParseProfile(*faultProf); err != nil {
+		return fail(2, err)
+	}
+	if err := checkRequests(r.requests); err != nil {
+		return fail(2, err)
 	}
 	interval, err := statsInterval(*statsInt)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
-	switch *arrivals {
+	switch r.arrivals {
 	case "closed", "poisson", "bursty":
 	default:
-		fmt.Fprintf(os.Stderr, "pipette-sim: unknown -arrivals %q (closed|poisson|bursty)\n", *arrivals)
-		os.Exit(2)
-	}
-	ol := openLoop{mode: *arrivals, rate: *rate, depth: *qd, burst: *burst, peak: *peak, seed: *arrSeed}
-	if ol.mode != "closed" && (*traceOut != "" || *statsOut != "" || *flightOut != "" || *listen != "") {
-		fmt.Fprintln(os.Stderr, "pipette-sim: open-loop arrivals do not support -trace-out/-stats-out/-flight-dump/-listen")
-		os.Exit(2)
-	}
-
-	topts := telemetryOpts{
-		traceOut:      *traceOut,
-		statsOut:      *statsOut,
-		statsInterval: interval,
-		flightOut:     *flightOut,
+		return fail(2, fmt.Errorf("unknown -arrivals %q (closed|poisson|bursty)", r.arrivals))
 	}
 	wls := workloadNames(*wl)
-	if len(wls) > 1 && (topts.traceOut != "" || topts.statsOut != "" || topts.flightOut != "" || *listen != "") {
-		fmt.Fprintln(os.Stderr, "pipette-sim: -trace-out/-stats-out/-flight-dump/-listen need a single -workload")
-		os.Exit(2)
+	if len(wls) > 1 && (*traceOut != "" || *statsOut != "") {
+		return fail(2, fmt.Errorf("-trace-out and -stats-out write one run; give a single -workload"))
 	}
 
-	// -export collects one report run per workload, in input order, and
-	// writes the bundle after every replay finishes — deterministic at any
-	// -j because the runs are private simulations rendered post-hoc.
-	runs := make([]report.Run, len(wls))
-	writeExport := func() error {
-		if *exportOut == "" {
-			return nil
+	// The trace and time-series files are created before any replay (a bad
+	// path fails fast) and flushed even when the replay dies mid-run, so
+	// partial artifacts stay readable for post-mortem work.
+	var exports telemetry.Exports
+	defer exports.Close()
+	if *traceOut != "" {
+		r.rec = telemetry.NewRecorder()
+		if err := exports.Add(*traceOut, r.rec.WriteChromeTrace); err != nil {
+			return fail(1, err)
 		}
-		exp := &report.Export{Tool: "pipette-sim", Version: buildinfo.Version, Runs: runs}
-		if err := exp.WriteFile(*exportOut); err != nil {
-			return err
-		}
-		fmt.Printf("run export written to %s (%d runs)\n", *exportOut, len(runs))
-		return nil
 	}
-
-	if len(wls) == 1 {
-		if *listen != "" {
-			topts.reg = telemetry.NewRegistry(telemetry.L("job", "pipette-sim"))
-			buildinfo.Register(topts.reg, "pipette-sim")
-			topts.progress = &simProgress{total: uint64(*requests)}
-			srv, err := telemetry.Serve(*listen, topts.reg, topts.progress.snapshot)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
-				os.Exit(1)
+	if *statsOut != "" {
+		r.interval = interval
+		if err := exports.Add(*statsOut, func(w io.Writer) error {
+			if r.sampler == nil {
+				return nil
 			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "pipette-sim: serving /metrics /healthz /progress on http://%s\n", srv.Addr())
+			return r.sampler.WriteCSV(w)
+		}); err != nil {
+			return fail(1, err)
 		}
-		if err := run(os.Stdout, wls[0], *dist, *requests, *fileMB, *pcMB, *fgMB, *fine, *seed, *faultProf, *faultSeed, ol, topts, &runs[0]); err != nil {
-			fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := writeExport(); err != nil {
-			fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
-	// Several workloads: each is a fully private simulation, so replay them
-	// as pool cells rendering into per-run buffers, printed in input order.
-	bufs := make([]bytes.Buffer, len(wls))
-	cells := make([]bench.Cell, 0, len(wls))
-	for i, name := range wls {
-		cells = append(cells, bench.Cell{
-			Label: "sim/" + name,
-			Run: func() (*bench.Result, error) {
-				return nil, run(&bufs[i], name, *dist, *requests, *fileMB, *pcMB, *fgMB, *fine, *seed, *faultProf, *faultSeed, ol, telemetryOpts{}, &runs[i])
-			},
-		})
+	// -flight-dump arms one recorder on every engine; the first media
+	// error (bench.Run), fatal error or panicking cell dumps it, and a
+	// clean run dumps it at the end.
+	if *flightOut != "" {
+		if r.flight, err = telemetry.OpenFlightDump(*flightOut, "pipette-sim", nil, nil); err != nil {
+			return fail(1, err)
+		}
+		defer r.flight.Close()
+		bench.ArmFlight(r.flight.Recorder(), r.flight.Dump)
+		defer bench.ArmFlight(nil, nil)
 	}
+
 	pool := bench.NewPool(*workers)
+	pool.SetTelemetry(bench.TelemetryOpts{ExportOut: *exportOut})
+	if *listen != "" {
+		r.reg = telemetry.NewRegistry(telemetry.L("job", "pipette-sim"))
+		buildinfo.Register(r.reg, "pipette-sim")
+		live := bench.NewLive(r.reg)
+		pool.SetLive(live)
+		srv, err := telemetry.Serve(*listen, r.reg, live.Progress)
+		if err != nil {
+			return fail(1, err)
+		}
+		defer srv.Close()
+		fmt.Fprintf(os.Stderr, "pipette-sim: serving /metrics /healthz /progress on http://%s\n", srv.Addr())
+	}
+
+	// Each workload is a private simulation rendering into its own
+	// buffer; the buffers print in input order.
+	bufs := make([]bytes.Buffer, len(wls))
+	cells := make([]bench.Cell, len(wls))
+	for i, name := range wls {
+		label := fmt.Sprintf("sim/%d/%s", i, name)
+		cells[i] = bench.Cell{Label: label, Run: func() (*bench.Result, error) {
+			return r.replay(&bufs[i], label, name)
+		}}
+	}
 	err = pool.RunCells(cells)
 	for i := range bufs {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		os.Stdout.Write(bufs[i].Bytes())
+		stdout.Write(bufs[i].Bytes())
+	}
+	if cerr := exports.Close(); err == nil { // idempotent; the defer no-ops
+		err = cerr
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
-		os.Exit(1)
+		r.flight.Dump(fmt.Sprintf("fatal: %v", err))
+		return fail(1, err)
 	}
-	if err := writeExport(); err != nil {
-		fmt.Fprintf(os.Stderr, "pipette-sim: %v\n", err)
-		os.Exit(1)
+	if r.rec != nil {
+		fmt.Fprintf(stdout, "trace written to %s (%d events; open in Perfetto / chrome://tracing)\n",
+			*traceOut, r.rec.Events())
 	}
+	if r.sampler != nil {
+		fmt.Fprintf(stdout, "time series written to %s (%d samples, %d series)\n",
+			*statsOut, r.sampler.Rows(), len(r.sampler.Series()))
+	}
+	r.flight.Dump("end of run (no anomaly)") // no-op after an anomaly's dump
+	if *exportOut != "" {
+		exp := &report.Export{Tool: "pipette-sim", Version: buildinfo.Version, Runs: pool.Runs()}
+		if err := exp.WriteFile(*exportOut); err != nil {
+			return fail(1, err)
+		}
+		fmt.Fprintf(stdout, "run export written to %s (%d runs)\n", *exportOut, len(exp.Runs))
+	}
+	return 0
 }
 
 // statsInterval converts -stats-interval to virtual time, rejecting a zero
@@ -237,251 +260,131 @@ func workloadNames(list string) []string {
 	return names
 }
 
-// openLoop is the parsed open-loop arrival configuration; mode "closed"
-// selects the default synchronous replay.
-type openLoop struct {
-	mode  string
-	rate  float64
-	depth int
-	burst int
-	peak  float64
-	seed  uint64
+// generator builds the named workload: a built-in generator over -file-mb
+// of data or, for trace:PATH, the trace recorded at PATH over its extent.
+func (r *replayer) generator(name string) (workload.Generator, error) {
+	path, ok := strings.CutPrefix(name, "trace:")
+	if !ok {
+		return workload.ByName(name, r.dist, r.fileMB<<20, r.seed)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	reqs, err := trace.ReadAll(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return trace.NewReplayer(path, trace.Summarize(reqs).Extent, reqs)
 }
 
-func run(w io.Writer, wl, dist string, requests int, fileMB, pcMB int64, fgMB int, fine bool, seed uint64, faultProf string, faultSeed uint64, ol openLoop, topts telemetryOpts, expRun *report.Run) (err error) {
-	gen, err := workload.ByName(wl, dist, fileMB<<20, seed)
-	if err != nil {
-		return err
+// engine builds the Pipette engine (without its fine cache for -fine=false)
+// over a private stack sized for fileSize bytes. An open loop turns the
+// device's contention on (PCIe link and NVMe fetch arbitration), as the
+// qdepth experiment does, since its requests overlap there.
+func (r *replayer) engine(fileSize int64, open bool) (*baseline.VFSEngine, error) {
+	cfg := baseline.DefaultStackConfig(fileSize)
+	cfg.SetCaches(int(r.pcMB<<20/int64(cfg.SSD.NAND.PageSize)), r.fgMB<<20)
+	cfg.FaultProfile, cfg.FaultSeed = r.faults, r.faultSeed
+	if open {
+		cfg.SSD.LinkArbitration = true
+		cfg.NVMe.Arbitration = 100 * sim.Nanosecond
 	}
-	if ol.mode != "closed" {
-		return runOpenLoop(w, wl, gen, requests, pcMB, fgMB, fine, faultProf, faultSeed, ol, expRun)
+	if !r.fine {
+		return baseline.NewPipetteNoCache(cfg)
 	}
+	return baseline.NewPipette(cfg)
+}
 
-	sys, err := pipette.New(pipette.Options{
-		CapacityBytes:    gen.FileSize() + gen.FileSize()/2 + (64 << 20),
-		PageCacheBytes:   pcMB << 20,
-		FineCacheBytes:   fgMB << 20,
-		DisableFineCache: !fine,
-		FaultProfile:     faultProf,
-		FaultSeed:        faultSeed,
-	})
-	if err != nil {
-		return err
+// arrivalProcess returns the open-loop schedule, nil for a closed loop.
+func (r *replayer) arrivalProcess() (workload.Arrivals, error) {
+	switch r.arrivals {
+	case "poisson":
+		return workload.NewPoisson(r.rate, r.arrSeed)
+	case "bursty":
+		return workload.NewBursty(r.rate, r.burst, r.peak, r.arrSeed)
 	}
-	if topts.reg != nil {
-		sys.RegisterMetrics(topts.reg)
-	}
-	if err := sys.CreateFile("workload.dat", gen.FileSize(), true); err != nil {
-		return err
-	}
-	f, err := sys.Open("workload.dat", pipette.ReadWrite|pipette.FineGrained)
-	if err != nil {
-		return err
-	}
+	return nil, nil
+}
 
-	// Every export file is created before the replay (a bad path fails
-	// fast, not after minutes of simulation) and flushed by the deferred
-	// Close even when the replay dies mid-run, so partial artifacts stay
-	// readable for post-mortem work.
-	var exports telemetry.Exports
-	defer func() {
-		if cerr := exports.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	var rec *telemetry.Recorder
-	if topts.traceOut != "" {
-		rec = telemetry.NewRecorder()
-		if err := exports.Add(topts.traceOut, rec.WriteChromeTrace); err != nil {
-			return err
-		}
+// replay is one workload's cell: it builds the engine, attaches the run's
+// telemetry, replays through bench.Run, and renders the report into w.
+func (r *replayer) replay(w io.Writer, label, name string) (*bench.Result, error) {
+	gen, err := r.generator(name)
+	if err != nil {
+		return nil, err
 	}
-	var sampler *telemetry.Sampler
-	if topts.statsOut != "" {
-		sampler, err = telemetry.NewSampler(topts.statsInterval, sys.Probes())
-		if err != nil {
-			return err
-		}
-		if err := exports.Add(topts.statsOut, sampler.WriteCSV); err != nil {
-			return err
-		}
+	arr, err := r.arrivalProcess()
+	if err != nil {
+		return nil, err
 	}
-	var flight *telemetry.FlightDump
-	if topts.flightOut != "" {
-		if flight, err = telemetry.OpenFlightDump(topts.flightOut, "pipette-sim", sys.Now, w); err != nil {
-			return err
-		}
-		defer flight.Close()
+	e, err := r.engine(gen.FileSize(), arr != nil)
+	if err != nil {
+		return nil, err
 	}
-	// A panic anywhere in the replay still dumps the ring — the events
-	// leading up to the crash are exactly what the recorder is for — then
-	// resumes unwinding.
-	defer flight.OnPanic()
 	var tracers []telemetry.Tracer
-	if rec != nil {
-		tracers = append(tracers, rec)
+	if r.rec != nil {
+		tracers = append(tracers, r.rec)
 	}
-	if flight != nil {
-		tracers = append(tracers, flight.Recorder())
+	if fr := r.flight.Recorder(); fr != nil {
+		tracers = append(tracers, fr)
 	}
 	if len(tracers) > 0 {
-		sys.SetTracer(telemetry.Tee(tracers...))
+		e.SetTracer(telemetry.Tee(tracers...))
+	}
+	e.Stages().BindRegistry(r.reg, telemetry.L("cell", label)) // no-op without -listen
+	opts := bench.RunOpts{
+		Arrivals: arr, Depth: r.qd, Offered: r.rate,
+		// Under an armed fault profile uncorrectable media errors are
+		// expected outcomes, not failures: count them and go on.
+		TolerateMediaErrors: !r.faults.Empty(),
+	}
+	if r.interval > 0 {
+		if r.sampler, err = telemetry.NewSampler(r.interval, e.Probes()); err != nil {
+			return nil, err
+		}
+		opts.Sampler = r.sampler
 	}
 
-	fmt.Fprintf(w, "workload %s over %.1f MiB, %d requests (fine cache: %v)\n\n",
-		gen.Name(), float64(gen.FileSize())/(1<<20), requests, fine)
-
-	buf := make([]byte, 64<<10)
-	payload := make([]byte, 64<<10)
-	for i := range payload {
-		payload[i] = byte(i)
+	loop := " ("
+	if arr != nil {
+		loop = fmt.Sprintf(", open loop (%s arrivals, %.0f ops/s offered, qd %d, ", arr.Name(), r.rate, r.qd)
 	}
-	var hist metrics.Histogram
-	var lost int
-	for i := 0; i < requests; i++ {
-		req := gen.Next()
-		if req.Size > len(buf) {
-			buf = make([]byte, req.Size)
-			payload = make([]byte, req.Size)
-		}
-		before := sys.Now()
-		if req.Write {
-			_, err = f.WriteAt(payload[:req.Size], req.Off)
-		} else {
-			_, err = f.ReadAt(buf[:req.Size], req.Off)
-		}
-		hist.Observe(sys.Now() - before)
-		if err != nil {
-			// Under an armed fault profile uncorrectable media errors are
-			// expected outcomes, not harness failures: count and go on.
-			if !errors.Is(err, pipette.ErrUncorrectable) {
-				flight.Dump(fmt.Sprintf("fatal error at request %d: %v", i, err))
-				return fmt.Errorf("request %d: %w", i, err)
-			}
-			lost++
-			if topts.progress != nil {
-				topts.progress.lost.Add(1)
-			}
-			flight.Dump(fmt.Sprintf("uncorrectable media error at request %d", i))
-		}
-		if topts.progress != nil {
-			topts.progress.done.Store(uint64(i + 1))
-		}
-		if sampler != nil {
-			sampler.Tick(sys.Now())
-		}
-	}
-	err = nil // the loop's last request may have been a counted media error
-
-	rep := sys.Report()
-	if expRun != nil {
-		st := rep.Stages
-		*expRun = report.Run{
-			Name:      wl,
-			Requests:  uint64(requests),
-			ElapsedNs: int64(rep.Elapsed),
-			OpsPerSec: float64(requests) / rep.Elapsed.Seconds(),
-			ReadAmp:   rep.IO.ReadAmplification(),
-			Latency:   report.PercentilesOf(&hist),
-			StageNs:   int64(st.Sum()),
-			Stages:    report.StageRows(&st),
-			Resources: rep.Resources,
-		}
-	}
-	fmt.Fprintln(w, rep)
-	if lost > 0 {
-		fmt.Fprintf(w, "\nuncorrectable     %d of %d requests lost to media errors\n", lost, requests)
-	}
-	fmt.Fprintf(w, "\nthroughput        %.0f ops/s (virtual)\n",
-		float64(requests)/rep.Elapsed.Seconds())
-
-	if rec != nil {
-		fmt.Fprintf(w, "\nper-phase latency breakdown:\n%s", rec.Breakdown().Render())
-	}
-	if cerr := exports.Close(); cerr != nil { // idempotent; the defer no-ops
-		return cerr
-	}
-	if rec != nil {
-		fmt.Fprintf(w, "trace written to %s (%d events; open in Perfetto / chrome://tracing)\n",
-			topts.traceOut, rec.Events())
-	}
-	if sampler != nil {
-		fmt.Fprintf(w, "time series written to %s (%d samples, %d series)\n",
-			topts.statsOut, sampler.Rows(), len(sampler.Series()))
-	}
-	flight.Dump("end of run (no anomaly)") // no-op after an anomaly's dump
-	return nil
-}
-
-// runOpenLoop replays the workload open-loop against the full Pipette
-// stack: requests arrive on the configured schedule, up to -qd run
-// concurrently over the contended device model, and latency is measured
-// arrival to completion. Device-side contention (PCIe link, NVMe fetch
-// arbitration) is on, matching pipette-bench's qdepth experiment.
-func runOpenLoop(w io.Writer, wl string, gen workload.Generator, requests int, pcMB int64, fgMB int, fine bool, faultProf string, faultSeed uint64, ol openLoop, expRun *report.Run) error {
-	prof, err := fault.ParseProfile(faultProf)
+	fmt.Fprintf(w, "workload %s over %.1f MiB, %d requests%sfine cache: %v)\n\n",
+		gen.Name(), float64(gen.FileSize())/(1<<20), r.requests, loop, r.fine)
+	res, err := bench.Run(e, gen, r.requests, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cfg := baseline.DefaultStackConfig(gen.FileSize())
-	cfg.SetCaches(int(pcMB<<20/4096), fgMB<<20)
-	cfg.FaultProfile = prof
-	cfg.FaultSeed = faultSeed
-	cfg.SSD.LinkArbitration = true
-	cfg.NVMe.Arbitration = 100 * sim.Nanosecond
-
-	var e baseline.Engine
-	if fine {
-		e, err = baseline.NewPipette(cfg)
-	} else {
-		e, err = baseline.NewPipetteNoCache(cfg)
-	}
-	if err != nil {
-		return err
+	res.Name = name
+	if arr != nil {
+		res.Workload = fmt.Sprintf("%s-qd%d-%s@%.0f", name, res.Depth, res.Arrivals, r.rate)
 	}
 
-	var arr workload.Arrivals
-	if ol.mode == "bursty" {
-		arr, err = workload.NewBursty(ol.rate, ol.burst, ol.peak, ol.seed)
-	} else {
-		arr, err = workload.NewPoisson(ol.rate, ol.seed)
-	}
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "workload %s over %.1f MiB, %d requests, open loop (%s arrivals, %.0f ops/s offered, qd %d, fine cache: %v)\n\n",
-		gen.Name(), float64(gen.FileSize())/(1<<20), requests, arr.Name(), ol.rate, ol.depth, fine)
-
-	res, err := bench.Run(e, gen, requests, bench.RunOpts{
-		Arrivals: arr, Depth: ol.depth, Offered: ol.rate,
-		// Match the closed-loop path: under an armed fault profile,
-		// uncorrectable media errors are expected outcomes, not failures.
-		TolerateMediaErrors: !prof.Empty(),
-	})
-	if err != nil {
-		return err
-	}
-	if expRun != nil {
-		res.Name, res.Workload = wl, fmt.Sprintf("%s-qd%d-%s@%.0f", wl, res.Depth, res.Arrivals, ol.rate)
-		*expRun = bench.ExportRun(res)
-	}
-
-	var queueUs float64
-	if res.Stages.Requests > 0 {
-		queueUs = (sim.Time(int64(res.Stages.Totals[telemetry.StageQueue])) /
-			sim.Time(int64(res.Stages.Requests))).Micros()
-	}
-	fmt.Fprintf(w, "offered           %.0f ops/s\n", ol.rate)
-	fmt.Fprintf(w, "achieved          %.0f ops/s (virtual)\n", res.Snapshot.ThroughputOpsPerSec())
+	fmt.Fprintln(w, e.Report(res.Snapshot.Elapsed))
 	if res.Lost > 0 {
-		fmt.Fprintf(w, "uncorrectable     %d of %d requests lost to media errors\n", res.Lost, requests)
+		fmt.Fprintf(w, "\nuncorrectable     %d of %d requests lost to media errors\n", res.Lost, r.requests)
 	}
-	fmt.Fprintf(w, "latency (arrival to completion)\n")
-	fmt.Fprintf(w, "  mean            %.2f µs\n", res.Hist.Mean().Micros())
-	fmt.Fprintf(w, "  p50             %.2f µs\n", res.Hist.Quantile(0.50).Micros())
-	fmt.Fprintf(w, "  p99             %.2f µs\n", res.Hist.Quantile(0.99).Micros())
-	fmt.Fprintf(w, "  max             %.2f µs\n", res.Hist.Max().Micros())
-	fmt.Fprintf(w, "mean queue wait   %.2f µs\n", queueUs)
-	return nil
+	if arr == nil {
+		fmt.Fprintf(w, "\nthroughput        %.0f ops/s (virtual)\n", res.Snapshot.ThroughputOpsPerSec())
+	} else {
+		var queueUs float64
+		if res.Stages.Requests > 0 {
+			queueUs = (sim.Time(int64(res.Stages.Totals[telemetry.StageQueue])) /
+				sim.Time(int64(res.Stages.Requests))).Micros()
+		}
+		fmt.Fprintf(w, "\noffered           %.0f ops/s\n", r.rate)
+		fmt.Fprintf(w, "achieved          %.0f ops/s (virtual)\n", res.Snapshot.ThroughputOpsPerSec())
+		fmt.Fprintf(w, "latency (arrival to completion)\n")
+		fmt.Fprintf(w, "  mean            %.2f µs\n", res.Hist.Mean().Micros())
+		fmt.Fprintf(w, "  p50             %.2f µs\n", res.Hist.Quantile(0.50).Micros())
+		fmt.Fprintf(w, "  p99             %.2f µs\n", res.Hist.Quantile(0.99).Micros())
+		fmt.Fprintf(w, "  max             %.2f µs\n", res.Hist.Max().Micros())
+		fmt.Fprintf(w, "mean queue wait   %.2f µs\n", queueUs)
+	}
+	if r.rec != nil {
+		fmt.Fprintf(w, "\nper-phase latency breakdown:\n%s", r.rec.Breakdown().Render())
+	}
+	return res, nil
 }

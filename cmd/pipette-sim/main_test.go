@@ -1,12 +1,89 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
+	"pipette/internal/bench"
 	"pipette/internal/sim"
+	"pipette/internal/trace"
 )
+
+// TestClosedLoopGolden pins the stdout of a small fault-free closed-loop
+// run of two workloads on two workers, one with writes: the report, the
+// stage waterfall, the resource table and the throughput of each.
+func TestClosedLoopGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "closed-loop.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	args := []string{"-workload", "mixC,socialgraph", "-requests", "3000", "-file-mb", "16", "-pagecache", "4", "-j", "2"}
+	if code := run(args, &out); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("stdout differs from testdata/closed-loop.golden:\n%s", out.String())
+	}
+}
+
+// TestTraceReplayMatchesGenerator records a generator's requests and
+// replays the trace as a trace:PATH workload: the measurement must equal a
+// direct bench.Run of the same generator on the same engine, names aside.
+func TestTraceReplayMatchesGenerator(t *testing.T) {
+	const n = 3000
+	r := &replayer{dist: "uniform", requests: n, fileMB: 8, pcMB: 1, fgMB: 1, fine: true, seed: 9, arrivals: "closed"}
+	gen, err := r.generator("socialgraph")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sg.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Record(f, gen, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.replay(io.Discard, "trace", "trace:"+path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	replayed, err := r.generator("trace:" + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := r.engine(replayed.FileSize(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := r.generator("socialgraph")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := bench.Run(e, fresh, n, bench.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Snapshot.IO.Writes == 0 {
+		t.Fatal("the trace replays no writes")
+	}
+	got.Name, got.Workload = "", ""
+	want.Name, want.Workload = "", ""
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace replay differs from the generator's:\n got %+v\nwant %+v", got.Snapshot, want.Snapshot)
+	}
+}
 
 func TestCheckRequests(t *testing.T) {
 	for _, tc := range []struct {

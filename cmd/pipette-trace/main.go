@@ -1,10 +1,12 @@
-// Command pipette-trace generates, inspects, and replays workload traces.
+// Command pipette-trace generates and inspects workload traces, and prints
+// the tail exemplars of a run export. pipette-sim replays a trace as the
+// workload trace:PATH.
 //
 // Usage:
 //
 //	pipette-trace gen -workload mixD -dist zipfian -n 100000 -o trace.bin
 //	pipette-trace info trace.bin
-//	pipette-trace replay -file-mb 128 trace.bin
+//	pipette-sim -workload trace:trace.bin
 //	pipette-trace tail export.json
 package main
 
@@ -14,7 +16,6 @@ import (
 	"os"
 	"strings"
 
-	"pipette"
 	"pipette/internal/buildinfo"
 	"pipette/internal/report"
 	"pipette/internal/trace"
@@ -31,8 +32,6 @@ func main() {
 		err = cmdGen(os.Args[2:])
 	case "info":
 		err = cmdInfo(os.Args[2:])
-	case "replay":
-		err = cmdReplay(os.Args[2:])
 	case "tail":
 		err = cmdTail(os.Args[2:])
 	case "version", "-version", "--version":
@@ -47,7 +46,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pipette-trace gen|info|replay|tail|version [flags] [file]")
+	fmt.Fprintln(os.Stderr, "usage: pipette-trace gen|info|tail|version [flags] [file]")
 	os.Exit(2)
 }
 
@@ -181,72 +180,5 @@ func cmdInfo(args []string) error {
 	for _, op := range s.Ops {
 		fmt.Printf("%-6s %10d %12d %10d %10d %10d\n", op.Op, op.Count, op.Bytes, op.P50, op.P99, op.Max)
 	}
-	return nil
-}
-
-func cmdReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	fileMB := fs.Int64("file-mb", 0, "dataset size (MiB); 0 = trace extent")
-	pcMB := fs.Int64("pagecache", 40, "page cache budget (MiB)")
-	fgMB := fs.Int("finecache", 8, "fine cache arena (MiB)")
-	fine := fs.Bool("fine", true, "enable the fine-grained read cache")
-	_ = fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("replay needs a trace file")
-	}
-	f, err := os.Open(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	reqs, err := trace.ReadAll(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	fileSize := *fileMB << 20
-	if fileSize == 0 {
-		for _, r := range reqs {
-			if end := r.Off + int64(r.Size); end > fileSize {
-				fileSize = end
-			}
-		}
-	}
-	rep, err := trace.NewReplayer(fs.Arg(0), fileSize, reqs)
-	if err != nil {
-		return err
-	}
-
-	sys, err := pipette.New(pipette.Options{
-		CapacityBytes:    fileSize + fileSize/2 + (64 << 20),
-		PageCacheBytes:   *pcMB << 20,
-		FineCacheBytes:   *fgMB << 20,
-		DisableFineCache: !*fine,
-	})
-	if err != nil {
-		return err
-	}
-	if err := sys.CreateFile("trace.dat", fileSize, true); err != nil {
-		return err
-	}
-	file, err := sys.Open("trace.dat", pipette.ReadWrite|pipette.FineGrained)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 1<<16)
-	for i := 0; i < rep.Len(); i++ {
-		r := rep.Next()
-		if r.Size > len(buf) {
-			buf = make([]byte, r.Size)
-		}
-		if r.Write {
-			_, err = file.WriteAt(buf[:r.Size], r.Off)
-		} else {
-			_, err = file.ReadAt(buf[:r.Size], r.Off)
-		}
-		if err != nil {
-			return fmt.Errorf("request %d: %w", i, err)
-		}
-	}
-	fmt.Println(sys.Report())
 	return nil
 }

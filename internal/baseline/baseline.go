@@ -151,6 +151,9 @@ func (e *VFSEngine) Stages() *telemetry.StageAccount { return e.st.SA }
 // Resources implements Engine.
 func (e *VFSEngine) Resources() *resource.Tracker { return e.st.Res }
 
+// Report summarizes the engine's stack at virtual time now.
+func (e *VFSEngine) Report(now sim.Time) Report { return e.st.Report(now) }
+
 // Core exposes the framework (ablation benches tune and inspect it); nil
 // for block I/O.
 func (e *VFSEngine) Core() *core.Pipette { return e.st.Core }

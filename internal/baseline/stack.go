@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"strings"
 
 	"pipette/internal/blockdev"
@@ -204,6 +205,86 @@ func (s *Stack) Snapshot(name string) metrics.Snapshot {
 		snap.MemoryMB += float64(p.MemoryBytes()) / (1 << 20)
 	}
 	return snap
+}
+
+// Report is a stack's activity summary: traffic, cache and fine-path
+// counters, the fault ledger when armed, and the stage and resource
+// accounts. The public facade's System.Report and pipette-sim print it.
+type Report struct {
+	Elapsed sim.Time
+
+	IO        metrics.IO
+	PageCache metrics.Cache
+	FineCache metrics.Cache
+
+	FineCacheMemoryBytes uint64
+	PageCacheMemoryBytes uint64
+	Threshold            uint32
+	Core                 core.Stats
+
+	// Faults is nil when no fault profile is armed, so the rendered
+	// report is unchanged for fault-free stacks.
+	Faults *fault.Report
+
+	Stages    telemetry.StageSnapshot
+	Resources *resource.Snapshot
+}
+
+// Report gathers the stack's summary at virtual time now, the elapsed
+// time of a replay that started at zero.
+func (s *Stack) Report(now sim.Time) Report {
+	snap := s.Snapshot("")
+	r := Report{
+		Elapsed:              now,
+		IO:                   snap.IO,
+		PageCache:            snap.PageCache,
+		FineCache:            snap.FineCache,
+		PageCacheMemoryBytes: s.V.PageCache().MemoryBytes(),
+		Stages:               s.SA.Snapshot(),
+		Resources:            s.Res.Snapshot(now),
+	}
+	if s.Core != nil {
+		r.FineCacheMemoryBytes = s.Core.MemoryBytes()
+		r.Threshold = s.Core.Threshold()
+		r.Core = s.Core.Stats()
+	}
+	if s.Inj != nil {
+		f := s.Faults()
+		r.Faults = &f
+	}
+	return r
+}
+
+// String renders the report for humans.
+func (r Report) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "virtual time      %v\n", r.Elapsed)
+	fmt.Fprintf(&b, "requested         %.2f MB\n", float64(r.IO.BytesRequested)/(1<<20))
+	fmt.Fprintf(&b, "read traffic      %.2f MB (amplification %.2fx)\n",
+		r.IO.TrafficMB(), r.IO.ReadAmplification())
+	fmt.Fprintf(&b, "write traffic     %.2f MB\n", float64(r.IO.BytesWritten)/(1<<20))
+	fmt.Fprintf(&b, "page cache        %.1f%% hit (%d/%d), %.1f MB resident\n",
+		r.PageCache.HitRatio()*100, r.PageCache.Hits, r.PageCache.Accesses,
+		float64(r.PageCacheMemoryBytes)/(1<<20))
+	fmt.Fprintf(&b, "fine cache        %.1f%% hit (%d/%d), %.1f MB resident, threshold %d\n",
+		r.FineCache.HitRatio()*100, r.FineCache.Hits, r.FineCache.Accesses,
+		float64(r.FineCacheMemoryBytes)/(1<<20), r.Threshold)
+	fmt.Fprintf(&b, "fine path         %d reads, %d admissions, %d bypasses, %d evictions, %d migrations, %d reassignments, %d repromotions, %d invalidations",
+		r.Core.FineReads, r.Core.Admissions, r.Core.TempBypasses,
+		r.Core.Evictions, r.Core.Migrations, r.Core.Reassignments,
+		r.Core.Repromotions, r.Core.Invalidations)
+	if f := r.Faults; f != nil {
+		fmt.Fprintf(&b, "\nfaults            %d injected: %d ECC retries, %d uncorrectable, %d ring + %d DMA fallbacks, %d program + %d writeback retries",
+			f.Injected, f.ECCRetries, f.Uncorrectable,
+			f.RingFallbacks, f.DMAFallbacks, f.ProgramRetries, f.WritebackRetries)
+	}
+	if r.Stages.Requests > 0 {
+		fmt.Fprintf(&b, "\n\nstage waterfall\n%s", r.Stages.Waterfall().Render())
+	}
+	if r.Resources != nil && len(r.Resources.Resources) > 0 {
+		fmt.Fprintf(&b, "\nresource utilization\n%s", r.Resources.Table(false).Render())
+	}
+	return b.String()
 }
 
 // Faults aggregates the injection and recovery counters of every layer

@@ -423,6 +423,8 @@ type replay struct {
 	start sim.Time
 	tail  *telemetry.TailRecorder
 	grid  *telemetry.LatencyGrid
+
+	dumped bool // the first tolerated media error dumped the flight ring
 }
 
 // pending is one arrived request waiting for admission.
@@ -539,6 +541,9 @@ func (r *replay) dispatch(now sim.Time, p pending) sim.Time {
 		if k >= 0 {
 			r.res.Lost++
 		}
+		if !r.dumped {
+			r.dumpLost(seq, now)
+		}
 	case err != nil:
 		r.err = fmt.Errorf("bench: request %d (%+v): %w", seq, req, err)
 	case k >= 0 && r.err == nil:
@@ -549,6 +554,15 @@ func (r *replay) dispatch(now sim.Time, p pending) sim.Time {
 		}
 	}
 	return done
+}
+
+// dumpLost dumps the armed flight ring at the first tolerated media error,
+// naming the engine, the workload and the request. It is a call of its
+// own so the fault-free dispatch path keeps its size.
+func (r *replay) dumpLost(seq int, now sim.Time) {
+	r.dumped = true
+	flightAnomaly(fmt.Sprintf("uncorrectable media error: %s, %s, request %d at %v",
+		r.e.Name(), r.gen.Name(), seq, now))
 }
 
 // verify checks the bytes a read returned against the engine's oracle.

@@ -21,9 +21,11 @@ var (
 // ArmFlight arms a shared flight recorder for every engine the harness
 // builds from here on: newEngine installs it as each private system's
 // tracer, and a cell that panics invokes dump (with the cell label and
-// panic value as the reason) before the panic propagates. Callers make
-// dump idempotent — a parallel run can have several cells fail. Passing
-// nil disarms.
+// panic value as the reason) before the panic propagates. A replay that
+// tolerates an uncorrectable media error invokes dump at the first one,
+// naming the engine, the workload and the request. Callers make dump
+// idempotent — a parallel run can have several cells fail. Passing nil
+// disarms.
 func ArmFlight(fr *telemetry.FlightRecorder, dump func(reason string)) {
 	flightMu.Lock()
 	flightRec = fr
@@ -45,11 +47,17 @@ func flightPanic(label string) {
 	if r == nil {
 		return
 	}
+	flightAnomaly(fmt.Sprintf("panic in cell %q: %v", label, r))
+	panic(r)
+}
+
+// flightAnomaly dumps the armed flight ring with reason; unarmed, it does
+// nothing.
+func flightAnomaly(reason string) {
 	flightMu.Lock()
 	dump := flightDump
 	flightMu.Unlock()
 	if dump != nil {
-		dump(fmt.Sprintf("panic in cell %q: %v", label, r))
+		dump(reason)
 	}
-	panic(r)
 }

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"pipette/internal/fault"
 	"pipette/internal/telemetry"
+	"pipette/internal/workload"
 )
 
 // TestFlightPanicDumpsAndRethrows pins the -flight-dump panic path: a
@@ -62,5 +64,47 @@ func TestArmFlightInstallsTracer(t *testing.T) {
 	ArmFlight(nil, nil)
 	if got := armedFlight(); got != nil {
 		t.Fatalf("disarm left recorder %v installed", got)
+	}
+}
+
+// TestMediaErrorDumpsFlightOnce pins the -flight-dump promise for media
+// errors: a replay that tolerates uncorrectable reads dumps the armed ring
+// at the first one, once, with the engine, the workload and the request
+// in the reason.
+func TestMediaErrorDumpsFlightOnce(t *testing.T) {
+	var reasons []string
+	ArmFlight(telemetry.NewFlightRecorder(16), func(reason string) { reasons = append(reasons, reason) })
+	defer ArmFlight(nil, nil)
+
+	s := TinyScale()
+	prof, err := fault.ParseProfile("nand.read:rber*80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.stackConfig(s.FileSize())
+	cfg.FaultProfile = prof
+	e, err := newEngine(0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := workload.Mixes(s.FileSize(), 4096, workload.Uniform, 7)[4] // E
+	gen, err := workload.NewSynthetic(mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(e, gen, 4000, RunOpts{TolerateMediaErrors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lost < 2 {
+		t.Fatalf("%d requests lost; the test needs at least two media errors", res.Lost)
+	}
+	if len(reasons) != 1 {
+		t.Fatalf("dump called %d times, want once: %q", len(reasons), reasons)
+	}
+	for _, want := range []string{"uncorrectable", e.Name(), gen.Name(), "request "} {
+		if !strings.Contains(reasons[0], want) {
+			t.Errorf("dump reason %q does not name %q", reasons[0], want)
+		}
 	}
 }

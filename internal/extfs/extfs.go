@@ -345,8 +345,9 @@ func (fs *FS) Files() []string {
 }
 
 // Peek reads file bytes through the zero-time oracle: [off, off+len(buf))
-// of the file's *device* content (not the page cache). Used to serve clean
-// page-cache hits and to verify reads in tests.
+// of the file's *device* content (not the page cache). A hole, a page the
+// device holds no data for, reads as zeros, as a timed read returns it.
+// Used to serve clean page-cache hits and to verify reads.
 func (fs *FS) Peek(ino *Inode, off int64, buf []byte) error {
 	if off < 0 || off+int64(len(buf)) > ino.Size {
 		return fmt.Errorf("%w: peek [%d,+%d) of %q", ErrBadRange, off, len(buf), ino.Name)
@@ -365,7 +366,10 @@ func (fs *FS) Peek(ino *Inode, off int64, buf []byte) error {
 			return err
 		}
 		if err := fs.ctrl.PeekLBA(lba, inPage, buf[n:n+chunk]); err != nil {
-			return err
+			if !errors.Is(err, ftl.ErrUnmapped) {
+				return err
+			}
+			clear(buf[n : n+chunk])
 		}
 		n += chunk
 	}

@@ -277,9 +277,6 @@ func (r *Replayer) Name() string { return "trace:" + r.name }
 // FileSize implements workload.Generator.
 func (r *Replayer) FileSize() int64 { return r.fileSize }
 
-// Len reports the trace length.
-func (r *Replayer) Len() int { return len(r.reqs) }
-
 // Next implements workload.Generator, cycling at the end.
 func (r *Replayer) Next() workload.Request {
 	req := r.reqs[r.pos]

@@ -234,7 +234,7 @@ func TestReplayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Name() != "trace:test" || r.FileSize() != 1<<20 || r.Len() != 2 {
+	if r.Name() != "trace:test" || r.FileSize() != 1<<20 {
 		t.Fatalf("replayer metadata wrong")
 	}
 	// Cycles.

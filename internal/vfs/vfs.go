@@ -258,7 +258,7 @@ func (f *File) Size() int64 { return f.inode.Size }
 // the content a read returns, at no virtual time and without counting a
 // lookup, moving a page in the LRU or touching read-ahead. A resident
 // dirty page supplies its own bytes, then the latest queued writeback of
-// the page, then the device through extfs.FS.Peek, which fails on a hole.
+// the page, then the device through extfs.FS.Peek (zeros for a hole).
 func (f *File) Peek(off int64, buf []byte) error {
 	v := f.v
 	if off < 0 || off+int64(len(buf)) > f.inode.Size {

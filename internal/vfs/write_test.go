@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pipette/internal/extfs"
 	"pipette/internal/pagecache"
 	"pipette/internal/sim"
 )
@@ -329,5 +330,32 @@ func TestPeekSeesUnflushedWrites(t *testing.T) {
 	check("on the device")
 	if err := f.Peek(1<<16-10, make([]byte, 11)); err == nil {
 		t.Fatal("Peek past the end of the file accepted")
+	}
+}
+
+// TestPeekReadsHolesAsZeros checks both oracles against a timed read on a
+// file created without preload: its pages are holes, which ReadAt returns
+// as zeros, and File.Peek and extfs.FS.Peek must return the same bytes.
+func TestPeekReadsHolesAsZeros(t *testing.T) {
+	v := testVFS(t, 8)
+	f, err := v.Create("sparse", 1<<16, extfs.CreateOpts{}, ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 128)
+	if _, _, err := f.ReadAt(0, got, 4096); err != nil {
+		t.Fatal(err)
+	}
+	for name, peek := range map[string]func([]byte) error{
+		"File.Peek": func(b []byte) error { return f.Peek(4096, b) },
+		"FS.Peek":   func(b []byte) error { return v.FS().Peek(f.Inode(), 4096, b) },
+	} {
+		want := bytes.Repeat([]byte{0xff}, 128)
+		if err := peek(want); err != nil {
+			t.Fatalf("%s of a hole: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s of a hole differs from ReadAt", name)
+		}
 	}
 }

@@ -85,6 +85,9 @@ var knobAllow = map[string]string{
 		"waits for ROADMAP item 2's benchmark change",
 	"extfs.CreateOpts.ExtentPages": "only the extfs fragmentation and rollback tests set it, to " +
 		"build files of many small extents",
+	"pipette.Options.DisableFineCache": "public facade option (Pipette w/o cache); pipette-sim now " +
+		"builds baseline.NewPipetteNoCache, and benchmark/ledger_test.go and bench_test.go set it; " +
+		"waits for ROADMAP item 2's benchmark change",
 }
 
 func TestKnobs(t *testing.T) {

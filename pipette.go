@@ -21,7 +21,6 @@ package pipette
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -381,54 +380,8 @@ type Report struct {
 func (s *System) Report() Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.st.Snapshot("")
-	r := Report{
-		Elapsed:              s.clock.Now(),
-		IO:                   snap.IO,
-		PageCache:            snap.PageCache,
-		FineCache:            snap.FineCache,
-		FineCacheMemoryBytes: s.st.Core.MemoryBytes(),
-		PageCacheMemoryBytes: s.st.V.PageCache().MemoryBytes(),
-		Threshold:            s.st.Core.Threshold(),
-		Core:                 s.st.Core.Stats(),
-		Stages:               s.st.SA.Snapshot(),
-		Resources:            s.st.Res.Snapshot(s.clock.Now()),
-	}
-	if s.st.Inj != nil {
-		f := s.st.Faults()
-		r.Faults = &f
-	}
-	return r
+	return Report(s.st.Report(s.clock.Now()))
 }
 
 // String renders the report for humans.
-func (r Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "virtual time      %v\n", r.Elapsed)
-	fmt.Fprintf(&b, "requested         %.2f MB\n", float64(r.IO.BytesRequested)/(1<<20))
-	fmt.Fprintf(&b, "read traffic      %.2f MB (amplification %.2fx)\n",
-		r.IO.TrafficMB(), r.IO.ReadAmplification())
-	fmt.Fprintf(&b, "write traffic     %.2f MB\n", float64(r.IO.BytesWritten)/(1<<20))
-	fmt.Fprintf(&b, "page cache        %.1f%% hit (%d/%d), %.1f MB resident\n",
-		r.PageCache.HitRatio()*100, r.PageCache.Hits, r.PageCache.Accesses,
-		float64(r.PageCacheMemoryBytes)/(1<<20))
-	fmt.Fprintf(&b, "fine cache        %.1f%% hit (%d/%d), %.1f MB resident, threshold %d\n",
-		r.FineCache.HitRatio()*100, r.FineCache.Hits, r.FineCache.Accesses,
-		float64(r.FineCacheMemoryBytes)/(1<<20), r.Threshold)
-	fmt.Fprintf(&b, "fine path         %d reads, %d admissions, %d bypasses, %d evictions, %d migrations, %d reassignments, %d repromotions, %d invalidations",
-		r.Core.FineReads, r.Core.Admissions, r.Core.TempBypasses,
-		r.Core.Evictions, r.Core.Migrations, r.Core.Reassignments,
-		r.Core.Repromotions, r.Core.Invalidations)
-	if f := r.Faults; f != nil {
-		fmt.Fprintf(&b, "\nfaults            %d injected: %d ECC retries, %d uncorrectable, %d ring + %d DMA fallbacks, %d program + %d writeback retries",
-			f.Injected, f.ECCRetries, f.Uncorrectable,
-			f.RingFallbacks, f.DMAFallbacks, f.ProgramRetries, f.WritebackRetries)
-	}
-	if r.Stages.Requests > 0 {
-		fmt.Fprintf(&b, "\n\nstage waterfall\n%s", r.Stages.Waterfall().Render())
-	}
-	if r.Resources != nil && len(r.Resources.Resources) > 0 {
-		fmt.Fprintf(&b, "\nresource utilization\n%s", r.Resources.Table(false).Render())
-	}
-	return b.String()
-}
+func (r Report) String() string { return baseline.Report(r).String() }

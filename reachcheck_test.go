@@ -80,8 +80,6 @@ var reachAllow = map[string]string{
 	"pipette/internal/telemetry.(*FlightRecorder).Len":       "observation: TestFlightRecorderRing checks the ring's fill",
 	"pipette/internal/telemetry.(*StageAccount).SetOnFinish": "observation: TestStageAccountOnFinishConservation checks each finished request",
 	"pipette/internal/telemetry.(*TailRecorder).Observed":    "observation: TestTailRecorderMatchesSort counts observed requests",
-	"pipette/internal/trace.(*Replayer).FileSize":            "observation: TestReplayer checks the workload.Generator metadata",
-	"pipette/internal/trace.(*Replayer).Name":                "observation: TestReplayer checks the workload.Generator metadata",
 	"pipette/internal/trace.(*Writer).Count":                 "observation: TestRoundTrip counts appended records",
 	"pipette/internal/workload.(*Recommender).TableVectors":  "observation: TestRecommenderLayout reads the table sizes",
 	"pipette/internal/workload.(*SearchEngine).PostingBytes": "observation: TestSearchEngineLayout reads the posting lists",
