@@ -73,8 +73,10 @@ func main() {
 	if _, err := fault.ParseProfile(*faultProf); err != nil {
 		log.Fatalf("pipette-kv: %v", err)
 	}
-	if err := checkOps(*ops); err != nil {
-		log.Fatalf("pipette-kv: %v", err)
+	for _, err := range []error{checkOps(*ops), checkValues(*valBytes), checkSkew(*skew)} {
+		if err != nil {
+			log.Fatalf("pipette-kv: %v", err)
+		}
 	}
 
 	if *shards > 0 {
@@ -168,6 +170,23 @@ type clusterOpts struct {
 func checkOps(n int) error {
 	if n < 1 {
 		return fmt.Errorf("-ops %d: need at least 1", n)
+	}
+	return nil
+}
+
+// checkValues rejects a negative -values size; 0 selects mixed sizes.
+func checkValues(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-values %d: need 0 (mixed sizes) or a positive size", n)
+	}
+	return nil
+}
+
+// checkSkew rejects a -skew outside the Zipf theta range [0, 1): the
+// multi-tenant generator would replay uniform keys for a negative theta.
+func checkSkew(theta float64) error {
+	if !(theta >= 0 && theta < 1) {
+		return fmt.Errorf("-skew %v: need a Zipf theta in [0, 1)", theta)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestCheckOps(t *testing.T) {
 	for _, tc := range []struct {
@@ -14,6 +17,40 @@ func TestCheckOps(t *testing.T) {
 	} {
 		if err := checkOps(tc.n); (err == nil) != tc.ok {
 			t.Errorf("checkOps(%d) = %v, want ok=%v", tc.n, err, tc.ok)
+		}
+	}
+}
+
+func TestCheckValues(t *testing.T) {
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{
+		{0, true},
+		{64, true},
+		{-1, false},
+		{-5, false},
+	} {
+		if err := checkValues(tc.n); (err == nil) != tc.ok {
+			t.Errorf("checkValues(%d) = %v, want ok=%v", tc.n, err, tc.ok)
+		}
+	}
+}
+
+func TestCheckSkew(t *testing.T) {
+	for _, tc := range []struct {
+		theta float64
+		ok    bool
+	}{
+		{0, true},
+		{0.99, true},
+		{-0.5, false},
+		{1, false},
+		{1.2, false},
+		{math.NaN(), false},
+	} {
+		if err := checkSkew(tc.theta); (err == nil) != tc.ok {
+			t.Errorf("checkSkew(%v) = %v, want ok=%v", tc.theta, err, tc.ok)
 		}
 	}
 }

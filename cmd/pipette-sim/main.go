@@ -125,6 +125,9 @@ func run(args []string, stdout io.Writer) int {
 	if err := checkRequests(r.requests); err != nil {
 		return fail(2, err)
 	}
+	if r.qd < 1 {
+		return fail(2, fmt.Errorf("-qd %d: need at least 1", r.qd))
+	}
 	interval, err := statsInterval(*statsInt)
 	if err != nil {
 		return fail(2, err)

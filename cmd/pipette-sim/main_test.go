@@ -101,6 +101,28 @@ func TestCheckRequests(t *testing.T) {
 	}
 }
 
+// TestQueueDepthFlag runs the command with -qd values: below 1 is a usage
+// error before any simulation, and 1 replays.
+func TestQueueDepthFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-arrivals", "poisson", "-qd", "-3"}, 2},
+		{[]string{"-arrivals", "bursty", "-qd", "0"}, 2},
+		{[]string{"-qd", "0"}, 2},
+		{[]string{"-arrivals", "poisson", "-qd", "1", "-requests", "50", "-file-mb", "1", "-pagecache", "1", "-finecache", "1"}, 0},
+	} {
+		var out bytes.Buffer
+		if code := run(tc.args, &out); code != tc.code {
+			t.Errorf("run %q: exit %d, want %d", tc.args, code, tc.code)
+		}
+		if tc.code != 0 && out.Len() > 0 {
+			t.Errorf("run %q printed a report before failing:\n%s", tc.args, out.String())
+		}
+	}
+}
+
 func TestWorkloadNames(t *testing.T) {
 	for _, tc := range []struct {
 		list string

@@ -269,8 +269,9 @@ type RunOpts struct {
 	// its schedule regardless of completions.
 	Arrivals workload.Arrivals
 	// Depth bounds in-flight open-loop requests: arrivals past the bound
-	// wait in an admission FIFO, and that wait is attributed to the queue
-	// stage. Values < 1 clamp to 1; a closed loop always has one in flight.
+	// wait, in arrival order, for an in-flight request to complete, and
+	// that wait is attributed to the queue stage. Values < 1 clamp to 1; a
+	// closed loop always has one in flight.
 	Depth int
 	// Offered is the nominal open-loop arrival rate in ops/s, recorded on
 	// the result for reporting (the achieved rate comes from the snapshot).
@@ -347,23 +348,26 @@ func tailKeep(requests int) int {
 // metrics. Write requests carry a deterministic payload.
 //
 // The engine's stack executes each dispatched request synchronously in
-// virtual time, so a closed loop never has a second request in flight: it
-// dispatches each request in a plain loop at its predecessor's completion.
-// An open loop runs on a sim.Engine event loop: arrivals enter an
-// admission FIFO and dispatch while fewer than Depth requests are in
-// flight. Overlap between in-flight requests emerges from the contended
-// device resources (NAND dies and channel buses, the PCIe link and NVMe
-// fetch arbiter when enabled) that persist across calls. Host-side
-// software state (caches, the fine-read ring) mutates at dispatch, a
-// modeling simplification documented in DESIGN.md §8.
-// Latency is measured arrival to completion, so open-loop queueing delay
-// is part of the distribution and of the stage account's queue stage.
+// virtual time and returns its completion, so the whole schedule is one
+// loop over depth in-flight slots, each holding the completion time of the
+// request it last served: a closed loop has one slot, where each request
+// arrives the moment its predecessor completes; an open loop has Depth
+// slots, and requests arrive on the Arrivals schedule. Each request takes
+// the slot that frees first and dispatches once it has arrived, its
+// predecessor has dispatched and that slot is free — the dispatch time a
+// FIFO admission queue with a Depth bound gives. Overlap between in-flight
+// requests emerges from the contended device resources (NAND dies and
+// channel buses, the PCIe link and NVMe fetch arbiter when enabled) that
+// persist across calls. Host-side software state (caches, the fine-read
+// ring) mutates at dispatch, a modeling simplification documented in
+// DESIGN.md §8. Latency is measured arrival to completion, so open-loop
+// queueing delay is part of the distribution and of the stage account's
+// queue stage.
 func Run(e baseline.Engine, gen workload.Generator, requests int, opts RunOpts) (*Result, error) {
 	if opts.Warmup > 0 && opts.Arrivals != nil {
 		return nil, errors.New("bench: an open-loop replay takes no warmup; replay the warm-up as its own call")
 	}
-	r := &replay{e: e, gen: gen, opts: opts, total: opts.Warmup + requests,
-		res: &Result{Name: e.Name(), Workload: gen.Name()}}
+	r := &replay{e: e, gen: gen, opts: opts, res: &Result{Name: e.Name(), Workload: gen.Name()}}
 	r.buf = make([]byte, 4096)
 	r.want = make([]byte, 4096)
 	r.payload = make([]byte, 4096)
@@ -376,11 +380,7 @@ func Run(e baseline.Engine, gen workload.Generator, requests int, opts RunOpts) 
 	if opts.Warmup == 0 {
 		r.begin(0)
 	}
-	if opts.Arrivals == nil {
-		r.closedLoop()
-	} else {
-		r.openLoop()
-	}
+	r.loop(opts.Warmup + requests)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -394,29 +394,18 @@ func Run(e baseline.Engine, gen workload.Generator, requests int, opts RunOpts) 
 	return res, nil
 }
 
-// replay is the state of one Run: the measurement that starts once the
-// warmup has completed and, for an open loop, the event loop with its
-// admission FIFO and in-flight count.
+// replay is the state of one Run: the request buffers and the measurement
+// that starts once the warmup has completed.
 type replay struct {
-	e     baseline.Engine
-	gen   workload.Generator
-	opts  RunOpts
-	total int // warmup plus measured requests
+	e    baseline.Engine
+	gen  workload.Generator
+	opts RunOpts
 
 	dispatched int
 	lastDone   sim.Time
 	err        error
 
 	buf, want, payload []byte
-
-	// Open loop only.
-	eng                  *sim.Engine
-	depth                int
-	queue                []pending
-	head                 int
-	inFlight             int
-	arrived              int
-	arriveFn, completeFn func(sim.Time)
 
 	res   *Result
 	base  metrics.Snapshot
@@ -425,12 +414,6 @@ type replay struct {
 	grid  *telemetry.LatencyGrid
 
 	dumped bool // the first tolerated media error dumped the flight ring
-}
-
-// pending is one arrived request waiting for admission.
-type pending struct {
-	arrival sim.Time
-	req     workload.Request
 }
 
 // begin starts the measured phase at now. The tail capture and the latency
@@ -443,70 +426,38 @@ func (r *replay) begin(now sim.Time) {
 	r.grid = telemetry.NewLatencyGrid(now)
 }
 
-// closedLoop replays with one client: each request arrives the moment its
-// predecessor completes, so none ever waits and no event queue is needed.
-// The warmup's last completion starts the measured phase.
-func (r *replay) closedLoop() {
-	var now sim.Time
-	for i := 1; i <= r.total && r.err == nil; i++ {
-		done := r.dispatch(now, pending{arrival: now, req: r.gen.Next()})
+// loop replays total requests through the in-flight slots; free holds each
+// slot's completion time. Fewer than depth requests are in flight exactly
+// when some slot has freed, so taking the slot that frees first gives each
+// request the dispatch time of the head of an admission FIFO, and
+// dispatches stay in request order (DESIGN.md §8).
+func (r *replay) loop(total int) {
+	depth := 1
+	if r.opts.Arrivals != nil {
+		depth = max(r.opts.Depth, 1)
+		r.res.Offered, r.res.Depth, r.res.Arrivals = r.opts.Offered, depth, r.opts.Arrivals.Name()
+	}
+	free := make([]sim.Time, depth)
+	var arrival, now sim.Time
+	for i := 1; i <= total && r.err == nil; i++ {
+		slot := 0
+		for j, t := range free {
+			if t < free[slot] {
+				slot = j
+			}
+		}
+		if r.opts.Arrivals != nil {
+			arrival += r.opts.Arrivals.Next()
+		} else {
+			arrival = free[slot]
+		}
+		now = max(now, arrival, free[slot])
+		done := r.dispatch(now, arrival, r.gen.Next())
 		r.lastDone = max(r.lastDone, done)
-		now = max(now, done)
+		free[slot] = max(now, done)
 		if i == r.opts.Warmup {
-			r.begin(now)
+			r.begin(free[slot])
 		}
-	}
-}
-
-// openLoop replays on the arrival schedule, through the admission FIFO,
-// with at most depth requests in flight.
-func (r *replay) openLoop() {
-	r.eng = sim.NewEngine()
-	r.depth = max(r.opts.Depth, 1)
-	r.res.Offered, r.res.Depth, r.res.Arrivals = r.opts.Offered, r.depth, r.opts.Arrivals.Name()
-	// The callbacks are bound once, so the loop allocates nothing per request.
-	r.arriveFn, r.completeFn = r.arrive, r.complete
-	if r.total > 0 {
-		r.eng.At(r.opts.Arrivals.Next(), r.arriveFn)
-	}
-	r.eng.Run()
-}
-
-func (r *replay) arrive(now sim.Time) {
-	if r.err != nil {
-		return
-	}
-	req := r.gen.Next()
-	r.arrived++
-	if r.arrived < r.total {
-		r.eng.At(now+r.opts.Arrivals.Next(), r.arriveFn)
-	}
-	r.queue = append(r.queue, pending{arrival: now, req: req})
-	r.admit(now)
-}
-
-func (r *replay) complete(now sim.Time) {
-	r.inFlight--
-	r.admit(now)
-}
-
-// admit dispatches queued requests while the depth bound allows.
-func (r *replay) admit(now sim.Time) {
-	for r.err == nil && r.inFlight < r.depth && r.head < len(r.queue) {
-		p := r.queue[r.head]
-		r.head++
-		done := r.dispatch(now, p)
-		if done > r.lastDone {
-			r.lastDone = done
-		}
-		r.inFlight++
-		r.eng.At(done, r.completeFn)
-	}
-	// Reclaim the drained backlog so a long overloaded run does not hold
-	// every request in memory.
-	if r.head == len(r.queue) {
-		r.queue = r.queue[:0]
-		r.head = 0
 	}
 }
 
@@ -514,8 +465,7 @@ func (r *replay) admit(now sim.Time) {
 // only place the harness calls the engine's ReadAt and WriteAt. It returns
 // the completion time; a failed request still occupies the system until
 // then. A fatal error is left on r.err.
-func (r *replay) dispatch(now sim.Time, p pending) sim.Time {
-	req := p.req
+func (r *replay) dispatch(now, arrival sim.Time, req workload.Request) sim.Time {
 	seq := r.dispatched
 	k := seq - r.opts.Warmup // measured index; negative during warmup
 	r.dispatched++
@@ -523,8 +473,8 @@ func (r *replay) dispatch(now sim.Time, p pending) sim.Time {
 	// A request that waited for admission arms the stage account with its
 	// arrival time: the span [arrival, now) becomes its queue stage and its
 	// latency is measured from arrival.
-	if p.arrival < now {
-		r.e.Stages().PreQueue(p.arrival)
+	if arrival < now {
+		r.e.Stages().PreQueue(arrival)
 	}
 	var done sim.Time
 	var err error
@@ -547,8 +497,8 @@ func (r *replay) dispatch(now sim.Time, p pending) sim.Time {
 	case err != nil:
 		r.err = fmt.Errorf("bench: request %d (%+v): %w", seq, req, err)
 	case k >= 0 && r.err == nil:
-		r.res.Hist.Observe(done - p.arrival)
-		r.grid.Observe(done, done-p.arrival)
+		r.res.Hist.Observe(done - arrival)
+		r.grid.Observe(done, done-arrival)
 		if r.opts.Sampler != nil {
 			r.opts.Sampler.Tick(done)
 		}

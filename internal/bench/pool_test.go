@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pipette/internal/baseline"
 	"pipette/internal/workload"
 )
 
@@ -132,23 +133,29 @@ func TestExperimentDeterminism(t *testing.T) {
 // Track these with `go test -bench 'BenchmarkRun' -benchmem ./internal/bench`
 // and compare revisions with benchstat.
 
-func benchmarkRunEngine(b *testing.B, idx int) {
+// benchmarkRun replays b.N requests of Table 1 mix (0 = A ... 4 = E),
+// uniform at tiny scale, on engine idx built over cfg.
+func benchmarkRun(b *testing.B, idx int, cfg baseline.StackConfig, mix int, opts RunOpts) {
 	b.Helper()
 	s := TinyScale()
-	e, err := newEngine(idx, s.stackConfig(s.FileSize()))
+	e, err := newEngine(idx, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mix := workload.Mixes(s.FileSize(), 4096, workload.Uniform, 0xbead)[4] // E: all fine reads
-	gen, err := workload.NewSynthetic(mix)
+	gen, err := workload.NewSynthetic(workload.Mixes(s.FileSize(), 4096, workload.Uniform, 0xbead)[mix])
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := Run(e, gen, b.N, RunOpts{}); err != nil {
+	if _, err := Run(e, gen, b.N, opts); err != nil {
 		b.Fatal(err)
 	}
+}
+
+func benchmarkRunEngine(b *testing.B, idx int) {
+	s := TinyScale()
+	benchmarkRun(b, idx, s.stackConfig(s.FileSize()), 4, RunOpts{}) // E: all fine reads
 }
 
 // BenchmarkRunPipette measures per-request cost of the full harness loop on
@@ -158,6 +165,19 @@ func BenchmarkRunPipette(b *testing.B) { benchmarkRunEngine(b, 4) }
 // BenchmarkRunBlockIO measures per-request cost on the conventional block
 // engine.
 func BenchmarkRunBlockIO(b *testing.B) { benchmarkRunEngine(b, 0) }
+
+// BenchmarkRunOpenLoop measures per-request cost of an open-loop replay in
+// the benchmark's open-mixc shape: Pipette with contention on, mix C,
+// Poisson arrivals at 200k ops/s (about two thirds of the ~290k ops/s this
+// stack saturates at, depth 16) and depth 16.
+func BenchmarkRunOpenLoop(b *testing.B) {
+	const rate = 200_000
+	arr, err := workload.NewPoisson(rate, 0xa221)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchmarkRun(b, 4, qdepthConfig(TinyScale()), 2, RunOpts{Arrivals: arr, Depth: 16, Offered: rate})
+}
 
 // TestPoolRecordsRunsOfFailedBatch: with the export on, a batch's run
 // records keep cell order, and a failed batch still keeps the cells that

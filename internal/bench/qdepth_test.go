@@ -7,6 +7,8 @@ import (
 
 	"pipette/internal/baseline"
 	"pipette/internal/fault"
+	"pipette/internal/metrics"
+	"pipette/internal/resource"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
 	"pipette/internal/workload"
@@ -226,6 +228,133 @@ func TestClosedLoopMatchesOpenLoopAtPriorCompletion(t *testing.T) {
 		}
 		if closed.Snapshot.Ops != requests || closed.Tail == nil || len(closed.Tail.TopK) == 0 {
 			t.Errorf("%s: the replay lost requests or captured no tail: %+v", closed.Name, closed.Snapshot)
+		}
+	}
+}
+
+// schedCall is one engine call of a replay: its dispatch time and the
+// arrival of the request it served.
+type schedCall struct{ dispatch, arrival sim.Time }
+
+// stubService is the service time of the k-th call: 0, 2 or 4 µs by a
+// seeded hash, so zero-length services and tied completions both occur.
+func stubService(k int) sim.Time {
+	return sim.Time(sim.Mix64(uint64(k)^0x51a7)%3) * 2 * sim.Microsecond
+}
+
+// serviceStub is an engine whose k-th call completes stubService(k) after
+// its dispatch. It records each call's dispatch time and arrival; the
+// arrival is where its stage account starts the request once PreQueue
+// has moved the start back. Run calls no other method of the embedded
+// (nil) engine.
+type serviceStub struct {
+	baseline.Engine
+	acc   *telemetry.StageAccount
+	calls []schedCall
+}
+
+func (s *serviceStub) serve(now sim.Time) (sim.Time, error) {
+	done := now + stubService(len(s.calls))
+	s.acc.Begin(now)
+	s.calls = append(s.calls, schedCall{dispatch: now, arrival: done - s.acc.Finish(done)})
+	return done, nil
+}
+
+func (s *serviceStub) ReadAt(now sim.Time, _ []byte, _ int64) (sim.Time, error)  { return s.serve(now) }
+func (s *serviceStub) WriteAt(now sim.Time, _ []byte, _ int64) (sim.Time, error) { return s.serve(now) }
+func (s *serviceStub) Name() string                                              { return "stub" }
+func (s *serviceStub) Snapshot() metrics.Snapshot                                { return metrics.Snapshot{} }
+func (s *serviceStub) Stages() *telemetry.StageAccount                           { return s.acc }
+func (s *serviceStub) Resources() *resource.Tracker                              { return nil }
+
+// smallReads is a generator of 128-byte reads at offset zero.
+type smallReads struct{}
+
+func (smallReads) Name() string           { return "small-reads" }
+func (smallReads) FileSize() int64        { return 4096 }
+func (smallReads) Next() workload.Request { return workload.Request{Size: 128} }
+
+// fifoReference is the event-driven admission rule the slot loop replaced,
+// kept as a reference model: requests arrive as events on a sim.Engine,
+// wait in a FIFO, and the head dispatches while fewer than depth requests
+// are in flight, each served for stubService. It returns every dispatch,
+// the arrival-to-completion histogram and the last completion.
+func fifoReference(arr workload.Arrivals, depth, total int) (calls []schedCall, hist metrics.Histogram, last sim.Time) {
+	eng := sim.NewEngine()
+	var queue []sim.Time
+	inFlight, arrived := 0, 0
+	var admit, complete, arrive func(sim.Time)
+	admit = func(now sim.Time) {
+		for inFlight < depth && len(queue) > 0 {
+			arrival := queue[0]
+			queue = queue[1:]
+			done := now + stubService(len(calls))
+			calls = append(calls, schedCall{now, arrival})
+			hist.Observe(done - arrival)
+			last = max(last, done)
+			inFlight++
+			eng.At(done, complete)
+		}
+	}
+	complete = func(now sim.Time) { inFlight--; admit(now) }
+	arrive = func(now sim.Time) {
+		if arrived++; arrived < total {
+			eng.At(now+arr.Next(), arrive)
+		}
+		queue = append(queue, now)
+		admit(now)
+	}
+	eng.At(arr.Next(), arrive)
+	eng.Run()
+	return calls, hist, last
+}
+
+// TestOpenLoopMatchesFIFOReference pins the replay loop's schedule against
+// the event-driven FIFO admission it replaced: at every depth and arrival
+// process, each engine call dispatches at the reference's time for the
+// reference's arrival, and the latency histogram and snapshot match.
+func TestOpenLoopMatchesFIFOReference(t *testing.T) {
+	const requests = 3_000
+	arrivals := map[string]func() workload.Arrivals{
+		"poisson": func() workload.Arrivals {
+			a, err := workload.NewPoisson(600_000, 0xa221)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		},
+		"bursty": func() workload.Arrivals {
+			a, err := workload.NewBursty(300_000, qdepthBurstLen, qdepthBurstPeak, 0xa221)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		},
+		"zero-gap": func() workload.Arrivals { return zeroGap{} },
+	}
+	for _, depth := range []int{1, 2, 7, 64} {
+		for _, kind := range []string{"poisson", "bursty", "zero-gap"} {
+			wantCalls, wantHist, last := fifoReference(arrivals[kind](), depth, requests)
+			e := &serviceStub{acc: telemetry.NewStageAccount()}
+			res, err := Run(e, smallReads{}, requests, RunOpts{Arrivals: arrivals[kind](), Depth: depth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(e.calls, wantCalls) {
+				for k := range min(len(e.calls), len(wantCalls)) {
+					if e.calls[k] != wantCalls[k] {
+						t.Errorf("qd%d %s: call %d %+v, reference %+v", depth, kind, k, e.calls[k], wantCalls[k])
+						break
+					}
+				}
+				t.Errorf("qd%d %s: %d calls, reference %d", depth, kind, len(e.calls), len(wantCalls))
+			}
+			if !reflect.DeepEqual(res.Hist, wantHist) {
+				t.Errorf("qd%d %s: histogram %+v, reference %+v", depth, kind, res.Hist, wantHist)
+			}
+			if want := measured(metrics.Snapshot{}, metrics.Snapshot{}, &wantHist, last); !reflect.DeepEqual(res.Snapshot, want) {
+				t.Errorf("qd%d %s: snapshot %+v, reference %+v", depth, kind, res.Snapshot, want)
+			}
 		}
 	}
 }
