@@ -23,10 +23,11 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 
@@ -41,52 +42,66 @@ import (
 )
 
 func main() {
-	var (
-		records   = flag.Uint64("records", 100_000, "records preloaded into the store")
-		ops       = flag.Int("ops", 100_000, "operations replayed per workload")
-		wls       = flag.String("workload", "A,C", "comma-separated YCSB workloads (A-F)")
-		fine      = flag.Bool("fine", true, "serve Gets through the fine-grained read path")
-		indexEng  = flag.String("index", "hash", "index engine: hash, btree, or lsm")
-		valBytes  = flag.Int("values", 0, "fixed value size in bytes (0 = mixed 64..512)")
-		capMB     = flag.Int64("capacity", 2048, "flash capacity (MiB)")
-		pcMB      = flag.Int64("pagecache", 16, "page cache budget (MiB)")
-		fgMB      = flag.Int("finecache", 8, "fine-grained read cache arena (MiB)")
-		seed      = flag.Uint64("seed", 42, "workload seed")
-		version   = flag.Bool("version", false, "print build identity and exit")
-		flightOut = flag.String("flight-dump", "", "single-device mode: arm the flight recorder; the first operation lost to a media error, a fatal error, or a panic dumps the recent-event ring to this file as JSON")
-		listen    = flag.String("listen", "", "serve live /metrics, /healthz, and /progress on this address (e.g. :9102)")
-		faultProf = flag.String("fault-profile", "", "arm fault injection: site:spec rules, e.g. 'nand.read:rber*20,hmb.ring:0.01' (empty = off)")
-		faultSeed = flag.Uint64("fault-seed", 0x5eed, "seed for the fault injector's per-site decision streams")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		shards     = flag.Int("shards", 0, "serve from a sharded multi-SSD tier with this many members (0 = single device)")
-		replicas   = flag.Int("replicas", 1, "cluster mode: copies per key")
-		tenants    = flag.Int("tenants", 1, "cluster mode: tenant namespaces")
-		skew       = flag.Float64("skew", 0, "cluster mode: per-tenant Zipf theta in [0,1), 0 = uniform keys")
-		rate       = flag.Float64("rate", 60_000, "cluster mode: offered Poisson arrival rate (ops/s)")
-		tenantRate = flag.Float64("tenant-rate", 0, "cluster mode: per-tenant token-bucket rate (ops/s, 0 = no limit)")
+// run is the command: it parses args, replays the workloads, prints the
+// reports to stdout and diagnostics to stderr, and returns the exit code.
+// A usage error exits 2 before any output.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pipette-kv", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		records   = fs.Uint64("records", 100_000, "records preloaded into the store")
+		ops       = fs.Int("ops", 100_000, "operations replayed per workload")
+		wls       = fs.String("workload", "A,C", "comma-separated YCSB workloads (A-F)")
+		fine      = fs.Bool("fine", true, "serve Gets through the fine-grained read path")
+		indexEng  = fs.String("index", "hash", "index engine: hash, btree, or lsm")
+		valBytes  = fs.Int("values", 0, "fixed value size in bytes (0 = mixed 64..512)")
+		capMB     = fs.Int64("capacity", 2048, "flash capacity (MiB)")
+		pcMB      = fs.Int64("pagecache", 16, "page cache budget (MiB)")
+		fgMB      = fs.Int("finecache", 8, "fine-grained read cache arena (MiB)")
+		seed      = fs.Uint64("seed", 42, "workload seed")
+		version   = fs.Bool("version", false, "print build identity and exit")
+		flightOut = fs.String("flight-dump", "", "single-device mode: arm the flight recorder; the first operation lost to a media error, a fatal error, or a panic dumps the recent-event ring to this file as JSON")
+		listen    = fs.String("listen", "", "serve live /metrics, /healthz, and /progress on this address (e.g. :9102)")
+		faultProf = fs.String("fault-profile", "", "arm fault injection: site:spec rules, e.g. 'nand.read:rber*20,hmb.ring:0.01' (empty = off)")
+		faultSeed = fs.Uint64("fault-seed", 0x5eed, "seed for the fault injector's per-site decision streams")
+
+		shards     = fs.Int("shards", 0, "serve from a sharded multi-SSD tier with this many members (0 = single device)")
+		replicas   = fs.Int("replicas", 1, "cluster mode: copies per key")
+		tenants    = fs.Int("tenants", 1, "cluster mode: tenant namespaces")
+		skew       = fs.Float64("skew", 0, "cluster mode: per-tenant Zipf theta in [0,1), 0 = uniform keys")
+		rate       = fs.Float64("rate", 60_000, "cluster mode: offered Poisson arrival rate (ops/s)")
+		tenantRate = fs.Float64("tenant-rate", 0, "cluster mode: per-tenant token-bucket rate (ops/s, 0 = no limit)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *version {
-		buildinfo.Fprint(os.Stdout, "pipette-kv")
-		return
+		buildinfo.Fprint(stdout, "pipette-kv")
+		return 0
 	}
-	if _, err := fault.ParseProfile(*faultProf); err != nil {
-		log.Fatalf("pipette-kv: %v", err)
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "pipette-kv: %v\n", err)
+		return code
 	}
-	for _, err := range []error{checkOps(*ops), checkValues(*valBytes), checkSkew(*skew)} {
-		if err != nil {
-			log.Fatalf("pipette-kv: %v", err)
-		}
+	_, profErr := fault.ParseProfile(*faultProf)
+	var shardsErr error
+	if *shards > 0 && *flightOut != "" {
+		// Cluster members are private stacks behind the tier's router;
+		// there is no single tracer hook to arm, so fail loudly rather
+		// than silently recording nothing.
+		shardsErr = errors.New("-flight-dump is single-device only (incompatible with -shards)")
+	}
+	if err := cmp.Or(profErr, checkOps(*ops), checkValues(*valBytes), checkSkew(*skew), shardsErr); err != nil {
+		return fail(2, err)
 	}
 
 	if *shards > 0 {
-		if *flightOut != "" {
-			// Cluster members are private stacks behind the tier's router;
-			// there is no single tracer hook to arm, so fail loudly rather
-			// than silently recording nothing.
-			log.Fatal("pipette-kv: -flight-dump is single-device only (incompatible with -shards)")
-		}
-		if err := runCluster(clusterOpts{
+		if err := runCluster(stdout, stderr, clusterOpts{
 			shards:     *shards,
 			replicas:   *replicas,
 			tenants:    *tenants,
@@ -99,9 +114,9 @@ func main() {
 			faultProf:  *faultProf,
 			faultSeed:  *faultSeed,
 		}); err != nil {
-			log.Fatalf("pipette-kv: %v", err)
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 
 	sys, err := pipette.New(pipette.Options{
@@ -112,7 +127,7 @@ func main() {
 		FaultSeed:      *faultSeed,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return fail(1, err)
 	}
 
 	// -flight-dump arms the ring on every layer of the system; the dump
@@ -121,7 +136,7 @@ func main() {
 	var flight *telemetry.FlightDump
 	if *flightOut != "" {
 		if flight, err = telemetry.OpenFlightDump(*flightOut, "pipette-kv", sys.Now, nil); err != nil {
-			log.Fatalf("pipette-kv: %v", err)
+			return fail(1, err)
 		}
 		defer flight.Close()
 		sys.SetTracer(flight.Recorder())
@@ -134,10 +149,10 @@ func main() {
 		sys.RegisterMetrics(reg)
 		srv, err := telemetry.Serve(*listen, reg, nil)
 		if err != nil {
-			log.Fatalf("pipette-kv: %v", err)
+			return fail(1, err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "pipette-kv: serving /metrics and /healthz on http://%s\n", srv.Addr())
+		fmt.Fprintf(stderr, "pipette-kv: serving /metrics and /healthz on http://%s\n", srv.Addr())
 	}
 
 	for _, wl := range strings.Split(*wls, ",") {
@@ -145,14 +160,15 @@ func main() {
 		if wl == "" {
 			continue
 		}
-		if err := runWorkload(sys, flight, wl, *records, *ops, *valBytes, *seed, *fine, *indexEng); err != nil {
+		if err := runWorkload(stdout, sys, flight, wl, *records, *ops, *valBytes, *seed, *fine, *indexEng); err != nil {
 			flight.Dump(fmt.Sprintf("fatal: workload %s: %v", wl, err))
-			log.Fatalf("workload %s: %v", wl, err)
+			return fail(1, fmt.Errorf("workload %s: %w", wl, err))
 		}
 	}
 
-	fmt.Println("system report:")
-	fmt.Println(sys.Report())
+	fmt.Fprintln(stdout, "system report:")
+	fmt.Fprintln(stdout, sys.Report())
+	return 0
 }
 
 // clusterOpts carries the cluster-mode flag values.
@@ -196,7 +212,7 @@ func checkSkew(theta float64) error {
 // profile, if any), replay a multi-tenant open-loop stream, and print the
 // tier's ledger. With -listen, one /metrics scrape covers every member via
 // per-shard labels.
-func runCluster(o clusterOpts) error {
+func runCluster(stdout, stderr io.Writer, o clusterOpts) error {
 	cfg := cluster.Config{
 		Shards:     o.shards,
 		Replicas:   o.replicas,
@@ -241,7 +257,7 @@ func runCluster(o clusterOpts) error {
 			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "pipette-kv: serving /metrics and /healthz on http://%s\n", srv.Addr())
+		fmt.Fprintf(stderr, "pipette-kv: serving /metrics and /healthz on http://%s\n", srv.Addr())
 	}
 
 	key := func(k uint64) string { return fmt.Sprintf("user%010d", k) }
@@ -292,15 +308,15 @@ func runCluster(o clusterOpts) error {
 		return err
 	}
 
-	fmt.Printf("cluster: %d shards, R=%d, %d tenants, zipf %.2f; %d records/tenant loaded in %v\n",
+	fmt.Fprintf(stdout, "cluster: %d shards, R=%d, %d tenants, zipf %.2f; %d records/tenant loaded in %v\n",
 		o.shards, cfg.Replicas, o.tenants, o.skew, o.records, start)
-	fmt.Printf("  %d offered in %v: %d ok (%.0f ops/s goodput), %d rejected, %d throttled, %d lost\n",
+	fmt.Fprintf(stdout, "  %d offered in %v: %d ok (%.0f ops/s goodput), %d rejected, %d throttled, %d lost\n",
 		res.Arrived, res.Elapsed, res.Hist.Count(), res.Goodput(),
 		res.Rejected, res.Throttled, res.Lost)
-	fmt.Printf("  latency: mean %.2f us, p50 %.2f us, p99 %.2f us\n",
+	fmt.Fprintf(stdout, "  latency: mean %.2f us, p50 %.2f us, p99 %.2f us\n",
 		res.Hist.Mean().Micros(), res.Hist.Quantile(0.50).Micros(), res.Hist.Quantile(0.99).Micros())
 	for _, ts := range res.Tenants {
-		fmt.Printf("  tenant %d: %d arrived, %d throttled, %d rejected, %d lost, p99 %.2f us\n",
+		fmt.Fprintf(stdout, "  tenant %d: %d arrived, %d throttled, %d rejected, %d lost, p99 %.2f us\n",
 			ts.Tenant, ts.Arrived, ts.Throttled, ts.Rejected, ts.Lost,
 			ts.Hist.Quantile(0.99).Micros())
 	}
@@ -309,7 +325,7 @@ func runCluster(o clusterOpts) error {
 		if ss.Faulted {
 			mark = " (fault profile armed)"
 		}
-		fmt.Printf("  shard %d: %d primary, %d execs, %d repl.writes, %d hedges, %d failovers, %d rejected, %d media errors%s\n",
+		fmt.Fprintf(stdout, "  shard %d: %d primary, %d execs, %d repl.writes, %d hedges, %d failovers, %d rejected, %d media errors%s\n",
 			ss.Shard, ss.Primary, ss.Executions, ss.ReplicaWrites,
 			ss.Hedges, ss.Failovers, ss.Rejected, ss.MediaErrors, mark)
 	}
@@ -332,7 +348,7 @@ func value(buf []byte, key uint64, ver uint32, fixed int) []byte {
 	return buf
 }
 
-func runWorkload(sys *pipette.System, flight *telemetry.FlightDump, wl string, records uint64, ops, valBytes int, seed uint64, fine bool, indexEng string) error {
+func runWorkload(stdout io.Writer, sys *pipette.System, flight *telemetry.FlightDump, wl string, records uint64, ops, valBytes int, seed uint64, fine bool, indexEng string) error {
 	cfg, err := workload.StandardYCSB(wl, records, seed)
 	if err != nil {
 		return err
@@ -423,28 +439,28 @@ func runWorkload(sys *pipette.System, flight *telemetry.FlightDump, wl string, r
 	if !fine {
 		mode = "block I/O"
 	}
-	fmt.Printf("YCSB-%s (%s): %d records loaded in %v; %d ops in %v\n",
+	fmt.Fprintf(stdout, "YCSB-%s (%s): %d records loaded in %v; %d ops in %v\n",
 		wl, mode, records, loaded-loadStart, ops, done-loaded)
-	fmt.Printf("  store: %d live keys, %d gets (%d misses), %d puts, %d deletes, %d scans\n",
+	fmt.Fprintf(stdout, "  store: %d live keys, %d gets (%d misses), %d puts, %d deletes, %d scans\n",
 		kv.Len(), st.Gets, st.Misses, st.Puts, st.Deletes, st.Scans)
-	fmt.Printf("  log:   %.1f MB written, %.1f MB read, %d rotations, %d compactions (%.1f MB reclaimed)\n",
+	fmt.Fprintf(stdout, "  log:   %.1f MB written, %.1f MB read, %d rotations, %d compactions (%.1f MB reclaimed)\n",
 		float64(st.BytesWritten)/(1<<20), float64(st.BytesRead)/(1<<20),
 		st.Rotations, st.Compactions, float64(st.ReclaimedBytes)/(1<<20))
 	ix := kv.IndexStats()
 	switch kv.IndexKind() {
 	case "btree":
-		fmt.Printf("  index: btree height %d, %d nodes, %.2f node reads/lookup, %d splits, %d merges, %.1f MB idx read\n",
+		fmt.Fprintf(stdout, "  index: btree height %d, %d nodes, %.2f node reads/lookup, %d splits, %d merges, %.1f MB idx read\n",
 			ix.Height, ix.Nodes, ix.NodeReadsPerLookup(), ix.Splits, ix.Merges, float64(ix.BytesRead)/(1<<20))
 	case "lsm":
-		fmt.Printf("  index: lsm %d runs, %d flushes, %d merges, bloom FP %.3f, cache hit %.2f, %.1f MB idx read\n",
+		fmt.Fprintf(stdout, "  index: lsm %d runs, %d flushes, %d merges, bloom FP %.3f, cache hit %.2f, %.1f MB idx read\n",
 			ix.Runs, ix.Flushes, ix.Compactions, ix.BloomFPRate(), ix.CacheHitRate(), float64(ix.BytesRead)/(1<<20))
 	default:
-		fmt.Printf("  index: hash (in-memory, no index I/O)\n")
+		fmt.Fprintf(stdout, "  index: hash (in-memory, no index I/O)\n")
 	}
 	if lost > 0 {
-		fmt.Printf("  faults: %d operations lost to uncorrectable media errors\n", lost)
+		fmt.Fprintf(stdout, "  faults: %d operations lost to uncorrectable media errors\n", lost)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	return nil
 }
 

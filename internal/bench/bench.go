@@ -426,11 +426,13 @@ func (r *replay) begin(now sim.Time) {
 	r.grid = telemetry.NewLatencyGrid(now)
 }
 
-// loop replays total requests through the in-flight slots; free holds each
-// slot's completion time. Fewer than depth requests are in flight exactly
-// when some slot has freed, so taking the slot that frees first gives each
-// request the dispatch time of the head of an admission FIFO, and
-// dispatches stay in request order (DESIGN.md §8).
+// loop replays total requests through the in-flight slots; free is a
+// min-heap of the slots' completion times. Fewer than depth requests are
+// in flight exactly when some slot has freed, so taking the slot that
+// frees first (the heap's top) gives each request the dispatch time of the
+// head of an admission FIFO, and dispatches stay in request order
+// (DESIGN.md §8). Only the multiset of completion times matters, so which
+// of several equal slots is taken does not.
 func (r *replay) loop(total int) {
 	depth := 1
 	if r.opts.Arrivals != nil {
@@ -440,25 +442,40 @@ func (r *replay) loop(total int) {
 	free := make([]sim.Time, depth)
 	var arrival, now sim.Time
 	for i := 1; i <= total && r.err == nil; i++ {
-		slot := 0
-		for j, t := range free {
-			if t < free[slot] {
-				slot = j
-			}
-		}
 		if r.opts.Arrivals != nil {
 			arrival += r.opts.Arrivals.Next()
 		} else {
-			arrival = free[slot]
+			arrival = free[0]
 		}
-		now = max(now, arrival, free[slot])
+		now = max(now, arrival, free[0])
 		done := r.dispatch(now, arrival, r.gen.Next())
 		r.lastDone = max(r.lastDone, done)
-		free[slot] = max(now, done)
+		freed := max(now, done)
+		replaceMin(free, freed)
 		if i == r.opts.Warmup {
-			r.begin(free[slot])
+			r.begin(freed)
 		}
 	}
+}
+
+// replaceMin replaces the top of the min-heap h with t and sifts it down.
+func replaceMin(h []sim.Time, t sim.Time) {
+	i := 0
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if m+1 < len(h) && h[m+1] < h[m] {
+			m++
+		}
+		if t <= h[m] {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = t
 }
 
 // dispatch executes one request at time now and observes it: the

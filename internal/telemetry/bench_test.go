@@ -67,3 +67,26 @@ func BenchmarkTailObserve(b *testing.B) {
 		r.Observe(segs[:n], 0, lat)
 	}
 }
+
+// BenchmarkTailObserveAdmit times TailRecorder.Observe when every request
+// outranks the full kept set: each packs its 8 segments, a block read's
+// worth with durations from 300 ns to 50 µs, into the evicted entry's slot
+// and sifts the heap.
+func BenchmarkTailObserveAdmit(b *testing.B) {
+	r := fullTail(1024)
+	segs := make([]StageSeg, 8)
+	var at sim.Time
+	for i := range segs {
+		d := sim.Time(300 + 700*i)
+		if i == 5 {
+			d = 50 * sim.Microsecond
+		}
+		segs[i] = StageSeg{Start: at, End: at + d, Stage: Stage(i), Res: Res(i)}
+		at += d
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Observe(segs, 0, at+sim.Time(i))
+	}
+}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"sort"
 
@@ -51,36 +52,44 @@ type TailSnapshot struct {
 // kept set and the snapshot are byte-identical regardless of worker
 // count, as long as each recorder observes one single-threaded cell.
 //
-// Observe copies a request's segments only when it enters the kept set,
-// so the steady-state cost for a fast request is one comparison. Kept
-// segments live in slots carved from pointer-free chunks: a slot holds
-// tailSlotMin segments, or the next power-of-two multiple of that when a
-// request has more. An admitted request takes over the evicted entry's
-// slot when it fits; otherwise the evicted slot goes on its size's free
-// list and the request takes a free slot of its own size, or a new one.
-// An admission therefore copies the segments and sifts the heap, and
-// allocates nothing once the kept set has filled.
+// Once the kept set is full, the recorder holds a copy of its weakest
+// entry's key, so a request that does not outrank it costs one
+// comparison against the recorder itself and touches neither the heap
+// nor the segment store. An admitted request's segments are packed
+// (appendSegs) into a byte slot carved from pointer-free chunks: a slot
+// holds tailSlotMin bytes, or the next power-of-two multiple of that when
+// the packing is longer. An admission takes over the evicted entry's slot
+// when it fits; otherwise the evicted slot goes on its size's free list
+// and the request takes a free slot of its own size, or a new one. An
+// admission therefore packs the segments and sifts the heap, and
+// allocates nothing once the kept set has filled. Segments are unpacked
+// only by Snapshot.
 type TailRecorder struct {
 	topK     int
 	keep     int
 	seq      uint64
 	observed uint64
+	weakest  tailEntry   // copy of ents[0] once the kept set is full
 	ents     []tailEntry // min-heap: ents[0] is the weakest kept entry; cap keep
 
-	chunkSegs int          // segments per chunk
-	chunks    [][]StageSeg // slot storage
-	used      int          // segments carved from the last chunk
-	free      [][]tailSlot // free slots by size class
+	chunkBytes int          // bytes per chunk
+	chunks     [][]byte     // slot storage
+	used       int          // bytes carved from the last chunk
+	free       [][]tailSlot // free slots by size class
+	packed     []byte       // the admitted request's packing, before it has a slot
 }
 
-// Slot sizes are tailSlotMin << class; a chunk holds tailChunkSegs
-// segments (fewer when keep is small).
+// Slot sizes are tailSlotMin << class bytes: the 8 segments of a device
+// read pack into about 50 bytes, so it takes the smallest slot, and so does
+// a cache hit admitted while the kept set fills, whose slot a later device
+// read then takes over. A chunk holds tailChunkBytes bytes (fewer when keep
+// is small).
 const (
-	tailSlotMin   = 8
-	tailChunkSegs = 4096
+	tailSlotMin    = 64
+	tailChunkBytes = 64 << 10
 )
 
-// tailSlot locates a slot: its chunk, first segment and size class.
+// tailSlot locates a slot: its chunk, first byte and size class.
 type tailSlot struct {
 	chunk, off int32
 	class      int32
@@ -93,7 +102,7 @@ type tailEntry struct {
 	n          int32 // segments held
 }
 
-// slotClass is the size class of a slot holding n segments.
+// slotClass is the size class of a slot holding n bytes.
 func slotClass(n int) int32 {
 	return int32(bits.Len(uint(max(n, 1)-1) / tailSlotMin))
 }
@@ -122,45 +131,90 @@ func NewTailRecorder(topK, keep int) *TailRecorder {
 		keep = topK
 	}
 	return &TailRecorder{topK: topK, keep: keep, ents: make([]tailEntry, 0, keep),
-		chunkSegs: min(keep*tailSlotMin, tailChunkSegs)}
+		chunkBytes: min(keep*tailSlotMin, tailChunkBytes)}
 }
 
 // Observe offers one finished request to the recorder. segs is valid only
-// during the call; it is copied if the request enters the kept set.
+// during the call; it is packed if the request enters the kept set.
 func (t *TailRecorder) Observe(segs []StageSeg, start, end sim.Time) {
 	if t == nil {
 		return
 	}
 	t.observed++
-	e := tailEntry{seq: t.seq, start: start, end: end, n: int32(len(segs))}
+	e := tailEntry{seq: t.seq, start: start, end: end}
 	t.seq++
+	if len(t.ents) == t.keep && !e.outranks(&t.weakest) {
+		return
+	}
+	t.admit(e, segs)
+}
+
+// admit enters e, holding segs, into the kept set, evicting the weakest
+// entry when the set is full.
+func (t *TailRecorder) admit(e tailEntry, segs []StageSeg) {
+	t.packed = appendSegs(t.packed[:0], segs, e.start)
+	e.n = int32(len(segs))
 	if len(t.ents) < t.keep {
-		e.slot = t.takeSlot(len(segs))
-		copy(t.segs(&e), segs)
+		e.slot = t.takeSlot(len(t.packed))
 		t.ents = append(t.ents, e)
 		t.siftUp(len(t.ents) - 1)
-		return
+	} else {
+		// Evict the weakest kept entry, taking over its slot if it fits.
+		e.slot = t.ents[0].slot
+		if slotClass(len(t.packed)) > e.slot.class {
+			t.free[e.slot.class] = append(t.free[e.slot.class], e.slot)
+			e.slot = t.takeSlot(len(t.packed))
+		}
+		t.ents[0] = e
+		t.siftDown(0)
 	}
-	if !e.outranks(&t.ents[0]) {
-		return
+	copy(t.chunks[e.slot.chunk][e.slot.off:], t.packed)
+	if len(t.ents) == t.keep {
+		t.weakest = t.ents[0]
 	}
-	// Evict the weakest kept entry, taking over its slot if it fits.
-	e.slot = t.ents[0].slot
-	if slotClass(len(segs)) > e.slot.class {
-		t.free[e.slot.class] = append(t.free[e.slot.class], e.slot)
-		e.slot = t.takeSlot(len(segs))
-	}
-	copy(t.segs(&e), segs)
-	t.ents[0] = e
-	t.siftDown(0)
 }
 
-// segs returns the segments e holds.
-func (t *TailRecorder) segs(e *tailEntry) []StageSeg {
-	return t.chunks[e.slot.chunk][e.slot.off : e.slot.off+e.n]
+// appendSegs appends the packing of the segments of a request that
+// started at start. Each segment is its stage (1 byte), its resource
+// (2 bytes, little-endian) and two zigzag varints: the gap from the
+// previous segment's end (the request's start, for the first) and the
+// segment's duration. Contiguous segments have gap 0, a single byte. The
+// differences wrap in two's complement, so any int64 times round-trip.
+func appendSegs(b []byte, segs []StageSeg, start sim.Time) []byte {
+	prev := start
+	for _, s := range segs {
+		b = append(b, byte(s.Stage), byte(s.Res), byte(s.Res>>8))
+		b = binary.AppendUvarint(b, zigzag(s.Start-prev))
+		b = binary.AppendUvarint(b, zigzag(s.End-s.Start))
+		prev = s.End
+	}
+	return b
 }
 
-// takeSlot returns a slot for n segments: a free one of n's size class,
+// zigzag maps small magnitudes of either sign to small varints.
+func zigzag(v sim.Time) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+func unzigzag(u uint64) sim.Time { return sim.Time(u>>1) ^ -sim.Time(u&1) }
+
+// unpack appends the segments e holds, as appendSegs packed them, to dst.
+func (t *TailRecorder) unpack(dst []StageSeg, e *tailEntry) []StageSeg {
+	b := t.chunks[e.slot.chunk][e.slot.off:]
+	prev := e.start
+	for n := e.n; n > 0; n-- {
+		s := StageSeg{Stage: Stage(b[0]), Res: Res(b[1]) | Res(b[2])<<8}
+		gap, k := binary.Uvarint(b[3:])
+		b = b[3+k:]
+		dur, k := binary.Uvarint(b)
+		b = b[k:]
+		s.Start = prev + unzigzag(gap)
+		s.End = s.Start + unzigzag(dur)
+		prev = s.End
+		dst = append(dst, s)
+	}
+	return dst
+}
+
+// takeSlot returns a slot for n bytes: a free one of n's size class,
 // else one carved from the last chunk, else from a new chunk.
 func (t *TailRecorder) takeSlot(n int) tailSlot {
 	class := slotClass(n)
@@ -174,7 +228,7 @@ func (t *TailRecorder) takeSlot(n int) tailSlot {
 	}
 	size := tailSlotMin << class
 	if len(t.chunks) == 0 || t.used+size > len(t.chunks[len(t.chunks)-1]) {
-		t.chunks = append(t.chunks, make([]StageSeg, max(size, t.chunkSegs)))
+		t.chunks = append(t.chunks, make([]byte, max(size, t.chunkBytes)))
 		t.used = 0
 	}
 	s := tailSlot{chunk: int32(len(t.chunks) - 1), off: int32(t.used), class: class}
@@ -182,40 +236,41 @@ func (t *TailRecorder) takeSlot(n int) tailSlot {
 	return s
 }
 
-// weaker is the heap order: true when ents[i] should sit below ents[j]
-// (closer to eviction).
-func (t *TailRecorder) weaker(i, j int) bool {
-	return t.ents[j].outranks(&t.ents[i])
-}
-
+// siftUp moves ents[i] up to its place: a min-heap's parent is weaker
+// than its children.
 func (t *TailRecorder) siftUp(i int) {
+	ents := t.ents
+	e := ents[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !t.weaker(i, p) {
+		if !ents[p].outranks(&e) {
 			break
 		}
-		t.ents[i], t.ents[p] = t.ents[p], t.ents[i]
+		ents[i] = ents[p]
 		i = p
 	}
+	ents[i] = e
 }
 
+// siftDown moves ents[i] down to its place.
 func (t *TailRecorder) siftDown(i int) {
-	n := len(t.ents)
+	ents := t.ents
+	e := ents[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && t.weaker(l, m) {
-			m = l
+		c := 2*i + 1
+		if c >= len(ents) {
+			break
 		}
-		if r < n && t.weaker(r, m) {
-			m = r
+		if c+1 < len(ents) && ents[c].outranks(&ents[c+1]) {
+			c++
 		}
-		if m == i {
-			return
+		if !e.outranks(&ents[c]) {
+			break
 		}
-		t.ents[i], t.ents[m] = t.ents[m], t.ents[i]
-		i = m
+		ents[i] = ents[c]
+		i = c
 	}
+	ents[i] = e
 }
 
 // Observed reports how many requests the recorder has seen.
@@ -227,7 +282,7 @@ func (t *TailRecorder) Observed() uint64 {
 }
 
 // Snapshot ranks the kept set and returns the deterministic summary. The
-// recorder keeps running; exemplar segments are deep-copied.
+// recorder keeps running; exemplar segments are unpacked into fresh slices.
 func (t *TailRecorder) Snapshot() *TailSnapshot {
 	if t == nil || len(t.ents) == 0 {
 		return nil
@@ -246,16 +301,16 @@ func (t *TailRecorder) Snapshot() *TailSnapshot {
 	snap.TopK = make([]TailExemplar, k)
 	for i := 0; i < k; i++ {
 		e := order[i]
-		snap.TopK[i] = TailExemplar{
-			Seq:   e.seq,
-			Start: e.start,
-			End:   e.end,
-			Segs:  append([]StageSeg(nil), t.segs(e)...),
+		snap.TopK[i] = TailExemplar{Seq: e.seq, Start: e.start, End: e.end}
+		if e.n > 0 {
+			snap.TopK[i].Segs = t.unpack(make([]StageSeg, 0, e.n), e)
 		}
 	}
 	blame := blameFold{}
+	var segs []StageSeg
 	for i := range t.ents {
-		blame.add(t.segs(&t.ents[i]))
+		segs = t.unpack(segs[:0], &t.ents[i])
+		blame.add(segs)
 	}
 	snap.Blame = blame.rows()
 	return snap

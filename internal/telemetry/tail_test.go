@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -326,6 +328,92 @@ func TestTailRecorderMatchesSort(t *testing.T) {
 		if r.Observed() != requests {
 			t.Fatalf("seed %d: observed %d, want %d", seed, r.Observed(), requests)
 		}
+	}
+}
+
+// TestTailRecorderRoundTripsAnySegments checks that packing loses nothing:
+// segments that overlap, leave gaps, run backwards or last 2^32 ns and
+// more, at times up to the int64 limits, in requests of 0 to 70 segments
+// whose latencies and starts tie, come back from Snapshot exactly as the
+// reference keeps them.
+func TestTailRecorderRoundTripsAnySegments(t *testing.T) {
+	res := []Res{0, Intern("nand.ch0.w0"), Intern("pcie.dma"), Res(0xabcd), math.MaxUint16}
+	durs := []sim.Time{0, 1, -1, 127, -300, 1 << 32, 1<<32 + 7, -(1 << 40), 1 << 62, math.MaxInt64, math.MinInt64}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		topK, keep := 1+rng.Intn(5), 1+rng.Intn(40)
+		r := NewTailRecorder(topK, keep)
+		keep = max(keep, topK)
+		ref := &rankedRef{segs: map[uint64][]StageSeg{}}
+		var scratch []StageSeg
+		const requests = 1500
+		for i := 0; i < requests; i++ {
+			start := sim.Time(rng.Intn(20)) * 10
+			end := start + sim.Time(rng.Intn(6))*100
+			scratch = scratch[:0]
+			at := start
+			for k, n := 0, rng.Intn(71); k < n; k++ {
+				switch rng.Intn(5) {
+				case 0: // a gap
+					at += sim.Time(rng.Int63n(1 << 40))
+				case 1: // an overlap
+					at -= sim.Time(rng.Int63n(1 << 40))
+				case 2: // anywhere, up to the int64 limits
+					at = sim.Time(rng.Uint64())
+				}
+				d := durs[rng.Intn(len(durs))]
+				if rng.Intn(2) == 0 {
+					d = sim.Time(rng.Int63n(1 << 20))
+				}
+				scratch = append(scratch, StageSeg{Start: at, End: at + d,
+					Stage: Stage(rng.Intn(int(NumStages))), Res: res[rng.Intn(len(res))]})
+				at += d
+			}
+			r.Observe(scratch, start, end)
+			ref.observe(scratch, start, end)
+			if i%500 == 250 {
+				if got, want := r.Snapshot(), ref.snapshot(topK, keep); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, request %d: snapshot\n got %+v\nwant %+v", seed, i, got, want)
+				}
+			}
+		}
+		if got, want := r.Snapshot(), ref.snapshot(topK, keep); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: snapshot\n got %+v\nwant %+v", seed, got, want)
+		}
+	}
+}
+
+// TestTailRecorderBytesPerKept bounds the store: over a stream that fills
+// a kept set of 8-segment requests and then churns it, with every other
+// request admitted, the recorder allocates at most 96 bytes per kept
+// request.
+func TestTailRecorderBytesPerKept(t *testing.T) {
+	const keep = 4096
+	r := NewTailRecorder(5, keep)
+	cache, nand := Intern("host.cache"), Intern("nand.ch0.w0")
+	segs := make([]StageSeg, 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 8*keep; i++ {
+		start := sim.Time(i) * 100_000
+		at := start
+		for k := range segs {
+			d, res := sim.Time(200+(i*7+k*131)%4000), cache
+			if k == 5 && i%2 == 1 { // a flash read outranks every hit so far
+				d, res = 40_000+sim.Time(i), nand
+			}
+			segs[k] = StageSeg{Start: at, End: at + d, Stage: Stage(k), Res: res}
+			at += d
+		}
+		r.Observe(segs, start, at)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 96*keep {
+		t.Fatalf("recorder allocated %d B for %d kept requests (%.1f B each), want at most 96 each",
+			got, keep, float64(got)/keep)
+	}
+	if snap := r.Snapshot(); snap.Kept != keep || len(snap.TopK[0].Segs) != 8 {
+		t.Fatalf("kept %d, top exemplar holds %d segments; want %d and 8", snap.Kept, len(snap.TopK[0].Segs), keep)
 	}
 }
 
