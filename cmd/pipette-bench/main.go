@@ -58,7 +58,7 @@ func main() {
 		exportOut = flag.String("export-out", "", "write every cell's run record to this run-export bundle JSON (pipette-report input); the selection must name one experiment")
 		statsInt  = flag.Duration("stats-interval", time.Millisecond, "virtual-time sampling interval for -stats-out")
 		faultProf = flag.String("fault-profile", "", "arm fault injection on every engine: site:spec rules, e.g. 'nand.read:rber*20,hmb.ring:0.01' (empty = off)")
-		flightOut = flag.String("flight-dump", "", "arm a shared flight recorder on every engine; a panicking cell or fatal error dumps the recent-event ring to this file as JSON")
+		flightOut = flag.String("flight-dump", "", "arm a shared flight recorder on every engine; a panicking cell or fatal error dumps the recent-event ring to this file as JSON, and a clean run dumps it at the end")
 		faultSeed = flag.Uint64("fault-seed", 0x5eed, "seed for the fault injector's per-site decision streams")
 		shards    = flag.Int("shards", 0, "cluster experiment: shard count (0 = scale default)")
 		replicas  = flag.String("replicas", "", "cluster experiment: replication factors to sweep, comma-separated (empty = scale default)")
@@ -161,11 +161,11 @@ func main() {
 
 	// -flight-dump arms one shared recorder across every engine the harness
 	// builds. Under -j several cells can fail together; only the first
-	// dumps.
+	// dumps, and a clean run dumps at its end.
 	var flight *telemetry.FlightDump
 	if *flightOut != "" {
 		var err error
-		if flight, err = telemetry.OpenFlightDump(*flightOut, "pipette-bench", nil, nil); err != nil {
+		if flight, err = telemetry.OpenFlightDump(*flightOut, "pipette-bench", nil); err != nil {
 			fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -235,6 +235,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pipette-bench: %v\n", err)
 		os.Exit(1)
 	}
+	flight.End()
 	if *exportOut != "" {
 		fmt.Printf("\nrun export written to %s (%d runs; render with pipette-report)\n",
 			*exportOut, len(pool.Runs()))

@@ -1,13 +1,53 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"pipette/internal/report"
 	"pipette/internal/sim"
+	"pipette/internal/telemetry"
 )
+
+// TestMain runs the command itself when the test binary is re-executed
+// with PIPETTE_BENCH_MAIN=1, so a test can drive main end to end.
+func TestMain(m *testing.M) {
+	if os.Getenv("PIPETTE_BENCH_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestFlightDumpAfterCleanRun: a run with no anomaly still leaves a
+// valid dump, with the end-of-run reason.
+func TestFlightDumpAfterCleanRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.json")
+	cmd := exec.Command(os.Args[0], "-exp", "phases", "-scale", "tiny", "-j", "1", "-flight-dump", path)
+	cmd.Env = append(os.Environ(), "PIPETTE_BENCH_MAIN=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("pipette-bench: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d struct {
+		Reason   string `json:"reason"`
+		Captured int    `json:"captured"`
+	}
+	if err := json.Unmarshal(raw, &d); err != nil {
+		t.Fatalf("flight dump is not JSON: %v (%d bytes)", err, len(raw))
+	}
+	if d.Reason != telemetry.EndOfRun || d.Captured == 0 {
+		t.Errorf("flight dump reason %q with %d events, want %q with some", d.Reason, d.Captured, telemetry.EndOfRun)
+	}
+}
 
 func TestCheckExportOut(t *testing.T) {
 	for _, tc := range []struct {

@@ -5,6 +5,10 @@
 // fine-grained read path's effect on a real storage application
 // (compare -fine=true with -fine=false).
 //
+// Each workload is one bench pool cell over a private stack, replayed by
+// bench.ReplayKV, the kv experiment's loop: reads are verified, and the
+// latency, stage and flight telemetry work as in pipette-sim.
+//
 // Usage:
 //
 //	pipette-kv -records 100000 -ops 200000 -workload A,C
@@ -23,6 +27,7 @@
 package main
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"flag"
@@ -31,10 +36,12 @@ import (
 	"os"
 	"strings"
 
-	"pipette"
+	"pipette/internal/baseline"
+	"pipette/internal/bench"
 	"pipette/internal/buildinfo"
 	"pipette/internal/cluster"
 	"pipette/internal/fault"
+	"pipette/internal/index"
 	"pipette/internal/kv"
 	"pipette/internal/sim"
 	"pipette/internal/telemetry"
@@ -43,6 +50,16 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// replayer is what every workload's cell shares; under -listen, reg is
+// the registry each cell's stage account binds to.
+type replayer struct {
+	stack baseline.StackConfig
+	store kv.Config
+	opts  bench.KVOpts
+	ops   int
+	reg   *telemetry.Registry
 }
 
 // run is the command: it parses args, replays the workloads, prints the
@@ -63,18 +80,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fgMB      = fs.Int("finecache", 8, "fine-grained read cache arena (MiB)")
 		seed      = fs.Uint64("seed", 42, "workload seed")
 		version   = fs.Bool("version", false, "print build identity and exit")
-		flightOut = fs.String("flight-dump", "", "single-device mode: arm the flight recorder; the first operation lost to a media error, a fatal error, or a panic dumps the recent-event ring to this file as JSON")
+		flightOut = fs.String("flight-dump", "", "single-device mode: arm the flight recorder; the first operation lost to a media error, a fatal error, or a panic dumps the recent-event ring to this file as JSON, and a clean run dumps it at the end")
 		listen    = fs.String("listen", "", "serve live /metrics, /healthz, and /progress on this address (e.g. :9102)")
 		faultProf = fs.String("fault-profile", "", "arm fault injection: site:spec rules, e.g. 'nand.read:rber*20,hmb.ring:0.01' (empty = off)")
 		faultSeed = fs.Uint64("fault-seed", 0x5eed, "seed for the fault injector's per-site decision streams")
-
-		shards     = fs.Int("shards", 0, "serve from a sharded multi-SSD tier with this many members (0 = single device)")
-		replicas   = fs.Int("replicas", 1, "cluster mode: copies per key")
-		tenants    = fs.Int("tenants", 1, "cluster mode: tenant namespaces")
-		skew       = fs.Float64("skew", 0, "cluster mode: per-tenant Zipf theta in [0,1), 0 = uniform keys")
-		rate       = fs.Float64("rate", 60_000, "cluster mode: offered Poisson arrival rate (ops/s)")
-		tenantRate = fs.Float64("tenant-rate", 0, "cluster mode: per-tenant token-bucket rate (ops/s, 0 = no limit)")
 	)
+	var co clusterOpts
+	fs.IntVar(&co.shards, "shards", 0, "serve from a sharded multi-SSD tier with this many members (0 = single device)")
+	fs.IntVar(&co.replicas, "replicas", 1, "cluster mode: copies per key")
+	fs.IntVar(&co.tenants, "tenants", 1, "cluster mode: tenant namespaces")
+	fs.Float64Var(&co.skew, "skew", 0, "cluster mode: per-tenant Zipf theta in [0,1), 0 = uniform keys")
+	fs.Float64Var(&co.rate, "rate", 60_000, "cluster mode: offered Poisson arrival rate (ops/s)")
+	fs.Float64Var(&co.tenantRate, "tenant-rate", 0, "cluster mode: per-tenant token-bucket rate (ops/s, 0 = no limit)")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {
@@ -88,90 +105,159 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pipette-kv: %v\n", err)
 		return code
 	}
-	_, profErr := fault.ParseProfile(*faultProf)
+	prof, profErr := fault.ParseProfile(*faultProf)
+	kind, indexErr := index.ParseKind(*indexEng)
 	var shardsErr error
-	if *shards > 0 && *flightOut != "" {
+	if co.shards > 0 && *flightOut != "" {
 		// Cluster members are private stacks behind the tier's router;
 		// there is no single tracer hook to arm, so fail loudly rather
 		// than silently recording nothing.
 		shardsErr = errors.New("-flight-dump is single-device only (incompatible with -shards)")
 	}
-	if err := cmp.Or(profErr, checkOps(*ops), checkValues(*valBytes), checkSkew(*skew), shardsErr); err != nil {
+	if err := cmp.Or(profErr, indexErr, checkOps(*ops), checkValues(*valBytes),
+		checkBudgets(*capMB, *pcMB, *fgMB), checkSkew(co.skew), shardsErr); err != nil {
 		return fail(2, err)
 	}
 
-	if *shards > 0 {
-		if err := runCluster(stdout, stderr, clusterOpts{
-			shards:     *shards,
-			replicas:   *replicas,
-			tenants:    *tenants,
-			skew:       *skew,
-			rate:       *rate,
-			tenantRate: *tenantRate,
-			records:    *records,
-			ops:        *ops,
-			listen:     *listen,
-			faultProf:  *faultProf,
-			faultSeed:  *faultSeed,
-		}); err != nil {
+	if co.shards > 0 {
+		co.records, co.ops, co.listen, co.faultProf, co.faultSeed = *records, *ops, *listen, *faultProf, *faultSeed
+		if err := runCluster(stdout, stderr, co); err != nil {
 			return fail(1, err)
 		}
 		return 0
 	}
 
-	sys, err := pipette.New(pipette.Options{
-		CapacityBytes:  *capMB << 20,
-		PageCacheBytes: *pcMB << 20,
-		FineCacheBytes: *fgMB << 20,
-		FaultProfile:   *faultProf,
-		FaultSeed:      *faultSeed,
-	})
-	if err != nil {
-		return fail(1, err)
+	// Every workload's generator is built before any replay, so a bad
+	// name, or no records to replay over, is a usage error.
+	names := strings.Split(*wls, ",")
+	gens := make([]*workload.YCSB, len(names))
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+		var err error
+		if gens[i], err = bench.YCSB(names[i], *records, *seed); err != nil {
+			return fail(2, err)
+		}
 	}
+	r := &replayer{
+		stack: baseline.CapacityStackConfig(*capMB << 20),
+		store: kv.Config{FineReads: *fine, Index: index.Config{Kind: kind}},
+		ops:   *ops,
+		opts: bench.KVOpts{
+			ValueBytes: *valBytes,
+			// Under an armed fault profile uncorrectable media errors are
+			// expected outcomes, not failures: count them and go on.
+			TolerateMediaErrors: !prof.Empty(),
+		},
+	}
+	r.stack.SetCaches(int(*pcMB<<20/int64(r.stack.SSD.NAND.PageSize)), *fgMB<<20)
+	r.stack.FaultProfile, r.stack.FaultSeed = prof, *faultSeed
 
-	// -flight-dump arms the ring on every layer of the system; the dump
-	// fires from the first operation lost to a media error, fatal error or
-	// panic.
+	// -flight-dump arms one recorder on every cell's stack; the first
+	// operation lost to a media error, a fatal error or a panicking cell
+	// dumps it, and a clean run dumps it at the end.
 	var flight *telemetry.FlightDump
 	if *flightOut != "" {
-		if flight, err = telemetry.OpenFlightDump(*flightOut, "pipette-kv", sys.Now, nil); err != nil {
+		var err error
+		if flight, err = telemetry.OpenFlightDump(*flightOut, "pipette-kv", nil); err != nil {
 			return fail(1, err)
 		}
 		defer flight.Close()
-		sys.SetTracer(flight.Recorder())
-		defer flight.OnPanic()
+		bench.ArmFlight(flight.Recorder(), flight.Dump)
+		defer bench.ArmFlight(nil, nil)
 	}
 
+	pool := bench.NewPool(0)
 	if *listen != "" {
-		reg := telemetry.NewRegistry(telemetry.L("job", "pipette-kv"))
-		buildinfo.Register(reg, "pipette-kv")
-		sys.RegisterMetrics(reg)
-		srv, err := telemetry.Serve(*listen, reg, nil)
+		r.reg = telemetry.NewRegistry(telemetry.L("job", "pipette-kv"))
+		buildinfo.Register(r.reg, "pipette-kv")
+		live := bench.NewLive(r.reg)
+		pool.SetLive(live)
+		srv, err := telemetry.Serve(*listen, r.reg, live.Progress)
 		if err != nil {
 			return fail(1, err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(stderr, "pipette-kv: serving /metrics and /healthz on http://%s\n", srv.Addr())
+		fmt.Fprintf(stderr, "pipette-kv: serving /metrics /healthz /progress on http://%s\n", srv.Addr())
 	}
 
-	for _, wl := range strings.Split(*wls, ",") {
-		wl = strings.TrimSpace(wl)
-		if wl == "" {
-			continue
-		}
-		if err := runWorkload(stdout, sys, flight, wl, *records, *ops, *valBytes, *seed, *fine, *indexEng); err != nil {
-			flight.Dump(fmt.Sprintf("fatal: workload %s: %v", wl, err))
-			return fail(1, fmt.Errorf("workload %s: %w", wl, err))
-		}
+	// Each workload is a private simulation rendering into its own
+	// buffer; the buffers print in input order.
+	bufs := make([]bytes.Buffer, len(names))
+	cells := make([]bench.Cell, len(names))
+	for i, name := range names {
+		label := fmt.Sprintf("kv/%d/ycsb-%s", i, name)
+		cells[i] = bench.Cell{Label: label, Run: func() (*bench.Result, error) {
+			return r.replay(&bufs[i], label, name, gens[i])
+		}}
 	}
-
-	fmt.Fprintln(stdout, "system report:")
-	fmt.Fprintln(stdout, sys.Report())
+	err := pool.RunCells(cells)
+	for i := range bufs {
+		stdout.Write(bufs[i].Bytes())
+	}
+	if err != nil {
+		flight.Dump(fmt.Sprintf("fatal: %v", err))
+		return fail(1, err)
+	}
+	flight.End()
 	return 0
 }
 
-// clusterOpts carries the cluster-mode flag values.
+// replay is one workload's cell: it builds a private stack, opens the
+// store on it, replays through bench.ReplayKV, and renders the report
+// into w.
+func (r *replayer) replay(w io.Writer, label, wl string, gen *workload.YCSB) (*bench.Result, error) {
+	records := gen.Records() // before inserts grow it
+	st, err := baseline.NewStack(r.stack, r.store.FineReads)
+	if err != nil {
+		return nil, err
+	}
+	st.SA.BindRegistry(r.reg, telemetry.L("cell", label)) // no-op without -listen
+	store, opened, err := kv.Open(0, kv.VFSBackend{V: st.V}, r.store)
+	if err != nil {
+		return nil, err
+	}
+	res, done, err := bench.ReplayKV(st, store, opened, gen, r.ops, r.opts)
+	if err != nil {
+		return nil, fmt.Errorf("workload %s: %w", wl, err)
+	}
+	mode := "pipette"
+	if !r.store.FineReads {
+		mode = "block I/O"
+	}
+	res.Name, res.Workload = mode, "YCSB-"+wl
+
+	fmt.Fprintf(w, "YCSB-%s (%s): %d records loaded in %v; %d ops in %v\n",
+		wl, mode, records, done-res.Snapshot.Elapsed-opened, r.ops, res.Snapshot.Elapsed)
+	kst := store.Stats()
+	fmt.Fprintf(w, "  store: %d live keys, %d gets (%d misses), %d puts, %d deletes, %d scans\n",
+		store.Len(), kst.Gets, kst.Misses, kst.Puts, kst.Deletes, kst.Scans)
+	fmt.Fprintf(w, "  log:   %.1f MB written, %.1f MB read, %d rotations, %d compactions (%.1f MB reclaimed)\n",
+		float64(kst.BytesWritten)/(1<<20), float64(kst.BytesRead)/(1<<20),
+		kst.Rotations, kst.Compactions, float64(kst.ReclaimedBytes)/(1<<20))
+	ix := store.IndexStats()
+	switch r.store.Index.Kind {
+	case index.BTree:
+		fmt.Fprintf(w, "  index: btree height %d, %d nodes, %.2f node reads/lookup, %d splits, %d merges, %.1f MB idx read\n",
+			ix.Height, ix.Nodes, ix.NodeReadsPerLookup(), ix.Splits, ix.Merges, float64(ix.BytesRead)/(1<<20))
+	case index.LSM:
+		fmt.Fprintf(w, "  index: lsm %d runs, %d flushes, %d merges, bloom FP %.3f, cache hit %.2f, %.1f MB idx read\n",
+			ix.Runs, ix.Flushes, ix.Compactions, ix.BloomFPRate(), ix.CacheHitRate(), float64(ix.BytesRead)/(1<<20))
+	default:
+		fmt.Fprintf(w, "  index: hash (in-memory, no index I/O)\n")
+	}
+	fmt.Fprintf(w, "  latency: mean %.2f us, p50 %.2f us, p99 %.2f us, max %.2f us\n",
+		res.Hist.Mean().Micros(), res.Hist.Quantile(0.50).Micros(),
+		res.Hist.Quantile(0.99).Micros(), res.Hist.Max().Micros())
+	if res.Lost > 0 {
+		fmt.Fprintf(w, "  faults: %d operations lost to uncorrectable media errors\n", res.Lost)
+	}
+	fmt.Fprintln(w, "system report:")
+	fmt.Fprintln(w, st.Report(done))
+	return res, nil
+}
+
+// clusterOpts carries the cluster-mode flag values and the ones cluster
+// mode shares with single-device mode.
 type clusterOpts struct {
 	shards, replicas, tenants int
 	skew, rate, tenantRate    float64
@@ -194,6 +280,14 @@ func checkOps(n int) error {
 func checkValues(n int) error {
 	if n < 0 {
 		return fmt.Errorf("-values %d: need 0 (mixed sizes) or a positive size", n)
+	}
+	return nil
+}
+
+// checkBudgets rejects a -capacity, -pagecache or -finecache below 1 MiB.
+func checkBudgets(capMB, pcMB int64, fgMB int) error {
+	if min(capMB, pcMB, int64(fgMB)) < 1 {
+		return fmt.Errorf("-capacity %d, -pagecache %d, -finecache %d: each needs at least 1 (MiB)", capMB, pcMB, fgMB)
 	}
 	return nil
 }
@@ -231,10 +325,7 @@ func runCluster(stdout, stderr io.Writer, o clusterOpts) error {
 	}
 	// Size each member for its slice of the replicated keyspace (values
 	// average ~290 B; x3 slack covers log churn and placement imbalance).
-	perShard := int64(o.records) * int64(o.tenants) * int64(o.replicas) * 290 * 3 / int64(o.shards)
-	if perShard < 4<<20 {
-		perShard = 4 << 20
-	}
+	perShard := max(int64(o.records)*int64(o.tenants)*int64(o.replicas)*290*3/int64(o.shards), 4<<20)
 	c, err := cluster.New(cfg, func(id int) cluster.ShardConfig {
 		sc := cluster.ShardConfig{DatasetBytes: perShard, FineReads: true}
 		if id == 0 && !prof.Empty() {
@@ -260,12 +351,11 @@ func runCluster(stdout, stderr io.Writer, o clusterOpts) error {
 		fmt.Fprintf(stderr, "pipette-kv: serving /metrics and /healthz on http://%s\n", srv.Addr())
 	}
 
-	key := func(k uint64) string { return fmt.Sprintf("user%010d", k) }
 	var buf []byte
 	for t := 0; t < o.tenants; t++ {
 		for k := uint64(0); k < o.records; k++ {
-			buf = value(buf, k^uint64(t)<<48, 0, 0)
-			if err := c.Load(kv.NamespaceKey(t, key(k)), buf); err != nil {
+			buf = bench.KVValue(buf, k^uint64(t)<<48, 0, 0)
+			if err := c.Load(kv.NamespaceKey(t, bench.KVKey(k)), buf); err != nil {
 				return err
 			}
 		}
@@ -291,9 +381,9 @@ func runCluster(stdout, stderr io.Writer, o clusterOpts) error {
 	next := func() cluster.Request {
 		r := mt.Next()
 		req := cluster.Request{Tenant: r.Tenant, Write: r.Write,
-			Key: kv.NamespaceKey(r.Tenant, key(r.Record))}
+			Key: kv.NamespaceKey(r.Tenant, bench.KVKey(r.Record))}
 		if r.Write {
-			reqBuf = value(reqBuf, r.Record^uint64(r.Tenant)<<48, 1, 0)
+			reqBuf = bench.KVValue(reqBuf, r.Record^uint64(r.Tenant)<<48, 1, 0)
 			req.Val = reqBuf
 		}
 		return req
@@ -330,145 +420,4 @@ func runCluster(stdout, stderr io.Writer, o clusterOpts) error {
 			ss.Hedges, ss.Failovers, ss.Rejected, ss.MediaErrors, mark)
 	}
 	return nil
-}
-
-func value(buf []byte, key uint64, ver uint32, fixed int) []byte {
-	n := fixed
-	if n == 0 {
-		n = 64 + int(sim.Mix64(key^0x5eed1e)%449)
-	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	pat := sim.Mix64(key ^ uint64(ver)<<32)
-	for i := range buf {
-		buf[i] = byte(pat >> (8 * (i & 7)))
-	}
-	return buf
-}
-
-func runWorkload(stdout io.Writer, sys *pipette.System, flight *telemetry.FlightDump, wl string, records uint64, ops, valBytes int, seed uint64, fine bool, indexEng string) error {
-	cfg, err := workload.StandardYCSB(wl, records, seed)
-	if err != nil {
-		return err
-	}
-	gen, err := workload.NewYCSB(cfg)
-	if err != nil {
-		return err
-	}
-
-	// One store per workload so counters and virtual time are per-run.
-	kv, err := sys.OpenKV(pipette.KVOptions{
-		NamePrefix: "ycsb-" + wl + "/seg-",
-		BlockReads: !fine,
-		Index:      indexEng,
-	})
-	if err != nil {
-		return err
-	}
-	defer kv.Close()
-
-	// Under an armed fault profile an operation may hit an uncorrectable
-	// media error; that is the experiment's subject, so count it and go on.
-	// The first one dumps the flight ring.
-	var lost uint64
-	tolerate := func(err error) error {
-		if err != nil && errors.Is(err, pipette.ErrUncorrectable) {
-			if lost++; lost == 1 {
-				flight.Dump(fmt.Sprintf("uncorrectable media error in YCSB-%s: %v", wl, err))
-			}
-			return nil
-		}
-		return err
-	}
-
-	key := func(k uint64) string { return fmt.Sprintf("user%010d", k) }
-	var buf []byte
-	loadStart := sys.Now()
-	for k := uint64(0); k < records; k++ {
-		buf = value(buf, k, 0, valBytes)
-		if err := tolerate(kv.Put(key(k), buf)); err != nil {
-			return fmt.Errorf("load %d: %w", k, err)
-		}
-	}
-	if err := tolerate(kv.Sync()); err != nil {
-		return err
-	}
-	loaded := sys.Now()
-
-	ver := make(map[uint64]uint32)
-	for i := 0; i < ops; i++ {
-		req := gen.Next()
-		switch req.Op {
-		case workload.OpRead:
-			if _, err := kv.Get(key(req.Key)); tolerateLookup(tolerate, err) != nil {
-				return fmt.Errorf("get %d: %w", req.Key, err)
-			}
-		case workload.OpUpdate, workload.OpInsert:
-			if req.Op == workload.OpUpdate {
-				ver[req.Key]++
-			}
-			buf = value(buf, req.Key, ver[req.Key], valBytes)
-			if err := tolerate(kv.Put(key(req.Key), buf)); err != nil {
-				return fmt.Errorf("put %d: %w", req.Key, err)
-			}
-		case workload.OpScan:
-			err := kv.Scan(key(req.Key), req.ScanLen, func(string, []byte) bool { return true })
-			if tolerate(err) != nil {
-				return fmt.Errorf("scan %d: %w", req.Key, err)
-			}
-		case workload.OpRMW:
-			if _, err := kv.Get(key(req.Key)); tolerateLookup(tolerate, err) != nil {
-				return fmt.Errorf("rmw get %d: %w", req.Key, err)
-			}
-			ver[req.Key]++
-			buf = value(buf, req.Key, ver[req.Key], valBytes)
-			if err := tolerate(kv.Put(key(req.Key), buf)); err != nil {
-				return fmt.Errorf("rmw put %d: %w", req.Key, err)
-			}
-		}
-		if i%256 == 255 {
-			sys.MaintenanceTick()
-		}
-	}
-	done := sys.Now()
-
-	st := kv.Stats()
-	mode := "pipette"
-	if !fine {
-		mode = "block I/O"
-	}
-	fmt.Fprintf(stdout, "YCSB-%s (%s): %d records loaded in %v; %d ops in %v\n",
-		wl, mode, records, loaded-loadStart, ops, done-loaded)
-	fmt.Fprintf(stdout, "  store: %d live keys, %d gets (%d misses), %d puts, %d deletes, %d scans\n",
-		kv.Len(), st.Gets, st.Misses, st.Puts, st.Deletes, st.Scans)
-	fmt.Fprintf(stdout, "  log:   %.1f MB written, %.1f MB read, %d rotations, %d compactions (%.1f MB reclaimed)\n",
-		float64(st.BytesWritten)/(1<<20), float64(st.BytesRead)/(1<<20),
-		st.Rotations, st.Compactions, float64(st.ReclaimedBytes)/(1<<20))
-	ix := kv.IndexStats()
-	switch kv.IndexKind() {
-	case "btree":
-		fmt.Fprintf(stdout, "  index: btree height %d, %d nodes, %.2f node reads/lookup, %d splits, %d merges, %.1f MB idx read\n",
-			ix.Height, ix.Nodes, ix.NodeReadsPerLookup(), ix.Splits, ix.Merges, float64(ix.BytesRead)/(1<<20))
-	case "lsm":
-		fmt.Fprintf(stdout, "  index: lsm %d runs, %d flushes, %d merges, bloom FP %.3f, cache hit %.2f, %.1f MB idx read\n",
-			ix.Runs, ix.Flushes, ix.Compactions, ix.BloomFPRate(), ix.CacheHitRate(), float64(ix.BytesRead)/(1<<20))
-	default:
-		fmt.Fprintf(stdout, "  index: hash (in-memory, no index I/O)\n")
-	}
-	if lost > 0 {
-		fmt.Fprintf(stdout, "  faults: %d operations lost to uncorrectable media errors\n", lost)
-	}
-	fmt.Fprintln(stdout)
-	return nil
-}
-
-// tolerateLookup folds the two benign Get outcomes — an uncorrectable
-// media error (counted by tolerate) and a key evicted by a lost write.
-func tolerateLookup(tolerate func(error) error, err error) error {
-	if errors.Is(err, pipette.ErrNotFound) {
-		return nil
-	}
-	return tolerate(err)
 }

@@ -169,7 +169,7 @@ func run(args []string, stdout io.Writer) int {
 	// error (bench.Run), fatal error or panicking cell dumps it, and a
 	// clean run dumps it at the end.
 	if *flightOut != "" {
-		if r.flight, err = telemetry.OpenFlightDump(*flightOut, "pipette-sim", nil, nil); err != nil {
+		if r.flight, err = telemetry.OpenFlightDump(*flightOut, "pipette-sim", nil); err != nil {
 			return fail(1, err)
 		}
 		defer r.flight.Close()
@@ -224,7 +224,7 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(stdout, "time series written to %s (%d samples, %d series)\n",
 			*statsOut, r.sampler.Rows(), len(r.sampler.Series()))
 	}
-	r.flight.Dump("end of run (no anomaly)") // no-op after an anomaly's dump
+	r.flight.End()
 	if *exportOut != "" {
 		exp := &report.Export{Tool: "pipette-sim", Version: buildinfo.Version, Runs: pool.Runs()}
 		if err := exp.WriteFile(*exportOut); err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"pipette/internal/bench"
 	"pipette/internal/sim"
+	"pipette/internal/telemetry"
 	"pipette/internal/trace"
 )
 
@@ -30,6 +32,31 @@ func TestClosedLoopGolden(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Fatalf("stdout differs from testdata/closed-loop.golden:\n%s", out.String())
+	}
+}
+
+// TestFlightDumpAfterCleanRun: a run with no anomaly still leaves a
+// valid dump, with the end-of-run reason.
+func TestFlightDumpAfterCleanRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.json")
+	var out bytes.Buffer
+	args := []string{"-workload", "mixC", "-requests", "500", "-file-mb", "1", "-pagecache", "1", "-finecache", "1", "-flight-dump", path}
+	if code := run(args, &out); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d struct {
+		Reason   string `json:"reason"`
+		Captured int    `json:"captured"`
+	}
+	if err := json.Unmarshal(raw, &d); err != nil {
+		t.Fatalf("flight dump is not JSON: %v (%d bytes)", err, len(raw))
+	}
+	if d.Reason != telemetry.EndOfRun || d.Captured == 0 {
+		t.Errorf("flight dump reason %q with %d events, want %q with some", d.Reason, d.Captured, telemetry.EndOfRun)
 	}
 }
 

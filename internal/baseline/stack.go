@@ -101,6 +101,20 @@ func DefaultStackConfig(fileSize int64) StackConfig {
 	}
 }
 
+// CapacityStackConfig sizes a stack by its flash capacity rather than by a
+// dataset: the default geometry with enough blocks per plane (at least 6)
+// to hold capacityBytes, and one NVMe queue pair. The public facade and
+// pipette-kv build their stacks from it.
+func CapacityStackConfig(capacityBytes int64) StackConfig {
+	cfg := DefaultStackConfig(0)
+	nand := &cfg.SSD.NAND
+	needPages := capacityBytes / int64(nand.PageSize)
+	perPlane := int(needPages/int64(nand.Dies()*nand.PagesPerBlock*nand.PlanesPerDie)) + 1
+	nand.BlocksPerPlane = max(perPlane, 6)
+	cfg.QueuePairs = 1
+	return cfg
+}
+
 // Stack is one assembled host + SSD system: controller, NVMe driver, block
 // layer, filesystem and VFS, plus the fine-grained read core when the stack
 // was built with the fine path. Every comparison in the repo — the

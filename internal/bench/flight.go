@@ -19,11 +19,11 @@ var (
 )
 
 // ArmFlight arms a shared flight recorder for every engine the harness
-// builds from here on: newEngine installs it as each private system's
-// tracer, and a cell that panics invokes dump (with the cell label and
-// panic value as the reason) before the panic propagates. A replay that
-// tolerates an uncorrectable media error invokes dump at the first one,
-// naming the engine, the workload and the request. Callers make dump
+// builds from here on: newEngine and ReplayKV install it as each private
+// system's tracer, and a cell that panics invokes dump (with the cell
+// label and panic value as the reason) before the panic propagates. A
+// replay that tolerates an uncorrectable media error invokes dump at the
+// first one, naming what was lost. Callers make dump
 // idempotent — a parallel run can have several cells fail. Passing nil
 // disarms.
 func ArmFlight(fr *telemetry.FlightRecorder, dump func(reason string)) {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"pipette/internal/index"
 	"pipette/internal/kv"
 	"pipette/internal/metrics"
+	"pipette/internal/nvme"
 	"pipette/internal/report"
 	"pipette/internal/sim"
 	"pipette/internal/workload"
@@ -54,15 +56,18 @@ func kvValueSize(key uint64) int {
 	return kvMinValueBytes + int(sim.Mix64(key^kvSeed)%kvValueSpan)
 }
 
-// kvValue renders the value for (key, version) into dst: a pattern both
-// engines must reproduce byte-for-byte, so the harness can verify reads
-// against it without a second store.
-func kvValue(dst []byte, key uint64, ver uint32) []byte {
-	n := kvValueSize(key)
-	if cap(dst) < n {
-		dst = make([]byte, n)
+// KVValue renders the value for (key, version) into dst: size bytes, or
+// kvValueSize's 64..512 B for size 0. Every KV replay and the cluster tier
+// share this pattern, so a read can be verified against it without a second
+// store.
+func KVValue(dst []byte, key uint64, ver uint32, size int) []byte {
+	if size == 0 {
+		size = kvValueSize(key)
 	}
-	dst = dst[:n]
+	if cap(dst) < size {
+		dst = make([]byte, size)
+	}
+	dst = dst[:size]
 	seed := sim.Mix64(key*0x9e3779b97f4a7c15 ^ uint64(ver)<<32)
 	for i := range dst {
 		if i&7 == 0 && i > 0 {
@@ -73,14 +78,15 @@ func kvValue(dst []byte, key uint64, ver uint32) []byte {
 	return dst
 }
 
-func kvKey(k uint64) string { return fmt.Sprintf("user%010d", k) }
+// KVKey names record k, in YCSB's "user" + ten digits format.
+func KVKey(k uint64) string { return fmt.Sprintf("user%010d", k) }
 
 // kvNegKey names the i'th absent-key probe: a live key plus a suffix, so it
 // sorts between two real records. Spreading the probes uniformly through the
 // key range makes them real negative lookups — every B+-tree probe descends
 // a different path, and LSM bloom false positives pay an actual block read.
 func kvNegKey(i int, records uint64) string {
-	return kvKey(sim.Mix64(uint64(i)*0x9e3779b97f4a7c15^0xab5e17)%records) + "x"
+	return KVKey(sim.Mix64(uint64(i)*0x9e3779b97f4a7c15^0xab5e17)%records) + "x"
 }
 
 // kvStackConfig sizes a cell's stack for the scale's live records, with
@@ -140,7 +146,7 @@ type kvCellResult struct {
 }
 
 // runKVCell loads the store and replays one YCSB workload over one
-// (read engine, index engine) pair.
+// (read engine, index engine) pair, then probes absent keys.
 func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, error) {
 	st, err := baseline.NewStack(kvStackConfig(s), fine)
 	if err != nil {
@@ -154,26 +160,7 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 	if err != nil {
 		return nil, err
 	}
-
-	// Load phase: version 0 of every record, then sync — setup cost is
-	// excluded from the measured snapshot below.
-	ver := make(map[uint64]uint32, s.KVRecords)
-	var val []byte
-	for k := uint64(0); k < s.KVRecords; k++ {
-		val = kvValue(val, k, 0)
-		if now, err = store.Put(now, kvKey(k), val); err != nil {
-			return nil, fmt.Errorf("bench: kv load %d: %w", k, err)
-		}
-	}
-	if now, err = store.Sync(now); err != nil {
-		return nil, err
-	}
-
-	cfg, err := workload.StandardYCSB(wl, s.KVRecords, kvSeed)
-	if err != nil {
-		return nil, err
-	}
-	gen, err := workload.NewYCSB(cfg)
+	gen, err := YCSB(wl, s.KVRecords, kvSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -181,78 +168,11 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 	if wl == "E" {
 		ops /= 10 // scans touch ~50 keys each; keep cell cost comparable
 	}
-	verifyEvery := ops/64 + 1
-
-	base := st.Snapshot("")
-	baseKV := store.Stats()
-	start := now
-	res := &kvCellResult{kind: kind}
-	var got []byte
-	for i := 0; i < ops; i++ {
-		req := gen.Next()
-		before := now
-		st.SA.Begin(now)
-		switch req.Op {
-		case workload.OpRead:
-			got, now, err = store.Get(now, kvKey(req.Key), got[:0])
-			if err != nil {
-				return nil, fmt.Errorf("bench: kv %s get %d: %w", wl, req.Key, err)
-			}
-			if i%verifyEvery == 0 {
-				val = kvValue(val, req.Key, ver[req.Key])
-				if !bytes.Equal(got, val) {
-					return nil, fmt.Errorf("bench: kv %s: wrong bytes for key %d v%d", wl, req.Key, ver[req.Key])
-				}
-			}
-		case workload.OpUpdate:
-			ver[req.Key]++
-			val = kvValue(val, req.Key, ver[req.Key])
-			if now, err = store.Put(now, kvKey(req.Key), val); err != nil {
-				return nil, fmt.Errorf("bench: kv %s update %d: %w", wl, req.Key, err)
-			}
-		case workload.OpInsert:
-			val = kvValue(val, req.Key, 0)
-			if now, err = store.Put(now, kvKey(req.Key), val); err != nil {
-				return nil, fmt.Errorf("bench: kv %s insert %d: %w", wl, req.Key, err)
-			}
-		case workload.OpScan:
-			seen := 0
-			now, err = store.Scan(now, kvKey(req.Key), req.ScanLen, func(string, []byte) bool {
-				seen++
-				return true
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: kv %s scan %d: %w", wl, req.Key, err)
-			}
-		case workload.OpRMW:
-			if got, now, err = store.Get(now, kvKey(req.Key), got[:0]); err != nil {
-				return nil, fmt.Errorf("bench: kv %s rmw get %d: %w", wl, req.Key, err)
-			}
-			ver[req.Key]++
-			val = kvValue(val, req.Key, ver[req.Key])
-			if now, err = store.Put(now, kvKey(req.Key), val); err != nil {
-				return nil, fmt.Errorf("bench: kv %s rmw put %d: %w", wl, req.Key, err)
-			}
-		}
-		st.SA.Finish(now)
-		res.Hist.Observe(now - before)
-		if i%kvTickEvery == kvTickEvery-1 {
-			if _, now, err = store.MaintenanceTick(now); err != nil {
-				return nil, fmt.Errorf("bench: kv %s compaction: %w", wl, err)
-			}
-		}
+	r, now, err := ReplayKV(st, store, now, gen, ops, KVOpts{})
+	if err != nil {
+		return nil, fmt.Errorf("bench: kv %s: %w", wl, err)
 	}
-
-	res.Snapshot = measured(st.Snapshot(""), base, &res.Hist, now-start)
-	res.Stages = st.SA.Snapshot()
-	res.Resources = st.Res.Snapshot(now)
-	res.KV = store.Stats()
-	res.KV.Puts -= baseKV.Puts
-	res.KV.Gets -= baseKV.Gets
-	res.KV.BytesWritten -= baseKV.BytesWritten
-	res.KV.BytesRead -= baseKV.BytesRead
-	res.segs = store.Segments()
-	res.keys = store.Len()
+	res := &kvCellResult{Result: *r, kind: kind, segs: store.Segments(), keys: store.Len()}
 
 	// Negative-lookup probes, after the measured window so they pollute
 	// neither the snapshot nor the stage waterfall: every probe must miss,
@@ -274,6 +194,142 @@ func runKVCell(s Scale, wl string, fine bool, kind index.Kind) (*kvCellResult, e
 	res.negBytes = st.Snapshot("").IO.BytesTransferred - preProbe
 	res.IndexStats = store.IndexStats()
 	return res, nil
+}
+
+// YCSB builds core workload name's (A-F) generator over records keys.
+func YCSB(name string, records, seed uint64) (*workload.YCSB, error) {
+	cfg, err := workload.StandardYCSB(name, records, seed)
+	if err != nil {
+		return nil, err
+	}
+	return workload.NewYCSB(cfg)
+}
+
+// KVOpts tunes ReplayKV. The zero value is the kv matrix's: mixed value
+// sizes, and every error is fatal.
+type KVOpts struct {
+	ValueBytes int // fixed value size (0 = KVValue's mixed sizes)
+	// TolerateMediaErrors counts an operation or maintenance tick lost to
+	// an uncorrectable media error in Result.Lost and goes on, as
+	// RunOpts.TolerateMediaErrors does for Run.
+	TolerateMediaErrors bool
+}
+
+// ReplayKV is the harness's YCSB loop over an open store. From now, the
+// store's open time, it loads version 0 of gen's records and syncs, then
+// replays and measures ops operations from gen, and returns the end time.
+// The stack's stage account attributes each operation, the store ticks
+// every kvTickEvery operations, each (ops/64+1)th operation that is a read
+// is checked against KVValue, and the armed flight ring traces the stack.
+// A key whose write was lost is unverified, and may read as absent, until
+// a write of it succeeds; a write lost while loading is not in Lost.
+func ReplayKV(st *baseline.Stack, store *kv.Store, now sim.Time, gen *workload.YCSB, ops int, opts KVOpts) (*Result, sim.Time, error) {
+	if fr := armedFlight(); fr != nil {
+		st.SetTracer(fr)
+	}
+	res := &Result{}
+	ver := make(map[uint64]uint32, gen.Records())
+	lost := map[uint64]bool{}
+	var val, got []byte
+	dumped := false
+	// tolerated reports whether the replay goes on from err, naming what
+	// failed in the flight dump the first one triggers.
+	tolerated := func(err error, what string) bool {
+		if !opts.TolerateMediaErrors || !errors.Is(err, nvme.ErrUncorrectable) {
+			return false
+		}
+		if !dumped {
+			dumped = true
+			flightAnomaly(fmt.Sprintf("uncorrectable media error: kv %s at %v", what, now))
+		}
+		return true
+	}
+	put := func(key uint64, v uint32) (err error) {
+		val = KVValue(val, key, v, opts.ValueBytes)
+		if now, err = store.Put(now, KVKey(key), val); err != nil {
+			lost[key] = true
+			return fmt.Errorf("bench: kv put %d: %w", key, err)
+		}
+		delete(lost, key)
+		return nil
+	}
+	get := func(key uint64) (err error) {
+		if got, now, err = store.Get(now, KVKey(key), got[:0]); err != nil && !(err == kv.ErrNotFound && lost[key]) {
+			return fmt.Errorf("bench: kv get %d: %w", key, err)
+		}
+		return nil
+	}
+
+	for k := uint64(0); k < gen.Records(); k++ {
+		if err := put(k, 0); err != nil && !tolerated(err, "load") {
+			return nil, now, err
+		}
+	}
+	var err error
+	if now, err = store.Sync(now); err != nil && !tolerated(err, "load sync") {
+		return nil, now, err
+	}
+
+	verifyEvery := ops/64 + 1
+	base := st.Snapshot("")
+	baseKV := store.Stats()
+	start := now
+	for i := 0; i < ops; i++ {
+		req := gen.Next()
+		before := now
+		st.SA.Begin(before)
+		switch req.Op {
+		case workload.OpRead:
+			if err = get(req.Key); err == nil && i%verifyEvery == 0 && !lost[req.Key] {
+				if val = KVValue(val, req.Key, ver[req.Key], opts.ValueBytes); !bytes.Equal(got, val) {
+					err = fmt.Errorf("bench: kv: wrong bytes for key %d v%d", req.Key, ver[req.Key])
+				}
+			}
+		case workload.OpUpdate:
+			ver[req.Key]++
+			err = put(req.Key, ver[req.Key])
+		case workload.OpInsert:
+			err = put(req.Key, 0)
+		case workload.OpScan:
+			now, err = store.Scan(now, KVKey(req.Key), req.ScanLen, func(string, []byte) bool { return true })
+		case workload.OpRMW:
+			if err = get(req.Key); err == nil {
+				ver[req.Key]++
+				err = put(req.Key, ver[req.Key])
+			}
+		}
+		st.SA.Finish(now)
+		switch {
+		case err == nil:
+			res.Hist.Observe(now - before)
+		case tolerated(err, fmt.Sprintf("operation %d (%v %d)", i, req.Op, req.Key)):
+			res.Lost++
+		default:
+			return nil, now, err
+		}
+		if i%kvTickEvery == kvTickEvery-1 {
+			if _, now, err = store.MaintenanceTick(now); err != nil {
+				if !tolerated(err, fmt.Sprintf("maintenance tick after operation %d", i)) {
+					return nil, now, fmt.Errorf("bench: kv compaction: %w", err)
+				}
+				res.Lost++
+			}
+		}
+	}
+
+	res.Snapshot = measured(st.Snapshot(""), base, &res.Hist, now-start)
+	res.Stages = st.SA.Snapshot()
+	res.Resources = st.Res.Snapshot(now)
+	res.KV = store.Stats()
+	res.KV.Puts -= baseKV.Puts
+	res.KV.Gets -= baseKV.Gets
+	res.KV.BytesWritten -= baseKV.BytesWritten
+	res.KV.BytesRead -= baseKV.BytesRead
+	res.IndexStats = store.IndexStats()
+	if st.Inj != nil {
+		res.Faults = st.Faults()
+	}
+	return res, now, nil
 }
 
 // RunKV executes the workload × engine × index grid.

@@ -84,8 +84,14 @@ func writePhases(w io.Writer, s Scale, p *Pool) (err error) {
 				if err != nil {
 					return nil, err
 				}
+				// The trace recorder joins the armed flight ring, if any,
+				// rather than replacing it.
 				rec := telemetry.NewRecorder()
-				e.SetTracer(rec)
+				var tr telemetry.Tracer = rec
+				if fr := armedFlight(); fr != nil {
+					tr = telemetry.Tee(rec, fr)
+				}
+				e.SetTracer(tr)
 				sampler, err := telemetry.NewSampler(interval, e.Probes())
 				if err != nil {
 					return nil, err

@@ -115,8 +115,6 @@ func newBTree(be Backend, cfg Config) (*btreeEngine, error) {
 	return t, nil
 }
 
-func (t *btreeEngine) Kind() Kind { return BTree }
-
 func (t *btreeEngine) Stats() Stats {
 	s := t.stats
 	s.Height = t.height

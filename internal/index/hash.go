@@ -17,8 +17,6 @@ func newHash() *hashEngine {
 	return &hashEngine{keys: newSortedMap()}
 }
 
-func (h *hashEngine) Kind() Kind { return Hash }
-
 func (h *hashEngine) Insert(now sim.Time, key string, l Loc) (sim.Time, error) {
 	h.stats.Inserts++
 	h.keys.set(key, l, false)

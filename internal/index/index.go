@@ -193,7 +193,6 @@ func (s Stats) NodeReadsPerLookup() float64 {
 // Engine is the pluggable index: the key -> Loc mapping the store consults
 // on every operation. Implementations are single-threaded, like the store.
 type Engine interface {
-	Kind() Kind
 	// Insert records key -> l, superseding any earlier entry.
 	Insert(now sim.Time, key string, l Loc) (sim.Time, error)
 	// Delete removes key (a no-op if absent — the store has already decided

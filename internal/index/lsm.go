@@ -109,8 +109,6 @@ func newLSM(be Backend, cfg Config) *lsmEngine {
 	}
 }
 
-func (e *lsmEngine) Kind() Kind { return LSM }
-
 func (e *lsmEngine) Stats() Stats {
 	s := e.stats
 	s.Runs = len(e.runs)

@@ -122,9 +122,6 @@ func TestStoreEngineConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s2.IndexKind() != kind {
-				t.Fatalf("IndexKind = %s, want %s", s2.IndexKind(), kind)
-			}
 			var again []string
 			if _, err = s2.Scan(now, "", len(lines)+10, func(k string, v []byte) bool {
 				again = append(again, k+"="+string(v))

@@ -198,9 +198,6 @@ func (s *Store) Len() int { return len(s.acct) }
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats { return s.stats }
 
-// IndexKind reports which index engine the store runs on.
-func (s *Store) IndexKind() index.Kind { return s.eng.Kind() }
-
 // IndexStats returns a snapshot of the index engine's counters.
 func (s *Store) IndexStats() index.Stats { return s.eng.Stats() }
 

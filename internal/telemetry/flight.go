@@ -126,33 +126,29 @@ func (f *FlightRecorder) Dump(w io.Writer, reason string, now sim.Time) error {
 // ring and the file the ring is dumped into. The file is created up
 // front, so a bad path fails before the run does, and the first Dump is
 // the only one — the first anomaly's ring holds the events leading up to
-// it, which later dumps would overwrite. All methods are safe on a nil
+// it, which later dumps would overwrite. A run that ends cleanly calls
+// End, so the file always holds a dump. All methods are safe on a nil
 // *FlightDump (no -flight-dump given) and from concurrent goroutines.
 type FlightDump struct {
 	rec    *FlightRecorder
 	path   string
 	file   *os.File
 	tool   string
-	now    func() sim.Time
 	out    io.Writer
 	prefix string // on the out line: "tool: " when it goes to stderr
 	once   sync.Once
 }
 
-// OpenFlightDump creates path and arms a default-size recorder. now stamps
-// the dump with the run's virtual time (nil stamps 0). The line
+// OpenFlightDump creates path and arms a default-size recorder. The line
 // "flight recorder dumped to PATH (REASON)" goes to out; a nil out sends it
 // to stderr with the "tool: " prefix. Dump failures always go to stderr.
-func OpenFlightDump(path, tool string, now func() sim.Time, out io.Writer) (*FlightDump, error) {
+func OpenFlightDump(path, tool string, out io.Writer) (*FlightDump, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
 	d := &FlightDump{rec: NewFlightRecorder(DefaultFlightEvents),
-		path: path, file: f, tool: tool, now: now, out: out}
-	if d.now == nil {
-		d.now = func() sim.Time { return 0 }
-	}
+		path: path, file: f, tool: tool, out: out}
 	if d.out == nil {
 		d.out, d.prefix = os.Stderr, tool+": "
 	}
@@ -174,7 +170,7 @@ func (d *FlightDump) Dump(reason string) {
 		return
 	}
 	d.once.Do(func() {
-		if err := d.rec.Dump(d.file, reason, d.now()); err != nil {
+		if err := d.rec.Dump(d.file, reason, 0); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: flight dump: %v\n", d.tool, err)
 			return
 		}
@@ -182,14 +178,13 @@ func (d *FlightDump) Dump(reason string) {
 	})
 }
 
-// OnPanic is deferred around a run: a panic dumps the ring with the panic
-// value as the reason, then keeps unwinding.
-func (d *FlightDump) OnPanic() {
-	if r := recover(); r != nil {
-		d.Dump(fmt.Sprintf("panic: %v", r))
-		panic(r)
-	}
-}
+// EndOfRun is the reason End dumps with.
+const EndOfRun = "end of run (no anomaly)"
+
+// End dumps the ring of a run that ended cleanly, so the file holds the
+// run's last events even without an anomaly; after an anomaly's dump it
+// is a no-op.
+func (d *FlightDump) End() { d.Dump(EndOfRun) }
 
 // Close closes the dump file.
 func (d *FlightDump) Close() error {

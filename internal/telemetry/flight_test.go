@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -143,7 +144,7 @@ func TestTee(t *testing.T) {
 func TestFlightDumpOnce(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.json")
 	var out bytes.Buffer
-	d, err := OpenFlightDump(path, "tool", func() sim.Time { return 7 * sim.Microsecond }, &out)
+	d, err := OpenFlightDump(path, "tool", &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestFlightDumpOnce(t *testing.T) {
 	if err := dec.Decode(&struct{}{}); err != io.EOF {
 		t.Fatalf("file holds more than one document (%v):\n%s", err, raw)
 	}
-	if doc.AtUs != 7 || doc.Captured != 1 || !strings.HasPrefix(doc.Reason, "cell ") {
+	if doc.AtUs != 0 || doc.Captured != 1 || !strings.HasPrefix(doc.Reason, "cell ") {
 		t.Fatalf("dump header wrong: %+v", doc)
 	}
 	want := fmt.Sprintf("flight recorder dumped to %s (%s)\n", path, doc.Reason)
@@ -189,46 +190,46 @@ func TestFlightDumpOnce(t *testing.T) {
 // TestFlightDumpBadPath: a path that cannot be created fails at open,
 // before any run starts.
 func TestFlightDumpBadPath(t *testing.T) {
-	d, err := OpenFlightDump(filepath.Join(t.TempDir(), "missing", "flight.json"), "tool", nil, nil)
+	d, err := OpenFlightDump(filepath.Join(t.TempDir(), "missing", "flight.json"), "tool", nil)
 	if err == nil || d != nil {
 		t.Fatalf("OpenFlightDump on a missing directory = %v, %v; want an error", d, err)
 	}
 }
 
-// TestFlightDumpOnPanic: the deferred panic guard dumps with the panic
-// value as the reason and keeps unwinding with the same value; unarmed
-// (nil), it only keeps unwinding.
-func TestFlightDumpOnPanic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "flight.json")
-	var out bytes.Buffer
-	d, err := OpenFlightDump(path, "tool", nil, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	for _, fd := range []*FlightDump{d, nil} {
-		func() {
-			defer func() {
-				if r := recover(); r != "boom" {
-					t.Fatalf("panic value %v, want boom", r)
-				}
-			}()
-			defer fd.OnPanic()
-			panic("boom")
-		}()
-	}
-	var doc struct {
-		Reason string `json:"reason"`
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil || doc.Reason != "panic: boom" {
-		t.Fatalf("panic dump = %q (%v), want reason %q", raw, err, "panic: boom")
-	}
-	if !strings.Contains(out.String(), "(panic: boom)") {
-		t.Fatalf("panic dump not reported: %q", out.String())
+// TestFlightDumpEnd: End dumps a clean run's ring with EndOfRun; after
+// an anomaly's dump it leaves that dump alone; unarmed (nil), it does
+// nothing.
+func TestFlightDumpEnd(t *testing.T) {
+	var nilDump *FlightDump
+	nilDump.End()
+	for _, anomaly := range []string{"", "fault"} {
+		path := filepath.Join(t.TempDir(), "flight.json")
+		var out bytes.Buffer
+		d, err := OpenFlightDump(path, "tool", &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if anomaly != "" {
+			d.Dump(anomaly)
+		}
+		d.End()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Reason string `json:"reason"`
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cmp.Or(anomaly, EndOfRun)
+		if err := json.Unmarshal(raw, &doc); err != nil || doc.Reason != want {
+			t.Fatalf("dump = %q (%v), want reason %q", raw, err, want)
+		}
+		if line := fmt.Sprintf("flight recorder dumped to %s (%s)\n", path, want); out.String() != line {
+			t.Fatalf("report lines %q, want %q", out.String(), line)
+		}
 	}
 }
 

@@ -53,6 +53,7 @@ var knobStructs = [][2]string{
 	{"pipette/internal/workload", "SearchEngineConfig"},
 	{"pipette/internal/workload", "SocialGraphConfig"},
 	{"pipette/internal/bench", "RunOpts"},
+	{"pipette/internal/bench", "KVOpts"},
 	{"pipette/internal/bench", "TelemetryOpts"},
 	{"pipette/internal/bench", "Scale"},
 	{"pipette/internal/extfs", "CreateOpts"},

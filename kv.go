@@ -11,18 +11,12 @@ var ErrNotFound = kv.ErrNotFound
 // KVOptions configures a key-value store on a System. Zero values take
 // defaults.
 type KVOptions struct {
-	// NamePrefix prefixes the store's segment files (default "kv/seg-").
-	// Distinct prefixes give independent stores on one System.
-	NamePrefix string
 	// SegmentBytes sets the value-log segment size (default 4 MiB).
 	SegmentBytes int64
-	// BlockReads forces Gets through the ordinary page-granular read path
-	// instead of O_FINE_GRAINED — the baseline the paper compares against.
-	BlockReads bool
 	// Index selects the index engine: "hash" (default, in-memory), "btree"
 	// (paged B+-tree on the store's filesystem), or "lsm" (bloom-filtered
 	// sorted runs). The on-device engines add sub-page index reads to every
-	// lookup, following the same fine/block setting as value reads.
+	// lookup, through the fine-grained read path like value reads.
 	Index string
 }
 
@@ -36,9 +30,9 @@ type KV struct {
 	store *kv.Store
 }
 
-// OpenKV opens (or recovers) a key-value store on the System. If segment
-// files from an earlier store with the same prefix exist, the index is
-// rebuilt from them: puts and deletes made before the last Sync reappear.
+// OpenKV opens (or recovers) a key-value store on the System. If the
+// segment files of an earlier store exist, the index is rebuilt from them:
+// puts and deletes made before the last Sync reappear.
 func (s *System) OpenKV(opts KVOptions) (*KV, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -47,9 +41,8 @@ func (s *System) OpenKV(opts KVOptions) (*KV, error) {
 		return nil, err
 	}
 	store, done, err := kv.Open(s.clock.Now(), kv.VFSBackend{V: s.st.V}, kv.Config{
-		NamePrefix:   opts.NamePrefix,
 		SegmentBytes: opts.SegmentBytes,
-		FineReads:    !opts.BlockReads,
+		FineReads:    true,
 		Index:        index.Config{Kind: kind},
 	})
 	if err != nil {
@@ -154,14 +147,6 @@ func (k *KV) Stats() KVStats {
 // KVIndexStats mirrors the index engine's counters (node reads, bloom
 // checks, cache hits, ...).
 type KVIndexStats = index.Stats
-
-// IndexKind reports which index engine the store runs on.
-func (k *KV) IndexKind() string {
-	s := k.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return string(k.store.IndexKind())
-}
 
 // IndexStats returns a snapshot of the index engine's counters.
 func (k *KV) IndexStats() KVIndexStats {

@@ -71,30 +71,6 @@ func TestKVPublicAPI(t *testing.T) {
 	sys.MaintenanceTick()
 }
 
-func TestTwoStoresCoexist(t *testing.T) {
-	sys := newSystem(t, Options{CapacityBytes: 256 << 20})
-	a, err := sys.OpenKV(KVOptions{NamePrefix: "a/seg-"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sys.OpenKV(KVOptions{NamePrefix: "b/seg-", BlockReads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Put("k", []byte("from-a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put("k", []byte("from-b")); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := a.Get("k"); !bytes.Equal(got, []byte("from-a")) {
-		t.Fatalf("store a sees %q", got)
-	}
-	if got, _ := b.Get("k"); !bytes.Equal(got, []byte("from-b")) {
-		t.Fatalf("store b sees %q", got)
-	}
-}
-
 func TestFileClose(t *testing.T) {
 	sys := newSystem(t, Options{CapacityBytes: 128 << 20})
 	if err := sys.CreateFile("x", 1<<20, true); err != nil {

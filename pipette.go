@@ -100,16 +100,7 @@ func New(opts Options) (*System, error) {
 		return nil, errors.New("pipette: negative budgets")
 	}
 
-	cfg := baseline.DefaultStackConfig(0)
-	nand := &cfg.SSD.NAND
-	pageBytes := int64(nand.PageSize)
-	needPages := opts.CapacityBytes / pageBytes
-	perPlane := int(needPages/int64(nand.Dies()*nand.PagesPerBlock*nand.PlanesPerDie)) + 1
-	if perPlane < 6 {
-		perPlane = 6
-	}
-	nand.BlocksPerPlane = perPlane
-	cfg.QueuePairs = 1
+	cfg := baseline.CapacityStackConfig(opts.CapacityBytes)
 	if opts.Core != nil {
 		cfg.Core = *opts.Core
 	}
@@ -117,7 +108,7 @@ func New(opts Options) (*System, error) {
 	if opts.FineCacheBytes != 0 {
 		arena = opts.FineCacheBytes
 	}
-	cfg.SetCaches(int(opts.PageCacheBytes/pageBytes), arena)
+	cfg.SetCaches(int(opts.PageCacheBytes/int64(cfg.SSD.NAND.PageSize)), arena)
 	if opts.FaultProfile != "" {
 		prof, err := fault.ParseProfile(opts.FaultProfile)
 		if err != nil {

@@ -84,7 +84,6 @@ var reachAllow = map[string]string{
 	"pipette/internal/workload.(*Recommender).TableVectors":  "observation: TestRecommenderLayout reads the table sizes",
 	"pipette/internal/workload.(*SearchEngine).PostingBytes": "observation: TestSearchEngineLayout reads the posting lists",
 	"pipette/internal/workload.(*SocialGraph).Degree":        "observation: TestSocialGraphDegreesPowerLaw reads node degrees",
-	"pipette/internal/workload.(*YCSB).Records":              "observation: TestYCSBInsertsGrowKeyspace reads the keyspace size",
 }
 
 func TestReachable(t *testing.T) {
