@@ -12,9 +12,10 @@ import (
 	"pipette/internal/telemetry"
 )
 
-// TestOutputGolden pins the stdout of two small runs: one whose reads
-// reach flash through the LSM index, and one under a fault profile that
-// loses operations while every other read is still verified.
+// TestOutputGolden pins the stdout of three small runs: one whose reads
+// reach flash through the LSM index, one under a fault profile that loses
+// operations while every other read is still verified, and a replicated
+// cluster with a faulted member, whose reads hedge and fail over.
 func TestOutputGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -22,6 +23,7 @@ func TestOutputGolden(t *testing.T) {
 	}{
 		{"flash-lsm.golden", []string{"-records", "10000", "-ops", "3000", "-workload", "A,E", "-index", "lsm", "-pagecache", "1", "-finecache", "1"}},
 		{"faults.golden", []string{"-records", "10000", "-ops", "3000", "-workload", "A,C", "-pagecache", "1", "-finecache", "1", "-fault-profile", "nand.read:0.5"}},
+		{"cluster-faults.golden", []string{"-shards", "4", "-replicas", "2", "-records", "5000", "-ops", "5000", "-fault-profile", "nand.read:0.6"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 		if err != nil {

@@ -128,6 +128,9 @@ func run(args []string, stdout io.Writer) int {
 	if r.qd < 1 {
 		return fail(2, fmt.Errorf("-qd %d: need at least 1", r.qd))
 	}
+	if min(r.pcMB, int64(r.fgMB)) < 1 {
+		return fail(2, fmt.Errorf("-pagecache %d, -finecache %d: each needs at least 1 (MiB)", r.pcMB, r.fgMB))
+	}
 	interval, err := statsInterval(*statsInt)
 	if err != nil {
 		return fail(2, err)

@@ -129,7 +129,8 @@ func TestCheckRequests(t *testing.T) {
 }
 
 // TestQueueDepthFlag runs the command with -qd values: below 1 is a usage
-// error before any simulation, and 1 replays.
+// error before any simulation, and 1 replays. A -pagecache or -finecache
+// below 1 MiB is a usage error too.
 func TestQueueDepthFlag(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -139,6 +140,10 @@ func TestQueueDepthFlag(t *testing.T) {
 		{[]string{"-arrivals", "bursty", "-qd", "0"}, 2},
 		{[]string{"-qd", "0"}, 2},
 		{[]string{"-arrivals", "poisson", "-qd", "1", "-requests", "50", "-file-mb", "1", "-pagecache", "1", "-finecache", "1"}, 0},
+		{[]string{"-finecache", "0"}, 2},
+		{[]string{"-pagecache", "0"}, 2},
+		{[]string{"-pagecache", "-4", "-finecache", "1"}, 2},
+		{[]string{"-fine=false", "-finecache", "0"}, 2},
 	} {
 		var out bytes.Buffer
 		if code := run(tc.args, &out); code != tc.code {

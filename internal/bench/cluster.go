@@ -246,7 +246,6 @@ func runClusterCell(s Scale, pt clusterPoint) (*clusterSlot, error) {
 			Primary:       ss.Primary,
 			Executions:    ss.Executions,
 			ReplicaWrites: ss.ReplicaWrites,
-			Fanouts:       ss.Fanouts,
 			Hedges:        ss.Hedges,
 			Failovers:     ss.Failovers,
 			Rejected:      ss.Rejected,

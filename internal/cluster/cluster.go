@@ -22,10 +22,6 @@ const (
 	// over to the next replica (at the failure's virtual time) on an
 	// uncorrectable media error.
 	ReadPrimary ReadPolicy = iota
-	// ReadFanout issues the read to every replica at dispatch; the first
-	// successful completion in virtual time wins. Failover is implicit —
-	// a faulted replica simply never wins.
-	ReadFanout
 	// ReadHedged sends to the primary, and if the primary has not
 	// completed within HedgeDelay, issues one hedge to the next replica;
 	// the earlier success wins. Uncorrectable primary errors fail over
@@ -38,8 +34,6 @@ func (p ReadPolicy) String() string {
 	switch p {
 	case ReadPrimary:
 		return "primary"
-	case ReadFanout:
-		return "fanout"
 	case ReadHedged:
 		return "hedged"
 	}
@@ -244,7 +238,6 @@ type ShardStats struct {
 	Primary       uint64 `json:"primary"`        // requests routed here as primary
 	Executions    uint64 `json:"executions"`     // store executions, replica work included
 	ReplicaWrites uint64 `json:"replica_writes"` // secondary copies written here
-	Fanouts       uint64 `json:"fanouts"`        // fan-out reads served here
 	Hedges        uint64 `json:"hedges"`         // hedge reads served here
 	Failovers     uint64 `json:"failovers"`      // failover reads served here
 	Rejected      uint64 `json:"rejected"`       // arrivals bounced off the full FIFO
@@ -316,24 +309,64 @@ type ReplayOpts struct {
 	Heat *telemetry.LatencyGrid
 }
 
-// pending is one admitted request waiting in (or dispatched from) its
-// primary shard's FIFO.
+// pending is one admitted request, in a recycled slot from admission until
+// it completes or is lost. dispatch is its primary dispatch time; a read
+// still open after dispatch keeps its primary completion (done1, which a
+// hedge races) and the replica a failover tries next. With a tail recorder
+// armed, segs holds the primary (for a write, the slowest) leg's segments.
 type pending struct {
-	arrival sim.Time
-	tenant  int32
-	write   bool
-	nrep    int8
-	reps    [maxReplicas]int32
-	key     string
-	val     []byte
+	arrival, dispatch, done1 sim.Time
+	tenant                   int32
+	write                    bool
+	nrep, next               int8
+	reps                     [maxReplicas]int32
+	key                      string
+	val                      []byte
+	segs                     []telemetry.StageSeg
 }
 
-// shardQ is one shard's replay-local admission state.
+// shardQ is one shard's replay-local admission state: a FIFO of pending
+// slots and the dispatch bookkeeping.
 type shardQ struct {
-	queue      []pending
+	queue      []int32
 	head       int
 	inFlight   int
 	dispatched int
+}
+
+// evKind is what a replay event does when it pops.
+type evKind uint8
+
+const (
+	evArrival  evKind = iota // the next request arrives
+	evRelease                // a primary leg completes: its shard frees a depth slot
+	evHedge                  // a slow primary read's hedge fires
+	evFailover               // a failed read leg completes: try the next replica
+)
+
+// event is one scheduled replay step, a plain record: shard names the
+// released shard, slot the hedged or failing-over request.
+type event struct {
+	kind  evKind
+	shard int32
+	slot  int32
+}
+
+// replay is one Replay call's state.
+type replay struct {
+	c    *Cluster
+	opts ReplayOpts
+	res  *Result
+
+	q        sim.EventQueue[event]
+	now      sim.Time // the popped event's time
+	lastDone sim.Time
+	err      error
+	qs       []shardQ
+	slots    []pending
+	free     []int32 // recycled slot indices
+
+	legSegs, tailScratch []telemetry.StageSeg
 }
 
 // tolerable reports whether err is a media-level loss the replay may
@@ -348,8 +381,8 @@ func tolerable(err error) bool {
 // backpressure when full), dispatch under the per-shard depth bound, and
 // R-way replication — writes copy to every replica and complete with the
 // slowest, reads follow cfg.ReadPolicy and complete with the first
-// success. One discrete-event engine sequences every arrival, dispatch,
-// hedge, failover, and completion across all shards by (time, seq), so a
+// success. One loop pops arrival, release, hedge and failover records from
+// an event queue by (time, push order) across all shards, so a
 // whole-cluster replay is deterministic.
 func (c *Cluster) Replay(next func() Request, requests int, opts ReplayOpts) (*Result, error) {
 	if opts.Arrivals == nil {
@@ -376,56 +409,63 @@ func (c *Cluster) Replay(next func() Request, requests int, opts ReplayOpts) (*R
 		res.Tenants[t].Tenant = t
 	}
 
-	eng := sim.NewEngine()
-	qs := make([]shardQ, len(c.shards))
-	var (
-		arrived  int
-		lastDone = start
-		runErr   error
-	)
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
+	r := &replay{c: c, opts: opts, res: res, qs: make([]shardQ, len(c.shards)), lastDone: start}
+	r.push(start+opts.Arrivals.Next(), event{kind: evArrival})
+	for arrived := 0; r.err == nil; {
+		at, ev, ok := r.q.Pop()
+		if !ok {
+			break
+		}
+		r.now = at
+		switch ev.kind {
+		case evArrival:
+			req := next()
+			if arrived++; arrived < requests {
+				r.push(at+opts.Arrivals.Next(), event{kind: evArrival})
+			}
+			r.arrive(req)
+		case evRelease:
+			r.qs[ev.shard].inFlight--
+			r.admit(ev.shard)
+		case evHedge:
+			r.hedge(ev.slot)
+		case evFailover:
+			r.failover(ev.slot)
 		}
 	}
-	bump := func(t sim.Time) {
-		if t > lastDone {
-			lastDone = t
-		}
+	if r.err != nil {
+		return nil, r.err
 	}
-	observe := func(p *pending, done sim.Time) {
-		bump(done)
-		res.Hist.Observe(done - p.arrival)
-		res.Tenants[p.tenant].Hist.Observe(done - p.arrival)
-		opts.Heat.Observe(done, done-p.arrival)
-	}
-	lose := func(p *pending, at sim.Time) {
-		bump(at)
-		res.Lost++
-		res.Tenants[p.tenant].Lost++
-	}
+	res.Elapsed = r.lastDone - start
+	return res, nil
+}
 
-	// observeTail offers a successful request to the tail recorder with
-	// whole-request blame synthesized along its winning leg (see
-	// ReplayOpts.Tail). legSegs is the winning leg's captured segment list
-	// (it begins at the request's arrival for primary legs, which carry
-	// PreQueue, and at the leg's own start otherwise); gap labels the
-	// dispatch→leg-start interval of secondary legs.
-	var tailScratch []telemetry.StageSeg
-	observeTail := func(p *pending, done, dispatch, legStart sim.Time, legSegs []telemetry.StageSeg, gap telemetry.Stage, gapRes telemetry.Res) {
-		if opts.Tail == nil {
-			return
-		}
+// push schedules ev at time at, clamped to the current time.
+func (r *replay) push(at sim.Time, ev event) {
+	r.q.Push(max(at, r.now), ev)
+}
+
+// win completes slot's request at done, observing its latency, offering it
+// to the tail recorder with whole-request blame synthesized along its
+// winning leg (see ReplayOpts.Tail), and recycling the slot. legSegs is
+// that leg's captured segment list (it begins at the request's arrival for
+// primary legs, which carry PreQueue, and at legStart otherwise); gap
+// labels the dispatch→leg-start interval of secondary legs.
+func (r *replay) win(slot int32, done, legStart sim.Time, legSegs []telemetry.StageSeg, gap telemetry.Stage, gapRes telemetry.Res) {
+	p := &r.slots[slot]
+	r.lastDone = max(r.lastDone, done)
+	r.res.Hist.Observe(done - p.arrival)
+	r.res.Tenants[p.tenant].Hist.Observe(done - p.arrival)
+	r.opts.Heat.Observe(done, done-p.arrival)
+	if r.opts.Tail != nil {
 		legFrom := legStart
 		if len(legSegs) > 0 {
 			legFrom = legSegs[0].Start
 		} else if legFrom > done {
 			legFrom = done
 		}
-		segs := tailScratch[:0]
-		if dispatch > legFrom {
-			dispatch = legFrom
-		}
+		dispatch := min(p.dispatch, legFrom)
+		segs := r.tailScratch[:0]
 		if p.arrival < dispatch {
 			segs = append(segs, telemetry.StageSeg{
 				Stage: telemetry.StageQueue, Res: telemetry.ResAdmission,
@@ -442,285 +482,241 @@ func (c *Cluster) Replay(next func() Request, requests int, opts ReplayOpts) (*R
 			segs = append(segs, telemetry.StageSeg{
 				Stage: telemetry.StageOther, Start: legFrom, End: done})
 		}
-		opts.Tail.Observe(segs, p.arrival, done)
-		tailScratch = segs
+		r.opts.Tail.Observe(segs, p.arrival, done)
+		r.tailScratch = segs
 	}
-
-	// exec runs one store operation on shard si at virtual time now. The
-	// primary execution of an admitted request carries the arrival time so
-	// its FIFO wait lands in the queue stage; replica work opens a plain
-	// scope. The cluster mutex makes the shard's mutating state safe
-	// against a concurrent /metrics scraper. With a tail recorder armed it
-	// also returns a copy of the leg's attributed segments, the raw
-	// material of the winning leg's blame.
-	exec := func(si int32, now sim.Time, p *pending, primary bool) (sim.Time, []telemetry.StageSeg, error) {
-		sh := c.shards[si]
-		c.mu.Lock()
-		if primary {
-			sh.SA.PreQueue(p.arrival)
-		}
-		sh.SA.Begin(now)
-		var done sim.Time
-		var err error
-		if p.write {
-			done, err = sh.Store.Put(now, p.key, p.val)
-		} else {
-			sh.readBuf, done, err = sh.Store.Get(now, p.key, sh.readBuf[:0])
-		}
-		sh.SA.Finish(done)
-		var segs []telemetry.StageSeg
-		if opts.Tail != nil {
-			segs = append(segs, sh.SA.LastSegs()...)
-		}
-		res.Shards[si].Executions++
-		if err != nil && tolerable(err) {
-			res.Shards[si].MediaErrors++
-		}
-		if done > c.now {
-			c.now = done
-		}
-		c.mu.Unlock()
-		bump(done)
-		if err != nil && (!opts.TolerateMediaErrors || !tolerable(err)) {
-			fail(fmt.Errorf("cluster: shard %d %s %q: %w", si, opString(p.write), p.key, err))
-		}
-		return done, segs, err
-	}
-
-	var admit func(si int32, now sim.Time)
-	release := func(si int32) func(sim.Time) {
-		return func(now sim.Time) {
-			qs[si].inFlight--
-			admit(si, now)
-		}
-	}
-
-	// tryFailover walks the remaining replicas at each failure's virtual
-	// time until one succeeds or the set is exhausted. dispatch is the
-	// request's primary dispatch time: the succeeding leg's blame charges
-	// [dispatch, leg start) — the failed prior attempts — to
-	// retry/"failover".
-	var tryFailover func(p pending, k int, dispatch, at sim.Time)
-	tryFailover = func(p pending, k int, dispatch, at sim.Time) {
-		if runErr != nil {
-			return
-		}
-		if int(k) >= int(p.nrep) {
-			lose(&p, at)
-			return
-		}
-		r := p.reps[k]
-		res.Shards[r].Failovers++
-		done, segs, err := exec(r, at, &p, false)
-		if runErr != nil {
-			return
-		}
-		if err == nil {
-			observe(&p, done)
-			observeTail(&p, done, dispatch, at, segs, telemetry.StageRetry, telemetry.ResFailover)
-			return
-		}
-		eng.At(done, func(t sim.Time) { tryFailover(p, k+1, dispatch, t) })
-	}
-
-	dispatchRead := func(si int32, now sim.Time, p pending) {
-		if c.cfg.ReadPolicy == ReadFanout && p.nrep > 1 {
-			// Fan out to every replica at dispatch; first success wins.
-			var best sim.Time
-			var bestSegs []telemetry.StageSeg
-			ok := false
-			var lastFail sim.Time
-			for k := int8(0); k < p.nrep; k++ {
-				r := p.reps[k]
-				if k > 0 {
-					res.Shards[r].Fanouts++
-				}
-				done, segs, err := exec(r, now, &p, k == 0)
-				if runErr != nil {
-					return
-				}
-				if k == 0 {
-					eng.At(done, release(si))
-				}
-				if err == nil {
-					if !ok || done < best {
-						best = done
-						bestSegs = segs
-					}
-					ok = true
-				} else if done > lastFail {
-					lastFail = done
-				}
-			}
-			if ok {
-				observe(&p, best)
-				observeTail(&p, best, now, now, bestSegs, 0, 0)
-			} else {
-				lose(&p, lastFail)
-			}
-			return
-		}
-
-		done1, segs1, err1 := exec(si, now, &p, true)
-		if runErr != nil {
-			return
-		}
-		eng.At(done1, release(si))
-		if err1 != nil {
-			eng.At(done1, func(t sim.Time) { tryFailover(p, 1, now, t) })
-			return
-		}
-		if c.cfg.ReadPolicy == ReadHedged && p.nrep > 1 && done1 > now+c.cfg.HedgeDelay {
-			// The primary is slow: hedge to the next replica, earlier
-			// success wins. Both completions land past the hedge time, so
-			// the event order stays monotone per shard.
-			hs := p.reps[1]
-			eng.At(now+c.cfg.HedgeDelay, func(t sim.Time) {
-				if runErr != nil {
-					return
-				}
-				res.Shards[hs].Hedges++
-				done2, segs2, err2 := exec(hs, t, &p, false)
-				if runErr != nil {
-					return
-				}
-				best := done1
-				if err2 == nil && done2 < best {
-					best = done2
-				}
-				observe(&p, best)
-				if best == done1 {
-					observeTail(&p, done1, now, now, segs1, 0, 0)
-				} else {
-					// The hedge won: the wait for the hedge to fire is
-					// part of the critical path, blamed queue/"hedge".
-					observeTail(&p, done2, now, t, segs2, telemetry.StageQueue, telemetry.ResHedge)
-				}
-			})
-			return
-		}
-		observe(&p, done1)
-		observeTail(&p, done1, now, now, segs1, 0, 0)
-	}
-
-	dispatchWrite := func(si int32, now sim.Time, p pending) {
-		// The primary copy is charged the queue wait; replica copies write
-		// concurrently at dispatch. Durability is write-all: the request
-		// completes with its slowest successful copy, and fails only when
-		// the primary copy fails.
-		done1, segs1, err1 := exec(si, now, &p, true)
-		if runErr != nil {
-			return
-		}
-		eng.At(done1, release(si))
-		worst := done1
-		worstSegs := segs1
-		for k := int8(1); k < p.nrep; k++ {
-			r := p.reps[k]
-			res.Shards[r].ReplicaWrites++
-			done, segs, err := exec(r, now, &p, false)
-			if runErr != nil {
-				return
-			}
-			if err == nil && done > worst {
-				worst = done
-				worstSegs = segs
-			}
-		}
-		if err1 != nil {
-			lose(&p, done1)
-			return
-		}
-		observe(&p, worst)
-		observeTail(&p, worst, now, now, worstSegs, 0, 0)
-	}
-
-	admit = func(si int32, now sim.Time) {
-		q := &qs[si]
-		for runErr == nil && q.inFlight < c.cfg.Depth && q.head < len(q.queue) {
-			p := q.queue[q.head]
-			q.queue[q.head] = pending{} // release the payload
-			q.head++
-			q.dispatched++
-			if opts.TickEvery > 0 && q.dispatched%opts.TickEvery == 0 {
-				c.mu.Lock()
-				_, _, err := c.shards[si].Store.MaintenanceTick(now)
-				c.mu.Unlock()
-				if err != nil && (!opts.TolerateMediaErrors || !tolerable(err)) {
-					fail(fmt.Errorf("cluster: shard %d compaction: %w", si, err))
-					return
-				}
-			}
-			q.inFlight++
-			if p.write {
-				dispatchWrite(si, now, p)
-			} else {
-				dispatchRead(si, now, p)
-			}
-		}
-		if q.head == len(q.queue) {
-			q.queue = q.queue[:0]
-			q.head = 0
-		}
-	}
-
-	var arrive func(now sim.Time)
-	arrive = func(now sim.Time) {
-		if runErr != nil {
-			return
-		}
-		req := next()
-		arrived++
-		if arrived < requests {
-			eng.At(now+opts.Arrivals.Next(), arrive)
-		}
-		res.Arrived++
-		ts := &res.Tenants[req.Tenant]
-		ts.Arrived++
-		c.mu.Lock()
-		allowed := c.buckets[req.Tenant].allow(now)
-		c.mu.Unlock()
-		if !allowed {
-			ts.Throttled++
-			res.Throttled++
-			return
-		}
-		p := pending{arrival: now, tenant: int32(req.Tenant), write: req.Write, key: req.Key}
-		if req.Write {
-			p.val = append([]byte(nil), req.Val...)
-		}
-		c.repScratch = c.Route(req.Key, c.repScratch)
-		p.nrep = int8(len(c.repScratch))
-		for i, r := range c.repScratch {
-			p.reps[i] = int32(r)
-		}
-		si := p.reps[0]
-		q := &qs[si]
-		res.Shards[si].Primary++
-		if c.cfg.MaxQueue > 0 && q.inFlight >= c.cfg.Depth && len(q.queue)-q.head >= c.cfg.MaxQueue {
-			res.Shards[si].Rejected++
-			res.Rejected++
-			ts.Rejected++
-			return
-		}
-		res.Admitted++
-		q.queue = append(q.queue, p)
-		admit(si, now)
-	}
-	eng.At(start+opts.Arrivals.Next(), arrive)
-	eng.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	res.Elapsed = lastDone - start
-	return res, nil
+	r.recycle(slot)
 }
 
-func opString(write bool) string {
-	if write {
-		return "put"
+// lose counts slot's request as lost at time at and recycles the slot.
+func (r *replay) lose(slot int32, at sim.Time) {
+	r.lastDone = max(r.lastDone, at)
+	r.res.Lost++
+	r.res.Tenants[r.slots[slot].tenant].Lost++
+	r.recycle(slot)
+}
+
+// recycle returns a slot to the pool, dropping its key and payload; the
+// segment buffer stays for the next request.
+func (r *replay) recycle(slot int32) {
+	r.slots[slot].key, r.slots[slot].val = "", nil
+	r.free = append(r.free, slot)
+}
+
+// exec runs one store operation for slot's request on shard si at the
+// current time. The primary execution carries the arrival time so its
+// FIFO wait lands in the queue stage; replica work opens a plain scope.
+// The cluster mutex makes the shard's mutating state safe against a
+// concurrent /metrics scraper. With a tail recorder armed it also copies
+// the leg's attributed segments into r.legSegs.
+func (r *replay) exec(si, slot int32, primary bool) (sim.Time, error) {
+	p, sh, now := &r.slots[slot], r.c.shards[si], r.now
+	r.c.mu.Lock()
+	if primary {
+		sh.SA.PreQueue(p.arrival)
 	}
-	return "get"
+	sh.SA.Begin(now)
+	var done sim.Time
+	var err error
+	if p.write {
+		done, err = sh.Store.Put(now, p.key, p.val)
+	} else {
+		sh.readBuf, done, err = sh.Store.Get(now, p.key, sh.readBuf[:0])
+	}
+	sh.SA.Finish(done)
+	if r.opts.Tail != nil {
+		r.legSegs = append(r.legSegs[:0], sh.SA.LastSegs()...)
+	}
+	r.res.Shards[si].Executions++
+	if err != nil && tolerable(err) {
+		r.res.Shards[si].MediaErrors++
+	}
+	r.c.now = max(r.c.now, done)
+	r.c.mu.Unlock()
+	r.lastDone = max(r.lastDone, done)
+	if err != nil && (!r.opts.TolerateMediaErrors || !tolerable(err)) {
+		op := "get"
+		if p.write {
+			op = "put"
+		}
+		r.err = fmt.Errorf("cluster: shard %d %s %q: %w", si, op, p.key, err)
+	}
+	return done, err
+}
+
+// arrive offers one request at the current time: token-bucket admission,
+// routing, and the primary shard's bounded FIFO.
+func (r *replay) arrive(req Request) {
+	c, res := r.c, r.res
+	res.Arrived++
+	ts := &res.Tenants[req.Tenant]
+	ts.Arrived++
+	c.mu.Lock()
+	allowed := c.buckets[req.Tenant].allow(r.now)
+	c.mu.Unlock()
+	if !allowed {
+		ts.Throttled++
+		res.Throttled++
+		return
+	}
+	c.repScratch = c.Route(req.Key, c.repScratch)
+	si := int32(c.repScratch[0])
+	q := &r.qs[si]
+	res.Shards[si].Primary++
+	if c.cfg.MaxQueue > 0 && q.inFlight >= c.cfg.Depth && len(q.queue)-q.head >= c.cfg.MaxQueue {
+		res.Shards[si].Rejected++
+		res.Rejected++
+		ts.Rejected++
+		return
+	}
+	res.Admitted++
+	var slot int32
+	if n := len(r.free); n > 0 {
+		slot, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		slot = int32(len(r.slots))
+		r.slots = append(r.slots, pending{})
+	}
+	p := &r.slots[slot]
+	p.arrival, p.tenant, p.write, p.key = r.now, int32(req.Tenant), req.Write, req.Key
+	if req.Write {
+		p.val = append([]byte(nil), req.Val...)
+	}
+	p.nrep = int8(len(c.repScratch))
+	for i, rep := range c.repScratch {
+		p.reps[i] = int32(rep)
+	}
+	q.queue = append(q.queue, slot)
+	r.admit(si)
+}
+
+// admit dispatches shard si's FIFO head while the depth bound allows.
+func (r *replay) admit(si int32) {
+	c, q := r.c, &r.qs[si]
+	for r.err == nil && q.inFlight < c.cfg.Depth && q.head < len(q.queue) {
+		slot := q.queue[q.head]
+		q.head++
+		q.dispatched++
+		if r.opts.TickEvery > 0 && q.dispatched%r.opts.TickEvery == 0 {
+			c.mu.Lock()
+			_, _, err := c.shards[si].Store.MaintenanceTick(r.now)
+			c.mu.Unlock()
+			if err != nil && (!r.opts.TolerateMediaErrors || !tolerable(err)) {
+				r.err = fmt.Errorf("cluster: shard %d compaction: %w", si, err)
+				return
+			}
+		}
+		q.inFlight++
+		r.slots[slot].dispatch = r.now
+		if r.slots[slot].write {
+			r.dispatchWrite(si, slot)
+		} else {
+			r.dispatchRead(si, slot)
+		}
+	}
+	if q.head == len(q.queue) {
+		q.queue = q.queue[:0]
+		q.head = 0
+	}
+}
+
+// dispatchRead runs a read's primary leg. A failed primary fails over at
+// its completion; a slow one under ReadHedged hedges after HedgeDelay.
+// Both keep the slot open; otherwise the read completes here.
+func (r *replay) dispatchRead(si, slot int32) {
+	done1, err1 := r.exec(si, slot, true)
+	if r.err != nil {
+		return
+	}
+	r.push(done1, event{kind: evRelease, shard: si})
+	p, cfg := &r.slots[slot], &r.c.cfg
+	switch {
+	case err1 != nil:
+		p.next = 1
+		r.push(done1, event{kind: evFailover, slot: slot})
+	case cfg.ReadPolicy == ReadHedged && p.nrep > 1 && done1 > r.now+cfg.HedgeDelay:
+		// The primary is slow: hedge to the next replica, earlier success
+		// wins. Both completions land past the hedge time, so the event
+		// order stays monotone per shard.
+		p.done1 = done1
+		p.segs, r.legSegs = r.legSegs, p.segs
+		r.push(r.now+cfg.HedgeDelay, event{kind: evHedge, slot: slot})
+	default:
+		r.win(slot, done1, r.now, r.legSegs, 0, 0)
+	}
+}
+
+// hedge issues a slow read's second copy to its next replica at the
+// current time; the earlier success of the two legs completes the read.
+func (r *replay) hedge(slot int32) {
+	p := &r.slots[slot]
+	hs := p.reps[1]
+	r.res.Shards[hs].Hedges++
+	done2, err2 := r.exec(hs, slot, false)
+	switch {
+	case r.err != nil:
+	case err2 == nil && done2 < p.done1:
+		// The hedge won: the wait for the hedge to fire is part of the
+		// critical path, blamed queue/"hedge".
+		r.win(slot, done2, r.now, r.legSegs, telemetry.StageQueue, telemetry.ResHedge)
+	default:
+		r.win(slot, p.done1, p.dispatch, p.segs, 0, 0)
+	}
+}
+
+// failover tries a failed read's next replica at the current time (the
+// prior leg's failure). The succeeding leg's blame charges [dispatch, leg
+// start) — the failed prior attempts — to retry/"failover"; a read that
+// fails on every replica is lost.
+func (r *replay) failover(slot int32) {
+	p := &r.slots[slot]
+	if p.next >= p.nrep {
+		r.lose(slot, r.now)
+		return
+	}
+	rs := p.reps[p.next]
+	r.res.Shards[rs].Failovers++
+	done, err := r.exec(rs, slot, false)
+	switch {
+	case r.err != nil:
+	case err == nil:
+		r.win(slot, done, r.now, r.legSegs, telemetry.StageRetry, telemetry.ResFailover)
+	default:
+		p.next++
+		r.push(done, event{kind: evFailover, slot: slot})
+	}
+}
+
+// dispatchWrite writes every copy at the current time. The primary copy
+// is charged the queue wait; replica copies write concurrently at
+// dispatch. Durability is write-all: the request completes with its
+// slowest successful copy, and fails only when the primary copy fails.
+func (r *replay) dispatchWrite(si, slot int32) {
+	done1, err1 := r.exec(si, slot, true)
+	if r.err != nil {
+		return
+	}
+	r.push(done1, event{kind: evRelease, shard: si})
+	p := &r.slots[slot]
+	p.segs, r.legSegs = r.legSegs, p.segs
+	worst := done1
+	for k := int8(1); k < p.nrep; k++ {
+		rs := p.reps[k]
+		r.res.Shards[rs].ReplicaWrites++
+		done, err := r.exec(rs, slot, false)
+		if r.err != nil {
+			return
+		}
+		if err == nil && done > worst {
+			worst = done
+			p.segs, r.legSegs = r.legSegs, p.segs
+		}
+	}
+	if err1 != nil {
+		r.lose(slot, done1)
+		return
+	}
+	r.win(slot, worst, r.now, p.segs, 0, 0)
 }
 
 // RegisterMetrics mirrors every shard's stage account and resource

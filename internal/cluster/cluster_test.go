@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -75,6 +77,14 @@ func buildTestCluster(t *testing.T, o testClusterOpts) (*Cluster, sim.Time) {
 
 func testReplay(t *testing.T, c *Cluster, start sim.Time, records uint64, requests int) *Result {
 	t.Helper()
+	return testReplayWith(t, c, start, records, requests, nil, nil)
+}
+
+// testReplayWith replays a two-tenant Poisson stream (a zipfian read-mostly
+// tenant beside a uniform one) with the given tail recorder and heatmap.
+func testReplayWith(t *testing.T, c *Cluster, start sim.Time, records uint64, requests int,
+	tail *telemetry.TailRecorder, heat *telemetry.LatencyGrid) *Result {
+	t.Helper()
 	mt, err := workload.NewMultiTenant(records, []workload.TenantConfig{
 		{Weight: 3, Theta: 0.99, ReadFraction: 0.9},
 		{Weight: 1, Theta: 0, ReadFraction: 0.7},
@@ -93,7 +103,8 @@ func testReplay(t *testing.T, c *Cluster, start sim.Time, records uint64, reques
 			req.Val = testVal(r.Tenant, r.Record)
 		}
 		return req
-	}, requests, ReplayOpts{Arrivals: arr, Start: start, TickEvery: 64, TolerateMediaErrors: true})
+	}, requests, ReplayOpts{Arrivals: arr, Start: start, TickEvery: 64, TolerateMediaErrors: true,
+		Tail: tail, Heat: heat})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -135,27 +146,51 @@ func TestClusterReadBackAllReplicas(t *testing.T) {
 
 // The whole-cluster replay must be a pure function of its inputs: two
 // identical clusters replaying the same stream produce deeply equal
-// results, including per-shard and per-tenant ledgers.
+// results, including per-shard and per-tenant ledgers. Each case's whole
+// Result (and, where armed, its tail and heatmap snapshots) is pinned by a
+// golden dump under testdata/.
 func TestClusterReplayDeterministic(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name    string
+		cfg     Config
+		records uint64
+		fault   string
+		armed   bool // Tail and Heat recorders on
 	}{
-		{"primary", Config{Shards: 4, Replicas: 2, Tenants: 2, Depth: 8, MaxQueue: 32}},
-		{"fanout", Config{Shards: 4, Replicas: 3, Tenants: 2, ReadPolicy: ReadFanout}},
-		{"hedged", Config{Shards: 4, Replicas: 2, Tenants: 2, ReadPolicy: ReadHedged, HedgeDelay: 50_000}},
+		{"primary", Config{Shards: 4, Replicas: 2, Tenants: 2, Depth: 8, MaxQueue: 32}, 512, "", false},
+		{"hedged", Config{Shards: 4, Replicas: 2, Tenants: 2, ReadPolicy: ReadHedged, HedgeDelay: 50_000}, 512, "", false},
+		// A dying member under hedged reads: failover and hedge legs,
+		// with their synthesized blame.
+		{"faulted", Config{Shards: 4, Replicas: 2, Tenants: 2, Depth: 4,
+			ReadPolicy: ReadHedged, HedgeDelay: 30 * sim.Microsecond}, 4096, "nand.read:0.6", true},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			run := func() *Result {
-				c, start := buildTestCluster(t, testClusterOpts{cfg: tc.cfg, records: 512})
-				return testReplay(t, c, start, 512, 400)
+			const requests = 400
+			run := func() (*Result, []byte) {
+				c, start := buildTestCluster(t, testClusterOpts{cfg: tc.cfg, records: tc.records, fault: tc.fault})
+				var tail *telemetry.TailRecorder
+				var heat *telemetry.LatencyGrid
+				if tc.armed {
+					tail, heat = telemetry.NewTailRecorder(100, requests), telemetry.NewLatencyGrid(start)
+				}
+				res := testReplayWith(t, c, start, tc.records, requests, tail, heat)
+				return res, dumpResult(res, tail, heat)
 			}
-			a, b := run(), run()
-			if !reflect.DeepEqual(a, b) {
+			a, dumpA := run()
+			b, dumpB := run()
+			if !reflect.DeepEqual(a, b) || !bytes.Equal(dumpA, dumpB) {
 				t.Fatalf("replays diverge:\n%+v\nvs\n%+v", a, b)
+			}
+			golden := filepath.Join("testdata", "replay-"+tc.name+".golden")
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dumpA, want) {
+				t.Errorf("replay differs from %s:\n%s", golden, dumpA)
 			}
 			if a.Hist.Count() == 0 {
 				t.Fatal("no successful requests")
@@ -175,6 +210,41 @@ func TestClusterReplayDeterministic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// dumpResult renders every field of a replay's Result (histograms bucket by
+// bucket), then the tail recorder's snapshot segment by segment and the
+// heatmap, when armed.
+func dumpResult(res *Result, tail *telemetry.TailRecorder, heat *telemetry.LatencyGrid) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "arrived %d admitted %d rejected %d throttled %d lost %d\n",
+		res.Arrived, res.Admitted, res.Rejected, res.Throttled, res.Lost)
+	fmt.Fprintf(&b, "start %d elapsed %d\nhist %+v\n", int64(res.Start), int64(res.Elapsed), res.Hist)
+	for _, ss := range res.Shards {
+		fmt.Fprintf(&b, "shard %d primary %d executions %d replica_writes %d hedges %d failovers %d rejected %d media_errors %d faulted %t\n",
+			ss.Shard, ss.Primary, ss.Executions, ss.ReplicaWrites, ss.Hedges, ss.Failovers, ss.Rejected, ss.MediaErrors, ss.Faulted)
+	}
+	for _, ts := range res.Tenants {
+		fmt.Fprintf(&b, "tenant %d arrived %d throttled %d rejected %d lost %d\n  hist %+v\n",
+			ts.Tenant, ts.Arrived, ts.Throttled, ts.Rejected, ts.Lost, ts.Hist)
+	}
+	if snap := tail.Snapshot(); snap != nil {
+		fmt.Fprintf(&b, "tail kept %d observed %d\n", snap.Kept, snap.Observed)
+		for _, ex := range snap.TopK {
+			fmt.Fprintf(&b, "  seq %d [%d, %d]", ex.Seq, int64(ex.Start), int64(ex.End))
+			for _, s := range ex.Segs {
+				fmt.Fprintf(&b, " %s/%s:%d-%d", s.Stage, s.Res, int64(s.Start), int64(s.End))
+			}
+			b.WriteByte('\n')
+		}
+		for _, row := range snap.Blame {
+			fmt.Fprintf(&b, "  blame %s/%s %d\n", row.Stage, row.Res, int64(row.Total))
+		}
+	}
+	if snap := heat.Snapshot(); snap != nil {
+		fmt.Fprintf(&b, "heat %+v\n", *snap)
+	}
+	return b.Bytes()
 }
 
 // A faulted member with R=2 must fail over instead of losing requests:
@@ -215,28 +285,6 @@ func TestClusterDegradedFailover(t *testing.T) {
 	}
 }
 
-// Fan-out reads must mask a faulted replica entirely (no failover hops,
-// minimal loss) and never complete later than the primary alone would.
-func TestClusterFanoutMasksFaults(t *testing.T) {
-	t.Parallel()
-	c, start := buildTestCluster(t, testClusterOpts{
-		cfg:     Config{Shards: 4, Replicas: 2, Tenants: 2, ReadPolicy: ReadFanout},
-		records: 4096,
-		fault:   "nand.read:0.8",
-	})
-	res := testReplay(t, c, start, 4096, 600)
-	var fanouts uint64
-	for _, ss := range res.Shards {
-		fanouts += ss.Fanouts
-	}
-	if fanouts == 0 {
-		t.Fatal("fan-out policy issued no fan-out reads")
-	}
-	if res.Lost*20 > res.Admitted {
-		t.Fatalf("fan-out lost %d of %d admitted", res.Lost, res.Admitted)
-	}
-}
-
 // A tiny depth and FIFO bound under a hot keyspace must reject with
 // backpressure, and a tight token bucket must throttle — and both must
 // keep the arrival ledger exact.
@@ -271,8 +319,8 @@ func TestClusterBackpressureAndThrottle(t *testing.T) {
 }
 
 // TestClusterTailBlameConservation armors the whole-request blame
-// synthesis: across every read policy — plain primary, failover off a
-// dying member, hedged reads, full fan-out — and the write-all path,
+// synthesis: across every read path — plain primary, failover off a
+// dying member, hedged reads — and the write-all path,
 // every request the tail recorder keeps must carry a contiguous segment
 // list that partitions [arrival, completion] exactly. The keep budget is
 // set to the request count so EVERY successful request is checked, not
@@ -289,7 +337,6 @@ func TestClusterTailBlameConservation(t *testing.T) {
 		{"failover", Config{Shards: 4, Replicas: 2, Tenants: 2}, "nand.read:0.8", telemetry.ResFailover},
 		{"hedged", Config{Shards: 4, Replicas: 2, Tenants: 2, Depth: 4,
 			ReadPolicy: ReadHedged, HedgeDelay: 30 * sim.Microsecond}, "nand.read:0.8", telemetry.ResHedge},
-		{"fanout", Config{Shards: 4, Replicas: 2, Tenants: 2, ReadPolicy: ReadFanout}, "nand.read:0.8", 0},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -297,31 +344,9 @@ func TestClusterTailBlameConservation(t *testing.T) {
 			t.Parallel()
 			const requests = 600
 			c, start := buildTestCluster(t, testClusterOpts{cfg: tc.cfg, records: 4096, fault: tc.fault})
-			mt, err := workload.NewMultiTenant(4096, []workload.TenantConfig{
-				{Weight: 3, Theta: 0.99, ReadFraction: 0.9},
-				{Weight: 1, Theta: 0, ReadFraction: 0.7},
-			}, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			arr, err := workload.NewPoisson(30000, 99)
-			if err != nil {
-				t.Fatal(err)
-			}
 			tail := telemetry.NewTailRecorder(requests, requests)
 			grid := telemetry.NewLatencyGrid(start)
-			res, err := c.Replay(func() Request {
-				r := mt.Next()
-				req := Request{Tenant: r.Tenant, Write: r.Write, Key: testKey(r.Tenant, r.Record)}
-				if r.Write {
-					req.Val = testVal(r.Tenant, r.Record)
-				}
-				return req
-			}, requests, ReplayOpts{Arrivals: arr, Start: start, TickEvery: 64,
-				TolerateMediaErrors: true, Tail: tail, Heat: grid})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := testReplayWith(t, c, start, 4096, requests, tail, grid)
 			if res.Hist.Count() == 0 {
 				t.Fatal("empty replay")
 			}

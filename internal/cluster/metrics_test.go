@@ -40,10 +40,3 @@ func TestClusterRegisterMetrics(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,12 +1,12 @@
 // Package cluster is the sharded multi-SSD serving tier: a consistent-hash
 // router that places a namespaced KV keyspace across N independently
-// simulated SSD stacks, R-way replication with read fan-out and hedging,
+// simulated SSD stacks, R-way replication with hedged reads and failover,
 // and an admission layer doing per-tenant token-bucket rate limiting plus
 // per-shard queue backpressure. Everything composes the existing
 // subsystems — each shard is a full private stack (NAND, FTL, controller,
 // driver, VFS, log-structured KV store) and the cluster sequences requests
-// across them with one discrete-event engine, so a whole-cluster replay is
-// as deterministic as a single-device one.
+// across them with one event loop over plain records, so a whole-cluster
+// replay is as deterministic as a single-device one.
 package cluster
 
 import (

@@ -330,7 +330,7 @@ func writeShards(b *strings.Builder, r *Run) {
 	for i := range r.Shards {
 		total += r.Shards[i].Primary
 	}
-	b.WriteString("<h4>Per-shard utilization</h4>\n<table>\n<tr><th>shard</th><th>primary</th><th>share %</th><th>execs</th><th>repl. writes</th><th>fanouts</th><th>hedges</th><th>failovers</th><th>rejected</th><th>media err</th><th>util %</th><th>util</th></tr>\n")
+	b.WriteString("<h4>Per-shard utilization</h4>\n<table>\n<tr><th>shard</th><th>primary</th><th>share %</th><th>execs</th><th>repl. writes</th><th>hedges</th><th>failovers</th><th>rejected</th><th>media err</th><th>util %</th><th>util</th></tr>\n")
 	for i := range r.Shards {
 		ss := &r.Shards[i]
 		name := fmt.Sprintf("%d", ss.Shard)
@@ -345,9 +345,9 @@ func writeShards(b *strings.Builder, r *Run) {
 		if width > 100 {
 			width = 100
 		}
-		fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%.1f</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%.1f</td><td><div class=\"ubar\"><span style=\"width:%.1f%%\"></span></div></td></tr>\n",
+		fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%.1f</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%.1f</td><td><div class=\"ubar\"><span style=\"width:%.1f%%\"></span></div></td></tr>\n",
 			html.EscapeString(name), ss.Primary, share, ss.Executions,
-			ss.ReplicaWrites, ss.Fanouts, ss.Hedges, ss.Failovers,
+			ss.ReplicaWrites, ss.Hedges, ss.Failovers,
 			ss.Rejected, ss.MediaErrors, 100*ss.Utilization, width)
 	}
 	b.WriteString("</table>\n")

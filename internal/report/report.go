@@ -223,14 +223,13 @@ func TailRows(snap *telemetry.TailSnapshot) (exemplars []Exemplar, blame []Blame
 
 // ShardSummary is one cluster member's ledger in a cluster run: how much
 // primary traffic the consistent-hash ring routed to it, the replica work
-// it absorbed (replicated writes, fan-out/hedge/failover reads), what its
+// it absorbed (replicated writes, hedge and failover reads), what its
 // admission FIFO rejected, and how busy its device stayed.
 type ShardSummary struct {
 	Shard         int     `json:"shard"`
 	Primary       uint64  `json:"primary"`
 	Executions    uint64  `json:"executions"`
 	ReplicaWrites uint64  `json:"replica_writes,omitempty"`
-	Fanouts       uint64  `json:"fanouts,omitempty"`
 	Hedges        uint64  `json:"hedges,omitempty"`
 	Failovers     uint64  `json:"failovers,omitempty"`
 	Rejected      uint64  `json:"rejected,omitempty"`

@@ -5,7 +5,7 @@ import (
 )
 
 func TestEventQueueOrdersByTime(t *testing.T) {
-	var q EventQueue
+	var q EventQueue[func(Time)]
 	var got []Time
 	times := []Time{50, 10, 30, 20, 40, 5, 45}
 	for _, at := range times {
@@ -34,7 +34,7 @@ func TestEventQueueOrdersByTime(t *testing.T) {
 }
 
 func TestEventQueueTiebreakIsPushOrder(t *testing.T) {
-	var q EventQueue
+	var q EventQueue[func(Time)]
 	var got []int
 	// Many events at the same instant, plus decoys around them: equal
 	// times must pop in push order (the determinism contract).
@@ -59,7 +59,7 @@ func TestEventQueueTiebreakIsPushOrder(t *testing.T) {
 }
 
 func TestEventQueuePopEmpty(t *testing.T) {
-	var q EventQueue
+	var q EventQueue[func(Time)]
 	if _, _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty queue reported ok")
 	}
@@ -80,8 +80,8 @@ func TestEngineRunsEventsAndAdvancesClock(t *testing.T) {
 		e.At(20, func(Time) { order = append(order, "b") })
 	})
 	e.Run()
-	if e.clock.Now() != 30 {
-		t.Fatalf("Now = %d after run, want 30", e.clock.Now())
+	if e.now != 30 {
+		t.Fatalf("Now = %d after run, want 30", e.now)
 	}
 	want := "abc"
 	var got string
@@ -104,8 +104,8 @@ func TestEngineAtClampsToNow(t *testing.T) {
 		})
 	})
 	e.Run()
-	if e.clock.Now() != 100 {
-		t.Fatalf("Now = %d, want 100", e.clock.Now())
+	if e.now != 100 {
+		t.Fatalf("Now = %d, want 100", e.now)
 	}
 }
 
@@ -123,7 +123,7 @@ func TestEngineAfter(t *testing.T) {
 // is warm, push/pop cycles allocate nothing. (The callback itself is
 // pre-bound; closure capture allocates at the caller, not in the queue.)
 func TestEventQueueHotPathAllocFree(t *testing.T) {
-	var q EventQueue
+	var q EventQueue[func(Time)]
 	fn := func(Time) {}
 	// Warm the backing array.
 	for i := 0; i < 256; i++ {
@@ -152,7 +152,7 @@ func TestEventQueueHotPathAllocFree(t *testing.T) {
 }
 
 func BenchmarkEventPush(b *testing.B) {
-	var q EventQueue
+	var q EventQueue[func(Time)]
 	fn := func(Time) {}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -171,7 +171,7 @@ func BenchmarkEventPush(b *testing.B) {
 }
 
 func BenchmarkEventPop(b *testing.B) {
-	var q EventQueue
+	var q EventQueue[func(Time)]
 	fn := func(Time) {}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -188,7 +188,7 @@ func BenchmarkEventPop(b *testing.B) {
 }
 
 func BenchmarkEventMixed(b *testing.B) {
-	var q EventQueue
+	var q EventQueue[func(Time)]
 	fn := func(Time) {}
 	// Steady-state mix: a queue holding in-flight completions with
 	// interleaved push/pop, the open-loop runner's actual access pattern.

@@ -1,6 +1,8 @@
 package pipette
 
 import (
+	"errors"
+
 	"pipette/internal/index"
 	"pipette/internal/kv"
 )
@@ -157,11 +159,17 @@ func (k *KV) IndexStats() KVIndexStats {
 }
 
 // tickKVs runs one compaction round per open store; called (with the System
-// lock held) from MaintenanceTick.
-func (s *System) tickKVs() {
+// lock held) from MaintenanceTick. The clock advances past each round that
+// succeeds; the errors of the rounds that fail come back joined.
+func (s *System) tickKVs() error {
+	var errs []error
 	for _, st := range s.kvs {
-		if _, done, err := st.MaintenanceTick(s.clock.Now()); err == nil {
-			s.clock.AdvanceTo(done)
+		_, done, err := st.MaintenanceTick(s.clock.Now())
+		if err != nil {
+			errs = append(errs, err)
+			continue
 		}
+		s.clock.AdvanceTo(done)
 	}
+	return errors.Join(errs...)
 }

@@ -2,8 +2,10 @@ package pipette
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"pipette/internal/core"
 	"pipette/internal/sim"
@@ -68,7 +70,9 @@ func TestKVPublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sys.MaintenanceTick()
+	if err := sys.MaintenanceTick(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestFileClose(t *testing.T) {
@@ -181,5 +185,48 @@ func TestKVWritesKeepPageCacheBudget(t *testing.T) {
 	}
 	if got := sys.st.V.PageCache().Capacity(); got != want {
 		t.Fatalf("page cache grew to %d pages after KV writes, budget %d", got, want)
+	}
+}
+
+// TestMaintenanceTickReturnsStoreErrors: with bit errors armed on every
+// NAND read, a compaction round that reads an uncorrectable log page
+// returns the error from MaintenanceTick, and leaves the clock where the
+// round started. StartMaintenance's stop returns the same kind of error.
+func TestMaintenanceTickReturnsStoreErrors(t *testing.T) {
+	sys := newSystem(t, Options{CapacityBytes: 64 << 20, PageCacheBytes: 1 << 20,
+		FaultProfile: "nand.read:1", FaultSeed: 7})
+	kv, err := sys.OpenKV(KVOptions{SegmentBytes: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Overwrites leave the sealed segments mostly dead, and the log
+	// outgrows the page cache, so compaction reads its victims from flash.
+	val := bytes.Repeat([]byte("v"), 400)
+	for i := 0; i < 20000; i++ {
+		if err := kv.Put(fmt.Sprintf("k%04d", i%500), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tickErr error
+	for i := 0; i < 64 && tickErr == nil; i++ {
+		before := sys.Now()
+		if tickErr = sys.MaintenanceTick(); tickErr != nil && sys.Now() != before {
+			t.Fatalf("a failed tick moved the clock from %v to %v", before, sys.Now())
+		}
+	}
+	if !errors.Is(tickErr, ErrUncorrectable) {
+		t.Fatalf("64 ticks over a faulted log returned %v, want an uncorrectable read", tickErr)
+	}
+
+	// The maintenance goroutine meets the same errors; stop returns the
+	// first one it saw.
+	var stopErr error
+	for deadline := time.Now().Add(10 * time.Second); stopErr == nil && time.Now().Before(deadline); {
+		stop := sys.StartMaintenance(time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
+		stopErr = stop()
+	}
+	if !errors.Is(stopErr, ErrUncorrectable) {
+		t.Fatalf("the maintenance goroutine's stop returned %v, want an uncorrectable read", stopErr)
 	}
 }

@@ -313,21 +313,25 @@ func (s *System) Now() sim.Time {
 }
 
 // MaintenanceTick runs one stage of the fine cache's maintenance thread
-// (§3.2.3) and one compaction round of every open KV store. StartMaintenance
-// runs it periodically in wall-clock time.
-func (s *System) MaintenanceTick() {
+// (§3.2.3) and one compaction round of every open KV store, and returns
+// the errors of the rounds that failed, such as an uncorrectable read
+// under a fault profile. StartMaintenance runs it periodically in
+// wall-clock time.
+func (s *System) MaintenanceTick() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.st.Core.MaintenanceTick()
-	s.tickKVs()
+	return s.tickKVs()
 }
 
 // StartMaintenance launches the maintenance goroutine; the returned stop
-// function terminates it.
-func (s *System) StartMaintenance(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
+// function terminates it and returns the first error a tick returned.
+func (s *System) StartMaintenance(interval time.Duration) (stop func() error) {
+	done, exited := make(chan struct{}), make(chan struct{})
 	var once sync.Once
+	var first error
 	go func() {
+		defer close(exited)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -335,11 +339,17 @@ func (s *System) StartMaintenance(interval time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				s.MaintenanceTick()
+				if err := s.MaintenanceTick(); err != nil && first == nil {
+					first = err
+				}
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() error {
+		once.Do(func() { close(done) })
+		<-exited
+		return first
+	}
 }
 
 // Report summarizes system activity.
